@@ -306,7 +306,12 @@ fn cind_chase_builds_a_two_relation_witness() {
     let schema = two_rel_schema();
     // r[a] ⊆ s[k] with no conditions; s is otherwise unconstrained.
     let cind = NormalCind::parse(&schema, "r", &["a"], &[], "s", &["k"], &[]).unwrap();
-    let analysis = analyze(&schema, &[], std::slice::from_ref(&cind), &AnalyzeConfig::default());
+    let analysis = analyze(
+        &schema,
+        &[],
+        std::slice::from_ref(&cind),
+        &AnalyzeConfig::default(),
+    );
     match analysis.verdict {
         SigmaVerdict::Sat(w) => {
             assert!(w.db.total_tuples() >= 1);

@@ -7,10 +7,11 @@
 //! Σ′ carries true figures — and candidates whose exact figures fall
 //! below the caller's original floors are dropped.
 //!
-//! Cost: one `SymTables::build_for` over the touched relations plus one
-//! `SymIndex` per distinct `(relation, LHS)` group of the keep-set —
-//! linear in the data and proportional to the *kept* dependencies, not
-//! to the lattice the sampled walk explored.
+//! Cost: one symbolization of the keep-set's columns (a
+//! `SymTables::build_for` that skips every column no kept dependency
+//! reads) plus one `SymIndex` per distinct `(relation, LHS)` group of
+//! the keep-set — linear in the data and proportional to the *kept*
+//! dependencies, not to the lattice the sampled walk explored.
 
 use crate::config::DiscoveryConfig;
 use crate::{DiscoveredCfd, DiscoveredCind};
@@ -47,15 +48,20 @@ pub(crate) fn confirm(
     cinds: &mut Vec<DiscoveredCind>,
 ) -> ConfirmOutcome {
     let mut outcome = ConfirmOutcome::default();
-    let mut needed: Vec<bool> = vec![false; db.schema().len()];
+    // Symbolize only the keep-set's columns.
+    let mut attrs: Vec<Vec<AttrId>> = vec![Vec::new(); db.schema().len()];
     for d in cfds.iter() {
-        needed[d.cfd.rel().index()] = true;
+        let cols = &mut attrs[d.cfd.rel().index()];
+        cols.extend_from_slice(d.cfd.lhs());
+        cols.push(d.cfd.rhs());
     }
     for d in cinds.iter() {
-        needed[d.cind.lhs_rel().index()] = true;
-        needed[d.cind.rhs_rel().index()] = true;
+        let source = &mut attrs[d.cind.lhs_rel().index()];
+        source.extend_from_slice(d.cind.x());
+        source.extend(d.cind.xp().iter().map(|(a, _)| *a));
+        attrs[d.cind.rhs_rel().index()].extend_from_slice(d.cind.y());
     }
-    let (interner, tables) = SymTables::build_for(db, |r| needed[r.index()]);
+    let (interner, tables) = SymTables::build_for(db, &attrs);
     let support_floor = config.support_floor();
     let confidence_floor = config.confidence_floor();
 

@@ -347,8 +347,8 @@ impl OnlineMiner {
 
     /// The dependencies the current sketches support at the configured
     /// floors, with evidence. Deterministic for a fixed tuple set:
-    /// relations and attribute pairs stream in dense order, classes in
-    /// value order.
+    /// relations and attribute pairs stream in dense order, classes of
+    /// two or more rows in value order.
     pub fn proposals(&self) -> OnlineProposals {
         let mut out = OnlineProposals::default();
         let floor_c = self.config.min_confidence.clamp(0.0, 1.0);
@@ -364,21 +364,23 @@ impl OnlineMiner {
                     if x == y {
                         continue;
                     }
+                    // The stripped-partition view: singleton classes
+                    // support nothing and fall under every constant
+                    // row's floor, so they never reach the sort.
                     let map = &sketch.pairs[x * arity + y];
-                    let mut classes: Vec<(&Value, &ValueCounts)> = map.iter().collect();
+                    let mut classes: Vec<(&Value, &ValueCounts, usize)> = map
+                        .iter()
+                        .map(|(xv, tally)| (xv, tally, tally.values().sum()))
+                        .filter(|&(_, _, len)| len >= 2)
+                        .collect();
                     classes.sort_by(|a, b| a.0.cmp(b.0));
                     let mut support = 0usize;
                     let mut kept = 0usize;
                     let mut constants: Vec<DiscoveredCfd> = Vec::new();
-                    for (xv, tally) in classes {
-                        let len: usize = tally.values().sum();
+                    for (xv, tally, len) in classes {
                         let (maj_v, maj_c) = majority(tally);
-                        if len >= 2 {
-                            // The stripped-partition view: singleton
-                            // classes support nothing.
-                            support += len;
-                            kept += maj_c;
-                        }
+                        support += len;
+                        kept += maj_c;
                         let confidence = maj_c as f64 / len as f64;
                         if len >= floor_s && confidence >= floor_c {
                             let cfd = NormalCfd::new(

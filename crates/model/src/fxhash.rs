@@ -6,10 +6,27 @@
 //! scheme (as used by rustc): deterministic across runs and platforms,
 //! which also keeps [`crate::Relation`]'s hashed position map and every
 //! index iteration reproducible.
+//!
+//! [`FxHasher::finish`] rotates the state left by 26 bits, as
+//! rustc-hash 2 does. The state is the product of the last multiply:
+//! its high bits mix every input bit, but its low bits see only the low
+//! bits of each word hashed, plus five bits carried over per word.
+//! hashbrown, behind std's `HashMap`, picks the home bucket from the
+//! low bits of the hash and the control tag from its top 7 bits. A
+//! string under 8 bytes is hashed as one word holding its bytes (first
+//! byte lowest) plus the `0xff` terminator. Were the raw product the
+//! hash, short keys sharing their first bytes (`id17`, `id42`, …) would
+//! share home buckets — 100K `id{i}` keys land in 32 of 2^18 — and
+//! every probe would walk a long collision run. The rotation moves the
+//! well-mixed high half down into the bucket bits.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// How far [`FxHasher::finish`] rotates the product left: bits 38–63
+/// land in the bucket bits, which spreads tables of up to 2^26 buckets.
+const FINISH_ROTATE: u32 = 26;
 
 /// The fx hasher state.
 #[derive(Clone, Copy, Default, Debug)]
@@ -66,7 +83,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 }
 
@@ -96,6 +113,27 @@ mod tests {
     fn byte_tail_is_hashed() {
         // Inputs differing only in a non-multiple-of-8 tail must differ.
         assert_ne!(fx_hash_one(b"123456789"), fx_hash_one(b"123456780"));
+    }
+
+    /// Distinct `hash & mask` values of `keys` must reach 90% of what a
+    /// random hash fills, `m·(1 − e^(−n/m))` of `m` buckets.
+    fn assert_spreads(keys: impl Iterator<Item = String>, n: usize, bucket_bits: u32) {
+        let mask = (1u64 << bucket_bits) - 1;
+        let homes: std::collections::HashSet<u64> =
+            keys.take(n).map(|k| fx_hash_one(&k) & mask).collect();
+        let m = (mask + 1) as f64;
+        let expected = m * (1.0 - (-(n as f64) / m).exp());
+        assert!(
+            homes.len() as f64 >= 0.9 * expected,
+            "{n} keys fill {} of 2^{bucket_bits} buckets, a random hash fills {expected:.0}",
+            homes.len()
+        );
+    }
+
+    #[test]
+    fn short_string_keys_spread_over_the_bucket_bits() {
+        assert_spreads((0..).map(|i| format!("id{i}")), 100_000, 18);
+        assert_spreads((0..).map(|i| format!("t{i}")), 200_000, 19);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 
 use crate::database::Database;
 use crate::fxhash::FxBuildHasher;
+use crate::relation::Relation;
+use crate::schema::{AttrId, RelId};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,83 +135,99 @@ impl Interner {
 /// A column-major symbolized copy of a database: for each relation, one
 /// `Vec<SymValue>` per attribute, indexed by dense tuple position.
 ///
-/// Built once per validation sweep via [`SymTables::build`]; afterwards
-/// every group-by index over any attribute list reads plain `Copy`
-/// columns — no string hashing anywhere in the per-group work, no matter
-/// how many constraint groups share the relation.
+/// Built once per validation sweep via [`SymTables::build_for`];
+/// afterwards every group-by index over any attribute list reads plain
+/// `Copy` columns — no string hashing anywhere in the per-group work, no
+/// matter how many constraint groups share the relation.
 #[derive(Clone, Debug)]
 pub struct SymTables {
-    /// `tables[rel][attr][pos]`.
+    /// `tables[rel][attr][pos]`; columns left out of the build are empty.
     tables: Vec<Vec<Vec<SymValue>>>,
+    /// Tuples per relation, symbolized or not.
+    rows: Vec<usize>,
 }
 
 impl SymTables {
     /// Symbolizes every value of `db`, returning the tables plus the
     /// interner that resolves them.
     pub fn build(db: &Database) -> (Interner, SymTables) {
-        SymTables::build_for(db, |_| true)
+        let all: Vec<Vec<AttrId>> = db
+            .iter()
+            .map(|(rel_id, rel)| {
+                (0..arity_of(db, rel_id, rel))
+                    .map(|a| AttrId(a as u32))
+                    .collect()
+            })
+            .collect();
+        SymTables::build_for(db, &all)
     }
 
-    /// Like [`SymTables::build`], but only symbolizes the relations for
-    /// which `needed` returns `true` — a validation sweep passes the
-    /// relations its constraint groups actually touch, so an
-    /// unconstrained large relation costs nothing. Columns of skipped
-    /// relations are empty and must not be read.
-    pub fn build_for(
-        db: &Database,
-        needed: impl Fn(crate::schema::RelId) -> bool,
-    ) -> (Interner, SymTables) {
+    /// Like [`SymTables::build`], but symbolizes only the attributes
+    /// `attrs[rel]` lists for each relation (duplicates are ignored, a
+    /// missing entry lists nothing) — a validation sweep passes the
+    /// columns its constraint groups read, so a column no dependency
+    /// mentions costs nothing and its strings stay out of the interner.
+    /// Unlisted columns are empty and must not be read; [`SymTables::rows`]
+    /// still counts every tuple.
+    pub fn build_for(db: &Database, attrs: &[Vec<AttrId>]) -> (Interner, SymTables) {
         let mut interner = Interner::new();
         let mut tables = Vec::new();
+        let mut rows = Vec::new();
         for (rel_id, rel) in db.iter() {
-            if !needed(rel_id) {
-                tables.push(Vec::new());
-                continue;
+            let arity = arity_of(db, rel_id, rel);
+            let mut wanted = vec![false; arity];
+            for a in attrs.get(rel_id.index()).into_iter().flatten() {
+                wanted[a.index()] = true;
             }
-            // Arity from the schema, so empty relations still expose
-            // their (empty) columns.
-            let arity = db
-                .schema()
-                .relation(rel_id)
-                .map(|rs| rs.arity())
-                .unwrap_or_else(|_| rel.iter().next().map_or(0, |t| t.arity()));
-            let mut cols: Vec<Vec<SymValue>> =
-                (0..arity).map(|_| Vec::with_capacity(rel.len())).collect();
+            let wanted: Vec<usize> = (0..arity).filter(|&a| wanted[a]).collect();
+            let mut cols: Vec<Vec<SymValue>> = (0..arity).map(|_| Vec::new()).collect();
+            for &a in &wanted {
+                cols[a].reserve_exact(rel.len());
+            }
+            // Row-major: symbols number strings in tuple order, which
+            // the discovery miners' symbol tie-breaks depend on.
             for t in rel.iter() {
-                for (col, v) in cols.iter_mut().zip(t.values()) {
-                    col.push(interner.intern_value(v));
+                for &a in &wanted {
+                    cols[a].push(interner.intern_value(&t.values()[a]));
                 }
             }
             tables.push(cols);
+            rows.push(rel.len());
         }
-        (interner, SymTables { tables })
+        (interner, SymTables { tables, rows })
     }
 
     /// The symbolized column of `attr` in `rel` (dense position order).
-    pub fn column(&self, rel: crate::schema::RelId, attr: crate::schema::AttrId) -> &[SymValue] {
+    pub fn column(&self, rel: RelId, attr: AttrId) -> &[SymValue] {
         &self.tables[rel.index()][attr.index()]
     }
 
     /// The columns of `rel` for an attribute list, in list order.
-    pub fn columns(
-        &self,
-        rel: crate::schema::RelId,
-        attrs: &[crate::schema::AttrId],
-    ) -> Vec<&[SymValue]> {
+    pub fn columns(&self, rel: RelId, attrs: &[AttrId]) -> Vec<&[SymValue]> {
         attrs.iter().map(|a| self.column(rel, *a)).collect()
     }
 
-    /// Number of rows symbolized for `rel`.
-    pub fn rows(&self, rel: crate::schema::RelId) -> usize {
-        self.tables[rel.index()].first().map_or(0, Vec::len)
+    /// Number of tuples of `rel`, whether or not the build listed any of
+    /// its columns.
+    pub fn rows(&self, rel: RelId) -> usize {
+        self.rows[rel.index()]
     }
 
-    /// Every symbolized column of `rel`, in attribute order — what a
-    /// profiling pass sweeping all attributes of a relation wants
-    /// (empty for relations skipped by [`SymTables::build_for`]).
-    pub fn rel_columns(&self, rel: crate::schema::RelId) -> &[Vec<SymValue>] {
+    /// Every column of `rel`, in attribute order — what a profiling pass
+    /// sweeping all attributes of a relation wants (columns the build
+    /// did not list are empty).
+    pub fn rel_columns(&self, rel: RelId) -> &[Vec<SymValue>] {
         &self.tables[rel.index()]
     }
+}
+
+/// Arity from the schema, so empty relations still expose their (empty)
+/// columns.
+fn arity_of(db: &Database, rel_id: RelId, rel: &Relation) -> usize {
+    db.schema()
+        .relation(rel_id)
+        .map(|rs| rs.arity())
+        .unwrap_or_else(|_| rel.iter().next().map_or(0, |t| t.arity()))
 }
 
 #[cfg(test)]
@@ -272,6 +290,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn build_for_skips_unlisted_columns_but_counts_their_rows() {
+        let schema = crate::schema::Schema::builder()
+            .relation(
+                "r",
+                &[
+                    ("id", crate::domain::Domain::string()),
+                    ("city", crate::domain::Domain::string()),
+                ],
+            )
+            .relation("s", &[("v", crate::domain::Domain::string())])
+            .finish();
+        let mut db = Database::empty(Arc::new(schema));
+        for i in 0..5 {
+            db.insert_into("r", tuple![format!("id{i}").as_str(), "EDI"])
+                .unwrap();
+        }
+        db.insert_into("s", tuple!["x"]).unwrap();
+        let (r, s) = (RelId(0), RelId(1));
+        // Attribute 0 of `r` is skipped; `s` has no entry at all.
+        let (interner, tables) = SymTables::build_for(&db, &[vec![AttrId(1), AttrId(1)]]);
+        assert_eq!(tables.rows(r), 5);
+        assert_eq!(tables.rows(s), 1);
+        assert!(tables.column(r, AttrId(0)).is_empty());
+        assert!(tables.column(s, AttrId(0)).is_empty());
+        let edi = SymValue::Str(interner.lookup("EDI").expect("listed column interned"));
+        assert_eq!(tables.column(r, AttrId(1)), [edi; 5]);
+        assert_eq!(interner.len(), 1);
+        assert_eq!(interner.lookup("id0"), None);
+        assert_eq!(interner.lookup("x"), None);
     }
 
     #[test]

@@ -155,9 +155,11 @@ mod enabled {
             if count == 0 {
                 return snap;
             }
-            snap.p50_us = quantile(&counts, count, 50);
-            snap.p90_us = quantile(&counts, count, 90);
-            snap.p99_us = quantile(&counts, count, 99);
+            // A bucket's upper bound can overshoot the largest sample it
+            // holds; no percentile reads above the observed max.
+            snap.p50_us = quantile(&counts, count, 50).min(snap.max_us);
+            snap.p90_us = quantile(&counts, count, 90).min(snap.max_us);
+            snap.p99_us = quantile(&counts, count, 99).min(snap.max_us);
             snap
         }
     }
@@ -613,6 +615,24 @@ mod tests {
         assert_eq!(snap.p50_us, 3); // rank 50 lands in bucket 2: [2, 3]
         assert_eq!(snap.p90_us, 15); // rank 90 lands in bucket 4: [8, 15]
         assert_eq!(snap.p99_us, 127); // rank 99 lands in bucket 7: [64, 127]
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_max() {
+        let reg = Registry::new();
+        let h = reg.histogram("t");
+        // 508 lies inside bucket 9, [256, 511]: its upper bound is not a
+        // sample.
+        for us in [300, 400, 508] {
+            h.record_us(us);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.max_us, 508);
+        assert_eq!((snap.p50_us, snap.p90_us, snap.p99_us), (508, 508, 508));
+        // Below the max's bucket the bucket bound still reads.
+        h.record_us(2000);
+        let snap = h.snapshot();
+        assert_eq!((snap.p50_us, snap.p99_us, snap.max_us), (511, 2000, 2000));
     }
 
     #[test]

@@ -24,10 +24,12 @@ pub enum MetricValue {
 
 /// Percentile summary of one log2-bucket microsecond histogram.
 ///
-/// Quantiles are *bucket upper bounds*: the reported `p99_us` is the
-/// largest value the bucket holding the p99 rank can contain
-/// (`2^i - 1`), so the summary is deterministic given the bucket
-/// counts and never interpolates.
+/// Quantiles are *bucket upper bounds*, clamped to the max: the
+/// reported `p99_us` is the largest value the bucket holding the p99
+/// rank can contain (`2^i - 1`), or `max_us` when that is smaller, so a
+/// percentile never exceeds the observed max. The summary is
+/// deterministic given the bucket counts and the max, and never
+/// interpolates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of recorded samples.
@@ -36,11 +38,13 @@ pub struct HistogramSnapshot {
     pub sum_us: u64,
     /// Largest recorded sample (exact, not bucketed).
     pub max_us: u64,
-    /// Median, rounded up to its bucket upper bound.
+    /// Median, rounded up to its bucket upper bound, at most `max_us`.
     pub p50_us: u64,
-    /// 90th percentile, rounded up to its bucket upper bound.
+    /// 90th percentile, rounded up to its bucket upper bound, at most
+    /// `max_us`.
     pub p90_us: u64,
-    /// 99th percentile, rounded up to its bucket upper bound.
+    /// 99th percentile, rounded up to its bucket upper bound, at most
+    /// `max_us`.
     pub p99_us: u64,
 }
 

@@ -76,7 +76,7 @@ mod tests {
     use condep_core::fixtures as cind_fx;
     use condep_core::normalize::normalize_all as normalize_cinds;
     use condep_model::fixtures::{bank_database, clean_bank_database};
-    use condep_model::{prow, tuple, Database, Domain, PValue, Schema};
+    use condep_model::{prow, tuple, Database, Domain, PValue, Schema, Value};
     use std::sync::Arc;
 
     fn bank_validator() -> Validator {
@@ -471,6 +471,65 @@ mod tests {
         assert_eq!(report, reference_report(&v, &db));
         assert_eq!(report.cind.len(), 1);
         assert_eq!(report.cind[0].0, 1, "only the s2 CIND is violated");
+    }
+
+    #[test]
+    fn cind_condition_columns_no_other_dependency_reads_are_symbolized() {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "src",
+                    &[
+                        ("id", Domain::string()),
+                        ("kind", Domain::string()),
+                        ("x", Domain::string()),
+                    ],
+                )
+                .relation(
+                    "dst",
+                    &[
+                        ("y", Domain::string()),
+                        ("status", Domain::string()),
+                        ("note", Domain::string()),
+                    ],
+                )
+                .finish(),
+        );
+        // src[x; kind = a] ⊆ dst[y; status = live]: `kind` and `status`
+        // hold strings no other column holds, and only this CIND reads
+        // them.
+        let cind = condep_core::NormalCind::parse(
+            &schema,
+            "src",
+            &["x"],
+            &[("kind", Value::str("a"))],
+            "dst",
+            &["y"],
+            &[("status", Value::str("live"))],
+        )
+        .unwrap();
+        let cfd = NormalCfd::parse(&schema, "dst", &["y"], prow![_], "note", PValue::Any).unwrap();
+        let v = Validator::new(vec![cfd], vec![cind]);
+        let mut db = Database::empty(schema.clone());
+        for t in [
+            tuple!["s0", "a", "k1"], // target live: satisfied
+            tuple!["s1", "a", "k2"], // target not live: violation
+            tuple!["s2", "b", "k3"], // not triggered
+            tuple!["s3", "a", "k4"], // no target: violation
+        ] {
+            db.insert_into("src", t).unwrap();
+        }
+        for t in [
+            tuple!["k1", "live", "n1"],
+            tuple!["k2", "dead", "n2"],
+            tuple!["k5", "live", "n5"],
+        ] {
+            db.insert_into("dst", t).unwrap();
+        }
+        let report = v.validate_sorted(&db);
+        assert_eq!(report, reference_report(&v, &db));
+        let flagged: Vec<usize> = report.cind.iter().map(|(_, viol)| viol.tuple).collect();
+        assert_eq!(flagged, [1, 3]);
     }
 
     #[test]

@@ -105,7 +105,7 @@ use condep_model::{
 };
 use condep_query::SymIndex;
 use condep_telemetry::{SpanTimer, Stopwatch};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// One value-level database mutation, appliable through
 /// [`ValidatorStream::apply`].
@@ -683,7 +683,9 @@ impl ValidatorStream {
 
         // The one-pass symbolization layout: per relation, the union of
         // every group's key attributes, plus each group's slots into it.
-        let sym_attrs = Self::layout_of(&validator, db.schema().len());
+        // Member RHS cells ride along in the row so pair-witness checks
+        // are symbol compares, not tuple-value compares.
+        let sym_attrs = validator.sym_layout(db.schema().len(), false);
         let (cfd_group_slots, cfd_rhs_slots, cind_y_slots, cind_x_slots) =
             Self::slot_tables(&validator, &sym_attrs);
 
@@ -759,27 +761,6 @@ impl ValidatorStream {
         } else {
             StreamTelemetry::disabled()
         };
-    }
-
-    /// The per-relation symbolization layout of a compiled suite: the
-    /// sorted union of every group's key attributes, member RHS cells
-    /// and CIND source/target columns.
-    fn layout_of(validator: &Validator, n_rels: usize) -> Vec<Vec<AttrId>> {
-        let mut sets: Vec<BTreeSet<AttrId>> = (0..n_rels).map(|_| BTreeSet::new()).collect();
-        for g in validator.cfd_groups() {
-            sets[g.rel.index()].extend(g.attrs.iter().copied());
-            // Member RHS cells ride along in the row so pair-witness
-            // checks are symbol compares, not tuple-value compares.
-            sets[g.rel.index()].extend(g.members.iter().map(|m| m.rhs));
-        }
-        for g in validator.cind_groups() {
-            sets[g.rhs_rel.index()].extend(g.y.iter().copied());
-            for m in &g.members {
-                let cind = &validator.cinds()[m.idx];
-                sets[cind.lhs_rel().index()].extend(m.x_perm.iter().copied());
-            }
-        }
-        sets.into_iter().map(|s| s.into_iter().collect()).collect()
     }
 
     /// Each group's slots into its relation's symbolized-row layout.
@@ -870,7 +851,7 @@ impl ValidatorStream {
         // relation whose layout changed. Interning the newly covered
         // cells must happen before any index build below — filtered
         // index construction expects key cells to be interned already.
-        let new_sym_attrs = Self::layout_of(&self.validator, self.db.schema().len());
+        let new_sym_attrs = self.validator.sym_layout(self.db.schema().len(), false);
         {
             let Self {
                 db,

@@ -8,7 +8,7 @@ use condep_model::fxhash::FxBuildHasher;
 use condep_model::{AttrId, Database, Interner, PValue, RelId, Schema, SymTables, SymValue, Value};
 use condep_query::SymIndex;
 use condep_telemetry::{Export, MetricsSnapshot, SpanKey, Stopwatch};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -697,6 +697,34 @@ impl Validator {
         &self.cind_groups
     }
 
+    /// Per relation, the sorted attributes the compiled groups read:
+    /// every group's key attributes, member RHS cells and CIND source
+    /// and target columns. With `conditions`, also the CIND Xp/Yp
+    /// condition columns, which the batch sweep filters on as symbols
+    /// (the stream tests them on tuples instead).
+    pub(crate) fn sym_layout(&self, n_rels: usize, conditions: bool) -> Vec<Vec<AttrId>> {
+        let mut sets: Vec<BTreeSet<AttrId>> = (0..n_rels).map(|_| BTreeSet::new()).collect();
+        for g in &self.cfd_groups {
+            sets[g.rel.index()].extend(g.attrs.iter().copied());
+            sets[g.rel.index()].extend(g.members.iter().map(|m| m.rhs));
+        }
+        for g in &self.cind_groups {
+            sets[g.rhs_rel.index()].extend(g.y.iter().copied());
+            if conditions {
+                sets[g.rhs_rel.index()].extend(g.yp.iter().map(|(a, _)| *a));
+            }
+            for m in &g.members {
+                let cind = &self.cinds[m.idx];
+                let source = &mut sets[cind.lhs_rel().index()];
+                source.extend(m.x_perm.iter().copied());
+                if conditions {
+                    source.extend(cind.xp().iter().map(|(a, _)| *a));
+                }
+            }
+        }
+        sets.into_iter().map(|s| s.into_iter().collect()).collect()
+    }
+
     /// Finds every violation of Σ in `db` (unsorted; see
     /// [`SigmaReport::sort`] for the canonical order).
     pub fn validate(&self, db: &Database) -> SigmaReport {
@@ -725,18 +753,9 @@ impl Validator {
         if n_tasks == 0 {
             return SigmaReport::default();
         }
-        // Symbolize only the relations some group actually touches.
-        let mut needed = vec![false; db.schema().len()];
-        for g in &self.cfd_groups {
-            needed[g.rel.index()] = true;
-        }
-        for g in &self.cind_groups {
-            needed[g.rhs_rel.index()] = true;
-        }
-        for c in &self.cinds {
-            needed[c.lhs_rel().index()] = true;
-        }
-        let (interner, tables) = SymTables::build_for(db, |rel| needed[rel.index()]);
+        // Symbolize only the columns some group reads.
+        let layout = self.sym_layout(db.schema().len(), true);
+        let (interner, tables) = SymTables::build_for(db, &layout);
         let threads = if db.total_tuples() < PARALLEL_THRESHOLD {
             1
         } else {
