@@ -12,6 +12,16 @@
 //! implication pruning and cover pass only *remove* dependencies) —
 //! the property the online-vs-batch oracle test pins down.
 //!
+//! Each class also carries its row count and its majority count, and
+//! each attribute pair the sums of those over its classes of two or
+//! more rows, plus the value-ordered set of classes at the support
+//! floor. A mutation updates them in O(1) per pair — except deleting
+//! a class's only value at the majority count, which recounts that
+//! class's tally. So a poll costs O(pairs + large classes), not
+//! O(classes), and the decay probes
+//! ([`OnlineMiner::confidence_of_cfd`],
+//! [`OnlineMiner::confidence_of_cind`]) cost O(1).
+//!
 //! The miner works on **values**, not interned symbols: a long-lived
 //! monitor must survive interner compaction, and level-1 sketches touch
 //! each mutation's own cells only, so there is no hot re-hash loop to
@@ -27,10 +37,10 @@ use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{AttrId, Database, PValue, PatternRow, RelId, Schema, Tuple, Value};
 use condep_validate::Mutation;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-type ValueCounts = HashMap<Value, usize, FxBuildHasher>;
+type ValueCounts = HashMap<Value, u32, FxBuildHasher>;
 
 /// Knobs of one [`OnlineMiner`].
 #[derive(Clone, Copy, Debug)]
@@ -67,8 +77,162 @@ struct RelSketch {
     /// Per attribute: value → occurrence count.
     cols: Vec<ValueCounts>,
     /// Per ordered attribute pair `(x, y)`, flattened `x·arity + y`
-    /// (diagonal unused): LHS value → RHS value → count.
-    pairs: Vec<HashMap<Value, ValueCounts, FxBuildHasher>>,
+    /// (diagonal unused).
+    pairs: Vec<PairSketch>,
+}
+
+/// The rows of one ordered attribute pair `(x, y)`, grouped by their
+/// `x` value: the class → RHS-tally view of a stripped partition.
+#[derive(Clone, Debug, Default)]
+struct PairSketch {
+    /// LHS value → its class.
+    classes: HashMap<Value, Class, FxBuildHasher>,
+    /// Σ `len` over classes of two or more rows: the variable FD's
+    /// support (singleton classes support nothing).
+    support: usize,
+    /// Σ `top` over the same classes: the rows the variable FD keeps.
+    kept: usize,
+    /// Classes of at least the support floor, in value order: the only
+    /// ones a constant row can come from.
+    large: BTreeSet<Value>,
+}
+
+/// One LHS class: the RHS values of its rows, with counts.
+#[derive(Clone, Debug, Default)]
+struct Class {
+    /// RHS value → count.
+    tally: ValueCounts,
+    /// Rows in the class (the tally's sum).
+    len: u32,
+    /// The largest count in the tally.
+    top: u32,
+    /// Values counted `top` times.
+    at_top: u32,
+}
+
+impl Class {
+    /// Counts one row with RHS value `y` in.
+    fn insert(&mut self, y: &Value) {
+        let c = bump(&mut self.tally, y);
+        self.len += 1;
+        if c > self.top {
+            self.top = c;
+            self.at_top = 1;
+        } else if c == self.top {
+            self.at_top += 1;
+        }
+    }
+
+    /// Counts one row with RHS value `y` out.
+    fn delete(&mut self, y: &Value) {
+        let was = drop_one(&mut self.tally, y);
+        self.len -= 1;
+        if was == self.top {
+            if self.at_top > 1 {
+                self.at_top -= 1;
+            } else {
+                // The only value at `top` fell to `top - 1`, where
+                // others may tie it: recount.
+                self.top -= 1;
+                self.at_top = self.tally.values().filter(|&&c| c == self.top).count() as u32;
+            }
+        }
+    }
+
+    /// The majority RHS value; count ties break toward the smallest
+    /// value (the batch miner breaks toward the smallest interned
+    /// symbol — identical on sorted-insert data, close enough for
+    /// ranking everywhere else).
+    fn majority(&self) -> &Value {
+        self.tally
+            .iter()
+            .filter(|&(_, &c)| c == self.top)
+            .map(|(v, _)| v)
+            .min()
+            .expect("classes are non-empty")
+    }
+}
+
+impl PairSketch {
+    /// Counts one row `(x, y)` in; `floor` is the support floor.
+    fn insert(&mut self, x: &Value, y: &Value, floor: usize) {
+        let (before, after) = match self.classes.get_mut(x) {
+            Some(class) => {
+                let before = (class.len, class.top);
+                class.insert(y);
+                (before, (class.len, class.top))
+            }
+            None => {
+                let mut class = Class::default();
+                class.insert(y);
+                let after = (class.len, class.top);
+                self.classes.insert(x.clone(), class);
+                ((0, 0), after)
+            }
+        };
+        self.reweigh(x, before, after, floor);
+    }
+
+    /// Counts one row `(x, y)` out; `floor` is the support floor.
+    fn delete(&mut self, x: &Value, y: &Value, floor: usize) {
+        let class = self.classes.get_mut(x).expect("counted class");
+        let before = (class.len, class.top);
+        class.delete(y);
+        let after = (class.len, class.top);
+        if class.len == 0 {
+            self.classes.remove(x);
+        }
+        self.reweigh(x, before, after, floor);
+    }
+
+    /// Moves class `x`'s share of the pair aggregates from its
+    /// `before` to its `after` `(len, top)`.
+    fn reweigh(&mut self, x: &Value, before: (u32, u32), after: (u32, u32), floor: usize) {
+        if before.0 >= 2 {
+            self.support -= before.0 as usize;
+            self.kept -= before.1 as usize;
+        }
+        if after.0 >= 2 {
+            self.support += after.0 as usize;
+            self.kept += after.1 as usize;
+        }
+        match (before.0 as usize >= floor, after.0 as usize >= floor) {
+            (false, true) => {
+                self.large.insert(x.clone());
+            }
+            (true, false) => {
+                self.large.remove(x);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Adds one occurrence of `v`, cloning it only when it is new; returns
+/// the new count.
+fn bump(counts: &mut ValueCounts, v: &Value) -> u32 {
+    match counts.get_mut(v) {
+        Some(c) => {
+            *c += 1;
+            *c
+        }
+        None => {
+            counts.insert(v.clone(), 1);
+            1
+        }
+    }
+}
+
+/// Removes one occurrence of `v`, which must be counted, dropping the
+/// entry at zero; returns the count before.
+fn drop_one(counts: &mut ValueCounts, v: &Value) -> u32 {
+    let c = counts.get_mut(v).expect("delete of a counted value");
+    let was = *c;
+    *c -= 1;
+    if *c == 0 {
+        counts.remove(v);
+    }
+    was
 }
 
 /// One inclusion candidate `src[attr] ⊆ dst[attr]`, tracked by its
@@ -132,7 +296,7 @@ impl OnlineMiner {
                 RelSketch {
                     rows: 0,
                     cols: (0..arity).map(|_| ValueCounts::default()).collect(),
-                    pairs: (0..arity * arity).map(|_| HashMap::default()).collect(),
+                    pairs: (0..arity * arity).map(|_| PairSketch::default()).collect(),
                 }
             })
             .collect();
@@ -233,29 +397,26 @@ impl OnlineMiner {
                     let pair = &self.cinds[i];
                     let n = self.rels[pair.src_rel.index()].cols[pair.src_attr.index()]
                         .get(v)
-                        .copied()
-                        .unwrap_or(0);
+                        .map_or(0, |&n| n as usize);
                     self.cinds[i].misses -= n;
                 }
             }
         }
         // Commit the row into the column and pair sketches.
         {
+            let floor = self.support_floor();
             let sketch = &mut self.rels[rel.index()];
             let arity = sketch.cols.len();
             sketch.rows += 1;
             for (a, v) in t.values().iter().enumerate() {
-                *sketch.cols[a].entry(v.clone()).or_insert(0) += 1;
+                bump(&mut sketch.cols[a], v);
             }
             for x in 0..arity {
                 for y in 0..arity {
                     if x == y {
                         continue;
                     }
-                    let class = sketch.pairs[x * arity + y]
-                        .entry(t.values()[x].clone())
-                        .or_default();
-                    *class.entry(t.values()[y].clone()).or_insert(0) += 1;
+                    sketch.pairs[x * arity + y].insert(&t.values()[x], &t.values()[y], floor);
                 }
             }
         }
@@ -296,31 +457,19 @@ impl OnlineMiner {
         }
         // Retract the row from the column and pair sketches.
         {
+            let floor = self.support_floor();
             let sketch = &mut self.rels[rel.index()];
             let arity = sketch.cols.len();
             sketch.rows -= 1;
             for (a, v) in t.values().iter().enumerate() {
-                let count = sketch.cols[a].get_mut(v).expect("delete of a counted cell");
-                *count -= 1;
-                if *count == 0 {
-                    sketch.cols[a].remove(v);
-                }
+                drop_one(&mut sketch.cols[a], v);
             }
             for x in 0..arity {
                 for y in 0..arity {
                     if x == y {
                         continue;
                     }
-                    let map = &mut sketch.pairs[x * arity + y];
-                    let class = map.get_mut(&t.values()[x]).expect("counted class");
-                    let count = class.get_mut(&t.values()[y]).expect("counted RHS value");
-                    *count -= 1;
-                    if *count == 0 {
-                        class.remove(&t.values()[y]);
-                    }
-                    if class.is_empty() {
-                        map.remove(&t.values()[x]);
-                    }
+                    sketch.pairs[x * arity + y].delete(&t.values()[x], &t.values()[y], floor);
                 }
             }
         }
@@ -337,22 +486,30 @@ impl OnlineMiner {
                     let pair = &self.cinds[i];
                     let n = self.rels[pair.src_rel.index()].cols[pair.src_attr.index()]
                         .get(v)
-                        .copied()
-                        .unwrap_or(0);
+                        .map_or(0, |&n| n as usize);
                     self.cinds[i].misses += n;
                 }
             }
         }
     }
 
+    /// The support a proposal needs: the configured floor, and at
+    /// least two rows (a singleton class supports nothing).
+    fn support_floor(&self) -> usize {
+        self.config.min_support.max(2)
+    }
+
     /// The dependencies the current sketches support at the configured
     /// floors, with evidence. Deterministic for a fixed tuple set:
-    /// relations and attribute pairs stream in dense order, classes of
-    /// two or more rows in value order.
+    /// relations and attribute pairs stream in dense order, each pair's
+    /// variable FD before its constant rows, constant rows in value
+    /// order. Costs O(pairs + classes at the support floor): the
+    /// variable FD reads its pair's running sums, and only classes at
+    /// the floor can yield a constant row.
     pub fn proposals(&self) -> OnlineProposals {
         let mut out = OnlineProposals::default();
         let floor_c = self.config.min_confidence.clamp(0.0, 1.0);
-        let floor_s = self.config.min_support.max(2);
+        let floor_s = self.support_floor();
         for (rel, rs) in self.schema.iter() {
             let sketch = &self.rels[rel.index()];
             if sketch.rows == 0 {
@@ -364,44 +521,9 @@ impl OnlineMiner {
                     if x == y {
                         continue;
                     }
-                    // The stripped-partition view: singleton classes
-                    // support nothing and fall under every constant
-                    // row's floor, so they never reach the sort.
-                    let map = &sketch.pairs[x * arity + y];
-                    let mut classes: Vec<(&Value, &ValueCounts, usize)> = map
-                        .iter()
-                        .map(|(xv, tally)| (xv, tally, tally.values().sum()))
-                        .filter(|&(_, _, len)| len >= 2)
-                        .collect();
-                    classes.sort_by(|a, b| a.0.cmp(b.0));
-                    let mut support = 0usize;
-                    let mut kept = 0usize;
-                    let mut constants: Vec<DiscoveredCfd> = Vec::new();
-                    for (xv, tally, len) in classes {
-                        let (maj_v, maj_c) = majority(tally);
-                        support += len;
-                        kept += maj_c;
-                        let confidence = maj_c as f64 / len as f64;
-                        if len >= floor_s && confidence >= floor_c {
-                            let cfd = NormalCfd::new(
-                                rel,
-                                vec![AttrId(x as u32)],
-                                PatternRow::new(vec![PValue::Const(xv.clone())]),
-                                AttrId(y as u32),
-                                PValue::Const(maj_v.clone()),
-                            );
-                            if !cfd.is_trivial() {
-                                constants.push(DiscoveredCfd {
-                                    cfd,
-                                    support: len,
-                                    confidence,
-                                    interval: None,
-                                });
-                            }
-                        }
-                    }
-                    if support >= floor_s {
-                        let confidence = kept as f64 / support as f64;
+                    let pair = &sketch.pairs[x * arity + y];
+                    if pair.support >= floor_s {
+                        let confidence = pair.kept as f64 / pair.support as f64;
                         if confidence >= floor_c {
                             let cfd = NormalCfd::new(
                                 rel,
@@ -413,14 +535,35 @@ impl OnlineMiner {
                             if !cfd.is_trivial() {
                                 out.cfds.push(DiscoveredCfd {
                                     cfd,
-                                    support,
+                                    support: pair.support,
                                     confidence,
                                     interval: None,
                                 });
                             }
                         }
                     }
-                    out.cfds.append(&mut constants);
+                    for xv in &pair.large {
+                        let class = &pair.classes[xv];
+                        let confidence = class.top as f64 / class.len as f64;
+                        if confidence < floor_c {
+                            continue;
+                        }
+                        let cfd = NormalCfd::new(
+                            rel,
+                            vec![AttrId(x as u32)],
+                            PatternRow::new(vec![PValue::Const(xv.clone())]),
+                            AttrId(y as u32),
+                            PValue::Const(class.majority().clone()),
+                        );
+                        if !cfd.is_trivial() {
+                            out.cfds.push(DiscoveredCfd {
+                                cfd,
+                                support: class.len as usize,
+                                confidence,
+                                interval: None,
+                            });
+                        }
+                    }
                 }
             }
         }
@@ -469,22 +612,12 @@ impl OnlineMiner {
         if x.index() >= arity || y.index() >= arity {
             return None;
         }
-        let map = &self.rels[cfd.rel().index()].pairs[x.index() * arity + y.index()];
+        let pair = &self.rels[cfd.rel().index()].pairs[x.index() * arity + y.index()];
         if cfd.lhs_pat().is_all_any() && !cfd.is_constant_rhs() {
-            let mut support = 0usize;
-            let mut kept = 0usize;
-            for tally in map.values() {
-                let len: usize = tally.values().sum();
-                if len < 2 {
-                    continue;
-                }
-                support += len;
-                kept += majority(tally).1;
-            }
-            if support == 0 {
+            if pair.support == 0 {
                 return Some((0, 1.0));
             }
-            return Some((support, kept as f64 / support as f64));
+            return Some((pair.support, pair.kept as f64 / pair.support as f64));
         }
         let xv = match cfd.lhs_pat().cell(0) {
             PValue::Const(v) => v,
@@ -494,12 +627,11 @@ impl OnlineMiner {
             PValue::Const(v) => v,
             PValue::Any => return None,
         };
-        match map.get(xv) {
+        match pair.classes.get(xv) {
             None => Some((0, 1.0)),
-            Some(tally) => {
-                let len: usize = tally.values().sum();
-                let agree = tally.get(yv).copied().unwrap_or(0);
-                Some((len, agree as f64 / len as f64))
+            Some(class) => {
+                let agree = class.tally.get(yv).copied().unwrap_or(0);
+                Some((class.len as usize, agree as f64 / class.len as f64))
             }
         }
     }
@@ -519,18 +651,6 @@ impl OnlineMiner {
         }
         Some((rows, (rows - self.cinds[i].misses) as f64 / rows as f64))
     }
-}
-
-/// `(value, count)` of the majority RHS value; count ties break toward
-/// the smallest value (the batch miner breaks toward the smallest
-/// interned symbol — identical on sorted-insert data, close enough for
-/// ranking everywhere else).
-fn majority(tally: &ValueCounts) -> (&Value, usize) {
-    tally
-        .iter()
-        .map(|(v, &c)| (v, c))
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))
-        .expect("classes are non-empty")
 }
 
 fn base_type(schema: &Schema, rel: RelId, attr: AttrId) -> condep_model::BaseType {
@@ -676,8 +796,11 @@ mod tests {
         let mut reseeded = OnlineMiner::new(end_state.schema().clone(), config(2));
         reseeded.seed(&end_state);
 
-        let a = streamed.proposals();
-        let b = reseeded.proposals();
+        assert_same_proposals(&streamed.proposals(), &reseeded.proposals());
+    }
+
+    /// Same dependencies, evidence and order.
+    fn assert_same_proposals(a: &OnlineProposals, b: &OnlineProposals) {
         assert_eq!(a.cfds.len(), b.cfds.len());
         assert_eq!(a.cinds.len(), b.cinds.len());
         for (x, y) in a.cfds.iter().zip(&b.cfds) {
@@ -689,6 +812,138 @@ mod tests {
             assert_eq!(x.cind, y.cind);
             assert_eq!((x.support, x.confidence), (y.support, y.confidence));
         }
+    }
+
+    /// Recounts every class's `len`/`top`/`at_top` and every pair's
+    /// `support`/`kept`/large-class set from the tallies.
+    fn assert_aggregates_match_tallies(miner: &OnlineMiner) {
+        let floor = miner.support_floor();
+        for sketch in &miner.rels {
+            for pair in &sketch.pairs {
+                let (mut support, mut kept) = (0, 0);
+                let mut large = BTreeSet::new();
+                for (xv, class) in &pair.classes {
+                    let len: u32 = class.tally.values().sum();
+                    let top = class.tally.values().copied().max().unwrap_or(0);
+                    let at_top = class.tally.values().filter(|&&c| c == top).count() as u32;
+                    assert!(len > 0, "class {xv:?} is empty but kept");
+                    assert_eq!(
+                        (class.len, class.top, class.at_top),
+                        (len, top, at_top),
+                        "class {xv:?}: (len, top, at_top)"
+                    );
+                    if len >= 2 {
+                        support += len as usize;
+                        kept += top as usize;
+                    }
+                    if len as usize >= floor {
+                        large.insert(xv.clone());
+                    }
+                }
+                assert_eq!((pair.support, pair.kept), (support, kept));
+                assert_eq!(pair.large, large);
+            }
+        }
+    }
+
+    /// Seeded insert/delete walks over a 4-attribute relation whose
+    /// domains hold 2–3 values, so majority ties and deletes of a
+    /// class's only top value are frequent. After every step the running
+    /// aggregates equal a recount, and the proposals and decay probes
+    /// equal those of a miner freshly seeded with the same tuple set.
+    #[test]
+    fn aggregates_equal_a_recount_over_random_walks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let domains: [&[&str]; 4] = [&["a", "b"], &["p", "q", "r"], &["u", "v", "w"], &["x", "y"]];
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("c0", Domain::string()),
+                        ("c1", Domain::string()),
+                        ("c2", Domain::string()),
+                        ("c3", Domain::string()),
+                    ],
+                )
+                .finish(),
+        );
+        let r = schema.rel_id("r").unwrap();
+        // Every level-1 shape the decay pass can probe on this schema.
+        let mut probes = Vec::new();
+        for x in 0..4 {
+            for y in (0..4).filter(|&y| y != x) {
+                let (lhs, rhs) = (vec![AttrId(x as u32)], AttrId(y as u32));
+                probes.push(NormalCfd::new(
+                    r,
+                    lhs.clone(),
+                    PatternRow::all_any(1),
+                    rhs,
+                    PValue::Any,
+                ));
+                for xv in domains[x] {
+                    for yv in domains[y] {
+                        probes.push(NormalCfd::new(
+                            r,
+                            lhs.clone(),
+                            PatternRow::new(vec![PValue::constant(*xv)]),
+                            rhs,
+                            PValue::constant(*yv),
+                        ));
+                    }
+                }
+            }
+        }
+        let mut sole_top_deletes = 0;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = OnlineConfig {
+                min_support: 2 + seed as usize % 4,
+                min_confidence: 0.5,
+                ..OnlineConfig::default()
+            };
+            let mut miner = OnlineMiner::new(schema.clone(), config);
+            let mut live: Vec<Tuple> = Vec::new();
+            for _ in 0..120 {
+                let t: Tuple = domains
+                    .iter()
+                    .map(|d| Value::str(d[rng.gen_range(0..d.len())]))
+                    .collect();
+                match live.iter().position(|u| *u == t) {
+                    Some(i) => {
+                        // Count the deletes that take the recount path
+                        // on pair (c0, c1), flattened index 0·4 + 1.
+                        let (x, y) = (&t.values()[0], &t.values()[1]);
+                        let class = &miner.rels[r.index()].pairs[1].classes[x];
+                        if class.tally[y] == class.top && class.at_top == 1 && class.len > 1 {
+                            sole_top_deletes += 1;
+                        }
+                        live.swap_remove(i);
+                        miner.observe_delete(r, &t);
+                    }
+                    None => {
+                        live.push(t.clone());
+                        miner.observe_insert(r, &t);
+                    }
+                }
+                assert_aggregates_match_tallies(&miner);
+                let mut db = Database::empty(schema.clone());
+                for t in &live {
+                    db.insert(r, t.clone()).unwrap();
+                }
+                let mut fresh = OnlineMiner::new(schema.clone(), config);
+                fresh.seed(&db);
+                assert_same_proposals(&miner.proposals(), &fresh.proposals());
+                for cfd in &probes {
+                    assert_eq!(miner.confidence_of_cfd(cfd), fresh.confidence_of_cfd(cfd));
+                }
+            }
+        }
+        assert!(
+            sole_top_deletes > 100,
+            "the walks must exercise the recount: {sole_top_deletes}"
+        );
     }
 
     #[test]

@@ -609,49 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_tracks_current_report_across_mutations() {
-        // The consumer rule, unit-tested against the stream's own
-        // materialization: feed every delta of a mixed mutation sequence
-        // through SigmaReport::apply_delta and compare after each step.
-        let v = bank_validator();
-        let (mut stream, mut mirror) = ValidatorStream::new_validated(v, bank_database());
-        let interest = stream.db().schema().rel_id("interest").unwrap();
-        let saving = stream.db().schema().rel_id("saving").unwrap();
-        let mutations: Vec<Mutation> = vec![
-            Mutation::Insert {
-                rel: interest,
-                tuple: tuple!["GLA", "UK", "checking", "9.9%"],
-            },
-            // Delete a low-position tuple: exercises the swap renumber.
-            Mutation::Delete {
-                rel: interest,
-                tuple: tuple!["EDI", "UK", "checking", "10.5%"],
-            },
-            Mutation::Update {
-                rel: interest,
-                old: tuple!["GLA", "UK", "checking", "9.9%"],
-                new: tuple!["GLA", "UK", "checking", "1.5%"],
-            },
-            Mutation::Delete {
-                rel: saving,
-                tuple: tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
-            },
-        ];
-        for m in mutations {
-            let applied = stream.apply(m.clone()).unwrap();
-            assert!(!applied.is_noop(), "mutation must not be a no-op: {m:?}");
-            for delta in &applied.deltas {
-                mirror.apply_delta(stream.validator(), delta);
-            }
-            assert_eq!(
-                mirror,
-                stream.current_report(),
-                "consumer rule diverged after {m:?}"
-            );
-        }
-    }
-
-    #[test]
     fn apply_and_revert_round_trip() {
         let v = bank_validator();
         let (mut stream, initial) = ValidatorStream::new_validated(v, bank_database());

@@ -35,6 +35,13 @@
 //! resolved+introduced pairs in the delta, keeping the net state exactly
 //! equal to a fresh batch validation.
 //!
+//! The stream oracle at the workspace root (`tests/props.rs`) keeps
+//! such a consumer, `ShadowReport`, and checks it against
+//! [`ValidatorStream::current_report`] after every step. A consumer
+//! that only reads the live set needs no copy: it can read
+//! [`ValidatorStream::violation_counts`] in O(1), or the sorted
+//! [`ValidatorStream::current_report`].
+//!
 //! ## Complexity contract
 //!
 //! * insert: `O(Σ groups on the relation + touched key-group sizes)`;
@@ -428,77 +435,6 @@ fn sym_key(interner: &Interner, t: &Tuple, attrs: &[AttrId], buf: &mut Vec<SymVa
     }));
 }
 
-impl SigmaReport {
-    /// Applies one streamed delta to a consumer-maintained report,
-    /// implementing the documented consumer rule
-    ///
-    /// ```text
-    /// after = renumber(before − resolved, moved) + introduced
-    /// ```
-    ///
-    /// i.e. the resolved violations (labeled with pre-move positions) are
-    /// removed first, the swap renumbering is applied to what survives,
-    /// and the introduced violations (post-move positions) are added; the
-    /// report is then re-sorted into the canonical order. Feeding every
-    /// delta of a [`ValidatorStream`] through this keeps the report equal
-    /// to [`ValidatorStream::current_report`] at all times.
-    ///
-    /// The `validator` argument resolves each violation's constraint
-    /// index to its relation, so only positions of the renumbered
-    /// relation are touched.
-    pub fn apply_delta(&mut self, validator: &Validator, delta: &SigmaDelta) {
-        if delta.is_quiet() {
-            // The hot path for mutations on clean streams: nothing to
-            // remove, renumber or add.
-            return;
-        }
-        if !delta.cfd.resolved.is_empty() {
-            let rm: HashSet<&(usize, CfdViolation), FxBuildHasher> =
-                delta.cfd.resolved.iter().collect();
-            self.cfd.retain(|v| !rm.contains(v));
-        }
-        if !delta.cind.resolved.is_empty() {
-            let rm: HashSet<&(usize, CindViolation), FxBuildHasher> =
-                delta.cind.resolved.iter().collect();
-            self.cind.retain(|v| !rm.contains(v));
-        }
-        if let Some(mv) = &delta.moved {
-            let renum = |p: &mut usize| {
-                if *p == mv.from {
-                    *p = mv.to;
-                }
-            };
-            for (i, v) in self.cfd.iter_mut() {
-                if validator.cfds()[*i].rel() != mv.rel {
-                    continue;
-                }
-                match v {
-                    CfdViolation::SingleTuple { tuple, .. } => renum(tuple),
-                    CfdViolation::Pair { left, right } => {
-                        renum(left);
-                        renum(right);
-                    }
-                }
-            }
-            for (i, v) in self.cind.iter_mut() {
-                if validator.cinds()[*i].lhs_rel() == mv.rel {
-                    renum(&mut v.tuple);
-                }
-            }
-        }
-        self.cfd.extend(delta.cfd.introduced.iter().cloned());
-        self.cind.extend(delta.cind.introduced.iter().cloned());
-        // Removal alone preserves the canonical order; only a renumber
-        // or an addition can break it.
-        if delta.moved.is_some()
-            || !delta.cfd.introduced.is_empty()
-            || !delta.cind.introduced.is_empty()
-        {
-            self.sort();
-        }
-    }
-}
-
 /// What one [`ValidatorStream::compact`] call reclaimed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactionStats {
@@ -822,9 +758,8 @@ impl ValidatorStream {
     /// and only the new members' indexes are built. Returns the new
     /// constraints' violations against the current database — sorted,
     /// indexed by their final Σ indices, and already folded into
-    /// [`ValidatorStream::current_report`] (consumers mirroring the
-    /// report via [`SigmaReport::apply_delta`] should splice them in as
-    /// introduced violations).
+    /// [`ValidatorStream::current_report`] (a consumer keeping its own
+    /// violation state should add them as introduced violations).
     pub fn add_dependencies(
         &mut self,
         cfds: Vec<NormalCfd>,
@@ -940,8 +875,9 @@ impl ValidatorStream {
     /// Retires dependencies from the live suite (see
     /// [`Validator::retire_dependencies`]): their violations leave the
     /// live state and are returned — sorted, as the resolutions a
-    /// report mirror should apply. Indices stay allocated; later
-    /// [`ValidatorStream::add_dependencies`] calls append fresh ones.
+    /// consumer keeping its own violation state should apply. Indices
+    /// stay allocated; later [`ValidatorStream::add_dependencies`]
+    /// calls append fresh ones.
     pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> SigmaReport {
         let log = self.validator.retire_dependencies(cfd_idxs, cind_idxs);
         if log.is_empty() {
@@ -1195,9 +1131,17 @@ impl ValidatorStream {
         report
     }
 
-    /// Number of currently outstanding violations.
+    /// Number of currently outstanding violations: the sum of
+    /// [`ValidatorStream::violation_counts`].
     pub fn violation_count(&self) -> usize {
-        self.live_cfd.len() + self.live_cind.len()
+        let (cfd, cind) = self.violation_counts();
+        cfd + cind
+    }
+
+    /// Outstanding `(CFD, CIND)` violation counts — what
+    /// [`ValidatorStream::current_report`] would hold per kind, in O(1).
+    pub fn violation_counts(&self) -> (usize, usize) {
+        (self.live_cfd.len(), self.live_cind.len())
     }
 
     /// Validates and inserts one tuple, returning the violations it

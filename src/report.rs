@@ -18,7 +18,7 @@ use condep_validate::{
     CompactionStats, CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport,
     Validator, ValidatorStream,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -219,10 +219,8 @@ impl QualitySuite {
     pub fn monitor(&self, db: Database) -> (QualityMonitor, QualityReport) {
         let tuples = db.total_tuples();
         let (stream, initial) = ValidatorStream::new_validated(self.validator.clone(), db);
-        let report = resolve_report(&self.validator, tuples, initial.clone());
+        let report = resolve_report(&self.validator, tuples, initial);
         let monitor = QualityMonitor {
-            sigma: initial,
-            tuples_checked: tuples,
             stream,
             online: None,
         };
@@ -332,19 +330,16 @@ fn resolve_report(
 /// A live data-quality monitor: a [`QualitySuite`] bound to one evolving
 /// database through the `condep-validate` delta engine.
 ///
-/// The full violation report is maintained **incrementally from the
-/// streamed deltas** via [`SigmaReport::apply_delta`] (the documented
-/// consumer rule: remove resolved, renumber the swap move, add
-/// introduced), so a monitor ingesting an insert/delete stream never
+/// The monitor keeps no violation state of its own: it reads the
+/// stream's live violation set, which the stream maintains from its
+/// own deltas. So a monitor ingesting an insert/delete stream never
 /// re-validates the database, yet [`QualityMonitor::summary`] and
 /// [`QualityMonitor::report`] always match what [`QualitySuite::check`]
-/// would report from scratch.
+/// would report from scratch. `summary()` is O(1); `report()` collects
+/// and sorts the live set, O(V log V) in the V live violations.
 #[derive(Clone, Debug)]
 pub struct QualityMonitor {
     stream: ValidatorStream,
-    /// The delta-maintained raw report (== the stream's live state).
-    sigma: SigmaReport,
-    tuples_checked: usize,
     /// Online-discovery loop, when enabled.
     online: Option<OnlineState>,
 }
@@ -414,7 +409,6 @@ impl QualityMonitor {
     pub fn insert(&mut self, rel: RelId, t: Tuple) -> Result<SigmaDelta, ModelError> {
         let observed = self.online.is_some().then(|| t.clone());
         let delta = self.stream.insert_tuple(rel, t)?;
-        self.consume(&delta);
         // Only an *effective* insert (set semantics: a tuple id was
         // born) reaches the miner's sketches.
         if delta.ids.born.is_some() {
@@ -431,7 +425,6 @@ impl QualityMonitor {
     /// present.
     pub fn delete(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
         let delta = self.stream.delete_tuple(rel, t)?;
-        self.consume(&delta);
         if let Some(state) = self.online.as_mut() {
             state.miner.observe_delete(rel, t);
         }
@@ -451,8 +444,6 @@ impl QualityMonitor {
         let Some((del, ins)) = self.stream.update_tuple(rel, old, new)? else {
             return Ok(None);
         };
-        self.consume(&del);
-        self.consume(&ins);
         if let Some(state) = self.online.as_mut() {
             state.miner.observe_delete(rel, old);
             // A merge-degenerate update (`new` already resident) births
@@ -481,9 +472,6 @@ impl QualityMonitor {
             Vec::new()
         };
         let deltas = self.stream.apply_deltas(muts)?;
-        for delta in &deltas {
-            self.consume(delta);
-        }
         if let Some(state) = self.online.as_mut() {
             for m in &effective {
                 state.miner.observe(m);
@@ -646,30 +634,21 @@ impl QualityMonitor {
 
     /// Promotes dependencies into the **live** monitored suite (see
     /// [`ValidatorStream::add_dependencies`]): only the affected groups
-    /// recompile and the delta-maintained report mirror absorbs the
-    /// newcomers' violations. Returns those violations.
+    /// recompile, and the newcomers' violations join the live set.
+    /// Returns those violations.
     pub fn add_dependencies(
         &mut self,
         cfds: Vec<NormalCfd>,
         cinds: Vec<NormalCind>,
     ) -> SigmaReport {
-        let introduced = self.stream.add_dependencies(cfds, cinds);
-        self.sigma.cfd.extend(introduced.cfd.iter().cloned());
-        self.sigma.cind.extend(introduced.cind.iter().cloned());
-        self.sigma.sort();
-        introduced
+        self.stream.add_dependencies(cfds, cinds)
     }
 
     /// Retires dependencies from the live monitored suite (see
     /// [`ValidatorStream::retire_dependencies`]); their violations
-    /// leave the mirror and are returned.
+    /// leave the live set and are returned.
     pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> SigmaReport {
-        let resolved = self.stream.retire_dependencies(cfd_idxs, cind_idxs);
-        let gone: HashSet<usize> = cfd_idxs.iter().copied().collect();
-        self.sigma.cfd.retain(|(i, _)| !gone.contains(i));
-        let gone: HashSet<usize> = cind_idxs.iter().copied().collect();
-        self.sigma.cind.retain(|(i, _)| !gone.contains(i));
-        resolved
+        self.stream.retire_dependencies(cfd_idxs, cind_idxs)
     }
 
     /// The online miner, when online discovery is enabled.
@@ -707,19 +686,14 @@ impl QualityMonitor {
         self.stream.set_journal_capacity(capacity);
     }
 
-    /// Folds one streamed delta into the mirrored report through the
-    /// consumer rule ([`SigmaReport::apply_delta`]).
-    fn consume(&mut self, delta: &SigmaDelta) {
-        self.sigma.apply_delta(self.stream.validator(), delta);
-        self.tuples_checked = self.stream.db().total_tuples();
-    }
-
-    /// The delta-maintained counters (no validation run).
+    /// The live counters, read from the stream in O(1) (no validation
+    /// run).
     pub fn summary(&self) -> ViolationSummary {
+        let (cfd_violations, cind_violations) = self.stream.violation_counts();
         ViolationSummary {
-            cfd_violations: self.sigma.cfd.len(),
-            cind_violations: self.sigma.cind.len(),
-            tuples_checked: self.tuples_checked,
+            cfd_violations,
+            cind_violations,
+            tuples_checked: self.stream.db().total_tuples(),
         }
     }
 
@@ -761,20 +735,15 @@ impl QualityMonitor {
         }
     }
 
-    /// The full current report, resolved from the delta-maintained
-    /// mirror — equal to re-checking the database from scratch, without
-    /// the sweep (and equal to the stream's own materialized state,
-    /// asserted in debug builds).
+    /// The full current report, resolved from the stream's live set
+    /// ([`ValidatorStream::current_report`]) — equal to re-checking the
+    /// database from scratch, without the sweep. Collects and sorts the
+    /// live set: O(V log V) in the V live violations.
     pub fn report(&self) -> QualityReport {
-        debug_assert_eq!(
-            self.sigma,
-            self.stream.current_report(),
-            "consumer-rule mirror diverged from the stream's live state"
-        );
         resolve_report(
             self.stream.validator(),
-            self.tuples_checked,
-            self.sigma.clone(),
+            self.stream.db().total_tuples(),
+            self.stream.current_report(),
         )
     }
 }
@@ -962,8 +931,8 @@ mod tests {
         assert!(!deltas.is_empty());
         let stats = monitor.compact();
         assert!(stats.interned_strings_after <= stats.interned_strings_before);
-        // The delta-maintained mirror survives batches + compaction and
-        // still equals a from-scratch check.
+        // The live state survives batches + compaction and still
+        // equals a from-scratch check.
         let fresh = suite.check(monitor.db());
         assert_eq!(monitor.summary(), fresh.summary);
         assert_eq!(monitor.report().summary, fresh.summary);
@@ -1024,8 +993,31 @@ mod tests {
         }
     }
 
+    /// `report()`'s `(constraint, violation)` lists equal a fresh sweep
+    /// of the monitor's database under its live Σ.
+    fn assert_report_matches_sweep(monitor: &QualityMonitor) {
+        let fresh = monitor.validator().validate_sorted(monitor.db());
+        let (mut cfd, mut cind) = (Vec::new(), Vec::new());
+        for v in monitor.report().violations {
+            match v {
+                Violation::Cfd {
+                    constraint,
+                    violation,
+                    ..
+                } => cfd.push((constraint, violation)),
+                Violation::Cind {
+                    constraint,
+                    violation,
+                    ..
+                } => cind.push((constraint, violation)),
+            }
+        }
+        assert_eq!(cfd, fresh.cfd);
+        assert_eq!(cind, fresh.cind);
+    }
+
     #[test]
-    fn monitor_add_and_retire_dependencies_keep_the_mirror_live() {
+    fn monitor_add_and_retire_dependencies_keep_the_report_live() {
         let suite = bank_suite();
         let (mut monitor, initial) = suite.monitor(bank_database());
         assert_eq!(initial.summary.total(), 2);
@@ -1054,7 +1046,7 @@ mod tests {
         assert!(monitor.summary().total() > 2);
         monitor.delete(interest, &bad).unwrap();
         assert_eq!(monitor.summary().total(), 2);
-        // And the mirror still equals a from-scratch batch check.
+        // And the live state still equals a from-scratch batch check.
         let fresh = suite.check(monitor.db());
         assert_eq!(
             monitor.summary().cfd_violations,
@@ -1064,7 +1056,7 @@ mod tests {
             monitor.summary().cind_violations,
             fresh.summary.cind_violations
         );
-        monitor.report(); // debug-asserts mirror == stream state
+        assert_report_matches_sweep(&monitor);
     }
 
     fn city_schema() -> Arc<Schema> {
@@ -1120,7 +1112,7 @@ mod tests {
         // Four clean arrivals: the fourth closes the first window and
         // the poll promotes the planted dependencies into the live
         // suite (city → country, the constant rows, fact[city] ⊆
-        // cities[name]) — all satisfied, so the mirror stays clean.
+        // cities[name]) — all satisfied, so the live set stays clean.
         for (city, country, zip) in [
             ("EDI", "UK", "z8"),
             ("NYC", "US", "z9"),
@@ -1176,7 +1168,7 @@ mod tests {
             monitor.validator().cfds().len() > activity.retired,
             "the confident remainder stays live"
         );
-        monitor.report(); // debug-asserts mirror == stream state
+        assert_report_matches_sweep(&monitor);
     }
 
     #[test]
