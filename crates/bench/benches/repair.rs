@@ -180,8 +180,7 @@ fn main() {
     );
     let dirtied = dirtied_database(&clean, &cfds, &cinds, 0.01, &mut StdRng::seed_from_u64(42));
     let injected = dirtied.injected.len();
-    let initial = validator.validate_sorted(&dirtied.db);
-    let initial_violations = initial.len();
+    let initial_violations = validator.validate_sorted(&dirtied.db).len();
 
     let mut repair_time = Duration::MAX;
     let mut best = None;
@@ -190,7 +189,6 @@ fn main() {
             repair(
                 validator.clone(),
                 dirtied.db.clone(),
-                initial.clone(),
                 &RepairCost::uniform(),
                 &RepairBudget::default(),
             )

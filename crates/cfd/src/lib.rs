@@ -19,7 +19,7 @@
 //!   domains.
 //!
 //! This crate provides the full substrate: syntax ([`syntax`]), normal
-//! form ([`normalize`]), satisfaction & violation detection
+//! form ([`normalize`](mod@normalize)), satisfaction & violation detection
 //! ([`satisfy`], [`violations`]), exact consistency analysis
 //! ([`consistency`]), exact implication analysis ([`implication`]), and
 //! the paper's CFD fixtures ([`fixtures`]). The *heuristic* consistency

@@ -155,7 +155,7 @@ impl fmt::Display for CfdDisplay<'_> {
 /// pattern row (paper, Section 4).
 ///
 /// All reasoning in the workspace operates on normal forms; use
-/// [`crate::normalize`] to convert.
+/// [`crate::normalize()`] to convert.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct NormalCfd {
     rel: RelId,

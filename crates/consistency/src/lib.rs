@@ -24,9 +24,9 @@
 //! * [`preprocessing`] — algorithm `preProcessing` (Figure 7): local CFD
 //!   consistency per relation, non-triggering CFDs `CIND(Rj, R)⊥`, node
 //!   deletion, and the 1 / 0 / −1 verdict;
-//! * [`random_checking`] — algorithm `RandomChecking` (Figure 5) with
+//! * [`random_checking`](mod@random_checking) — algorithm `RandomChecking` (Figure 5) with
 //!   the Section 5.2 improvement (interleaved `CFD_Checking`);
-//! * [`checking`] — algorithm `Checking` (Figure 9), the combination.
+//! * [`checking`](mod@checking) — algorithm `Checking` (Figure 9), the combination.
 //!
 //! ## Relationship to `condep-analyze`
 //!

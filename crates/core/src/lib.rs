@@ -17,7 +17,7 @@
 //! | Paper result | Module |
 //! |---|---|
 //! | Syntax & semantics (§2) | [`syntax`], [`satisfy`] |
-//! | Normal form, Prop. 3.1 | [`normalize`] |
+//! | Normal form, Prop. 3.1 | [`normalize`](mod@normalize) |
 //! | Consistency, Thm. 3.2 (always consistent, constructive witness) | [`witness`] |
 //! | Inference system `I` (CIND1–CIND8, Fig. 3), Thm. 3.3 | [`inference`] |
 //! | Implication, Thms. 3.4/3.5 (EXPTIME / PSPACE) | [`implication`] |

@@ -9,7 +9,7 @@
 //! the data to find it. This crate closes that gap, turning the
 //! workspace's loop into discover → validate → monitor → repair:
 //!
-//! * **CFD mining** ([`cfd_miner`], via [`discover`]) — per relation, a
+//! * **CFD mining** (`cfd_miner`, via [`discover`]) — per relation, a
 //!   level-wise walk of the attribute-set lattice over **stripped
 //!   partitions** (TANE's data structure, built from the existing
 //!   [`SymTables`] symbolization and the [`condep_query::SymIndex`]
@@ -18,7 +18,7 @@
 //!   wildcard) tableau row and **specializes** each equivalence class of
 //!   `π_X` into a *constant* row `(X = x̄ ‖ A = a)`, both tagged with
 //!   `(support, confidence)`.
-//! * **CIND mining** ([`cind_miner`], same entry point) — unary
+//! * **CIND mining** (`cind_miner`, same entry point) — unary
 //!   inclusion candidates probed against shared target-column indexes;
 //!   exact inclusions become traditional INDs, near-inclusions get the
 //!   highest-support constant source conditions that make them exact.

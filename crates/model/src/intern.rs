@@ -36,10 +36,12 @@ pub enum SymValue {
 
 /// A per-database string interner.
 ///
-/// Build one with [`Interner::from_database`] (interning every string the
-/// instance contains), then translate values with [`Interner::sym_value`]
-/// for read-only probing or [`Interner::intern_value`] when new strings
-/// may still arrive (streaming inserts).
+/// [`SymTables::build_for`] returns one holding exactly the strings of
+/// the columns it symbolized; a streaming owner starts from
+/// [`Interner::new`] and interns cells as it caches them. Translate
+/// values with [`Interner::sym_value`] for read-only probing, or with
+/// [`Interner::intern_value`] when new strings may still arrive
+/// (streaming inserts).
 #[derive(Clone, Default, Debug)]
 pub struct Interner {
     map: HashMap<Arc<str>, u32, FxBuildHasher>,
@@ -50,21 +52,6 @@ impl Interner {
     /// An empty interner.
     pub fn new() -> Self {
         Interner::default()
-    }
-
-    /// Interns every string value appearing in `db`.
-    pub fn from_database(db: &Database) -> Self {
-        let mut interner = Interner::new();
-        for (_, rel) in db.iter() {
-            for t in rel.iter() {
-                for v in t.values() {
-                    if let Value::Str(s) = v {
-                        interner.intern(s);
-                    }
-                }
-            }
-        }
-        interner
     }
 
     /// Interns `s`, returning its (possibly new) symbol.
@@ -120,9 +107,10 @@ impl Interner {
     }
 
     /// Read-only translation: `None` when `v` is a string this interner
-    /// has never seen — which, for an interner built from a database,
-    /// means **no tuple of that database can equal `v`**. Callers use
-    /// that to skip entire constraint groups.
+    /// has never seen — which, for an interner holding every cell it
+    /// symbolized (one from [`SymTables::build_for`], or a stream's),
+    /// means **no symbolized cell can equal `v`**. Callers use that to
+    /// skip entire constraint groups.
     pub fn sym_value(&self, v: &Value) -> Option<SymValue> {
         match v {
             Value::Bool(b) => Some(SymValue::Bool(*b)),
@@ -247,21 +235,6 @@ mod tests {
         assert_eq!(i.resolve(a), "EDI");
         assert_eq!(i.resolve(c), "NYC");
         assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn from_database_covers_every_string() {
-        let db = bank_database();
-        let interner = Interner::from_database(&db);
-        for (_, rel) in db.iter() {
-            for t in rel.iter() {
-                for v in t.values() {
-                    if let Value::Str(s) = v {
-                        assert!(interner.lookup(s).is_some(), "missing {s}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,14 +6,20 @@
 //! fx hasher, so building and probing never touch string bytes or bump
 //! `Arc` reference counts. Probes borrow (`&[SymValue]`).
 //!
+//! Every build reads cells that were symbolized beforehand: contiguous
+//! columns such as a [`condep_model::SymTables`]'s
+//! ([`SymIndex::build_from_columns`], what discovery uses), or any other
+//! symbol store through [`SymIndex::build_with`] (the validator's group
+//! tasks, reading column-major tables or a stream's row-major row
+//! cache). No build interns or hashes a tuple's strings.
+//!
 //! Storage is a two-tier layout tuned for both the batch sweep and the
 //! delta engine:
 //!
-//! * **Bulk tier** — the whole-relation builds ([`SymIndex::build`],
-//!   [`SymIndex::build_from_columns`], …) run a two-pass counting sort:
-//!   pass one maps rows to key slots and counts them, pass two scatters
-//!   positions into **one** shared CSR vector. No per-key `Vec` is ever
-//!   allocated, and each slot's segment is contiguous and
+//! * **Bulk tier** — the whole-relation builds run a two-pass counting
+//!   sort: pass one maps rows to key slots and counts them, pass two
+//!   scatters positions into **one** shared CSR vector. No per-key `Vec`
+//!   is ever allocated, and each slot's segment is contiguous and
 //!   position-ascending — ideal for the sequential group sweep.
 //! * **Overflow tier** — streaming [`SymIndex::insert_key`]s that cannot
 //!   extend a slot's tail segment go to a shared arena of singly-linked
@@ -26,7 +32,7 @@
 //! renumbered in place.
 
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Interner, Relation, SymValue, Tuple};
+use condep_model::SymValue;
 use std::collections::HashMap;
 
 /// Sentinel for "no overflow node".
@@ -111,21 +117,6 @@ impl SymIndex {
         }
     }
 
-    /// Builds an index over all tuples of `rel` keyed by `key_attrs`,
-    /// interning any new strings into `interner`.
-    pub fn build(rel: &Relation, key_attrs: &[AttrId], interner: &mut Interner) -> Self {
-        let mut idx = SymIndex::new(key_attrs.len());
-        let mut buf: Vec<SymValue> = Vec::with_capacity(key_attrs.len());
-        let mut rows = Vec::with_capacity(rel.len());
-        for (pos, t) in rel.iter().enumerate() {
-            buf.clear();
-            buf.extend(key_attrs.iter().map(|a| interner.intern_value(&t[*a])));
-            rows.push((pos as u32, idx.slot_of(&buf)));
-        }
-        idx.scatter_bulk(&rows);
-        idx
-    }
-
     /// Builds from pre-symbolized columns (see
     /// [`condep_model::SymTables`]): `key_cols` are the key attributes'
     /// columns in key order, all of length `rows`; only positions passing
@@ -136,50 +127,33 @@ impl SymIndex {
     where
         F: Fn(usize) -> bool,
     {
-        let mut idx = SymIndex::new(key_cols.len());
-        let mut buf: Vec<SymValue> = Vec::with_capacity(key_cols.len());
-        let mut pairs = Vec::with_capacity(rows);
-        for pos in 0..rows {
+        SymIndex::build_with(rows, key_cols.len(), |pos, buf| {
             if !filter(pos) {
-                continue;
+                return false;
             }
-            buf.clear();
             buf.extend(key_cols.iter().map(|col| col[pos]));
-            pairs.push((pos as u32, idx.slot_of(&buf)));
-        }
-        idx.scatter_bulk(&pairs);
-        idx
+            true
+        })
     }
 
-    /// Read-only-interner build over the tuples passing `filter`.
-    ///
-    /// Requires `interner` to already cover every string of `rel` (e.g.
-    /// built with [`Interner::from_database`] on the owning database) —
-    /// this is what lets the parallel validation sweep share one
-    /// immutable interner across threads.
-    pub fn build_filtered_interned<F>(
-        rel: &Relation,
-        key_attrs: &[AttrId],
-        interner: &Interner,
-        filter: F,
-    ) -> Self
+    /// Builds over positions `0..rows` from any pre-symbolized store:
+    /// `key_at(pos, buf)` writes position `pos`'s `key_len` key cells
+    /// into the cleared `buf` and returns whether `pos` is indexed (the
+    /// cells of a skipped position are ignored). The same counting-sort
+    /// bulk build as [`SymIndex::build_from_columns`], for stores that
+    /// are not column-major.
+    pub fn build_with<F>(rows: usize, key_len: usize, mut key_at: F) -> Self
     where
-        F: Fn(&Tuple) -> bool,
+        F: FnMut(usize, &mut Vec<SymValue>) -> bool,
     {
-        let mut idx = SymIndex::new(key_attrs.len());
-        let mut buf: Vec<SymValue> = Vec::with_capacity(key_attrs.len());
-        let mut pairs = Vec::with_capacity(rel.len());
-        for (pos, t) in rel.iter().enumerate() {
-            if !filter(t) {
-                continue;
-            }
+        let mut idx = SymIndex::new(key_len);
+        let mut buf: Vec<SymValue> = Vec::with_capacity(key_len);
+        let mut pairs = Vec::with_capacity(rows);
+        for pos in 0..rows {
             buf.clear();
-            buf.extend(key_attrs.iter().map(|a| {
-                interner
-                    .sym_value(&t[*a])
-                    .expect("interner must cover the indexed relation")
-            }));
-            pairs.push((pos as u32, idx.slot_of(&buf)));
+            if key_at(pos, &mut buf) {
+                pairs.push((pos as u32, idx.slot_of(&buf)));
+            }
         }
         idx.scatter_bulk(&pairs);
         idx
@@ -266,16 +240,6 @@ impl SymIndex {
             self.min[slot] = self.min[slot].min(pos);
         }
         self.len = pairs.len();
-    }
-
-    /// Adds the tuple at dense position `pos` under its projected key.
-    pub fn insert(&mut self, pos: u32, t: &Tuple, key_attrs: &[AttrId], interner: &mut Interner) {
-        debug_assert_eq!(key_attrs.len(), self.key_len);
-        let key: Vec<SymValue> = key_attrs
-            .iter()
-            .map(|a| interner.intern_value(&t[*a]))
-            .collect();
-        self.insert_key(pos, &key);
     }
 
     /// Appends `pos` under the already-translated `key` (streaming
@@ -655,7 +619,35 @@ impl Iterator for PosIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condep_model::{tuple, AttrId, Sym, Value};
+    use condep_model::{tuple, AttrId, Interner, Relation, Sym, Tuple, Value};
+
+    /// `t`'s key cells, interning new strings.
+    fn key_of(t: &Tuple, key_attrs: &[AttrId], interner: &mut Interner) -> Vec<SymValue> {
+        key_attrs
+            .iter()
+            .map(|a| interner.intern_value(&t[*a]))
+            .collect()
+    }
+
+    /// Symbolizes `rel`'s keys first, then bulk-builds over them.
+    fn build(rel: &Relation, key_attrs: &[AttrId], interner: &mut Interner) -> SymIndex {
+        let keys: Vec<Vec<SymValue>> = rel.iter().map(|t| key_of(t, key_attrs, interner)).collect();
+        SymIndex::build_with(keys.len(), key_attrs.len(), |pos, buf| {
+            buf.extend_from_slice(&keys[pos]);
+            true
+        })
+    }
+
+    /// Streams `t` in at `pos` under its (interned) key.
+    fn insert(
+        idx: &mut SymIndex,
+        pos: u32,
+        t: &Tuple,
+        key_attrs: &[AttrId],
+        interner: &mut Interner,
+    ) {
+        idx.insert_key(pos, &key_of(t, key_attrs, interner));
+    }
 
     fn rel() -> Relation {
         [
@@ -675,7 +667,7 @@ mod tests {
     fn build_probe_and_groups_agree_with_hash_index() {
         let r = rel();
         let mut interner = Interner::new();
-        let idx = SymIndex::build(&r, &[AttrId(0)], &mut interner);
+        let idx = build(&r, &[AttrId(0)], &mut interner);
         let edi = [interner.sym_value(&Value::str("EDI")).unwrap()];
         assert_eq!(probe_vec(&idx, &edi), vec![0, 1]);
         assert!(idx.contains_key(&edi));
@@ -693,7 +685,7 @@ mod tests {
     fn mixed_type_composite_keys() {
         let r = rel();
         let mut interner = Interner::new();
-        let idx = SymIndex::build(&r, &[AttrId(2), AttrId(1)], &mut interner);
+        let idx = build(&r, &[AttrId(2), AttrId(1)], &mut interner);
         let key = [
             SymValue::Int(1),
             interner.sym_value(&Value::str("UK")).unwrap(),
@@ -706,10 +698,10 @@ mod tests {
         let mut interner = Interner::new();
         let mut idx = SymIndex::new(1);
         let attrs = [AttrId(0)];
-        idx.insert(0, &tuple!["a", "x"], &attrs, &mut interner);
-        idx.insert(1, &tuple!["a", "y"], &attrs, &mut interner);
-        idx.insert(2, &tuple!["b", "x"], &attrs, &mut interner);
-        idx.insert(3, &tuple!["a", "z"], &attrs, &mut interner);
+        insert(&mut idx, 0, &tuple!["a", "x"], &attrs, &mut interner);
+        insert(&mut idx, 1, &tuple!["a", "y"], &attrs, &mut interner);
+        insert(&mut idx, 2, &tuple!["b", "x"], &attrs, &mut interner);
+        insert(&mut idx, 3, &tuple!["a", "z"], &attrs, &mut interner);
         let a = [interner.sym_value(&Value::str("a")).unwrap()];
         let mut got = probe_vec(&idx, &a);
         got.sort_unstable();
@@ -723,7 +715,7 @@ mod tests {
     fn zero_width_keys_group_everything() {
         let r = rel();
         let mut interner = Interner::new();
-        let idx = SymIndex::build(&r, &[], &mut interner);
+        let idx = build(&r, &[], &mut interner);
         assert_eq!(probe_vec(&idx, &[]), vec![0, 1, 2]);
         assert_eq!(idx.distinct_keys(), 1);
     }
@@ -732,7 +724,7 @@ mod tests {
     fn unknown_key_probes_empty() {
         let r = rel();
         let mut interner = Interner::new();
-        let idx = SymIndex::build(&r, &[AttrId(0)], &mut interner);
+        let idx = build(&r, &[AttrId(0)], &mut interner);
         // A string the interner has never seen cannot even form a key;
         // sym_value signals that with None.
         assert_eq!(interner.sym_value(&Value::str("LON")), None);
@@ -749,7 +741,7 @@ mod tests {
             .map(|i| tuple![if i % 2 == 0 { "even" } else { "odd" }, i])
             .collect();
         let mut interner = Interner::new();
-        let idx = SymIndex::build(&r, &[AttrId(0)], &mut interner);
+        let idx = build(&r, &[AttrId(0)], &mut interner);
         let even = [interner.sym_value(&Value::str("even")).unwrap()];
         let odd = [interner.sym_value(&Value::str("odd")).unwrap()];
         assert_eq!(probe_vec(&idx, &even), vec![0, 2, 4, 6, 8]);
@@ -770,7 +762,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            idx.insert(pos as u32, t, &attrs, &mut interner);
+            insert(&mut idx, pos as u32, t, &attrs, &mut interner);
         }
         let k = [interner.sym_value(&Value::str("k")).unwrap()];
         let j = [interner.sym_value(&Value::str("j")).unwrap()];
@@ -804,16 +796,17 @@ mod tests {
         let attrs = [AttrId(0)];
         // Churn: 50 keys come and go, two stay.
         for i in 0..50u32 {
-            idx.insert(
+            insert(
+                &mut idx,
                 i,
                 &tuple![format!("gone{i}").as_str(), "x"],
                 &attrs,
                 &mut interner,
             );
         }
-        idx.insert(50, &tuple!["keep", "x"], &attrs, &mut interner);
-        idx.insert(51, &tuple!["keep", "y"], &attrs, &mut interner);
-        idx.insert(52, &tuple!["also", "z"], &attrs, &mut interner);
+        insert(&mut idx, 50, &tuple!["keep", "x"], &attrs, &mut interner);
+        insert(&mut idx, 51, &tuple!["keep", "y"], &attrs, &mut interner);
+        insert(&mut idx, 52, &tuple!["also", "z"], &attrs, &mut interner);
         for i in 0..50u32 {
             let key = [interner.sym_value(&Value::str(format!("gone{i}"))).unwrap()];
             assert!(idx.remove_key(i, &key));
@@ -844,7 +837,7 @@ mod tests {
     fn slot_of_pos_tracks_every_mutation() {
         let r = rel();
         let mut interner = Interner::new();
-        let mut idx = SymIndex::build(&r, &[AttrId(0)], &mut interner);
+        let mut idx = build(&r, &[AttrId(0)], &mut interner);
         let edi = [interner.sym_value(&Value::str("EDI")).unwrap()];
         let nyc = [interner.sym_value(&Value::str("NYC")).unwrap()];
         let se = idx.probe_slot(&edi).unwrap();
@@ -855,8 +848,20 @@ mod tests {
         assert_eq!(idx.slot_of_pos(2), Some(sn));
         assert_eq!(idx.slot_of_pos(3), None, "never-indexed position");
         // Streaming inserts land in either tier; both are tracked.
-        idx.insert(3, &tuple!["EDI", "UK", 3i64], &[AttrId(0)], &mut interner);
-        idx.insert(4, &tuple!["NYC", "US", 2i64], &[AttrId(0)], &mut interner);
+        insert(
+            &mut idx,
+            3,
+            &tuple!["EDI", "UK", 3i64],
+            &[AttrId(0)],
+            &mut interner,
+        );
+        insert(
+            &mut idx,
+            4,
+            &tuple!["NYC", "US", 2i64],
+            &[AttrId(0)],
+            &mut interner,
+        );
         assert_eq!(idx.slot_of_pos(3), Some(se));
         assert_eq!(idx.slot_of_pos(4), Some(sn));
         // Removal forgets the position; renumbering follows it.
@@ -880,7 +885,7 @@ mod tests {
     fn remap_keys_translates_probes_to_the_new_numbering() {
         let r = rel();
         let mut old = Interner::new();
-        let idx_src = SymIndex::build(&r, &[AttrId(0), AttrId(1)], &mut old);
+        let idx_src = build(&r, &[AttrId(0), AttrId(1)], &mut old);
         // Re-intern the live strings in reverse encounter order: every
         // symbol changes, the index must follow.
         let mut fresh = Interner::new();
@@ -918,12 +923,24 @@ mod tests {
     fn streaming_inserts_after_bulk_build_land_in_overflow() {
         let r = rel();
         let mut interner = Interner::new();
-        let mut idx = SymIndex::build(&r, &[AttrId(0)], &mut interner);
+        let mut idx = build(&r, &[AttrId(0)], &mut interner);
         // "EDI" segment is not at the tail of the CSR vector, so this
         // lands in the overflow arena; "NYC" is at the tail and grows in
         // place. Either way the group contents must be right.
-        idx.insert(3, &tuple!["EDI", "UK", 3i64], &[AttrId(0)], &mut interner);
-        idx.insert(4, &tuple!["NYC", "US", 2i64], &[AttrId(0)], &mut interner);
+        insert(
+            &mut idx,
+            3,
+            &tuple!["EDI", "UK", 3i64],
+            &[AttrId(0)],
+            &mut interner,
+        );
+        insert(
+            &mut idx,
+            4,
+            &tuple!["NYC", "US", 2i64],
+            &[AttrId(0)],
+            &mut interner,
+        );
         let edi = [interner.sym_value(&Value::str("EDI")).unwrap()];
         let nyc = [interner.sym_value(&Value::str("NYC")).unwrap()];
         let mut e = probe_vec(&idx, &edi);

@@ -106,10 +106,10 @@ impl Fix {
 /// [`condep_validate::SigmaDelta`]s are strictly net-negative, rolled
 /// back otherwise), iterated to fixpoint under `budget`.
 ///
-/// `initial` is the violation report of `db` (as produced by
-/// [`Validator::validate_sorted`] or a prior monitoring stream); it
-/// seeds the engine's delta stream directly — no re-validation sweep —
-/// and is cross-checked against the database in debug builds.
+/// The engine's delta stream is seeded with
+/// [`ValidatorStream::new_validated`], whose one shared build both
+/// indexes `db` and reads its initial violations — callers pass no
+/// report and no batch sweep runs first.
 ///
 /// **Pre-flight gate:** Σ is statically analyzed first and a *proven*
 /// unsatisfiable Σ is refused with [`UnsatSigma`] naming a minimal
@@ -122,20 +122,14 @@ impl Fix {
 pub fn repair(
     validator: Validator,
     db: Database,
-    initial: SigmaReport,
     cost: &RepairCost,
     budget: &RepairBudget,
 ) -> Result<(Database, RepairReport), UnsatSigma> {
     if let SigmaVerdict::Unsat(core) = validator.analysis(db.schema()).verdict {
         return Err(UnsatSigma { core: core.cfds });
     }
-    let mut initial = initial;
-    initial.sort();
+    let (mut stream, initial) = ValidatorStream::new_validated(validator, db);
     let initial_violations = initial.len();
-    // The caller already validated: seed the stream from the provided
-    // report instead of paying a second batch sweep (`with_report`
-    // cross-checks it against the database in debug builds).
-    let mut stream = ValidatorStream::with_report(validator, db, initial);
     let mut log = RepairLog::default();
     let mut budget_exhausted = false;
     let mut fill_serial = 0u64;

@@ -5,9 +5,9 @@
 //! A cost-based repair engine closing the paper's data-cleaning loop:
 //! **detect** (the batched validator) → **explain** (violation reports
 //! with witnesses) → **fix** (this crate). It takes a
-//! [`condep_model::Database`], a compiled [`condep_validate::Validator`]
-//! Σ and the database's initial [`condep_validate::SigmaReport`], and
-//! produces a repaired database plus an auditable [`RepairReport`].
+//! [`condep_model::Database`] and a compiled
+//! [`condep_validate::Validator`] Σ, and produces a repaired database
+//! plus an auditable [`RepairReport`].
 //!
 //! ## How it works
 //!
@@ -75,11 +75,9 @@ mod tests {
     }
 
     fn run(validator: Validator, db: Database) -> (Database, RepairReport) {
-        let initial = validator.validate_sorted(&db);
         repair(
             validator,
             db,
-            initial,
             &RepairCost::uniform(),
             &RepairBudget::default(),
         )
@@ -268,13 +266,11 @@ mod tests {
         let mut db = Database::empty(schema);
         db.insert_into("src", tuple!["k1"]).unwrap();
         let validator = Validator::new(vec![], vec![cind]);
-        let initial = validator.validate_sorted(&db);
         let cost = RepairCost {
             tuple_insert: 5.0,
             ..RepairCost::uniform()
         };
-        let (repaired, report) =
-            repair(validator, db, initial, &cost, &RepairBudget::default()).unwrap();
+        let (repaired, report) = repair(validator, db, &cost, &RepairBudget::default()).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.tuples_deleted, 1);
         assert_eq!(report.tuples_inserted, 0);
@@ -287,13 +283,11 @@ mod tests {
     fn cascade_budget_bounds_rounds() {
         let validator = bank_validator();
         let db = bank_database();
-        let initial = validator.validate_sorted(&db);
         let budget = RepairBudget {
             max_rounds: 0,
             max_fixes: usize::MAX,
         };
-        let (repaired, report) =
-            repair(validator, db, initial, &RepairCost::uniform(), &budget).unwrap();
+        let (repaired, report) = repair(validator, db, &RepairCost::uniform(), &budget).unwrap();
         assert!(report.budget_exhausted);
         assert_eq!(report.fixes_applied(), 0);
         assert_eq!(report.residual.len(), 2);

@@ -30,9 +30,11 @@
 //!   the mutation introduced *and* the violations it resolved
 //!   (retraction) — in time proportional to the constraint groups and
 //!   key groups the tuple touches, never to the database. Open one with
-//!   [`ValidatorStream::new_validated`] (which also reports the seed
-//!   database's initial violations) or seed a known report with
-//!   [`ValidatorStream::with_report`];
+//!   [`ValidatorStream::new_validated`], which builds the live indexes
+//!   with the batch sweep's own group tasks and reports the seed
+//!   database's initial violations off them
+//!   ([`ValidatorStream::with_report`] runs the same build and checks a
+//!   known report against it in debug builds);
 //! * the stream is built for **whole-life monitoring**:
 //!   [`condep_model::TupleId`] handles address tuples stably across the
 //!   swap renumbering deletions cause (every delta carries its
@@ -682,6 +684,63 @@ mod tests {
         assert!(stream.db().relation(interest).contains(&old));
         assert!(stream.db().relation(interest).contains(&new));
         assert_restored(&stream, &merge);
+    }
+
+    /// The bank stream plus a relation id one past its schema's last.
+    fn stream_and_missing_rel() -> (ValidatorStream, SigmaReport, condep_model::RelId) {
+        let (stream, initial) = ValidatorStream::new_validated(bank_validator(), bank_database());
+        let missing = condep_model::RelId(stream.db().schema().len() as u32);
+        (stream, initial, missing)
+    }
+
+    #[test]
+    fn apply_deltas_rejects_an_out_of_range_delete_with_nothing_applied() {
+        let (mut stream, initial, missing) = stream_and_missing_rel();
+        let interest = stream.db().schema().rel_id("interest").unwrap();
+        let err = stream
+            .apply_deltas(&[
+                Mutation::Insert {
+                    rel: interest,
+                    tuple: tuple!["GLA", "UK", "checking", "9.9%"],
+                },
+                Mutation::Delete {
+                    rel: missing,
+                    tuple: tuple!["x"],
+                },
+            ])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            condep_model::ModelError::RelOutOfRange(missing.index())
+        );
+        assert_eq!(stream.db().total_tuples(), bank_database().total_tuples());
+        assert_eq!(stream.current_report(), initial);
+    }
+
+    #[test]
+    fn apply_rejects_out_of_range_relations() {
+        let (mut stream, initial, missing) = stream_and_missing_rel();
+        let expected = condep_model::ModelError::RelOutOfRange(missing.index());
+        for m in [
+            Mutation::Delete {
+                rel: missing,
+                tuple: tuple!["x"],
+            },
+            Mutation::Insert {
+                rel: missing,
+                tuple: tuple!["x"],
+            },
+        ] {
+            assert_eq!(stream.apply(m).unwrap_err(), expected);
+        }
+        assert_eq!(stream.current_report(), initial);
+    }
+
+    #[test]
+    fn delete_tuple_from_an_out_of_range_relation_is_none() {
+        let (mut stream, initial, missing) = stream_and_missing_rel();
+        assert!(stream.delete_tuple(missing, &tuple!["x"]).is_none());
+        assert_eq!(stream.current_report(), initial);
     }
 
     #[test]

@@ -60,12 +60,22 @@
 //!   duplicate CINDs never become hot-path members at all; violations
 //!   still report against the caller's original Σ indices via the
 //!   provenance fan-out.
-//! * **resident row cache** — every resident tuple's key-union cells
-//!   (group keys **and** CFD member RHS attributes) are interned once at
-//!   insert and cached row-major per relation, mirrored through the same
-//!   swap-remove discipline as the relation. Deletes read their rows
-//!   from the cache: no string is hashed through the interner anywhere
-//!   on the delete path.
+//! * **one seed build** — [`ValidatorStream::new_validated`] symbolizes
+//!   the columns Σ reads ([`Validator::sym_layout`]) once, straight into
+//!   the resident row cache, then runs the batch sweep's own group
+//!   tasks in keep mode over those rows, striped across threads on
+//!   large instances: each builds its group's live index from the
+//!   cached symbols and reads the group's seed violations off it. No
+//!   column copy is made, and the interner holds only strings of
+//!   columns Σ reads.
+//! * **resident row cache** — every resident tuple's layout cells
+//!   (group keys, CFD member RHS attributes **and** CIND condition
+//!   columns) are cached row-major per relation, mirrored through the
+//!   same swap-remove discipline as the relation; an arriving tuple's
+//!   cells are interned once. Deletes read their rows from the cache —
+//!   no string is hashed through the interner anywhere on the delete
+//!   path — and [`ValidatorStream::add_dependencies`] keys the indexes
+//!   it splices in from it.
 //! * **at most one probe per (mutation, group)** — on insert,
 //!   [`condep_query::SymIndex`] slot handles (`ensure_slot`) resolve
 //!   the tuple's key group once; on delete, the index's per-position
@@ -102,7 +112,7 @@
 //!   ids.
 
 use crate::telemetry::{MutKind, StreamTelemetry};
-use crate::validator::{CfdGroup, CfdMember, SigmaReport, Validator};
+use crate::validator::{Cells, CfdGroup, CfdMember, SigmaReport, Validator};
 use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
@@ -312,15 +322,14 @@ pub struct ValidatorStream {
     /// seeded with the dense-seeding convention (`TupleId(p)` = seed
     /// position `p`) and maintained through every swap.
     ids: Vec<TupleIdMap>,
-    /// Per relation: the sorted union of every group key attribute and
-    /// every CFD member RHS attribute — the cells one batched
-    /// symbolization pass covers.
+    /// Per relation: [`Validator::sym_layout`] — every attribute some
+    /// group reads, the cells one batched symbolization pass covers.
     sym_attrs: Vec<Vec<AttrId>>,
-    /// Per relation: every **resident** tuple's key-union cells, row
-    /// major with stride `sym_attrs[rel].len()` and mirrored through
-    /// the same swap-remove discipline as the relation itself — the
-    /// delete path reads its rows here instead of re-hashing strings
-    /// through the interner.
+    /// Per relation: every **resident** tuple's layout cells, row major
+    /// with stride `sym_attrs[rel].len()` and mirrored through the same
+    /// swap-remove discipline as the relation itself — the delete path
+    /// reads its rows here instead of re-hashing strings through the
+    /// interner.
     sym_rows: Vec<Vec<SymValue>>,
     /// Per CFD group: each key attribute's slot in its relation's
     /// symbolized row.
@@ -354,6 +363,16 @@ pub struct ValidatorStream {
 fn key_from_slots(row: &[SymValue], slots: &[u32], buf: &mut Vec<SymValue>) {
     buf.clear();
     buf.extend(slots.iter().map(|&s| row[s as usize]));
+}
+
+/// Symbolizes every tuple of `inst` over `attrs` into one row-major
+/// block, interning new strings — the row cache's layout.
+fn cache_rows(interner: &mut Interner, inst: &Relation, attrs: &[AttrId]) -> Vec<SymValue> {
+    let mut rows = Vec::with_capacity(inst.len() * attrs.len());
+    for t in inst.iter() {
+        rows.extend(attrs.iter().map(|a| interner.intern_value(&t[*a])));
+    }
+    rows
 }
 
 /// Sym-space member matching: the pattern cells against the tuple's
@@ -542,71 +561,61 @@ fn stash_scope(
 
 impl ValidatorStream {
     /// Materializes the stream state over an initial database, returning
-    /// the stream together with the initial violations — the batched
-    /// [`Validator::validate_sorted`] report the live state starts from.
+    /// the stream together with the initial violations, sorted — the
+    /// report [`Validator::validate_sorted`] would produce, read off the
+    /// very indexes the stream keeps (see [`ValidatorStream::with_report`]
+    /// for what the build does).
     pub fn new_validated(validator: Validator, db: Database) -> (Self, SigmaReport) {
-        let report = validator.validate_sorted(&db);
-        let stream = ValidatorStream::materialize(validator, db, report.clone());
-        (stream, report)
+        ValidatorStream::materialize(validator, db)
     }
 
     /// Materializes the stream over a database whose violation report is
-    /// **already known** (from a prior batch run, monitor or stream):
-    /// the live group indexes are still built, but the batch validation
-    /// sweep [`ValidatorStream::new_validated`] performs is skipped.
+    /// **already known** (from a prior batch run, monitor or stream).
+    /// Costs the same as [`ValidatorStream::new_validated`]: one
+    /// symbolization of the columns Σ reads into the row cache, one
+    /// index build per group (in parallel on large instances), with the
+    /// violations read off the kept indexes — no separate batch sweep
+    /// either way.
     ///
-    /// `report` must be exactly [`Validator::validate_sorted`] of `db`
-    /// (debug-asserted) — seeding a stale report desynchronizes the
-    /// live state permanently.
+    /// `report` must be exactly [`Validator::validate_sorted`] of `db`;
+    /// debug builds assert it equals the report the build read.
     pub fn with_report(validator: Validator, db: Database, report: SigmaReport) -> Self {
-        debug_assert_eq!(
-            report,
-            validator.validate_sorted(&db),
-            "seed report disagrees with the database"
-        );
-        ValidatorStream::materialize(validator, db, report)
+        let (stream, read) = ValidatorStream::materialize(validator, db);
+        debug_assert_eq!(report, read, "seed report disagrees with the database");
+        stream
     }
 
-    /// Builds the live indexes and violation sets from a trusted report.
-    fn materialize(validator: Validator, db: Database, report: SigmaReport) -> Self {
+    /// The one seed build: symbolizes the columns Σ reads once, straight
+    /// into the resident row cache, then runs every group task in keep
+    /// mode over those rows (the batch sweep's tasks, striped across
+    /// threads above its size threshold) to build each group's live
+    /// index and read its violations.
+    fn materialize(validator: Validator, db: Database) -> (Self, SigmaReport) {
         let build_clock = Stopwatch::start();
-        let interner = Interner::from_database(&db);
-        let cfd_indexes = validator
-            .cfd_groups()
+        let sym_attrs = validator.sym_layout(db.schema().len());
+        let mut interner = Interner::new();
+        let sym_rows: Vec<Vec<SymValue>> = db
             .iter()
-            .map(|g| {
-                SymIndex::build_filtered_interned(db.relation(g.rel), &g.attrs, &interner, |_| true)
-            })
+            .map(|(r, inst)| cache_rows(&mut interner, inst, &sym_attrs[r.index()]))
             .collect();
-        let cind_targets = validator
-            .cind_groups()
-            .iter()
-            .map(|g| {
-                SymIndex::build_filtered_interned(db.relation(g.rhs_rel), &g.y, &interner, |t| {
-                    g.yp.iter().all(|(a, v)| &t[*a] == v)
-                })
-            })
-            .collect();
-        let cind_sources: Vec<Vec<SymIndex>> = validator
-            .cind_groups()
-            .iter()
-            .map(|g| {
-                g.members
-                    .iter()
-                    .map(|m| {
-                        let cind = &validator.cinds()[m.idx];
-                        SymIndex::build_filtered_interned(
-                            db.relation(cind.lhs_rel()),
-                            &m.x_perm,
-                            &interner,
-                            |t| cind.triggers(t),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let live_cfd = report.cfd.into_iter().collect();
-        let live_cind = report.cind.into_iter().collect();
+        let cells = Cells::Rows {
+            rows: &sym_rows,
+            layout: &sym_attrs,
+        };
+        let mut report = SigmaReport::default();
+        let (mut cfd_indexes, mut cind_sources) = (Vec::new(), Vec::new());
+        for build in validator.build_groups(&db, &interner, &cells, true, None) {
+            report.cfd.extend(build.cfd);
+            report.cind.extend(build.cind);
+            cfd_indexes.push(build.index.expect("a kept build keeps its index"));
+            cind_sources.push(build.sources);
+        }
+        // Group tasks run CFD groups first, then CIND groups.
+        let cind_targets = cfd_indexes.split_off(validator.cfd_groups().len());
+        let cind_sources = cind_sources.split_off(validator.cfd_groups().len());
+        report.sort();
+        let live_cfd = report.cfd.iter().cloned().collect();
+        let live_cind = report.cind.iter().cloned().collect();
 
         // Dense-seeding convention: the tuple at seed position `p` gets
         // `TupleId(p)` — what lets external ground truth (e.g. the gen
@@ -615,32 +624,6 @@ impl ValidatorStream {
         let ids = db
             .iter()
             .map(|(_, inst)| TupleIdMap::identity(inst.len()))
-            .collect();
-
-        // The one-pass symbolization layout: per relation, the union of
-        // every group's key attributes, plus each group's slots into it.
-        // Member RHS cells ride along in the row so pair-witness checks
-        // are symbol compares, not tuple-value compares.
-        let sym_attrs = validator.sym_layout(db.schema().len(), false);
-        let (cfd_group_slots, cfd_rhs_slots, cind_y_slots, cind_x_slots) =
-            Self::slot_tables(&validator, &sym_attrs);
-
-        // Seed the resident row cache: `Interner::from_database` has
-        // interned every value of `db`, so this is pure lookups.
-        let sym_rows: Vec<Vec<SymValue>> = db
-            .iter()
-            .map(|(r, inst)| {
-                let attrs = &sym_attrs[r.index()];
-                let mut rows = Vec::with_capacity(inst.len() * attrs.len());
-                for t in inst.iter() {
-                    rows.extend(attrs.iter().map(|a| {
-                        interner
-                            .sym_value(&t[*a])
-                            .expect("seed interner covers the database")
-                    }));
-                }
-                rows
-            })
             .collect();
 
         let mut stream = ValidatorStream {
@@ -655,21 +638,21 @@ impl ValidatorStream {
             ids,
             sym_attrs,
             sym_rows,
-            cfd_group_slots,
-            cfd_rhs_slots,
-            cind_y_slots,
-            cind_x_slots,
+            cfd_group_slots: Vec::new(),
+            cfd_rhs_slots: Vec::new(),
+            cind_y_slots: Vec::new(),
+            cind_x_slots: Vec::new(),
             member_syms: Vec::new(),
             member_syms_gen: 0,
             member_syms_pending: 0,
             telemetry: StreamTelemetry::new(),
         };
-        stream.rebuild_member_syms();
+        stream.refresh_slots();
         stream
             .telemetry
             .materialize_us
             .record_us(build_clock.elapsed_us());
-        stream
+        (stream, report)
     }
 
     /// The stream's instrument panel: latency distributions, hot-path
@@ -699,39 +682,37 @@ impl ValidatorStream {
         };
     }
 
-    /// Each group's slots into its relation's symbolized-row layout.
-    #[allow(clippy::type_complexity)]
-    fn slot_tables(
-        validator: &Validator,
-        sym_attrs: &[Vec<AttrId>],
-    ) -> (
-        Vec<Vec<u32>>,
-        Vec<Vec<u32>>,
-        Vec<Vec<u32>>,
-        Vec<Vec<Vec<u32>>>,
-    ) {
+    /// Recomputes each group's slots into its relation's symbolized-row
+    /// layout and re-translates the member patterns — after the seed
+    /// build and whenever the compiled groups change.
+    fn refresh_slots(&mut self) {
+        let Self {
+            validator,
+            sym_attrs,
+            ..
+        } = self;
         let slot_of = |rel: RelId, a: AttrId| -> u32 {
             sym_attrs[rel.index()]
                 .iter()
                 .position(|x| *x == a)
                 .expect("every group key attribute is in its relation's layout") as u32
         };
-        let cfd_group_slots = validator
+        self.cfd_group_slots = validator
             .cfd_groups()
             .iter()
             .map(|g| g.attrs.iter().map(|a| slot_of(g.rel, *a)).collect())
             .collect();
-        let cfd_rhs_slots = validator
+        self.cfd_rhs_slots = validator
             .cfd_groups()
             .iter()
             .map(|g| g.members.iter().map(|m| slot_of(g.rel, m.rhs)).collect())
             .collect();
-        let cind_y_slots = validator
+        self.cind_y_slots = validator
             .cind_groups()
             .iter()
             .map(|g| g.y.iter().map(|a| slot_of(g.rhs_rel, *a)).collect())
             .collect();
-        let cind_x_slots = validator
+        self.cind_x_slots = validator
             .cind_groups()
             .iter()
             .map(|g| {
@@ -747,7 +728,7 @@ impl ValidatorStream {
                     .collect()
             })
             .collect();
-        (cfd_group_slots, cfd_rhs_slots, cind_y_slots, cind_x_slots)
+        self.rebuild_member_syms();
     }
 
     /// Splices newly-promoted dependencies into the **live** suite,
@@ -783,10 +764,9 @@ impl ValidatorStream {
         let (cfd_range, cind_range) = self.validator.add_dependencies(cfds, cinds);
 
         // Grow the symbolization layout, re-caching the rows of every
-        // relation whose layout changed. Interning the newly covered
-        // cells must happen before any index build below — filtered
-        // index construction expects key cells to be interned already.
-        let new_sym_attrs = self.validator.sym_layout(self.db.schema().len(), false);
+        // relation whose layout changed: the index builds below read
+        // their keys from the row cache.
+        let new_sym_attrs = self.validator.sym_layout(self.db.schema().len());
         {
             let Self {
                 db,
@@ -797,62 +777,53 @@ impl ValidatorStream {
             } = self;
             for (rel, inst) in db.iter() {
                 let r = rel.index();
-                if new_sym_attrs[r] == sym_attrs[r] {
-                    continue;
+                if new_sym_attrs[r] != sym_attrs[r] {
+                    sym_rows[r] = cache_rows(interner, inst, &new_sym_attrs[r]);
                 }
-                let attrs = &new_sym_attrs[r];
-                let mut rows = Vec::with_capacity(inst.len() * attrs.len());
-                for t in inst.iter() {
-                    rows.extend(attrs.iter().map(|a| interner.intern_value(&t[*a])));
-                }
-                sym_rows[r] = rows;
             }
         }
         self.sym_attrs = new_sym_attrs;
-        let (a, b, c, d) = Self::slot_tables(&self.validator, &self.sym_attrs);
-        self.cfd_group_slots = a;
-        self.cfd_rhs_slots = b;
-        self.cind_y_slots = c;
-        self.cind_x_slots = d;
-        self.rebuild_member_syms();
+        self.refresh_slots();
 
-        // Live indexes for the spliced groups and members.
+        // Live indexes for the spliced groups and members, keyed from
+        // the stream's own cached symbols.
         {
             let Self {
                 validator,
                 db,
-                interner,
                 cfd_indexes,
                 cind_targets,
                 cind_sources,
+                sym_attrs,
+                sym_rows,
                 ..
             } = self;
+            let cells = Cells::Rows {
+                rows: sym_rows,
+                layout: sym_attrs,
+            };
             for g in &validator.cfd_groups()[old_cfd_groups..] {
-                cfd_indexes.push(SymIndex::build_filtered_interned(
-                    db.relation(g.rel),
-                    &g.attrs,
-                    interner,
-                    |_| true,
-                ));
+                let n = db.relation(g.rel).len();
+                cfd_indexes.push(cells.index(g.rel, n, &g.attrs, |_| true));
             }
             for (gi, g) in validator.cind_groups().iter().enumerate() {
                 if gi >= cind_targets.len() {
-                    cind_targets.push(SymIndex::build_filtered_interned(
-                        db.relation(g.rhs_rel),
-                        &g.y,
-                        interner,
-                        |t| g.yp.iter().all(|(a, v)| &t[*a] == v),
-                    ));
+                    let target = db.relation(g.rhs_rel);
+                    cind_targets.push(cells.index(g.rhs_rel, target.len(), &g.y, |pos| {
+                        let t = target.get(pos).expect("position in range");
+                        g.yp.iter().all(|(a, v)| &t[*a] == v)
+                    }));
                     cind_sources.push(Vec::new());
                 }
                 let start = old_cind_members.get(gi).copied().unwrap_or(0);
                 for m in &g.members[start..] {
                     let cind = &validator.cinds()[m.idx];
-                    cind_sources[gi].push(SymIndex::build_filtered_interned(
-                        db.relation(cind.lhs_rel()),
+                    let source = db.relation(cind.lhs_rel());
+                    cind_sources[gi].push(cells.index(
+                        cind.lhs_rel(),
+                        source.len(),
                         &m.x_perm,
-                        interner,
-                        |t| cind.triggers(t),
+                        |pos| cind.triggers(source.get(pos).expect("position in range")),
                     ));
                 }
             }
@@ -891,12 +862,7 @@ impl ValidatorStream {
         // The symbolization layout stays a (possibly proper) superset of
         // what the surviving groups need — keeping it avoids re-caching
         // any rows, and the slot tables still resolve every attribute.
-        let (a, b, c, d) = Self::slot_tables(&self.validator, &self.sym_attrs);
-        self.cfd_group_slots = a;
-        self.cfd_rhs_slots = b;
-        self.cind_y_slots = c;
-        self.cind_x_slots = d;
-        self.rebuild_member_syms();
+        self.refresh_slots();
 
         let mut resolved = SigmaReport::default();
         let retired: HashSet<usize> = log.cfds.iter().copied().collect();
@@ -1368,7 +1334,7 @@ impl ValidatorStream {
     /// disappear with it, the violations its absence introduces
     /// (orphaned CIND sources, relabeled pair witnesses), and the swap
     /// renumbering ([`SigmaDelta::moved`]). `None` when the tuple is not
-    /// present.
+    /// present, or `rel` is not a relation of the schema.
     pub fn delete_tuple(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
         let span = SpanTimer::start(&self.telemetry.mutation_us);
         let groups0 = self.telemetry.probes_total();
@@ -1384,6 +1350,7 @@ impl ValidatorStream {
     /// row cache — no string is hashed through the interner anywhere on
     /// the delete path.
     fn delete_inner(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
+        self.db.schema().relation(rel).ok()?;
         let pos = self.db.relation(rel).position(t)?;
         let last = self.db.relation(rel).len() - 1;
         let moved: Option<Tuple> = (pos != last).then(|| {
@@ -1945,6 +1912,7 @@ impl ValidatorStream {
         };
         match m {
             Mutation::Insert { rel, tuple } => {
+                self.db.schema().relation(rel)?;
                 if self.db.relation(rel).contains(&tuple) {
                     return Ok(NOOP);
                 }
@@ -1954,13 +1922,16 @@ impl ValidatorStream {
                     revert: Some(Mutation::Delete { rel, tuple }),
                 })
             }
-            Mutation::Delete { rel, tuple } => match self.delete_tuple(rel, &tuple) {
-                None => Ok(NOOP),
-                Some(delta) => Ok(Applied {
-                    deltas: vec![delta],
-                    revert: Some(Mutation::Insert { rel, tuple }),
-                }),
-            },
+            Mutation::Delete { rel, tuple } => {
+                self.db.schema().relation(rel)?;
+                match self.delete_tuple(rel, &tuple) {
+                    None => Ok(NOOP),
+                    Some(delta) => Ok(Applied {
+                        deltas: vec![delta],
+                        revert: Some(Mutation::Insert { rel, tuple }),
+                    }),
+                }
+            }
             Mutation::Update { rel, old, new } => {
                 self.db.check_tuple(rel, &new)?;
                 if old == new || !self.db.relation(rel).contains(&old) {
@@ -2043,19 +2014,14 @@ impl ValidatorStream {
     ///   members (deletes resolve their groups probe-free through the
     ///   index's per-position slot records).
     ///
-    /// The whole batch is type-checked first: an ill-typed mutation
+    /// The whole batch is type-checked first
+    /// ([`ValidatorStream::check_mutations`]): an ill-typed mutation
     /// returns the error with **nothing** applied (unlike a sequential
     /// `apply` loop, which would stop half-way).
     pub fn apply_deltas(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
         let span = SpanTimer::start(&self.telemetry.window_us);
         let groups0 = self.telemetry.probes_total();
-        for m in muts {
-            match m {
-                Mutation::Insert { rel, tuple } => self.db.check_tuple(*rel, tuple)?,
-                Mutation::Update { rel, new, .. } => self.db.check_tuple(*rel, new)?,
-                Mutation::Delete { .. } => {}
-            }
-        }
+        self.check_mutations(muts)?;
         // Phase 1: the one interner pass over every arriving tuple.
         let arriving: Vec<Option<Vec<SymValue>>> = muts
             .iter()
@@ -2105,6 +2071,24 @@ impl ValidatorStream {
         span.stop();
         self.telemetry.record_window(&out, groups0);
         Ok(out)
+    }
+
+    /// Type-checks a batch without applying any of it: every mutation
+    /// must name a relation of the schema
+    /// ([`ModelError::RelOutOfRange`] otherwise) and every arriving tuple
+    /// must be well-typed for it — the pre-check
+    /// [`ValidatorStream::apply_deltas`] runs before touching anything.
+    pub fn check_mutations(&self, muts: &[Mutation]) -> Result<(), ModelError> {
+        for m in muts {
+            match m {
+                Mutation::Insert { rel, tuple } => self.db.check_tuple(*rel, tuple)?,
+                Mutation::Update { rel, new, .. } => self.db.check_tuple(*rel, new)?,
+                Mutation::Delete { rel, .. } => {
+                    self.db.schema().relation(*rel)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The **violation class** of compiled CFD `cfd_idx` around tuple `t`:

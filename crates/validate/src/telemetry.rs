@@ -16,7 +16,7 @@
 //!
 //! | Name | Kind | Meaning |
 //! |---|---|---|
-//! | `stream.materialize_us` | histogram | index/cache build time of the seed database |
+//! | `stream.materialize_us` | histogram | seed build time: row-cache symbolization, group index builds and the seed violation read |
 //! | `stream.apply.mutation_us` | histogram | one single-mutation call (`insert_tuple`/`delete_tuple`; an update is its delete + insert) |
 //! | `stream.apply.window_us` | histogram | one `apply_deltas` batch |
 //! | `stream.apply.windows` | counter | `apply_deltas` calls |

@@ -698,11 +698,10 @@ impl Validator {
     }
 
     /// Per relation, the sorted attributes the compiled groups read:
-    /// every group's key attributes, member RHS cells and CIND source
-    /// and target columns. With `conditions`, also the CIND Xp/Yp
-    /// condition columns, which the batch sweep filters on as symbols
-    /// (the stream tests them on tuples instead).
-    pub(crate) fn sym_layout(&self, n_rels: usize, conditions: bool) -> Vec<Vec<AttrId>> {
+    /// every group's key attributes, member RHS cells, CIND source and
+    /// target columns and CIND Xp/Yp condition columns — the one layout
+    /// the batch sweep symbolizes and the stream caches per row.
+    pub(crate) fn sym_layout(&self, n_rels: usize) -> Vec<Vec<AttrId>> {
         let mut sets: Vec<BTreeSet<AttrId>> = (0..n_rels).map(|_| BTreeSet::new()).collect();
         for g in &self.cfd_groups {
             sets[g.rel.index()].extend(g.attrs.iter().copied());
@@ -710,16 +709,12 @@ impl Validator {
         }
         for g in &self.cind_groups {
             sets[g.rhs_rel.index()].extend(g.y.iter().copied());
-            if conditions {
-                sets[g.rhs_rel.index()].extend(g.yp.iter().map(|(a, _)| *a));
-            }
+            sets[g.rhs_rel.index()].extend(g.yp.iter().map(|(a, _)| *a));
             for m in &g.members {
                 let cind = &self.cinds[m.idx];
                 let source = &mut sets[cind.lhs_rel().index()];
                 source.extend(m.x_perm.iter().copied());
-                if conditions {
-                    source.extend(cind.xp().iter().map(|(a, _)| *a));
-                }
+                source.extend(cind.xp().iter().map(|(a, _)| *a));
             }
         }
         sets.into_iter().map(|s| s.into_iter().collect()).collect()
@@ -728,8 +723,7 @@ impl Validator {
     /// Finds every violation of Σ in `db` (unsorted; see
     /// [`SigmaReport::sort`] for the canonical order).
     pub fn validate(&self, db: &Database) -> SigmaReport {
-        let stop = AtomicBool::new(false);
-        self.sweep(db, &stop, false)
+        self.sweep(db, None)
     }
 
     /// [`Validator::validate`] followed by [`SigmaReport::sort`].
@@ -743,19 +737,39 @@ impl Validator {
     /// first violation (also across parallel workers).
     pub fn satisfies(&self, db: &Database) -> bool {
         let stop = AtomicBool::new(false);
-        self.sweep(db, &stop, true).is_empty()
+        self.sweep(db, Some(&stop)).is_empty()
     }
 
-    /// The shared sweep: one task per group, striped across threads when
-    /// the instance is large enough to pay for them.
-    fn sweep(&self, db: &Database, stop: &AtomicBool, early_exit: bool) -> SigmaReport {
-        let n_tasks = self.group_count();
-        if n_tasks == 0 {
-            return SigmaReport::default();
+    /// The batch sweep: symbolizes the columns Σ reads, runs every group
+    /// task and drops the indexes. With `stop`, tasks short-circuit on
+    /// the first violation any of them finds.
+    fn sweep(&self, db: &Database, stop: Option<&AtomicBool>) -> SigmaReport {
+        let mut report = SigmaReport::default();
+        if self.group_count() == 0 {
+            return report;
         }
-        // Symbolize only the columns some group reads.
-        let layout = self.sym_layout(db.schema().len(), true);
-        let (interner, tables) = SymTables::build_for(db, &layout);
+        let (interner, tables) = SymTables::build_for(db, &self.sym_layout(db.schema().len()));
+        for group in self.build_groups(db, &interner, &Cells::Columns(&tables), false, stop) {
+            report.cfd.extend(group.cfd);
+            report.cind.extend(group.cind);
+        }
+        report
+    }
+
+    /// Runs the group task of every compiled group (CFD groups first,
+    /// then CIND groups) over symbolized `cells`, striped across
+    /// threads when the instance is large enough to pay for them, and
+    /// returns the results in group order. With `keep`, every task uses
+    /// the full index build and hands its indexes back.
+    pub(crate) fn build_groups(
+        &self,
+        db: &Database,
+        interner: &Interner,
+        cells: &Cells<'_>,
+        keep: bool,
+        stop: Option<&AtomicBool>,
+    ) -> Vec<GroupBuild> {
+        let n_tasks = self.group_count();
         let threads = if db.total_tuples() < PARALLEL_THRESHOLD {
             1
         } else {
@@ -764,96 +778,66 @@ impl Validator {
                 .unwrap_or(1)
                 .min(n_tasks.max(1))
         };
-
-        let run_task = |task: usize| -> TaskResult {
-            if early_exit && stop.load(Ordering::Relaxed) {
-                return TaskResult::default();
+        let run_task = |task: usize| -> GroupBuild {
+            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                return GroupBuild::default();
             }
-            let result = if task < self.cfd_groups.len() {
-                TaskResult {
-                    cfd: self.run_cfd_group(
-                        &self.cfd_groups[task],
-                        db,
-                        &interner,
-                        &tables,
-                        early_exit,
-                    ),
-                    cind: Vec::new(),
-                }
-            } else {
-                TaskResult {
-                    cfd: Vec::new(),
-                    cind: self.run_cind_group(
-                        &self.cind_groups[task - self.cfd_groups.len()],
-                        db,
-                        &interner,
-                        &tables,
-                        early_exit,
-                    ),
+            let early_exit = stop.is_some();
+            let result = match self.cfd_groups.get(task) {
+                Some(g) => self.run_cfd_group(g, db, interner, cells, keep, early_exit),
+                None => {
+                    let g = &self.cind_groups[task - self.cfd_groups.len()];
+                    self.run_cind_group(g, db, interner, cells, keep, early_exit)
                 }
             };
-            if early_exit && !(result.cfd.is_empty() && result.cind.is_empty()) {
-                stop.store(true, Ordering::Relaxed);
+            if let Some(stop) = stop {
+                if !(result.cfd.is_empty() && result.cind.is_empty()) {
+                    stop.store(true, Ordering::Relaxed);
+                }
             }
             result
         };
-
-        let mut per_task: Vec<TaskResult> = Vec::with_capacity(n_tasks);
         if threads <= 1 {
-            for task in 0..n_tasks {
-                let result = run_task(task);
-                let found = !(result.cfd.is_empty() && result.cind.is_empty());
-                per_task.push(result);
-                if early_exit && found {
-                    break;
-                }
+            return (0..n_tasks).map(run_task).collect();
+        }
+        // Worker `w` runs tasks `w, w + threads, …`; the calling thread
+        // is worker 0.
+        let stripe = |worker: usize| -> Vec<(usize, GroupBuild)> {
+            (worker..n_tasks)
+                .step_by(threads)
+                .map(|task| (task, run_task(task)))
+                .collect()
+        };
+        let mut ordered = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..threads)
+                .map(|worker| scope.spawn(move || stripe(worker)))
+                .collect();
+            let mut all = stripe(0);
+            for h in handles {
+                all.extend(h.join().expect("validation worker panicked"));
             }
-        } else {
-            let mut striped: Vec<Vec<(usize, TaskResult)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let run_task = &run_task;
-                        scope.spawn(move || {
-                            (worker..n_tasks)
-                                .step_by(threads)
-                                .map(|task| (task, run_task(task)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("validation worker panicked"))
-                    .collect()
-            });
-            // Restore group order for a deterministic report.
-            let mut ordered: Vec<(usize, TaskResult)> = striped.drain(..).flatten().collect();
-            ordered.sort_by_key(|(task, _)| *task);
-            per_task = ordered.into_iter().map(|(_, r)| r).collect();
-        }
-
-        let mut report = SigmaReport::default();
-        for task in per_task {
-            report.cfd.extend(task.cfd);
-            report.cind.extend(task.cind);
-        }
-        report
+            all
+        });
+        // Restore group order: the report is deterministic and a kept
+        // index must land in its own group's slot.
+        ordered.sort_by_key(|(task, _)| *task);
+        ordered.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Evaluates every member of a CFD group against each key-group of
-    /// the group's single shared index, reading pre-symbolized columns.
+    /// The CFD group task: symbolizes the members' patterns, builds the
+    /// group's index over pre-symbolized columns and reads every
+    /// member's violations off it.
     fn run_cfd_group(
         &self,
         group: &CfdGroup,
         db: &Database,
         interner: &Interner,
-        tables: &SymTables,
+        cells: &Cells<'_>,
+        keep: bool,
         early_exit: bool,
-    ) -> Vec<(usize, CfdViolation)> {
+    ) -> GroupBuild {
+        let mut out = GroupBuild::default();
         let rel = db.relation(group.rel);
-        if rel.is_empty() {
-            return Vec::new();
-        }
         // Translate each member's LHS patterns into symbols once. A
         // constant string the interner has never seen cannot match any
         // tuple: the probe pattern (the most general among the member's
@@ -861,15 +845,6 @@ impl Validator {
         // cover's extra constants being unknown kills just that cover.
         // RHS constants translate to `Err(value)` when unknown — every
         // tuple of a matching key-group then mismatches by definition.
-        struct ReadyMember<'a> {
-            pattern: Vec<Option<SymValue>>,
-            rhs: AttrId,
-            /// `None` = wildcard; `Some(Ok(sym))` = known constant;
-            /// `Some(Err(v))` = constant absent from the database.
-            rhs_const: Option<Result<SymValue, &'a Value>>,
-            /// Live covers: original index + its own symbolized pattern.
-            covers: Vec<(usize, Vec<Option<SymValue>>)>,
-        }
         let sym_pattern = |cells: &[Option<Value>]| -> Option<Vec<Option<SymValue>>> {
             let mut pattern = Vec::with_capacity(cells.len());
             for cell in cells {
@@ -901,11 +876,9 @@ impl Validator {
                 })
             })
             .collect();
-        if members.is_empty() {
-            return Vec::new();
+        if !keep && (rel.is_empty() || members.is_empty()) {
+            return out;
         }
-
-        let key_cols = tables.columns(group.rel, &group.attrs);
 
         // Hybrid strategy. A shared full group-by pass costs one
         // `rows × width` index build and serves every member; a
@@ -914,100 +887,97 @@ impl Validator {
         // Full-wildcard members need the full pass anyway, and enough
         // members amortize it; otherwise few constant-selective members
         // are cheaper served individually (a constant-filtered column
-        // scan costs far less per member than a full index build).
+        // scan costs far less per member than a full index build). A
+        // kept build always takes the full pass: the stream maintains
+        // that index.
         const SHARED_INDEX_MIN_MEMBERS: usize = 8;
         let any_full_wildcard = members
             .iter()
             .any(|m| m.pattern.iter().all(Option::is_none));
-        let mut out = Vec::new();
-        if any_full_wildcard || members.len() >= SHARED_INDEX_MIN_MEMBERS {
-            let idx = SymIndex::build_from_columns(rel.len(), &key_cols, |_| true);
-            // Wildcard-RHS conflict witnesses per (key-group, RHS
-            // attribute), shared by every member asking about the same
-            // column.
-            let mut pair_cache: HashMap<AttrId, Vec<(usize, usize)>, FxBuildHasher> =
-                HashMap::default();
-            for (key, positions) in idx.groups() {
-                pair_cache.clear();
-                for m in &members {
-                    let matches = m
-                        .pattern
-                        .iter()
-                        .zip(key)
-                        .all(|(p, k)| p.is_none_or(|p| p == *k));
-                    if !matches {
-                        continue;
-                    }
-                    let rhs_col = tables.column(group.rel, m.rhs);
-                    match &m.rhs_const {
-                        Some(expected) => self.push_single_tuple_violations(
-                            &m.covers,
-                            key,
-                            expected,
-                            positions.clone(),
-                            rhs_col,
-                            rel,
-                            &mut out,
-                        ),
-                        None => {
-                            let pairs = pair_cache
-                                .entry(m.rhs)
-                                .or_insert_with(|| wildcard_pairs(positions.clone(), rhs_col));
-                            for (ci, (cidx, cpat)) in m.covers.iter().enumerate() {
-                                if ci > 0 && !cover_key_matches(cpat, key) {
-                                    continue;
-                                }
-                                out.extend(pairs.iter().map(|&(left, right)| {
-                                    (*cidx, CfdViolation::Pair { left, right })
-                                }));
-                            }
-                        }
-                    }
-                    if early_exit && !out.is_empty() {
-                        return out;
-                    }
-                }
+        if keep || any_full_wildcard || members.len() >= SHARED_INDEX_MIN_MEMBERS {
+            let idx = cells.index(group.rel, rel.len(), &group.attrs, |_| true);
+            self.read_cfd_index(group, &members, &idx, rel, cells, early_exit, &mut out.cfd);
+            if keep {
+                out.index = Some(idx);
             }
         } else {
             for m in &members {
-                let const_cells: Vec<(&[SymValue], SymValue)> = group
+                let const_cells: Vec<(Col<'_>, SymValue)> = group
                     .attrs
                     .iter()
                     .zip(&m.pattern)
-                    .filter_map(|(a, p)| p.map(|s| (tables.column(group.rel, *a), s)))
+                    .filter_map(|(a, p)| p.map(|s| (cells.column(group.rel, *a), s)))
                     .collect();
-                let idx = SymIndex::build_from_columns(rel.len(), &key_cols, |pos| {
-                    const_cells.iter().all(|(col, s)| col[pos] == *s)
+                let idx = cells.index(group.rel, rel.len(), &group.attrs, |pos| {
+                    const_cells.iter().all(|(col, s)| col.at(pos) == *s)
                 });
-                let rhs_col = tables.column(group.rel, m.rhs);
-                for (key, positions) in idx.groups() {
-                    // The filter already enforced the probe pattern:
-                    // every surviving key-group matches this member
-                    // (covers past the first re-check their own extra
-                    // constants against the key at emission).
-                    match &m.rhs_const {
-                        Some(expected) => self.push_single_tuple_violations(
-                            &m.covers, key, expected, positions, rhs_col, rel, &mut out,
-                        ),
-                        None => {
-                            let pairs = wildcard_pairs(positions, rhs_col);
-                            for (ci, (cidx, cpat)) in m.covers.iter().enumerate() {
-                                if ci > 0 && !cover_key_matches(cpat, key) {
-                                    continue;
-                                }
-                                out.extend(pairs.iter().map(|&(left, right)| {
-                                    (*cidx, CfdViolation::Pair { left, right })
-                                }));
-                            }
-                        }
-                    }
-                    if early_exit && !out.is_empty() {
-                        return out;
-                    }
+                let one = std::slice::from_ref(m);
+                if self.read_cfd_index(group, one, &idx, rel, cells, early_exit, &mut out.cfd) {
+                    break;
                 }
             }
         }
         out
+    }
+
+    /// Reads `members`' violations off a group index, one key-group at a
+    /// time — the one read path of full and per-member builds alike.
+    /// Returns whether `early_exit` cut the read short.
+    #[allow(clippy::too_many_arguments)]
+    fn read_cfd_index(
+        &self,
+        group: &CfdGroup,
+        members: &[ReadyMember<'_>],
+        idx: &SymIndex,
+        rel: &condep_model::Relation,
+        cells: &Cells<'_>,
+        early_exit: bool,
+        out: &mut Vec<(usize, CfdViolation)>,
+    ) -> bool {
+        // Wildcard-RHS conflict witnesses per (key-group, RHS
+        // attribute), shared by every member asking about the same
+        // column.
+        let mut pair_cache: HashMap<AttrId, Vec<(usize, usize)>, FxBuildHasher> =
+            HashMap::default();
+        for (key, positions) in idx.groups() {
+            pair_cache.clear();
+            for m in members {
+                if !cover_key_matches(&m.pattern, key) {
+                    continue;
+                }
+                let rhs_col = cells.column(group.rel, m.rhs);
+                match &m.rhs_const {
+                    Some(expected) => self.push_single_tuple_violations(
+                        &m.covers,
+                        key,
+                        expected,
+                        positions.clone(),
+                        rhs_col,
+                        rel,
+                        out,
+                    ),
+                    None => {
+                        let pairs = pair_cache
+                            .entry(m.rhs)
+                            .or_insert_with(|| wildcard_pairs(positions.clone(), rhs_col));
+                        for (ci, (cidx, cpat)) in m.covers.iter().enumerate() {
+                            if ci > 0 && !cover_key_matches(cpat, key) {
+                                continue;
+                            }
+                            out.extend(
+                                pairs.iter().map(|&(left, right)| {
+                                    (*cidx, CfdViolation::Pair { left, right })
+                                }),
+                            );
+                        }
+                    }
+                }
+                if early_exit && !out.is_empty() {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Emits `SingleTuple` violations for a constant-RHS member over one
@@ -1021,14 +991,14 @@ impl Validator {
         key: &[SymValue],
         expected: &Result<SymValue, &Value>,
         positions: impl Iterator<Item = u32>,
-        rhs_col: &[SymValue],
+        rhs_col: Col<'_>,
         rel: &condep_model::Relation,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
         let expected_sym = expected.ok();
         let rep = covers[0].0;
         for pos in positions {
-            if Some(rhs_col[pos as usize]) != expected_sym {
+            if Some(rhs_col.at(pos as usize)) != expected_sym {
                 let t = rel.get(pos as usize).expect("indexed position valid");
                 let rhs = self.cfds[rep].rhs();
                 let expected_value = match expected {
@@ -1054,75 +1024,65 @@ impl Validator {
         }
     }
 
-    /// Evaluates every member of a CIND group against the group's single
-    /// shared (filtered) target index, reading pre-symbolized columns.
+    /// The CIND group task: builds the group's shared Yp-filtered target
+    /// index over pre-symbolized columns and probes it with every
+    /// triggered source tuple. A kept build also returns each member's
+    /// triggered-source index, keyed by `x_perm`.
     fn run_cind_group(
         &self,
         group: &CindGroup,
         db: &Database,
         interner: &Interner,
-        tables: &SymTables,
+        cells: &Cells<'_>,
+        keep: bool,
         early_exit: bool,
-    ) -> Vec<(usize, CindViolation)> {
+    ) -> GroupBuild {
+        let mut out = GroupBuild::default();
         // A group whose members were all retired keeps its slot (stream
-        // index tables stay aligned) but must not pay for a target
-        // index build.
-        if group.members.is_empty() {
-            return Vec::new();
+        // index tables stay aligned) but a sweep must not pay for a
+        // target index build.
+        if !keep && group.members.is_empty() {
+            return out;
         }
         let target = db.relation(group.rhs_rel);
-        // Symbolize the shared Yp filter; an unknown constant matches no
-        // target tuple, leaving the index empty (every triggered source
-        // tuple then violates, as it must).
-        let yp_syms: Option<Vec<(usize, SymValue)>> = group
-            .yp
-            .iter()
-            .map(|(a, v)| interner.sym_value(v).map(|s| (a.index(), s)))
-            .collect();
-        let target_cols = tables.columns(group.rhs_rel, &group.y);
-        let idx = match &yp_syms {
-            Some(yp) => {
-                let yp_cols: Vec<(&[SymValue], SymValue)> = yp
-                    .iter()
-                    .map(|(a, s)| (tables.column(group.rhs_rel, AttrId(*a as u32)), *s))
-                    .collect();
-                SymIndex::build_from_columns(target.len(), &target_cols, |pos| {
-                    yp_cols.iter().all(|(col, s)| col[pos] == *s)
-                })
-            }
-            None => SymIndex::new(group.y.len()),
+        // Symbolize a condition's constants against its relation's
+        // columns; `None` when one is unknown — no tuple can match it.
+        let condition_cols = |rel: RelId, cond: &[(AttrId, Value)]| {
+            cond.iter()
+                .map(|(a, v)| Some((cells.column(rel, *a), interner.sym_value(v)?)))
+                .collect::<Option<Vec<(Col<'_>, SymValue)>>>()
         };
-        let mut out = Vec::new();
+        let holds = |cols: &Option<Vec<(Col<'_>, SymValue)>>, pos: usize| {
+            cols.as_ref()
+                .is_some_and(|cols| cols.iter().all(|(col, s)| col.at(pos) == *s))
+        };
+        // An unknown Yp constant matches no target tuple, leaving the
+        // index empty (every triggered source tuple then violates, as it
+        // must).
+        let yp_cols = condition_cols(group.rhs_rel, &group.yp);
+        let idx = cells.index(group.rhs_rel, target.len(), &group.y, |pos| {
+            holds(&yp_cols, pos)
+        });
         let mut key_buf: Vec<SymValue> = Vec::new();
         for m in &group.members {
             let cind = &self.cinds[m.idx];
             let lhs_rel = cind.lhs_rel();
             let source = db.relation(lhs_rel);
-            if source.is_empty() {
-                continue;
+            // An unknown Xp constant means no source tuple triggers: the
+            // member is trivially satisfied.
+            let xp_cols = condition_cols(lhs_rel, cind.xp());
+            let x_cols = cells.columns(lhs_rel, &m.x_perm);
+            if keep {
+                out.sources.push(
+                    cells.index(lhs_rel, source.len(), &m.x_perm, |pos| holds(&xp_cols, pos)),
+                );
             }
-            // Symbolize the member's Xp trigger; unknown constants mean
-            // no source tuple triggers, so the member is trivially
-            // satisfied.
-            let Some(xp_syms) = cind
-                .xp()
-                .iter()
-                .map(|(a, v)| interner.sym_value(v).map(|s| (a.index(), s)))
-                .collect::<Option<Vec<_>>>()
-            else {
-                continue;
-            };
-            let xp_cols: Vec<(&[SymValue], SymValue)> = xp_syms
-                .iter()
-                .map(|(a, s)| (tables.column(lhs_rel, AttrId(*a as u32)), *s))
-                .collect();
-            let x_cols = tables.columns(lhs_rel, &m.x_perm);
             for pos in 0..source.len() {
-                if !xp_cols.iter().all(|(col, s)| col[pos] == *s) {
+                if !holds(&xp_cols, pos) {
                     continue;
                 }
                 key_buf.clear();
-                key_buf.extend(x_cols.iter().map(|col| col[pos]));
+                key_buf.extend(x_cols.iter().map(|col| col.at(pos)));
                 if !idx.contains_key(&key_buf) {
                     let t1 = source.get(pos).expect("position in range");
                     let violation = CindViolation {
@@ -1130,7 +1090,7 @@ impl Validator {
                         key: t1.project(cind.x()),
                     };
                     for &c in &m.covers {
-                        out.push((c, violation.clone()));
+                        out.cind.push((c, violation.clone()));
                     }
                     if early_exit {
                         return out;
@@ -1138,8 +1098,23 @@ impl Validator {
                 }
             }
         }
+        if keep {
+            out.index = Some(idx);
+        }
         out
     }
+}
+
+/// A compiled CFD member with its patterns translated into one sweep's
+/// symbols.
+struct ReadyMember<'a> {
+    pattern: Vec<Option<SymValue>>,
+    rhs: AttrId,
+    /// `None` = wildcard; `Some(Ok(sym))` = known constant;
+    /// `Some(Err(v))` = constant absent from the database.
+    rhs_const: Option<Result<SymValue, &'a Value>>,
+    /// Live covers: original index + its own symbolized pattern.
+    covers: Vec<(usize, Vec<Option<SymValue>>)>,
 }
 
 /// One conflict witness per tuple disagreeing with the key-group's
@@ -1148,11 +1123,8 @@ impl Validator {
 /// `positions` must arrive position-ascending (bulk-built [`SymIndex`]
 /// segments are; mutated groups must be sorted first) so the witness is
 /// the group's lowest position, the canonical batch report order.
-fn wildcard_pairs(
-    positions: impl Iterator<Item = u32>,
-    rhs_col: &[SymValue],
-) -> Vec<(usize, usize)> {
-    wildcard_pairs_by(positions, |pos| rhs_col[pos as usize])
+fn wildcard_pairs(positions: impl Iterator<Item = u32>, rhs_col: Col<'_>) -> Vec<(usize, usize)> {
+    wildcard_pairs_by(positions, |pos| rhs_col.at(pos as usize))
 }
 
 /// Does one cover's own symbolized pattern match a key-group's key?
@@ -1192,9 +1164,90 @@ where
     pairs
 }
 
-/// Per-task result buffers (one task = one group).
+/// The symbolized cells group tasks read, both stores laid out over
+/// [`Validator::sym_layout`]'s columns.
+pub(crate) enum Cells<'a> {
+    /// The batch sweep's column-major [`SymTables`].
+    Columns(&'a SymTables),
+    /// The stream's row cache: per relation, each tuple's layout cells
+    /// row-major, in `layout` order.
+    Rows {
+        rows: &'a [Vec<SymValue>],
+        layout: &'a [Vec<AttrId>],
+    },
+}
+
+impl<'a> Cells<'a> {
+    /// The cells of `attr` in `rel`, which must be in the layout.
+    fn column(&self, rel: RelId, attr: AttrId) -> Col<'a> {
+        match *self {
+            Cells::Columns(tables) => Col {
+                cells: tables.column(rel, attr),
+                stride: 1,
+            },
+            Cells::Rows { rows, layout } => {
+                let attrs = &layout[rel.index()];
+                let slot = attrs
+                    .binary_search(&attr)
+                    .expect("every attribute a group reads is in the layout");
+                Col {
+                    cells: rows[rel.index()].get(slot..).unwrap_or_default(),
+                    stride: attrs.len(),
+                }
+            }
+        }
+    }
+
+    /// The cells of `rel` for an attribute list, in list order.
+    fn columns(&self, rel: RelId, attrs: &[AttrId]) -> Vec<Col<'a>> {
+        attrs.iter().map(|a| self.column(rel, *a)).collect()
+    }
+
+    /// Bulk-builds an index over the first `rows` positions of `rel`
+    /// that pass `filter`, keyed by their `key` cells in order.
+    pub(crate) fn index(
+        &self,
+        rel: RelId,
+        rows: usize,
+        key: &[AttrId],
+        filter: impl Fn(usize) -> bool,
+    ) -> SymIndex {
+        let key_cols = self.columns(rel, key);
+        SymIndex::build_with(rows, key_cols.len(), |pos, buf| {
+            if !filter(pos) {
+                return false;
+            }
+            buf.extend(key_cols.iter().map(|col| col.at(pos)));
+            true
+        })
+    }
+}
+
+/// One column of [`Cells`]: position `pos`'s cell is
+/// `cells[pos * stride]`.
+#[derive(Clone, Copy)]
+struct Col<'a> {
+    cells: &'a [SymValue],
+    stride: usize,
+}
+
+impl Col<'_> {
+    #[inline]
+    fn at(self, pos: usize) -> SymValue {
+        self.cells[pos * self.stride]
+    }
+}
+
+/// One group task's output: the violations it read, plus the indexes it
+/// built when the caller keeps them.
 #[derive(Default)]
-struct TaskResult {
-    cfd: Vec<(usize, CfdViolation)>,
-    cind: Vec<(usize, CindViolation)>,
+pub(crate) struct GroupBuild {
+    pub(crate) cfd: Vec<(usize, CfdViolation)>,
+    pub(crate) cind: Vec<(usize, CindViolation)>,
+    /// Kept builds only: a CFD group's full LHS index, or a CIND group's
+    /// Yp-filtered target index keyed by the sorted `Y`.
+    pub(crate) index: Option<SymIndex>,
+    /// Kept builds only: a CIND group's per-member triggered-source
+    /// indexes keyed by `x_perm`, in member order.
+    pub(crate) sources: Vec<SymIndex>,
 }

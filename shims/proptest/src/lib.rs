@@ -2,7 +2,7 @@
 //!
 //! The build container has no network access, so this workspace ships a
 //! minimal property-testing harness covering the API the test suite
-//! uses: the [`Strategy`] trait with `prop_map`/`prop_flat_map`,
+//! uses: the [`strategy::Strategy`] trait with `prop_map`/`prop_flat_map`,
 //! [`strategy::Just`], [`arbitrary::any`], integer-range and
 //! regex-subset string strategies, [`collection::vec`], tuple
 //! strategies, [`prop_oneof!`], and the [`proptest!`] /

@@ -228,10 +228,12 @@ impl QualitySuite {
     }
 
     /// Repairs `db` against the suite: the `condep-repair` cost-based
-    /// engine detects every violation, settles CFD conflicts per
-    /// equivalence class (constant patterns force their constant,
-    /// variable ones take the class majority), gives CIND orphans their
-    /// chased target tuple or deletes them, and verifies **every**
+    /// engine seeds its delta stream over `db` (one shared index build
+    /// that also reads every initial violation; no batch sweep runs
+    /// first), settles CFD conflicts per equivalence class (constant
+    /// patterns force their constant, variable ones take the class
+    /// majority), gives CIND orphans their chased target tuple or
+    /// deletes them, and verifies **every**
     /// candidate fix through the delta engine — kept only when its
     /// [`SigmaDelta`]s prove it strictly net-negative, rolled back
     /// otherwise. Returns the repaired database and the auditable
@@ -246,8 +248,7 @@ impl QualitySuite {
         cost: &RepairCost,
         budget: &RepairBudget,
     ) -> Result<(Database, RepairReport), condep_validate::UnsatSigma> {
-        let initial = self.validator.validate_sorted(&db);
-        condep_repair::repair(self.validator.clone(), db, initial, cost, budget)
+        condep_repair::repair(self.validator.clone(), db, cost, budget)
     }
 
     /// Full static analysis of the suite's Σ: SAT-backed consistency
@@ -422,7 +423,7 @@ impl QualityMonitor {
 
     /// Ingests one deletion, consuming its retractions (and any
     /// violations the absence introduces). `None` when the tuple was not
-    /// present.
+    /// present, or `rel` is not a relation of the schema.
     pub fn delete(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
         let delta = self.stream.delete_tuple(rel, t)?;
         if let Some(state) = self.online.as_mut() {
@@ -464,9 +465,11 @@ impl QualityMonitor {
     /// group probed once, so a monitor fed buffered mutation windows
     /// pays far less per mutation than the one-at-a-time calls. Returns
     /// the streamed deltas in application order; an ill-typed mutation
-    /// applies nothing.
+    /// (or one naming a relation outside the schema) applies nothing.
     pub fn ingest_batch(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
         let effective = if self.online.is_some() {
+            // The replay reads the named relations: type-check first.
+            self.stream.check_mutations(muts)?;
             self.effective_mutations(muts)
         } else {
             Vec::new()
@@ -1220,6 +1223,32 @@ mod tests {
             2,
             "only the effective mutations reach the sketches"
         );
+    }
+
+    #[test]
+    fn online_batch_ingest_rejects_an_out_of_range_relation() {
+        let suite = QualitySuite::from_normal(city_schema(), vec![], vec![]);
+        let (monitor, _) = suite.monitor(city_db());
+        let mut monitor = monitor.with_online_discovery(OnlineConfig::default());
+        let missing = RelId(city_schema().len() as u32);
+        let err = monitor
+            .ingest_batch(&[Mutation::Insert {
+                rel: missing,
+                tuple: tuple!["EDI", "UK", "z8"],
+            }])
+            .unwrap_err();
+        assert_eq!(err, ModelError::RelOutOfRange(missing.index()));
+        assert_eq!(monitor.online_miner().unwrap().ops(), 0);
+        assert_eq!(monitor.db().total_tuples(), city_db().total_tuples());
+    }
+
+    #[test]
+    fn monitor_delete_from_an_out_of_range_relation_is_none() {
+        let suite = bank_suite();
+        let (mut monitor, initial) = suite.monitor(bank_database());
+        let missing = RelId(bank_schema().len() as u32);
+        assert!(monitor.delete(missing, &tuple!["x"]).is_none());
+        assert_eq!(monitor.report().summary, initial.summary);
     }
 
     #[test]

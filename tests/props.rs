@@ -1180,3 +1180,209 @@ fn cover_compiled_stream_matches_uncovered_on_random_sequences() {
         "sweep too small: only {mutations} mutations checked"
     );
 }
+
+/// The seed build above the parallel threshold: 5,200 tuples, so the
+/// group tasks run striped across threads wherever the host has more
+/// than one core. Σ puts five CFD groups on one relation — an ∅-LHS
+/// group, a constant-RHS row, a near-unique key, a pattern constant no
+/// seed tuple carries — plus a CIND with both Xp and Yp conditions. The
+/// seed report must equal the per-constraint detectors; then ~50
+/// `apply_deltas` windows (one inserting the missing constant) drive a
+/// `new_validated` stream and a `with_report` stream, which must agree
+/// with each other and with a fresh sweep. A stream holding another
+/// group's index drifts from the sweep within a window.
+#[test]
+fn threaded_seed_build_matches_the_detectors_and_streams_correctly() {
+    use condep::cfd::NormalCfd;
+    use condep::cind::NormalCind;
+    use condep::model::prow;
+    use condep::validate::{Mutation, Validator, ValidatorStream};
+
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+    let schema = Arc::new(
+        Schema::builder()
+            .relation(
+                "r",
+                &[
+                    ("k", Domain::string()),
+                    ("a", Domain::string()),
+                    ("b", Domain::string()),
+                    ("c", Domain::string()),
+                    ("v", Domain::string()),
+                ],
+            )
+            .relation("s", &[("x", Domain::string()), ("flag", Domain::string())])
+            .finish(),
+    );
+    let r = schema.rel_id("r").unwrap();
+    let s = schema.rel_id("s").unwrap();
+    // `k` is near-unique (every 25th id repeats an earlier key), `a`
+    // determines `v` up to planted noise, and `c` is almost constant.
+    let r_tuple = |i: u64, state: &mut u64| {
+        let k = if i % 25 == 24 { i - 7 } else { i };
+        let a = next(state) % 13;
+        let b = next(state) % 5;
+        let c = if i.is_multiple_of(611) { "c1" } else { "c0" };
+        let v = if i.is_multiple_of(97) {
+            "noise".to_string()
+        } else {
+            format!("v{}", a % 4)
+        };
+        Tuple::new([
+            Value::str(format!("k{k}")),
+            Value::str(format!("a{a}")),
+            Value::str(format!("b{b}")),
+            Value::str(c),
+            Value::str(v),
+        ])
+    };
+    let mut db = Database::empty(schema.clone());
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for i in 0..5200u64 {
+        db.insert(r, r_tuple(i, &mut state)).unwrap();
+    }
+    // Partners for `a0`..`a9` only, half of them with the wrong flag.
+    for j in 0..10 {
+        let flag = if j % 2 == 0 { "yes" } else { "no" };
+        db.insert(
+            s,
+            Tuple::new([Value::str(format!("a{j}")), Value::str(flag)]),
+        )
+        .unwrap();
+    }
+    let cfds = vec![
+        // ∅ → c: one key group holding every tuple.
+        NormalCfd::parse(&schema, "r", &[], prow![], "c", PValue::Any).unwrap(),
+        // a → v, and (a = a3) → v = v3 in the same group.
+        NormalCfd::parse(&schema, "r", &["a"], prow![_], "v", PValue::Any).unwrap(),
+        NormalCfd::parse(
+            &schema,
+            "r",
+            &["a"],
+            prow!["a3"],
+            "v",
+            PValue::constant("v3"),
+        )
+        .unwrap(),
+        // (b = b2) → v = v0: a constant-RHS row alone in its group.
+        NormalCfd::parse(
+            &schema,
+            "r",
+            &["b"],
+            prow!["b2"],
+            "v",
+            PValue::constant("v0"),
+        )
+        .unwrap(),
+        // k → a: a near-unique key.
+        NormalCfd::parse(&schema, "r", &["k"], prow![_], "a", PValue::Any).unwrap(),
+        // (a = fresh, b) → v = v9: no seed tuple carries `fresh`.
+        NormalCfd::parse(
+            &schema,
+            "r",
+            &["a", "b"],
+            prow!["fresh", _],
+            "v",
+            PValue::constant("v9"),
+        )
+        .unwrap(),
+    ];
+    // r[a; c = c0] ⊆ s[x; flag = yes].
+    let cinds = vec![NormalCind::parse(
+        &schema,
+        "r",
+        &["a"],
+        &[("c", Value::str("c0"))],
+        "s",
+        &["x"],
+        &[("flag", Value::str("yes"))],
+    )
+    .unwrap()];
+    let v = Validator::new(cfds, cinds);
+    assert!(v.group_count() >= 6, "five CFD groups and one CIND group");
+    assert!(
+        db.total_tuples() >= 5000,
+        "must cross the parallel threshold"
+    );
+
+    let (mut fresh, seeded) = ValidatorStream::new_validated(v.clone(), db.clone());
+    assert_eq!(seeded, reference_report(&v, &db), "seed ≠ detectors");
+    assert_eq!(seeded, v.validate_sorted(&db), "seed ≠ batch sweep");
+    assert!(!seeded.cfd.is_empty() && !seeded.cind.is_empty());
+    let mut known = ValidatorStream::with_report(v.clone(), db.clone(), seeded);
+
+    let mut next_id = 5200u64;
+    for window in 0..50u64 {
+        let mut muts = Vec::new();
+        for _ in 0..24 {
+            let len = fresh.db().relation(r).len() as u64;
+            let victim = fresh
+                .db()
+                .relation(r)
+                .get((next(&mut state) % len) as usize);
+            let victim = victim.unwrap().clone();
+            match next(&mut state) % 3 {
+                0 => muts.push(Mutation::Delete {
+                    rel: r,
+                    tuple: victim,
+                }),
+                1 => {
+                    let new = victim.with(condep::model::AttrId(4), Value::str("v1"));
+                    muts.push(Mutation::Update {
+                        rel: r,
+                        old: victim,
+                        new,
+                    });
+                }
+                _ => {
+                    muts.push(Mutation::Insert {
+                        rel: r,
+                        tuple: r_tuple(next_id, &mut state),
+                    });
+                    next_id += 1;
+                }
+            }
+        }
+        if window == 20 {
+            // The missing pattern constant arrives, violating v = v9.
+            muts.push(Mutation::Insert {
+                rel: r,
+                tuple: Tuple::new(["kfresh", "fresh", "b1", "c0", "v1"].map(Value::str)),
+            });
+        }
+        if window % 10 == 5 {
+            // Flip a partner's flag: orphans or adopts `a{j}` sources.
+            let j = window % 10;
+            let (old, new) = if window % 20 == 5 {
+                ("no", "yes")
+            } else {
+                ("yes", "no")
+            };
+            muts.push(Mutation::Update {
+                rel: s,
+                old: Tuple::new([Value::str(format!("a{j}")), Value::str(old)]),
+                new: Tuple::new([Value::str(format!("a{j}")), Value::str(new)]),
+            });
+        }
+        let a = fresh.apply_deltas(&muts).unwrap();
+        let b = known.apply_deltas(&muts).unwrap();
+        assert_eq!(a, b, "window {window}: the two streams' deltas diverged");
+        if window % 10 == 9 || window == 20 {
+            let sweep = fresh.validator().validate_sorted(fresh.db());
+            assert_eq!(fresh.current_report(), sweep, "window {window}");
+            assert_eq!(known.current_report(), sweep, "window {window}");
+        }
+        if window == 20 {
+            let last = fresh.validator().cfds().len() - 1;
+            assert!(
+                fresh.current_report().cfd.iter().any(|(i, _)| *i == last),
+                "the arrived constant must raise its violation"
+            );
+        }
+    }
+}

@@ -75,14 +75,11 @@ proptest! {
         let validator = Validator::new(cfds.clone(), cinds.clone());
         let initial = validator.validate_sorted(&dirtied.db);
         let budget = RepairBudget::default();
-        let (repaired, report) = repair(
-            validator,
-            dirtied.db,
-            initial.clone(),
-            &RepairCost::uniform(),
-            &budget,
-        )
-        .expect("property sigmas are satisfiable by construction");
+        let (repaired, report) = repair(validator, dirtied.db, &RepairCost::uniform(), &budget)
+            .expect("property sigmas are satisfiable by construction");
+        // The engine seeds its own stream: its initial count must be the
+        // batch sweep's.
+        prop_assert_eq!(report.initial_violations, initial.len());
 
         // Soundness: never worse than the input, and the returned
         // residual is exactly what a fresh sweep finds.
@@ -198,7 +195,6 @@ proptest! {
             let (_, report) = repair(
                 validator,
                 dirtied.db,
-                initial,
                 &RepairCost::uniform(),
                 &RepairBudget::default(),
             )
@@ -250,7 +246,6 @@ proptest! {
         let (repaired, report) = repair(
             validator,
             clean,
-            initial,
             &RepairCost::uniform(),
             &RepairBudget::default(),
         )
