@@ -7,14 +7,15 @@
 //! (2, 10, and 50 distinct LHS attribute sets) over two instance sizes
 //! (10K and 100K tuples).
 //!
-//! The per-CFD baseline runs `find_violations_unordered` per constraint
-//! (one index build each); the batched engine runs
-//! `Validator::validate` (one shared index per LHS set, interned keys,
-//! parallel sweep). Results print as a table and are recorded in
-//! `BENCH_validator.json` at the repository root.
+//! The per-CFD baseline validates with one single-CFD `Validator` per
+//! constraint, compiled outside the timed loop (one symbolization and
+//! one index build per constraint); the batched engine runs
+//! `Validator::validate` over all of Σ (one shared index per LHS set,
+//! one symbolization, parallel sweep). Results print as a table and are
+//! recorded in `BENCH_validator.json` at the repository root.
 
 use condep_bench::{best_of, ms, xorshift, FigureTable};
-use condep_cfd::{find_violations_unordered, NormalCfd};
+use condep_cfd::NormalCfd;
 use condep_model::{tuple, Database, Domain, PValue, PatternRow, Schema};
 use condep_telemetry::{Export, MetricsSnapshot};
 use condep_validate::Validator;
@@ -213,12 +214,13 @@ fn main() {
         for (shape, lhs_sets) in shapes() {
             let cfds = sigma(&schema, &lhs_sets, 200);
             let validator = Validator::new(cfds.clone(), vec![]);
+            let singles: Vec<Validator> = cfds
+                .iter()
+                .map(|c| Validator::new(vec![c.clone()], vec![]))
+                .collect();
 
-            let (per_cfd, v1) = best_of(runs, || {
-                cfds.iter()
-                    .map(|c| find_violations_unordered(&db, c).len())
-                    .sum()
-            });
+            let (per_cfd, v1) =
+                best_of(runs, || singles.iter().map(|v| v.validate(&db).len()).sum());
             let (batched, v2) = best_of(runs, || validator.validate(&db).len());
             assert_eq!(v1, v2, "detectors disagree on violation count");
 
@@ -282,7 +284,7 @@ fn main() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"validator\",\n  \"baseline\": \"per-CFD find_violations_unordered loop\",\n  \
+        "{{\n  \"bench\": \"validator\",\n  \"baseline\": \"one single-CFD Validator::validate per constraint\",\n  \
          \"contender\": \"condep_validate::Validator::validate (shared group-by indexes, interned keys, parallel sweep)\",\n  \
          \"runs_per_point\": {runs},\n  \"timing\": \"best of {runs}\",\n  \
          \"headline\": {{\"shape\": \"10-lhs-sets\", \"tuples\": 100000, \"cfds\": 200, \"speedup\": {headline_speedup:.2}}},\n  \

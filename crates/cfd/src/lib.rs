@@ -36,4 +36,4 @@ pub mod violations;
 
 pub use normalize::normalize;
 pub use syntax::{Cfd, NormalCfd};
-pub use violations::{find_violations, find_violations_unordered, CfdDelta, CfdViolation};
+pub use violations::{find_violations, CfdDelta, CfdViolation};

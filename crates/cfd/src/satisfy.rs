@@ -9,42 +9,30 @@
 use crate::normalize::normalize;
 use crate::syntax::{Cfd, NormalCfd};
 use condep_model::{Database, PValue, Value};
-use condep_query::HashIndex;
+use std::collections::HashMap;
 
 /// Does `db` satisfy the normal-form CFD?
 ///
-/// Group-by implementation: tuples matching `tp[X]` are grouped on their
-/// `X` projection; within a group, a wildcard RHS demands a single `A`
-/// value, and a constant RHS demands that exact value — `O(|I|)` with
-/// hashing.
+/// Under a constant RHS every tuple matching `tp[X]` must carry
+/// `tp[A]`. Under a wildcard RHS the matching tuples are grouped on
+/// their borrowed `X` projection, and each group must agree on `A` —
+/// `O(|I|)` with hashing.
 pub fn satisfies_normal(db: &Database, cfd: &NormalCfd) -> bool {
-    let rel = db.relation(cfd.rel());
-    let idx = HashIndex::build_filtered(rel, cfd.lhs(), |t| {
-        cfd.lhs_pat().matches_tuple(t, cfd.lhs())
-    });
-    for (_, group) in idx.groups() {
-        let mut first: Option<&Value> = None;
-        for &pos in group {
-            let t = rel.get(pos).expect("indexed position valid");
-            let a_val = &t[cfd.rhs()];
-            match cfd.rhs_pat() {
-                PValue::Const(c) => {
-                    if a_val != c {
-                        return false;
-                    }
-                }
-                PValue::Any => match first {
-                    None => first = Some(a_val),
-                    Some(prev) => {
-                        if prev != a_val {
-                            return false;
-                        }
-                    }
-                },
-            }
+    let a = cfd.rhs();
+    let mut matching = db
+        .relation(cfd.rel())
+        .iter()
+        .filter(|t| cfd.lhs_pat().matches_tuple(t, cfd.lhs()));
+    match cfd.rhs_pat() {
+        PValue::Const(c) => matching.all(|t| &t[a] == c),
+        PValue::Any => {
+            let mut a_of: HashMap<Vec<&Value>, &Value> = HashMap::new();
+            matching.all(|t| {
+                let x = cfd.lhs().iter().map(|b| &t[*b]).collect();
+                *a_of.entry(x).or_insert(&t[a]) == &t[a]
+            })
         }
     }
-    true
 }
 
 /// Does `db` satisfy the (general-form) CFD?
@@ -52,88 +40,14 @@ pub fn satisfies(db: &Database, cfd: &Cfd) -> bool {
     normalize(cfd).iter().all(|n| satisfies_normal(db, n))
 }
 
-/// Does `db` satisfy every CFD in `set`?
-///
-/// Batched: the set is grouped by `(relation, LHS attribute set)` and
-/// every group shares **one** group-by index, against which all member
-/// pattern rows are evaluated per key-group — `g` index builds for `g`
-/// distinct LHS sets instead of one per CFD. (The full engine with
-/// interned keys, parallel sweep and violation reporting lives in
-/// `condep-validate`; this in-crate version keeps set-level checks fast
-/// for every caller without a dependency cycle.)
+/// Does `db` satisfy every CFD in `set`? One [`satisfies_normal`] pass
+/// per CFD; batched validation of large instances is
+/// `condep-validate`'s job.
 pub fn satisfies_all<'a, I>(db: &Database, set: I) -> bool
 where
     I: IntoIterator<Item = &'a NormalCfd>,
 {
-    use condep_model::AttrId;
-    use std::collections::HashMap;
-
-    // Canonicalize each CFD against its sorted LHS list so permuted
-    // lists share a group; remember the permuted pattern cells.
-    type Member<'a> = (&'a NormalCfd, Vec<Option<&'a Value>>, AttrId, &'a PValue);
-    let mut groups: HashMap<
-        (condep_model::RelId, Vec<AttrId>),
-        Vec<Member<'a>>,
-        condep_model::FxBuildHasher,
-    > = HashMap::default();
-    for cfd in set {
-        let (attrs, pattern) = cfd.canonical_lhs();
-        groups.entry((cfd.rel(), attrs)).or_default().push((
-            cfd,
-            pattern,
-            cfd.rhs(),
-            cfd.rhs_pat(),
-        ));
-    }
-
-    for ((rel, attrs), members) in &groups {
-        let inst = db.relation(*rel);
-        if inst.is_empty() {
-            continue;
-        }
-        // A lone constant-selective member doesn't amortize a full
-        // index; the classic pattern-filtered single-CFD check indexes
-        // only matching tuples.
-        if members.len() == 1 && members[0].1.iter().any(Option::is_some) {
-            if !satisfies_normal(db, members[0].0) {
-                return false;
-            }
-            continue;
-        }
-        let idx = HashIndex::build(inst, attrs);
-        for (key, group) in idx.groups() {
-            for (_, pattern, rhs, rhs_pat) in members {
-                let matches = pattern
-                    .iter()
-                    .zip(key.iter())
-                    .all(|(p, k)| p.is_none_or(|p| p == k));
-                if !matches {
-                    continue;
-                }
-                let mut first: Option<&Value> = None;
-                for &pos in group {
-                    let t = inst.get(pos).expect("indexed position valid");
-                    let a_val = &t[*rhs];
-                    match rhs_pat {
-                        PValue::Const(c) => {
-                            if a_val != c {
-                                return false;
-                            }
-                        }
-                        PValue::Any => match first {
-                            None => first = Some(a_val),
-                            Some(prev) => {
-                                if prev != a_val {
-                                    return false;
-                                }
-                            }
-                        },
-                    }
-                }
-            }
-        }
-    }
-    true
+    set.into_iter().all(|n| satisfies_normal(db, n))
 }
 
 #[cfg(test)]

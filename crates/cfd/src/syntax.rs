@@ -257,9 +257,9 @@ impl NormalCfd {
     /// The LHS canonicalized for set-level grouping: attributes sorted,
     /// pattern cells permuted in lock-step (`None` = wildcard). Two
     /// CFDs over permuted versions of the same LHS attribute set yield
-    /// the same attribute list, so they share one group-by index. Both
-    /// the in-crate batched [`crate::satisfy::satisfies_all`] and the
-    /// `condep-validate` engine group through this one definition.
+    /// the same attribute list, so they share one group-by index. The
+    /// `condep-validate` engine groups through this one definition, and
+    /// the Σ analyzer's lints compare patterns in its order.
     pub fn canonical_lhs(&self) -> (Vec<AttrId>, Vec<Option<&condep_model::Value>>) {
         let mut cols: Vec<(AttrId, Option<&condep_model::Value>)> = self
             .lhs

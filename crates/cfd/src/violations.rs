@@ -2,18 +2,13 @@
 //!
 //! Beyond the boolean check of [`crate::satisfy`], data cleaning needs
 //! the offending tuples themselves (paper, Examples 1.2 and 4.1 — tuple
-//! `t12` is the culprit). Two detector implementations are provided:
-//!
-//! * [`find_violations`] — direct group-by detection, returning every
-//!   violation with its witnesses;
-//! * [`violation_plans`] — compiles a normal CFD to two [`Plan`]s in the
-//!   spirit of the SQL technique of the companion CFD paper: one
-//!   selection query for single-tuple violations and one self-join query
-//!   for pair violations.
+//! `t12` is the culprit). This module defines the violation types and
+//! [`find_violations`], the definition-level reference detector: nested
+//! loops straight from Section 4's semantics. Tests check the batched
+//! engine (`condep-validate`'s `Validator`) against it.
 
 use crate::syntax::NormalCfd;
-use condep_model::{AttrId, Database, PValue, Value};
-use condep_query::{Plan, Predicate};
+use condep_model::{AttrId, Database, PValue, Tuple, Value};
 
 /// A single CFD violation with its witnessing tuple positions.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -93,101 +88,53 @@ impl CfdDelta {
     }
 }
 
-/// Finds all violations of a normal-form CFD in `db`, sorted into the
-/// deterministic report order (single-tuple violations by position, then
-/// pairs by witness positions).
+/// Finds every violation of a normal-form CFD in `db`, sorted into the
+/// report order (single-tuple violations by position, then pairs by
+/// witness positions).
 ///
-/// This is [`find_violations_unordered`] plus a sort — reports and tests
-/// want the stable order; hot paths that only aggregate or count should
-/// call the unordered variant and skip the `O(v log v)`.
+/// The definition-level reference: nested loops over the relation
+/// comparing [`Value`]s, with no index and no hash map, so `O(|I|²)`.
+/// It is the oracle for tests and pinpoints violations in tiny examples;
+/// validating real instances is `condep-validate`'s job.
+///
+/// A tuple matching `tp[X]` whose `A` differs from a constant `tp[A]` is
+/// a single-tuple violation. Under a wildcard `tp[A]`, each matching
+/// tuple `t_j` pairs with the lowest-positioned `t_i` sharing its `X`
+/// value if their `A` values differ: one witness per conflicting tuple
+/// (all `k·(k-1)/2` pairs of a group would be quadratic noise).
 pub fn find_violations(db: &Database, cfd: &NormalCfd) -> Vec<CfdViolation> {
-    let mut out = find_violations_unordered(db, cfd);
-    out.sort_by_key(CfdViolation::sort_key);
-    out
-}
-
-/// Finds all violations of a normal-form CFD in `db`, in group-by
-/// discovery order (deterministic, but not the report order).
-///
-/// For wildcard-RHS CFDs, pairs are reported per group against the first
-/// tuple carrying each distinct conflicting value (reporting all `k·(k-1)/2`
-/// pairs in a group would be quadratic noise; one witness per conflicting
-/// tuple is what a repair tool needs).
-pub fn find_violations_unordered(db: &Database, cfd: &NormalCfd) -> Vec<CfdViolation> {
     let rel = db.relation(cfd.rel());
-    let idx = condep_query::HashIndex::build_filtered(rel, cfd.lhs(), |t| {
-        cfd.lhs_pat().matches_tuple(t, cfd.lhs())
-    });
+    let a = cfd.rhs();
+    let same_x = |ti: &Tuple, tj: &Tuple| cfd.lhs().iter().all(|x| ti[*x] == tj[*x]);
     let mut out = Vec::new();
-    for (_, group) in idx.groups() {
+    for (j, tj) in rel.iter().enumerate() {
+        if !cfd.lhs_pat().matches_tuple(tj, cfd.lhs()) {
+            continue;
+        }
         match cfd.rhs_pat() {
             PValue::Const(expected) => {
-                for &pos in group {
-                    let t = rel.get(pos).expect("indexed position valid");
-                    let found = &t[cfd.rhs()];
-                    if found != expected {
-                        out.push(CfdViolation::SingleTuple {
-                            tuple: pos,
-                            found: found.clone(),
-                            expected: expected.clone(),
-                        });
-                    }
+                if &tj[a] != expected {
+                    out.push(CfdViolation::SingleTuple {
+                        tuple: j,
+                        found: tj[a].clone(),
+                        expected: expected.clone(),
+                    });
                 }
             }
             PValue::Any => {
-                let mut first_pos: Option<(usize, &Value)> = None;
-                for &pos in group {
-                    let t = rel.get(pos).expect("indexed position valid");
-                    let v = &t[cfd.rhs()];
-                    match first_pos {
-                        None => first_pos = Some((pos, v)),
-                        Some((fp, fv)) => {
-                            if fv != v {
-                                out.push(CfdViolation::Pair {
-                                    left: fp,
-                                    right: pos,
-                                });
-                            }
-                        }
-                    }
+                let (i, ti) = rel
+                    .iter()
+                    .enumerate()
+                    .find(|(_, ti)| same_x(ti, tj))
+                    .expect("t_j shares its own X value");
+                if ti[a] != tj[a] {
+                    out.push(CfdViolation::Pair { left: i, right: j });
                 }
             }
         }
     }
+    out.sort_by_key(CfdViolation::sort_key);
     out
-}
-
-/// Compiles a normal CFD into `(single_tuple_plan, pair_plan)` — the
-/// SQL-style violation queries.
-///
-/// * `single_tuple_plan` (only for constant-RHS CFDs, otherwise a plan
-///   returning nothing): `σ_{X ≍ tp[X] ∧ A ≠ a}(R)`.
-/// * `pair_plan`: `σ_{A_left ≠ A_right}(σ_{X ≍ tp[X]}(R) ⋈_{X=X} σ_{X ≍ tp[X]}(R))`
-///   (only meaningful for wildcard-RHS CFDs; constant-RHS pair conflicts
-///   are subsumed by single-tuple violations).
-pub fn violation_plans(cfd: &NormalCfd, rel_arity: usize) -> (Plan, Plan) {
-    let match_x = Predicate::matches(cfd.lhs().to_vec(), cfd.lhs_pat().clone());
-    let single = match cfd.rhs_pat() {
-        PValue::Const(a) => Plan::scan(cfd.rel()).filter(Predicate::and([
-            match_x.clone(),
-            Predicate::AttrNe(cfd.rhs(), a.clone()),
-        ])),
-        PValue::Any => Plan::scan(cfd.rel()).filter(Predicate::False),
-    };
-    let pair = match cfd.rhs_pat() {
-        PValue::Any => {
-            let left = Plan::scan(cfd.rel()).filter(match_x.clone());
-            let right = Plan::scan(cfd.rel()).filter(match_x);
-            let rhs_right = AttrId((cfd.rhs().index() + rel_arity) as u32);
-            left.join(right, cfd.lhs().to_vec(), cfd.lhs().to_vec())
-                .filter(Predicate::Not(Box::new(Predicate::AttrsEq(
-                    cfd.rhs(),
-                    rhs_right,
-                ))))
-        }
-        PValue::Const(_) => Plan::scan(cfd.rel()).filter(Predicate::False),
-    };
-    (single, pair)
 }
 
 #[cfg(test)]
@@ -225,54 +172,41 @@ mod tests {
     }
 
     #[test]
-    fn plans_agree_with_direct_detector_on_singles() {
-        let db = bank_database();
-        let interest_arity = 4;
-        let normal = normalize(&fixtures::phi3());
-        for n in &normal {
-            let (single, _) = violation_plans(n, interest_arity);
-            let rows = single.execute(&db);
-            let direct = find_violations(&db, n);
-            let direct_singles = direct
-                .iter()
-                .filter(|v| matches!(v, CfdViolation::SingleTuple { .. }))
-                .count();
-            assert_eq!(rows.len(), direct_singles);
-        }
-    }
-
-    #[test]
-    fn pair_plan_finds_fd_conflicts() {
+    fn wildcard_pairs_witness_the_lowest_position_of_the_x_group() {
         use condep_model::{prow, Database, Domain, PValue, Schema};
         use std::sync::Arc;
         let schema = Arc::new(
             Schema::builder()
-                .relation("r", &[("a", Domain::string()), ("b", Domain::string())])
+                .relation(
+                    "r",
+                    &[
+                        ("a", Domain::string()),
+                        ("b", Domain::string()),
+                        ("c", Domain::string()),
+                    ],
+                )
                 .finish(),
         );
         let n = NormalCfd::parse(&schema, "r", &["a"], prow![_], "b", PValue::Any).unwrap();
         let mut db = Database::empty(schema);
-        db.insert_into("r", tuple!["k", "v1"]).unwrap();
-        db.insert_into("r", tuple!["k", "v2"]).unwrap();
-        db.insert_into("r", tuple!["j", "v1"]).unwrap();
-        let (_, pair) = violation_plans(&n, 2);
-        let rows = pair.execute(&db);
-        // (t0,t1) and (t1,t0) both qualify in the symmetric self-join.
-        assert_eq!(rows.len(), 2);
-        let direct = find_violations(&db, &n);
-        assert_eq!(direct, vec![CfdViolation::Pair { left: 0, right: 1 }]);
-    }
-
-    #[test]
-    fn unordered_detector_finds_the_same_set() {
-        let db = bank_database();
-        for cfd in [fixtures::phi1(), fixtures::phi2(), fixtures::phi3()] {
-            for n in normalize(&cfd) {
-                let mut unordered = find_violations_unordered(&db, &n);
-                unordered.sort_by_key(CfdViolation::sort_key);
-                assert_eq!(unordered, find_violations(&db, &n));
-            }
+        for [a, b, c] in [
+            ["k", "v1", "x"],
+            ["j", "v2", "x"],
+            ["k", "v2", "x"],
+            ["k", "v1", "y"],
+            ["k", "v3", "x"],
+        ] {
+            db.insert_into("r", tuple![a, b, c]).unwrap();
         }
+        // t3 agrees with t0 on b; t2 and t4 each pair with t0, the k
+        // group's lowest position, not with each other.
+        assert_eq!(
+            find_violations(&db, &n),
+            vec![
+                CfdViolation::Pair { left: 0, right: 2 },
+                CfdViolation::Pair { left: 0, right: 4 },
+            ]
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | Consistency, Thm. 3.2 (always consistent, constructive witness) | [`witness`] |
 //! | Inference system `I` (CIND1–CIND8, Fig. 3), Thm. 3.3 | [`inference`] |
 //! | Implication, Thms. 3.4/3.5 (EXPTIME / PSPACE) | [`implication`] |
-//! | Violation detection (data cleaning; §8 "SQL-based techniques") | [`violations`] |
+//! | Violation types and the definition-level reference detector (data cleaning) | [`violations`] |
 //! | Minimal cover (§8 future work) | [`cover`] |
 //! | Fig. 2 fixtures ψ1–ψ6 and the running examples | [`fixtures`] |
 //!

@@ -5,27 +5,35 @@
 //! `t2 ∈ I2` with `t1[X] = t2[Y] ≍ tp[Y]` and `t2[Yp] ≍ tp[Yp]`.
 //!
 //! Two implementations are provided and cross-validated by property
-//! tests: [`satisfies_normal`] (hash-index semi-join over the normal
-//! form, `O(|I1| + |I2|)`) and [`satisfies_general_direct`] (a literal
+//! tests: [`satisfies_normal`] (a hash semi-join over the normal form,
+//! `O(|I1| + |I2|)`) and [`satisfies_general_direct`] (a literal
 //! transcription of the definition, used as the test oracle).
 
 use crate::normalize::normalize;
 use crate::syntax::{Cind, NormalCind};
-use condep_model::Database;
-use condep_query::HashIndex;
+use condep_model::{Database, Value};
+use std::collections::HashSet;
 
-/// Does `db` satisfy the normal-form CIND? (Hash-index implementation.)
+/// Does `db` satisfy the normal-form CIND? The borrowed `Y` projections
+/// of the target tuples matching `tp[Yp]` go into a hash set, which
+/// every triggered source tuple's `X` projection must hit.
 pub fn satisfies_normal(db: &Database, cind: &NormalCind) -> bool {
     let source = db.relation(cind.lhs_rel());
     if source.is_empty() {
         return true;
     }
-    let target = db.relation(cind.rhs_rel());
-    let idx = HashIndex::build_filtered(target, cind.y(), |t2| cind.rhs_matches(t2));
-    source
+    let keys: HashSet<Vec<&Value>> = db
+        .relation(cind.rhs_rel())
         .iter()
-        .filter(|t1| cind.triggers(t1))
-        .all(|t1| idx.contains_tuple_key(t1, cind.x()))
+        .filter(|t2| cind.rhs_matches(t2))
+        .map(|t2| cind.y().iter().map(|b| &t2[*b]).collect())
+        .collect();
+    let mut probe: Vec<&Value> = Vec::with_capacity(cind.x().len());
+    source.iter().filter(|t1| cind.triggers(t1)).all(|t1| {
+        probe.clear();
+        probe.extend(cind.x().iter().map(|a| &t1[*a]));
+        keys.contains(&probe)
+    })
 }
 
 /// Does `db` satisfy the (general-form) CIND?

@@ -1,17 +1,14 @@
 //! Violation detection for CINDs.
 //!
 //! Data cleaning needs the offending tuples, not just a boolean
-//! (Example 1.2: `t10` is the dirty tuple ψ6 flags). Two detectors:
-//!
-//! * [`find_violations`] — hash anti-join over the normal form;
-//! * [`violation_plan`] — compiles a normal CIND to a [`Plan`]
-//!   (`AntiJoin(σ_{tp[Xp]}(R1), σ_{tp[Yp]}(R2), X = Y)`), realizing the
-//!   "SQL-based techniques for detecting CIND violations" the paper
-//!   leaves as future work (Section 8).
+//! (Example 1.2: `t10` is the dirty tuple ψ6 flags). This module defines
+//! the violation types and [`find_violations`], the definition-level
+//! reference detector: nested loops straight from Section 2's
+//! semantics. Tests check the batched engine (`condep-validate`'s
+//! `Validator`) against it.
 
 use crate::syntax::NormalCind;
-use condep_model::{Database, Tuple};
-use condep_query::{ops, Plan, Predicate};
+use condep_model::Database;
 
 /// A CIND violation: a triggered source tuple with no matching target.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -54,18 +51,26 @@ impl CindDelta {
     }
 }
 
-/// Finds all violations of a normal-form CIND in `db`.
+/// Finds every violation of a normal-form CIND in `db`, in source
+/// position order: each tuple `t1` matching `tp[Xp]` for which no target
+/// tuple `t2` matches `tp[Yp]` with `t1[X] = t2[Y]`.
+///
+/// The definition-level reference: nested loops over source and target
+/// comparing values, with no index and no hash map, so `O(|I1|·|I2|)`.
+/// It is the oracle for tests and pinpoints violations in tiny examples;
+/// validating real instances is `condep-validate`'s job.
 pub fn find_violations(db: &Database, cind: &NormalCind) -> Vec<CindViolation> {
     let source = db.relation(cind.lhs_rel());
     let target = db.relation(cind.rhs_rel());
-    let idx = condep_query::HashIndex::build_filtered(target, cind.y(), |t2| cind.rhs_matches(t2));
     let mut out = Vec::new();
     for (pos, t1) in source.iter().enumerate() {
         if !cind.triggers(t1) {
             continue;
         }
-        // Borrowed-key probe; only a confirmed violation clones the key.
-        if !idx.contains_tuple_key(t1, cind.x()) {
+        let partnered = target.iter().any(|t2| {
+            cind.rhs_matches(t2) && cind.x().iter().zip(cind.y()).all(|(x, y)| t1[*x] == t2[*y])
+        });
+        if !partnered {
             out.push(CindViolation {
                 tuple: pos,
                 key: t1.project(cind.x()),
@@ -73,35 +78,6 @@ pub fn find_violations(db: &Database, cind: &NormalCind) -> Vec<CindViolation> {
         }
     }
     out
-}
-
-/// Compiles the violation query of a normal CIND into a logical plan.
-///
-/// The returned plan yields exactly the violating source tuples:
-/// `σ_{tp[Xp]}(R1) ⋉̸_{X=Y} σ_{tp[Yp]}(R2)` (anti-join).
-pub fn violation_plan(cind: &NormalCind) -> Plan {
-    let lhs_filter = Predicate::and(
-        cind.xp()
-            .iter()
-            .map(|(a, v)| Predicate::AttrEq(*a, v.clone())),
-    );
-    let rhs_filter = Predicate::and(
-        cind.yp()
-            .iter()
-            .map(|(a, v)| Predicate::AttrEq(*a, v.clone())),
-    );
-    Plan::scan(cind.lhs_rel()).filter(lhs_filter).anti_join(
-        Plan::scan(cind.rhs_rel()).filter(rhs_filter),
-        cind.x().to_vec(),
-        cind.y().to_vec(),
-    )
-}
-
-/// Executes [`violation_plan`] and returns the violating tuples — the
-/// plan-based counterpart of [`find_violations`], used to cross-check
-/// the two code paths.
-pub fn find_violations_via_plan(db: &Database, cind: &NormalCind) -> Vec<Tuple> {
-    ops::distinct(violation_plan(cind).execute(db))
 }
 
 #[cfg(test)]
@@ -131,33 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_detector_agrees_with_direct_detector() {
-        let db = bank_database();
-        for psi in fixtures::figure_2() {
-            for n in normalize(&psi) {
-                let direct = find_violations(&db, &n);
-                let via_plan = find_violations_via_plan(&db, &n);
-                assert_eq!(
-                    direct.len(),
-                    via_plan.len(),
-                    "plan and direct detectors must agree on {psi:?}"
-                );
-                let source = db.relation(n.lhs_rel());
-                for v in &direct {
-                    let t = source.get(v.tuple).unwrap();
-                    assert!(via_plan.contains(t));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn clean_database_has_no_violations() {
         let db = clean_bank_database();
         for psi in fixtures::figure_2() {
             for n in normalize(&psi) {
                 assert!(find_violations(&db, &n).is_empty());
-                assert!(find_violations_via_plan(&db, &n).is_empty());
             }
         }
     }

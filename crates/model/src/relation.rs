@@ -7,8 +7,7 @@ use std::fmt;
 
 /// Positions (or slots) sharing one hash value. Collisions under a
 /// 64-bit hash are vanishingly rare, so the common case stays inline
-/// and allocation-free — used by [`Relation`]'s dedup map and by the
-/// query-side hash indexes for their hash → slot tables.
+/// and allocation-free — the value type of [`Relation`]'s dedup map.
 #[derive(Clone, Debug)]
 pub enum PosList {
     /// The common case: exactly one value for this hash.

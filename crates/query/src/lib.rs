@@ -2,36 +2,16 @@
 
 //! # condep-query
 //!
-//! A minimal in-memory relational execution engine.
+//! The compact-key group-by index every engine layer builds on.
 //!
-//! The paper (Section 8 and its companion work on CFDs, Bohannon et al.
-//! ICDE 2007) detects dependency violations with SQL queries over the
-//! pattern tableaux. We have no SQL engine to lean on, so this crate
-//! provides the needed fragment from scratch:
-//!
-//! * [`predicate::Predicate`] — conjunctive selection conditions over
-//!   attributes (equality with constants, pattern-row matching,
-//!   attr-to-attr equality, boolean combinators);
-//! * [`index::HashIndex`] — hash indexes on attribute lists, the backbone
-//!   of equi-joins, with borrowed-key probing for the hot paths;
-//! * [`sym_index::SymIndex`] — the compact-key variant over interned
-//!   [`condep_model::SymValue`]s used by the batched Σ-validator;
-//! * [`ops`] — free-standing select / project / join / semi-join /
-//!   anti-join / group-by operators;
-//! * [`plan`] — a tiny composable logical plan (scan → filter → project →
-//!   join …) with an executor, used by the SQL-style CIND/CFD violation
-//!   compilers in the dependency crates.
-//!
-//! Everything operates on `condep-model` relations and keeps iteration
-//! deterministic.
+//! [`SymIndex`] maps keys of interned [`condep_model::SymValue`] cells to
+//! the dense positions of the tuples carrying them. The batched
+//! Σ-validator builds one per constraint group, its delta engine keeps
+//! them live through inserts, swap-deletes and renumbers, and discovery
+//! partitions columns with them. Violation detection itself lives with
+//! the engines (`condep-validate`); the per-dependency reference
+//! detectors in `condep-cfd` and `condep-core` are plain nested loops.
 
-pub mod index;
-pub mod ops;
-pub mod plan;
-pub mod predicate;
 pub mod sym_index;
 
-pub use index::HashIndex;
-pub use plan::{Plan, Rows};
-pub use predicate::Predicate;
 pub use sym_index::{PosIter, SymIndex};

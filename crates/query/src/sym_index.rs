@@ -1,10 +1,11 @@
 //! Compact-key group-by indexes over interned values.
 //!
-//! A [`SymIndex`] is the [`crate::HashIndex`] idea rebuilt for the
-//! batched Σ-validation hot path: keys are `Box<[SymValue]>` — `Copy`
-//! word-sized cells from a [`condep_model::Interner`] — hashed with the
-//! fx hasher, so building and probing never touch string bytes or bump
-//! `Arc` reference counts. Probes borrow (`&[SymValue]`).
+//! A [`SymIndex`] is a hash index from a key to the dense positions of
+//! the tuples carrying it, built for the batched Σ-validation hot path:
+//! keys are `Box<[SymValue]>` — `Copy` word-sized cells from a
+//! [`condep_model::Interner`] — hashed with the fx hasher, so building
+//! and probing never touch string bytes or bump `Arc` reference counts.
+//! Probes borrow (`&[SymValue]`).
 //!
 //! Every build reads cells that were symbolized beforehand: contiguous
 //! columns such as a [`condep_model::SymTables`]'s
@@ -286,8 +287,8 @@ impl SymIndex {
     /// cached minimum and it must be rescanned). Within the bulk segment
     /// the last live entry is swapped into the hole, so segment
     /// iteration order is no longer position-ascending after a removal —
-    /// order-sensitive consumers must sort (see `wildcard_pairs`
-    /// recomputation in `condep-validate`).
+    /// a consumer that needs the group's lowest position reads
+    /// [`SymIndex::min_at`] or takes the minimum itself.
     pub fn remove_key(&mut self, pos: u32, key: &[SymValue]) -> bool {
         debug_assert_eq!(key.len(), self.key_len);
         match self.map.get(key) {
@@ -673,8 +674,16 @@ mod tests {
         assert!(idx.contains_key(&edi));
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.len(), 3);
-        let reference = crate::HashIndex::build(&r, &[AttrId(0)]);
-        assert_eq!(idx.distinct_keys(), reference.distinct_keys());
+        // A std hash map over the raw values groups the same positions.
+        let mut reference: std::collections::HashMap<&Value, Vec<u32>> = Default::default();
+        for (pos, t) in r.iter().enumerate() {
+            reference.entry(&t[AttrId(0)]).or_default().push(pos as u32);
+        }
+        assert_eq!(idx.distinct_keys(), reference.len());
+        for (value, positions) in &reference {
+            let key = [interner.sym_value(value).unwrap()];
+            assert_eq!(&probe_vec(&idx, &key), positions);
+        }
         for (key, positions) in idx.groups() {
             assert_eq!(key.len(), 1);
             assert!(positions.count() > 0);

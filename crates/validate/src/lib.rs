@@ -45,12 +45,13 @@
 //!   id slots — without disturbing a single live key, violation or id.
 //!
 //! Results are identical (as sets, and after [`SigmaReport::sort`] even
-//! in order) to running `condep_cfd::find_violations` /
-//! `condep_core::find_violations` per constraint, and
+//! in order) to the per-dependency reference detectors
+//! `condep_cfd::find_violations` / `condep_core::find_violations`,
+//! nested loops written straight from the definitions.
 //! [`ValidatorStream::current_report`] stays equal to a fresh
 //! [`Validator::validate_sorted`] across arbitrary mutation sequences —
-//! single, batched or interleaved with compactions — all
-//! property-tested at the workspace root.
+//! single, batched or interleaved with compactions. Both properties are
+//! tested at the workspace root.
 
 pub mod cover;
 mod stream;

@@ -75,7 +75,8 @@
 //!   cells are interned once. Deletes read their rows from the cache —
 //!   no string is hashed through the interner anywhere on the delete
 //!   path — and [`ValidatorStream::add_dependencies`] keys the indexes
-//!   it splices in from it.
+//!   it splices in from it and reads its newcomers' violations through
+//!   it.
 //! * **at most one probe per (mutation, group)** — on insert,
 //!   [`condep_query::SymIndex`] slot handles (`ensure_slot`) resolve
 //!   the tuple's key group once; on delete, the index's per-position
@@ -112,7 +113,7 @@
 //!   ids.
 
 use crate::telemetry::{MutKind, StreamTelemetry};
-use crate::validator::{Cells, CfdGroup, CfdMember, SigmaReport, Validator};
+use crate::validator::{cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, Validator};
 use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
@@ -401,9 +402,9 @@ fn translate_member(interner: &Interner, m: &CfdMember) -> MemberSyms {
         .map(Vec::into_boxed_slice)
 }
 
-/// Batch `wildcard_pairs` over one live key group: sorts the positions
-/// so the witness is the group's lowest position (the canonical batch
-/// order), reading RHS values through the database.
+/// The wildcard-RHS pairs of one live key group, reading RHS values
+/// through the database; the positions are sorted first so the pairs
+/// come out in position order.
 fn group_pairs(rel_inst: &Relation, rhs: AttrId, mut positions: Vec<u32>) -> Vec<(usize, usize)> {
     positions.sort_unstable();
     crate::validator::wildcard_pairs_by(positions.iter().copied(), |p| {
@@ -736,9 +737,10 @@ impl ValidatorStream {
     /// and all per-group state stay untouched. Only the affected groups
     /// recompile (see [`Validator::add_dependencies`]), only the
     /// relations whose symbolization layout grew re-cache their rows,
-    /// and only the new members' indexes are built. Returns the new
-    /// constraints' violations against the current database — sorted,
-    /// indexed by their final Σ indices, and already folded into
+    /// and only the new members' indexes are built. The new constraints'
+    /// violations are read off the live indexes through the group
+    /// tasks' own read paths. They come back sorted, indexed by their
+    /// final Σ indices, and already folded into
     /// [`ValidatorStream::current_report`] (a consumer keeping its own
     /// violation state should add them as introduced violations).
     pub fn add_dependencies(
@@ -750,22 +752,25 @@ impl ValidatorStream {
             return SigmaReport::default();
         }
         let (n_cfds, n_cinds) = (cfds.len(), cinds.len());
-        // The initial sweep for the newcomers, compiled exactly as the
-        // spliced members are (uncovered singletons) so the violations
-        // transfer index-shifted but otherwise verbatim.
-        let sub = Validator::new_uncovered(cfds.clone(), cinds.clone());
-        let old_cfd_groups = self.validator.cfd_groups().len();
+        // Newcomers are appended to their groups' member lists: each
+        // group's members from its old length on are the new ones.
+        let old_cfd_members: Vec<usize> = self
+            .validator
+            .cfd_groups()
+            .iter()
+            .map(|g| g.members.len())
+            .collect();
         let old_cind_members: Vec<usize> = self
             .validator
             .cind_groups()
             .iter()
             .map(|g| g.members.len())
             .collect();
-        let (cfd_range, cind_range) = self.validator.add_dependencies(cfds, cinds);
+        self.validator.add_dependencies(cfds, cinds);
 
         // Grow the symbolization layout, re-caching the rows of every
-        // relation whose layout changed: the index builds below read
-        // their keys from the row cache.
+        // relation whose layout changed: the index builds and reads
+        // below take their keys from the row cache.
         let new_sym_attrs = self.validator.sym_layout(self.db.schema().len());
         {
             let Self {
@@ -785,12 +790,15 @@ impl ValidatorStream {
         self.sym_attrs = new_sym_attrs;
         self.refresh_slots();
 
-        // Live indexes for the spliced groups and members, keyed from
-        // the stream's own cached symbols.
+        // Build the live indexes of the spliced groups and members from
+        // the stream's own cached symbols, and read the newcomers'
+        // violations off the indexes the stream keeps.
+        let mut report = SigmaReport::default();
         {
             let Self {
                 validator,
                 db,
+                interner,
                 cfd_indexes,
                 cind_targets,
                 cind_sources,
@@ -802,40 +810,45 @@ impl ValidatorStream {
                 rows: sym_rows,
                 layout: sym_attrs,
             };
-            for g in &validator.cfd_groups()[old_cfd_groups..] {
-                let n = db.relation(g.rel).len();
-                cfd_indexes.push(cells.index(g.rel, n, &g.attrs, |_| true));
+            for (gi, g) in validator.cfd_groups().iter().enumerate() {
+                if gi >= cfd_indexes.len() {
+                    let rows = db.relation(g.rel).len();
+                    cfd_indexes.push(cells.index(g.rel, rows, &g.attrs, |_| true));
+                }
+                let start = old_cfd_members.get(gi).copied().unwrap_or(0);
+                if start < g.members.len() {
+                    validator.read_cfd_members(
+                        g,
+                        &g.members[start..],
+                        db,
+                        interner,
+                        &cells,
+                        &cfd_indexes[gi],
+                        &mut report.cfd,
+                    );
+                }
             }
             for (gi, g) in validator.cind_groups().iter().enumerate() {
                 if gi >= cind_targets.len() {
-                    let target = db.relation(g.rhs_rel);
-                    cind_targets.push(cells.index(g.rhs_rel, target.len(), &g.y, |pos| {
-                        let t = target.get(pos).expect("position in range");
-                        g.yp.iter().all(|(a, v)| &t[*a] == v)
-                    }));
+                    cind_targets.push(cind_target_index(g, db, interner, &cells));
                     cind_sources.push(Vec::new());
                 }
                 let start = old_cind_members.get(gi).copied().unwrap_or(0);
                 for m in &g.members[start..] {
-                    let cind = &validator.cinds()[m.idx];
-                    let source = db.relation(cind.lhs_rel());
-                    cind_sources[gi].push(cells.index(
-                        cind.lhs_rel(),
-                        source.len(),
-                        &m.x_perm,
-                        |pos| cind.triggers(source.get(pos).expect("position in range")),
-                    ));
+                    cind_sources[gi].push(validator.cind_source_index(m, db, interner, &cells));
+                    validator.read_cind_member(
+                        m,
+                        db,
+                        interner,
+                        &cells,
+                        &cind_targets[gi],
+                        false,
+                        &mut report.cind,
+                    );
                 }
             }
         }
-
-        let mut report = sub.validate_sorted(&self.db);
-        for (i, _) in report.cfd.iter_mut() {
-            *i += cfd_range.start;
-        }
-        for (i, _) in report.cind.iter_mut() {
-            *i += cind_range.start;
-        }
+        report.sort();
         self.live_cfd.extend(report.cfd.iter().cloned());
         self.live_cind.extend(report.cind.iter().cloned());
         self.telemetry
@@ -2190,5 +2203,122 @@ impl ValidatorStream {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use condep_model::{prow, tuple, Domain, PValue, Schema};
+    use std::sync::Arc;
+
+    /// Promotions splice into live groups whose storage churn has left
+    /// out of position order. The newcomers' violations must still be
+    /// exactly the batch report's, every pair witnessed by its key
+    /// group's lowest position rather than the first one stored.
+    #[test]
+    fn promotions_into_churned_groups_match_a_fresh_sweep() {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("a", Domain::string()),
+                        ("b", Domain::string()),
+                        ("c", Domain::string()),
+                    ],
+                )
+                .relation("s", &[("d", Domain::string())])
+                .finish(),
+        );
+        let (r, s) = (schema.rel_id("r").unwrap(), schema.rel_id("s").unwrap());
+        let a_to_c = NormalCfd::parse(&schema, "r", &["a"], prow![_], "c", PValue::Any).unwrap();
+        let a_in_s = NormalCind::parse(&schema, "r", &["a"], &[], "s", &["d"], &[]).unwrap();
+        let mut db = Database::empty(schema.clone());
+        for [a, b, c] in [
+            ["x", "b0", "c0"],
+            ["y", "b0", "c0"],
+            ["k", "b1", "c0"],
+            ["k", "b2", "c0"],
+            ["k", "b3", "c1"],
+        ] {
+            db.insert_into("r", tuple![a, b, c]).unwrap();
+        }
+        for d in ["k", "b1", "x"] {
+            db.insert_into("s", tuple![d]).unwrap();
+        }
+        let v = Validator::new(vec![a_to_c], vec![a_in_s]);
+        let (mut stream, _) = ValidatorStream::new_validated(v, db);
+
+        // Swap-deleting position 0 renumbers the last tuple, (k, b3),
+        // into it in place; the inserts then land behind it (the tail
+        // of the bulk tier, then the overflow tier). The target group
+        // churns too.
+        stream.delete_tuple(r, &tuple!["x", "b0", "c0"]).unwrap();
+        stream.insert_tuple(r, tuple!["k", "b4", "c0"]).unwrap();
+        stream.insert_tuple(r, tuple!["y", "b5", "c0"]).unwrap();
+        stream.delete_tuple(s, &tuple!["k"]).unwrap();
+        stream.insert_tuple(s, tuple!["b2"]).unwrap();
+        stream.insert_tuple(s, tuple!["k"]).unwrap();
+        let k = [stream.interner.sym_value(&Value::str("k")).unwrap()];
+        let stored: Vec<u32> = stream.cfd_indexes[0].positions(&k).collect();
+        let lowest = *stored.iter().min().unwrap();
+        assert_ne!(
+            stored[0], lowest,
+            "k's group must be out of order: {stored:?}"
+        );
+
+        // An `a → b` FD and a constant row on `a` join the `a` group; a
+        // CIND joins the existing `s[d]` target group.
+        let a_to_b = NormalCfd::parse(&schema, "r", &["a"], prow![_], "b", PValue::Any).unwrap();
+        let k_to_b1 = NormalCfd::parse(
+            &schema,
+            "r",
+            &["a"],
+            prow!["k"],
+            "b",
+            PValue::constant("b1"),
+        )
+        .unwrap();
+        let b_in_s = NormalCind::parse(&schema, "r", &["b"], &[], "s", &["d"], &[]).unwrap();
+        let promoted = stream.add_dependencies(vec![a_to_b, k_to_b1], vec![b_in_s]);
+        assert_eq!(stream.validator().cfd_groups().len(), 1);
+        assert_eq!(stream.validator().cind_groups().len(), 1);
+
+        let fresh = stream.validator().validate_sorted(stream.db());
+        let newcomers = SigmaReport {
+            cfd: fresh.cfd.iter().filter(|(i, _)| *i >= 1).cloned().collect(),
+            cind: fresh
+                .cind
+                .iter()
+                .filter(|(i, _)| *i >= 1)
+                .cloned()
+                .collect(),
+        };
+        assert_eq!(promoted, newcomers);
+        assert_eq!(stream.current_report(), fresh);
+
+        let rel = stream.db().relation(r);
+        let a = AttrId(0);
+        let mut pairs = 0;
+        for (_, v) in &promoted.cfd {
+            if let CfdViolation::Pair { left, right } = v {
+                let key = &rel.get(*right).unwrap()[a];
+                let group_min = (0..rel.len())
+                    .find(|&p| &rel.get(p).unwrap()[a] == key)
+                    .unwrap();
+                assert_eq!(*left, group_min, "pair ({left}, {right})");
+                pairs += 1;
+            }
+        }
+        assert_eq!(pairs, 4, "{promoted:?}");
+        assert!(promoted.cfd.contains(&(
+            1,
+            CfdViolation::Pair {
+                left: lowest as usize,
+                right: 2
+            }
+        )));
+        assert_eq!(promoted.cind.len(), 4, "{promoted:?}");
     }
 }

@@ -5,7 +5,7 @@ use condep_analyze::{AnalyzeConfig, SigmaAnalysis, SigmaLint, SigmaVerdict, Unsa
 use condep_cfd::{CfdViolation, NormalCfd};
 use condep_core::{CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, PValue, RelId, Schema, SymTables, SymValue, Value};
+use condep_model::{AttrId, Database, Interner, RelId, Schema, SymTables, SymValue, Value};
 use condep_query::SymIndex;
 use condep_telemetry::{Export, MetricsSnapshot, SpanKey, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
@@ -86,6 +86,77 @@ pub(crate) struct CindGroup {
     /// The shared RHS pattern constants, sorted by attribute.
     pub(crate) yp: Vec<(AttrId, Value)>,
     pub(crate) members: Vec<CindMember>,
+}
+
+/// A CIND group's identity: `(target relation, sorted Y, sorted Yp)`.
+type CindGroupKey = (RelId, Vec<AttrId>, Vec<(AttrId, Value)>);
+
+impl CindGroup {
+    fn new((rhs_rel, y, yp): CindGroupKey) -> Self {
+        CindGroup {
+            rhs_rel,
+            y,
+            yp,
+            members: Vec::new(),
+        }
+    }
+}
+
+/// Compiles CFD `idx` of `cfds` into a member probing its own canonical
+/// pattern (sorted LHS, pattern permuted in lock-step), with itself as
+/// the representative cover followed by `covered`. Returns the group's
+/// sorted LHS attributes alongside — the one member compile of
+/// [`Validator::with_cover`] and [`Validator::add_dependencies`].
+fn compile_cfd(cfds: &[NormalCfd], idx: usize, covered: &[usize]) -> (Vec<AttrId>, CfdMember) {
+    let cfd = &cfds[idx];
+    let (attrs, pattern) = canonical_pattern(cfd);
+    let mut covers = Vec::with_capacity(1 + covered.len());
+    covers.push(CfdCover {
+        idx,
+        pattern: pattern.clone(),
+    });
+    for &c in covered {
+        let (c_attrs, c_pattern) = canonical_pattern(&cfds[c]);
+        debug_assert_eq!(c_attrs, attrs, "cover merged across LHS sets");
+        debug_assert!(
+            crate::cover::subsumes(&pattern, &c_pattern),
+            "representative pattern must subsume its covers"
+        );
+        covers.push(CfdCover {
+            idx: c,
+            pattern: c_pattern,
+        });
+    }
+    let member = CfdMember {
+        pattern,
+        rhs: cfd.rhs(),
+        rhs_const: cfd.rhs_pat().as_const().cloned(),
+        covers,
+    };
+    (attrs, member)
+}
+
+/// Canonicalizes CIND `idx` on its target side — `Y` sorted, `X`
+/// permuted in lock-step so probes align with the shared index, `Yp`
+/// sorted by attribute — into its group key and a member evaluating
+/// `covers` (itself first).
+fn compile_cind(cind: &NormalCind, idx: usize, covers: Vec<usize>) -> (CindGroupKey, CindMember) {
+    let mut cols: Vec<(AttrId, AttrId)> = cind
+        .y()
+        .iter()
+        .copied()
+        .zip(cind.x().iter().copied())
+        .collect();
+    cols.sort_by_key(|(y, _)| *y);
+    let (y, x_perm): (Vec<AttrId>, Vec<AttrId>) = cols.into_iter().unzip();
+    let mut yp = cind.yp().to_vec();
+    yp.sort_by_key(|&(a, _)| a);
+    let member = CindMember {
+        idx,
+        x_perm,
+        covers,
+    };
+    ((cind.rhs_rel(), y, yp), member)
 }
 
 /// Everything the batched sweep found, tagged with constraint indices
@@ -256,26 +327,7 @@ impl Validator {
             let CoverRole::Keep { covered } = &cover.cfd[idx] else {
                 continue;
             };
-            // One shared canonicalization (sorted LHS, pattern permuted
-            // in lock-step) with `cfd::satisfy::satisfies_all`.
-            let (attrs, pattern) = canonical_pattern(cfd);
-            let mut covers = Vec::with_capacity(1 + covered.len());
-            covers.push(CfdCover {
-                idx,
-                pattern: pattern.clone(),
-            });
-            for &c in covered {
-                let (c_attrs, c_pattern) = canonical_pattern(&cfds[c]);
-                debug_assert_eq!(c_attrs, attrs, "cover merged across LHS sets");
-                debug_assert!(
-                    crate::cover::subsumes(&pattern, &c_pattern),
-                    "representative pattern must subsume its covers"
-                );
-                covers.push(CfdCover {
-                    idx: c,
-                    pattern: c_pattern,
-                });
-            }
+            let (attrs, member) = compile_cfd(&cfds, idx, covered);
             let slot = *cfd_index
                 .entry((cfd.rel(), attrs.clone()))
                 .or_insert_with(|| {
@@ -286,56 +338,24 @@ impl Validator {
                     });
                     cfd_groups.len() - 1
                 });
-            cfd_groups[slot].members.push(CfdMember {
-                pattern,
-                rhs: cfd.rhs(),
-                rhs_const: match cfd.rhs_pat() {
-                    PValue::Const(v) => Some(v.clone()),
-                    PValue::Any => None,
-                },
-                covers,
-            });
+            cfd_groups[slot].members.push(member);
         }
 
-        type CindGroupKey = (RelId, Vec<AttrId>, Vec<(AttrId, Value)>);
         let mut cind_index: HashMap<CindGroupKey, usize, FxBuildHasher> = HashMap::default();
         let mut cind_groups: Vec<CindGroup> = Vec::new();
         for (idx, cind) in cinds.iter().enumerate() {
             let CoverRole::Keep { covered } = &cover.cind[idx] else {
                 continue;
             };
-            // Canonicalize on the target side: sort Y, permuting X in
-            // lock-step so probes align with the shared index.
-            let mut cols: Vec<(AttrId, AttrId)> = cind
-                .y()
-                .iter()
-                .copied()
-                .zip(cind.x().iter().copied())
+            let covers = std::iter::once(idx)
+                .chain(covered.iter().copied())
                 .collect();
-            cols.sort_by_key(|(y, _)| *y);
-            let y: Vec<AttrId> = cols.iter().map(|(y, _)| *y).collect();
-            let x_perm: Vec<AttrId> = cols.into_iter().map(|(_, x)| x).collect();
-            let mut yp = cind.yp().to_vec();
-            yp.sort_by_key(|&(a, _)| a);
-            let slot = *cind_index
-                .entry((cind.rhs_rel(), y.clone(), yp.clone()))
-                .or_insert_with(|| {
-                    cind_groups.push(CindGroup {
-                        rhs_rel: cind.rhs_rel(),
-                        y,
-                        yp,
-                        members: Vec::new(),
-                    });
-                    cind_groups.len() - 1
-                });
-            let mut covers = Vec::with_capacity(1 + covered.len());
-            covers.push(idx);
-            covers.extend(covered.iter().copied());
-            cind_groups[slot].members.push(CindMember {
-                idx,
-                x_perm,
-                covers,
+            let (key, member) = compile_cind(cind, idx, covers);
+            let slot = *cind_index.entry(key.clone()).or_insert_with(|| {
+                cind_groups.push(CindGroup::new(key));
+                cind_groups.len() - 1
             });
+            cind_groups[slot].members.push(member);
         }
 
         const NO_SLOT: (usize, usize, usize) = (usize::MAX, usize::MAX, usize::MAX);
@@ -414,64 +434,38 @@ impl Validator {
         let cind_start = self.cinds.len();
         for cfd in cfds {
             let idx = self.cfds.len();
-            let (attrs, pattern) = canonical_pattern(&cfd);
+            self.cfds.push(cfd);
+            let (attrs, member) = compile_cfd(&self.cfds, idx, &[]);
+            let rel = self.cfds[idx].rel();
             let gi = self
                 .cfd_groups
                 .iter()
-                .position(|g| g.rel == cfd.rel() && g.attrs == attrs)
+                .position(|g| g.rel == rel && g.attrs == attrs)
                 .unwrap_or_else(|| {
                     self.cfd_groups.push(CfdGroup {
-                        rel: cfd.rel(),
+                        rel,
                         attrs,
                         members: Vec::new(),
                     });
                     self.cfd_groups.len() - 1
                 });
-            let mi = self.cfd_groups[gi].members.len();
-            self.cfd_groups[gi].members.push(CfdMember {
-                pattern: pattern.clone(),
-                rhs: cfd.rhs(),
-                rhs_const: match cfd.rhs_pat() {
-                    PValue::Const(v) => Some(v.clone()),
-                    PValue::Any => None,
-                },
-                covers: vec![CfdCover { idx, pattern }],
-            });
-            self.cfd_slots.push((gi, mi, 0));
+            self.cfd_slots
+                .push((gi, self.cfd_groups[gi].members.len(), 0));
+            self.cfd_groups[gi].members.push(member);
             self.retired_cfds.push(false);
-            self.cfds.push(cfd);
         }
         for cind in cinds {
             let idx = self.cinds.len();
-            let mut cols: Vec<(AttrId, AttrId)> = cind
-                .y()
-                .iter()
-                .copied()
-                .zip(cind.x().iter().copied())
-                .collect();
-            cols.sort_by_key(|(y, _)| *y);
-            let y: Vec<AttrId> = cols.iter().map(|(y, _)| *y).collect();
-            let x_perm: Vec<AttrId> = cols.into_iter().map(|(_, x)| x).collect();
-            let mut yp = cind.yp().to_vec();
-            yp.sort_by_key(|&(a, _)| a);
+            let (key, member) = compile_cind(&cind, idx, vec![idx]);
             let gi = self
                 .cind_groups
                 .iter()
-                .position(|g| g.rhs_rel == cind.rhs_rel() && g.y == y && g.yp == yp)
+                .position(|g| g.rhs_rel == key.0 && g.y == key.1 && g.yp == key.2)
                 .unwrap_or_else(|| {
-                    self.cind_groups.push(CindGroup {
-                        rhs_rel: cind.rhs_rel(),
-                        y,
-                        yp,
-                        members: Vec::new(),
-                    });
+                    self.cind_groups.push(CindGroup::new(key));
                     self.cind_groups.len() - 1
                 });
-            self.cind_groups[gi].members.push(CindMember {
-                idx,
-                x_perm,
-                covers: vec![idx],
-            });
+            self.cind_groups[gi].members.push(member);
             self.retired_cinds.push(false);
             self.cinds.push(cind);
         }
@@ -838,44 +832,7 @@ impl Validator {
     ) -> GroupBuild {
         let mut out = GroupBuild::default();
         let rel = db.relation(group.rel);
-        // Translate each member's LHS patterns into symbols once. A
-        // constant string the interner has never seen cannot match any
-        // tuple: the probe pattern (the most general among the member's
-        // covers) being unknown kills the whole member, an individual
-        // cover's extra constants being unknown kills just that cover.
-        // RHS constants translate to `Err(value)` when unknown — every
-        // tuple of a matching key-group then mismatches by definition.
-        let sym_pattern = |cells: &[Option<Value>]| -> Option<Vec<Option<SymValue>>> {
-            let mut pattern = Vec::with_capacity(cells.len());
-            for cell in cells {
-                match cell {
-                    None => pattern.push(None),
-                    Some(v) => pattern.push(Some(interner.sym_value(v)?)),
-                }
-            }
-            Some(pattern)
-        };
-        let members: Vec<ReadyMember<'_>> = group
-            .members
-            .iter()
-            .filter_map(|m| {
-                let pattern = sym_pattern(&m.pattern)?;
-                let covers: Vec<(usize, Vec<Option<SymValue>>)> = m
-                    .covers
-                    .iter()
-                    .filter_map(|c| Some((c.idx, sym_pattern(&c.pattern)?)))
-                    .collect();
-                if covers.is_empty() {
-                    return None;
-                }
-                Some(ReadyMember {
-                    pattern,
-                    rhs: m.rhs,
-                    rhs_const: m.rhs_const.as_ref().map(|v| interner.sym_value(v).ok_or(v)),
-                    covers,
-                })
-            })
-            .collect();
+        let members = ReadyMember::translate(&group.members, interner);
         if !keep && (rel.is_empty() || members.is_empty()) {
             return out;
         }
@@ -957,9 +914,9 @@ impl Validator {
                         out,
                     ),
                     None => {
-                        let pairs = pair_cache
-                            .entry(m.rhs)
-                            .or_insert_with(|| wildcard_pairs(positions.clone(), rhs_col));
+                        let pairs = pair_cache.entry(m.rhs).or_insert_with(|| {
+                            wildcard_pairs_by(positions.clone(), |pos| rhs_col.at(pos as usize))
+                        });
                         for (ci, (cidx, cpat)) in m.covers.iter().enumerate() {
                             if ci > 0 && !cover_key_matches(cpat, key) {
                                 continue;
@@ -1044,58 +1001,14 @@ impl Validator {
         if !keep && group.members.is_empty() {
             return out;
         }
-        let target = db.relation(group.rhs_rel);
-        // Symbolize a condition's constants against its relation's
-        // columns; `None` when one is unknown — no tuple can match it.
-        let condition_cols = |rel: RelId, cond: &[(AttrId, Value)]| {
-            cond.iter()
-                .map(|(a, v)| Some((cells.column(rel, *a), interner.sym_value(v)?)))
-                .collect::<Option<Vec<(Col<'_>, SymValue)>>>()
-        };
-        let holds = |cols: &Option<Vec<(Col<'_>, SymValue)>>, pos: usize| {
-            cols.as_ref()
-                .is_some_and(|cols| cols.iter().all(|(col, s)| col.at(pos) == *s))
-        };
-        // An unknown Yp constant matches no target tuple, leaving the
-        // index empty (every triggered source tuple then violates, as it
-        // must).
-        let yp_cols = condition_cols(group.rhs_rel, &group.yp);
-        let idx = cells.index(group.rhs_rel, target.len(), &group.y, |pos| {
-            holds(&yp_cols, pos)
-        });
-        let mut key_buf: Vec<SymValue> = Vec::new();
+        let idx = cind_target_index(group, db, interner, cells);
         for m in &group.members {
-            let cind = &self.cinds[m.idx];
-            let lhs_rel = cind.lhs_rel();
-            let source = db.relation(lhs_rel);
-            // An unknown Xp constant means no source tuple triggers: the
-            // member is trivially satisfied.
-            let xp_cols = condition_cols(lhs_rel, cind.xp());
-            let x_cols = cells.columns(lhs_rel, &m.x_perm);
             if keep {
-                out.sources.push(
-                    cells.index(lhs_rel, source.len(), &m.x_perm, |pos| holds(&xp_cols, pos)),
-                );
+                out.sources
+                    .push(self.cind_source_index(m, db, interner, cells));
             }
-            for pos in 0..source.len() {
-                if !holds(&xp_cols, pos) {
-                    continue;
-                }
-                key_buf.clear();
-                key_buf.extend(x_cols.iter().map(|col| col.at(pos)));
-                if !idx.contains_key(&key_buf) {
-                    let t1 = source.get(pos).expect("position in range");
-                    let violation = CindViolation {
-                        tuple: pos,
-                        key: t1.project(cind.x()),
-                    };
-                    for &c in &m.covers {
-                        out.cind.push((c, violation.clone()));
-                    }
-                    if early_exit {
-                        return out;
-                    }
-                }
+            if self.read_cind_member(m, db, interner, cells, &idx, early_exit, &mut out.cind) {
+                return out;
             }
         }
         if keep {
@@ -1103,10 +1016,129 @@ impl Validator {
         }
         out
     }
+
+    /// A CIND member's triggered source tuples, indexed by `x_perm` —
+    /// the reverse index the stream keeps per member.
+    pub(crate) fn cind_source_index(
+        &self,
+        m: &CindMember,
+        db: &Database,
+        interner: &Interner,
+        cells: &Cells<'_>,
+    ) -> SymIndex {
+        let cind = &self.cinds[m.idx];
+        let xp_cols = condition_cols(cells, interner, cind.lhs_rel(), cind.xp());
+        let rows = db.relation(cind.lhs_rel()).len();
+        cells.index(cind.lhs_rel(), rows, &m.x_perm, |pos| holds(&xp_cols, pos))
+    }
+
+    /// Probes a CIND group's target index with every source tuple the
+    /// member triggers, pushing each miss to all of the member's covers.
+    /// Returns whether `early_exit` cut the probe short.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn read_cind_member(
+        &self,
+        m: &CindMember,
+        db: &Database,
+        interner: &Interner,
+        cells: &Cells<'_>,
+        target: &SymIndex,
+        early_exit: bool,
+        out: &mut Vec<(usize, CindViolation)>,
+    ) -> bool {
+        let cind = &self.cinds[m.idx];
+        let lhs_rel = cind.lhs_rel();
+        let source = db.relation(lhs_rel);
+        // An unknown Xp constant means no source tuple triggers: the
+        // member is trivially satisfied.
+        let xp_cols = condition_cols(cells, interner, lhs_rel, cind.xp());
+        let x_cols = cells.columns(lhs_rel, &m.x_perm);
+        let mut key_buf: Vec<SymValue> = Vec::with_capacity(x_cols.len());
+        for pos in 0..source.len() {
+            if !holds(&xp_cols, pos) {
+                continue;
+            }
+            key_buf.clear();
+            key_buf.extend(x_cols.iter().map(|col| col.at(pos)));
+            if !target.contains_key(&key_buf) {
+                let t1 = source.get(pos).expect("position in range");
+                let violation = CindViolation {
+                    tuple: pos,
+                    key: t1.project(cind.x()),
+                };
+                for &c in &m.covers {
+                    out.push((c, violation.clone()));
+                }
+                if early_exit {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Reads the violations of `members` (of `group`) off `idx`, an index
+    /// over all of the group's relation — how the stream reads the
+    /// members it splices into a live group.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn read_cfd_members(
+        &self,
+        group: &CfdGroup,
+        members: &[CfdMember],
+        db: &Database,
+        interner: &Interner,
+        cells: &Cells<'_>,
+        idx: &SymIndex,
+        out: &mut Vec<(usize, CfdViolation)>,
+    ) {
+        let members = ReadyMember::translate(members, interner);
+        self.read_cfd_index(
+            group,
+            &members,
+            idx,
+            db.relation(group.rel),
+            cells,
+            false,
+            out,
+        );
+    }
 }
 
-/// A compiled CFD member with its patterns translated into one sweep's
-/// symbols.
+/// A CIND group's Yp-filtered target index, keyed by the sorted `Y`. An
+/// unknown Yp constant matches no target tuple, leaving the index empty
+/// (every triggered source tuple then violates, as it must).
+pub(crate) fn cind_target_index(
+    group: &CindGroup,
+    db: &Database,
+    interner: &Interner,
+    cells: &Cells<'_>,
+) -> SymIndex {
+    let yp_cols = condition_cols(cells, interner, group.rhs_rel, &group.yp);
+    let rows = db.relation(group.rhs_rel).len();
+    cells.index(group.rhs_rel, rows, &group.y, |pos| holds(&yp_cols, pos))
+}
+
+/// A condition's `(column, symbol)` tests over `rel`'s cells; `None`
+/// when a constant is unknown to the interner — no tuple can match it.
+fn condition_cols<'a>(
+    cells: &Cells<'a>,
+    interner: &Interner,
+    rel: RelId,
+    cond: &[(AttrId, Value)],
+) -> Option<Vec<(Col<'a>, SymValue)>> {
+    cond.iter()
+        .map(|(a, v)| Some((cells.column(rel, *a), interner.sym_value(v)?)))
+        .collect()
+}
+
+/// Does position `pos` pass every test of a [`condition_cols`] result?
+fn holds(cols: &Option<Vec<(Col<'_>, SymValue)>>, pos: usize) -> bool {
+    cols.as_ref()
+        .is_some_and(|cols| cols.iter().all(|(col, s)| col.at(pos) == *s))
+}
+
+/// A compiled CFD member with its patterns translated into one
+/// interner's symbols.
 struct ReadyMember<'a> {
     pattern: Vec<Option<SymValue>>,
     rhs: AttrId,
@@ -1117,14 +1149,45 @@ struct ReadyMember<'a> {
     covers: Vec<(usize, Vec<Option<SymValue>>)>,
 }
 
-/// One conflict witness per tuple disagreeing with the key-group's
-/// first RHS value — the wildcard-RHS violation set of a group.
-///
-/// `positions` must arrive position-ascending (bulk-built [`SymIndex`]
-/// segments are; mutated groups must be sorted first) so the witness is
-/// the group's lowest position, the canonical batch report order.
-fn wildcard_pairs(positions: impl Iterator<Item = u32>, rhs_col: Col<'_>) -> Vec<(usize, usize)> {
-    wildcard_pairs_by(positions, |pos| rhs_col.at(pos as usize))
+impl<'a> ReadyMember<'a> {
+    /// Translates each member's LHS patterns into symbols once. A
+    /// constant string the interner has never seen cannot match any
+    /// tuple: the probe pattern (the most general among the member's
+    /// covers) being unknown drops the whole member, an individual
+    /// cover's extra constants being unknown drops just that cover. RHS
+    /// constants translate to `Err(value)` when unknown — every tuple of
+    /// a matching key-group then mismatches by definition.
+    fn translate(members: &'a [CfdMember], interner: &Interner) -> Vec<Self> {
+        let sym_pattern = |cells: &[Option<Value>]| -> Option<Vec<Option<SymValue>>> {
+            cells
+                .iter()
+                .map(|cell| match cell {
+                    None => Some(None),
+                    Some(v) => interner.sym_value(v).map(Some),
+                })
+                .collect()
+        };
+        members
+            .iter()
+            .filter_map(|m| {
+                let pattern = sym_pattern(&m.pattern)?;
+                let covers: Vec<(usize, Vec<Option<SymValue>>)> = m
+                    .covers
+                    .iter()
+                    .filter_map(|c| Some((c.idx, sym_pattern(&c.pattern)?)))
+                    .collect();
+                if covers.is_empty() {
+                    return None;
+                }
+                Some(ReadyMember {
+                    pattern,
+                    rhs: m.rhs,
+                    rhs_const: m.rhs_const.as_ref().map(|v| interner.sym_value(v).ok_or(v)),
+                    covers,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Does one cover's own symbolized pattern match a key-group's key?
@@ -1135,33 +1198,30 @@ pub(crate) fn cover_key_matches(pattern: &[Option<SymValue>], key: &[SymValue]) 
         .all(|(p, k)| p.is_none_or(|p| p == *k))
 }
 
-/// The one definition of the first-witness pairing rule, generic over
-/// how a position's RHS value is read — the batch sweep reads
-/// symbolized columns, the delta engine reads live tuples. Keeping a
-/// single implementation is what guarantees the stream/batch
-/// equivalence invariant cannot drift.
+/// The one definition of the wildcard-RHS pairing rule: every tuple of a
+/// key-group whose RHS value differs from the group's **lowest
+/// position**'s is paired with that witness. Positions may arrive in any
+/// order — a live index's groups lose their ascending order to overflow
+/// inserts and swap renumbering — so no read depends on storage order.
+/// Generic over how a position's RHS value is read (symbolized cells or
+/// live tuples); keeping a single implementation is what guarantees the
+/// stream/batch equivalence invariant cannot drift.
 pub(crate) fn wildcard_pairs_by<V, F>(
-    positions: impl Iterator<Item = u32>,
+    positions: impl Iterator<Item = u32> + Clone,
     value_at: F,
 ) -> Vec<(usize, usize)>
 where
-    V: PartialEq + Copy,
+    V: PartialEq,
     F: Fn(u32) -> V,
 {
-    let mut pairs = Vec::new();
-    let mut first: Option<(usize, V)> = None;
-    for pos in positions {
-        let v = value_at(pos);
-        match first {
-            None => first = Some((pos as usize, v)),
-            Some((fp, fv)) => {
-                if fv != v {
-                    pairs.push((fp, pos as usize));
-                }
-            }
-        }
-    }
-    pairs
+    let Some(witness) = positions.clone().min() else {
+        return Vec::new();
+    };
+    let expected = value_at(witness);
+    positions
+        .filter(|&pos| value_at(pos) != expected)
+        .map(|pos| (witness as usize, pos as usize))
+        .collect()
 }
 
 /// The symbolized cells group tasks read, both stores laid out over

@@ -1,14 +1,15 @@
 //! Dependencies from a configuration file: the `condep-dsl` front end.
 //!
 //! Defines the bank's target schema and conditional dependencies in the
-//! textual format, parses them, and runs the violation detectors against
-//! the Figure 1 instance — the workflow of a deployed data-quality tool.
+//! textual format, parses them, and validates the Figure 1 instance
+//! against them — the workflow of a deployed data-quality tool.
 //!
 //! Run with `cargo run --example constraints_from_text`.
 
 use condep::cind::normalize::normalize;
 use condep::dsl::{parse_document, print_document};
 use condep::model::{tuple, Database};
+use condep::validate::Validator;
 
 const CONSTRAINTS: &str = r#"
 // Target schema of Example 1.1.
@@ -60,32 +61,29 @@ fn main() {
         db.insert_into("interest", t).expect("well-typed");
     }
 
-    // Detect with the parsed constraints.
-    let psi6 = doc.cind("psi6").expect("named dependency");
-    let mut total = 0;
-    for n in normalize(psi6) {
-        for v in condep::cind::find_violations(&db, &n) {
-            let t = db
-                .relation(n.lhs_rel())
-                .get(v.tuple)
-                .expect("valid position");
-            println!("ψ6 violation: {t}");
-            total += 1;
-        }
-    }
+    // Detect with the parsed constraints: one batched sweep.
     let phi3 = doc.cfd("phi3").expect("named dependency");
-    for n in condep::cfd::normalize::normalize(phi3) {
-        for v in condep::cfd::find_violations(&db, &n) {
-            if let condep::cfd::CfdViolation::SingleTuple {
-                tuple,
-                found,
-                expected,
-            } = v
-            {
-                let t = db.relation(n.rel()).get(tuple).expect("valid position");
-                println!("ϕ3 violation: {t} (found {found}, expected {expected})");
-                total += 1;
-            }
+    let psi6 = doc.cind("psi6").expect("named dependency");
+    let validator = Validator::new(condep::cfd::normalize::normalize(phi3), normalize(psi6));
+    let report = validator.validate_sorted(&db);
+    let mut total = 0;
+    for (i, v) in &report.cind {
+        let rel = validator.cinds()[*i].lhs_rel();
+        let t = db.relation(rel).get(v.tuple).expect("valid position");
+        println!("ψ6 violation: {t}");
+        total += 1;
+    }
+    for (i, v) in &report.cfd {
+        if let condep::cfd::CfdViolation::SingleTuple {
+            tuple,
+            found,
+            expected,
+        } = v
+        {
+            let rel = validator.cfds()[*i].rel();
+            let t = db.relation(rel).get(*tuple).expect("valid position");
+            println!("ϕ3 violation: {t} (found {found}, expected {expected})");
+            total += 1;
         }
     }
     assert_eq!(total, 2, "t10 via ψ6 and t12 via ϕ3");

@@ -11,7 +11,7 @@ use condep::cfd::fixtures as cfd_fixtures;
 use condep::cind::fixtures as cind_fixtures;
 use condep::cind::{normalize, satisfy};
 use condep::model::fixtures::{bank_database, bank_schema, clean_bank_database};
-use condep::report::QualitySuite;
+use condep::report::{QualitySuite, Violation};
 
 fn main() {
     let schema = bank_schema();
@@ -53,17 +53,7 @@ fn main() {
         condep::cfd::satisfy::satisfies(&db, &phi3)
     );
 
-    // Pinpoint the dirty tuples.
-    let psi6 = normalize::normalize(&cind_fixtures::psi6());
-    let violations = condep::cind::find_violations(&db, &psi6[0]);
-    let checking = schema.rel_id("checking").expect("relation exists");
-    println!("--- ψ6 violations (the EDI row of T6) ---");
-    for v in &violations {
-        let t = db.relation(checking).get(v.tuple).expect("valid position");
-        println!("  violating tuple (t10): {t}");
-    }
-
-    // The aggregated report.
+    // The aggregated report: one batched sweep over all of Σ.
     let suite = QualitySuite::new(
         schema.clone(),
         &[
@@ -73,8 +63,30 @@ fn main() {
         ],
         &cind_fixtures::figure_2(),
     );
+    let report = suite.check(&db);
+
+    // Pinpoint the dirty tuples in the report.
+    let psi6_edi = &normalize::normalize(&cind_fixtures::psi6())[0];
+    println!("--- ψ6 violations (the EDI row of T6) ---");
+    for v in &report.violations {
+        if let Violation::Cind {
+            constraint,
+            violation,
+            rel,
+        } = v
+        {
+            if &suite.cinds()[*constraint] == psi6_edi {
+                let t = db
+                    .relation(*rel)
+                    .get(violation.tuple)
+                    .expect("valid position");
+                println!("  violating tuple (t10): {t}");
+            }
+        }
+    }
+
     println!("\n--- Quality report: dirty instance ---");
-    print!("{}", suite.check(&db));
+    print!("{report}");
     println!("--- Quality report: corrected instance (t12 → 1.5%) ---");
     print!("{}", suite.check(&clean_bank_database()));
 }

@@ -14,7 +14,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍` |
-//! | [`query`] | in-memory execution engine: predicates, hash indexes, select/project/join/anti-join, logical plans |
+//! | [`query`] | `SymIndex`: the compact-key group-by index over interned values that validation, the delta engine and discovery build on |
 //! | [`sat`] | DPLL SAT solver (stands in for SAT4j) |
 //! | [`analyze`] | **static analysis of Σ**: SAT-backed consistency verdicts (`Sat` + witness database, `Unsat` + minimal core in Σ indices, `Unknown` on budget), a budgeted CFD+CIND chase, and the advisory `SigmaLint` catalogue — the pre-flight gate behind `Validator::strict`, discovery's keep stage and `repair()` |
 //! | [`cfd`] | CFDs: syntax, normal form, satisfaction, violations, exact consistency & implication |

@@ -277,9 +277,6 @@ proptest! {
                 violations.is_empty(),
                 satisfy::satisfies_normal(&db, &n)
             );
-            // The plan-based detector agrees.
-            let via_plan = condep::cind::violations::find_violations_via_plan(&db, &n);
-            prop_assert_eq!(violations.is_empty(), via_plan.is_empty());
         }
     }
 
@@ -305,6 +302,84 @@ proptest! {
                 prop_assert!(satisfy::satisfies_normal(&bigger, n));
             }
         }
+    }
+}
+
+// ----------------------------------------------- CFD semantics invariants
+
+/// A three-column relation for CFD semantic properties.
+fn cfd_schema() -> Arc<Schema> {
+    Arc::new(
+        Schema::builder()
+            .relation(
+                "r",
+                &[
+                    ("a", Domain::string()),
+                    ("b", Domain::string()),
+                    ("c", Domain::string()),
+                ],
+            )
+            .finish(),
+    )
+}
+
+fn arb_cfd_db() -> impl Strategy<Value = Database> {
+    let row = (arb_small_value(), arb_small_value(), arb_small_value());
+    proptest::collection::vec(row, 0..8).prop_map(|rows| {
+        let mut db = Database::empty(cfd_schema());
+        let r = db.schema().rel_id("r").unwrap();
+        for (a, b, c) in rows {
+            db.insert(r, Tuple::new([a, b, c])).unwrap();
+        }
+        db
+    })
+}
+
+/// A random normal CFD over `r`: any subset of the non-RHS columns as
+/// LHS (∅ included), each LHS cell a wildcard or a constant, and a
+/// wildcard or constant RHS.
+fn arb_normal_cfd() -> impl Strategy<Value = condep::cfd::NormalCfd> {
+    let cell = || {
+        prop_oneof![
+            Just(PValue::Any),
+            Just(PValue::constant("v0")),
+            Just(PValue::constant("v1")),
+        ]
+    };
+    (0usize..3, 0u8..4, cell(), cell(), cell()).prop_map(|(rhs, lhs_mask, p0, p1, rhs_pat)| {
+        let names = ["a", "b", "c"];
+        let lhs: Vec<&str> = (0..3)
+            .filter(|&i| i != rhs)
+            .enumerate()
+            .filter(|(bit, _)| lhs_mask >> bit & 1 == 1)
+            .map(|(_, i)| names[i])
+            .collect();
+        let row = PatternRow::new([p0, p1].into_iter().take(lhs.len()).collect::<Vec<_>>());
+        condep::cfd::NormalCfd::parse(&cfd_schema(), "r", &lhs, row, names[rhs], rhs_pat).unwrap()
+    })
+}
+
+proptest! {
+    /// The CFD twin of `violations_iff_not_satisfied`: the reference
+    /// detector finds nothing exactly when the hash-grouped check
+    /// passes, and the set-level check is the conjunction of the
+    /// per-CFD checks.
+    #[test]
+    fn cfd_violations_iff_not_satisfied(
+        db in arb_cfd_db(),
+        set in proptest::collection::vec(arb_normal_cfd(), 1..4),
+    ) {
+        use condep::cfd::satisfy::{satisfies_all, satisfies_normal};
+        for n in &set {
+            prop_assert_eq!(
+                condep::cfd::find_violations(&db, n).is_empty(),
+                satisfies_normal(&db, n)
+            );
+        }
+        prop_assert_eq!(
+            satisfies_all(&db, &set),
+            set.iter().all(|n| satisfies_normal(&db, n))
+        );
     }
 }
 
