@@ -11,18 +11,18 @@
 //! from a relation whose CFD set is satisfiable, then close CIND
 //! obligations — a triggered CIND pins the target tuple's `Y` cells to
 //! the source's `X` projection plus the `Yp` constants, and the pinned
-//! single-tuple SAT encoding ([`crate::encode`]) searches for a target
-//! tuple satisfying the target relation's CFDs under those pins. Any
-//! contradiction between two obligations on the same relation (each
-//! relation holds one tuple) aborts the attempt.
+//! single-tuple SAT encoding of `condep_cfd::consistency` searches for
+//! a target tuple satisfying the target relation's CFDs under those
+//! pins. Any contradiction between two obligations on the same relation
+//! (each relation holds one tuple) aborts the attempt.
 
+use condep_cfd::consistency::{relation_consistency_pinned, RelationVerdict};
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::{AttrId, Database, RelId, Schema, Tuple, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::encode::{relation_consistency_pinned, RelationVerdict};
 use crate::AnalyzeConfig;
 
 /// Try to close all CIND obligations starting from `(start, seed)`.
@@ -97,7 +97,7 @@ pub(crate) fn chase(
                 &group,
                 &pins,
                 avoid_rel,
-                config,
+                config.max_conflicts,
             ) {
                 RelationVerdict::Sat(u) => {
                     occupied.insert(cind.rhs_rel(), u);

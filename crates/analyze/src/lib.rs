@@ -6,11 +6,11 @@
 //! it undecidable (Theorem 4.2). This crate turns those theorems into
 //! an engineering contract:
 //!
-//! - **CFD-only Σ** is decided *exactly* by a SAT encoding over a
-//!   single hypothetical tuple per relation ([`relation_consistency`]),
-//!   with a satisfying witness database on `Sat` and a **minimal**
-//!   unsat core (deletion-shrunk; every proper subset satisfiable) on
-//!   `Unsat`.
+//! - **CFD-only Σ** is decided *exactly* by the SAT decider of
+//!   `condep_cfd::consistency`, over a single hypothetical tuple per
+//!   relation, with a satisfying witness database on `Sat` and a
+//!   **minimal** unsat core (deletion-shrunk; every proper subset
+//!   satisfiable) on `Unsat`.
 //! - **CFD + CIND Σ** runs a budgeted chase that closes CIND
 //!   obligations one tuple per relation; when the budget trips or the
 //!   shape outgrows the search, the verdict is [`SigmaVerdict::Unknown`]
@@ -19,19 +19,18 @@
 //!   rows on a key group, unreachable patterns, impossible CIND
 //!   conditions) independent of the verdict.
 //!
-//! The analyzer is dependency-light (model + cfd + core + sat only) so
-//! every layer above — validate, discover, repair, bench — can gate on
-//! it without cycles.
+//! The analyzer is dependency-light (model + cfd + core only) so every
+//! layer above — validate, discover, repair, bench — can gate on it
+//! without cycles.
 
 #![warn(missing_docs)]
 
 mod chase;
-mod encode;
 mod lint;
 
-pub use encode::{relation_consistency, RelationVerdict};
 pub use lint::SigmaLint;
 
+use condep_cfd::consistency::{relation_consistency_pinned, RelationVerdict};
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::{AttrId, Database, RelId, Schema, Value};
@@ -181,8 +180,8 @@ pub fn row_lints(cfds: &[NormalCfd], config: &AnalyzeConfig) -> Vec<SigmaLint> {
 /// catalogue.
 ///
 /// A Σ is *consistent* iff some **nonempty** database satisfies every
-/// dependency — the same semantics as
-/// `condep_cfd::consistency::set_consistent_exact`. Verdict contract:
+/// dependency; with CFDs only, iff some relation's CFDs pass
+/// `condep_cfd::consistency::relation_consistency`. Verdict contract:
 ///
 /// - `Sat(w)`: `w.db` is nonempty and satisfies every CFD and CIND
 ///   (verified before returning).
@@ -226,7 +225,8 @@ pub fn analyze(
             .filter(|(_, c)| c.rel() == rel)
             .collect();
         let avoid_rel = avoid.get(&rel).unwrap_or(&empty);
-        match encode::relation_consistency_pinned(schema, rel, &group, &[], avoid_rel, config) {
+        let max_conflicts = config.max_conflicts;
+        match relation_consistency_pinned(schema, rel, &group, &[], avoid_rel, max_conflicts) {
             RelationVerdict::Sat(t) => witnesses.push((rel, t)),
             RelationVerdict::Unsat(core) => cores.extend(core),
             RelationVerdict::Unknown => any_unknown = true,

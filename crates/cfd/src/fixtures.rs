@@ -148,13 +148,15 @@ mod tests {
 
     #[test]
     fn example_3_2_cfds_are_individually_satisfiable() {
-        use crate::consistency::{consistent_exact, Verdict};
+        use crate::consistency::{relation_consistency, RelationVerdict};
         let (schema, cfds) = example_3_2();
         let rel = schema.rel_id("r").unwrap();
         for cfd in &cfds {
-            assert_eq!(
-                consistent_exact(&schema, rel, std::slice::from_ref(cfd), None),
-                Verdict::Consistent,
+            assert!(
+                matches!(
+                    relation_consistency(&schema, rel, &[(0, cfd)], None),
+                    RelationVerdict::Sat(_)
+                ),
                 "each Example 3.2 CFD alone must be consistent"
             );
         }

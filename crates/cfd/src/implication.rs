@@ -2,327 +2,39 @@
 //!
 //! `Σ |= φ` iff every instance satisfying `Σ` also satisfies `φ`. For
 //! CFDs this is coNP-complete in general and O(n²) without finite-domain
-//! attributes (Section 4, citing the companion CFD paper). Both exact
-//! procedures are provided:
+//! attributes (Section 4, citing the companion CFD paper).
 //!
-//! * [`implies_infinite`] — a two-tuple *template chase*: build the most
-//!   general pair of tuples witnessing `φ`'s premise, close it under the
-//!   CFDs of `Σ`, and read off whether the conclusion is forced. Sound
-//!   and complete when no mentioned attribute has a finite domain
-//!   (fresh values can then always avoid pattern constants).
-//! * [`implies_exhaustive`] — complete counterexample enumeration over
-//!   canonical small instances (violations of a CFD involve at most two
-//!   tuples, and only constants from the constraints plus two fresh
-//!   values per attribute — or the whole domain when finite — can
-//!   matter). Worst-case exponential, with an explicit budget.
-//!
-//! A violation of `φ` involves tuples of `φ`'s relation only, and CFDs
-//! are intra-relational, so both procedures restrict `Σ` to that
-//! relation.
+//! A violation of `φ` involves one or two tuples of `φ`'s relation, CFD
+//! satisfaction is closed under sub-instances, and CFDs are
+//! intra-relational. So `Σ ⊭ φ` iff an instance of at most two tuples
+//! of `φ`'s relation satisfies `Σ`'s rows on that relation and violates
+//! `φ`. [`implies`] asks exactly that of the two-tuple SAT encoding in
+//! [`crate::consistency`], over finite and infinite domains alike.
 
-use crate::satisfy::satisfies_all;
 use crate::syntax::NormalCfd;
-use condep_model::{Database, PValue, Schema, Tuple, Value};
-use std::collections::BTreeSet;
+use condep_model::Schema;
 use std::sync::Arc;
 
 pub use condep_model::implication::{Implication, ImplicationConfig};
 
-/// A template cell: a known constant or a named placeholder.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum TVal {
-    Const(Value),
-    Var(u32),
-}
-
-/// The two-tuple template chase; complete when no mentioned attribute has
-/// a finite domain.
-pub fn implies_infinite(schema: &Schema, sigma: &[NormalCfd], phi: &NormalCfd) -> bool {
-    let rel = phi.rel();
-    let sigma_on_rel: Vec<&NormalCfd> = sigma.iter().filter(|c| c.rel() == rel).collect();
-    let arity = schema.relation(rel).map(|rs| rs.arity()).unwrap_or(0);
-
-    // Most general premise pair: constants where φ's LHS pattern has
-    // them, a shared variable per wildcard LHS cell, distinct variables
-    // elsewhere.
-    let mut t1: Vec<TVal> = (0..arity as u32).map(TVal::Var).collect();
-    let mut t2: Vec<TVal> = (arity as u32..2 * arity as u32).map(TVal::Var).collect();
-    for (pos, a) in phi.lhs().iter().enumerate() {
-        match phi.lhs_pat().cell(pos) {
-            PValue::Const(c) => {
-                t1[a.index()] = TVal::Const(c.clone());
-                t2[a.index()] = TVal::Const(c.clone());
-            }
-            PValue::Any => {
-                t2[a.index()] = t1[a.index()].clone();
-            }
-        }
-    }
-
-    // Substitute `Var(v) := to` across both tuples.
-    fn subst(t1: &mut [TVal], t2: &mut [TVal], v: u32, to: &TVal) {
-        for cell in t1.iter_mut().chain(t2.iter_mut()) {
-            if *cell == TVal::Var(v) {
-                *cell = to.clone();
-            }
-        }
-    }
-
-    /// Does the tuple definitely match the CFD's LHS pattern? Variables
-    /// never match constants (they will take fresh values).
-    fn matched(t: &[TVal], cfd: &NormalCfd) -> bool {
-        cfd.lhs()
-            .iter()
-            .zip(cfd.lhs_pat().cells())
-            .all(|(a, cell)| match cell {
-                PValue::Any => true,
-                PValue::Const(c) => t[a.index()] == TVal::Const(c.clone()),
-            })
-    }
-
-    // Chase to fixpoint. Every productive step removes a variable, so
-    // this terminates after at most 2·arity rounds.
-    loop {
-        let mut changed = false;
-        for cfd in &sigma_on_rel {
-            let a = cfd.rhs().index();
-            // Single-tuple rule: a matching tuple must carry the RHS
-            // constant.
-            if let PValue::Const(c) = cfd.rhs_pat() {
-                for which in 0..2 {
-                    let t_matched = if which == 0 {
-                        matched(&t1, cfd)
-                    } else {
-                        matched(&t2, cfd)
-                    };
-                    if !t_matched {
-                        continue;
-                    }
-                    let cell = if which == 0 {
-                        t1[a].clone()
-                    } else {
-                        t2[a].clone()
-                    };
-                    match cell {
-                        TVal::Const(ref b) if b == c => {}
-                        TVal::Const(_) => return true, // contradiction ⇒ no counterexample
-                        TVal::Var(v) => {
-                            subst(&mut t1, &mut t2, v, &TVal::Const(c.clone()));
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            // Pair rule: if the tuples agree on X and match the pattern,
-            // they must agree on A.
-            let agree_on_x = cfd.lhs().iter().all(|x| t1[x.index()] == t2[x.index()]);
-            if agree_on_x && matched(&t1, cfd) && t1[a] != t2[a] {
-                match (t1[a].clone(), t2[a].clone()) {
-                    (TVal::Const(_), TVal::Const(_)) => return true, // contradiction
-                    (TVal::Var(v), other) => {
-                        subst(&mut t1, &mut t2, v, &other);
-                        changed = true;
-                    }
-                    (other, TVal::Var(v)) => {
-                        subst(&mut t1, &mut t2, v, &other);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Conclusion: t1[A] = t2[A] ≍ tp[A] must already be forced.
-    let a = phi.rhs().index();
-    if t1[a] != t2[a] {
-        return false;
-    }
-    match phi.rhs_pat() {
-        PValue::Any => true,
-        PValue::Const(c) => t1[a] == TVal::Const(c.clone()),
-    }
-}
-
-/// Candidate values for one attribute of the counterexample search:
-/// the whole domain when finite, otherwise the mentioned constants plus
-/// two fresh values.
-fn candidate_values(
-    schema: &Schema,
-    rel: condep_model::RelId,
-    attr: condep_model::AttrId,
-    deps: &[&NormalCfd],
-) -> Vec<Value> {
-    let attr_meta = schema
-        .relation(rel)
-        .and_then(|rs| rs.attribute(attr).cloned())
-        .expect("attribute in range");
-    if let Some(values) = attr_meta.domain().values() {
-        return values.to_vec();
-    }
-    let mut consts: BTreeSet<Value> = BTreeSet::new();
-    for d in deps {
-        for (a, v) in d.pattern_constants() {
-            if a == attr {
-                consts.insert(v);
-            }
-        }
-    }
-    let mut out: Vec<Value> = consts.into_iter().collect();
-    let f1 = attr_meta
-        .domain()
-        .fresh_value(&out)
-        .expect("infinite domain");
-    out.push(f1);
-    let f2 = attr_meta
-        .domain()
-        .fresh_value(&out)
-        .expect("infinite domain");
-    out.push(f2);
-    out
-}
-
-/// Complete (budgeted) counterexample enumeration.
-///
-/// Enumerates every one- and two-tuple instance of `φ`'s relation over
-/// canonical values; returns [`Implication::NotImplied`] on the first
-/// instance satisfying `Σ` but violating `φ`, [`Implication::Implied`]
-/// when the space is exhausted, and [`Implication::Unknown`] when more
-/// than `config.max_instances` candidates would be needed.
-pub fn implies_exhaustive(
-    schema: &Arc<Schema>,
-    sigma: &[NormalCfd],
-    phi: &NormalCfd,
-    config: ImplicationConfig,
-) -> Implication {
-    let max_instances = config.max_instances;
-    let rel = phi.rel();
-    let mut deps: Vec<&NormalCfd> = sigma.iter().filter(|c| c.rel() == rel).collect();
-    deps.push(phi);
-    let arity = schema.relation(rel).map(|rs| rs.arity()).unwrap_or(0);
-    let cands: Vec<Vec<Value>> = (0..arity)
-        .map(|i| candidate_values(schema, rel, condep_model::AttrId(i as u32), &deps))
-        .collect();
-
-    let sigma_on_rel: Vec<NormalCfd> = sigma.iter().filter(|c| c.rel() == rel).cloned().collect();
-
-    let mut tried: u64 = 0;
-    let mut counterexample_found = false;
-    let mut budget_hit = false;
-    enumerate_tuples(&cands, &mut |first: &Tuple| {
-        // One-tuple instances, then all pairs with this first tuple.
-        let mut check = |tuples: &[Tuple]| -> bool {
-            if let Some(max) = max_instances {
-                if tried >= max {
-                    budget_hit = true;
-                    return true; // stop
-                }
-            }
-            tried += 1;
-            let mut db = Database::empty(schema.clone());
-            for t in tuples {
-                db.insert(rel, t.clone()).expect("candidate well-typed");
-            }
-            if satisfies_all(&db, &sigma_on_rel) && !crate::satisfy::satisfies_normal(&db, phi) {
-                counterexample_found = true;
-                return true; // stop
-            }
-            false
-        };
-        if check(std::slice::from_ref(first)) {
-            return true;
-        }
-        let mut stop = false;
-        enumerate_tuples(&cands, &mut |second: &Tuple| {
-            if check(&[first.clone(), second.clone()]) {
-                stop = true;
-                return true;
-            }
-            false
-        });
-        stop
-    });
-
-    if counterexample_found {
-        Implication::NotImplied
-    } else if budget_hit {
-        Implication::Unknown
-    } else {
-        Implication::Implied
-    }
-}
-
-/// Odometer enumeration of tuples over per-attribute candidate sets;
-/// `visit` returns `true` to stop early.
-fn enumerate_tuples(cands: &[Vec<Value>], visit: &mut dyn FnMut(&Tuple) -> bool) {
-    let mut counters = vec![0usize; cands.len()];
-    loop {
-        let t = Tuple::new(
-            counters
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| cands[i][c].clone()),
-        );
-        if visit(&t) {
-            return;
-        }
-        let mut i = 0;
-        loop {
-            if i == counters.len() {
-                return;
-            }
-            counters[i] += 1;
-            if counters[i] < cands[i].len() {
-                break;
-            }
-            counters[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-/// Do the dependencies mention any finite-domain attribute?
-pub fn mentions_finite_attr(schema: &Schema, deps: &[&NormalCfd]) -> bool {
-    deps.iter().any(|d| {
-        let rs = match schema.relation(d.rel()) {
-            Ok(rs) => rs,
-            Err(_) => return false,
-        };
-        d.lhs()
-            .iter()
-            .chain([&d.rhs()])
-            .any(|a| rs.attribute(*a).map(|at| at.is_finite()).unwrap_or(false))
-    })
-}
-
-/// Dispatching implication check: the polynomial template chase when no
-/// finite-domain attribute is mentioned, otherwise budgeted exhaustive
-/// search.
+/// Decides `Σ |= φ`: [`Implication::Implied`] when no instance of one or
+/// two tuples satisfies `Σ` and violates `φ`,
+/// [`Implication::NotImplied`] when one does, and
+/// [`Implication::Unknown`] when the SAT conflict budget
+/// `config.max_conflicts` trips first.
 pub fn implies(
     schema: &Arc<Schema>,
     sigma: &[NormalCfd],
     phi: &NormalCfd,
     config: ImplicationConfig,
 ) -> Implication {
-    let mut deps: Vec<&NormalCfd> = sigma.iter().filter(|c| c.rel() == phi.rel()).collect();
-    deps.push(phi);
-    if !mentions_finite_attr(schema, &deps) {
-        if implies_infinite(schema, sigma, phi) {
-            Implication::Implied
-        } else {
-            Implication::NotImplied
-        }
-    } else {
-        implies_exhaustive(schema, sigma, phi, config)
-    }
+    crate::consistency::implication(schema, sigma, phi, config.max_conflicts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condep_model::{prow, Domain, PatternRow};
+    use condep_model::{prow, Domain, PValue, PatternRow, Value};
 
     fn abc_schema() -> Arc<Schema> {
         Arc::new(
@@ -344,17 +56,18 @@ mod tests {
         .unwrap()
     }
 
+    /// The unbounded verdict.
+    fn verdict(schema: &Arc<Schema>, sigma: &[NormalCfd], phi: &NormalCfd) -> Implication {
+        implies(schema, sigma, phi, ImplicationConfig::unbounded())
+    }
+
     #[test]
     fn fd_transitivity_is_implied() {
         // {A→B, B→C} |= A→C (classical Armstrong transitivity).
         let schema = abc_schema();
         let sigma = vec![fd(&schema, &["a"], "b"), fd(&schema, &["b"], "c")];
         let phi = fd(&schema, &["a"], "c");
-        assert!(implies_infinite(&schema, &sigma, &phi));
-        assert_eq!(
-            implies(&schema, &sigma, &phi, ImplicationConfig::unbounded()),
-            Implication::Implied
-        );
+        assert_eq!(verdict(&schema, &sigma, &phi), Implication::Implied);
     }
 
     #[test]
@@ -362,11 +75,7 @@ mod tests {
         let schema = abc_schema();
         let sigma = vec![fd(&schema, &["a"], "b")];
         let phi = fd(&schema, &["b"], "a");
-        assert!(!implies_infinite(&schema, &sigma, &phi));
-        assert_eq!(
-            implies_exhaustive(&schema, &sigma, &phi, ImplicationConfig::unbounded()),
-            Implication::NotImplied
-        );
+        assert_eq!(verdict(&schema, &sigma, &phi), Implication::NotImplied);
     }
 
     #[test]
@@ -375,7 +84,7 @@ mod tests {
         let schema = abc_schema();
         let phi =
             NormalCfd::parse(&schema, "r", &["a", "b"], prow![_, _], "a", PValue::Any).unwrap();
-        assert!(implies_infinite(&schema, &[], &phi));
+        assert_eq!(verdict(&schema, &[], &phi), Implication::Implied);
     }
 
     #[test]
@@ -386,13 +95,14 @@ mod tests {
             NormalCfd::parse(&schema, "r", &["a"], prow!["x"], "b", PValue::constant("y")).unwrap();
         let c2 =
             NormalCfd::parse(&schema, "r", &["b"], prow!["y"], "c", PValue::constant("z")).unwrap();
+        let sigma = [c1, c2];
         let phi =
             NormalCfd::parse(&schema, "r", &["a"], prow!["x"], "c", PValue::constant("z")).unwrap();
-        assert!(implies_infinite(&schema, &[c1.clone(), c2.clone()], &phi));
+        assert_eq!(verdict(&schema, &sigma, &phi), Implication::Implied);
         // A different target constant is not implied.
         let phi_bad =
             NormalCfd::parse(&schema, "r", &["a"], prow!["x"], "c", PValue::constant("w")).unwrap();
-        assert!(!implies_infinite(&schema, &[c1, c2], &phi_bad));
+        assert_eq!(verdict(&schema, &sigma, &phi_bad), Implication::NotImplied);
     }
 
     #[test]
@@ -402,44 +112,11 @@ mod tests {
         let schema = abc_schema();
         let sigma = vec![fd(&schema, &["a"], "b")];
         let phi = NormalCfd::parse(&schema, "r", &["a"], prow!["x"], "b", PValue::Any).unwrap();
-        assert!(implies_infinite(&schema, &sigma, &phi));
+        assert_eq!(verdict(&schema, &sigma, &phi), Implication::Implied);
         // The converse fails: the refinement does not imply the full FD.
         let sigma2 = vec![phi];
         let phi2 = fd(&schema, &["a"], "b");
-        assert!(!implies_infinite(&schema, &sigma2, &phi2));
-    }
-
-    #[test]
-    fn exhaustive_agrees_with_chase_on_infinite_inputs() {
-        let schema = abc_schema();
-        let cases: Vec<(Vec<NormalCfd>, NormalCfd)> = vec![
-            (
-                vec![fd(&schema, &["a"], "b"), fd(&schema, &["b"], "c")],
-                fd(&schema, &["a"], "c"),
-            ),
-            (vec![fd(&schema, &["a"], "b")], fd(&schema, &["b"], "a")),
-            (
-                vec![NormalCfd::parse(
-                    &schema,
-                    "r",
-                    &["a"],
-                    prow!["x"],
-                    "b",
-                    PValue::constant("y"),
-                )
-                .unwrap()],
-                NormalCfd::parse(&schema, "r", &["a"], prow!["x"], "b", PValue::Any).unwrap(),
-            ),
-        ];
-        for (sigma, phi) in cases {
-            let chase = implies_infinite(&schema, &sigma, &phi);
-            let brute = implies_exhaustive(&schema, &sigma, &phi, ImplicationConfig::unbounded());
-            assert_eq!(
-                chase,
-                brute == Implication::Implied,
-                "disagreement on {sigma:?} |= {phi:?}"
-            );
-        }
+        assert_eq!(verdict(&schema, &sigma2, &phi2), Implication::NotImplied);
     }
 
     #[test]
@@ -447,68 +124,110 @@ mod tests {
         // dom(A) = {0,1}. Σ = {(A=0 → B=x), (A=1 → B=x)}.
         // Σ |= (nil → B=x)?  Over an infinite A it would NOT be implied
         // (pick A outside {0,1}); over the finite domain it IS.
+        let verdict_over = |a_dom: Domain| {
+            let schema = Arc::new(
+                Schema::builder()
+                    .relation("r", &[("a", a_dom), ("b", Domain::string())])
+                    .finish(),
+            );
+            let mk = |v: i64| {
+                NormalCfd::parse(
+                    &schema,
+                    "r",
+                    &["a"],
+                    PatternRow::new([PValue::constant(Value::int(v))]),
+                    "b",
+                    PValue::constant("x"),
+                )
+                .unwrap()
+            };
+            let sigma = vec![mk(0), mk(1)];
+            let phi =
+                NormalCfd::parse(&schema, "r", &[], prow![], "b", PValue::constant("x")).unwrap();
+            verdict(&schema, &sigma, &phi)
+        };
+        assert_eq!(verdict_over(Domain::finite_ints(2)), Implication::Implied);
+        assert_eq!(verdict_over(Domain::integer()), Implication::NotImplied);
+    }
+
+    #[test]
+    fn finite_domain_case_split_on_pairs() {
+        // dom(A) = {0,1}. Σ = {(AB → C, (0, _ ‖ _)), (AB → C, (1, _ ‖ _))}
+        // covers every A value, so Σ |= AB → C; two tuples that differ
+        // on A still refute B → C.
         let schema = Arc::new(
             Schema::builder()
                 .relation(
                     "r",
-                    &[("a", Domain::finite_ints(2)), ("b", Domain::string())],
+                    &[
+                        ("a", Domain::finite_ints(2)),
+                        ("b", Domain::string()),
+                        ("c", Domain::string()),
+                    ],
                 )
                 .finish(),
         );
-        let mk = |v: i64| {
-            NormalCfd::parse(
-                &schema,
-                "r",
-                &["a"],
-                PatternRow::new([PValue::constant(Value::int(v))]),
-                "b",
-                PValue::constant("x"),
-            )
-            .unwrap()
+        let row = |v: i64| {
+            let pat = PatternRow::new([PValue::constant(Value::int(v)), PValue::Any]);
+            NormalCfd::parse(&schema, "r", &["a", "b"], pat, "c", PValue::Any).unwrap()
         };
-        let sigma = vec![mk(0), mk(1)];
-        let phi = NormalCfd::parse(&schema, "r", &[], prow![], "b", PValue::constant("x")).unwrap();
-        // The dispatcher must pick the exhaustive path and find implication.
+        let sigma = vec![row(0), row(1)];
         assert_eq!(
-            implies(&schema, &sigma, &phi, ImplicationConfig::unbounded()),
+            verdict(&schema, &sigma, &fd(&schema, &["a", "b"], "c")),
             Implication::Implied
         );
-        // The chase alone (wrongly, here) reports non-implication —
-        // demonstrating why the finite-domain case needs the case split.
-        assert!(!implies_infinite(&schema, &sigma, &phi));
+        assert_eq!(
+            verdict(&schema, &sigma, &fd(&schema, &["b"], "c")),
+            Implication::NotImplied
+        );
+    }
+
+    #[test]
+    fn a_fresh_cell_never_agrees_with_a_constant() {
+        // dom(A) = {a, b}, B a string. Σ = {(A=a → B=p), (B=p → A, _)}.
+        // Two tuples agreeing on B agree on A: on B = p by the second
+        // row; on a fresh B neither can take A = a, so both take b.
+        // The refutation `t1 = (b, fresh)`, `t2 = (a, p)` would need the
+        // pair's equality variable to equate a fresh value with p.
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("a", Domain::finite_strs(&["a", "b"])),
+                        ("b", Domain::string()),
+                    ],
+                )
+                .finish(),
+        );
+        let sigma = vec![
+            NormalCfd::parse(&schema, "r", &["a"], prow!["a"], "b", PValue::constant("p")).unwrap(),
+            NormalCfd::parse(&schema, "r", &["b"], prow!["p"], "a", PValue::Any).unwrap(),
+        ];
+        let phi = NormalCfd::parse(&schema, "r", &["b"], prow![_], "a", PValue::Any).unwrap();
+        assert_eq!(verdict(&schema, &sigma, &phi), Implication::Implied);
     }
 
     #[test]
     fn budget_exhaustion_reports_unknown() {
-        let schema = Arc::new(
-            Schema::builder()
-                .relation(
-                    "r",
-                    &[("a", Domain::finite_ints(2)), ("b", Domain::string())],
-                )
-                .finish(),
-        );
-        let phi = NormalCfd::parse(&schema, "r", &[], prow![], "b", PValue::constant("x")).unwrap();
+        // Transitivity needs the solver to refute the pair encoding; a
+        // zero conflict budget cannot.
+        let schema = abc_schema();
+        let sigma = vec![fd(&schema, &["a"], "b"), fd(&schema, &["b"], "c")];
+        let phi = fd(&schema, &["a"], "c");
+        let starved = ImplicationConfig {
+            max_conflicts: Some(0),
+            ..ImplicationConfig::default()
+        };
         assert_eq!(
-            implies_exhaustive(
-                &schema,
-                &[],
-                &phi,
-                ImplicationConfig::with_max_instances(10)
-            ),
-            Implication::NotImplied,
-            "a small candidate instance refutes (nil → B=x) from ∅"
-        );
-        // An implied CFD with a tiny budget cannot be confirmed.
-        let phi2 = NormalCfd::parse(&schema, "r", &["b"], prow![_], "b", PValue::Any).unwrap();
-        assert_eq!(
-            implies_exhaustive(
-                &schema,
-                &[],
-                &phi2,
-                ImplicationConfig::with_max_instances(1)
-            ),
+            implies(&schema, &sigma, &phi, starved),
             Implication::Unknown
+        );
+        // A counterexample found without a conflict needs no budget.
+        let phi_rev = fd(&schema, &["c"], "a");
+        assert_eq!(
+            implies(&schema, &sigma, &phi_rev, starved),
+            Implication::NotImplied
         );
     }
 
@@ -522,6 +241,6 @@ mod tests {
         );
         let on_s = NormalCfd::parse(&schema, "s", &["c"], prow![_], "d", PValue::Any).unwrap();
         let phi = NormalCfd::parse(&schema, "r", &["a"], prow![_], "b", PValue::Any).unwrap();
-        assert!(!implies_infinite(&schema, &[on_s], &phi));
+        assert_eq!(verdict(&schema, &[on_s], &phi), Implication::NotImplied);
     }
 }

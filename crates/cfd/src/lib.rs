@@ -20,9 +20,11 @@
 //!
 //! This crate provides the full substrate: syntax ([`syntax`]), normal
 //! form ([`normalize`](mod@normalize)), satisfaction & violation detection
-//! ([`satisfy`], [`violations`]), exact consistency analysis
-//! ([`consistency`]), exact implication analysis ([`implication`]), and
-//! the paper's CFD fixtures ([`fixtures`]). The *heuristic* consistency
+//! ([`satisfy`], [`violations`]), and the paper's CFD fixtures
+//! ([`fixtures`]). Both static questions go to one exact SAT decider
+//! ([`consistency`], on `condep-sat`): consistency over one symbolic
+//! tuple, and implication ([`implication`]) over two, because a CFD
+//! violation involves at most two tuples. The *heuristic* consistency
 //! procedures of Section 5 (which interleave CFDs with CINDs) live in
 //! `condep-consistency`.
 

@@ -15,6 +15,7 @@
 //!   encoding (exactly-one constraints over whole finite domains), which
 //!   is why it scales worse in Figure 10(a).
 
+use condep_cfd::consistency::{relation_consistency, RelationVerdict};
 use condep_cfd::NormalCfd;
 use condep_model::{AttrId, PValue, RelId, Schema, Tuple, Value};
 use rand::Rng;
@@ -247,27 +248,22 @@ impl<R: Rng> CfdChecker for ChaseCfdChecker<R> {
 /// clause `⋀ premise vars → conclusion var`. Complete, since single-tuple
 /// satisfaction depends only on which pattern constants the tuple hits.
 ///
-/// The encoding itself lives in `condep-analyze` — this checker is a
-/// thin adapter over [`condep_analyze::relation_consistency`], so the
-/// repo has exactly one SAT encoding of per-relation CFD consistency
-/// (shared with the Σ lint pass, `Validator::analysis`, and discovery's
-/// keep stage). Runs the solver without a conflict budget, preserving
-/// this checker's completeness contract.
+/// The checker calls the repo's one CFD decider,
+/// [`condep_cfd::consistency::relation_consistency`] — the same
+/// encoding the Σ analyzer, `Validator::analysis`, discovery's keep
+/// stage and CFD implication use. It runs the solver without a conflict
+/// budget, preserving this checker's completeness contract.
 pub struct SatCfdChecker;
 
 impl CfdChecker for SatCfdChecker {
     fn check(&mut self, schema: &Schema, rel: RelId, cfds: &[NormalCfd]) -> Option<Tuple> {
         let active: Vec<(usize, &NormalCfd)> = cfds.iter().enumerate().collect();
-        let config = condep_analyze::AnalyzeConfig {
-            max_conflicts: None,
-            ..condep_analyze::AnalyzeConfig::default()
-        };
-        match condep_analyze::relation_consistency(schema, rel, &active, &config) {
-            condep_analyze::RelationVerdict::Sat(t) => Some(t),
-            condep_analyze::RelationVerdict::Unsat(_) => None,
+        match relation_consistency(schema, rel, &active, None) {
+            RelationVerdict::Sat(t) => Some(t),
+            RelationVerdict::Unsat(_) => None,
             // Unreachable without a conflict budget; treat as "no
             // witness found" like the chase checker does.
-            condep_analyze::RelationVerdict::Unknown => None,
+            RelationVerdict::Unknown => None,
         }
     }
 }
@@ -477,20 +473,89 @@ mod tests {
 
     #[test]
     fn sat_agrees_with_exact_oracle_on_example_sets() {
-        use condep_cfd::consistency::{consistent_exact, Verdict};
+        // K_CFD = 8,193 pays for the deterministic first try plus a full
+        // sweep of any valuation space up to the 8,192 sweep limit (the
+        // spaces here hold at most 3³), so the chase checker is complete:
+        // an independent exact oracle for the SAT checker.
+        let agree = |schema: &Arc<Schema>, rel, cfds: &[NormalCfd], seed, what: &str| {
+            let sat = SatCfdChecker.check(schema, rel, cfds);
+            let chase =
+                ChaseCfdChecker::new(8_193, StdRng::seed_from_u64(seed)).check(schema, rel, cfds);
+            assert_eq!(sat.is_some(), chase.is_some(), "{what}");
+            for t in sat.iter().chain(&chase) {
+                assert!(witness_is_valid(schema, rel, cfds, t), "{what}");
+            }
+            sat.is_some()
+        };
+
+        // Example 3.2 is inconsistent; each subset of three is not.
         let (schema, cfds) = example_3_2();
         let rel = schema.rel_id("r").unwrap();
-        // Drop one CFD at a time: each subset of three is consistent.
+        assert!(!agree(&schema, rel, &cfds, 0, "example 3.2"));
         for skip in 0..cfds.len() {
-            let subset: Vec<NormalCfd> = cfds
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != skip)
-                .map(|(_, c)| c.clone())
-                .collect();
-            let exact = consistent_exact(&schema, rel, &subset, None) == Verdict::Consistent;
-            let sat = SatCfdChecker.check(&schema, rel, &subset).is_some();
-            assert_eq!(exact, sat, "skip = {skip}");
+            let mut subset = cfds.clone();
+            subset.remove(skip);
+            assert!(agree(&schema, rel, &subset, 0, &format!("skip = {skip}")));
         }
+
+        // Seeded small sets over one relation mixing finite attributes
+        // (1–3 values) with string attributes.
+        let mut verdicts = [0usize; 2];
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(0x5A7C_0000 + seed);
+            let arity = rng.gen_range(2..=3usize);
+            let attrs: Vec<(String, Domain)> = (0..arity)
+                .map(|a| {
+                    let dom = match rng.gen_range(0..4usize) {
+                        0 => Domain::string(),
+                        n => Domain::finite_ints(n),
+                    };
+                    (format!("x{a}"), dom)
+                })
+                .collect();
+            let borrowed: Vec<(&str, Domain)> =
+                attrs.iter().map(|(n, d)| (n.as_str(), d.clone())).collect();
+            let schema = Arc::new(Schema::builder().relation("r", &borrowed).finish());
+            let rel = schema.rel_id("r").unwrap();
+            let rs = schema.relation(rel).unwrap();
+            let constant =
+                |rng: &mut StdRng, a: AttrId| match rs.attribute(a).unwrap().domain().values() {
+                    Some(vals) => vals[rng.gen_range(0..vals.len())].clone(),
+                    None => Value::str(["p", "q"][rng.gen_range(0..2usize)]),
+                };
+            let cfds: Vec<NormalCfd> = (0..rng.gen_range(1..=5usize))
+                .map(|_| {
+                    let lhs_len = rng.gen_range(0..arity);
+                    let mut order: Vec<u32> = (0..arity as u32).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    let lhs: Vec<AttrId> = order[..lhs_len].iter().map(|&a| AttrId(a)).collect();
+                    let rhs = AttrId(order[lhs_len]);
+                    let cells: Vec<PValue> = lhs
+                        .iter()
+                        .map(|&a| {
+                            if rng.gen_bool(0.7) {
+                                PValue::Const(constant(&mut rng, a))
+                            } else {
+                                PValue::Any
+                            }
+                        })
+                        .collect();
+                    let rhs_pat = if rng.gen_bool(0.85) {
+                        PValue::Const(constant(&mut rng, rhs))
+                    } else {
+                        PValue::Any
+                    };
+                    NormalCfd::new(rel, lhs, PatternRow::new(cells), rhs, rhs_pat)
+                })
+                .collect();
+            let consistent = agree(&schema, rel, &cfds, seed, &format!("seed {seed}"));
+            verdicts[consistent as usize] += 1;
+        }
+        assert!(
+            verdicts.iter().all(|&n| n >= 20),
+            "too few seeds on one side: {verdicts:?}"
+        );
     }
 }

@@ -15,8 +15,8 @@
 //!   over one schema;
 //! * [`cfd_checking`] — procedure `CFD_Checking` in both variants of
 //!   Section 5.2: chase-based (with the `K_CFD` valuation budget of
-//!   Figure 10(b)) and SAT-based (via `condep-sat`, standing in for
-//!   SAT4j);
+//!   Figure 10(b)) and SAT-based (the `condep-cfd` SAT decider, on
+//!   `condep-sat` standing in for SAT4j);
 //! * [`graph`] — the dependency graph `G[Σ]` of Section 5.3 (one vertex
 //!   per relation with `CFD(R)` and a tuple template `τ(R)`, one edge
 //!   per CIND direction) plus Tarjan SCCs and the targets-first
@@ -28,18 +28,17 @@
 //!   the Section 5.2 improvement (interleaved `CFD_Checking`);
 //! * [`checking`](mod@checking) — algorithm `Checking` (Figure 9), the combination.
 //!
-//! ## Relationship to `condep-analyze`
+//! ## Relationship to `condep-analyze` and `condep-cfd`
 //!
 //! This crate keeps the *paper-faithful* algorithm stack used by the
 //! figure benchmarks. For everyday Σ triage prefer
 //! `condep_analyze::analyze` — the SAT-backed static-analysis pass with
 //! verdicts, **minimal unsat cores**, and lints — which `Validator`,
-//! `repair`, and discovery already call. The two share one SAT
-//! encoding: [`SatCfdChecker`] is a thin adapter over
-//! `condep_analyze::relation_consistency`, so there is a single
-//! consistency entry point under the hood. The remaining modules here
-//! (chase checker, `G[Σ]` graph, preprocessing, random checking) stay
-//! because the paper's Figures 9–11 measure them; treat them as the
+//! `repair`, and discovery already call. Both sit on one CFD decider:
+//! [`SatCfdChecker`] calls `condep_cfd::consistency::relation_consistency`
+//! directly, as the analyzer does. The remaining modules here (chase
+//! checker, `G[Σ]` graph, preprocessing, random checking) stay because
+//! the paper's Figures 9–11 measure them; treat them as the
 //! reproduction surface, not the API of record.
 
 pub mod cfd_checking;

@@ -27,8 +27,8 @@
 //!   ([`NormalCfd::is_trivial`] / [`NormalCind::is_trivial`]),
 //!   non-minimal FDs (supersets of an exact LHS) and dependencies
 //!   *implied* by higher-ranked keeps (checked with the exact
-//!   [`condep_cfd::implication`] / [`condep_core::implication`]
-//!   machinery, budgeted) are dropped; per-relation and global caps
+//!   [`condep_cfd::implication`] SAT decider / [`condep_core::implication`]
+//!   chase game, budgeted) are dropped; per-relation and global caps
 //!   bound the output.
 //!
 //! The result is a [`DiscoveredSigma`]: ready to compile into a
@@ -54,6 +54,7 @@
 //! instance (property-tested at the workspace root).
 
 use condep_analyze::AnalyzeConfig;
+use condep_cfd::consistency::{relation_consistency, RelationVerdict};
 use condep_cfd::NormalCfd;
 use condep_core::implication::ImplicationConfig;
 use condep_core::NormalCind;
@@ -563,7 +564,7 @@ fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
                 schema,
                 &kept_sigma,
                 &cand.cfd,
-                ImplicationConfig::with_max_instances(IMPLICATION_INSTANCE_BUDGET),
+                ImplicationConfig::default(),
             ) == condep_cfd::implication::Implication::Implied
             {
                 stats.pruned_implied += 1;
@@ -577,13 +578,13 @@ fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
             .collect();
         same_rel.push((same_rel.len(), &cand.cfd));
         if matches!(
-            condep_analyze::relation_consistency(
+            relation_consistency(
                 schema,
                 cand.cfd.rel(),
                 &same_rel,
-                &AnalyzeConfig::default(),
+                AnalyzeConfig::default().max_conflicts,
             ),
-            condep_analyze::RelationVerdict::Unsat(_)
+            RelationVerdict::Unsat(_)
         ) {
             stats.pruned_inconsistent += 1;
             continue;
@@ -638,7 +639,7 @@ fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
             schema,
             &kept_sigma,
             &kept_cind_sigma,
-            ImplicationConfig::with_max_instances(IMPLICATION_INSTANCE_BUDGET),
+            ImplicationConfig::default(),
         )
     } else {
         SigmaCover::exact(&kept_sigma, &kept_cind_sigma)
@@ -661,10 +662,6 @@ fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
         },
     }
 }
-
-/// Instance budget handed to the exhaustive CFD implication fallback
-/// (finite-domain attributes); `Unknown` verdicts keep the candidate.
-const IMPLICATION_INSTANCE_BUDGET: u64 = 4_096;
 
 /// Descending `(support, confidence)` with a total order (confidence is
 /// a well-formed fraction, so `partial_cmp` cannot fail; equal ties fall

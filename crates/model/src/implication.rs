@@ -28,17 +28,16 @@ pub enum Implication {
 /// One struct covers both engines; each reads only the fields relevant
 /// to its search:
 ///
-/// * `max_instances` — CFD exhaustive counterexample enumeration
-///   (`condep_cfd::implication::implies_exhaustive`): cap on candidate
-///   instances tried. `None` means unbounded.
+/// * `max_conflicts` — the CFD decider
+///   (`condep_cfd::implication::implies`): the SAT conflict budget of
+///   its two-tuple encoding. `None` means unbounded.
 /// * `max_states` / `max_initial_assignments` — CIND chase game
 ///   (`condep_core::implication::implies`): caps on abstract tuples
 ///   explored per game and on initial finite-domain assignments.
 #[derive(Clone, Copy, Debug)]
 pub struct ImplicationConfig {
-    /// Cap on candidate instances tried by the CFD exhaustive search;
-    /// `None` = unbounded.
-    pub max_instances: Option<u64>,
+    /// SAT conflict budget of the CFD decider; `None` = unbounded.
+    pub max_conflicts: Option<u64>,
     /// Cap on distinct abstract tuples explored per CIND chase game.
     pub max_states: usize,
     /// Cap on initial assignments of the CIND game's finite fields.
@@ -46,9 +45,11 @@ pub struct ImplicationConfig {
 }
 
 impl Default for ImplicationConfig {
+    /// The CFD conflict budget matches the Σ analyzer's default
+    /// (`condep_analyze::AnalyzeConfig`).
     fn default() -> Self {
         ImplicationConfig {
-            max_instances: Some(4_096),
+            max_conflicts: Some(50_000),
             max_states: 200_000,
             max_initial_assignments: 4_096,
         }
@@ -60,17 +61,9 @@ impl ImplicationConfig {
     /// forever — callers must know their inputs terminate).
     pub fn unbounded() -> Self {
         ImplicationConfig {
-            max_instances: None,
+            max_conflicts: None,
             max_states: usize::MAX,
             max_initial_assignments: u64::MAX,
-        }
-    }
-
-    /// The default budgets with the CFD instance cap overridden.
-    pub fn with_max_instances(n: u64) -> Self {
-        ImplicationConfig {
-            max_instances: Some(n),
-            ..ImplicationConfig::default()
         }
     }
 }

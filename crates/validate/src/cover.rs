@@ -16,10 +16,10 @@
 //!   in `validator.rs` / `stream.rs`).
 //! * [`SigmaCover::minimal`] — additionally drops whole dependencies
 //!   implied by the surviving rest, reusing the exact engines:
-//!   `condep_cfd::implication::implies` (which dispatches to the
-//!   polynomial `implies_infinite` template chase when no finite-domain
-//!   attribute is mentioned) and `condep_core::cover::minimal_cover` for
-//!   CINDs. `Unknown` verdicts keep the candidate, so the surviving set
+//!   `condep_cfd::implication::implies` (the two-tuple SAT decider,
+//!   under `ImplicationConfig::max_conflicts`) and
+//!   `condep_core::cover::minimal_cover` for CINDs. `Unknown` verdicts
+//!   (a tripped budget) keep the candidate, so the surviving set
 //!   is always logically equivalent to the input — but a dependency
 //!   dropped this way has no violation-exact representative, so the
 //!   minimal tier is **satisfaction**-preserving only. It is the right

@@ -16,8 +16,8 @@
 //! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍` |
 //! | [`query`] | `SymIndex`: the compact-key group-by index over interned values that validation, the delta engine and discovery build on |
 //! | [`sat`] | DPLL SAT solver (stands in for SAT4j) |
-//! | [`analyze`] | **static analysis of Σ**: SAT-backed consistency verdicts (`Sat` + witness database, `Unsat` + minimal core in Σ indices, `Unknown` on budget), a budgeted CFD+CIND chase, and the advisory `SigmaLint` catalogue — the pre-flight gate behind `Validator::strict`, discovery's keep stage and `repair()` |
-//! | [`cfd`] | CFDs: syntax, normal form, satisfaction, violations, exact consistency & implication |
+//! | [`analyze`] | **static analysis of Σ**: per-relation verdicts from the `cfd` SAT decider (`Sat` + witness database, `Unsat` + minimal core in Σ indices, `Unknown` on budget), a budgeted CFD+CIND chase, and the advisory `SigmaLint` catalogue — the pre-flight gate behind `Validator::strict` and `repair()` |
+//! | [`cfd`] | CFDs: syntax, normal form, satisfaction, violations, and the one SAT decider for consistency (one symbolic tuple) and implication (two) |
 //! | [`cind`] | **the paper's contribution** — CINDs: syntax, semantics, normal form (Prop 3.1), consistency witness (Thm 3.2), inference system `I` (Fig 3), implication (Thms 3.4/3.5), minimal cover |
 //! | [`chase`] | the bounded-pool chase of Section 5.1 (`IND(ψ)`/`FD(φ)`, `chaseI`, valuations) |
 //! | [`consistency`] | the Section 5 heuristics: `CFD_Checking` (chase & SAT), dependency graph, `preProcessing`, `RandomChecking`, `Checking` |
