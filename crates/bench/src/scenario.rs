@@ -213,6 +213,12 @@ pub struct StreamStats {
     pub journal_total: u64,
     /// Share of key-group lookups served probe-free (0.0 before any).
     pub probe_hit_rate: f64,
+    /// Live positions across the stream's key-group indexes
+    /// (`stream.index.live`).
+    pub index_live: u64,
+    /// Position entries those indexes store, live or spare or dead
+    /// (`stream.index.stored`).
+    pub index_stored: u64,
 }
 
 /// Σ static-analysis sweep counters (the `sigma_lint` scenario).
@@ -288,10 +294,11 @@ pub struct ScenarioResult {
     pub metrics: MetricsSnapshot,
 }
 
-/// The default scenario matrix — eight workloads covering value drift,
+/// The default scenario matrix — ten workloads covering value drift,
 /// bursty vs singleton churn, hot-key skew, adversarial dirt, shape
-/// extremes and live Σ churn. Sized so the whole sweep runs in
-/// seconds: the committed baseline **is** the CI smoke matrix.
+/// extremes, live Σ churn, a Σ analysis sweep and long hot-key churn.
+/// Sized so the whole sweep runs in seconds: the committed baseline
+/// **is** the CI smoke matrix.
 pub fn matrix() -> Vec<Scenario> {
     let planted = |tuples: usize| PlantedSigmaConfig {
         fd_pairs: 3,
@@ -481,6 +488,28 @@ pub fn matrix() -> Vec<Scenario> {
             online: None,
             sigma_churn_every: 0,
             sigma_lint: Some(24),
+        },
+        // 2^18 operations against a 20K-row instance: index storage
+        // must stay bounded by the live data however long churn runs.
+        // The FIFO deletes remove tuples churn itself inserted, and
+        // every insert brings a never-seen id.
+        Scenario {
+            name: "long_churn",
+            seed: 0x10C4,
+            data: DataShape::Planted(planted(20_000)),
+            dirt: Dirt::None,
+            discover: None,
+            repair: false,
+            churn: ChurnSpec::Plan(ChurnConfig {
+                ops: 1 << 18,
+                window: 128,
+                burst: 0,
+                skew: 2.0,
+                dirt_rate: 0.02,
+            }),
+            online: None,
+            sigma_churn_every: 0,
+            sigma_lint: None,
         },
     ]
 }
@@ -999,6 +1028,10 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
         Some(condep_telemetry::MetricValue::Counter(v)) => *v,
         _ => 0,
     };
+    let gauge_of = |name: &str| match telemetry_snapshot.get(name) {
+        Some(condep_telemetry::MetricValue::Gauge(v)) => u64::try_from(*v).unwrap_or(0),
+        _ => 0,
+    };
     let stream = StreamStats {
         windows: counter_of("stream.apply.windows"),
         inserts: counter_of("stream.mutations.inserts"),
@@ -1014,6 +1047,8 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
                 slot as f64 / total as f64
             }
         },
+        index_live: gauge_of("stream.index.live"),
+        index_stored: gauge_of("stream.index.stored"),
     };
 
     ScenarioResult {

@@ -155,6 +155,10 @@ fn write_entry(w: &mut JsonWriter, r: &ScenarioResult) {
     w.value_u64(r.stream.journal_total);
     w.key("probe_hit_rate");
     w.value_f64(r.stream.probe_hit_rate);
+    w.key("index_live");
+    w.value_u64(r.stream.index_live);
+    w.key("index_stored");
+    w.value_u64(r.stream.index_stored);
     w.end_object();
 
     w.key("online");
@@ -227,6 +231,7 @@ pub const REQUIRED_ENTRY_PATHS: &[&str] = &[
     "latency_us.p50",
     "latency_us.p90",
     "latency_us.p99",
+    "latency_us.max",
     "violations.initial",
     "violations.residual",
     "metrics",
@@ -234,8 +239,9 @@ pub const REQUIRED_ENTRY_PATHS: &[&str] = &[
 
 /// Checks a scoreboard document: well-formed JSON (per
 /// [`json::is_valid`]), the schema version, a non-empty scenario map,
-/// and every required per-scenario path present and non-null. Returns
-/// the parsed tree on success.
+/// every required per-scenario path present and non-null, and latency
+/// percentiles in order (`p50 ≤ p90 ≤ p99 ≤ max`). Returns the parsed
+/// tree on success.
 pub fn validate(doc: &str) -> Result<JsonValue, String> {
     if !json::is_valid(doc) {
         return Err("not well-formed JSON".into());
@@ -263,6 +269,22 @@ pub fn validate(doc: &str) -> Result<JsonValue, String> {
                 }
                 Some(_) => {}
             }
+        }
+        // A percentile above the observed max, or out of order, is a
+        // statistic the diff gate cannot trust.
+        let latency: Vec<f64> = ["p50", "p90", "p99", "max"]
+            .iter()
+            .map(|q| {
+                entry
+                    .at(&format!("latency_us.{q}"))
+                    .and_then(JsonValue::as_f64)
+            })
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("scenario {name}: latency_us leaves must be numbers"))?;
+        if latency.windows(2).any(|w| w[0] > w[1]) {
+            return Err(format!(
+                "scenario {name}: latency_us must satisfy p50 <= p90 <= p99 <= max, got {latency:?}"
+            ));
         }
         // A repair entry, when present, must carry its accept/reject
         // counts.
@@ -567,7 +589,7 @@ mod tests {
       "seed": 7,
       "fingerprint": {{"rows": {rows}, "churn_ops": 10}},
       "throughput": {{"validate_tuples_per_s": {per_s}, "churn_ops_per_s": {per_s}}},
-      "latency_us": {{"p50": 5, "p90": 9, "p99": {p99}}},
+      "latency_us": {{"p50": 5, "p90": 9, "p99": {p99}, "max": {p99}}},
       "violations": {{"initial": 3, "residual": {residual}}},
       "repair": null,
       "metrics": {{"x": 1}}
@@ -585,6 +607,21 @@ mod tests {
         assert!(validate(&bad).unwrap_err().contains("violations.residual"));
         assert!(validate("{").is_err());
         assert!(validate(r#"{"schema_version": 1, "scenarios": {}}"#).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_percentiles_out_of_order() {
+        let good = doc(12, 0, 100.0, 500);
+        // A p99 above the observed max: an unclamped histogram bucket.
+        let above_max = good.replace("\"max\": 12", "\"max\": 11");
+        assert!(validate(&above_max).unwrap_err().contains("p99 <= max"));
+        // A p90 below the p50.
+        let inverted = good.replace("\"p90\": 9", "\"p90\": 4");
+        assert!(validate(&inverted).unwrap_err().contains("p50 <= p90"));
+        let missing_max = good.replace(", \"max\": 12", "");
+        assert!(validate(&missing_max)
+            .unwrap_err()
+            .contains("latency_us.max"));
     }
 
     #[test]

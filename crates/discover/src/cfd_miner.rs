@@ -2,7 +2,7 @@
 //!
 //! Per relation the miner walks the attribute-set lattice bottom-up:
 //! level 1 holds the single-attribute partitions (built straight from
-//! the [`condep_query::SymIndex`] counting-sort CSR over pre-symbolized
+//! the [`condep_model::SymIndex`] counting-sort CSR over pre-symbolized
 //! columns), level `k + 1` refines level-`k` partitions by one more
 //! column. At every node `X` and for every RHS attribute `A ∉ X` the
 //! per-class tallies of `π_X` against `A`'s column answer three

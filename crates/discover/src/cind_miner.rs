@@ -4,7 +4,7 @@
 //! type (the unary base case every inclusion miner starts from; wider
 //! embedded INDs are a non-goal, see the crate docs). Because the whole
 //! database is symbolized through **one** interner, a source cell probes
-//! the target column's [`condep_query::SymIndex`] directly — no value
+//! the target column's [`condep_model::SymIndex`] directly — no value
 //! ever re-hashes its string bytes.
 //!
 //! * **exact** — every source value appears in the target: emit the
@@ -22,8 +22,7 @@ use crate::config::DiscoveryConfig;
 use crate::{DiscoveredCind, DiscoveryStats};
 use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, RelId, SymTables, SymValue};
-use condep_query::SymIndex;
+use condep_model::{AttrId, Database, Interner, RelId, SymIndex, SymTables, SymValue};
 use std::collections::HashMap;
 
 /// Mines every CIND candidate of the database. Candidates arrive

@@ -16,8 +16,7 @@
 use crate::config::DiscoveryConfig;
 use crate::{DiscoveredCfd, DiscoveredCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, PValue, RelId, SymTables, SymValue};
-use condep_query::SymIndex;
+use condep_model::{AttrId, Database, Interner, PValue, RelId, SymIndex, SymTables, SymValue};
 use std::collections::HashMap;
 
 /// Counters of one confirmation pass.
@@ -96,7 +95,7 @@ pub(crate) fn confirm(
                     let mut kept = 0usize;
                     for (_, positions) in idx.groups() {
                         class_buf.clear();
-                        class_buf.extend(positions.map(|p| rhs_col[p as usize]));
+                        class_buf.extend(positions.iter().map(|&p| rhs_col[p as usize]));
                         if class_buf.len() < 2 {
                             continue; // stripped: singletons support nothing
                         }
@@ -132,7 +131,7 @@ pub(crate) fn confirm(
                     Some(key) => {
                         let mut support = 0usize;
                         let mut agree = 0usize;
-                        for p in idx.positions(&key) {
+                        for &p in idx.positions(&key) {
                             support += 1;
                             if Some(rhs_col[p as usize]) == rhs_sym {
                                 agree += 1;

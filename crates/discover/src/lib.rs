@@ -12,7 +12,7 @@
 //! * **CFD mining** (`cfd_miner`, via [`discover`]) — per relation, a
 //!   level-wise walk of the attribute-set lattice over **stripped
 //!   partitions** (TANE's data structure, built from the existing
-//!   [`SymTables`] symbolization and the [`condep_query::SymIndex`]
+//!   [`SymTables`] symbolization and the [`condep_model::SymIndex`]
 //!   counting-sort CSR — no string is hashed in the hot path). Each
 //!   lattice node yields the plain FD `X → A` as a *variable* (all
 //!   wildcard) tableau row and **specializes** each equivalence class of

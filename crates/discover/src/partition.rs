@@ -15,8 +15,7 @@
 //! lattice levels are produced by [`StrippedPartition::refine`], which
 //! splits each class on one more interned column.
 
-use condep_model::SymValue;
-use condep_query::SymIndex;
+use condep_model::{SymIndex, SymValue};
 
 /// A stripped partition in CSR form: class `c` is
 /// `elems[starts[c] .. starts[c + 1]]`, each class position-ascending
@@ -39,7 +38,7 @@ impl StrippedPartition {
             starts: vec![0],
         };
         for (_, positions) in idx.groups() {
-            p.push_class(positions);
+            p.push_class(positions.iter().copied());
         }
         p
     }

@@ -21,6 +21,11 @@
 //! * pattern tuples rank data values against the unnamed variable `_`
 //!   via the match order `≍` ([`pattern::PValue`], [`pattern::PatternRow`]).
 //!
+//! Validation, the delta engine and discovery all build on two pieces
+//! that live here too: the [`Interner`] that turns cell values into
+//! word-sized [`SymValue`]s, and [`SymIndex`], the group-by index from
+//! keys of those symbols to the positions of the tuples carrying them.
+//!
 //! The [`fixtures`] module reconstructs the running example of the paper
 //! (Figure 1: the bank's `account`/`saving`/`checking`/`interest`
 //! instances) so that every worked claim in the paper can be asserted in
@@ -36,6 +41,7 @@ pub mod intern;
 pub mod pattern;
 pub mod relation;
 pub mod schema;
+pub mod sym_index;
 pub mod tuple;
 pub mod value;
 
@@ -48,6 +54,7 @@ pub use intern::{Interner, Sym, SymTables, SymValue};
 pub use pattern::{PValue, PatternRow};
 pub use relation::{PosList, Relation, Removed, TupleId, TupleIdMap};
 pub use schema::{AttrId, Attribute, RelId, RelationSchema, Schema, SchemaBuilder};
+pub use sym_index::SymIndex;
 pub use tuple::Tuple;
 pub use value::Value;
 

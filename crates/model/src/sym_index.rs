@@ -3,45 +3,83 @@
 //! A [`SymIndex`] is a hash index from a key to the dense positions of
 //! the tuples carrying it, built for the batched Σ-validation hot path:
 //! keys are `Box<[SymValue]>` — `Copy` word-sized cells from a
-//! [`condep_model::Interner`] — hashed with the fx hasher, so building
-//! and probing never touch string bytes or bump `Arc` reference counts.
+//! [`crate::Interner`] — hashed with the fx hasher, so building and
+//! probing never touch string bytes or bump `Arc` reference counts.
 //! Probes borrow (`&[SymValue]`).
 //!
 //! Every build reads cells that were symbolized beforehand: contiguous
-//! columns such as a [`condep_model::SymTables`]'s
+//! columns such as a [`crate::SymTables`]'s
 //! ([`SymIndex::build_from_columns`], what discovery uses), or any other
 //! symbol store through [`SymIndex::build_with`] (the validator's group
 //! tasks, reading column-major tables or a stream's row-major row
 //! cache). No build interns or hashes a tuple's strings.
 //!
-//! Storage is a two-tier layout tuned for both the batch sweep and the
-//! delta engine:
+//! Storage is one shared position vector in which every key group owns
+//! one segment, so a group is always one contiguous slice:
 //!
-//! * **Bulk tier** — the whole-relation builds run a two-pass counting
-//!   sort: pass one maps rows to key slots and counts them, pass two
-//!   scatters positions into **one** shared CSR vector. No per-key `Vec`
-//!   is ever allocated, and each slot's segment is contiguous and
+//! * **Bulk builds** run a two-pass counting sort: pass one maps rows to
+//!   key slots and counts them, pass two scatters positions into the
+//!   shared vector, segments back to back with no spare room. No
+//!   per-key `Vec` is ever allocated, and each segment comes out
 //!   position-ascending — ideal for the sequential group sweep.
-//! * **Overflow tier** — streaming [`SymIndex::insert_key`]s that cannot
-//!   extend a slot's tail segment go to a shared arena of singly-linked
-//!   nodes (with a free list fed by removals), so incremental growth is
-//!   also allocation-amortized.
+//! * **Mutations** edit a segment in place. A removal swaps the
+//!   segment's last live entry into the hole, and the next insert into
+//!   the group reuses the room that frees. A full segment grows in place
+//!   when it ends at the vector's tail and otherwise moves there with
+//!   twice its length as capacity. A segment that falls to a quarter
+//!   full releases half its room, and once such dead room exceeds half
+//!   the vector every segment is laid out again back to back. Each
+//!   mutation is `O(1)` amortized, and storage stays bounded by the live
+//!   data (see [`SymIndex::stored`]), so a long-lived index needs no
+//!   [`SymIndex::compact`] to stay fast.
 //!
 //! [`SymIndex::remove_key`] / [`SymIndex::replace_pos`] give the
 //! multiset-aware maintenance the `ValidatorStream` delta engine needs:
-//! removal is `O(group)`, and a swap-removed relation position can be
-//! renumbered in place.
+//! a removal is `O(1)` through a per-position back-pointer, and a
+//! swap-removed relation position can be renumbered in place.
 
-use condep_model::fxhash::FxBuildHasher;
-use condep_model::SymValue;
+use crate::fxhash::FxBuildHasher;
+use crate::SymValue;
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// Sentinel for "no overflow node".
+/// Sentinel for "no position" and "no location".
 const NONE: u32 = u32::MAX;
 
-/// High bit of a stored location: the location is an overflow node
-/// index, not a `bulk` offset.
-const OVER_BIT: u32 = 1 << 31;
+/// A full segment away from the vector's tail moves there with this
+/// many times its live length as capacity.
+const GROWTH: u32 = 2;
+
+/// A segment at most `1 / SHRINK_FILL` full releases half its capacity…
+const SHRINK_FILL: u32 = 4;
+
+/// …once that capacity is at least this large.
+const SHRINK_MIN_CAP: u32 = 4;
+
+/// The vector is laid out again once its dead room exceeds
+/// `1 / REPACK_DEAD` of it.
+const REPACK_DEAD: usize = 2;
+
+/// One key group's room in the shared position vector: entries
+/// `start..start + cap` belong to the group, the first `len` are live.
+#[derive(Clone, Copy, Debug, Default)]
+struct Seg {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Seg {
+    /// The live entries' offsets.
+    fn live(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// Does the segment end at offset `end`?
+    fn ends_at(self, end: usize) -> bool {
+        self.start as usize + self.cap as usize == end
+    }
+}
 
 /// A position's packed back-pointer: storage location + owning slot.
 #[derive(Clone, Copy, Debug)]
@@ -56,6 +94,11 @@ const ABSENT: PosRec = PosRec {
     slot: NONE,
 };
 
+/// A vector offset as `u32`, which every stored location is.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("index capacity exceeded")
+}
+
 /// A group-by index keyed by interned projections.
 ///
 /// Each dense position appears **at most once** per index (one tuple
@@ -67,30 +110,29 @@ const ABSENT: PosRec = PosRec {
 /// plus a cached per-slot minimum (so [`SymIndex::min_pos`] — the
 /// delta engine's pair-witness probe — is a single lookup; only
 /// removing the minimum itself rescans its group).
+///
+/// Each group is one segment of a shared position vector (see the
+/// module docs). Mutations keep every segment's capacity within
+/// `max(4 · live, 3)` and the vector's dead room within half of it, so
+/// [`SymIndex::stored`] never exceeds `8 · len() + 6 · distinct_keys()`
+/// — whatever sizes the groups reached in the past.
 #[derive(Clone, Debug, Default)]
 pub struct SymIndex {
     /// Distinct keys → slot, probed with borrowed `&[SymValue]`.
     map: HashMap<Box<[SymValue]>, u32, FxBuildHasher>,
     /// Distinct keys in first-seen order, parallel to the slot vectors.
     keys: Vec<Box<[SymValue]>>,
-    /// Shared CSR position storage for the bulk tier.
-    bulk: Vec<u32>,
-    /// Per slot: start of its segment in `bulk`.
-    bulk_start: Vec<u32>,
-    /// Per slot: live length of its segment.
-    bulk_len: Vec<u32>,
-    /// Overflow arena: `(position, next)` singly-linked per slot.
-    over: Vec<(u32, u32)>,
-    /// Per slot: head of its overflow chain (`NONE` when empty).
-    over_head: Vec<u32>,
-    /// Free list through the `next` fields of `over`.
-    free_head: u32,
-    /// Per dense position: its storage location and owning slot, packed
-    /// in one 8-byte record so the delete path's two questions — "where
-    /// is it stored?" and "which group owns it?" ([`SymIndex::
-    /// slot_of_pos`]) — cost a single cache line. `loc` is a `bulk`
-    /// offset, or an overflow node index tagged with [`OVER_BIT`]
-    /// (`NONE` = absent).
+    /// Shared position storage: every slot's segment, plus dead room
+    /// no segment owns.
+    store: Vec<u32>,
+    /// Per slot: its segment of `store`.
+    segs: Vec<Seg>,
+    /// Entries of `store` that no segment owns.
+    dead: usize,
+    /// Per dense position: its `store` offset and owning slot, packed in
+    /// one 8-byte record so the delete path's two questions — "where is
+    /// it stored?" and "which group owns it?" ([`SymIndex::
+    /// slot_of_pos`]) — cost a single cache line (`NONE` = absent).
     at: Vec<PosRec>,
     /// Per slot: cached smallest live position (`NONE` when emptied).
     min: Vec<u32>,
@@ -103,27 +145,17 @@ impl SymIndex {
     /// An empty index over keys of width `key_len`.
     pub fn new(key_len: usize) -> Self {
         SymIndex {
-            map: HashMap::default(),
-            keys: Vec::new(),
-            bulk: Vec::new(),
-            bulk_start: Vec::new(),
-            bulk_len: Vec::new(),
-            over: Vec::new(),
-            over_head: Vec::new(),
-            free_head: NONE,
-            at: Vec::new(),
-            min: Vec::new(),
-            len: 0,
             key_len,
+            ..SymIndex::default()
         }
     }
 
-    /// Builds from pre-symbolized columns (see
-    /// [`condep_model::SymTables`]): `key_cols` are the key attributes'
-    /// columns in key order, all of length `rows`; only positions passing
-    /// `filter` are indexed. This is the validation hot path — key cells
-    /// are `Copy` reads, the counting-sort build allocates one shared
-    /// position vector, and no string ever gets hashed.
+    /// Builds from pre-symbolized columns (see [`crate::SymTables`]):
+    /// `key_cols` are the key attributes' columns in key order, all of
+    /// length `rows`; only positions passing `filter` are indexed. This
+    /// is the validation hot path — key cells are `Copy` reads, the
+    /// counting-sort build allocates one shared position vector, and no
+    /// string ever gets hashed.
     pub fn build_from_columns<F>(rows: usize, key_cols: &[&[SymValue]], filter: F) -> Self
     where
         F: Fn(usize) -> bool,
@@ -185,13 +217,11 @@ impl SymIndex {
         if let Some(&slot) = self.map.get(key) {
             return slot;
         }
-        let slot = u32::try_from(self.keys.len()).expect("index capacity exceeded");
+        let slot = offset(self.keys.len());
         let boxed: Box<[SymValue]> = key.into();
         self.map.insert(boxed.clone(), slot);
         self.keys.push(boxed);
-        self.bulk_start.push(0);
-        self.bulk_len.push(0);
-        self.over_head.push(NONE);
+        self.segs.push(Seg::default());
         self.min.push(NONE);
         slot
     }
@@ -205,48 +235,48 @@ impl SymIndex {
         self.at[pos] = PosRec { loc, slot };
     }
 
-    /// Recomputes a slot's cached minimum from both tiers.
+    /// Recomputes a slot's cached minimum from its segment.
     fn rescan_min(&self, slot: usize) -> u32 {
-        self.slot_positions(slot).min().unwrap_or(NONE)
+        self.slot_positions(slot)
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(NONE)
     }
 
-    /// Counting-sort scatter: lays `(pos, slot)` pairs out as contiguous
-    /// per-slot CSR segments in one shared vector (pairs arrive in
-    /// ascending position order, so segments end up ascending too), and
-    /// seeds the per-position back-pointers and per-slot minima.
+    /// Counting-sort scatter: lays `(pos, slot)` pairs out as back to
+    /// back per-slot segments of one shared vector, each exactly full
+    /// (pairs arrive in ascending position order, so segments end up
+    /// ascending too), and seeds the per-position back-pointers and
+    /// per-slot minima.
     fn scatter_bulk(&mut self, pairs: &[(u32, u32)]) {
-        debug_assert!(self.bulk.is_empty(), "scatter_bulk is a bulk-build step");
-        let mut counts = vec![0u32; self.keys.len()];
+        debug_assert!(self.store.is_empty(), "scatter_bulk is a bulk-build step");
         let mut max_pos = 0usize;
         for &(pos, slot) in pairs {
-            counts[slot as usize] += 1;
+            self.segs[slot as usize].cap += 1;
             max_pos = max_pos.max(pos as usize + 1);
         }
         let mut start = 0u32;
-        for (slot, count) in counts.iter().enumerate() {
-            self.bulk_start[slot] = start;
-            start += count;
+        for seg in &mut self.segs {
+            seg.start = start;
+            start += seg.cap;
         }
-        self.bulk.resize(pairs.len(), 0);
+        self.store.resize(pairs.len(), NONE);
         if max_pos > self.at.len() {
             self.at.resize(max_pos, ABSENT);
         }
         for &(pos, slot) in pairs {
-            let s = slot;
-            let slot = slot as usize;
-            let at = self.bulk_start[slot] + self.bulk_len[slot];
-            self.bulk[at as usize] = pos;
-            self.bulk_len[slot] += 1;
-            self.at[pos as usize] = PosRec { loc: at, slot: s };
-            self.min[slot] = self.min[slot].min(pos);
+            let seg = &mut self.segs[slot as usize];
+            let loc = seg.start + seg.len;
+            seg.len += 1;
+            self.store[loc as usize] = pos;
+            self.at[pos as usize] = PosRec { loc, slot };
+            self.min[slot as usize] = self.min[slot as usize].min(pos);
         }
         self.len = pairs.len();
     }
 
-    /// Appends `pos` under the already-translated `key` (streaming
-    /// tier). When the slot's bulk segment ends at the tail of the
-    /// shared vector it is grown in place; otherwise the position goes
-    /// to the overflow arena.
+    /// Appends `pos` under the already-translated `key`.
     pub fn insert_key(&mut self, pos: u32, key: &[SymValue]) {
         let slot = self.slot_of(key);
         self.insert_at(slot, pos);
@@ -254,41 +284,86 @@ impl SymIndex {
 
     /// [`SymIndex::insert_key`] minus the probe: appends `pos` under the
     /// group addressed by `slot` (from [`SymIndex::ensure_slot`]).
+    /// Writes into the segment's spare room; a full segment first grows
+    /// in place at the vector's tail or moves there.
     #[inline]
     pub fn insert_at(&mut self, slot: u32, pos: u32) {
-        let s = slot;
-        let slot = slot as usize;
-        let seg_end = self.bulk_start[slot] + self.bulk_len[slot];
-        if seg_end as usize == self.bulk.len() {
-            self.bulk.push(pos);
-            self.bulk_len[slot] += 1;
-            self.note(pos, seg_end, s);
-        } else {
-            let node = if self.free_head != NONE {
-                let node = self.free_head;
-                self.free_head = self.over[node as usize].1;
-                self.over[node as usize] = (pos, self.over_head[slot]);
-                node
+        let s = slot as usize;
+        let seg = self.segs[s];
+        if seg.len == seg.cap {
+            if seg.ends_at(self.store.len()) {
+                self.store.push(NONE);
+                self.segs[s].cap = offset(self.store.len()) - seg.start;
             } else {
-                let node = u32::try_from(self.over.len()).expect("overflow arena full");
-                self.over.push((pos, self.over_head[slot]));
-                node
-            };
-            self.over_head[slot] = node;
-            self.note(pos, node | OVER_BIT, s);
+                self.relocate(s);
+            }
         }
-        self.min[slot] = self.min[slot].min(pos);
+        let seg = &mut self.segs[s];
+        let loc = seg.start + seg.len;
+        seg.len += 1;
+        self.store[loc as usize] = pos;
+        self.note(pos, loc, slot);
+        self.min[s] = self.min[s].min(pos);
         self.len += 1;
     }
 
+    /// Moves `slot`'s full segment to the vector's tail with room for
+    /// [`GROWTH`] times its live entries, retargeting their
+    /// back-pointers; the room it leaves turns dead.
+    fn relocate(&mut self, slot: usize) {
+        let seg = self.segs[slot];
+        debug_assert_eq!(seg.len, seg.cap, "only a full segment moves");
+        let start = offset(self.store.len());
+        let cap = seg
+            .len
+            .checked_mul(GROWTH)
+            .expect("index capacity exceeded")
+            .max(1);
+        let end = start.checked_add(cap).expect("index capacity exceeded");
+        self.store.extend_from_within(seg.live());
+        self.store.resize(end as usize, NONE);
+        for (loc, &pos) in (start..).zip(&self.store[start as usize..][..seg.len as usize]) {
+            self.at[pos as usize].loc = loc;
+        }
+        self.segs[slot] = Seg {
+            start,
+            len: seg.len,
+            cap,
+        };
+        self.dead += seg.cap as usize;
+        self.repack_if_sparse();
+    }
+
+    /// Once dead room exceeds [`REPACK_DEAD`]'s share of the vector, lays
+    /// every segment out again back to back, capacities kept, and
+    /// retargets every back-pointer. `O(vector)`, paid for by the moves
+    /// and releases that made the room dead.
+    fn repack_if_sparse(&mut self) {
+        if self.dead * REPACK_DEAD <= self.store.len() {
+            return;
+        }
+        let mut store = Vec::with_capacity(self.store.len() - self.dead);
+        for seg in &mut self.segs {
+            let start = offset(store.len());
+            let live = &self.store[seg.live()];
+            for (loc, &pos) in (start..).zip(live) {
+                self.at[pos as usize].loc = loc;
+            }
+            store.extend_from_slice(live);
+            store.resize(start as usize + seg.cap as usize, NONE);
+            seg.start = start;
+        }
+        self.store = store;
+        self.dead = 0;
+    }
+
     /// Removes one occurrence of `pos` under `key`; returns whether it
-    /// was found. `O(1)` through the position back-pointer (`O(chain)`
-    /// in the overflow tier, `O(group)` only when `pos` was the group's
-    /// cached minimum and it must be rescanned). Within the bulk segment
-    /// the last live entry is swapped into the hole, so segment
-    /// iteration order is no longer position-ascending after a removal —
-    /// a consumer that needs the group's lowest position reads
-    /// [`SymIndex::min_at`] or takes the minimum itself.
+    /// was found. `O(1)` amortized through the position back-pointer
+    /// (`O(group)` only when `pos` was the group's cached minimum and it
+    /// must be rescanned). The segment's last live entry is swapped into
+    /// the hole, so a group's order is no longer position-ascending
+    /// after a removal — a consumer that needs the group's lowest
+    /// position reads [`SymIndex::min_at`] or takes the minimum itself.
     pub fn remove_key(&mut self, pos: u32, key: &[SymValue]) -> bool {
         debug_assert_eq!(key.len(), self.key_len);
         match self.map.get(key) {
@@ -309,52 +384,30 @@ impl SymIndex {
         if rec.slot != slot {
             return false;
         }
-        let loc = rec.loc;
-        let slot = slot as usize;
-        if loc & OVER_BIT == 0 {
-            let loc = loc as usize;
-            let (start, live) = (self.bulk_start[slot] as usize, self.bulk_len[slot] as usize);
-            debug_assert!(
-                loc >= start && loc < start + live && self.bulk[loc] == pos,
-                "back-pointer must land on `pos` in its slot's live segment"
-            );
-            let tail = start + live - 1;
-            self.bulk.swap(loc, tail);
-            if loc != tail {
-                // The entry swapped into the hole moved: retarget it.
-                self.at[self.bulk[loc] as usize].loc = loc as u32;
-            }
-            self.bulk_len[slot] -= 1;
-        } else {
-            // Unlink from the overflow chain (singly linked, so walk for
-            // the predecessor; chains are short streamed growth).
-            let target = loc & !OVER_BIT;
-            debug_assert_eq!(self.over[target as usize].0, pos);
-            let mut prev = NONE;
-            let mut node = self.over_head[slot];
-            loop {
-                if node == NONE {
-                    return false;
-                }
-                if node == target {
-                    break;
-                }
-                prev = node;
-                node = self.over[node as usize].1;
-            }
-            let next = self.over[target as usize].1;
-            if prev == NONE {
-                self.over_head[slot] = next;
-            } else {
-                self.over[prev as usize].1 = next;
-            }
-            self.over[target as usize] = (0, self.free_head);
-            self.free_head = target;
+        let s = slot as usize;
+        let seg = &mut self.segs[s];
+        debug_assert!(
+            seg.live().contains(&(rec.loc as usize)) && self.store[rec.loc as usize] == pos,
+            "back-pointer must land on `pos` in its slot's live segment"
+        );
+        seg.len -= 1;
+        let last = seg.start + seg.len;
+        if rec.loc != last {
+            // The entry swapped into the hole moved: retarget it.
+            let moved = self.store[last as usize];
+            self.store[rec.loc as usize] = moved;
+            self.at[moved as usize].loc = rec.loc;
         }
         self.at[pos as usize] = ABSENT;
         self.len -= 1;
-        if self.min[slot] == pos {
-            self.min[slot] = self.rescan_min(slot);
+        if seg.cap >= SHRINK_MIN_CAP && seg.len <= seg.cap / SHRINK_FILL {
+            let kept = seg.cap / 2;
+            self.dead += (seg.cap - kept) as usize;
+            seg.cap = kept;
+            self.repack_if_sparse();
+        }
+        if self.min[s] == pos {
+            self.min[s] = self.rescan_min(s);
         }
         true
     }
@@ -375,82 +428,46 @@ impl SymIndex {
     /// [`SymIndex::replace_pos`] minus the probe: renumbers `from` to
     /// `to` within the group addressed by `slot`.
     pub fn replace_at(&mut self, slot: u32, from: u32, to: u32) -> bool {
-        let s = slot;
         let rec = match self.at.get(from as usize) {
             Some(rec) if rec.loc != NONE => *rec,
             _ => return false,
         };
-        if rec.slot != s {
+        if rec.slot != slot {
             return false;
         }
-        let loc = rec.loc;
-        let slot = slot as usize;
-        if loc & OVER_BIT == 0 {
-            let l = loc as usize;
-            debug_assert!(
-                {
-                    let (start, live) =
-                        (self.bulk_start[slot] as usize, self.bulk_len[slot] as usize);
-                    l >= start && l < start + live && self.bulk[l] == from
-                },
-                "back-pointer must land on `from` in its slot's live segment"
-            );
-            self.bulk[l] = to;
-        } else {
-            let node = (loc & !OVER_BIT) as usize;
-            debug_assert_eq!(self.over[node].0, from);
-            debug_assert!(
-                {
-                    let mut n = self.over_head[slot];
-                    let mut found = false;
-                    while n != NONE {
-                        if n as usize == node {
-                            found = true;
-                            break;
-                        }
-                        n = self.over[n as usize].1;
-                    }
-                    found
-                },
-                "renumbered node must live in the probed key's chain"
-            );
-            self.over[node].0 = to;
-        }
+        let s = slot as usize;
+        debug_assert!(
+            self.segs[s].live().contains(&(rec.loc as usize))
+                && self.store[rec.loc as usize] == from,
+            "back-pointer must land on `from` in its slot's live segment"
+        );
+        self.store[rec.loc as usize] = to;
         self.at[from as usize] = ABSENT;
-        self.note(to, loc, s);
-        if self.min[slot] == from {
-            self.min[slot] = self.rescan_min(slot);
+        self.note(to, rec.loc, slot);
+        if self.min[s] == from {
+            self.min[s] = self.rescan_min(s);
         } else {
-            self.min[slot] = self.min[slot].min(to);
+            self.min[s] = self.min[s].min(to);
         }
         true
     }
 
     /// The positions of tuples whose key equals `key` (empty when none).
-    pub fn positions(&self, key: &[SymValue]) -> PosIter<'_> {
+    pub fn positions(&self, key: &[SymValue]) -> &[u32] {
         debug_assert_eq!(key.len(), self.key_len);
         match self.map.get(key) {
             Some(&slot) => self.slot_positions(slot as usize),
-            None => PosIter {
-                bulk: &[],
-                over: &self.over,
-                node: NONE,
-            },
+            None => &[],
         }
     }
 
-    fn slot_positions(&self, slot: usize) -> PosIter<'_> {
-        let (start, live) = (self.bulk_start[slot] as usize, self.bulk_len[slot] as usize);
-        PosIter {
-            bulk: &self.bulk[start..start + live],
-            over: &self.over,
-            node: self.over_head[slot],
-        }
+    fn slot_positions(&self, slot: usize) -> &[u32] {
+        &self.store[self.segs[slot].live()]
     }
 
     /// Does any indexed tuple carry `key`?
     pub fn contains_key(&self, key: &[SymValue]) -> bool {
-        self.positions(key).next().is_some()
+        !self.positions(key).is_empty()
     }
 
     /// The smallest position under `key` — the batch sweep's "first
@@ -468,7 +485,7 @@ impl SymIndex {
         let m = self.min[slot as usize];
         debug_assert_eq!(
             (m != NONE).then_some(m),
-            self.slot_positions(slot as usize).min(),
+            self.slot_positions(slot as usize).iter().copied().min(),
             "cached minimum diverged from the group contents"
         );
         (m != NONE).then_some(m)
@@ -477,7 +494,7 @@ impl SymIndex {
     /// [`SymIndex::positions`] minus the probe: the live positions of the
     /// group addressed by `slot`.
     #[inline]
-    pub fn positions_at(&self, slot: u32) -> PosIter<'_> {
+    pub fn positions_at(&self, slot: u32) -> &[u32] {
         self.slot_positions(slot as usize)
     }
 
@@ -504,8 +521,8 @@ impl SymIndex {
 
     /// Iterator over `(key, positions)` groups in first-seen key order.
     /// Removals can leave a key with no positions; such groups are still
-    /// yielded (their iterator is immediately empty).
-    pub fn groups(&self) -> impl Iterator<Item = (&[SymValue], PosIter<'_>)> {
+    /// yielded (with an empty slice).
+    pub fn groups(&self) -> impl Iterator<Item = (&[SymValue], &[u32])> {
         self.keys
             .iter()
             .enumerate()
@@ -527,6 +544,14 @@ impl SymIndex {
         self.len == 0
     }
 
+    /// Position entries held in storage: live ones, spare room in the
+    /// segments and dead room between them. At most
+    /// `8 · len() + 6 · distinct_keys()` after any mutation, and exactly
+    /// `len()` after a bulk build or [`SymIndex::compact`].
+    pub fn stored(&self) -> usize {
+        self.store.len()
+    }
+
     /// The arity of keys in this index.
     pub fn key_len(&self) -> usize {
         self.key_len
@@ -535,12 +560,13 @@ impl SymIndex {
     /// Rebuilds the index around its **live** key groups, dropping every
     /// emptied one, and returns how many groups were reclaimed.
     ///
-    /// Removals never shrink the index: an emptied group keeps its map
-    /// entry, key cells and slot bookkeeping forever, so a long-lived
-    /// stream over high-key-churn data grows with the distinct keys ever
-    /// seen, not with the live data. Compaction folds the overflow arena
-    /// back into one freshly counting-sorted CSR (each surviving segment
-    /// comes back position-ascending) and frees the dead slots.
+    /// Removals never forget a key: an emptied group keeps its map
+    /// entry, key cells and slot bookkeeping, so a long-lived stream
+    /// over high-key-churn data grows with the distinct keys ever seen,
+    /// not with the live data. Compaction frees the dead slots and lays
+    /// the survivors out tight with a fresh counting sort (each segment
+    /// comes back position-ascending). Mutations stay `O(1)` without
+    /// it; it reclaims emptied keys, not speed.
     ///
     /// `O(keys + live positions)`; all live `(key, position)` pairs are
     /// preserved, so probes, removals and renumbers behave identically
@@ -549,7 +575,7 @@ impl SymIndex {
         let seen = self.keys.len();
         let mut live: Vec<(Box<[SymValue]>, Vec<u32>)> = Vec::with_capacity(seen);
         for slot in 0..seen {
-            let mut positions: Vec<u32> = self.slot_positions(slot).collect();
+            let mut positions = self.slot_positions(slot).to_vec();
             if positions.is_empty() {
                 continue;
             }
@@ -587,40 +613,11 @@ impl SymIndex {
     }
 }
 
-/// Iterator over one key group's positions: the CSR bulk segment first,
-/// then the overflow chain.
-#[derive(Clone, Debug)]
-pub struct PosIter<'a> {
-    bulk: &'a [u32],
-    over: &'a [(u32, u32)],
-    node: u32,
-}
-
-impl Iterator for PosIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if let Some((&p, rest)) = self.bulk.split_first() {
-            self.bulk = rest;
-            return Some(p);
-        }
-        if self.node == NONE {
-            return None;
-        }
-        let (p, next) = self.over[self.node as usize];
-        self.node = next;
-        Some(p)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.bulk.len(), None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condep_model::{tuple, AttrId, Interner, Relation, Sym, Tuple, Value};
+    use crate::{tuple, AttrId, Interner, Relation, Sym, Tuple, Value};
+    use std::collections::BTreeSet;
 
     /// `t`'s key cells, interning new strings.
     fn key_of(t: &Tuple, key_attrs: &[AttrId], interner: &mut Interner) -> Vec<SymValue> {
@@ -661,7 +658,7 @@ mod tests {
     }
 
     fn probe_vec(idx: &SymIndex, key: &[SymValue]) -> Vec<u32> {
-        idx.positions(key).collect()
+        idx.positions(key).to_vec()
     }
 
     #[test]
@@ -686,7 +683,7 @@ mod tests {
         }
         for (key, positions) in idx.groups() {
             assert_eq!(key.len(), 1);
-            assert!(positions.count() > 0);
+            assert!(!positions.is_empty());
         }
     }
 
@@ -791,7 +788,7 @@ mod tests {
         assert!(idx.remove_key(2, &j));
         assert!(!idx.contains_key(&j));
         assert_eq!(idx.distinct_keys(), 2);
-        // Free-listed overflow nodes are reused.
+        // The room the removal freed is reused.
         idx.insert_key(7, &j);
         assert_eq!(probe_vec(&idx, &j), vec![7]);
         assert!(idx.remove_key(7, &j));
@@ -929,13 +926,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_inserts_after_bulk_build_land_in_overflow() {
+    fn streaming_inserts_after_bulk_build_move_or_grow_segments() {
         let r = rel();
         let mut interner = Interner::new();
         let mut idx = build(&r, &[AttrId(0)], &mut interner);
-        // "EDI" segment is not at the tail of the CSR vector, so this
-        // lands in the overflow arena; "NYC" is at the tail and grows in
-        // place. Either way the group contents must be right.
+        // The bulk build leaves no spare room. "EDI"'s full segment is
+        // not at the tail of the shared vector, so this insert moves it
+        // there; "EDI" is then at the tail and "NYC" moves behind it.
+        // Either way the group contents must be right.
         insert(
             &mut idx,
             3,
@@ -959,11 +957,165 @@ mod tests {
         n.sort_unstable();
         assert_eq!(n, vec![2, 4]);
         assert_eq!(idx.len(), 5);
-        // Removal reaches both tiers.
+        assert_eq!(
+            idx.stored(),
+            3 + 4 + 2,
+            "the seed room plus two moved segments"
+        );
+        // Removal reaches moved segments; the freed room is reused.
         assert!(idx.remove_key(3, &edi));
         assert!(idx.remove_key(0, &edi));
         let mut e = probe_vec(&idx, &edi);
         e.sort_unstable();
         assert_eq!(e, vec![1]);
+    }
+
+    /// splitmix64: the random walk's seeded choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A key of the walk: `(kind, id)`, stored through an xor mask that
+    /// every `remap_keys` call changes.
+    type WalkKey = (i64, i64);
+
+    fn cells((kind, id): WalkKey, mask: i64) -> [SymValue; 2] {
+        [SymValue::Int(kind ^ mask), SymValue::Int(id ^ mask)]
+    }
+
+    /// The index agrees with the model on `key`'s group.
+    fn assert_group(
+        idx: &SymIndex,
+        model: &HashMap<WalkKey, BTreeSet<u32>>,
+        key: WalkKey,
+        mask: i64,
+    ) {
+        let want = model.get(&key).cloned().unwrap_or_default();
+        let cells = cells(key, mask);
+        let mut got = idx.positions(&cells).to_vec();
+        got.sort_unstable();
+        assert!(got.iter().copied().eq(want.iter().copied()), "{key:?}");
+        assert_eq!(idx.min_pos(&cells), want.first().copied(), "{key:?}");
+        match idx.probe_slot(&cells) {
+            Some(slot) => {
+                assert_eq!(idx.occupied_at(slot), !want.is_empty(), "{key:?}");
+                assert_eq!(idx.min_at(slot), want.first().copied(), "{key:?}");
+            }
+            None => assert!(want.is_empty(), "{key:?} lost its slot"),
+        }
+    }
+
+    /// A seeded random walk of inserts, removes and swap-renumbers over
+    /// a few hot keys, a few hundred warm keys and never-seen keys,
+    /// against a `HashMap<key, BTreeSet<position>>` model. Positions
+    /// stay dense like a relation's: a remove renumbers the last
+    /// position into the hole. Phases alternate between growth and
+    /// shrinkage, so segments move, release room and repack.
+    #[test]
+    fn random_walk_matches_a_hash_map_model() {
+        for seed in [1u64, 2] {
+            let mut rng = Rng(seed);
+            let mut idx = SymIndex::new(2);
+            let mut model: HashMap<WalkKey, BTreeSet<u32>> = HashMap::new();
+            let mut key_at: Vec<WalkKey> = Vec::new();
+            let mut fresh = 0i64;
+            let mut mask = 0i64;
+            for step in 0..25_000u32 {
+                let grow = (step / 2_500) % 2 == 0;
+                let mut touched = Vec::new();
+                if key_at.is_empty() || rng.below(100) < if grow { 65 } else { 35 } {
+                    let key = match rng.below(10) {
+                        0..=5 => (0, rng.below(4) as i64),
+                        6..=8 => (1, rng.below(300) as i64),
+                        _ => {
+                            fresh += 1;
+                            (2, fresh)
+                        }
+                    };
+                    let pos = key_at.len() as u32;
+                    if step % 2 == 0 {
+                        idx.insert_key(pos, &cells(key, mask));
+                    } else {
+                        let slot = idx.ensure_slot(&cells(key, mask));
+                        idx.insert_at(slot, pos);
+                    }
+                    model.entry(key).or_default().insert(pos);
+                    key_at.push(key);
+                    touched.push(key);
+                    assert_eq!(idx.slot_of_pos(pos), idx.probe_slot(&cells(key, mask)));
+                } else {
+                    let pos = rng.below(key_at.len() as u64) as u32;
+                    let key = key_at[pos as usize];
+                    assert!(!idx.remove_key(pos, &cells((3, 0), mask)), "absent key");
+                    if step % 2 == 0 {
+                        assert!(idx.remove_key(pos, &cells(key, mask)));
+                    } else {
+                        let slot = idx.slot_of_pos(pos).expect("indexed");
+                        assert!(idx.remove_at(slot, pos));
+                    }
+                    assert!(!idx.remove_key(pos, &cells(key, mask)), "already removed");
+                    let group = model.get_mut(&key).expect("modelled");
+                    group.remove(&pos);
+                    if group.is_empty() {
+                        model.remove(&key);
+                    }
+                    touched.push(key);
+                    let last = key_at.len() as u32 - 1;
+                    if pos != last {
+                        let moved = key_at[last as usize];
+                        assert!(idx.replace_pos(last, pos, &cells(moved, mask)));
+                        let group = model.get_mut(&moved).expect("modelled");
+                        group.remove(&last);
+                        group.insert(pos);
+                        touched.push(moved);
+                    }
+                    key_at.swap_remove(pos as usize);
+                    assert!(!idx.replace_pos(last, pos, &cells(key, mask)), "gone");
+                    assert_eq!(idx.slot_of_pos(last), None);
+                    if let Some(&now) = key_at.get(pos as usize) {
+                        assert_eq!(idx.slot_of_pos(pos), idx.probe_slot(&cells(now, mask)));
+                    }
+                }
+                assert_eq!(idx.len(), key_at.len());
+                assert!(
+                    idx.stored() <= 8 * idx.len() + 6 * idx.distinct_keys(),
+                    "step {step}: {} stored for {} live in {} keys",
+                    idx.stored(),
+                    idx.len(),
+                    idx.distinct_keys()
+                );
+                for key in touched {
+                    assert_group(&idx, &model, key, mask);
+                }
+                if step % 4_000 == 3_999 {
+                    let seen = idx.distinct_keys();
+                    assert_eq!(idx.compact(), seen - model.len());
+                    assert_eq!(idx.stored(), idx.len(), "compaction packs tight");
+                    let delta = 1 + rng.below(1 << 20) as i64;
+                    idx.remap_keys(|cell| match cell {
+                        SymValue::Int(v) => SymValue::Int(v ^ delta),
+                        other => other,
+                    });
+                    mask ^= delta;
+                }
+                if step % 1_000 == 0 {
+                    for &key in model.keys() {
+                        assert_group(&idx, &model, key, mask);
+                    }
+                    for (pos, &key) in key_at.iter().enumerate() {
+                        let slot = idx.probe_slot(&cells(key, mask));
+                        assert_eq!(idx.slot_of_pos(pos as u32), slot, "{key:?} at {pos}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //!   lock-step) and CINDs by `(target relation, Y set, Yp pattern)`;
 //! * per database, strings are interned once
 //!   ([`condep_model::Interner`]) and each group builds **one**
-//!   [`condep_query::SymIndex`] over compact word-sized keys;
+//!   [`condep_model::SymIndex`] over compact word-sized keys;
 //! * independent groups are swept in parallel with
 //!   [`std::thread::scope`] (small instances stay single-threaded);
 //! * [`ValidatorStream`] is the **delta engine**: it keeps the group

@@ -78,14 +78,15 @@
 //!   it splices in from it and reads its newcomers' violations through
 //!   it.
 //! * **at most one probe per (mutation, group)** — on insert,
-//!   [`condep_query::SymIndex`] slot handles (`ensure_slot`) resolve
-//!   the tuple's key group once; on delete, the index's per-position
-//!   slot record (`slot_of_pos`) recovers the deleted *and* moved
-//!   tuples' groups with **zero** hash probes. Either way the witness
-//!   read (`min_at`), membership scans (`positions_at`) and the final
-//!   insert/remove/relabel (`insert_at`/`remove_at`/`replace_at`) are
-//!   all `O(1)` against the handle, shared across every member asking
-//!   about that key.
+//!   [`SymIndex`] slot handles (`ensure_slot`) resolve the tuple's key
+//!   group once; on delete, the index's per-position slot record
+//!   (`slot_of_pos`) recovers the deleted *and* moved tuples' groups
+//!   with **zero** hash probes. Either way the handle is shared across
+//!   every member asking about that key: the witness read (`min_at`) is
+//!   `O(1)`, a membership scan (`positions_at`) reads the group as one
+//!   contiguous slice, and the final insert/remove/relabel
+//!   (`insert_at`/`remove_at`/`replace_at`) is `O(1)` amortized, because
+//!   each group edits its own segment of the index's storage in place.
 //! * **symbol compares everywhere** — member-pattern matching and
 //!   pair-witness RHS agreement are word compares between cached
 //!   symbols ([`SymValue`]), never tuple-value compares; the database
@@ -93,9 +94,16 @@
 //!
 //! ## Long-lived streams
 //!
-//! Three pieces make the stream safe to keep open for the life of a
+//! Four pieces make the stream safe to keep open for the life of a
 //! monitored database:
 //!
+//! * **self-maintaining indexes** — a delete frees room in its key
+//!   group's [`SymIndex`] segment that the group's next insert reuses,
+//!   and room that groups outgrow or release is repacked once it passes
+//!   half of an index's storage. The cost of a mutation does not grow
+//!   with the stream's age, and stored entries stay bounded by live
+//!   positions plus distinct keys, with no [`ValidatorStream::compact`]
+//!   call;
 //! * **stable tuple ids** — every resident tuple carries a
 //!   [`condep_model::TupleId`] ([`ValidatorStream::tuple_id_at`] /
 //!   [`ValidatorStream::position_of`]), allocated once and maintained
@@ -110,7 +118,8 @@
 //!   key groups and rebuilds the interner over live symbols only (the
 //!   dead-strings leak is closed; see [`CompactionStats`] for what was
 //!   reclaimed), all without disturbing live keys, violations or held
-//!   ids.
+//!   ids. It reclaims memory that high-key churn strands in keys and
+//!   strings; mutation speed does not depend on it.
 
 use crate::telemetry::{MutKind, StreamTelemetry};
 use crate::validator::{cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, Validator};
@@ -118,10 +127,9 @@ use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{
-    AttrId, Database, Interner, ModelError, RelId, Relation, Sym, SymValue, Tuple, TupleId,
-    TupleIdMap, Value,
+    AttrId, Database, Interner, ModelError, RelId, Relation, Sym, SymIndex, SymValue, Tuple,
+    TupleId, TupleIdMap, Value,
 };
-use condep_query::SymIndex;
 use condep_telemetry::{SpanTimer, Stopwatch};
 use std::collections::HashSet;
 
@@ -407,7 +415,7 @@ fn translate_member(interner: &Interner, m: &CfdMember) -> MemberSyms {
 /// come out in position order.
 fn group_pairs(rel_inst: &Relation, rhs: AttrId, mut positions: Vec<u32>) -> Vec<(usize, usize)> {
     positions.sort_unstable();
-    crate::validator::wildcard_pairs_by(positions.iter().copied(), |p| {
+    crate::validator::wildcard_pairs_by(&positions, |p| {
         &rel_inst.get(p as usize).expect("indexed position valid")[rhs]
     })
 }
@@ -550,7 +558,7 @@ fn stash_scope(
             continue;
         }
         applicable_covers(g, m, scoped, &mut cov_buf);
-        let old = group_pairs(rel_inst, m.rhs, idx.positions_at(slot).collect());
+        let old = group_pairs(rel_inst, m.rhs, idx.positions_at(slot).to_vec());
         members.push((ms, cov_buf.clone(), old));
     }
     (!members.is_empty()).then_some(PairScope {
@@ -657,8 +665,22 @@ impl ValidatorStream {
     }
 
     /// The stream's instrument panel: latency distributions, hot-path
-    /// counters and the recent-activity journal.
+    /// counters and the recent-activity journal. The index storage
+    /// gauges (`stream.index.*`) are sampled here, once per read, so the
+    /// mutation path never maintains them.
     pub fn telemetry(&self) -> &StreamTelemetry {
+        let (mut live, mut stored) = (0, 0);
+        for idx in self
+            .cfd_indexes
+            .iter()
+            .chain(self.cind_targets.iter())
+            .chain(self.cind_sources.iter().flatten())
+        {
+            live += idx.len();
+            stored += idx.stored();
+        }
+        self.telemetry.index_live.set(live as i64);
+        self.telemetry.index_stored.set(stored as i64);
         &self.telemetry
     }
 
@@ -968,9 +990,12 @@ impl ValidatorStream {
     /// are the only id storage). Returns what was reclaimed.
     ///
     /// Removals keep a group's slot — and its key's interned strings —
-    /// forever, so a months-long monitor over high-key-churn data would
-    /// otherwise grow with the distinct keys ever seen rather than with
-    /// the live data (the ROADMAP's known leaks, both closed here).
+    /// until compaction, so a months-long monitor over high-key-churn
+    /// data would otherwise grow with the distinct keys ever seen
+    /// rather than with the live data. Position storage needs no such
+    /// help: the indexes reuse the room deletes free and repack
+    /// themselves, so mutations stay fast without compaction, and
+    /// compaction is for emptied groups and strings, not for speed.
     /// Compaction is `O(keys + live positions)` over each index plus
     /// `O(live strings)` for the interner rebuild, and preserves every
     /// live `(key, position)` pair **and every live [`TupleId`]**, so
@@ -1221,7 +1246,7 @@ impl ValidatorStream {
             for (m, sidx) in g.members.iter().zip(&cind_sources[gi]) {
                 let cind = &validator.cinds()[m.idx];
                 let source = db.relation(cind.lhs_rel());
-                for src in sidx.positions(&key_buf) {
+                for &src in sidx.positions(&key_buf) {
                     let t1 = source.get(src as usize).expect("indexed position valid");
                     let payload = t1.project(cind.x());
                     for &cidx in &m.covers {
@@ -1573,7 +1598,7 @@ impl ValidatorStream {
                         }
                     }
                 }
-            } else if idx.positions_at(slot_t).nth(1).is_some() {
+            } else if idx.positions_at(slot_t).len() > 1 {
                 // The witness itself goes: the group's pairs
                 // restructure. Stash the old pairs for recomputation.
                 // (A singleton group has no pairs on either side of the
@@ -1631,7 +1656,7 @@ impl ValidatorStream {
                                 ));
                             }
                         }
-                    } else if idx.positions_at(sm).nth(1).is_some() {
+                    } else if idx.positions_at(sm).len() > 1 {
                         // The moved tuple lands *below* the group's old
                         // witness and becomes the new one: restructure
                         // (skipped for a singleton group — no pairs).
@@ -1709,7 +1734,7 @@ impl ValidatorStream {
                 // The swap renumbering only concerns the deleted tuple's
                 // relation — source positions elsewhere are stable.
                 let same_rel = cind.lhs_rel() == rel;
-                for src in sidx.positions(&key_buf) {
+                for &src in sidx.positions(&key_buf) {
                     let t1 = source.get(src as usize).expect("indexed position valid");
                     let tuple = if same_rel { renum(src) } else { src as usize };
                     let payload = t1.project(cind.x());
@@ -1839,7 +1864,7 @@ impl ValidatorStream {
                 let new = group_pairs(
                     db.relation(rel),
                     m.rhs,
-                    idx.positions_at(scope.slot).collect(),
+                    idx.positions_at(scope.slot).to_vec(),
                 );
                 let old_set: HashSet<(usize, usize), FxBuildHasher> = old.iter().copied().collect();
                 let new_set: HashSet<(usize, usize), FxBuildHasher> = new.iter().copied().collect();
@@ -2136,6 +2161,8 @@ impl ValidatorStream {
         let rel_inst = self.db.relation(g.rel);
         let mut out: Vec<usize> = self.cfd_indexes[gi]
             .positions(&key)
+            .iter()
+            .copied()
             .filter(|&p| {
                 let resident = rel_inst.get(p as usize).expect("indexed position valid");
                 pattern_matches(&g.attrs, pat, resident)
@@ -2166,14 +2193,12 @@ impl ValidatorStream {
             return false;
         };
         let mut key_buf: Vec<SymValue> = Vec::new();
-        let mut group_buf: Vec<u32> = Vec::new();
         for (g, idx) in self.validator.cfd_groups().iter().zip(&self.cfd_indexes) {
             if g.rel != rel {
                 continue;
             }
             sym_key(&self.interner, t, &g.attrs, &mut key_buf);
-            group_buf.clear();
-            group_buf.extend(idx.positions(&key_buf));
+            let group = idx.positions(&key_buf);
             for m in &g.members {
                 if !member_matches(g, m, t) {
                     continue;
@@ -2191,7 +2216,7 @@ impl ValidatorStream {
                 if !is_rigid(mine) {
                     continue;
                 }
-                for &p in &group_buf {
+                for &p in group {
                     if p as usize == my_pos {
                         continue;
                     }
@@ -2251,9 +2276,10 @@ mod tests {
         let (mut stream, _) = ValidatorStream::new_validated(v, db);
 
         // Swap-deleting position 0 renumbers the last tuple, (k, b3),
-        // into it in place; the inserts then land behind it (the tail
-        // of the bulk tier, then the overflow tier). The target group
-        // churns too.
+        // into it in place inside k's segment; the insert of (k, b4)
+        // then grows that segment at the tail of the index's storage,
+        // and y's full segment moves behind it for (y, b5). The target
+        // group churns too.
         stream.delete_tuple(r, &tuple!["x", "b0", "c0"]).unwrap();
         stream.insert_tuple(r, tuple!["k", "b4", "c0"]).unwrap();
         stream.insert_tuple(r, tuple!["y", "b5", "c0"]).unwrap();
@@ -2261,7 +2287,7 @@ mod tests {
         stream.insert_tuple(s, tuple!["b2"]).unwrap();
         stream.insert_tuple(s, tuple!["k"]).unwrap();
         let k = [stream.interner.sym_value(&Value::str("k")).unwrap()];
-        let stored: Vec<u32> = stream.cfd_indexes[0].positions(&k).collect();
+        let stored = stream.cfd_indexes[0].positions(&k).to_vec();
         let lowest = *stored.iter().min().unwrap();
         assert_ne!(
             stored[0], lowest,

@@ -31,10 +31,15 @@
 //! | `stream.pairs.recompute` | counter | witness-restructure scopes (full pair recomputation) |
 //! | `stream.violations.introduced` | counter | violations introduced, cumulative |
 //! | `stream.violations.resolved` | counter | violations resolved, cumulative |
+//! | `stream.index.live` | gauge | live positions, summed over the stream's key-group indexes; sampled on each [`ValidatorStream::telemetry`] read |
+//! | `stream.index.stored` | gauge | position entries those indexes store, live or spare or dead ([`SymIndex::stored`]); sampled likewise |
+//!
+//! [`ValidatorStream::telemetry`]: crate::ValidatorStream::telemetry
+//! [`SymIndex::stored`]: condep_model::SymIndex::stored
 
 use crate::stream::SigmaDelta;
 use condep_telemetry::{
-    Counter, Histogram, HistogramSnapshot, Journal, JournalEvent, MetricsSnapshot, Registry,
+    Counter, Gauge, Histogram, HistogramSnapshot, Journal, JournalEvent, MetricsSnapshot, Registry,
     StreamEvent,
 };
 
@@ -77,6 +82,8 @@ pub struct StreamTelemetry {
     pub(crate) pair_recompute: Counter,
     pub(crate) introduced: Counter,
     pub(crate) resolved: Counter,
+    pub(crate) index_live: Gauge,
+    pub(crate) index_stored: Gauge,
 }
 
 impl StreamTelemetry {
@@ -97,6 +104,8 @@ impl StreamTelemetry {
             pair_recompute: registry.counter("stream.pairs.recompute"),
             introduced: registry.counter("stream.violations.introduced"),
             resolved: registry.counter("stream.violations.resolved"),
+            index_live: registry.gauge("stream.index.live"),
+            index_stored: registry.gauge("stream.index.stored"),
             journal: Journal::with_capacity(JOURNAL_CAPACITY),
             registry,
         }

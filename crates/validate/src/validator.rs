@@ -5,8 +5,9 @@ use condep_analyze::{AnalyzeConfig, SigmaAnalysis, SigmaLint, SigmaVerdict, Unsa
 use condep_cfd::{CfdViolation, NormalCfd};
 use condep_core::{CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, RelId, Schema, SymTables, SymValue, Value};
-use condep_query::SymIndex;
+use condep_model::{
+    AttrId, Database, Interner, RelId, Schema, SymIndex, SymTables, SymValue, Value,
+};
 use condep_telemetry::{Export, MetricsSnapshot, SpanKey, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -905,17 +906,11 @@ impl Validator {
                 let rhs_col = cells.column(group.rel, m.rhs);
                 match &m.rhs_const {
                     Some(expected) => self.push_single_tuple_violations(
-                        &m.covers,
-                        key,
-                        expected,
-                        positions.clone(),
-                        rhs_col,
-                        rel,
-                        out,
+                        &m.covers, key, expected, positions, rhs_col, rel, out,
                     ),
                     None => {
                         let pairs = pair_cache.entry(m.rhs).or_insert_with(|| {
-                            wildcard_pairs_by(positions.clone(), |pos| rhs_col.at(pos as usize))
+                            wildcard_pairs_by(positions, |pos| rhs_col.at(pos as usize))
                         });
                         for (ci, (cidx, cpat)) in m.covers.iter().enumerate() {
                             if ci > 0 && !cover_key_matches(cpat, key) {
@@ -947,14 +942,14 @@ impl Validator {
         covers: &[(usize, Vec<Option<SymValue>>)],
         key: &[SymValue],
         expected: &Result<SymValue, &Value>,
-        positions: impl Iterator<Item = u32>,
+        positions: &[u32],
         rhs_col: Col<'_>,
         rel: &condep_model::Relation,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
         let expected_sym = expected.ok();
         let rep = covers[0].0;
-        for pos in positions {
+        for &pos in positions {
             if Some(rhs_col.at(pos as usize)) != expected_sym {
                 let t = rel.get(pos as usize).expect("indexed position valid");
                 let rhs = self.cfds[rep].rhs();
@@ -1201,24 +1196,23 @@ pub(crate) fn cover_key_matches(pattern: &[Option<SymValue>], key: &[SymValue]) 
 /// The one definition of the wildcard-RHS pairing rule: every tuple of a
 /// key-group whose RHS value differs from the group's **lowest
 /// position**'s is paired with that witness. Positions may arrive in any
-/// order — a live index's groups lose their ascending order to overflow
-/// inserts and swap renumbering — so no read depends on storage order.
+/// order — a live index's groups lose their ascending order to
+/// swap-removals and renumbering — so no read depends on storage order.
 /// Generic over how a position's RHS value is read (symbolized cells or
 /// live tuples); keeping a single implementation is what guarantees the
 /// stream/batch equivalence invariant cannot drift.
-pub(crate) fn wildcard_pairs_by<V, F>(
-    positions: impl Iterator<Item = u32> + Clone,
-    value_at: F,
-) -> Vec<(usize, usize)>
+pub(crate) fn wildcard_pairs_by<V, F>(positions: &[u32], value_at: F) -> Vec<(usize, usize)>
 where
     V: PartialEq,
     F: Fn(u32) -> V,
 {
-    let Some(witness) = positions.clone().min() else {
+    let Some(&witness) = positions.iter().min() else {
         return Vec::new();
     };
     let expected = value_at(witness);
     positions
+        .iter()
+        .copied()
         .filter(|&pos| value_at(pos) != expected)
         .map(|pos| (witness as usize, pos as usize))
         .collect()

@@ -13,8 +13,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍` |
-//! | [`query`] | `SymIndex`: the compact-key group-by index over interned values that validation, the delta engine and discovery build on |
+//! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍`; interning and `SymIndex`, the compact-key group-by index over interned values that validation, the delta engine and discovery build on |
 //! | [`sat`] | DPLL SAT solver (stands in for SAT4j) |
 //! | [`analyze`] | **static analysis of Σ**: per-relation verdicts from the `cfd` SAT decider (`Sat` + witness database, `Unsat` + minimal core in Σ indices, `Unknown` on budget), a budgeted CFD+CIND chase, and the advisory `SigmaLint` catalogue — the pre-flight gate behind `Validator::strict` and `repair()` |
 //! | [`cfd`] | CFDs: syntax, normal form, satisfaction, violations, and the one SAT decider for consistency (one symbolic tuple) and implication (two) |
@@ -67,7 +66,6 @@ pub use condep_discover as discover;
 pub use condep_dsl as dsl;
 pub use condep_gen as gen;
 pub use condep_model as model;
-pub use condep_query as query;
 pub use condep_repair as repair;
 pub use condep_sat as sat;
 pub use condep_telemetry as telemetry;
