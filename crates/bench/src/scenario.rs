@@ -221,6 +221,25 @@ pub struct StreamStats {
     pub index_stored: u64,
 }
 
+/// Online-discovery counters, when the loop ran.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OnlineStats {
+    /// Proposal polls run.
+    pub polls: u64,
+    /// Dependencies proposed across all polls.
+    pub proposed: u64,
+    /// Dependencies promoted into the live suite.
+    pub promoted: u64,
+    /// Promoted dependencies later retired on decay.
+    pub retired: u64,
+    /// Distinct values the miner's dictionary holds at the end
+    /// (`monitor.online.values`).
+    pub values: u64,
+    /// Classes across the miner's pair sketches at the end
+    /// (`monitor.online.classes`).
+    pub classes: u64,
+}
+
 /// Σ static-analysis sweep counters (the `sigma_lint` scenario).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SigmaLintStats {
@@ -282,9 +301,8 @@ pub struct ScenarioResult {
     pub repair: Option<RepairOutcome>,
     /// Stream counters.
     pub stream: StreamStats,
-    /// Online-discovery counters, when the loop ran:
-    /// `(polls, proposed, promoted, retired)`.
-    pub online: Option<(u64, u64, u64, u64)>,
+    /// Online-discovery counters, when the loop ran.
+    pub online: Option<OnlineStats>,
     /// Live-Σ churn counters.
     pub sigma_churn: SigmaChurnStats,
     /// Static-analysis sweep counters (the `sigma_lint` scenario).
@@ -1071,13 +1089,13 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
         violations,
         repair: repair_outcome,
         stream,
-        online: health.online.map(|a| {
-            (
-                a.polls as u64,
-                a.proposed as u64,
-                a.promoted as u64,
-                a.retired as u64,
-            )
+        online: health.online.map(|a| OnlineStats {
+            polls: a.polls as u64,
+            proposed: a.proposed as u64,
+            promoted: a.promoted as u64,
+            retired: a.retired as u64,
+            values: gauge_of("monitor.online.values"),
+            classes: gauge_of("monitor.online.classes"),
         }),
         sigma_churn,
         sigma_lint: None,

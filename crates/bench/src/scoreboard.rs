@@ -162,17 +162,21 @@ fn write_entry(w: &mut JsonWriter, r: &ScenarioResult) {
     w.end_object();
 
     w.key("online");
-    match r.online {
-        Some((polls, proposed, promoted, retired)) => {
+    match &r.online {
+        Some(o) => {
             w.begin_object();
             w.key("polls");
-            w.value_u64(polls);
+            w.value_u64(o.polls);
             w.key("proposed");
-            w.value_u64(proposed);
+            w.value_u64(o.proposed);
             w.key("promoted");
-            w.value_u64(promoted);
+            w.value_u64(o.promoted);
             w.key("retired");
-            w.value_u64(retired);
+            w.value_u64(o.retired);
+            w.key("values");
+            w.value_u64(o.values);
+            w.key("classes");
+            w.value_u64(o.classes);
             w.end_object();
         }
         None => w.value_null(),
@@ -237,10 +241,19 @@ pub const REQUIRED_ENTRY_PATHS: &[&str] = &[
     "metrics",
 ];
 
+/// The keys a non-null `online` block must carry: the loop's activity
+/// and the miner's sketch size.
+const ONLINE_KEYS: &[&str] = &[
+    "polls", "proposed", "promoted", "retired", "values", "classes",
+];
+
 /// Checks a scoreboard document: well-formed JSON (per
 /// [`json::is_valid`]), the schema version, a non-empty scenario map,
-/// every required per-scenario path present and non-null, and latency
-/// percentiles in order (`p50 ≤ p90 ≤ p99 ≤ max`). Returns the parsed
+/// every required per-scenario path present and non-null, latency
+/// percentiles in order (`p50 ≤ p90 ≤ p99 ≤ max`), and every non-null
+/// `repair` / `online` block carrying its counters (an `online` block
+/// needs the loop's polls, proposed, promoted and retired counts and
+/// the miner's sketch size, `values` and `classes`). Returns the parsed
 /// tree on success.
 pub fn validate(doc: &str) -> Result<JsonValue, String> {
     if !json::is_valid(doc) {
@@ -287,12 +300,16 @@ pub fn validate(doc: &str) -> Result<JsonValue, String> {
             ));
         }
         // A repair entry, when present, must carry its accept/reject
-        // counts.
-        if let Some(rep) = entry.at("repair") {
-            if !matches!(rep, JsonValue::Null) {
-                for key in ["accepted", "rejected"] {
-                    if rep.get(key).is_none() {
-                        return Err(format!("scenario {name}: repair missing {key}"));
+        // counts; an online entry, its activity and the miner's sketch
+        // size.
+        for (block, keys) in [
+            ("repair", &["accepted", "rejected"][..]),
+            ("online", ONLINE_KEYS),
+        ] {
+            if let Some(b) = entry.at(block).filter(|b| !matches!(b, JsonValue::Null)) {
+                for key in keys {
+                    if b.get(key).is_none() {
+                        return Err(format!("scenario {name}: {block} missing {key}"));
                     }
                 }
             }
@@ -622,6 +639,33 @@ mod tests {
         assert!(validate(&missing_max)
             .unwrap_err()
             .contains("latency_us.max"));
+    }
+
+    #[test]
+    fn validate_rejects_an_online_block_without_the_sketch_size() {
+        let online = |keys: &str| {
+            doc(12, 0, 100.0, 500).replace(
+                "\"repair\": null,",
+                &format!("\"repair\": null, \"online\": {{{keys}}},"),
+            )
+        };
+        let activity = "\"polls\": 1, \"proposed\": 2, \"promoted\": 1, \"retired\": 0";
+        let full = online(&format!("{activity}, \"values\": 9, \"classes\": 4"));
+        assert!(validate(&full).is_ok());
+        let no_classes = online(&format!("{activity}, \"values\": 9"));
+        assert!(validate(&no_classes)
+            .unwrap_err()
+            .contains("online missing classes"));
+        let no_size = online(activity);
+        assert!(validate(&no_size)
+            .unwrap_err()
+            .contains("online missing values"));
+        // A scenario without the loop carries a null block.
+        assert!(validate(
+            &doc(12, 0, 100.0, 500)
+                .replace("\"repair\": null,", "\"repair\": null, \"online\": null,")
+        )
+        .is_ok());
     }
 
     #[test]

@@ -22,10 +22,20 @@
 //! ([`OnlineMiner::confidence_of_cfd`],
 //! [`OnlineMiner::confidence_of_cind`]) cost O(1).
 //!
-//! The miner works on **values**, not interned symbols: a long-lived
-//! monitor must survive interner compaction, and level-1 sketches touch
-//! each mutation's own cells only, so there is no hot re-hash loop to
-//! avoid. Feed it *effective* operations only (the workspace's
+//! The sketches are keyed by the miner's **own value dictionary**: each
+//! live value maps to a `u32` id, probed once per cell of a mutation,
+//! and column counts, classes and tallies all key on ids. One dictionary
+//! serves every column and relation, since an inclusion candidate
+//! compares a source cell with another relation's column. An id counts
+//! the live cells holding its value and is freed with the last of them,
+//! for the next new value to reuse, so the dictionary holds exactly the
+//! live distinct values and needs no compaction. It never reads the
+//! stream's interner, so a long-lived monitor's miner survives interner
+//! compaction. A class keeps its RHS tally inline until a second RHS
+//! value arrives, so the singleton classes of a near-unique column
+//! allocate nothing.
+//!
+//! Feed the miner *effective* operations only (the workspace's
 //! instances are sets; an insert of a present tuple or a delete of an
 //! absent one must not reach [`OnlineMiner::observe_insert`] /
 //! [`OnlineMiner::observe_delete`] — `condep::report::QualityMonitor`
@@ -37,10 +47,12 @@ use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{AttrId, Database, PValue, PatternRow, RelId, Schema, Tuple, Value};
 use condep_validate::Mutation;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-type ValueCounts = HashMap<Value, u32, FxBuildHasher>;
+/// Value id → count.
+type IdCounts = HashMap<u32, u32, FxBuildHasher>;
 
 /// Knobs of one [`OnlineMiner`].
 #[derive(Clone, Copy, Debug)]
@@ -69,13 +81,84 @@ impl Default for OnlineConfig {
     }
 }
 
+/// The miner's value dictionary: each live value and its `u32` id.
+#[derive(Clone, Debug, Default)]
+struct Dict {
+    /// Live value → id.
+    ids: HashMap<Value, u32, FxBuildHasher>,
+    /// Id → value; `None` while the id is free.
+    values: Vec<Option<Value>>,
+    /// Id → live cells holding its value.
+    cells: Vec<u32>,
+    /// Freed ids, reused before `values` grows.
+    free: Vec<u32>,
+}
+
+impl Dict {
+    /// The id of `v`, counting one more cell that holds it. One probe
+    /// for a known value; a new value is cloned in.
+    fn acquire(&mut self, v: &Value) -> u32 {
+        if let Some(&id) = self.ids.get(v) {
+            self.cells[id as usize] += 1;
+            return id;
+        }
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.values[id as usize] = Some(v.clone());
+                self.cells[id as usize] = 1;
+                id
+            }
+            None => {
+                self.values.push(Some(v.clone()));
+                self.cells.push(1);
+                u32::try_from(self.values.len() - 1).expect("fewer than 2^32 live values")
+            }
+        };
+        self.ids.insert(v.clone(), id);
+        id
+    }
+
+    /// The id of `v`, when some live cell holds it.
+    fn get(&self, v: &Value) -> Option<u32> {
+        self.ids.get(v).copied()
+    }
+
+    /// The value of a live id.
+    fn value(&self, id: u32) -> &Value {
+        self.values[id as usize].as_ref().expect("live id")
+    }
+
+    /// Counts one cell holding `id` out; the last one frees the id.
+    fn release(&mut self, id: u32) {
+        let cells = &mut self.cells[id as usize];
+        *cells -= 1;
+        if *cells == 0 {
+            let v = self.values[id as usize].take().expect("live id");
+            self.ids.remove(&v);
+            self.free.push(id);
+        }
+    }
+}
+
+/// Removes one occurrence of `id`, which must be counted, dropping the
+/// entry at zero; returns the count before.
+fn drop_one(counts: &mut IdCounts, id: u32) -> u32 {
+    let c = counts.get_mut(&id).expect("delete of a counted value");
+    let was = *c;
+    *c -= 1;
+    if *c == 0 {
+        counts.remove(&id);
+    }
+    was
+}
+
 /// Per-relation level-1 sketches.
 #[derive(Clone, Debug)]
 struct RelSketch {
     /// Live rows.
     rows: usize,
-    /// Per attribute: value → occurrence count.
-    cols: Vec<ValueCounts>,
+    /// Per attribute: value id → occurrence count.
+    cols: Vec<IdCounts>,
     /// Per ordered attribute pair `(x, y)`, flattened `x·arity + y`
     /// (diagonal unused).
     pairs: Vec<PairSketch>,
@@ -85,23 +168,88 @@ struct RelSketch {
 /// `x` value: the class → RHS-tally view of a stripped partition.
 #[derive(Clone, Debug, Default)]
 struct PairSketch {
-    /// LHS value → its class.
-    classes: HashMap<Value, Class, FxBuildHasher>,
+    /// LHS value id → its class.
+    classes: HashMap<u32, Class, FxBuildHasher>,
     /// Σ `len` over classes of two or more rows: the variable FD's
     /// support (singleton classes support nothing).
     support: usize,
     /// Σ `top` over the same classes: the rows the variable FD keeps.
     kept: usize,
-    /// Classes of at least the support floor, in value order: the only
-    /// ones a constant row can come from.
-    large: BTreeSet<Value>,
+    /// Classes of at least the support floor, by LHS value (so constant
+    /// rows come out in value order) → LHS id. Changes only when a
+    /// class crosses the floor.
+    large: BTreeMap<Value, u32>,
+}
+
+/// A class's RHS value ids, with counts.
+#[derive(Clone, Debug)]
+enum Tally {
+    /// The class's only RHS value so far, inline: no allocation.
+    One(u32, u32),
+    /// Two or more RHS values seen.
+    Many(IdCounts),
+}
+
+impl Tally {
+    /// Adds one occurrence of `y`; returns its new count.
+    fn bump(&mut self, y: u32) -> u32 {
+        match self {
+            Tally::One(v, n) if *v == y => {
+                *n += 1;
+                *n
+            }
+            Tally::One(v, n) => {
+                let mut counts = IdCounts::default();
+                counts.insert(*v, *n);
+                counts.insert(y, 1);
+                *self = Tally::Many(counts);
+                1
+            }
+            Tally::Many(counts) => {
+                let c = counts.entry(y).or_insert(0);
+                *c += 1;
+                *c
+            }
+        }
+    }
+
+    /// Removes one occurrence of `y`, which must be counted; returns
+    /// its count before.
+    fn drop_one(&mut self, y: u32) -> u32 {
+        match self {
+            Tally::One(v, n) => {
+                assert!(*v == y, "delete of a counted value");
+                *n -= 1;
+                *n + 1
+            }
+            Tally::Many(counts) => drop_one(counts, y),
+        }
+    }
+
+    /// The count of `y` (0 when absent).
+    fn count(&self, y: u32) -> u32 {
+        match self {
+            Tally::One(v, n) if *v == y => *n,
+            Tally::One(..) => 0,
+            Tally::Many(counts) => counts.get(&y).copied().unwrap_or(0),
+        }
+    }
+
+    /// `(value id, count)` entries.
+    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (one, many) = match self {
+            Tally::One(v, n) => (Some((*v, *n)), None),
+            Tally::Many(counts) => (None, Some(counts.iter().map(|(&v, &n)| (v, n)))),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 /// One LHS class: the RHS values of its rows, with counts.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Class {
-    /// RHS value → count.
-    tally: ValueCounts,
+    /// RHS value id → count.
+    tally: Tally,
     /// Rows in the class (the tally's sum).
     len: u32,
     /// The largest count in the tally.
@@ -111,9 +259,19 @@ struct Class {
 }
 
 impl Class {
+    /// A class of one row, with RHS value `y`.
+    fn new(y: u32) -> Self {
+        Class {
+            tally: Tally::One(y, 1),
+            len: 1,
+            top: 1,
+            at_top: 1,
+        }
+    }
+
     /// Counts one row with RHS value `y` in.
-    fn insert(&mut self, y: &Value) {
-        let c = bump(&mut self.tally, y);
+    fn insert(&mut self, y: u32) {
+        let c = self.tally.bump(y);
         self.len += 1;
         if c > self.top {
             self.top = c;
@@ -124,8 +282,8 @@ impl Class {
     }
 
     /// Counts one row with RHS value `y` out.
-    fn delete(&mut self, y: &Value) {
-        let was = drop_one(&mut self.tally, y);
+    fn delete(&mut self, y: u32) {
+        let was = self.tally.drop_one(y);
         self.len -= 1;
         if was == self.top {
             if self.at_top > 1 {
@@ -134,20 +292,23 @@ impl Class {
                 // The only value at `top` fell to `top - 1`, where
                 // others may tie it: recount.
                 self.top -= 1;
-                self.at_top = self.tally.values().filter(|&&c| c == self.top).count() as u32;
+                self.at_top = self.tally.iter().filter(|&(_, c)| c == self.top).count() as u32;
             }
         }
     }
 
-    /// The majority RHS value; count ties break toward the smallest
-    /// value (the batch miner breaks toward the smallest interned
-    /// symbol — identical on sorted-insert data, close enough for
-    /// ranking everywhere else).
-    fn majority(&self) -> &Value {
+    /// The majority RHS value, read back through `dict`. Count ties
+    /// break toward the smallest value: ids are the miner's own, handed
+    /// out in arrival order and reused once freed, so they carry no
+    /// value order (and share nothing with the stream's interner). The
+    /// batch miner breaks ties toward the smallest interned symbol —
+    /// identical on sorted-insert data, close enough for ranking
+    /// everywhere else.
+    fn majority<'d>(&self, dict: &'d Dict) -> &'d Value {
         self.tally
             .iter()
-            .filter(|&(_, &c)| c == self.top)
-            .map(|(v, _)| v)
+            .filter(|&(_, c)| c == self.top)
+            .map(|(y, _)| dict.value(y))
             .min()
             .expect("classes are non-empty")
     }
@@ -155,39 +316,44 @@ impl Class {
 
 impl PairSketch {
     /// Counts one row `(x, y)` in; `floor` is the support floor.
-    fn insert(&mut self, x: &Value, y: &Value, floor: usize) {
-        let (before, after) = match self.classes.get_mut(x) {
-            Some(class) => {
+    fn insert(&mut self, x: u32, y: u32, floor: usize, dict: &Dict) {
+        let (before, after) = match self.classes.entry(x) {
+            Entry::Occupied(e) => {
+                let class = e.into_mut();
                 let before = (class.len, class.top);
                 class.insert(y);
                 (before, (class.len, class.top))
             }
-            None => {
-                let mut class = Class::default();
-                class.insert(y);
-                let after = (class.len, class.top);
-                self.classes.insert(x.clone(), class);
-                ((0, 0), after)
+            Entry::Vacant(e) => {
+                e.insert(Class::new(y));
+                ((0, 0), (1, 1))
             }
         };
-        self.reweigh(x, before, after, floor);
+        self.reweigh(x, before, after, floor, dict);
     }
 
     /// Counts one row `(x, y)` out; `floor` is the support floor.
-    fn delete(&mut self, x: &Value, y: &Value, floor: usize) {
-        let class = self.classes.get_mut(x).expect("counted class");
+    fn delete(&mut self, x: u32, y: u32, floor: usize, dict: &Dict) {
+        let class = self.classes.get_mut(&x).expect("counted class");
         let before = (class.len, class.top);
         class.delete(y);
         let after = (class.len, class.top);
         if class.len == 0 {
-            self.classes.remove(x);
+            self.classes.remove(&x);
         }
-        self.reweigh(x, before, after, floor);
+        self.reweigh(x, before, after, floor, dict);
     }
 
     /// Moves class `x`'s share of the pair aggregates from its
     /// `before` to its `after` `(len, top)`.
-    fn reweigh(&mut self, x: &Value, before: (u32, u32), after: (u32, u32), floor: usize) {
+    fn reweigh(
+        &mut self,
+        x: u32,
+        before: (u32, u32),
+        after: (u32, u32),
+        floor: usize,
+        dict: &Dict,
+    ) {
         if before.0 >= 2 {
             self.support -= before.0 as usize;
             self.kept -= before.1 as usize;
@@ -198,41 +364,14 @@ impl PairSketch {
         }
         match (before.0 as usize >= floor, after.0 as usize >= floor) {
             (false, true) => {
-                self.large.insert(x.clone());
+                self.large.insert(dict.value(x).clone(), x);
             }
             (true, false) => {
-                self.large.remove(x);
+                self.large.remove(dict.value(x));
             }
             _ => {}
         }
     }
-}
-
-/// Adds one occurrence of `v`, cloning it only when it is new; returns
-/// the new count.
-fn bump(counts: &mut ValueCounts, v: &Value) -> u32 {
-    match counts.get_mut(v) {
-        Some(c) => {
-            *c += 1;
-            *c
-        }
-        None => {
-            counts.insert(v.clone(), 1);
-            1
-        }
-    }
-}
-
-/// Removes one occurrence of `v`, which must be counted, dropping the
-/// entry at zero; returns the count before.
-fn drop_one(counts: &mut ValueCounts, v: &Value) -> u32 {
-    let c = counts.get_mut(v).expect("delete of a counted value");
-    let was = *c;
-    *c -= 1;
-    if *c == 0 {
-        counts.remove(v);
-    }
-    was
 }
 
 /// One inclusion candidate `src[attr] ⊆ dst[attr]`, tracked by its
@@ -273,15 +412,19 @@ impl OnlineProposals {
 pub struct OnlineMiner {
     schema: Arc<Schema>,
     config: OnlineConfig,
+    dict: Dict,
     rels: Vec<RelSketch>,
     cinds: Vec<CindPair>,
-    /// Pair indexes by source column — the per-mutation update walks
-    /// only the pairs the mutated cells touch.
-    src_of: HashMap<(RelId, AttrId), Vec<usize>, FxBuildHasher>,
-    /// Pair indexes by target column.
-    dst_of: HashMap<(RelId, AttrId), Vec<usize>, FxBuildHasher>,
+    /// Pair indexes by source column, `[rel][attr]` — the per-mutation
+    /// update walks only the pairs the mutated cells touch.
+    src_of: Vec<Vec<Vec<usize>>>,
+    /// Pair indexes by target column, `[rel][attr]`.
+    dst_of: Vec<Vec<Vec<usize>>>,
     /// Pair index by full column pair (retirement lookups).
     pair_of: HashMap<(RelId, AttrId, RelId, AttrId), usize, FxBuildHasher>,
+    /// The current mutation's cell ids (reused: no allocation per
+    /// mutation).
+    row: Vec<u32>,
     ops: u64,
 }
 
@@ -295,7 +438,7 @@ impl OnlineMiner {
                 let arity = rs.arity();
                 RelSketch {
                     rows: 0,
-                    cols: (0..arity).map(|_| ValueCounts::default()).collect(),
+                    cols: (0..arity).map(|_| IdCounts::default()).collect(),
                     pairs: (0..arity * arity).map(|_| PairSketch::default()).collect(),
                 }
             })
@@ -306,9 +449,12 @@ impl OnlineMiner {
             .iter()
             .flat_map(|(rel, rs)| (0..rs.arity()).map(move |a| (rel, AttrId(a as u32))))
             .collect();
+        let by_column: Vec<Vec<Vec<usize>>> = schema
+            .iter()
+            .map(|(_, rs)| vec![Vec::new(); rs.arity()])
+            .collect();
+        let (mut src_of, mut dst_of) = (by_column.clone(), by_column);
         let mut cinds = Vec::new();
-        let mut src_of: HashMap<(RelId, AttrId), Vec<usize>, FxBuildHasher> = HashMap::default();
-        let mut dst_of: HashMap<(RelId, AttrId), Vec<usize>, FxBuildHasher> = HashMap::default();
         let mut pair_of = HashMap::default();
         for &(src_rel, src_attr) in &columns {
             for &(dst_rel, dst_attr) in &columns {
@@ -326,19 +472,21 @@ impl OnlineMiner {
                     dst_attr,
                     misses: 0,
                 });
-                src_of.entry((src_rel, src_attr)).or_default().push(i);
-                dst_of.entry((dst_rel, dst_attr)).or_default().push(i);
+                src_of[src_rel.index()][src_attr.index()].push(i);
+                dst_of[dst_rel.index()][dst_attr.index()].push(i);
                 pair_of.insert((src_rel, src_attr, dst_rel, dst_attr), i);
             }
         }
         OnlineMiner {
             schema,
             config,
+            dict: Dict::default(),
             rels,
             cinds,
             src_of,
             dst_of,
             pair_of,
+            row: Vec::new(),
             ops: 0,
         }
     }
@@ -351,6 +499,21 @@ impl OnlineMiner {
     /// Effective mutations observed since the seed.
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// The sketches' size as `(values, classes)`: the distinct values
+    /// live tuples hold, and the classes summed over every attribute
+    /// pair. Both shrink as tuples leave — an emptied class is dropped
+    /// and a value's id freed with its last cell — so neither outgrows
+    /// the live data.
+    pub fn sketch_size(&self) -> (usize, usize) {
+        let classes = self
+            .rels
+            .iter()
+            .flat_map(|s| &s.pairs)
+            .map(|p| p.classes.len())
+            .sum();
+        (self.dict.ids.len(), classes)
     }
 
     /// Absorbs a full snapshot (each tuple once — instances are sets).
@@ -383,114 +546,117 @@ impl OnlineMiner {
     /// Absorbs one effective insert of `t` into `rel`.
     pub fn observe_insert(&mut self, rel: RelId, t: &Tuple) {
         self.ops += 1;
+        let r = rel.index();
+        let mut row = std::mem::take(&mut self.row);
+        row.clear();
+        row.extend(t.values().iter().map(|v| self.dict.acquire(v)));
         // Target transitions (0 → 1) first, against pre-insert source
         // counts: exactly the rows that were missing stop missing. The
         // inserted tuple's own source cells are not yet counted, which
         // is right — they never missed.
-        for (a, v) in t.values().iter().enumerate() {
-            let attr = AttrId(a as u32);
-            if self.rels[rel.index()].cols[a].contains_key(v) {
+        for (a, id) in row.iter().enumerate() {
+            if self.rels[r].cols[a].contains_key(id) {
                 continue;
             }
-            if let Some(pairs) = self.dst_of.get(&(rel, attr)) {
-                for &i in pairs {
-                    let pair = &self.cinds[i];
-                    let n = self.rels[pair.src_rel.index()].cols[pair.src_attr.index()]
-                        .get(v)
-                        .map_or(0, |&n| n as usize);
-                    self.cinds[i].misses -= n;
-                }
+            for &i in &self.dst_of[r][a] {
+                let pair = &self.cinds[i];
+                let n = self.rels[pair.src_rel.index()].cols[pair.src_attr.index()]
+                    .get(id)
+                    .map_or(0, |&n| n as usize);
+                self.cinds[i].misses -= n;
             }
         }
         // Commit the row into the column and pair sketches.
         {
             let floor = self.support_floor();
-            let sketch = &mut self.rels[rel.index()];
+            let sketch = &mut self.rels[r];
             let arity = sketch.cols.len();
             sketch.rows += 1;
-            for (a, v) in t.values().iter().enumerate() {
-                bump(&mut sketch.cols[a], v);
+            for (a, &id) in row.iter().enumerate() {
+                *sketch.cols[a].entry(id).or_insert(0) += 1;
             }
             for x in 0..arity {
                 for y in 0..arity {
                     if x == y {
                         continue;
                     }
-                    sketch.pairs[x * arity + y].insert(&t.values()[x], &t.values()[y], floor);
+                    sketch.pairs[x * arity + y].insert(row[x], row[y], floor, &self.dict);
                 }
             }
         }
         // New source cells, against post-insert target counts (a tuple
         // providing both sides of a pair counts itself as covered).
-        for (a, v) in t.values().iter().enumerate() {
-            let attr = AttrId(a as u32);
-            if let Some(pairs) = self.src_of.get(&(rel, attr)) {
-                for &i in pairs {
-                    let pair = &self.cinds[i];
-                    let present =
-                        self.rels[pair.dst_rel.index()].cols[pair.dst_attr.index()].contains_key(v);
-                    if !present {
-                        self.cinds[i].misses += 1;
-                    }
+        for (a, id) in row.iter().enumerate() {
+            for &i in &self.src_of[r][a] {
+                let pair = &self.cinds[i];
+                if !self.rels[pair.dst_rel.index()].cols[pair.dst_attr.index()].contains_key(id) {
+                    self.cinds[i].misses += 1;
                 }
             }
         }
+        self.row = row;
     }
 
     /// Absorbs one effective delete of `t` from `rel`.
     pub fn observe_delete(&mut self, rel: RelId, t: &Tuple) {
         self.ops += 1;
+        let r = rel.index();
+        let mut row = std::mem::take(&mut self.row);
+        row.clear();
+        row.extend(
+            t.values()
+                .iter()
+                .map(|v| self.dict.get(v).expect("delete of a counted value")),
+        );
         // Departing source cells first, against pre-delete target
         // counts: each was missing iff its value was absent then.
-        for (a, v) in t.values().iter().enumerate() {
-            let attr = AttrId(a as u32);
-            if let Some(pairs) = self.src_of.get(&(rel, attr)) {
-                for &i in pairs {
-                    let pair = &self.cinds[i];
-                    let present =
-                        self.rels[pair.dst_rel.index()].cols[pair.dst_attr.index()].contains_key(v);
-                    if !present {
-                        self.cinds[i].misses -= 1;
-                    }
+        for (a, id) in row.iter().enumerate() {
+            for &i in &self.src_of[r][a] {
+                let pair = &self.cinds[i];
+                if !self.rels[pair.dst_rel.index()].cols[pair.dst_attr.index()].contains_key(id) {
+                    self.cinds[i].misses -= 1;
                 }
             }
         }
         // Retract the row from the column and pair sketches.
         {
             let floor = self.support_floor();
-            let sketch = &mut self.rels[rel.index()];
+            let sketch = &mut self.rels[r];
             let arity = sketch.cols.len();
             sketch.rows -= 1;
-            for (a, v) in t.values().iter().enumerate() {
-                drop_one(&mut sketch.cols[a], v);
+            for (a, &id) in row.iter().enumerate() {
+                drop_one(&mut sketch.cols[a], id);
             }
             for x in 0..arity {
                 for y in 0..arity {
                     if x == y {
                         continue;
                     }
-                    sketch.pairs[x * arity + y].delete(&t.values()[x], &t.values()[y], floor);
+                    sketch.pairs[x * arity + y].delete(row[x], row[y], floor, &self.dict);
                 }
             }
         }
         // Target transitions (1 → 0), against post-delete source
         // counts: every remaining source row with the vanished value
         // starts missing.
-        for (a, v) in t.values().iter().enumerate() {
-            let attr = AttrId(a as u32);
-            if self.rels[rel.index()].cols[a].contains_key(v) {
+        for (a, id) in row.iter().enumerate() {
+            if self.rels[r].cols[a].contains_key(id) {
                 continue;
             }
-            if let Some(pairs) = self.dst_of.get(&(rel, attr)) {
-                for &i in pairs {
-                    let pair = &self.cinds[i];
-                    let n = self.rels[pair.src_rel.index()].cols[pair.src_attr.index()]
-                        .get(v)
-                        .map_or(0, |&n| n as usize);
-                    self.cinds[i].misses += n;
-                }
+            for &i in &self.dst_of[r][a] {
+                let pair = &self.cinds[i];
+                let n = self.rels[pair.src_rel.index()].cols[pair.src_attr.index()]
+                    .get(id)
+                    .map_or(0, |&n| n as usize);
+                self.cinds[i].misses += n;
             }
         }
+        // Release the ids last: a class that left `large` above still
+        // read its value.
+        for &id in &row {
+            self.dict.release(id);
+        }
+        self.row = row;
     }
 
     /// The support a proposal needs: the configured floor, and at
@@ -542,8 +708,8 @@ impl OnlineMiner {
                             }
                         }
                     }
-                    for xv in &pair.large {
-                        let class = &pair.classes[xv];
+                    for (xv, x_id) in &pair.large {
+                        let class = &pair.classes[x_id];
                         let confidence = class.top as f64 / class.len as f64;
                         if confidence < floor_c {
                             continue;
@@ -553,7 +719,7 @@ impl OnlineMiner {
                             vec![AttrId(x as u32)],
                             PatternRow::new(vec![PValue::Const(xv.clone())]),
                             AttrId(y as u32),
-                            PValue::Const(class.majority().clone()),
+                            PValue::Const(class.majority(&self.dict).clone()),
                         );
                         if !cfd.is_trivial() {
                             out.cfds.push(DiscoveredCfd {
@@ -627,13 +793,12 @@ impl OnlineMiner {
             PValue::Const(v) => v,
             PValue::Any => return None,
         };
-        match pair.classes.get(xv) {
-            None => Some((0, 1.0)),
-            Some(class) => {
-                let agree = class.tally.get(yv).copied().unwrap_or(0);
-                Some((class.len as usize, agree as f64 / class.len as f64))
-            }
-        }
+        // A value no live cell holds has no class and no tally entry.
+        let Some(class) = self.dict.get(xv).and_then(|x| pair.classes.get(&x)) else {
+            return Some((0, 1.0));
+        };
+        let agree = self.dict.get(yv).map_or(0, |y| class.tally.count(y));
+        Some((class.len as usize, agree as f64 / class.len as f64))
     }
 
     /// Current `(support, confidence)` of an unconditioned unary CIND —
@@ -821,12 +986,15 @@ mod tests {
         for sketch in &miner.rels {
             for pair in &sketch.pairs {
                 let (mut support, mut kept) = (0, 0);
-                let mut large = BTreeSet::new();
-                for (xv, class) in &pair.classes {
-                    let len: u32 = class.tally.values().sum();
-                    let top = class.tally.values().copied().max().unwrap_or(0);
-                    let at_top = class.tally.values().filter(|&&c| c == top).count() as u32;
+                let mut large = BTreeMap::new();
+                for (&x, class) in &pair.classes {
+                    let xv = miner.dict.value(x);
+                    let counts: Vec<u32> = class.tally.iter().map(|(_, c)| c).collect();
+                    let len: u32 = counts.iter().sum();
+                    let top = counts.iter().copied().max().unwrap_or(0);
+                    let at_top = counts.iter().filter(|&&c| c == top).count() as u32;
                     assert!(len > 0, "class {xv:?} is empty but kept");
+                    assert!(!counts.contains(&0), "class {xv:?} tallies a zero");
                     assert_eq!(
                         (class.len, class.top, class.at_top),
                         (len, top, at_top),
@@ -837,13 +1005,38 @@ mod tests {
                         kept += top as usize;
                     }
                     if len as usize >= floor {
-                        large.insert(xv.clone());
+                        large.insert(xv.clone(), x);
                     }
                 }
                 assert_eq!((pair.support, pair.kept), (support, kept));
                 assert_eq!(pair.large, large);
             }
         }
+    }
+
+    /// The dictionary holds exactly the values of the `live` tuples'
+    /// cells, each id counting the cells that hold its value, and every
+    /// other id is on the free list.
+    fn assert_dict_matches<'a>(miner: &OnlineMiner, live: impl IntoIterator<Item = &'a Tuple>) {
+        let mut cells: HashMap<&Value, u32> = HashMap::new();
+        for t in live {
+            for v in t.values() {
+                *cells.entry(v).or_insert(0) += 1;
+            }
+        }
+        let dict = &miner.dict;
+        assert_eq!(
+            miner.sketch_size().0,
+            cells.len(),
+            "live ids = distinct live values"
+        );
+        for (&v, &n) in &cells {
+            let id = dict.get(v).expect("a live value has an id");
+            assert_eq!((dict.value(id), dict.cells[id as usize]), (v, n));
+        }
+        let free = dict.values.iter().filter(|v| v.is_none()).count();
+        assert_eq!(free, dict.free.len());
+        assert_eq!(dict.values.len(), cells.len() + free);
     }
 
     /// Seeded insert/delete walks over a 4-attribute relation whose
@@ -914,9 +1107,10 @@ mod tests {
                     Some(i) => {
                         // Count the deletes that take the recount path
                         // on pair (c0, c1), flattened index 0·4 + 1.
-                        let (x, y) = (&t.values()[0], &t.values()[1]);
-                        let class = &miner.rels[r.index()].pairs[1].classes[x];
-                        if class.tally[y] == class.top && class.at_top == 1 && class.len > 1 {
+                        let id = |v| miner.dict.get(v).expect("live value");
+                        let (x, y) = (id(&t.values()[0]), id(&t.values()[1]));
+                        let class = &miner.rels[r.index()].pairs[1].classes[&x];
+                        if class.tally.count(y) == class.top && class.at_top == 1 && class.len > 1 {
                             sole_top_deletes += 1;
                         }
                         live.swap_remove(i);
@@ -928,6 +1122,7 @@ mod tests {
                     }
                 }
                 assert_aggregates_match_tallies(&miner);
+                assert_dict_matches(&miner, &live);
                 let mut db = Database::empty(schema.clone());
                 for t in &live {
                     db.insert(r, t.clone()).unwrap();
@@ -944,6 +1139,89 @@ mod tests {
             sole_top_deletes > 100,
             "the walks must exercise the recount: {sole_top_deletes}"
         );
+    }
+
+    /// A walk that grows, churns and then deletes every tuple, over a
+    /// near-unique column, small-domain columns and a second relation
+    /// sharing values (so inclusion candidates move too). Ids are
+    /// reused: the id vector never outgrows the walk's peak count of
+    /// distinct live values, though the walk sees many more values in
+    /// all. At the end the dictionary, the sketches and every miss
+    /// count are empty.
+    #[test]
+    fn deleting_every_tuple_frees_every_id_and_class() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("id", Domain::string()),
+                        ("k", Domain::string()),
+                        ("d", Domain::string()),
+                    ],
+                )
+                .relation("s", &[("k", Domain::string())])
+                .finish(),
+        );
+        let (r, s) = (schema.rel_id("r").unwrap(), schema.rel_id("s").unwrap());
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = OnlineConfig {
+                min_support: 2,
+                min_confidence: 0.5,
+                ..OnlineConfig::default()
+            };
+            let mut miner = OnlineMiner::new(schema.clone(), config);
+            let mut live: Vec<(RelId, Tuple)> = Vec::new();
+            let (mut peak, mut seen) = (0, HashSet::new());
+            let mut check = |miner: &OnlineMiner, live: &[(RelId, Tuple)]| {
+                assert_aggregates_match_tallies(miner);
+                assert_dict_matches(miner, live.iter().map(|(_, t)| t));
+                peak = peak.max(miner.sketch_size().0);
+                assert!(miner.dict.values.len() <= peak, "ids are reused");
+            };
+            for step in 0..400 {
+                // Grow for the first half, then churn at a steady size.
+                let grow = if step < 200 { 3 } else { 2 };
+                if live.is_empty() || rng.gen_range(0..4) < grow {
+                    let k = Value::str(format!("k{}", rng.gen_range(0..6)));
+                    let (rel, t) = if rng.gen_range(0..4) == 0 {
+                        (s, Tuple::new(vec![k]))
+                    } else {
+                        let id = Value::str(format!("t{step}"));
+                        let d = Value::str(format!("d{}", rng.gen_range(0..3)));
+                        (r, Tuple::new(vec![id, k, d]))
+                    };
+                    if live.contains(&(rel, t.clone())) {
+                        continue;
+                    }
+                    seen.extend(t.values().iter().cloned());
+                    miner.observe_insert(rel, &t);
+                    live.push((rel, t));
+                } else {
+                    let (rel, t) = live.swap_remove(rng.gen_range(0..live.len()));
+                    miner.observe_delete(rel, &t);
+                }
+                check(&miner, &live);
+            }
+            while !live.is_empty() {
+                let (rel, t) = live.swap_remove(rng.gen_range(0..live.len()));
+                miner.observe_delete(rel, &t);
+                check(&miner, &live);
+            }
+            assert_eq!(miner.sketch_size(), (0, 0), "nothing outlives its tuples");
+            assert!(miner.dict.ids.is_empty() && miner.dict.free.len() == peak);
+            assert!(miner.rels.iter().all(|s| s.rows == 0));
+            assert!(miner.cinds.iter().all(|p| p.misses == 0));
+            assert!(
+                seen.len() > 2 * peak,
+                "the walk must reuse ids: {} values seen, peak {peak}",
+                seen.len()
+            );
+        }
     }
 
     #[test]

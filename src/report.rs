@@ -10,6 +10,7 @@ use condep_consistency::{checking, CheckingConfig, ConstraintSet};
 use condep_core::{normalize as cind_normalize, Cind, CindViolation, NormalCind};
 use condep_discover::online::{OnlineConfig, OnlineMiner};
 use condep_discover::{DiscoveredSigma, DiscoveryConfig};
+use condep_model::fxhash::FxBuildHasher;
 use condep_model::{Database, ModelError, RelId, Schema, Tuple};
 use condep_repair::{RepairBudget, RepairCost, RepairReport};
 use condep_telemetry::json::JsonWriter;
@@ -466,6 +467,12 @@ impl QualityMonitor {
     /// pays far less per mutation than the one-at-a-time calls. Returns
     /// the streamed deltas in application order; an ill-typed mutation
     /// (or one naming a relation outside the schema) applies nothing.
+    ///
+    /// With online discovery on, the batch's effective inserts and
+    /// deletes — those that change the tuple set, replayed against the
+    /// pre-batch database — then reach the miner's
+    /// [`OnlineMiner::observe_insert`] / [`OnlineMiner::observe_delete`]
+    /// directly, borrowed from `muts`.
     pub fn ingest_batch(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
         let effective = if self.online.is_some() {
             // The replay reads the named relations: type-check first.
@@ -476,8 +483,12 @@ impl QualityMonitor {
         };
         let deltas = self.stream.apply_deltas(muts)?;
         if let Some(state) = self.online.as_mut() {
-            for m in &effective {
-                state.miner.observe(m);
+            for &(insert, rel, t) in &effective {
+                if insert {
+                    state.miner.observe_insert(rel, t);
+                } else {
+                    state.miner.observe_delete(rel, t);
+                }
             }
         }
         self.poll_online();
@@ -485,47 +496,41 @@ impl QualityMonitor {
     }
 
     /// Replays a batch against the pre-batch database under set
-    /// semantics, returning only the insertions and deletions that
-    /// actually change the tuple set — what the online miner's sketches
-    /// must see. (Updates decompose; a merge-degenerate update
-    /// contributes only its deletion.)
-    fn effective_mutations(&self, muts: &[Mutation]) -> Vec<Mutation> {
-        let mut overlay: HashMap<(RelId, &Tuple), bool> = HashMap::new();
+    /// semantics, returning only the insertions (`true`) and deletions
+    /// (`false`) that actually change the tuple set — what the online
+    /// miner's sketches must see — as `(insert?, relation, tuple)`
+    /// borrowed from the batch. Updates decompose; a merge-degenerate
+    /// update contributes only its deletion. Nothing is cloned: the
+    /// overlay of the presence of tuples the batch has touched is keyed
+    /// by reference and hashed with fx.
+    fn effective_mutations<'m>(&self, muts: &'m [Mutation]) -> Vec<(bool, RelId, &'m Tuple)> {
         let db = self.stream.db();
-        let present = |overlay: &HashMap<(RelId, &Tuple), bool>, rel: RelId, t: &Tuple| {
-            overlay
-                .get(&(rel, t))
-                .copied()
-                .unwrap_or_else(|| db.relation(rel).contains(t))
+        let mut overlay: HashMap<(RelId, &Tuple), bool, FxBuildHasher> = HashMap::default();
+        // Sets `t`'s presence; `true` when that changes the tuple set.
+        let mut set = |rel: RelId, t: &'m Tuple, present: bool| {
+            let slot = overlay
+                .entry((rel, t))
+                .or_insert_with(|| db.relation(rel).contains(t));
+            std::mem::replace(slot, present) != present
         };
         let mut fed = Vec::new();
         for m in muts {
             match m {
                 Mutation::Insert { rel, tuple } => {
-                    if !present(&overlay, *rel, tuple) {
-                        overlay.insert((*rel, tuple), true);
-                        fed.push(m.clone());
+                    if set(*rel, tuple, true) {
+                        fed.push((true, *rel, tuple));
                     }
                 }
                 Mutation::Delete { rel, tuple } => {
-                    if present(&overlay, *rel, tuple) {
-                        overlay.insert((*rel, tuple), false);
-                        fed.push(m.clone());
+                    if set(*rel, tuple, false) {
+                        fed.push((false, *rel, tuple));
                     }
                 }
                 Mutation::Update { rel, old, new } => {
-                    if old != new && present(&overlay, *rel, old) {
-                        overlay.insert((*rel, old), false);
-                        fed.push(Mutation::Delete {
-                            rel: *rel,
-                            tuple: old.clone(),
-                        });
-                        if !present(&overlay, *rel, new) {
-                            overlay.insert((*rel, new), true);
-                            fed.push(Mutation::Insert {
-                                rel: *rel,
-                                tuple: new.clone(),
-                            });
+                    if old != new && set(*rel, old, false) {
+                        fed.push((false, *rel, old));
+                        if set(*rel, new, true) {
+                            fed.push((true, *rel, new));
                         }
                     }
                 }
@@ -724,8 +729,12 @@ impl QualityMonitor {
         let online = self.online_activity();
         let mut metrics = telemetry.snapshot();
         summary.export("monitor.violations", &mut metrics);
-        if let Some(a) = &online {
-            a.export("monitor.online", &mut metrics);
+        if let Some(state) = &self.online {
+            state.activity.export("monitor.online", &mut metrics);
+            let (values, classes) = state.miner.sketch_size();
+            let k = |name| condep_telemetry::key("monitor.online", name);
+            metrics.gauge(k("values"), values as i64);
+            metrics.gauge(k("classes"), classes as i64);
         }
         HealthSnapshot {
             summary,
@@ -778,7 +787,9 @@ pub struct HealthSnapshot {
     /// Online-discovery counters, when the loop is enabled.
     pub online: Option<OnlineActivity>,
     /// Every stream metric, plus the summary under
-    /// `monitor.violations.*` and the online counters under
+    /// `monitor.violations.*`, and the online counters and the miner's
+    /// sketch size ([`OnlineMiner::sketch_size`], as the gauges
+    /// `monitor.online.values` and `monitor.online.classes`) under
     /// `monitor.online.*`.
     pub metrics: MetricsSnapshot,
 }
@@ -1223,6 +1234,103 @@ mod tests {
             2,
             "only the effective mutations reach the sketches"
         );
+    }
+
+    /// The miner keys its sketches by its own ids, never by the
+    /// stream's interned symbols: batches of inserts and deletes, a
+    /// `compact()` that drops and renumbers interned strings, then more
+    /// batches leave the monitor's miner equal to one freshly seeded on
+    /// the live database — same proposals, and the same probe answers
+    /// for every promoted dependency.
+    #[test]
+    fn online_discovery_survives_compaction() {
+        let schema = city_schema();
+        let suite = QualitySuite::from_normal(schema.clone(), vec![], vec![]);
+        let (monitor, _) = suite.monitor(city_db());
+        let config = OnlineConfig {
+            min_support: 2,
+            window: 4,
+            ..OnlineConfig::default()
+        };
+        let mut monitor = monitor.with_online_discovery(config);
+        let fact = schema.rel_id("fact").unwrap();
+        let cities = schema.rel_id("cities").unwrap();
+        let ins = |rel, tuple| Mutation::Insert { rel, tuple };
+        let del = |rel, tuple| Mutation::Delete { rel, tuple };
+        monitor
+            .ingest_batch(&[
+                ins(cities, tuple!["ABD"]),
+                ins(fact, tuple!["ABD", "UK", "z8"]),
+                ins(fact, tuple!["ABD", "UK", "z9"]),
+                ins(fact, tuple!["DUN", "UK", "z10"]),
+                ins(cities, tuple!["DUN"]),
+            ])
+            .unwrap();
+        assert!(monitor.online_activity().unwrap().promoted > 0);
+        monitor
+            .ingest_batch(&[
+                del(fact, tuple!["ABD", "UK", "z8"]),
+                del(fact, tuple!["ABD", "UK", "z9"]),
+                del(cities, tuple!["ABD"]),
+                del(fact, tuple!["EDI", "UK", "z0"]),
+            ])
+            .unwrap();
+        let stats = monitor.compact();
+        assert!(
+            stats.interned_strings_after < stats.interned_strings_before,
+            "compaction must drop strings: {stats:?}"
+        );
+        monitor
+            .ingest_batch(&[
+                ins(cities, tuple!["PER"]),
+                ins(fact, tuple!["PER", "UK", "z11"]),
+                ins(fact, tuple!["PER", "UK", "z12"]),
+                ins(fact, tuple!["ABD", "UK", "z13"]),
+                del(fact, tuple!["NYC", "US", "z3"]),
+                Mutation::Update {
+                    rel: fact,
+                    old: tuple!["DUN", "UK", "z10"],
+                    new: tuple!["GLA", "UK", "z10"],
+                },
+            ])
+            .unwrap();
+        let activity = monitor.online_activity().unwrap();
+        assert!(activity.polls >= 3, "a poll after the compaction");
+
+        let miner = monitor.online_miner().unwrap();
+        let mut fresh = OnlineMiner::new(schema.clone(), config);
+        fresh.seed(monitor.db());
+        let (got, want) = (miner.proposals(), fresh.proposals());
+        let evidence = |p: &condep_discover::online::OnlineProposals| {
+            let cfds: Vec<_> = p
+                .cfds
+                .iter()
+                .map(|d| (d.cfd.clone(), d.support, d.confidence.to_bits()))
+                .collect();
+            let cinds: Vec<_> = p
+                .cinds
+                .iter()
+                .map(|d| (d.cind.clone(), d.support, d.confidence.to_bits()))
+                .collect();
+            (cfds, cinds)
+        };
+        assert!(!got.is_empty());
+        assert_eq!(evidence(&got), evidence(&want));
+        let (promoted_cfds, promoted_cinds) = monitor.online_promoted().unwrap();
+        assert!(!promoted_cfds.is_empty() && !promoted_cinds.is_empty());
+        let v = monitor.validator();
+        for &i in promoted_cfds {
+            let cfd = &v.cfds()[i];
+            assert_eq!(miner.confidence_of_cfd(cfd), fresh.confidence_of_cfd(cfd));
+        }
+        for &i in promoted_cinds {
+            let cind = &v.cinds()[i];
+            assert_eq!(
+                miner.confidence_of_cind(cind),
+                fresh.confidence_of_cind(cind)
+            );
+        }
+        assert_eq!(miner.sketch_size(), fresh.sketch_size());
     }
 
     #[test]
