@@ -14,7 +14,6 @@
 use crate::config::ChaseConfig;
 use crate::ops::{fd_step, ind_step, OpFailure};
 use crate::template::{TemplateDb, TplValue, VarRef};
-use crate::validator::ChaseValidator;
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::{PValue, Value};
@@ -104,7 +103,12 @@ fn overlaid<'a>(cell: &'a TplValue, var: VarRef, cand: &'a TplValue) -> &'a TplV
 }
 
 /// Would substituting `candidate` for `var` immediately violate a CFD?
-/// Checks both the single-tuple reading (a matched premise forcing a
+/// This is the chase's candidate check (procedure `CFD_Checking`'s
+/// "when possible"). It reads the template as it stands, with the
+/// substitution overlaid by borrowing, so it keeps no state between
+/// calls and clones no cell.
+///
+/// It checks both the single-tuple reading (a matched premise forcing a
 /// different constant) and the pair reading against the other tuples of
 /// each relation the variable occurs in (`IND(ψ)` copies variables
 /// across relations, so carriers are not confined to `var.rel`).
@@ -112,10 +116,9 @@ fn overlaid<'a>(cell: &'a TplValue, var: VarRef, cand: &'a TplValue) -> &'a TplV
 /// repair it by substitution. Deeper cross-tuple cascades are left to
 /// the following CFD fixpoint.
 ///
-/// This is the **reference** quadratic rescan: the engine itself routes
-/// candidate checks through the incremental
-/// [`crate::validator::ChaseValidator`], and the differential tests
-/// assert the two agree decision-for-decision.
+/// Each call rescans the carriers' relations: `O(carriers · |R| · |Σ|)`
+/// for a template whose relations hold at most `|R|` tuples. The tests
+/// diff it against a substitute-then-check oracle.
 pub fn candidate_conflicts(
     db: &TemplateDb,
     cfds: &[NormalCfd],
@@ -205,27 +208,21 @@ pub fn candidate_conflicts(
 ///    later premises consistent),
 /// 2. the rest of the domain (randomly rotated),
 ///
-/// skipping any candidate that immediately fires a conflicting premise.
-/// Falls back to a random value when every candidate conflicts (the
-/// subsequent CFD fixpoint then reports the chase undefined, which is
-/// the correct signal). CIND `Yp` constants targeting the attribute are
-/// hints too: future forced tuples will carry them, and agreeing early
-/// avoids pair conflicts.
+/// and the first one that [`candidate_conflicts`] clears is substituted
+/// into the template. Falls back to a random value when every candidate
+/// conflicts (the subsequent CFD fixpoint then reports the chase
+/// undefined, which is the correct signal). CIND `Yp` constants
+/// targeting the attribute are hints too: future forced tuples will
+/// carry them, and agreeing early avoids pair conflicts.
 ///
-/// Candidate acceptance/rejection goes through one persistent
-/// [`ChaseValidator`] (built once per pass): each trial overlays the
-/// substitution as deltas, probes only the touched key groups, and
-/// retracts on rejection — no template rescan per candidate.
+/// There is one check and no persistent checker: every candidate is
+/// checked against the template as the previous substitutions left it.
 fn instantiate_finite_vars<R: Rng>(
     db: &mut TemplateDb,
     cfds: &[NormalCfd],
     cinds: &[NormalCind],
     rng: &mut R,
 ) {
-    if db.finite_variables().is_empty() {
-        return;
-    }
-    let mut checker = ChaseValidator::new(db, cfds);
     loop {
         let vars = db.finite_variables();
         let Some(var) = vars.first().copied() else {
@@ -258,19 +255,12 @@ fn instantiate_finite_vars<R: Rng>(
             .filter(|v| dom.contains(v))
             .collect();
         let start = rng.gen_range(0..dom.len());
-        let mut candidates = hints
+        let pick = hints
             .into_iter()
-            .chain((0..dom.len()).map(|i| &dom[(start + i) % dom.len()]));
-        // `try_instantiate` commits the winning candidate into the
-        // checker; the fallback is forced in unconditionally.
-        let pick = match candidates.find(|cand| checker.try_instantiate(var, cand)) {
-            Some(v) => v.clone(),
-            None => {
-                let v = dom[start].clone();
-                checker.force_instantiate(var, &v);
-                v
-            }
-        };
+            .chain((0..dom.len()).map(|i| &dom[(start + i) % dom.len()]))
+            .find(|cand| !candidate_conflicts(db, cfds, var, cand))
+            .unwrap_or(&dom[start])
+            .clone();
         db.substitute(var, &TplValue::Const(pick));
     }
 }
@@ -352,9 +342,10 @@ pub fn chase<R: Rng>(
 mod tests {
     use super::*;
     use crate::ops::{constant, seed_tuple};
+    use crate::template::TplTuple;
     use crate::valuation::{all_valuations, Valuation};
     use condep_core::fixtures::{example_5_1_cinds, example_5_1_schema};
-    use condep_model::{prow, AttrId, PValue, Value};
+    use condep_model::{prow, AttrId, PValue, RelId, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -394,11 +385,11 @@ mod tests {
         assert!(result.relation(r1)[0].get(AttrId(1)).is_var());
         assert!(result.relation(r2)[0].get(AttrId(1)).is_var());
         // The defined chase certifies consistency: instantiate fresh and
-        // check all of Σ in one batched sweep.
+        // check all of Σ.
         let consts: Vec<Value> = vec![Value::str("a"), Value::str("b"), Value::str("c")];
         let concrete = result.instantiate_fresh(&consts).unwrap();
-        let sigma = condep_validate::Validator::new(cfds.clone(), cinds.clone());
-        assert!(sigma.satisfies(&concrete));
+        assert!(condep_cfd::satisfy::satisfies_all(&concrete, &cfds));
+        assert!(condep_core::satisfy::satisfies_all(&concrete, &cinds));
     }
 
     #[test]
@@ -445,15 +436,14 @@ mod tests {
             .relation(r1)
             .iter()
             .any(|t| t.get(AttrId(0)) == &constant("c") && t.get(AttrId(1)) == &constant("a")));
-        // And the defined result certifies consistency — one batched
-        // sweep over Σ instead of per-constraint rescans.
+        // And the defined result certifies consistency.
         let consts: Vec<Value> = ["a", "b", "c", "d", "0", "1"]
             .iter()
             .map(Value::str)
             .collect();
         let concrete = result.instantiate_fresh(&consts).unwrap();
-        let sigma = condep_validate::Validator::new(cfds.clone(), cinds.clone());
-        assert!(sigma.satisfies(&concrete));
+        assert!(condep_cfd::satisfy::satisfies_all(&concrete, &cfds));
+        assert!(condep_core::satisfy::satisfies_all(&concrete, &cinds));
     }
 
     #[test]
@@ -523,5 +513,199 @@ mod tests {
             chase(db, &cfds, &cinds, &ChaseConfig::default(), &mut rng()).is_defined()
         });
         assert!(defined);
+    }
+
+    fn var(rel: u32, attr: u32, idx: u8) -> VarRef {
+        VarRef {
+            rel: RelId(rel),
+            attr: AttrId(attr),
+            idx,
+        }
+    }
+
+    /// Deterministic xorshift so the random sweep is reproducible.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random cell of relation `rel`: a constant, a variable of the
+    /// relation's own pool, or one copied in from either relation (as
+    /// `IND(ψ)` copies variables across relations).
+    fn random_cell(state: &mut u64, rel: u32, attr: u32) -> TplValue {
+        match next(state) % 5 {
+            0 => TplValue::Var(var(rel, attr, 0)),
+            1 => TplValue::Var(var((next(state) % 2) as u32, attr, 1)),
+            k => constant(["a", "b", "c"][(k as usize - 2) % 3]),
+        }
+    }
+
+    /// The definition-level oracle for [`candidate_conflicts`]: apply
+    /// `var := candidate` to a copy of the template, then look for a
+    /// tuple that carried `var` whose image matches a CFD's LHS constants
+    /// and either holds a constant other than a constant RHS, or agrees
+    /// on `X` with another tuple while the two hold different RHS
+    /// constants.
+    fn substitution_conflicts(
+        db: &TemplateDb,
+        cfds: &[NormalCfd],
+        var: VarRef,
+        candidate: &Value,
+    ) -> bool {
+        let cand = TplValue::Const(candidate.clone());
+        let mut after = db.clone();
+        after.substitute(var, &cand);
+        let image = |t: &TplTuple| {
+            TplTuple(
+                t.cells()
+                    .iter()
+                    .map(|c| if c == &TplValue::Var(var) { &cand } else { c }.clone())
+                    .collect(),
+            )
+        };
+        for cfd in cfds {
+            let carriers = db.relation(cfd.rel()).iter();
+            for t in carriers.filter(|t| t.cells().contains(&TplValue::Var(var))) {
+                let t = image(t);
+                let lhs_constants_match =
+                    cfd.lhs()
+                        .iter()
+                        .zip(cfd.lhs_pat().cells())
+                        .all(|(a, p)| match p {
+                            PValue::Any => true,
+                            PValue::Const(c) => t.get(*a) == &constant(c.clone()),
+                        });
+                if !lhs_constants_match {
+                    continue;
+                }
+                if let (PValue::Const(forced), TplValue::Const(held)) =
+                    (cfd.rhs_pat(), t.get(cfd.rhs()))
+                {
+                    if held != forced {
+                        return true;
+                    }
+                }
+                for other in after.relation(cfd.rel()) {
+                    let agrees = cfd.lhs().iter().all(|a| t.get(*a) == other.get(*a));
+                    if let (TplValue::Const(c1), TplValue::Const(c2)) =
+                        (t.get(cfd.rhs()), other.get(cfd.rhs()))
+                    {
+                        if agrees && c1 != c2 {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Runs [`candidate_conflicts`] for `var := cand` and asserts that the
+    /// substitute-then-check oracle reaches the same decision.
+    fn decide(db: &TemplateDb, cfds: &[NormalCfd], v: VarRef, cand: &str) -> bool {
+        let cand = Value::str(cand);
+        let checked = candidate_conflicts(db, cfds, v, &cand);
+        assert_eq!(
+            checked,
+            substitution_conflicts(db, cfds, v, &cand),
+            "diverged on {v:?} := {cand:?} for template:\n{db}"
+        );
+        checked
+    }
+
+    /// φ = (R1: E → F, (_ || _)).
+    fn e_to_f(schema: &condep_model::Schema) -> NormalCfd {
+        NormalCfd::parse(schema, "r1", &["e"], prow![_], "f", PValue::Any).unwrap()
+    }
+
+    /// φ = (R2: H → G, (_ || c)).
+    fn pin_g(schema: &condep_model::Schema) -> NormalCfd {
+        NormalCfd::parse(schema, "r2", &["h"], prow![_], "g", PValue::constant("c")).unwrap()
+    }
+
+    /// A substitution that merges two template tuples: vE := b collapses
+    /// (vE, a) into (b, a); (c, vF) is a second key group whose F stays
+    /// open until it is instantiated too.
+    #[test]
+    fn candidate_conflicts_follows_a_merging_substitution() {
+        let schema = example_5_1_schema(false);
+        let r1 = schema.rel_id("r1").unwrap();
+        let fd = [e_to_f(&schema)];
+        let (ve, vf) = (var(0, 0, 0), var(0, 1, 0));
+        let mut db = TemplateDb::empty(schema.clone());
+        db.insert(r1, TplTuple(vec![TplValue::Var(ve), constant("a")]));
+        db.insert(r1, TplTuple(vec![constant("b"), constant("a")]));
+        db.insert(r1, TplTuple(vec![constant("c"), TplValue::Var(vf)]));
+        assert!(!decide(&db, &fd, ve, "b"), "merge is clean");
+        db.substitute(ve, &constant("b"));
+        assert_eq!(db.relation(r1).len(), 2, "template merged");
+        assert!(!decide(&db, &fd, vf, "a"), "F's key group is a singleton");
+        assert!(!decide(&db, &fd, vf, "c"));
+        db.substitute(vf, &constant("c"));
+        assert!(db.variables().is_empty());
+    }
+
+    /// A candidate that breaks a constant RHS is rejected, and the next
+    /// one is accepted and committed.
+    #[test]
+    fn candidate_conflicts_rejects_then_accepts_a_candidate() {
+        let schema = example_5_1_schema(false);
+        let r2 = schema.rel_id("r2").unwrap();
+        let pin = [pin_g(&schema)];
+        let vg = var(1, 0, 0);
+        let mut db = TemplateDb::empty(schema.clone());
+        db.insert(r2, TplTuple(vec![TplValue::Var(vg), constant("k")]));
+        assert!(decide(&db, &pin, vg, "a"), "g must be c");
+        assert!(!decide(&db, &pin, vg, "c"));
+        db.substitute(vg, &constant("c"));
+        assert!(db.variables().is_empty());
+    }
+
+    /// [`candidate_conflicts`] against the substitute-then-check oracle on
+    /// every (variable, candidate) decision over 120 random templates with
+    /// mixed CFD shapes.
+    #[test]
+    fn candidate_conflicts_matches_a_substitution_oracle() {
+        let schema = example_5_1_schema(false);
+        let cfds = vec![
+            e_to_f(&schema),
+            pin_g(&schema),
+            NormalCfd::parse(
+                &schema,
+                "r1",
+                &["e"],
+                prow!["a"],
+                "f",
+                PValue::constant("b"),
+            )
+            .unwrap(),
+            NormalCfd::parse(&schema, "r2", &["g"], prow![_], "h", PValue::Any).unwrap(),
+        ];
+        let mut state = 0x5eed_cafe_f00d_1234u64;
+        let (mut decisions, mut conflicts) = (0usize, 0usize);
+        for _case in 0..120 {
+            let mut db = TemplateDb::empty(schema.clone());
+            for rel in 0..2u32 {
+                for _ in 0..1 + next(&mut state) % 4 {
+                    let cells = (0..2u32)
+                        .map(|attr| random_cell(&mut state, rel, attr))
+                        .collect();
+                    db.insert(RelId(rel), TplTuple(cells));
+                }
+            }
+            for v in db.variables() {
+                for cand in ["a", "b", "c"] {
+                    conflicts += usize::from(decide(&db, &cfds, v, cand));
+                    decisions += 1;
+                }
+            }
+        }
+        assert!(decisions > 300, "sweep too small: {decisions}");
+        assert!(
+            0 < conflicts && conflicts < decisions,
+            "{conflicts} of {decisions} decisions conflict"
+        );
     }
 }

@@ -22,18 +22,17 @@
 //!
 //! The *instantiated chase* `chaseI` ([`engine::chase`] with
 //! [`config::ChaseConfig::instantiate_finite`]) additionally replaces
-//! finite-domain variables by domain constants (via a random
-//! [`valuation`] or eagerly at tuple-creation time), which is what makes
-//! the heuristics of Section 5.2 sensitive to finite domains.
+//! finite-domain variables by domain constants after each CFD fixpoint,
+//! skipping any value that fires a conflicting CFD premise
+//! ([`engine::candidate_conflicts`]). That is what makes the heuristics
+//! of Section 5.2 sensitive to finite domains.
 
 pub mod config;
 pub mod engine;
 pub mod ops;
 pub mod template;
-pub mod validator;
 pub mod valuation;
 
 pub use config::ChaseConfig;
 pub use engine::{chase, ChaseOutcome, UndefinedReason};
 pub use template::{TemplateDb, TplTuple, TplValue, VarRef};
-pub use validator::ChaseValidator;

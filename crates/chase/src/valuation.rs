@@ -3,12 +3,14 @@
 //! "Let `V` be the set of all variables associated with attributes that
 //! have finite domains. A valuation `ρ_V` w.r.t. `V` is a mapping from
 //! `V` to constants in the respective domains of the variables." The set
-//! of all valuations is exponential; `RandomChecking` samples up to `K`
-//! of them.
+//! of all valuations is exponential. `RandomChecking` does not sample
+//! it: the instantiated chase ([`crate::engine::chase`]) gives each
+//! variable a value that fires no conflicting premise. [`all_valuations`]
+//! enumerates the space for tests over tiny domains, where it is the
+//! ground truth.
 
 use crate::template::{TemplateDb, TplValue, VarRef};
 use condep_model::{Schema, Value};
-use rand::Rng;
 use std::collections::HashMap;
 
 /// A valuation `ρ`: finite-domain variables to domain constants.
@@ -70,28 +72,6 @@ fn domain_of(schema: &Schema, v: VarRef) -> Option<Vec<Value>> {
         .map(<[Value]>::to_vec)
 }
 
-/// Samples a uniform random valuation of the given finite-domain
-/// variables — one draw from `V_finattr(R)`.
-pub fn random_valuation<R: Rng>(schema: &Schema, vars: &[VarRef], rng: &mut R) -> Valuation {
-    let pairs = vars.iter().filter_map(|v| {
-        let dom = domain_of(schema, *v)?;
-        let k = rng.gen_range(0..dom.len());
-        Some((*v, dom[k].clone()))
-    });
-    Valuation::from_pairs(pairs)
-}
-
-/// The number of valuations in `V_finattr(R)` (`∏ |dom|`), saturating —
-/// the quantity `K` guards against.
-pub fn valuation_space_size(schema: &Schema, vars: &[VarRef]) -> u64 {
-    let mut size: u64 = 1;
-    for v in vars {
-        let n = domain_of(schema, *v).map(|d| d.len() as u64).unwrap_or(1);
-        size = size.saturating_mul(n);
-    }
-    size
-}
-
 /// Enumerates all valuations (odometer order) — used when the space is
 /// small enough to explore exhaustively, and by tests as ground truth.
 pub fn all_valuations(schema: &Schema, vars: &[VarRef]) -> Vec<Valuation> {
@@ -133,8 +113,6 @@ mod tests {
     use crate::template::TplTuple;
     use condep_core::fixtures::example_5_1_schema;
     use condep_model::{AttrId, RelId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn vh() -> VarRef {
         VarRef {
@@ -151,7 +129,6 @@ mod tests {
         let schema = example_5_1_schema(true);
         let vals = all_valuations(&schema, &[]);
         assert_eq!(vals, vec![Valuation::empty()]);
-        assert_eq!(valuation_space_size(&schema, &[]), 1);
     }
 
     #[test]
@@ -159,21 +136,9 @@ mod tests {
         let schema = example_5_1_schema(true); // dom(H) = {0, 1}
         let vals = all_valuations(&schema, &[vh()]);
         assert_eq!(vals.len(), 2);
-        assert_eq!(valuation_space_size(&schema, &[vh()]), 2);
         let assigned: Vec<&Value> = vals.iter().map(|v| v.get(vh()).unwrap()).collect();
         assert!(assigned.contains(&&Value::str("0")));
         assert!(assigned.contains(&&Value::str("1")));
-    }
-
-    #[test]
-    fn random_valuation_draws_from_the_domain() {
-        let schema = example_5_1_schema(true);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..10 {
-            let v = random_valuation(&schema, &[vh()], &mut rng);
-            let val = v.get(vh()).unwrap();
-            assert!(val == &Value::str("0") || val == &Value::str("1"));
-        }
     }
 
     #[test]

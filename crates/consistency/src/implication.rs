@@ -51,15 +51,21 @@ impl Default for RefuteConfig {
 /// under Σ, and materialize. The result satisfies Σ by Theorem 5.1's
 /// certificate; if it happens to violate ψ, it is a counterexample and
 /// `Σ ̸|= ψ` is proved. `None` is inconclusive — ψ may be implied, or
-/// the budgets may simply have been too tight.
+/// the budgets may simply have been too tight. A ψ over a relation
+/// outside Σ's schema also yields `None`: no database of that schema
+/// can violate it.
 pub fn refute_implication(
     sigma: &ConstraintSet,
     psi: &NormalCind,
     config: &RefuteConfig,
 ) -> Option<Database> {
+    let schema = sigma.schema();
+    if schema.relation(psi.lhs_rel()).is_err() || schema.relation(psi.rhs_rel()).is_err() {
+        return None;
+    }
     let mut rng = StdRng::seed_from_u64(config.seed);
     for _ in 0..config.runs {
-        let mut db = TemplateDb::empty(sigma.schema().clone());
+        let mut db = TemplateDb::empty(schema.clone());
         seed_tuple_with(&mut db, psi.lhs_rel(), psi.xp());
         match chase(db, sigma.cfds(), sigma.cinds(), &config.chase, &mut rng) {
             ChaseOutcome::Defined(template) => {
@@ -170,6 +176,17 @@ mod tests {
             &counterexample,
             &psi
         ));
+    }
+
+    #[test]
+    fn psi_outside_the_schema_finds_no_counterexample() {
+        use condep_model::RelId;
+        let schema = fixtures::example_5_1_schema(false);
+        let sigma = ConstraintSet::new(schema, vec![], vec![]);
+        let from_outside = NormalCind::new(RelId(99), RelId(0), vec![], vec![], vec![], vec![]);
+        let into_outside = NormalCind::new(RelId(0), RelId(99), vec![], vec![], vec![], vec![]);
+        assert!(refute_implication(&sigma, &from_outside, &cfg()).is_none());
+        assert!(refute_implication(&sigma, &into_outside, &cfg()).is_none());
     }
 
     #[test]

@@ -40,6 +40,12 @@
 //! checker, `G[Σ]` graph, preprocessing, random checking) stay because
 //! the paper's Figures 9–11 measure them; treat them as the
 //! reproduction surface, not the API of record.
+//!
+//! Every witness this crate returns is certified by
+//! [`ConstraintSet::satisfied_by`], the definition-level check of
+//! `condep-cfd` and `condep-core` (`satisfy::satisfies_all`), not by
+//! the batched `condep-validate` engine. The stack stands on the model,
+//! the CFD and CIND crates, the chase and the SAT solver alone.
 
 pub mod cfd_checking;
 pub mod checking;

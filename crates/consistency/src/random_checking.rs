@@ -74,15 +74,21 @@ fn one_run(
 ///
 /// `candidate_rels` restricts the randomly chosen seed relation —
 /// `Checking` passes the relations of one connected component; `None`
-/// means any relation of the schema.
+/// means any relation of the schema. Candidates outside the schema are
+/// skipped: there is no relation to seed.
 pub fn random_checking(
     sigma: &ConstraintSet,
     config: &RandomCheckingConfig,
     candidate_rels: Option<&[RelId]>,
 ) -> Option<Database> {
+    let schema = sigma.schema();
     let all: Vec<RelId> = match candidate_rels {
-        Some(rels) => rels.to_vec(),
-        None => sigma.schema().iter().map(|(r, _)| r).collect(),
+        Some(rels) => rels
+            .iter()
+            .copied()
+            .filter(|r| schema.relation(*r).is_ok())
+            .collect(),
+        None => schema.iter().map(|(r, _)| r).collect(),
     };
     if all.is_empty() {
         return None;
@@ -167,6 +173,16 @@ mod tests {
     fn empty_candidates_fail_fast() {
         let sigma = example_5_1_sigma(false);
         assert!(random_checking(&sigma, &cfg(10), Some(&[])).is_none());
+    }
+
+    #[test]
+    fn seeds_outside_the_schema_are_skipped() {
+        let sigma = example_5_1_sigma(false);
+        assert!(random_checking(&sigma, &cfg(10), Some(&[RelId(99)])).is_none());
+        let r1 = sigma.schema().rel_id("r1").unwrap();
+        let witness =
+            random_checking(&sigma, &cfg(10), Some(&[RelId(99), r1])).expect("seeded at r1");
+        assert!(sigma.satisfied_by(&witness));
     }
 
     #[test]

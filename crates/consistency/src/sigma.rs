@@ -3,9 +3,8 @@
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::{Database, RelId, Schema, Value};
-use condep_validate::Validator;
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A set Σ of normal-form CFDs and CINDs over one schema — the input of
 /// every Section 5 algorithm.
@@ -14,10 +13,6 @@ pub struct ConstraintSet {
     schema: Arc<Schema>,
     cfds: Vec<NormalCfd>,
     cinds: Vec<NormalCind>,
-    /// Lazily compiled batched validator; grouping Σ once pays off
-    /// because `satisfied_by` is called per candidate witness in the
-    /// checking loops.
-    validator: OnceLock<Arc<Validator>>,
 }
 
 impl ConstraintSet {
@@ -27,7 +22,6 @@ impl ConstraintSet {
             schema,
             cfds,
             cinds,
-            validator: OnceLock::new(),
         }
     }
 
@@ -117,18 +111,16 @@ impl ConstraintSet {
         )
     }
 
-    /// The batched validator compiled from Σ (built once, cached).
-    pub fn validator(&self) -> &Validator {
-        self.validator
-            .get_or_init(|| Arc::new(Validator::new(self.cfds.clone(), self.cinds.clone())))
-    }
-
-    /// Does `db` satisfy every constraint of Σ? (The certificate check
-    /// behind Theorem 5.1.) Routed through the batched [`Validator`]:
-    /// one shared group-by index per `(relation, LHS)` group instead of
-    /// one per constraint.
+    /// Does `db` satisfy every constraint of Σ? This is the certificate
+    /// check behind Theorem 5.1, at the definition level:
+    /// [`condep_cfd::satisfy::satisfies_all`] and
+    /// [`condep_core::satisfy::satisfies_all`], one hashed `O(|I|)` pass
+    /// per dependency. That suits the few-tuple witnesses the Section 5
+    /// algorithms certify; batched validation of large instances is
+    /// `condep-validate`'s job.
     pub fn satisfied_by(&self, db: &Database) -> bool {
-        self.validator().satisfies(db)
+        condep_cfd::satisfy::satisfies_all(db, &self.cfds)
+            && condep_core::satisfy::satisfies_all(db, &self.cinds)
     }
 }
 

@@ -428,12 +428,6 @@ fn pattern_matches(attrs: &[AttrId], pat: &[Option<Value>], t: &Tuple) -> bool {
         .all(|(a, p)| p.as_ref().is_none_or(|p| p == &t[*a]))
 }
 
-/// Does a compiled member's probe (most general) pattern match the
-/// tuple?
-fn member_matches(g: &CfdGroup, m: &CfdMember, t: &Tuple) -> bool {
-    pattern_matches(&g.attrs, &m.pattern, t)
-}
-
 /// Collects into `buf` the original-Σ CFD indices a matched member's
 /// violations fan out to, for the key group `t` belongs to. The
 /// representative (`covers[0]`) always applies — its pattern is the
@@ -449,18 +443,6 @@ fn applicable_covers(g: &CfdGroup, m: &CfdMember, t: &Tuple, buf: &mut Vec<usize
             buf.push(c.idx);
         }
     }
-}
-
-/// Translates the projection of a tuple whose key cells are **already
-/// interned** (every key projection is interned on insert; see
-/// [`intern_key`]).
-fn sym_key(interner: &Interner, t: &Tuple, attrs: &[AttrId], buf: &mut Vec<SymValue>) {
-    buf.clear();
-    buf.extend(attrs.iter().map(|a| {
-        interner
-            .sym_value(&t[*a])
-            .expect("key projections of stream tuples are interned")
-    }));
 }
 
 /// What one [`ValidatorStream::compact`] call reclaimed.
@@ -2171,63 +2153,6 @@ impl ValidatorStream {
             .collect();
         out.sort_unstable();
         out
-    }
-
-    /// Does `t` (a tuple currently in the stream's database) participate
-    /// in a CFD conflict whose witnessing cells all satisfy `is_rigid`?
-    ///
-    /// This is the group-probe primitive the chase's candidate checking
-    /// builds on: `is_rigid` distinguishes genuine constants from encoded
-    /// chase variables, so a disagreement involving a variable (which an
-    /// `FD(φ)` step would repair by substitution) is not a conflict,
-    /// while two rigid constants disagreeing is. Costs
-    /// `O(groups on the relation × the tuple's key-group sizes)` — never
-    /// a relation scan. Ordinary consumers can pass `|_| true` to ask
-    /// "is this tuple involved in any CFD violation right now".
-    pub fn cfd_conflicts<F>(&self, rel: RelId, t: &Tuple, is_rigid: F) -> bool
-    where
-        F: Fn(&Value) -> bool,
-    {
-        let rel_inst = self.db.relation(rel);
-        let Some(my_pos) = rel_inst.position(t) else {
-            return false;
-        };
-        let mut key_buf: Vec<SymValue> = Vec::new();
-        for (g, idx) in self.validator.cfd_groups().iter().zip(&self.cfd_indexes) {
-            if g.rel != rel {
-                continue;
-            }
-            sym_key(&self.interner, t, &g.attrs, &mut key_buf);
-            let group = idx.positions(&key_buf);
-            for m in &g.members {
-                if !member_matches(g, m, t) {
-                    continue;
-                }
-                let mine = &t[m.rhs];
-                // Single-tuple reading: a matched premise forcing a
-                // different (rigid) constant.
-                if let Some(expected) = &m.rhs_const {
-                    if mine != expected && is_rigid(mine) {
-                        return true;
-                    }
-                }
-                // Pair reading: agreement on X forcing agreement on A,
-                // checked against the tuple's own key group only.
-                if !is_rigid(mine) {
-                    continue;
-                }
-                for &p in group {
-                    if p as usize == my_pos {
-                        continue;
-                    }
-                    let other = &rel_inst.get(p as usize).expect("indexed position valid")[m.rhs];
-                    if other != mine && is_rigid(other) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
     }
 }
 
