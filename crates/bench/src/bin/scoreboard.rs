@@ -1,7 +1,8 @@
 //! The scenario-matrix scoreboard harness.
 //!
 //! ```text
-//! scoreboard run  [--out PATH] [--only NAME[,NAME…]]
+//! scoreboard run [--out PATH]
+//! scoreboard run --only NAME[,NAME…] --out PATH
 //! scoreboard diff BASE NEW [--latency F] [--latency-floor-us N]
 //!                          [--throughput F] [--counter F]
 //! scoreboard list
@@ -10,16 +11,18 @@
 //! `run` drives every matrix scenario through the generic runner,
 //! validates the emitted document (well-formed JSON + required key
 //! schema) and writes it — by default to `SCOREBOARD.json` at the repo
-//! root, the committed baseline. `diff` compares two scoreboard
-//! documents with class-aware thresholds and exits `2` on any gated
-//! regression; `scoreboard diff SCOREBOARD.json SCOREBOARD.json` is
+//! root, the committed baseline; a subset (`--only`) must name its own
+//! `--out`. `diff` compares two scoreboard documents with class-aware
+//! thresholds and exits `2` on any gated regression;
+//! `scoreboard diff SCOREBOARD.json SCOREBOARD.json` is
 //! zero-regression by construction. CI runs the matrix with
 //! `--out target/…` and diffs against the committed baseline with
-//! loose timing thresholds — counters still gate exactly.
+//! loose timing thresholds — counters still gate exactly. A command
+//! line that does not parse prints the usage and exits `1`.
 
 use condep_bench::scenario::{matrix, run_scenario, ScenarioResult};
-use condep_bench::scoreboard::{diff, emit, validate, Thresholds};
-use std::path::PathBuf;
+use condep_bench::scoreboard::{diff, emit, parse_args, validate, Command, Thresholds, USAGE};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn default_out() -> PathBuf {
@@ -31,47 +34,31 @@ fn default_out() -> PathBuf {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("list") => {
+    match parse_args(&args) {
+        Ok(Command::Run { out, only }) => cmd_run(&out.unwrap_or_else(default_out), only),
+        Ok(Command::Diff {
+            base,
+            new,
+            thresholds,
+        }) => cmd_diff(&base, &new, &thresholds),
+        Ok(Command::List) => {
             for s in matrix() {
                 println!("{:24} seed 0x{:X}", s.name, s.seed);
             }
             ExitCode::SUCCESS
         }
-        _ => {
-            eprintln!(
-                "usage: scoreboard run [--out PATH] [--only NAME[,NAME…]]\n       \
-                 scoreboard diff BASE NEW [--latency F] [--latency-floor-us N] \
-                 [--throughput F] [--counter F]\n       scoreboard list"
-            );
+        Err(e) => {
+            eprintln!("scoreboard: {e}\n{USAGE}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    let out = flag_value(args, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(default_out);
-    let only: Option<Vec<&str>> = flag_value(args, "--only").map(|v| v.split(',').collect());
-
+fn cmd_run(out: &Path, only: Option<Vec<&str>>) -> ExitCode {
     let scenarios: Vec<_> = matrix()
         .into_iter()
         .filter(|s| only.as_ref().is_none_or(|names| names.contains(&s.name)))
         .collect();
-    if scenarios.is_empty() {
-        eprintln!("scoreboard: no scenario matches --only");
-        return ExitCode::FAILURE;
-    }
 
     let mut results: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
     for s in &scenarios {
@@ -90,7 +77,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if let Some(dir) = out.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    match std::fs::write(&out, &doc) {
+    match std::fs::write(out, &doc) {
         Ok(()) => {
             println!("\n(scoreboard: {})", out.display());
             ExitCode::SUCCESS
@@ -148,50 +135,11 @@ fn print_result(r: &ScenarioResult) {
     );
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    // Positional args are the two paths; every `--flag` consumes the
-    // token after it.
-    let mut positional: Vec<&str> = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        positional.push(a);
-    }
-    let [base_path, new_path] = positional.as_slice() else {
-        eprintln!("usage: scoreboard diff BASE NEW [--latency F] [--latency-floor-us N] [--throughput F] [--counter F]");
-        return ExitCode::FAILURE;
-    };
-
-    let mut t = Thresholds::default();
-    let parse = |v: Option<&str>, name: &str| -> Option<f64> {
-        v.map(|s| {
-            s.parse::<f64>()
-                .unwrap_or_else(|_| panic!("scoreboard: bad {name} value {s:?}"))
-        })
-    };
-    if let Some(v) = parse(flag_value(args, "--latency"), "--latency") {
-        t.latency_frac = v;
-    }
-    if let Some(v) = parse(flag_value(args, "--latency-floor-us"), "--latency-floor-us") {
-        t.latency_floor_us = v;
-    }
-    if let Some(v) = parse(flag_value(args, "--throughput"), "--throughput") {
-        t.throughput_frac = v;
-    }
-    if let Some(v) = parse(flag_value(args, "--counter"), "--counter") {
-        t.counter_frac = v;
-    }
-
-    let load = |path: &str| -> Result<condep_telemetry::json::JsonValue, String> {
-        let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        validate(&doc).map_err(|e| format!("{path}: {e}"))
+fn cmd_diff(base_path: &Path, new_path: &Path, t: &Thresholds) -> ExitCode {
+    let load = |path: &Path| -> Result<condep_telemetry::json::JsonValue, String> {
+        let doc = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        validate(&doc).map_err(|e| format!("{}: {e}", path.display()))
     };
     let (base, new) = match (load(base_path), load(new_path)) {
         (Ok(b), Ok(n)) => (b, n),
@@ -201,7 +149,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         }
     };
 
-    let report = diff(&base, &new, &t);
+    let report = diff(&base, &new, t);
     for msg in &report.incomparable {
         println!("INCOMPARABLE  {msg}");
     }

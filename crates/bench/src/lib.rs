@@ -2,16 +2,27 @@
 
 //! # condep-bench
 //!
-//! Shared harness utilities for the figure/table regeneration benches.
+//! The in-repo benchmark harness, in two parts:
 //!
-//! Every bench target (`fig10a` … `fig11d`, `table1_table2`, `ablation`)
-//! is a `harness = false` binary that sweeps the paper's parameters,
-//! prints the series as an aligned table (the "rows the paper reports"),
-//! and writes a CSV under `target/figures/` for plotting.
+//! - **The figure/table benches** (`fig10a` … `fig11d`,
+//!   `table1_table2`, `ablation`) reproduce the paper's Section 6
+//!   experiments; `micro` times the core operations they rest on. Each
+//!   is a `harness = false` binary that sweeps the paper's parameters,
+//!   prints the series as an aligned table (the "rows the paper
+//!   reports") and writes a CSV under `target/figures/`
+//!   ([`FigureTable`]).
+//! - **The scoreboard** ([`scenario`], [`scoreboard`] and the
+//!   `scoreboard` binary) runs the engine's seeded workload matrix into
+//!   one `SCOREBOARD.json` document and diffs two such documents:
+//!   counters exactly, wall time with slack.
 //!
-//! Scale control: benches default to a reduced sweep so `cargo bench`
-//! finishes quickly; set `CONDEP_BENCH_SCALE=full` to run the paper-size
-//! sweeps (20 relations × up to 20K constraints, 100-relation scaling).
+//! Full-size engine timings live in the standalone `perfbench/`
+//! package that `BENCHMARK.json` declares, not here.
+//!
+//! Scale control: the figure/table benches default to a reduced sweep
+//! so `cargo bench` finishes quickly; set `CONDEP_BENCH_SCALE=full` to
+//! run the paper-size sweeps (20 relations × up to 20K constraints,
+//! 100-relation scaling).
 
 pub mod scenario;
 pub mod scoreboard;
@@ -53,29 +64,6 @@ pub fn time_once<F: FnOnce() -> R, R>(f: F) -> (Duration, R) {
     let start = Instant::now();
     let out = f();
     (start.elapsed(), out)
-}
-
-/// Best-of-`runs` timing: the minimum duration and its run's value.
-pub fn best_of<F: FnMut() -> usize>(runs: usize, mut f: F) -> (Duration, usize) {
-    let mut best = Duration::MAX;
-    let mut out = 0;
-    for _ in 0..runs {
-        let (d, n) = time_once(&mut f);
-        if d < best {
-            best = d;
-            out = n;
-        }
-    }
-    (best, out)
-}
-
-/// The deterministic xorshift step every bench workload generator
-/// shares — one definition keeps cross-bench instances identical.
-pub fn xorshift(state: &mut u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    *state
 }
 
 /// Milliseconds as a printable f64.

@@ -312,11 +312,12 @@ pub struct ScenarioResult {
     pub metrics: MetricsSnapshot,
 }
 
-/// The default scenario matrix — ten workloads covering value drift,
+/// The default scenario matrix — eleven workloads covering value drift,
 /// bursty vs singleton churn, hot-key skew, adversarial dirt, shape
-/// extremes, live Σ churn, a Σ analysis sweep and long hot-key churn.
+/// extremes, live Σ churn, a Σ analysis sweep, long hot-key churn and
+/// a wide Σ.
 /// Sized so the whole sweep runs in seconds: the committed baseline
-/// **is** the CI smoke matrix.
+/// **is** the matrix CI runs.
 pub fn matrix() -> Vec<Scenario> {
     let planted = |tuples: usize| PlantedSigmaConfig {
         fd_pairs: 3,
@@ -524,6 +525,36 @@ pub fn matrix() -> Vec<Scenario> {
                 burst: 0,
                 skew: 2.0,
                 dirt_rate: 0.02,
+            }),
+            online: None,
+            sigma_churn_every: 0,
+            sigma_lint: None,
+        },
+        // The widest Σ the matrix compiles: 10 pairs of one variable FD
+        // plus 19 constant rows give 200 CFDs in 10 `(fact, {k_p})` key
+        // groups of 20, plus `fact[k0] ⊆ dim0[v]` and `fact[k1] ⊆
+        // dim1[v]`. Dirtied 1%, repaired, then churned.
+        Scenario {
+            name: "wide_sigma",
+            seed: 0x51DE,
+            data: DataShape::Planted(PlantedSigmaConfig {
+                fd_pairs: 10,
+                pair_cardinality: 32,
+                constant_rows_per_pair: 19,
+                cind_count: 2,
+                tuples: 10_000,
+                drift_pairs: 0,
+                drift_onset: 0.5,
+            }),
+            dirt: Dirt::Uniform(0.01),
+            discover: None,
+            repair: true,
+            churn: ChurnSpec::Plan(ChurnConfig {
+                ops: 2_048,
+                window: 128,
+                burst: 0,
+                skew: 0.0,
+                dirt_rate: 0.01,
             }),
             online: None,
             sigma_churn_every: 0,

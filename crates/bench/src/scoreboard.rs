@@ -18,9 +18,12 @@
 //! - **fingerprint** paths (and string leaves) must match exactly or
 //!   the scenario is reported *incomparable* (workload shape changed —
 //!   rebaseline rather than gate).
+//!
+//! [`parse_args`] reads the `scoreboard` binary's command line.
 
-use crate::scenario::ScenarioResult;
+use crate::scenario::{matrix, ScenarioResult};
 use condep_telemetry::json::{self, JsonValue, JsonWriter};
+use std::path::PathBuf;
 
 /// Current scoreboard document version ([`emit`] stamps it,
 /// [`validate`] requires it).
@@ -358,7 +361,7 @@ pub fn classify(path: &str) -> MetricClass {
 }
 
 /// Regression thresholds, one knob per metric class.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Thresholds {
     /// Allowed relative latency growth (`0.25` = +25%).
     pub latency_frac: f64,
@@ -558,6 +561,154 @@ pub fn diff(base: &JsonValue, new: &JsonValue, t: &Thresholds) -> DiffReport {
         }
     }
     report
+}
+
+/// The `scoreboard` binary's usage text.
+pub const USAGE: &str = "\
+usage: scoreboard run [--out PATH]
+       scoreboard run --only NAME[,NAME…] --out PATH
+       scoreboard diff BASE NEW [--latency F] [--latency-floor-us N]
+                                [--throughput F] [--counter F]
+       scoreboard list";
+
+/// A parsed `scoreboard` command line.
+#[derive(Debug, PartialEq)]
+pub enum Command {
+    /// Run the matrix, or the `only` subset of it, and write the
+    /// document to `out` (`None`: the committed `SCOREBOARD.json`).
+    Run {
+        /// Where the document goes.
+        out: Option<PathBuf>,
+        /// Matrix scenario names to run (in matrix order).
+        only: Option<Vec<&'static str>>,
+    },
+    /// Diff two documents.
+    Diff {
+        /// The baseline document.
+        base: PathBuf,
+        /// The document gated against it.
+        new: PathBuf,
+        /// Defaults overridden by the threshold flags.
+        thresholds: Thresholds,
+    },
+    /// Print the matrix.
+    List,
+}
+
+/// Parses the `scoreboard` arguments (program name excluded). Every
+/// flag takes one value. An unknown or repeated flag, a flag without a
+/// value, an `--only` name outside [`matrix`], `--only` without
+/// `--out` and a threshold that is not a non-negative number are
+/// errors, so a mistyped command never runs on defaults or rewrites
+/// the committed baseline with part of the matrix.
+pub fn parse_args(args: &[String]) -> Result<Command, String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err("missing command".into());
+    };
+    match command.as_str() {
+        "run" => {
+            let args = Args::split(rest, &["--out", "--only"])?;
+            if let Some(arg) = args.positional.first() {
+                return Err(format!("run takes no argument {arg:?}"));
+            }
+            let out = args.value("--out").map(PathBuf::from);
+            let only = match args.value("--only") {
+                Some(_) if out.is_none() => {
+                    return Err(
+                        "--only needs --out, so a subset never replaces the baseline".into(),
+                    )
+                }
+                Some(list) => Some(matrix_names(list)?),
+                None => None,
+            };
+            Ok(Command::Run { out, only })
+        }
+        "diff" => {
+            let flags = [
+                "--latency",
+                "--latency-floor-us",
+                "--throughput",
+                "--counter",
+            ];
+            let args = Args::split(rest, &flags)?;
+            let [base, new] = args.positional[..] else {
+                let n = args.positional.len();
+                return Err(format!("diff takes two documents, got {n}"));
+            };
+            let mut thresholds = Thresholds::default();
+            for (flag, v) in args.flags {
+                let x = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|x| x.is_finite() && *x >= 0.0)
+                    .ok_or_else(|| format!("{flag} needs a non-negative number, got {v:?}"))?;
+                match flag {
+                    "--latency" => thresholds.latency_frac = x,
+                    "--latency-floor-us" => thresholds.latency_floor_us = x,
+                    "--throughput" => thresholds.throughput_frac = x,
+                    _ => thresholds.counter_frac = x,
+                }
+            }
+            Ok(Command::Diff {
+                base: base.into(),
+                new: new.into(),
+                thresholds,
+            })
+        }
+        "list" if rest.is_empty() => Ok(Command::List),
+        "list" => Err("list takes no arguments".into()),
+        other => Err(format!("unknown command {other:?}")),
+    }
+}
+
+/// Resolves a comma-separated list to [`matrix`] scenario names.
+fn matrix_names(list: &str) -> Result<Vec<&'static str>, String> {
+    let names: Vec<&'static str> = matrix().iter().map(|s| s.name).collect();
+    list.split(',')
+        .map(|n| {
+            let found = names.iter().find(|m| **m == n).copied();
+            found.ok_or_else(|| format!("no scenario named {n:?} in the matrix"))
+        })
+        .collect()
+}
+
+/// One command's arguments: positionals and `(flag, value)` pairs.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    flags: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `args`, accepting each of the `allowed` flags at most
+    /// once and only with a value.
+    fn split(args: &'a [String], allowed: &[&'static str]) -> Result<Self, String> {
+        let mut out = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                out.positional.push(arg);
+                continue;
+            }
+            let Some(&flag) = allowed.iter().find(|f| **f == arg) else {
+                return Err(format!("unknown flag {arg}"));
+            };
+            if out.value(flag).is_some() {
+                return Err(format!("{flag} given twice"));
+            }
+            match args.next() {
+                Some(v) if !v.starts_with("--") => out.flags.push((flag, v)),
+                _ => return Err(format!("{flag} needs a value")),
+            }
+        }
+        Ok(out)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == flag).map(|(_, v)| *v)
+    }
 }
 
 fn render(v: &JsonValue) -> String {

@@ -1,9 +1,10 @@
 //! Scoreboard round-trip: run scenarios → emit → validate → parse →
 //! self-diff clean, and counters deterministic across runs.
 
-use condep_bench::scenario::{by_name, run_scenario};
+use condep_bench::scenario::{by_name, run_scenario, DataShape};
 use condep_bench::scoreboard::{diff, emit, validate, Thresholds};
 use condep_telemetry::json;
+use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
 fn emit_validate_parse_self_diff_round_trip() {
@@ -70,4 +71,31 @@ fn adversarial_scenario_reports_its_majority_flips() {
     assert!(r.violations.residual < r.violations.initial);
     assert!(rep.accepted > 0);
     assert!(rep.rejected > 0, "verification rolled back candidate fixes");
+}
+
+#[test]
+fn wide_sigma_scenario_repairs_its_dirt_then_churns() {
+    let s = by_name("wide_sigma").expect("in matrix");
+    // The shape: 200 CFDs in 10 `(fact, {k_p})` key groups of 20, plus
+    // 2 CINDs.
+    let DataShape::Planted(cfg) = &s.data else {
+        panic!("wide_sigma runs on the planted shape");
+    };
+    let planted =
+        condep_gen::clean_database_with_hidden_sigma(cfg, &mut StdRng::seed_from_u64(s.seed));
+    let compiled = condep_validate::Validator::new(planted.cfds.clone(), planted.cinds.clone())
+        .compile_stats();
+    assert_eq!((compiled.cfd_groups, compiled.cfd_members), (10, 200));
+    assert_eq!(planted.cinds.len(), 2);
+
+    let r = run_scenario(&s);
+    let rep = r.repair.expect("repair pass runs");
+    assert!(r.violations.initial > 0, "1% dirt violates the planted Σ");
+    assert_eq!(
+        r.violations.residual, 0,
+        "repair clears the CFD and the CIND violations"
+    );
+    assert!(rep.tuples_inserted > 0, "CIND orphans repair by insertion");
+    assert!(rep.accepted > 0);
+    assert_eq!(r.churn_ops, 2_048);
 }

@@ -7,6 +7,7 @@
 
 use condep_discover::{discover, DiscoveryConfig, SampleConfig};
 use condep_gen::{clean_database_with_hidden_sigma, PlantedSigmaConfig};
+use condep_telemetry::MetricValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,6 +111,35 @@ fn confirmed_keeps_meet_the_floors_exactly() {
         assert!(d.support >= 8);
         assert!(d.confidence >= 1.0 - 1e-9);
         assert!(condep_core::satisfy::satisfies_normal(&planted.db, &d.cind));
+    }
+}
+
+/// A sampled run's metrics export as valid JSON with the kept counts,
+/// the lattice size and the phase timings.
+#[test]
+fn sampled_run_metrics_export_as_valid_json() {
+    let planted = planted();
+    let found = discover(&planted.db, &sampled_config(7));
+    let m = found.metrics();
+    let doc = m.to_json();
+    assert!(
+        condep_telemetry::json::is_valid(&doc),
+        "not valid JSON:\n{doc}"
+    );
+    assert_eq!(
+        m.get("discover.kept.cfds"),
+        Some(&MetricValue::Counter(found.cfds.len() as u64))
+    );
+    assert_eq!(
+        m.get("discover.kept.cinds"),
+        Some(&MetricValue::Counter(found.cinds.len() as u64))
+    );
+    for key in [
+        "discover.stats.lattice_nodes",
+        "discover.timings.mine_ms",
+        "discover.timings.confirm_ms",
+    ] {
+        assert!(m.get(key).is_some(), "metrics missing {key}");
     }
 }
 

@@ -214,7 +214,7 @@ pub struct PlantedDatabase {
 /// [`PlantedDatabase::cfds`] / [`PlantedDatabase::cinds`]; a discovery
 /// run on [`PlantedDatabase::db`] should recover a Σ′ **implying** every
 /// member of it (asserted via the exact implication checkers in the
-/// discovery property suite and `benches/discover.rs`).
+/// discovery property suite and `condep-discover`'s recovery test).
 ///
 /// With `drift_pairs > 0` the last pairs **drift**: past
 /// `tuples · drift_onset` their dependent cell decouples from the key,

@@ -2,12 +2,11 @@
 //! syntax validator.
 //!
 //! The repo takes no external dependencies, so every report that
-//! leaves the engine as JSON (`BENCH_*.json`, `HealthSnapshot`) is
+//! leaves the engine as JSON (`SCOREBOARD.json`, `HealthSnapshot`) is
 //! assembled by hand. This module centralizes that assembly — one
 //! escaper, one float policy (non-finite → `null`), one indentation
-//! style — replacing the per-bench `format!` chains, and provides
-//! [`is_valid`] so tests can assert round-trippability without a
-//! parser dependency.
+//! style — and provides [`is_valid`] so tests can assert
+//! round-trippability without a parser dependency.
 
 /// Incremental writer producing pretty-printed (2-space indented) JSON.
 ///

@@ -3,10 +3,10 @@
 //! same stream with recording switched off at runtime
 //! ([`ValidatorStream::set_telemetry_enabled`]).
 //!
-//! The workload mirrors the CI smoke configuration: a 10K-tuple
-//! instance under ~40 CFDs + 2 CINDs, churned in delete/reinsert
-//! window pairs that leave the database unchanged — every round does
-//! byte-identical work, so the two streams are directly comparable.
+//! The workload: a 10K-tuple instance under ~40 CFDs + 2 CINDs,
+//! churned in delete/reinsert window pairs that leave the database
+//! unchanged — every round does byte-identical work, so the two
+//! streams are directly comparable.
 //!
 //! Wall-clock comparisons on shared hardware are inherently noisy, so
 //! the guard interleaves the A/B measurements, keeps the best-of-N
@@ -63,7 +63,7 @@ fn schema() -> Arc<Schema> {
 }
 
 /// One clean tuple honoring the embedded FDs `a1 → a2`, `a3 → a4`,
-/// `a5 → a6` (the validator bench's instance shape at 10K).
+/// `a5 → a6`, a unique id in `a0` and a free column `a7`.
 fn random_tuple(i: usize, state: &mut u64) -> Tuple {
     let h1 = xorshift(state) % 64;
     let h2 = xorshift(state) % 512;
