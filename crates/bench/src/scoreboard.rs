@@ -251,7 +251,7 @@ const ONLINE_KEYS: &[&str] = &[
 ];
 
 /// Checks a scoreboard document: well-formed JSON (per
-/// [`json::is_valid`]), the schema version, a non-empty scenario map,
+/// [`json::parse`]), the schema version, a non-empty scenario map,
 /// every required per-scenario path present and non-null, latency
 /// percentiles in order (`p50 ≤ p90 ≤ p99 ≤ max`), and every non-null
 /// `repair` / `online` block carrying its counters (an `online` block
@@ -259,10 +259,7 @@ const ONLINE_KEYS: &[&str] = &[
 /// the miner's sketch size, `values` and `classes`). Returns the parsed
 /// tree on success.
 pub fn validate(doc: &str) -> Result<JsonValue, String> {
-    if !json::is_valid(doc) {
-        return Err("not well-formed JSON".into());
-    }
-    let v = json::parse(doc).ok_or("unparseable JSON")?;
+    let v = json::parse(doc).ok_or("not well-formed JSON")?;
     let version = v
         .at("schema_version")
         .and_then(JsonValue::as_f64)

@@ -60,17 +60,9 @@ use condep_core::implication::ImplicationConfig;
 use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{Database, RelId, SymTables};
-use condep_telemetry::{Export, MetricsSnapshot, SpanKey, Stopwatch};
+use condep_telemetry::{Export, MetricsSnapshot, Stopwatch};
 use condep_validate::SigmaCover;
 use std::collections::HashMap;
-
-/// Static span keys: each [`discover`] phase also lands its wall time
-/// in the global registry ([`condep_telemetry::global`]) as a histogram
-/// across every run in the process. [`PhaseTimings`] is the per-run
-/// view of the same clocks.
-static SAMPLE_SPAN: SpanKey = SpanKey::new("discover.sample_us");
-static MINE_SPAN: SpanKey = SpanKey::new("discover.mine_us");
-static CONFIRM_SPAN: SpanKey = SpanKey::new("discover.confirm_us");
 
 mod cfd_miner;
 mod cind_miner;
@@ -347,7 +339,6 @@ fn discover_sampled(
 ) -> DiscoveredSigma {
     let sample_clock = Stopwatch::start();
     let outcome = sample::reservoir_sample(db, sample_cfg);
-    SAMPLE_SPAN.record_us(sample_clock.elapsed_us());
     let sample_ms = sample_clock.elapsed_ms();
     let full_total: usize = outcome.full_rows.iter().sum();
     let sampled_total: usize = outcome.sampled_rows.iter().sum();
@@ -400,7 +391,6 @@ fn discover_sampled(
     }
     let confirm_clock = Stopwatch::start();
     let confirmed = confirm::confirm(db, config, &mut found.cfds, &mut found.cinds);
-    CONFIRM_SPAN.record_us(confirm_clock.elapsed_us());
     found.timings.confirm_ms = confirm_clock.elapsed_ms();
     // Exact figures may reorder the ranking the sample suggested.
     found
@@ -651,7 +641,6 @@ fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
     let mut keep_cind = cover.cind.iter().map(|r| r.is_kept());
     kept_cinds.retain(|_| keep_cind.next().expect("one role per kept CIND"));
 
-    MINE_SPAN.record_us(mine_clock.elapsed_us());
     DiscoveredSigma {
         cfds: kept_cfds,
         cinds: kept_cinds,

@@ -126,6 +126,7 @@ fn sampled_run_metrics_export_as_valid_json() {
         condep_telemetry::json::is_valid(&doc),
         "not valid JSON:\n{doc}"
     );
+    assert_eq!(condep_telemetry::misnamed_keys(&m), Vec::<&str>::new());
     assert_eq!(
         m.get("discover.kept.cfds"),
         Some(&MetricValue::Counter(found.cfds.len() as u64))

@@ -133,14 +133,11 @@ pub fn repair(
     let mut log = RepairLog::default();
     let mut budget_exhausted = false;
     let mut fill_serial = 0u64;
-    // Run-local instrumentation: the round-latency distribution plus
-    // accept/reject/stale counters, returned on the report
-    // (`RepairReport::metrics`) next to the stream's own telemetry.
+    // Run-local instrumentation: the round-latency distribution,
+    // returned on the report (`RepairReport::metrics`) next to the
+    // stream's own telemetry and the summary counters read off the log.
     let registry = Registry::new();
     let round_us = registry.histogram("repair.round_us");
-    let accepted_fixes = registry.counter("repair.fixes.accepted");
-    let rejected_fixes = registry.counter("repair.fixes.rejected");
-    let stale_fixes = registry.counter("repair.fixes.stale");
 
     'rounds: loop {
         let report = stream.current_report();
@@ -172,7 +169,6 @@ pub fn repair(
                         // Ill-typed candidate (e.g. a forced constant
                         // outside the attribute's domain): skip it.
                         log.rejected += 1;
-                        rejected_fixes.incr();
                         continue;
                     }
                 };
@@ -181,7 +177,6 @@ pub fn repair(
                     // target tuple; the whole conflict is replanned next
                     // round.
                     log.stale += 1;
-                    stale_fixes.incr();
                     break;
                 }
                 if applied.net_change() < 0 {
@@ -199,7 +194,6 @@ pub fn repair(
                         fix,
                         target,
                     });
-                    accepted_fixes.incr();
                     progressed = true;
                     break;
                 }
@@ -210,7 +204,6 @@ pub fn repair(
                     .revert(revert)
                     .expect("revert of a just-applied mutation cannot fail");
                 log.rejected += 1;
-                rejected_fixes.incr();
             }
         }
         if !progressed {
@@ -232,10 +225,6 @@ pub fn repair(
             Fix::InsertTuple { .. } => tuples_inserted += 1,
         }
     }
-    // The summary values are re-set from the log so the key set (minus
-    // the histograms) is identical whether the `telemetry` feature is
-    // on or off; with it on they overwrite the registry's counters with
-    // the same values.
     let mut metrics = registry.snapshot();
     metrics.counter("repair.rounds", log.rounds as u64);
     metrics.counter("repair.fixes.accepted", log.applied.len() as u64);

@@ -112,8 +112,7 @@ pub struct RepairReport {
     pub budget_exhausted: bool,
     /// The run's metrics under `repair.*` (rounds, accept/reject/stale
     /// counts, round-latency histogram, net cost) merged with the delta
-    /// stream's own telemetry under `stream.*`. With the `telemetry`
-    /// feature off only the summary counters remain.
+    /// stream's own telemetry under `stream.*`.
     pub metrics: MetricsSnapshot,
     /// Advisory findings about the run itself — today
     /// [`SigmaLint::SuspectMajority`]: every accepted edit of one key

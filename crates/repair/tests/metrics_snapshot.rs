@@ -1,10 +1,11 @@
 //! `RepairReport::metrics` exports as valid JSON and carries the
 //! round, fix and violation summary, each figure equal to the report
-//! it summarizes.
+//! it summarizes, under names the telemetry README's naming table
+//! documents.
 
 use condep_gen::{clean_database_with_hidden_sigma, dirtied_database, PlantedSigmaConfig};
 use condep_repair::{repair, RepairBudget, RepairCost};
-use condep_telemetry::{json, MetricValue, MetricsSnapshot};
+use condep_telemetry::{json, misnamed_keys, MetricValue, MetricsSnapshot};
 use condep_validate::Validator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,6 +49,7 @@ fn repair_metrics_export_as_valid_json() {
     let m = &report.metrics;
     let doc = m.to_json();
     assert!(json::is_valid(&doc), "not valid JSON:\n{doc}");
+    assert_eq!(misnamed_keys(m), Vec::<&str>::new());
     assert!(
         report.initial_violations > 0,
         "5% dirt violates the planted Σ"

@@ -9,7 +9,7 @@
 //! across wraparound, so consumers can detect gaps.
 
 use crate::json::JsonWriter;
-use crate::snapshot::{Export, MetricsSnapshot};
+use std::collections::VecDeque;
 
 /// One unit of stream activity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,200 +142,87 @@ impl JournalEvent {
     }
 }
 
-impl Export for JournalEvent {
-    fn export(&self, prefix: &str, out: &mut MetricsSnapshot) {
-        out.counter(crate::key(prefix, "seq"), self.seq);
-        out.text(crate::key(prefix, "kind"), self.event.kind());
-        let mut field = |name: &str, v: u64| out.counter(crate::key(prefix, name), v);
-        match self.event {
-            StreamEvent::Window {
-                mutations,
-                groups_touched,
-                introduced,
-                resolved,
-            } => {
-                field("mutations", mutations as u64);
-                field("groups_touched", groups_touched as u64);
-                field("introduced", introduced as u64);
-                field("resolved", resolved as u64);
-            }
-            StreamEvent::Compaction {
-                key_groups_dropped,
-                strings_dropped,
-                bytes_reclaimed,
-            } => {
-                field("key_groups_dropped", key_groups_dropped as u64);
-                field("strings_dropped", strings_dropped as u64);
-                field("bytes_reclaimed", bytes_reclaimed);
-            }
-            StreamEvent::Promote {
-                cfds,
-                cinds,
-                introduced,
-            } => {
-                field("cfds", cfds as u64);
-                field("cinds", cinds as u64);
-                field("introduced", introduced as u64);
-            }
-            StreamEvent::Retire {
-                cfds,
-                cinds,
-                resolved,
-            } => {
-                field("cfds", cfds as u64);
-                field("cinds", cinds as u64);
-                field("resolved", resolved as u64);
-            }
-        }
-    }
+/// A bounded ring buffer of [`JournalEvent`]s.
+///
+/// `push` is O(1): once full, the oldest event is overwritten.
+/// All mutation goes through `&mut self` — the journal is owned by
+/// its stream, not shared, so no locking is involved.
+#[derive(Clone, Debug)]
+pub struct Journal {
+    cap: usize,
+    next_seq: u64,
+    ring: VecDeque<JournalEvent>,
 }
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use super::*;
-    use std::collections::VecDeque;
+impl Journal {
+    /// A journal keeping the newest `cap` events (min 1).
+    pub fn with_capacity(cap: usize) -> Journal {
+        let cap = cap.max(1);
+        Journal {
+            cap,
+            next_seq: 0,
+            ring: VecDeque::with_capacity(cap),
+        }
+    }
 
-    /// A bounded ring buffer of [`JournalEvent`]s.
+    /// Rebounds the ring to keep the newest `cap` events (min 1).
     ///
-    /// `push` is O(1): once full, the oldest event is overwritten.
-    /// All mutation goes through `&mut self` — the journal is owned by
-    /// its stream, not shared, so no locking is involved.
-    #[derive(Clone, Debug)]
-    pub struct Journal {
-        cap: usize,
-        next_seq: u64,
-        ring: VecDeque<JournalEvent>,
+    /// Shrinking evicts the oldest retained events immediately;
+    /// growing keeps everything and simply raises the bound.
+    /// Sequence numbers and [`total`](Journal::total) are
+    /// unaffected either way.
+    pub fn set_capacity(&mut self, cap: usize) {
+        self.cap = cap.max(1);
+        while self.ring.len() > self.cap {
+            self.ring.pop_front();
+        }
     }
 
-    impl Journal {
-        /// A journal keeping the newest `cap` events (min 1).
-        pub fn with_capacity(cap: usize) -> Journal {
-            let cap = cap.max(1);
-            Journal {
-                cap,
-                next_seq: 0,
-                ring: VecDeque::with_capacity(cap),
-            }
+    /// Appends an event, evicting the oldest when full.
+    pub fn push(&mut self, event: StreamEvent) {
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
         }
+        self.ring.push_back(JournalEvent {
+            seq: self.next_seq,
+            event,
+        });
+        self.next_seq += 1;
+    }
 
-        /// Rebounds the ring to keep the newest `cap` events (min 1).
-        ///
-        /// Shrinking evicts the oldest retained events immediately;
-        /// growing keeps everything and simply raises the bound.
-        /// Sequence numbers and [`total`](Journal::total) are
-        /// unaffected either way.
-        pub fn set_capacity(&mut self, cap: usize) {
-            self.cap = cap.max(1);
-            while self.ring.len() > self.cap {
-                self.ring.pop_front();
-            }
-        }
+    /// Events currently retained.
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
 
-        /// Appends an event, evicting the oldest when full.
-        pub fn push(&mut self, event: StreamEvent) {
-            if self.ring.len() == self.cap {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(JournalEvent {
-                seq: self.next_seq,
-                event,
-            });
-            self.next_seq += 1;
-        }
+    /// Whether nothing has been retained.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
 
-        /// Events currently retained.
-        pub fn len(&self) -> usize {
-            self.ring.len()
-        }
+    /// Maximum events retained.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
 
-        /// Whether nothing has been retained.
-        pub fn is_empty(&self) -> bool {
-            self.ring.is_empty()
-        }
+    /// Events ever pushed (including evicted ones).
+    pub fn total(&self) -> u64 {
+        self.next_seq
+    }
 
-        /// Maximum events retained.
-        pub fn capacity(&self) -> usize {
-            self.cap
-        }
+    /// The newest `n` events, oldest first.
+    pub fn tail(&self, n: usize) -> Vec<JournalEvent> {
+        let skip = self.ring.len().saturating_sub(n);
+        self.ring.iter().skip(skip).copied().collect()
+    }
 
-        /// Events ever pushed (including evicted ones).
-        pub fn total(&self) -> u64 {
-            self.next_seq
-        }
-
-        /// The newest `n` events, oldest first.
-        pub fn tail(&self, n: usize) -> Vec<JournalEvent> {
-            let skip = self.ring.len().saturating_sub(n);
-            self.ring.iter().skip(skip).copied().collect()
-        }
-
-        /// Iterates retained events, oldest first.
-        pub fn iter(&self) -> impl Iterator<Item = &JournalEvent> {
-            self.ring.iter()
-        }
+    /// Iterates retained events, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &JournalEvent> {
+        self.ring.iter()
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub use enabled::Journal;
-
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use super::*;
-
-    /// No-op journal (the `telemetry` feature is off).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Journal;
-
-    impl Journal {
-        /// A no-op journal.
-        #[inline(always)]
-        pub fn with_capacity(_cap: usize) -> Journal {
-            Journal
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn set_capacity(&mut self, _cap: usize) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn push(&mut self, _event: StreamEvent) {}
-        /// Always 0.
-        #[inline(always)]
-        pub fn len(&self) -> usize {
-            0
-        }
-        /// Always true.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn capacity(&self) -> usize {
-            0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn total(&self) -> u64 {
-            0
-        }
-        /// Always empty.
-        #[inline(always)]
-        pub fn tail(&self, _n: usize) -> Vec<JournalEvent> {
-            Vec::new()
-        }
-        /// Always empty.
-        #[inline(always)]
-        pub fn iter(&self) -> impl Iterator<Item = &JournalEvent> {
-            std::iter::empty()
-        }
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::Journal;
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,12 +1,13 @@
 //! A tiny hand-rolled JSON surface: a pretty-printing writer and a
-//! syntax validator.
+//! parser.
 //!
 //! The repo takes no external dependencies, so every report that
 //! leaves the engine as JSON (`SCOREBOARD.json`, `HealthSnapshot`) is
 //! assembled by hand. This module centralizes that assembly — one
 //! escaper, one float policy (non-finite → `null`), one indentation
-//! style — and provides [`is_valid`] so tests can assert
-//! round-trippability without a parser dependency.
+//! style — and reads documents back with [`parse`], so tests can
+//! assert round-trippability ([`is_valid`]) without a parser
+//! dependency.
 
 /// Incremental writer producing pretty-printed (2-space indented) JSON.
 ///
@@ -167,21 +168,15 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Checks that `s` is one syntactically valid JSON value.
+/// Checks that `s` is one syntactically valid JSON value: exactly the
+/// documents [`parse`] accepts.
 ///
-/// A strict recursive-descent pass over the RFC 8259 grammar —
-/// no value materialization, no number range checks. Used by tests
-/// and the smoke bench to assert that hand-assembled reports parse.
+/// A `\u` escape must name a Unicode scalar value, so a lone surrogate
+/// such as `"\ud83d"` is rejected; [`escape_into`] never emits one, so
+/// every document the engine writes is unaffected. Tests use this to
+/// assert that hand-assembled reports parse.
 pub fn is_valid(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut at = skip_ws(b, 0);
-    match value(b, at) {
-        Some(end) => {
-            at = skip_ws(b, end);
-            at == b.len()
-        }
-        None => false,
-    }
+    parse(s).is_some()
 }
 
 fn skip_ws(b: &[u8], mut at: usize) -> usize {
@@ -191,63 +186,11 @@ fn skip_ws(b: &[u8], mut at: usize) -> usize {
     at
 }
 
-/// Parses one JSON value starting at `at`; returns the index just past it.
-fn value(b: &[u8], at: usize) -> Option<usize> {
-    match b.get(at)? {
-        b'{' => object(b, at),
-        b'[' => array(b, at),
-        b'"' => string(b, at),
-        b't' => literal(b, at, b"true"),
-        b'f' => literal(b, at, b"false"),
-        b'n' => literal(b, at, b"null"),
-        b'-' | b'0'..=b'9' => number(b, at),
-        _ => None,
-    }
-}
-
 fn literal(b: &[u8], at: usize, lit: &[u8]) -> Option<usize> {
     if b.len() >= at + lit.len() && &b[at..at + lit.len()] == lit {
         Some(at + lit.len())
     } else {
         None
-    }
-}
-
-fn object(b: &[u8], at: usize) -> Option<usize> {
-    let mut at = skip_ws(b, at + 1);
-    if b.get(at) == Some(&b'}') {
-        return Some(at + 1);
-    }
-    loop {
-        at = string(b, at)?;
-        at = skip_ws(b, at);
-        if b.get(at) != Some(&b':') {
-            return None;
-        }
-        at = skip_ws(b, at + 1);
-        at = value(b, at)?;
-        at = skip_ws(b, at);
-        match b.get(at)? {
-            b',' => at = skip_ws(b, at + 1),
-            b'}' => return Some(at + 1),
-            _ => return None,
-        }
-    }
-}
-
-fn array(b: &[u8], at: usize) -> Option<usize> {
-    let mut at = skip_ws(b, at + 1);
-    if b.get(at) == Some(&b']') {
-        return Some(at + 1);
-    }
-    loop {
-        at = value(b, at)?;
-        at = skip_ws(b, at);
-        match b.get(at)? {
-            b',' => at = skip_ws(b, at + 1),
-            b']' => return Some(at + 1),
-            _ => return None,
-        }
     }
 }
 
@@ -384,8 +327,8 @@ impl JsonValue {
 
 /// Parses `s` into a [`JsonValue`] tree (`None` on any syntax error).
 ///
-/// Accepts exactly the grammar [`is_valid`] accepts; the scoreboard
-/// diff uses this to materialize two reports and walk them key by key.
+/// The scoreboard diff uses this to materialize two reports and walk
+/// them key by key.
 pub fn parse(s: &str) -> Option<JsonValue> {
     let b = s.as_bytes();
     let at = skip_ws(b, 0);
@@ -455,8 +398,8 @@ fn parse_array(b: &[u8], at: usize) -> Option<(JsonValue, usize)> {
 }
 
 fn parse_string(b: &[u8], at: usize) -> Option<(String, usize)> {
-    // Validate first (one pass, shared grammar), then decode over the
-    // checked span so the decoder can assume well-formed escapes.
+    // Check the span first (escape syntax, no raw control characters),
+    // then decode over it so the decoder can assume well-formed escapes.
     let end = string(b, at)?;
     let body = std::str::from_utf8(&b[at + 1..end - 1]).ok()?;
     let mut out = String::with_capacity(body.len());
@@ -607,6 +550,7 @@ mod tests {
             Some(JsonValue::Str("😀".to_string()))
         );
         assert_eq!(parse("\"\\ud83d\""), None, "lone high surrogate");
+        assert!(!is_valid("\"\\ud83d\""), "one grammar for both");
     }
 
     #[test]

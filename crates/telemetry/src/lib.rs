@@ -15,35 +15,27 @@
 //! | [`Registry`] | named [`Counter`]/[`Gauge`]/[`Histogram`] instruments; get-or-create by dotted name, lock-free recording through clonable handles |
 //! | [`Histogram`] | log2-bucket µs latency distribution; deterministic p50/p90/p99/max summaries |
 //! | [`SpanTimer`] | RAII guard timing construction→drop into a histogram |
-//! | [`SpanKey`]/[`CounterKey`] | `static` keys with a `OnceLock`-cached handle into the [`global()`] registry — the fast path for free functions |
+//! | [`Stopwatch`] | a started wall clock whose readings the caller stores itself (phase timings, compile stats) |
 //! | [`Journal`] | bounded ring buffer of [`StreamEvent`]s: per-window mutations, compactions, online promote/retire |
 //! | [`MetricsSnapshot`] | sorted `dotted.name → value` map; the unit of exchange, rendered to JSON deterministically |
 //! | [`Export`] | one trait every stats struct implements to render itself into a snapshot subtree |
-//! | [`json`] | the hand-rolled JSON writer + syntax validator behind every report the engine emits |
+//! | [`misnamed_keys`] | the naming rule: the keys of a snapshot that break the README's naming table |
+//! | [`json`] | the hand-rolled JSON writer and parser behind every report the engine emits |
 //!
-//! ## Feature gating
-//!
-//! The `telemetry` cargo feature (default-on) selects between real
-//! instruments and zero-sized no-op mirrors with identical signatures.
-//! Call sites never `cfg`; a `--no-default-features` build compiles
-//! them to nothing. The export surface ([`MetricsSnapshot`],
-//! [`Export`], [`json`]) is always available — snapshots from a
-//! disabled build are simply empty.
-//!
-//! Enabled builds add a *runtime* kill switch on top:
-//! [`Registry::disabled`] hands out storage-less handles whose record
-//! calls cost one branch, which lets tests A/B the instrumented hot
-//! path inside a single binary.
+//! Every owner holds its own [`Registry`]; there is no process-wide
+//! one. [`Registry::disabled`] is the runtime kill switch: it hands out
+//! storage-less handles whose record calls cost one branch, which lets
+//! tests A/B the instrumented hot path inside a single binary.
 
 mod journal;
 pub mod json;
-mod key;
 mod metrics;
+mod naming;
 mod snapshot;
 
 pub use journal::{Journal, JournalEvent, StreamEvent};
-pub use key::{global, CounterKey, SpanKey};
 pub use metrics::{Counter, Gauge, Histogram, Registry, SpanTimer, Stopwatch};
+pub use naming::misnamed_keys;
 pub use snapshot::{Export, HistogramSnapshot, MetricValue, MetricsSnapshot};
 
 /// Joins a dotted `prefix` and a metric `name` (`""` prefix = verbatim).

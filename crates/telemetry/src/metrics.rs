@@ -1,573 +1,365 @@
-//! Recording instruments: registry, counters, gauges, histograms,
-//! span timers and static keys.
+//! Recording instruments: registry, counters, gauges, histograms and
+//! span timers.
 //!
-//! Everything here comes in two builds selected by the `telemetry`
-//! feature. With the feature on (default) the types wrap atomics and
-//! clocks; with it off every type is a zero-sized mirror with the same
-//! signatures whose methods are empty `#[inline(always)]` bodies, so
-//! call sites compile to nothing and need no `cfg` of their own.
-//!
-//! Enabled instruments also support a *runtime* kill switch: handles
-//! issued by [`Registry::disabled`] carry no storage, so recording
-//! through them costs one branch. The overhead guard test uses this to
-//! A/B the instrumented hot path inside a single binary.
+//! Instruments wrap atomics and clocks. Handles issued by
+//! [`Registry::disabled`] carry no storage, so recording through them
+//! costs one branch: the runtime kill switch the overhead guard test
+//! uses to A/B the instrumented hot path inside a single binary.
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-// ---------------------------------------------------------------------------
-// Enabled build
-// ---------------------------------------------------------------------------
+/// A monotonically increasing event counter handle.
+///
+/// Cheap to clone (shared storage); a handle from a disabled
+/// registry records nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Option<Arc<AtomicU64>>);
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use super::*;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-    use std::sync::{Arc, Mutex};
-    use std::time::Instant;
-
-    /// A monotonically increasing event counter handle.
-    ///
-    /// Cheap to clone (shared storage); a handle from a disabled
-    /// registry records nothing.
-    #[derive(Clone, Debug, Default)]
-    pub struct Counter(Option<Arc<AtomicU64>>);
-
-    impl Counter {
-        /// Adds `n` events.
-        #[inline(always)]
-        pub fn add(&self, n: u64) {
-            if let Some(cell) = &self.0 {
-                cell.fetch_add(n, Relaxed);
-            }
-        }
-
-        /// Adds one event.
-        #[inline(always)]
-        pub fn incr(&self) {
-            self.add(1);
-        }
-
-        /// Current count (0 for a disabled handle).
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.as_ref().map_or(0, |cell| cell.load(Relaxed))
-        }
-    }
-
-    /// A signed level that can move both ways (resident bytes, live groups).
-    #[derive(Clone, Debug, Default)]
-    pub struct Gauge(Option<Arc<AtomicI64>>);
-
-    impl Gauge {
-        /// Sets the level.
-        #[inline(always)]
-        pub fn set(&self, v: i64) {
-            if let Some(cell) = &self.0 {
-                cell.store(v, Relaxed);
-            }
-        }
-
-        /// Moves the level by `delta`.
-        #[inline(always)]
-        pub fn add(&self, delta: i64) {
-            if let Some(cell) = &self.0 {
-                cell.fetch_add(delta, Relaxed);
-            }
-        }
-
-        /// Current level (0 for a disabled handle).
-        #[inline]
-        pub fn get(&self) -> i64 {
-            self.0.as_ref().map_or(0, |cell| cell.load(Relaxed))
-        }
-    }
-
-    /// Storage behind an enabled [`Histogram`] handle: one bucket per
-    /// bit-length, so bucket `i` (i ≥ 1) covers `[2^(i-1), 2^i - 1]`
-    /// and bucket 0 holds exact zeros.
-    #[derive(Debug)]
-    pub(super) struct HistogramCore {
-        buckets: [AtomicU64; 64],
-        count: AtomicU64,
-        sum: AtomicU64,
-        max: AtomicU64,
-    }
-
-    impl Default for HistogramCore {
-        fn default() -> Self {
-            HistogramCore {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl HistogramCore {
-        /// Zeroes every bucket and summary cell in place, so handles
-        /// already pointing at this core observe a fresh histogram.
-        fn reset(&self) {
-            for b in &self.buckets {
-                b.store(0, Relaxed);
-            }
-            self.count.store(0, Relaxed);
-            self.sum.store(0, Relaxed);
-            self.max.store(0, Relaxed);
-        }
-    }
-
-    /// A log2-bucket microsecond latency histogram handle.
-    #[derive(Clone, Debug, Default)]
-    pub struct Histogram(Option<Arc<HistogramCore>>);
-
-    impl Histogram {
-        /// Records one sample, in microseconds.
-        #[inline(always)]
-        pub fn record_us(&self, us: u64) {
-            if let Some(core) = &self.0 {
-                core.buckets[bucket_of(us)].fetch_add(1, Relaxed);
-                core.count.fetch_add(1, Relaxed);
-                core.sum.fetch_add(us, Relaxed);
-                core.max.fetch_max(us, Relaxed);
-            }
-        }
-
-        /// Whether this handle has storage (false for disabled handles).
-        #[inline]
-        pub fn is_enabled(&self) -> bool {
-            self.0.is_some()
-        }
-
-        /// Summarizes the recorded distribution.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            let Some(core) = &self.0 else {
-                return HistogramSnapshot::default();
-            };
-            let counts: Vec<u64> = core.buckets.iter().map(|b| b.load(Relaxed)).collect();
-            let count: u64 = counts.iter().sum();
-            let mut snap = HistogramSnapshot {
-                count,
-                sum_us: core.sum.load(Relaxed),
-                max_us: core.max.load(Relaxed),
-                ..HistogramSnapshot::default()
-            };
-            if count == 0 {
-                return snap;
-            }
-            // A bucket's upper bound can overshoot the largest sample it
-            // holds; no percentile reads above the observed max.
-            snap.p50_us = quantile(&counts, count, 50).min(snap.max_us);
-            snap.p90_us = quantile(&counts, count, 90).min(snap.max_us);
-            snap.p99_us = quantile(&counts, count, 99).min(snap.max_us);
-            snap
-        }
-    }
-
-    /// Bucket index for `us`: its bit length, capped to 63.
+impl Counter {
+    /// Adds `n` events.
     #[inline(always)]
-    pub(super) fn bucket_of(us: u64) -> usize {
-        ((u64::BITS - us.leading_zeros()) as usize).min(63)
-    }
-
-    /// Largest value bucket `b` can contain.
-    pub(super) fn bucket_upper(b: usize) -> u64 {
-        match b {
-            0 => 0,
-            63 => u64::MAX,
-            b => (1u64 << b) - 1,
+    pub fn add(&self, n: u64) {
+        if let Some(cell) = &self.0 {
+            cell.fetch_add(n, Relaxed);
         }
     }
 
-    /// Upper bound of the bucket containing the `pct`-th percentile
-    /// rank (`ceil(pct/100 · count)`, 1-based).
-    fn quantile(counts: &[u64], count: u64, pct: u64) -> u64 {
-        let rank = (count * pct).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (b, &n) in counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(63)
+    /// Adds one event.
+    #[inline(always)]
+    pub fn incr(&self) {
+        self.add(1);
     }
 
-    /// RAII guard: measures from construction to drop (or [`stop`])
-    /// and records the elapsed microseconds into a [`Histogram`].
-    ///
-    /// [`stop`]: SpanTimer::stop
-    #[derive(Debug)]
-    pub struct SpanTimer {
-        inner: Option<(Instant, Histogram)>,
+    /// Current count (0 for a disabled handle).
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.as_ref().map_or(0, |cell| cell.load(Relaxed))
     }
+}
 
-    impl SpanTimer {
-        /// Starts timing into `hist`. A disabled handle skips the
-        /// clock read entirely.
-        #[inline]
-        pub fn start(hist: &Histogram) -> SpanTimer {
-            SpanTimer {
-                inner: hist.is_enabled().then(|| (Instant::now(), hist.clone())),
-            }
-        }
+/// A signed level that can move both ways (resident bytes, live groups).
+#[derive(Clone, Debug, Default)]
+pub struct Gauge(Option<Arc<AtomicI64>>);
 
-        /// Stops early and returns the recorded microseconds
-        /// (0 when disabled).
-        pub fn stop(mut self) -> u64 {
-            self.finish()
-        }
-
-        fn finish(&mut self) -> u64 {
-            match self.inner.take() {
-                Some((t0, hist)) => {
-                    let us = t0.elapsed().as_micros() as u64;
-                    hist.record_us(us);
-                    us
-                }
-                None => 0,
-            }
+impl Gauge {
+    /// Sets the level.
+    #[inline(always)]
+    pub fn set(&self, v: i64) {
+        if let Some(cell) = &self.0 {
+            cell.store(v, Relaxed);
         }
     }
 
-    impl Drop for SpanTimer {
-        fn drop(&mut self) {
-            self.finish();
+    /// Moves the level by `delta`.
+    #[inline(always)]
+    pub fn add(&self, delta: i64) {
+        if let Some(cell) = &self.0 {
+            cell.fetch_add(delta, Relaxed);
         }
     }
 
-    /// A started wall clock for phase timing; reads do not record
-    /// anywhere, callers store the result themselves.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Stopwatch(Instant);
-
-    impl Stopwatch {
-        /// Starts the clock.
-        #[inline]
-        pub fn start() -> Stopwatch {
-            Stopwatch(Instant::now())
-        }
-
-        /// Microseconds since start.
-        #[inline]
-        pub fn elapsed_us(&self) -> u64 {
-            self.0.elapsed().as_micros() as u64
-        }
-
-        /// Milliseconds since start.
-        #[inline]
-        pub fn elapsed_ms(&self) -> f64 {
-            self.0.elapsed().as_secs_f64() * 1e3
-        }
+    /// Current level (0 for a disabled handle).
+    #[inline]
+    pub fn get(&self) -> i64 {
+        self.0.as_ref().map_or(0, |cell| cell.load(Relaxed))
     }
+}
 
-    /// What a registry slot stores.
-    #[derive(Debug)]
-    enum Slot {
-        Counter(Arc<AtomicU64>),
-        Gauge(Arc<AtomicI64>),
-        Histogram(Arc<HistogramCore>),
-    }
+/// Storage behind an enabled [`Histogram`] handle: one bucket per
+/// bit-length, so bucket `i` (i ≥ 1) covers `[2^(i-1), 2^i - 1]`
+/// and bucket 0 holds exact zeros. The sample count is the buckets'
+/// sum, read at snapshot time.
+#[derive(Debug)]
+struct HistogramCore {
+    buckets: [AtomicU64; 64],
+    sum: AtomicU64,
+    max: AtomicU64,
+}
 
-    /// The registry's storage: named slots behind one lock (`None` =
-    /// the runtime kill switch).
-    type Slots = Option<Arc<Mutex<Vec<(String, Slot)>>>>;
-
-    /// A named collection of instruments.
-    ///
-    /// `counter`/`gauge`/`histogram` get-or-create by name and hand
-    /// out clonable handles; registration takes a lock, recording
-    /// through a handle is lock-free. Clones share storage. The whole
-    /// registry can be born disabled ([`Registry::disabled`]): it then
-    /// hands out storage-less handles and snapshots empty.
-    #[derive(Clone, Debug)]
-    pub struct Registry {
-        inner: Slots,
-    }
-
-    impl Default for Registry {
-        fn default() -> Self {
-            Registry::new()
-        }
-    }
-
-    impl Registry {
-        /// An enabled, empty registry.
-        pub fn new() -> Registry {
-            Registry {
-                inner: Some(Arc::new(Mutex::new(Vec::new()))),
-            }
-        }
-
-        /// A registry whose handles all record nothing (runtime kill
-        /// switch; the compile-time switch is the `telemetry` feature).
-        pub fn disabled() -> Registry {
-            Registry { inner: None }
-        }
-
-        /// Whether this registry stores anything.
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        fn slot<T>(
-            &self,
-            name: &str,
-            make: impl FnOnce() -> Slot,
-            pick: impl Fn(&Slot) -> Option<T>,
-        ) -> Option<T> {
-            let inner = self.inner.as_ref()?;
-            let mut slots = inner.lock().unwrap();
-            if let Some((_, slot)) = slots.iter().find(|(n, _)| n == name) {
-                let picked = pick(slot);
-                assert!(
-                    picked.is_some(),
-                    "metric `{name}` already registered with a different kind"
-                );
-                return picked;
-            }
-            let slot = make();
-            let picked = pick(&slot);
-            slots.push((name.to_string(), slot));
-            picked
-        }
-
-        /// The counter named `name`, created on first use.
-        pub fn counter(&self, name: &str) -> Counter {
-            Counter(self.slot(
-                name,
-                || Slot::Counter(Arc::default()),
-                |s| match s {
-                    Slot::Counter(c) => Some(Arc::clone(c)),
-                    _ => None,
-                },
-            ))
-        }
-
-        /// The gauge named `name`, created on first use.
-        pub fn gauge(&self, name: &str) -> Gauge {
-            Gauge(self.slot(
-                name,
-                || Slot::Gauge(Arc::default()),
-                |s| match s {
-                    Slot::Gauge(g) => Some(Arc::clone(g)),
-                    _ => None,
-                },
-            ))
-        }
-
-        /// The histogram named `name`, created on first use.
-        pub fn histogram(&self, name: &str) -> Histogram {
-            Histogram(self.slot(
-                name,
-                || Slot::Histogram(Arc::default()),
-                |s| match s {
-                    Slot::Histogram(h) => Some(Arc::clone(h)),
-                    _ => None,
-                },
-            ))
-        }
-
-        /// Zeroes every registered instrument **in place**: names stay
-        /// registered and every handle already handed out (including
-        /// the `SpanKey`/`CounterKey` handles cached into the global
-        /// registry) keeps recording — into freshly zeroed storage.
-        ///
-        /// This is the per-run isolation hook for harnesses that drive
-        /// many workloads through one process: reset between runs and a
-        /// run's snapshot matches what a fresh process would have
-        /// recorded.
-        pub fn reset(&self) {
-            let Some(inner) = &self.inner else {
-                return;
-            };
-            for (_, slot) in inner.lock().unwrap().iter() {
-                match slot {
-                    Slot::Counter(c) => c.store(0, Relaxed),
-                    Slot::Gauge(g) => g.store(0, Relaxed),
-                    Slot::Histogram(h) => h.reset(),
-                }
-            }
-        }
-
-        /// Snapshots every registered instrument, sorted by name.
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            let mut out = MetricsSnapshot::new();
-            let Some(inner) = &self.inner else {
-                return out;
-            };
-            for (name, slot) in inner.lock().unwrap().iter() {
-                match slot {
-                    Slot::Counter(c) => out.counter(name.clone(), c.load(Relaxed)),
-                    Slot::Gauge(g) => out.gauge(name.clone(), g.load(Relaxed)),
-                    Slot::Histogram(h) => {
-                        out.histogram(name.clone(), Histogram(Some(Arc::clone(h))).snapshot())
-                    }
-                }
-            }
-            out
+impl Default for HistogramCore {
+    fn default() -> Self {
+        HistogramCore {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub use enabled::{Counter, Gauge, Histogram, Registry, SpanTimer, Stopwatch};
+/// A log2-bucket microsecond latency histogram handle.
+#[derive(Clone, Debug, Default)]
+pub struct Histogram(Option<Arc<HistogramCore>>);
 
-// ---------------------------------------------------------------------------
-// Disabled build: zero-sized mirrors, same signatures, empty bodies.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use super::*;
-
-    /// No-op counter (the `telemetry` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn incr(&self) {}
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
+impl Histogram {
+    /// Records one sample, in microseconds.
+    #[inline(always)]
+    pub fn record_us(&self, us: u64) {
+        if let Some(core) = &self.0 {
+            core.buckets[bucket_of(us)].fetch_add(1, Relaxed);
+            core.sum.fetch_add(us, Relaxed);
+            core.max.fetch_max(us, Relaxed);
         }
     }
 
-    /// No-op gauge (the `telemetry` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Gauge;
+    /// Whether this handle has storage (false for disabled handles).
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.0.is_some()
+    }
 
-    impl Gauge {
-        /// No-op.
-        #[inline(always)]
-        pub fn set(&self, _v: i64) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _delta: i64) {}
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
+    /// Summarizes the recorded distribution.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let Some(core) = &self.0 else {
+            return HistogramSnapshot::default();
+        };
+        let counts: Vec<u64> = core.buckets.iter().map(|b| b.load(Relaxed)).collect();
+        let count: u64 = counts.iter().sum();
+        let mut snap = HistogramSnapshot {
+            count,
+            sum_us: core.sum.load(Relaxed),
+            max_us: core.max.load(Relaxed),
+            ..HistogramSnapshot::default()
+        };
+        if count == 0 {
+            return snap;
+        }
+        // A bucket's upper bound can overshoot the largest sample it
+        // holds; no percentile reads above the observed max.
+        snap.p50_us = quantile(&counts, count, 50).min(snap.max_us);
+        snap.p90_us = quantile(&counts, count, 90).min(snap.max_us);
+        snap.p99_us = quantile(&counts, count, 99).min(snap.max_us);
+        snap
+    }
+}
+
+/// Bucket index for `us`: its bit length, capped to 63.
+#[inline(always)]
+fn bucket_of(us: u64) -> usize {
+    ((u64::BITS - us.leading_zeros()) as usize).min(63)
+}
+
+/// Largest value bucket `b` can contain.
+fn bucket_upper(b: usize) -> u64 {
+    match b {
+        0 => 0,
+        63 => u64::MAX,
+        b => (1u64 << b) - 1,
+    }
+}
+
+/// Upper bound of the bucket containing the `pct`-th percentile
+/// rank (`ceil(pct/100 · count)`, 1-based).
+fn quantile(counts: &[u64], count: u64, pct: u64) -> u64 {
+    let rank = (count * pct).div_ceil(100).max(1);
+    let mut seen = 0u64;
+    for (b, &n) in counts.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return bucket_upper(b);
+        }
+    }
+    bucket_upper(63)
+}
+
+/// RAII guard: measures from construction to drop (or [`stop`])
+/// and records the elapsed microseconds into a [`Histogram`].
+///
+/// [`stop`]: SpanTimer::stop
+#[derive(Debug)]
+pub struct SpanTimer {
+    inner: Option<(Instant, Histogram)>,
+}
+
+impl SpanTimer {
+    /// Starts timing into `hist`. A disabled handle skips the
+    /// clock read entirely.
+    #[inline]
+    pub fn start(hist: &Histogram) -> SpanTimer {
+        SpanTimer {
+            inner: hist.is_enabled().then(|| (Instant::now(), hist.clone())),
         }
     }
 
-    /// No-op histogram (the `telemetry` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// No-op.
-        #[inline(always)]
-        pub fn record_us(&self, _us: u64) {}
-        /// Always false.
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-        /// Always empty.
-        #[inline(always)]
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot::default()
-        }
+    /// Stops early and returns the recorded microseconds
+    /// (0 when disabled).
+    pub fn stop(mut self) -> u64 {
+        self.finish()
     }
 
-    /// No-op span guard (the `telemetry` feature is off).
-    #[derive(Debug)]
-    pub struct SpanTimer;
-
-    impl SpanTimer {
-        /// No-op.
-        #[inline(always)]
-        pub fn start(_hist: &Histogram) -> SpanTimer {
-            SpanTimer
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn stop(self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op stopwatch (the `telemetry` feature is off).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Stopwatch;
-
-    impl Stopwatch {
-        /// No-op.
-        #[inline(always)]
-        pub fn start() -> Stopwatch {
-            Stopwatch
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn elapsed_us(&self) -> u64 {
-            0
-        }
-        /// Always 0.
-        #[inline(always)]
-        pub fn elapsed_ms(&self) -> f64 {
-            0.0
-        }
-    }
-
-    /// No-op registry (the `telemetry` feature is off).
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Registry;
-
-    impl Registry {
-        /// A no-op registry.
-        #[inline(always)]
-        pub fn new() -> Registry {
-            Registry
-        }
-        /// A no-op registry.
-        #[inline(always)]
-        pub fn disabled() -> Registry {
-            Registry
-        }
-        /// Always false.
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-        /// A no-op handle.
-        #[inline(always)]
-        pub fn counter(&self, _name: &str) -> Counter {
-            Counter
-        }
-        /// A no-op handle.
-        #[inline(always)]
-        pub fn gauge(&self, _name: &str) -> Gauge {
-            Gauge
-        }
-        /// A no-op handle.
-        #[inline(always)]
-        pub fn histogram(&self, _name: &str) -> Histogram {
-            Histogram
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn reset(&self) {}
-        /// Always empty.
-        #[inline(always)]
-        pub fn snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot::new()
+    fn finish(&mut self) -> u64 {
+        match self.inner.take() {
+            Some((t0, hist)) => {
+                let us = t0.elapsed().as_micros() as u64;
+                hist.record_us(us);
+                us
+            }
+            None => 0,
         }
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::{Counter, Gauge, Histogram, Registry, SpanTimer, Stopwatch};
+impl Drop for SpanTimer {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
 
-#[cfg(all(test, feature = "telemetry"))]
+/// A started wall clock for phase timing; reads do not record
+/// anywhere, callers store the result themselves.
+#[derive(Clone, Copy, Debug)]
+pub struct Stopwatch(Instant);
+
+impl Stopwatch {
+    /// Starts the clock.
+    #[inline]
+    pub fn start() -> Stopwatch {
+        Stopwatch(Instant::now())
+    }
+
+    /// Microseconds since start.
+    #[inline]
+    pub fn elapsed_us(&self) -> u64 {
+        self.0.elapsed().as_micros() as u64
+    }
+
+    /// Milliseconds since start.
+    #[inline]
+    pub fn elapsed_ms(&self) -> f64 {
+        self.0.elapsed().as_secs_f64() * 1e3
+    }
+}
+
+/// What a registry slot stores.
+#[derive(Debug)]
+enum Slot {
+    Counter(Arc<AtomicU64>),
+    Gauge(Arc<AtomicI64>),
+    Histogram(Arc<HistogramCore>),
+}
+
+/// The registry's storage: named slots behind one lock (`None` =
+/// the runtime kill switch).
+type Slots = Option<Arc<Mutex<Vec<(String, Slot)>>>>;
+
+/// A named collection of instruments.
+///
+/// `counter`/`gauge`/`histogram` get-or-create by name and hand
+/// out clonable handles; registration takes a lock, recording
+/// through a handle is lock-free. Clones share storage. The whole
+/// registry can be born disabled ([`Registry::disabled`]): it then
+/// hands out storage-less handles and snapshots empty.
+#[derive(Clone, Debug)]
+pub struct Registry {
+    inner: Slots,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
+    }
+}
+
+impl Registry {
+    /// An enabled, empty registry.
+    pub fn new() -> Registry {
+        Registry {
+            inner: Some(Arc::new(Mutex::new(Vec::new()))),
+        }
+    }
+
+    /// A registry whose handles all record nothing (the runtime kill
+    /// switch).
+    pub fn disabled() -> Registry {
+        Registry { inner: None }
+    }
+
+    /// Whether this registry stores anything.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    fn slot<T>(
+        &self,
+        name: &str,
+        make: impl FnOnce() -> Slot,
+        pick: impl Fn(&Slot) -> Option<T>,
+    ) -> Option<T> {
+        let inner = self.inner.as_ref()?;
+        let mut slots = inner.lock().unwrap();
+        if let Some((_, slot)) = slots.iter().find(|(n, _)| n == name) {
+            let picked = pick(slot);
+            assert!(
+                picked.is_some(),
+                "metric `{name}` already registered with a different kind"
+            );
+            return picked;
+        }
+        let slot = make();
+        let picked = pick(&slot);
+        slots.push((name.to_string(), slot));
+        picked
+    }
+
+    /// The counter named `name`, created on first use.
+    pub fn counter(&self, name: &str) -> Counter {
+        Counter(self.slot(
+            name,
+            || Slot::Counter(Arc::default()),
+            |s| match s {
+                Slot::Counter(c) => Some(Arc::clone(c)),
+                _ => None,
+            },
+        ))
+    }
+
+    /// The gauge named `name`, created on first use.
+    pub fn gauge(&self, name: &str) -> Gauge {
+        Gauge(self.slot(
+            name,
+            || Slot::Gauge(Arc::default()),
+            |s| match s {
+                Slot::Gauge(g) => Some(Arc::clone(g)),
+                _ => None,
+            },
+        ))
+    }
+
+    /// The histogram named `name`, created on first use.
+    pub fn histogram(&self, name: &str) -> Histogram {
+        Histogram(self.slot(
+            name,
+            || Slot::Histogram(Arc::default()),
+            |s| match s {
+                Slot::Histogram(h) => Some(Arc::clone(h)),
+                _ => None,
+            },
+        ))
+    }
+
+    /// Snapshots every registered instrument, sorted by name.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut out = MetricsSnapshot::new();
+        let Some(inner) = &self.inner else {
+            return out;
+        };
+        for (name, slot) in inner.lock().unwrap().iter() {
+            match slot {
+                Slot::Counter(c) => out.counter(name.clone(), c.load(Relaxed)),
+                Slot::Gauge(g) => out.gauge(name.clone(), g.load(Relaxed)),
+                Slot::Histogram(h) => {
+                    out.histogram(name.clone(), Histogram(Some(Arc::clone(h))).snapshot())
+                }
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
 mod tests {
-    use super::enabled::{bucket_of, bucket_upper};
     use super::*;
 
     #[test]
@@ -693,50 +485,5 @@ mod tests {
         let reg = Registry::new();
         reg.counter("dual");
         reg.gauge("dual");
-    }
-
-    #[test]
-    fn reset_run_reproduces_a_fresh_registry_snapshot() {
-        // The deterministic "run" both registries replay.
-        let run = |reg: &Registry| {
-            reg.counter("run.ops").add(42);
-            reg.gauge("run.level").set(-7);
-            let h = reg.histogram("run.lat_us");
-            for us in [3, 10, 10, 100, 1000] {
-                h.record_us(us);
-            }
-        };
-        // Pollute a registry with a first run — and hold handles issued
-        // *before* the reset, as a long-lived caller (or a cached
-        // SpanKey into the global registry) would.
-        let reg = Registry::new();
-        run(&reg);
-        let stale_counter = reg.counter("run.ops");
-        let stale_hist = reg.histogram("run.lat_us");
-        reg.reset();
-        assert_eq!(stale_counter.get(), 0, "reset zeroes in place");
-        assert_eq!(stale_hist.snapshot().count, 0);
-        // Replay the run on the reset registry — recording through the
-        // pre-reset handles, which must still point at live storage.
-        stale_counter.add(42);
-        reg.gauge("run.level").set(-7);
-        for us in [3, 10, 10, 100, 1000] {
-            stale_hist.record_us(us);
-        }
-        // A fresh registry running the same ops snapshots identically.
-        let fresh = Registry::new();
-        run(&fresh);
-        assert_eq!(
-            reg.snapshot().to_json(),
-            fresh.snapshot().to_json(),
-            "a reset run must reproduce a fresh-process snapshot"
-        );
-    }
-
-    #[test]
-    fn reset_on_a_disabled_registry_is_a_no_op() {
-        let reg = Registry::disabled();
-        reg.reset();
-        assert!(reg.snapshot().is_empty());
     }
 }

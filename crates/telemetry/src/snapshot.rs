@@ -1,9 +1,6 @@
-//! Point-in-time metric values: the always-compiled export surface.
-//!
-//! Everything in this module exists regardless of the `telemetry`
-//! feature. Recording (the atomic counters and clocks in
-//! [`crate::metrics`]) is what gets compiled away; a disabled build
-//! still produces snapshots — they are simply empty or zeroed.
+//! Point-in-time metric values: the export surface every report
+//! carries. A registry built disabled still produces snapshots; they
+//! are simply empty.
 
 use crate::json::JsonWriter;
 
@@ -16,8 +13,6 @@ pub enum MetricValue {
     Gauge(i64),
     /// A derived floating-point quantity (rates, milliseconds).
     Float(f64),
-    /// A short label (config names, modes).
-    Text(String),
     /// A latency distribution summary.
     Histogram(HistogramSnapshot),
 }
@@ -46,17 +41,6 @@ pub struct HistogramSnapshot {
     /// 99th percentile, rounded up to its bucket upper bound, at most
     /// `max_us`.
     pub p99_us: u64,
-}
-
-impl HistogramSnapshot {
-    /// Arithmetic mean in microseconds, `0.0` when empty.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
 }
 
 /// A sorted `dotted.name → value` map: the unit of metric exchange.
@@ -102,11 +86,6 @@ impl MetricsSnapshot {
     /// Sets a [`MetricValue::Float`] entry.
     pub fn float(&mut self, name: impl Into<String>, value: f64) {
         self.set(name, MetricValue::Float(value));
-    }
-
-    /// Sets a [`MetricValue::Text`] entry.
-    pub fn text(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.set(name, MetricValue::Text(value.into()));
     }
 
     /// Sets a [`MetricValue::Histogram`] entry.
@@ -236,7 +215,6 @@ impl MetricValue {
             MetricValue::Counter(v) => w.value_u64(*v),
             MetricValue::Gauge(v) => w.value_i64(*v),
             MetricValue::Float(v) => w.value_f64(*v),
-            MetricValue::Text(v) => w.value_str(v),
             MetricValue::Histogram(h) => h.write_json(w),
         }
     }
@@ -265,20 +243,13 @@ impl HistogramSnapshot {
 /// Renders a value into a [`MetricsSnapshot`] subtree.
 ///
 /// The unifying interface over the engine's per-layer stats structs
-/// (`CompactionStats`, `CoverStats`, `SamplingStats`, `PhaseTimings`,
+/// (`CompileStats`, `CoverStats`, `SamplingStats`, `PhaseTimings`,
 /// `OnlineActivity`, …): each writes its fields under `prefix` and the
 /// caller composes subtrees with [`MetricsSnapshot::merge`] or nested
 /// prefixes. Implementations must be pure — same struct, same subtree.
 pub trait Export {
     /// Writes this value's metrics under `prefix` (dotted; may be empty).
     fn export(&self, prefix: &str, out: &mut MetricsSnapshot);
-
-    /// Convenience: a fresh snapshot holding just this value's subtree.
-    fn to_snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        self.export("", &mut out);
-        out
-    }
 }
 
 #[cfg(test)]

@@ -478,31 +478,6 @@ impl CompactionStats {
     }
 }
 
-impl condep_telemetry::Export for CompactionStats {
-    fn export(&self, prefix: &str, out: &mut condep_telemetry::MetricsSnapshot) {
-        let k = |name| condep_telemetry::key(prefix, name);
-        out.counter(k("key_groups_dropped"), self.key_groups_dropped as u64);
-        out.counter(k("key_groups_live"), self.key_groups_live as u64);
-        out.counter(
-            k("interned_strings_before"),
-            self.interned_strings_before as u64,
-        );
-        out.counter(
-            k("interned_strings_after"),
-            self.interned_strings_after as u64,
-        );
-        out.counter(
-            k("interned_bytes_before"),
-            self.interned_bytes_before as u64,
-        );
-        out.counter(k("interned_bytes_after"), self.interned_bytes_after as u64);
-        out.counter(
-            k("interned_bytes_reclaimed"),
-            self.interned_bytes_reclaimed() as u64,
-        );
-    }
-}
-
 /// One scoped member of a [`PairScope`]: `(member slot, applicable
 /// original-Σ indices, old pairs)`, computed from the pre-deletion
 /// state. The cover fan-out is stashed alongside because applicability
@@ -676,9 +651,7 @@ impl ValidatorStream {
 
     /// Turns recording on or off at runtime, **resetting** all recorded
     /// state either way (counters to zero, journal emptied). With
-    /// recording off every instrumentation site costs one branch; the
-    /// compile-time equivalent is building without the `telemetry`
-    /// feature.
+    /// recording off every instrumentation site costs one branch.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.telemetry = if enabled {
             StreamTelemetry::new()

@@ -7,10 +7,8 @@
 //! share metric state. Recording sites live on the mutation hot path;
 //! the per-call cost is a handful of relaxed atomic adds (hot-loop
 //! sites accumulate locally and flush once per mutation) and, for the
-//! latency histograms, two clock reads. With the `telemetry` feature
-//! off all of it compiles to nothing; at runtime a stream built while
-//! disabled ([`StreamTelemetry::disabled`]) reduces every site to one
-//! branch.
+//! latency histograms, two clock reads. A stream built disabled
+//! ([`StreamTelemetry::disabled`]) reduces every site to one branch.
 //!
 //! ## Metric names
 //!
@@ -123,8 +121,7 @@ impl StreamTelemetry {
     }
 
     /// Whether this telemetry records anything (false when built
-    /// [`disabled`](StreamTelemetry::disabled), and always false with
-    /// the `telemetry` feature off).
+    /// [`disabled`](StreamTelemetry::disabled)).
     pub fn is_enabled(&self) -> bool {
         self.registry.is_enabled()
     }
@@ -166,15 +163,6 @@ impl StreamTelemetry {
     /// Latency distribution of single-mutation calls.
     pub fn mutation_latency(&self) -> HistogramSnapshot {
         self.mutation_us.snapshot()
-    }
-
-    /// Share of key-group lookups served probe-free by slot records
-    /// (`probes.slot / (probes.slot + probes.hash)`); `None` before any
-    /// lookup.
-    pub fn probe_cache_hit_rate(&self) -> Option<f64> {
-        let slot = self.slot_probes.get();
-        let total = slot + self.hash_probes.get();
-        (total > 0).then(|| slot as f64 / total as f64)
     }
 
     /// Key-group lookups so far, both flavors — the "groups touched"

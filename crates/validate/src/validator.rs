@@ -8,16 +8,10 @@ use condep_model::fxhash::FxBuildHasher;
 use condep_model::{
     AttrId, Database, Interner, RelId, Schema, SymIndex, SymTables, SymValue, Value,
 };
-use condep_telemetry::{Export, MetricsSnapshot, SpanKey, Stopwatch};
+use condep_telemetry::{Export, MetricsSnapshot, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Static span keys: suite compilation happens in free constructors
-/// with no registry in hand, so these record into the global registry
-/// ([`condep_telemetry::global`]) through a once-resolved cached handle.
-static COVER_SPAN: SpanKey = SpanKey::new("validator.cover_us");
-static COMPILE_SPAN: SpanKey = SpanKey::new("validator.compile_us");
 
 /// One original CFD carried by a compiled member: its index in the
 /// caller's Σ plus its own LHS pattern (aligned with the group's sorted
@@ -251,11 +245,8 @@ pub struct Validator {
     lints: Vec<SigmaLint>,
 }
 
-/// Wall-clock and shape facts of one suite compilation.
-///
-/// The timings also land in the global registry under
-/// `validator.cover_us` / `validator.compile_us` (histograms across
-/// every compile in the process); this struct is the per-suite view.
+/// Wall-clock and shape facts of one suite compilation
+/// ([`Validator::compile_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompileStats {
     /// Σ-cover pass time, µs. Zero when the caller supplied the cover
@@ -299,7 +290,6 @@ impl Validator {
         let clock = Stopwatch::start();
         let cover = SigmaCover::exact(&cfds, &cinds);
         let cover_us = clock.elapsed_us();
-        COVER_SPAN.record_us(cover_us);
         let mut v = Validator::with_cover(cfds, cinds, &cover);
         v.compile_stats.cover_us = cover_us;
         v
@@ -372,7 +362,6 @@ impl Validator {
         let retired_cfds = vec![false; cfds.len()];
         let retired_cinds = vec![false; cinds.len()];
         let compile_us = clock.elapsed_us();
-        COMPILE_SPAN.record_us(compile_us);
         let compile_stats = CompileStats {
             cover_us: 0,
             compile_us,

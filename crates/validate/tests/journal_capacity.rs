@@ -3,8 +3,6 @@
 //! retain a full event tail, the default stays at 256, and shrinking
 //! evicts only the oldest retained events.
 
-#![cfg(feature = "telemetry")]
-
 use condep_cfd::NormalCfd;
 use condep_model::{tuple, Database, Domain, PValue, PatternRow, Schema, Tuple};
 use condep_validate::{Validator, ValidatorStream};

@@ -1,13 +1,12 @@
 //! The validator's compile and cover statistics, and a stream's
 //! telemetry after a batched window, export as valid JSON that carries
-//! the keys dashboards read, with counts that match the work done.
-
-#![cfg(feature = "telemetry")]
+//! the keys dashboards read, with counts that match the work done,
+//! under names the telemetry README's naming table documents.
 
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::{prow, tuple, Database, Domain, PValue, Schema, Value};
-use condep_telemetry::{json, Export, MetricValue, MetricsSnapshot};
+use condep_telemetry::{json, misnamed_keys, Export, MetricValue, MetricsSnapshot};
 use condep_validate::{Mutation, Validator, ValidatorStream};
 use std::sync::Arc;
 
@@ -62,6 +61,7 @@ fn validator_compile_and_cover_stats_export_as_valid_json() {
     v.cover_stats().export("validator.cover", &mut m);
     let doc = m.to_json();
     assert!(json::is_valid(&doc), "not valid JSON:\n{doc}");
+    assert_eq!(misnamed_keys(&m), Vec::<&str>::new());
     assert!(m.get("validator.compile.compile_us").is_some());
     assert_eq!(counter(&m, "validator.compile.cfd_groups"), 2);
     assert_eq!(counter(&m, "validator.compile.cfd_members"), 3);
@@ -99,6 +99,7 @@ fn stream_window_metrics_export_as_valid_json() {
     let m = stream.telemetry().snapshot();
     let doc = m.to_json();
     assert!(json::is_valid(&doc), "not valid JSON:\n{doc}");
+    assert_eq!(misnamed_keys(&m), Vec::<&str>::new());
     for key in [
         "stream.materialize_us",
         "stream.apply.window_us",

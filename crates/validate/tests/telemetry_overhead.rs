@@ -241,13 +241,9 @@ fn instrumented_apply_deltas_stays_within_headroom_of_disabled() {
                 "attempt {attempt}: instrumented {best_on:?} vs disabled {best_off:?} \
                  (bound {bound:?}) — ok"
             );
-            // The instrumented stream really recorded the churn (with
-            // the `telemetry` feature compiled out both streams no-op
-            // and the A/B trivially ties).
-            if on.telemetry().is_enabled() {
-                let lat = on.telemetry().window_latency();
-                assert!(lat.count > 0, "instrumented stream recorded no windows");
-            }
+            // The instrumented stream really recorded the churn.
+            let lat = on.telemetry().window_latency();
+            assert!(lat.count > 0, "instrumented stream recorded no windows");
             return;
         }
         last = (best_on, best_off);

@@ -25,24 +25,22 @@
 //! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over interned keys, parallel sweep; `ValidatorStream` delta engine (insert/delete/update with violation retraction, value-level `Mutation`/`apply`/`revert`) hardened for whole-life monitoring: position-stable `TupleId` handles, batched `apply_deltas` windows, and full `compact()` (emptied key groups + dead interned strings reclaimed) |
 //! | [`repair`] | **cost-based repair engine**: greedy equivalence-class CFD repair (union-find over conflicting cells, majority/constant targets), CIND orphans chased into inserted targets or deleted, every fix verified net-negative through the delta engine and rolled back otherwise |
 //! | [`report`] | high-level data-quality façade: compiles Σ into a batched validator, runs it against a database and aggregates violations; `QualityMonitor` reads the stream's live violation set (O(1) summary, sorted report on demand); `QualitySuite::repair` cleans a database through the repair engine |
-//! | [`telemetry`] | **unified observability core** (dependency-free): named counter/gauge registries, log2-bucket µs histograms with deterministic p50/p90/p99, RAII span timers, a bounded event journal and a hand-rolled JSON writer |
+//! | [`telemetry`] | **unified observability core** (dependency-free): per-owner counter/gauge registries with a runtime kill switch, log2-bucket µs histograms with deterministic p50/p90/p99, RAII span timers, a bounded event journal, the metric-naming rule and a hand-rolled JSON writer and parser |
 //!
 //! ## Observability
 //!
 //! Every layer reports through [`telemetry`]: a `ValidatorStream` owns
-//! a private registry + journal (probe counts, cache-hit rates,
-//! mutation/window latency, compactions — see
-//! `condep_validate::StreamTelemetry`), free constructors like
-//! `Validator::new` and `discover::discover` record phase spans into
-//! the process-global registry ([`telemetry::global`]), a repair run
-//! returns its round metrics on `RepairReport::metrics`, and
-//! [`report::QualityMonitor::health`] rolls the live state — violation
-//! counts, latency percentiles, the journal tail, online-miner
-//! activity — into one JSON-serializable [`report::HealthSnapshot`].
-//! All recording sites compile to nothing with the default-on
-//! `telemetry` cargo feature disabled; the export surface
-//! ([`telemetry::MetricsSnapshot`], [`telemetry::Export`], the JSON
-//! writer) stays available either way.
+//! a private registry + journal (probe counts, mutation/window latency,
+//! compactions — see `condep_validate::StreamTelemetry`),
+//! `Validator::new` and `discover::discover` time their phases into the
+//! stats they return (`Validator::compile_stats`,
+//! `DiscoveredSigma::timings`), a repair run returns its round metrics
+//! on `RepairReport::metrics`, and [`report::QualityMonitor::health`]
+//! rolls the live state — violation counts, latency percentiles, the
+//! journal tail, online-miner activity — into one JSON-serializable
+//! [`report::HealthSnapshot`]. Each of these exports through
+//! [`telemetry::Export`] into a [`telemetry::MetricsSnapshot`], whose
+//! keys follow the naming table [`telemetry::misnamed_keys`] checks.
 //!
 //! ## Quickstart
 //!

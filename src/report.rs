@@ -766,9 +766,10 @@ const HEALTH_JOURNAL_TAIL: usize = 32;
 /// What [`QualityMonitor::health`] returns: the monitor's live state as
 /// plain data, serializable to one JSON document.
 ///
-/// With the `telemetry` cargo feature off (or a stream built disabled)
-/// the latency histograms read zero and the journal is empty; the
-/// violation counts and online counters are always live.
+/// With the stream's recording switched off
+/// ([`ValidatorStream::set_telemetry_enabled`]) the latency histograms
+/// read zero and the journal is empty; the violation counts and online
+/// counters are always live.
 #[derive(Clone, Debug)]
 pub struct HealthSnapshot {
     /// Live violation counts (delta-maintained, no validation run).
@@ -1181,6 +1182,12 @@ mod tests {
         assert!(
             monitor.validator().cfds().len() > activity.retired,
             "the confident remainder stays live"
+        );
+        let metrics = monitor.health().metrics;
+        assert!(metrics.get("monitor.online.polls").is_some());
+        assert_eq!(
+            condep_telemetry::misnamed_keys(&metrics),
+            Vec::<&str>::new()
         );
         assert_report_matches_sweep(&monitor);
     }
