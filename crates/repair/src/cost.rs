@@ -17,6 +17,14 @@ use std::collections::HashMap;
 /// The per-attribute override models the classic cost-based cleaning
 /// setting where some columns are trusted (expensive to touch — raise
 /// their weight) and others are known noisy (cheap to touch).
+///
+/// Candidates are ordered by [`f64::total_cmp`], so every weight has a
+/// place in the order and none panics. A NaN weight with the sign bit
+/// clear (as [`f64::NAN`]) ranks its action after every other weight;
+/// one with the sign bit set ranks it before every other weight. A
+/// kept fix reports its weight as its cost, so such a fix makes the
+/// run's `total_cost` NaN. Among finite weights the order is the
+/// numeric one, except that `-0.0` ranks before `+0.0`.
 #[derive(Clone, Debug)]
 pub struct RepairCost {
     /// Base weight of editing one cell.

@@ -11,7 +11,7 @@ use condep_telemetry::{Registry, SpanTimer};
 use condep_validate::{
     Mutation, SigmaLint, SigmaReport, SigmaVerdict, UnsatSigma, Validator, ValidatorStream,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Termination bounds of the fixpoint loop.
 ///
@@ -133,11 +133,14 @@ pub fn repair(
     let mut log = RepairLog::default();
     let mut budget_exhausted = false;
     let mut fill_serial = 0u64;
-    // Run-local instrumentation: the round-latency distribution,
-    // returned on the report (`RepairReport::metrics`) next to the
-    // stream's own telemetry and the summary counters read off the log.
+    let mut class_reads = 0u64;
+    // Run-local instrumentation: the round and plan latency
+    // distributions, returned on the report (`RepairReport::metrics`)
+    // next to the stream's own telemetry and the summary counters read
+    // off the log.
     let registry = Registry::new();
     let round_us = registry.histogram("repair.round_us");
+    let plan_us = registry.histogram("repair.plan_us");
 
     'rounds: loop {
         let report = stream.current_report();
@@ -152,7 +155,9 @@ pub fn repair(
         // Dropped at the end of the iteration (including the `break
         // 'rounds` path), recording the round's wall time.
         let _round_span = SpanTimer::start(&round_us);
-        let plan = plan_round(&stream, &report, cost, &mut fill_serial);
+        let plan_span = SpanTimer::start(&plan_us);
+        let plan = plan_round(&stream, &report, cost, &mut fill_serial, &mut class_reads);
+        plan_span.stop();
         if plan.is_empty() {
             break;
         }
@@ -227,6 +232,7 @@ pub fn repair(
     }
     let mut metrics = registry.snapshot();
     metrics.counter("repair.rounds", log.rounds as u64);
+    metrics.counter("repair.plan.class_reads", class_reads);
     metrics.counter("repair.fixes.accepted", log.applied.len() as u64);
     metrics.counter("repair.fixes.rejected", log.rejected as u64);
     metrics.counter("repair.fixes.stale", log.stale as u64);
@@ -305,11 +311,21 @@ fn suspect_majority_lints(stream: &ValidatorStream, log: &RepairLog) -> Vec<Sigm
 /// conflicting cells), insert-or-delete pairs for the CIND orphans.
 /// Read-only — application (and the keep-or-roll-back decision) happens
 /// in the caller's loop.
+///
+/// Each `(CFD, witness position)` violation class is read once per
+/// round, and `class_reads` counts the reads. A later pair violation
+/// with the same witness interns and unions only its own two cells:
+/// both tuples agree with the witness on the LHS and match the
+/// pattern, so the first read already interned them and put them in
+/// the witness's component. Skipping the re-read therefore leaves every
+/// cell id, motive, forced constant, component and candidate exactly as
+/// a read per violation would.
 fn plan_round(
     stream: &ValidatorStream,
     report: &SigmaReport,
     cost: &RepairCost,
     fill_serial: &mut u64,
+    class_reads: &mut u64,
 ) -> Vec<Planned> {
     let validator = stream.validator();
     let db = stream.db();
@@ -332,6 +348,8 @@ fn plan_round(
     let mut forced: Vec<Vec<Value>> = Vec::new();
     let mut motives: Vec<usize> = Vec::new();
     let mut uf = UnionFind::new();
+    // `(CFD, witness position)` classes already read this round.
+    let mut read: HashSet<(usize, usize), FxBuildHasher> = HashSet::default();
     #[allow(clippy::too_many_arguments)]
     fn intern(
         cell_ids: &mut HashMap<(RelId, usize, AttrId), usize, FxBuildHasher>,
@@ -353,6 +371,7 @@ fn plan_round(
     for (ci, v) in &report.cfd {
         let cfd = &validator.cfds()[*ci];
         let (rel, rhs) = (cfd.rel(), cfd.rhs());
+        let interned = cells.len();
         // The violation's own conflicting cells anchor the class …
         let mut prev: Option<usize> = None;
         for (pos, attr) in v.cells(rhs) {
@@ -380,12 +399,22 @@ fn plan_round(
                 }
             }
             // … and a pair violation pulls in its whole violation
-            // class, anchored at the witness (its lowest position).
-            CfdViolation::Pair { .. } => {
+            // class, anchored at the witness (its lowest position),
+            // unless an earlier violation of the round already did.
+            CfdViolation::Pair { left, .. } => {
+                if !read.insert((*ci, *left)) {
+                    debug_assert_eq!(
+                        cells.len(),
+                        interned,
+                        "a pair violation's cells lie in its witness's class"
+                    );
+                    continue;
+                }
                 let witness = db
                     .relation(rel)
-                    .get(v.positions()[0])
+                    .get(*left)
                     .expect("report positions are live");
+                *class_reads += 1;
                 for pos in stream.cfd_violation_class(*ci, witness) {
                     let id = intern(
                         &mut cell_ids,
@@ -460,7 +489,7 @@ fn plan_round(
                 (cost.tuple_delete, delete),
             ];
             // Stable by cost: edits precede deletions on ties.
-            candidates.sort_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite costs"));
+            candidates.sort_by(|(a, _), (b, _)| a.total_cmp(b));
             plan.push(Planned { motive, candidates });
         }
     }
@@ -525,7 +554,7 @@ fn plan_round(
                 tuple: src.clone(),
             },
         ));
-        candidates.sort_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite costs"));
+        candidates.sort_by(|(a, _), (b, _)| a.total_cmp(b));
         plan.push(Planned {
             motive: Motive::Cind(*ci),
             candidates,
@@ -533,4 +562,45 @@ fn plan_round(
     }
 
     plan
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use condep_cfd::NormalCfd;
+    use condep_model::{prow, tuple, Domain, PValue, Schema};
+    use std::sync::Arc;
+
+    #[test]
+    fn a_class_is_read_once_however_many_pairs_it_holds() {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation("r", &[("k", Domain::string()), ("v", Domain::string())])
+                .finish(),
+        );
+        let cfd = NormalCfd::parse(&schema, "r", &["k"], prow![_], "v", PValue::Any).unwrap();
+        let mut db = Database::empty(schema);
+        for v in ["w", "x1", "x2", "x3", "x4"] {
+            db.insert_into("r", tuple!["a", v]).unwrap();
+        }
+        let (stream, report) =
+            ValidatorStream::new_validated(Validator::new(vec![cfd], vec![]), db);
+        let pairs: Vec<_> = report.cfd.iter().map(|(_, v)| v.positions()).collect();
+        assert_eq!(
+            pairs,
+            [[0, 1], [0, 2], [0, 3], [0, 4]],
+            "one witness, four pairs"
+        );
+        let mut class_reads = 0;
+        let plan = plan_round(
+            &stream,
+            &report,
+            &RepairCost::uniform(),
+            &mut 0,
+            &mut class_reads,
+        );
+        assert_eq!(class_reads, 1);
+        // One component of five cells: four dissent from its target.
+        assert_eq!(plan.len(), 4);
+    }
 }

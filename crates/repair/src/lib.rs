@@ -22,7 +22,10 @@
 //!   of the class (the cheapest resolving target under per-cell costs).
 //!   Dissenting cells are edited toward the target, or their tuples
 //!   deleted when that is cheaper (or when the edit provably cannot
-//!   help).
+//!   help). Each `(CFD, witness)` violation class is read once per
+//!   round, however many pair violations it holds: they all share the
+//!   class's witness, and the first read already places every later
+//!   pair's cells in the class.
 //! * **CIND violations** are repaired by either **inserting the chased
 //!   target tuple** — pattern instantiation reuses the chase machinery
 //!   ([`condep_chase::ops::forced_target_template`]) — or **deleting
@@ -34,7 +37,11 @@
 //!   introduces); otherwise it is rolled back through
 //!   [`condep_validate::ValidatorStream::revert`]. The violation count
 //!   therefore decreases monotonically, and the fixpoint loop
-//!   terminates within the cascade budget ([`RepairBudget`]).
+//!   terminates within the cascade budget ([`RepairBudget`]). A
+//!   rejected edit or delete is not invisible: its swap-remove moves
+//!   the relation's last tuple into the freed position and the revert
+//!   appends the tuple at the end, so later witnesses depend on the
+//!   rejected attempts too.
 //!
 //! ## Non-optimality
 //!
@@ -277,6 +284,56 @@ mod tests {
         let src = repaired.schema().rel_id("src").unwrap();
         assert!(repaired.relation(src).is_empty());
         assert_eq!(report.total_cost, 1.0);
+    }
+
+    #[test]
+    fn nan_weights_order_instead_of_panicking() {
+        // `total_cmp` ranks a NaN weight after every other weight, or
+        // before every other weight when its sign bit is set: t12's and
+        // t10's candidates reorder, and nothing panics.
+        let schema = bank_database().schema().clone();
+        let interest = schema.rel_id("interest").unwrap();
+        let rt = schema.relation(interest).unwrap().attr_id("rt").unwrap();
+        let mut nan_totals = 0;
+        for w in [f64::NAN, -f64::NAN] {
+            for cost in [
+                RepairCost {
+                    cell_edit: w,
+                    ..RepairCost::uniform()
+                },
+                RepairCost {
+                    tuple_delete: w,
+                    ..RepairCost::uniform()
+                },
+                RepairCost {
+                    tuple_insert: w,
+                    ..RepairCost::uniform()
+                },
+                RepairCost::uniform().with_attr_weight(interest, rt, w),
+            ] {
+                let (_, report) = repair(
+                    bank_validator(),
+                    bank_database(),
+                    &cost,
+                    &RepairBudget::default(),
+                )
+                .expect("fixture sigmas are satisfiable");
+                for a in &report.log.applied {
+                    assert!(a.net_change() < 0, "non-net-negative fix kept: {a:?}");
+                }
+                // A kept fix with a NaN weight makes the total NaN,
+                // which the JSON writes as `null`.
+                let doc = report.metrics.to_json();
+                assert!(condep_telemetry::json::is_valid(&doc), "{doc}");
+                assert_eq!(
+                    doc.contains("\"total_cost\": null"),
+                    report.total_cost.is_nan(),
+                    "{doc}"
+                );
+                nan_totals += report.total_cost.is_nan() as usize;
+            }
+        }
+        assert!(nan_totals > 0, "no kept fix carried a NaN weight");
     }
 
     #[test]

@@ -112,7 +112,11 @@ pub struct RepairReport {
     pub budget_exhausted: bool,
     /// The run's metrics under `repair.*` (rounds, accept/reject/stale
     /// counts, round-latency histogram, net cost) merged with the delta
-    /// stream's own telemetry under `stream.*`.
+    /// stream's own telemetry under `stream.*`. The plan layer has two:
+    /// `repair.plan_us`, a histogram with one sample per round timing
+    /// its planning step, and `repair.plan.class_reads`, the number of
+    /// violation classes read (`ValidatorStream::cfd_violation_class`
+    /// calls), at most one per `(CFD, witness)` per round.
     pub metrics: MetricsSnapshot,
     /// Advisory findings about the run itself — today
     /// [`SigmaLint::SuspectMajority`]: every accepted edit of one key

@@ -1,7 +1,7 @@
 //! `RepairReport::metrics` exports as valid JSON and carries the
-//! round, fix and violation summary, each figure equal to the report
-//! it summarizes, under names the telemetry README's naming table
-//! documents.
+//! round, plan, fix and violation summary, each figure equal to the
+//! report it summarizes, under names the telemetry README's naming
+//! table documents.
 
 use condep_gen::{clean_database_with_hidden_sigma, dirtied_database, PlantedSigmaConfig};
 use condep_repair::{repair, RepairBudget, RepairCost};
@@ -55,6 +55,12 @@ fn repair_metrics_export_as_valid_json() {
         "5% dirt violates the planted Σ"
     );
     assert_eq!(counter(m, "repair.rounds"), report.log.rounds);
+    // One plan per round, and at least one class read to plan it.
+    match m.get("repair.plan_us") {
+        Some(MetricValue::Histogram(h)) => assert_eq!(h.count as usize, report.log.rounds),
+        other => panic!("repair.plan_us: expected a histogram, got {other:?}"),
+    }
+    assert!(counter(m, "repair.plan.class_reads") > 0);
     assert_eq!(counter(m, "repair.fixes.accepted"), report.fixes_applied());
     assert_eq!(counter(m, "repair.fixes.rejected"), report.log.rejected);
     assert_eq!(
