@@ -107,7 +107,7 @@ fn print_result(r: &ScenarioResult) {
     }
     println!(
         "{:24} rows {:>6}  churn {:>5} ops ({:>9.0} ops/s)  \
-         p50/p90/p99 {:>5}/{:>5}/{:>5} µs [{}]  violations {} -> {} -> {}{}",
+         p50/p90/p99 {:>5}/{:>5}/{:>5} µs  violations {} -> {} -> {}{}",
         r.name,
         r.rows,
         r.churn_ops,
@@ -115,7 +115,6 @@ fn print_result(r: &ScenarioResult) {
         r.latency.p50_us,
         r.latency.p90_us,
         r.latency.p99_us,
-        r.latency.source,
         r.violations.initial,
         r.violations.residual,
         r.violations.after_churn,

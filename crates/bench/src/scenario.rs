@@ -72,8 +72,8 @@ pub enum ChurnSpec {
     /// No streaming pass.
     None,
     /// A generated insert/delete plan against the planted `fact`
-    /// relation ([`churn_plan`]); `window == 1` exercises the
-    /// single-mutation path, larger windows the batched path.
+    /// relation ([`churn_plan`]), ingested in windows of `window`
+    /// mutations (`window == 1` streams them one at a time).
     Plan(ChurnConfig),
     /// Delete-then-reinsert resident rows round-robin across relations
     /// — steady-state churn that works on any shape.
@@ -156,9 +156,6 @@ pub struct LatencySummary {
     pub max_us: u64,
     /// Samples recorded.
     pub count: u64,
-    /// Which histogram: `"window"` (batched) or `"mutation"`
-    /// (single-mutation schedules).
-    pub source: &'static str,
 }
 
 /// Violation counts at the pipeline's checkpoints.
@@ -899,10 +896,7 @@ fn run_sigma_lint(s: &Scenario, seeds: usize) -> ScenarioResult {
         },
         validate_tuples_per_s: 0.0,
         churn_ops_per_s: 0.0,
-        latency: LatencySummary {
-            source: "window",
-            ..LatencySummary::default()
-        },
+        latency: LatencySummary::default(),
         violations: ViolationCounts::default(),
         repair: None,
         stream: StreamStats::default(),
@@ -985,7 +979,6 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
     let windows = churn_windows(s, &built, &db, &mut rng);
     let churn_ops: u64 = windows.iter().map(|w| w.len() as u64).sum();
     let (mut monitor, _) = suite.monitor(db);
-    monitor.set_journal_capacity((windows.len() + 64).max(256));
     if let Some(online) = s.online {
         monitor = monitor.with_online_discovery(online);
     }
@@ -1014,22 +1007,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
         passes.push("churn");
         let t0 = Instant::now();
         for (w, window) in windows.iter().enumerate() {
-            if window.len() == 1 {
-                // Exercise the single-mutation path.
-                match window[0].clone() {
-                    Mutation::Insert { rel, tuple } => {
-                        monitor.insert(rel, tuple).expect("well-typed");
-                    }
-                    Mutation::Delete { rel, tuple } => {
-                        monitor.delete(rel, &tuple);
-                    }
-                    other => {
-                        monitor.ingest_batch(&[other]).expect("well-typed");
-                    }
-                }
-            } else {
-                monitor.ingest_batch(window).expect("well-typed");
-            }
+            monitor.ingest_batch(window).expect("well-typed");
             if s.sigma_churn_every > 0 && (w + 1) % s.sigma_churn_every == 0 {
                 monitor.retire_dependencies(&rotating, &[]);
                 sigma_churn.retires += 1;
@@ -1053,24 +1031,12 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
     }
 
     let health: HealthSnapshot = monitor.health();
-    let latency = if health.window_latency.count > 0 {
-        LatencySummary {
-            p50_us: health.window_latency.p50_us,
-            p90_us: health.window_latency.p90_us,
-            p99_us: health.window_latency.p99_us,
-            max_us: health.window_latency.max_us,
-            count: health.window_latency.count,
-            source: "window",
-        }
-    } else {
-        LatencySummary {
-            p50_us: health.mutation_latency.p50_us,
-            p90_us: health.mutation_latency.p90_us,
-            p99_us: health.mutation_latency.p99_us,
-            max_us: health.mutation_latency.max_us,
-            count: health.mutation_latency.count,
-            source: "mutation",
-        }
+    let latency = LatencySummary {
+        p50_us: health.window_latency.p50_us,
+        p90_us: health.window_latency.p90_us,
+        p99_us: health.window_latency.p99_us,
+        max_us: health.window_latency.max_us,
+        count: health.window_latency.count,
     };
     let telemetry_snapshot = health.metrics.clone();
     let counter_of = |name: &str| match telemetry_snapshot.get(name) {

@@ -103,8 +103,6 @@ fn write_entry(w: &mut JsonWriter, r: &ScenarioResult) {
     w.value_u64(r.latency.max_us);
     w.key("count");
     w.value_u64(r.latency.count);
-    w.key("source");
-    w.value_str(r.latency.source);
     w.end_object();
 
     w.key("violations");
@@ -339,7 +337,7 @@ pub fn classify(path: &str) -> MetricClass {
     if path.starts_with("metrics.") || path == "metrics" {
         return MetricClass::Informational;
     }
-    if path.starts_with("fingerprint.") || path == "seed" || path == "latency_us.source" {
+    if path.starts_with("fingerprint.") || path == "seed" {
         return MetricClass::Fingerprint;
     }
     if path.starts_with("elapsed_us.") {
@@ -731,7 +729,6 @@ mod tests {
         assert_eq!(classify("elapsed_us.validate"), MetricClass::Latency);
         assert_eq!(classify("latency_us.p99"), MetricClass::Latency);
         assert_eq!(classify("latency_us.count"), MetricClass::Counter);
-        assert_eq!(classify("latency_us.source"), MetricClass::Fingerprint);
         assert_eq!(
             classify("throughput.churn_ops_per_s"),
             MetricClass::Throughput

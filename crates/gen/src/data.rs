@@ -818,7 +818,7 @@ mod tests {
 
     #[test]
     fn dirtied_database_ids_survive_swap_renumbering() {
-        use condep_validate::{Validator, ValidatorStream};
+        use condep_validate::{Mutation, Validator, ValidatorStream};
         let clean = condep_model::fixtures::clean_bank_database();
         let (cfds, cinds) = bank_sigma();
         let out = dirtied_database(&clean, &cfds, &cinds, 0.3, &mut StdRng::seed_from_u64(11));
@@ -846,7 +846,9 @@ mod tests {
         for (rel, inst) in out.db.iter() {
             for t in inst.iter() {
                 if deleted < 4 && !dirty_keys.contains(&(rel, t.clone())) {
-                    stream.delete_tuple(rel, t).expect("resident");
+                    let tuple = t.clone();
+                    let applied = stream.apply(Mutation::Delete { rel, tuple }).unwrap();
+                    assert!(!applied.is_noop(), "resident");
                     deleted += 1;
                 }
             }

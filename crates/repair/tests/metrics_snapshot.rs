@@ -4,7 +4,7 @@
 //! table documents.
 
 use condep_gen::{clean_database_with_hidden_sigma, dirtied_database, PlantedSigmaConfig};
-use condep_repair::{repair, RepairBudget, RepairCost};
+use condep_repair::{repair, RepairBudget, RepairCost, RepairReport};
 use condep_telemetry::{json, misnamed_keys, MetricValue, MetricsSnapshot};
 use condep_validate::Validator;
 use rand::rngs::StdRng;
@@ -17,8 +17,8 @@ fn counter(m: &MetricsSnapshot, key: &str) -> usize {
     }
 }
 
-#[test]
-fn repair_metrics_export_as_valid_json() {
+/// Repairs a 600-row planted instance dirtied at `dirt_rate`.
+fn repaired(dirt_rate: f64) -> RepairReport {
     let planted = clean_database_with_hidden_sigma(
         &PlantedSigmaConfig {
             fd_pairs: 2,
@@ -34,7 +34,7 @@ fn repair_metrics_export_as_valid_json() {
         &planted.db,
         &planted.cfds,
         &planted.cinds,
-        0.05,
+        dirt_rate,
         &mut StdRng::seed_from_u64(8),
     );
     let validator = Validator::new(planted.cfds.clone(), planted.cinds.clone());
@@ -45,7 +45,12 @@ fn repair_metrics_export_as_valid_json() {
         &RepairBudget::default(),
     )
     .expect("planted Σ is satisfiable");
+    report
+}
 
+#[test]
+fn repair_metrics_export_as_valid_json() {
+    let report = repaired(0.05);
     let m = &report.metrics;
     let doc = m.to_json();
     assert!(json::is_valid(&doc), "not valid JSON:\n{doc}");
@@ -63,6 +68,7 @@ fn repair_metrics_export_as_valid_json() {
     assert!(counter(m, "repair.plan.class_reads") > 0);
     assert_eq!(counter(m, "repair.fixes.accepted"), report.fixes_applied());
     assert_eq!(counter(m, "repair.fixes.rejected"), report.log.rejected);
+    assert_eq!(counter(m, "repair.fixes.stale"), report.log.stale);
     assert_eq!(
         counter(m, "repair.violations.initial"),
         report.initial_violations
@@ -74,5 +80,19 @@ fn repair_metrics_export_as_valid_json() {
     assert_eq!(
         m.get("repair.total_cost"),
         Some(&MetricValue::Float(report.total_cost))
+    );
+}
+
+/// A stale candidate, whose target an earlier fix already removed or
+/// rewrote, is the fix loop's only mutation that changes nothing: the
+/// stream's no-op counter, merged into the report, must equal it.
+#[test]
+fn stale_fixes_are_the_streams_noops() {
+    let report = repaired(0.2);
+    let m = &report.metrics;
+    assert!(report.log.stale > 0, "20% dirt leaves some fixes stale");
+    assert_eq!(
+        counter(m, "stream.mutations.noops"),
+        counter(m, "repair.fixes.stale")
     );
 }

@@ -14,10 +14,11 @@ use std::collections::VecDeque;
 /// One unit of stream activity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamEvent {
-    /// One `apply_deltas` window (or a single-mutation call: a window
-    /// of one) finished.
+    /// One `apply_deltas` window (an `apply` call is a window of one)
+    /// finished.
     Window {
-        /// Mutations applied (no-ops excluded).
+        /// Effective inserts plus deletes (an update counts its delete
+        /// and, unless it merged, its insert; no-ops count nothing).
         mutations: u32,
         /// Distinct dependency-group probes the window performed.
         groups_touched: u32,
@@ -165,19 +166,6 @@ impl Journal {
         }
     }
 
-    /// Rebounds the ring to keep the newest `cap` events (min 1).
-    ///
-    /// Shrinking evicts the oldest retained events immediately;
-    /// growing keeps everything and simply raises the bound.
-    /// Sequence numbers and [`total`](Journal::total) are
-    /// unaffected either way.
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap.max(1);
-        while self.ring.len() > self.cap {
-            self.ring.pop_front();
-        }
-    }
-
     /// Appends an event, evicting the oldest when full.
     pub fn push(&mut self, event: StreamEvent) {
         if self.ring.len() == self.cap {
@@ -261,33 +249,6 @@ mod tests {
         assert_eq!(tail[0].seq, 3);
         assert_eq!(tail[1].seq, 4);
         assert!(j.tail(0).is_empty());
-    }
-
-    #[test]
-    fn set_capacity_shrinks_to_the_newest_and_grows_in_place() {
-        let mut j = Journal::with_capacity(8);
-        for i in 0..6 {
-            j.push(window(i));
-        }
-        // Shrink: only the newest 2 survive; totals are untouched.
-        j.set_capacity(2);
-        assert_eq!(j.capacity(), 2);
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.total(), 6);
-        let seqs: Vec<u64> = j.tail(10).iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, [4, 5]);
-        // Grow: retained events stay, the bound rises.
-        j.set_capacity(5);
-        for i in 6..10 {
-            j.push(window(i));
-        }
-        assert_eq!(j.len(), 5);
-        let seqs: Vec<u64> = j.tail(10).iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, [5, 6, 7, 8, 9]);
-        // Zero is clamped like the constructor.
-        j.set_capacity(0);
-        assert_eq!((j.capacity(), j.len()), (1, 1));
-        assert_eq!(j.tail(1)[0].seq, 9);
     }
 
     #[test]

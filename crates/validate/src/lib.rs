@@ -25,11 +25,14 @@
 //!   [`std::thread::scope`] (small instances stay single-threaded);
 //! * [`ValidatorStream`] is the **delta engine**: it keeps the group
 //!   indexes (plus reverse CIND source indexes) live together with the
-//!   materialized violation set, and every
-//!   insert / delete / update returns a [`SigmaDelta`] — the violations
-//!   the mutation introduced *and* the violations it resolved
-//!   (retraction) — in time proportional to the constraint groups and
-//!   key groups the tuple touches, never to the database. Open one with
+//!   materialized violation set. Every mutation goes through one entry,
+//!   [`ValidatorStream::apply_deltas`], which applies a window of
+//!   [`Mutation`]s and returns one [`SigmaDelta`] per insert or delete
+//!   (two per update) — the violations the mutation introduced *and*
+//!   the violations it resolved (retraction) — in time proportional to
+//!   the constraint groups and key groups the tuple touches, never to
+//!   the database; [`ValidatorStream::apply`] is a window of one that
+//!   also returns the mutation's inverse. Open one with
 //!   [`ValidatorStream::new_validated`], which builds the live indexes
 //!   with the batch sweep's own group tasks and reports the seed
 //!   database's initial violations off them
@@ -38,9 +41,9 @@
 //! * the stream is built for **whole-life monitoring**:
 //!   [`condep_model::TupleId`] handles address tuples stably across the
 //!   swap renumbering deletions cause (every delta carries its
-//!   [`IdDelta`] bookkeeping), [`ValidatorStream::apply_deltas`]
-//!   amortizes interner and key-translation work across a mutation
-//!   batch, and [`ValidatorStream::compact`] reclaims everything churn
+//!   [`IdDelta`] bookkeeping), a window amortizes interner and
+//!   key-translation work across its mutations, and
+//!   [`ValidatorStream::compact`] reclaims everything churn
 //!   leaves behind — emptied key groups, dead interned strings, retired
 //!   id slots — without disturbing a single live key, violation or id.
 //!
@@ -50,7 +53,7 @@
 //! nested loops written straight from the definitions.
 //! [`ValidatorStream::current_report`] stays equal to a fresh
 //! [`Validator::validate_sorted`] across arbitrary mutation sequences —
-//! single, batched or interleaved with compactions. Both properties are
+//! windows of one or more, interleaved with compactions. Both properties are
 //! tested at the workspace root.
 
 pub mod cover;
@@ -79,7 +82,7 @@ mod tests {
     use condep_core::fixtures as cind_fx;
     use condep_core::normalize::normalize_all as normalize_cinds;
     use condep_model::fixtures::{bank_database, clean_bank_database};
-    use condep_model::{prow, tuple, Database, Domain, PValue, Schema, Value};
+    use condep_model::{prow, tuple, Database, Domain, PValue, RelId, Schema, Tuple, Value};
     use std::sync::Arc;
 
     fn bank_validator() -> Validator {
@@ -104,6 +107,28 @@ mod tests {
         }
         expected.sort();
         expected
+    }
+
+    /// The one delta of a window holding a single insert or delete.
+    fn only(deltas: Result<Vec<SigmaDelta>, condep_model::ModelError>) -> SigmaDelta {
+        let mut deltas = deltas.unwrap();
+        assert_eq!(deltas.len(), 1, "one slot per insert or delete");
+        deltas.pop().unwrap()
+    }
+
+    /// Inserts one tuple as a window of one (the empty delta when the
+    /// tuple is resident).
+    fn insert(stream: &mut ValidatorStream, rel: RelId, tuple: Tuple) -> SigmaDelta {
+        only(stream.apply_deltas(&[Mutation::Insert { rel, tuple }]))
+    }
+
+    /// Deletes one tuple as a window of one (the empty delta when the
+    /// tuple is absent).
+    fn delete(stream: &mut ValidatorStream, rel: RelId, tuple: &Tuple) -> SigmaDelta {
+        only(stream.apply_deltas(&[Mutation::Delete {
+            rel,
+            tuple: tuple.clone(),
+        }]))
     }
 
     #[test]
@@ -247,16 +272,20 @@ mod tests {
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert!(initial.is_empty(), "the clean seed has no violations");
         // A clean tuple: UK checking at the mandated 1.5%.
-        let clean = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "1.5%"])
-            .unwrap();
+        let clean = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "1.5%"],
+        );
         assert!(clean.is_quiet(), "clean insert must be quiet: {clean:?}");
         // A dirty tuple: UK checking at the wrong rate. Both normal
         // forms of ϕ3 fire: the constant row (single-tuple mismatch)
         // and the wildcard FD row (pair against a resident 1.5% tuple).
-        let dirty = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let dirty = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        );
         assert_eq!(dirty.cfd.introduced.len(), 2, "unexpected: {dirty:?}");
         assert!(dirty.cfd.resolved.is_empty());
         assert!(dirty.cfd.introduced.iter().any(|(_, v)| matches!(
@@ -270,14 +299,18 @@ mod tests {
             .iter()
             .any(|(_, v)| matches!(v, CfdViolation::Pair { .. })));
         // Re-inserting an existing tuple is a set-semantics no-op.
-        let dup = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let dup = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        );
         assert!(dup.is_quiet());
         // Deleting the dirty tuple retracts exactly what it introduced.
-        let gone = stream
-            .delete_tuple(interest, &tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let gone = delete(
+            &mut stream,
+            interest,
+            &tuple!["GLA", "UK", "checking", "9.9%"],
+        );
         assert_eq!(gone.resolved(), dirty.introduced());
         assert!(gone.cfd.introduced.is_empty());
         assert_eq!(stream.violation_count(), 0);
@@ -312,16 +345,16 @@ mod tests {
         let dst = schema.rel_id("dst").unwrap();
         let v = Validator::new(vec![], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
-        stream.insert_tuple(src, tuple!["k", "v1"]).unwrap();
-        stream.insert_tuple(src, tuple!["k", "v2"]).unwrap();
+        insert(&mut stream, src, tuple!["k", "v1"]);
+        insert(&mut stream, src, tuple!["k", "v2"]);
         // Two orphans; the arriving partner resolves both.
         assert_eq!(stream.violation_count(), 2);
-        let arrival = stream.insert_tuple(dst, tuple!["k"]).unwrap();
+        let arrival = insert(&mut stream, dst, tuple!["k"]);
         assert_eq!(arrival.cind.resolved.len(), 2, "{arrival:?}");
         assert!(arrival.cind.introduced.is_empty());
         assert_eq!(stream.violation_count(), 0);
         // Deleting the only partner re-orphans both sources.
-        let gone = stream.delete_tuple(dst, &tuple!["k"]).unwrap();
+        let gone = delete(&mut stream, dst, &tuple!["k"]);
         assert_eq!(gone.cind.introduced.len(), 2, "{gone:?}");
         assert_eq!(stream.violation_count(), 2);
         assert_eq!(
@@ -359,7 +392,7 @@ mod tests {
         assert_eq!(initial.cfd.len(), 2, "{initial:?}");
         // Deleting pos 0 swaps ("k","v2") from 2 → 0; it becomes the
         // group's lowest position, so the pair witness relabels too.
-        let delta = stream.delete_tuple(r, &tuple!["x", "q"]).unwrap();
+        let delta = delete(&mut stream, r, &tuple!["x", "q"]);
         let moved = delta.moved.expect("a swap happened");
         assert_eq!((moved.from, moved.to), (2, 0));
         let batch = stream.validator().validate_sorted(stream.db());
@@ -368,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn update_tuple_returns_both_deltas_and_checks_types_first() {
+    fn update_returns_both_deltas_and_checks_types_first() {
         let schema = Arc::new(
             Schema::builder()
                 .relation(
@@ -388,24 +421,28 @@ mod tests {
         let v = Validator::new(vec![fd], vec![]);
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert_eq!(initial.len(), 1);
-        // Repair the conflict: the pair resolves, nothing new appears.
-        let (del, ins) = stream
-            .update_tuple(r, &tuple!["k", "v"], tuple!["k", "u"])
-            .unwrap()
+        let update = |old, new| Mutation::Update { rel: r, old, new };
+        // Repair the conflict by merging into the resident tuple: the
+        // pair resolves, and the insert half is the empty delta.
+        let deltas = stream
+            .apply_deltas(&[update(tuple!["k", "v"], tuple!["k", "u"])])
             .unwrap();
+        let [del, ins] = &deltas[..] else {
+            panic!("an update gets a delete and an insert slot: {deltas:?}");
+        };
         assert_eq!(del.cfd.resolved.len(), 1);
-        assert!(ins.is_quiet());
+        assert_eq!(ins, &SigmaDelta::default());
         assert_eq!(stream.violation_count(), 0);
         // A domain-violating replacement fails up front, stream intact.
         assert!(stream
-            .update_tuple(r, &tuple!["k", "u"], tuple!["k", "zzz"])
+            .apply_deltas(&[update(tuple!["k", "u"], tuple!["k", "zzz"])])
             .is_err());
         assert_eq!(stream.db().total_tuples(), 1);
-        // Updating an absent tuple is None.
-        assert!(stream
-            .update_tuple(r, &tuple!["nope", "u"], tuple!["k", "v"])
-            .unwrap()
-            .is_none());
+        // Updating an absent tuple fills both slots with empty deltas.
+        let deltas = stream
+            .apply_deltas(&[update(tuple!["nope", "u"], tuple!["k", "v"])])
+            .unwrap();
+        assert_eq!(deltas, [SigmaDelta::default(), SigmaDelta::default()]);
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
@@ -428,16 +465,16 @@ mod tests {
         let v = Validator::new(vec![fd], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
         // Source tuple with no partner: CIND violation.
-        let r1 = stream.insert_tuple(src, tuple!["k", "v1"]).unwrap();
+        let r1 = insert(&mut stream, src, tuple!["k", "v1"]);
         assert_eq!(r1.cind.introduced.len(), 1);
         assert!(r1.cfd.is_quiet());
         // Provide the partner: the orphaned source resolves.
-        let r2 = stream.insert_tuple(dst, tuple!["k"]).unwrap();
+        let r2 = insert(&mut stream, dst, tuple!["k"]);
         assert!(r2.cind.introduced.is_empty());
         assert_eq!(r2.cind.resolved.len(), 1);
         // A second source tuple with the same key but different b:
         // wildcard pair against the resident; partner now exists.
-        let r3 = stream.insert_tuple(src, tuple!["k", "v2"]).unwrap();
+        let r3 = insert(&mut stream, src, tuple!["k", "v2"]);
         assert_eq!(
             r3.cfd.introduced,
             vec![(0, CfdViolation::Pair { left: 0, right: 1 })]
@@ -566,10 +603,10 @@ mod tests {
         // must stay quiet.
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert_eq!(initial, before);
-        let quiet = stream.insert_tuple(r, tuple!["k", "v1", "x2"]).unwrap();
+        let quiet = insert(&mut stream, r, tuple!["k", "v1", "x2"]);
         assert!(quiet.is_quiet(), "delta must be quiet: {quiet:?}");
         // Disagrees with the first tuple: exactly the pair batch adds.
-        let noisy = stream.insert_tuple(r, tuple!["k", "v3", "x3"]).unwrap();
+        let noisy = insert(&mut stream, r, tuple!["k", "v3", "x3"]);
         assert_eq!(
             noisy.cfd.introduced,
             vec![(0, CfdViolation::Pair { left: 0, right: 3 })]
@@ -596,13 +633,13 @@ mod tests {
         let r = schema.rel_id("r").unwrap();
         let v = Validator::new(vec![], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
-        let ok = stream.insert_tuple(r, tuple!["x", "x"]).unwrap();
+        let ok = insert(&mut stream, r, tuple!["x", "x"]);
         assert!(ok.is_quiet(), "self-partnered tuple must be quiet: {ok:?}");
-        let miss = stream.insert_tuple(r, tuple!["y", "z"]).unwrap();
+        let miss = insert(&mut stream, r, tuple!["y", "z"]);
         assert_eq!(miss.cind.introduced.len(), 1);
         // Deleting the self-partnered tuple must not report it as its
         // own orphan (it leaves together with its partner).
-        let gone = stream.delete_tuple(r, &tuple!["x", "x"]).unwrap();
+        let gone = delete(&mut stream, r, &tuple!["x", "x"]);
         assert!(gone.cind.resolved.is_empty(), "{gone:?}");
         assert!(gone.cind.introduced.is_empty(), "{gone:?}");
         assert_eq!(
@@ -738,13 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_tuple_from_an_out_of_range_relation_is_none() {
-        let (mut stream, initial, missing) = stream_and_missing_rel();
-        assert!(stream.delete_tuple(missing, &tuple!["x"]).is_none());
-        assert_eq!(stream.current_report(), initial);
-    }
-
-    #[test]
     fn with_report_skips_the_sweep_but_matches_new_validated() {
         let db = bank_database();
         let report = bank_validator().validate_sorted(&db);
@@ -753,9 +783,11 @@ mod tests {
         // The seeded stream is a full delta engine: mutate and compare
         // against a fresh batch sweep.
         let interest = db.schema().rel_id("interest").unwrap();
-        stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        );
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db())
@@ -773,9 +805,9 @@ mod tests {
         let r = schema.rel_id("r").unwrap();
         let v = Validator::new(vec![cfd], vec![]);
         let (mut stream, _) = ValidatorStream::new_validated(v, Database::empty(schema));
-        stream.insert_tuple(r, tuple!["a", "x"]).unwrap();
-        stream.insert_tuple(r, tuple!["b", "y"]).unwrap();
-        stream.insert_tuple(r, tuple!["a", "z"]).unwrap();
+        insert(&mut stream, r, tuple!["a", "x"]);
+        insert(&mut stream, r, tuple!["b", "y"]);
+        insert(&mut stream, r, tuple!["a", "z"]);
         let class = stream.cfd_violation_class(0, &tuple!["a", "x"]);
         assert_eq!(class, vec![0, 2], "both k=a tuples, position-sorted");
         assert_eq!(stream.cfd_violation_class(0, &tuple!["b", "y"]), vec![1]);
@@ -813,8 +845,8 @@ mod tests {
         for round in 0..5u32 {
             for i in 0..40u32 {
                 let t = tuple![format!("churn{round}_{i}").as_str(), "y"];
-                stream.insert_tuple(src, t.clone()).unwrap();
-                stream.delete_tuple(src, &t).unwrap();
+                insert(&mut stream, src, t.clone());
+                delete(&mut stream, src, &t);
             }
             let stats = stream.compact();
             assert!(
@@ -834,9 +866,9 @@ mod tests {
         assert_eq!(stream.compact().key_groups_dropped, 0);
 
         // The compacted stream is still a correct delta engine.
-        let noisy = stream.insert_tuple(src, tuple!["resident", "z"]).unwrap();
+        let noisy = insert(&mut stream, src, tuple!["resident", "z"]);
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
-        let orphan = stream.insert_tuple(src, tuple!["lonely", "w"]).unwrap();
+        let orphan = insert(&mut stream, src, tuple!["lonely", "w"]);
         assert_eq!(orphan.cind.introduced.len(), 1, "{orphan:?}");
         assert_eq!(
             stream.current_report(),
@@ -845,10 +877,93 @@ mod tests {
     }
 
     #[test]
+    fn windows_give_each_mutation_kind_its_fixed_slots() {
+        let (mut stream, _) = ValidatorStream::new_validated(bank_validator(), bank_database());
+        let rel = stream.db().schema().rel_id("interest").unwrap();
+        let resident = stream.db().relation(rel).get(0).unwrap().clone();
+        let other = stream.db().relation(rel).get(1).unwrap().clone();
+        let fresh = tuple!["GLA", "UK", "checking", "9.9%"];
+        let absent = tuple!["ABD", "UK", "saving", "1.0%"];
+        let ins = |tuple: &Tuple| Mutation::Insert {
+            rel,
+            tuple: tuple.clone(),
+        };
+        let del = |tuple: &Tuple| Mutation::Delete {
+            rel,
+            tuple: tuple.clone(),
+        };
+        let upd = |old: &Tuple, new: &Tuple| Mutation::Update {
+            rel,
+            old: old.clone(),
+            new: new.clone(),
+        };
+        // Per slot: (carries `born`, carries `retired`). The steps run in
+        // order, each against the state the previous one left.
+        const B: (bool, bool) = (true, false);
+        const R: (bool, bool) = (false, true);
+        const E: (bool, bool) = (false, false);
+        let table = [
+            ("effective insert", ins(&fresh), vec![B]),
+            ("resident insert", ins(&fresh), vec![E]),
+            ("effective delete", del(&fresh), vec![R]),
+            ("absent delete", del(&fresh), vec![E]),
+            ("effective update", upd(&resident, &fresh), vec![R, B]),
+            ("merging update", upd(&fresh, &other), vec![R, E]),
+            (
+                "update of an absent tuple",
+                upd(&absent, &fresh),
+                vec![E, E],
+            ),
+            ("old == new", upd(&other, &other), vec![E, E]),
+        ];
+        for (what, m, slots) in table {
+            let before = stream.db().clone();
+            // `apply` on a copy: the same non-empty deltas, and a revert
+            // that restores the tuple set.
+            let mut probe = stream.clone();
+            let applied = probe.apply(m.clone()).unwrap();
+            let deltas = stream.apply_deltas(std::slice::from_ref(&m)).unwrap();
+            let got: Vec<(bool, bool)> = deltas
+                .iter()
+                .map(|d| (d.ids.born.is_some(), d.ids.retired.is_some()))
+                .collect();
+            assert_eq!(got, slots, "{what}: slot shape");
+            for (d, &slot) in deltas.iter().zip(&slots) {
+                if slot == E {
+                    assert_eq!(d, &SigmaDelta::default(), "{what}: empty slot");
+                }
+            }
+            let effective: Vec<SigmaDelta> = deltas
+                .iter()
+                .filter(|d| **d != SigmaDelta::default())
+                .cloned()
+                .collect();
+            assert_eq!(applied.deltas, effective, "{what}: apply's deltas");
+            assert_eq!(applied.is_noop(), effective.is_empty(), "{what}");
+            if let Some(revert) = applied.revert {
+                probe.revert(revert).unwrap();
+            }
+            for (r, inst) in before.iter() {
+                assert_eq!(inst, probe.db().relation(r), "{what}: revert");
+            }
+            assert_eq!(
+                probe.current_report(),
+                probe.validator().validate_sorted(probe.db()),
+                "{what}: reverted live state"
+            );
+            assert_eq!(
+                stream.current_report(),
+                stream.validator().validate_sorted(stream.db()),
+                "{what}: live state"
+            );
+        }
+    }
+
+    #[test]
     fn apply_deltas_matches_sequential_apply() {
-        // The batched path must produce exactly the deltas a sequential
-        // per-mutation `apply` loop produces (concatenated), leave the
-        // same violation state, and type-check the batch up front.
+        // A window must produce exactly the deltas its mutations produce
+        // as windows of one (concatenated), leave the same violation
+        // state, and type-check the window up front.
         let schema = Arc::new(
             Schema::builder()
                 .relation("src", &[("a", Domain::string()), ("b", Domain::string())])
@@ -907,10 +1022,10 @@ mod tests {
         let batch_deltas = batched.apply_deltas(&muts).unwrap();
         let mut seq_deltas = Vec::new();
         for m in &muts {
-            seq_deltas.extend(sequential.apply(m.clone()).unwrap().deltas);
+            seq_deltas.extend(sequential.apply_deltas(std::slice::from_ref(m)).unwrap());
         }
         assert_eq!(batch_deltas, seq_deltas);
-        assert!(!batch_deltas.is_empty());
+        assert_eq!(batch_deltas.len(), muts.len() + 2, "two updates");
         assert_eq!(batched.current_report(), sequential.current_report());
         assert_eq!(
             batched.current_report(),
@@ -961,7 +1076,7 @@ mod tests {
         let v = Validator::new(vec![], vec![cind]);
         let (mut stream, _) = ValidatorStream::new_validated(v.clone(), Database::empty(schema));
         // Non-triggering (b ≠ "go"): its `a` cell is never interned.
-        stream.insert_tuple(r, tuple!["orphan", "stop"]).unwrap();
+        insert(&mut stream, r, tuple!["orphan", "stop"]);
         // Batch update of the resident non-triggering tuple.
         let deltas = stream
             .apply_deltas(&[Mutation::Update {
@@ -983,14 +1098,14 @@ mod tests {
             .unwrap();
         assert_eq!(deltas.len(), 1, "{deltas:?}");
         assert!(stream.db().relation(r).is_empty());
-        // A genuinely absent tuple is still a quiet no-op.
+        // A genuinely absent tuple is still a no-op: one empty slot.
         let deltas = stream
             .apply_deltas(&[Mutation::Delete {
                 rel: r,
                 tuple: tuple!["never", "there"],
             }])
             .unwrap();
-        assert!(deltas.is_empty());
+        assert_eq!(deltas, [SigmaDelta::default()]);
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
@@ -1012,19 +1127,21 @@ mod tests {
         // tuple, and the retired id resolves to None forever.
         let t0 = stream.db().relation(interest).get(0).unwrap().clone();
         let id0 = stream.tuple_id_at(interest, 0).unwrap();
-        let delta = stream.delete_tuple(interest, &t0).unwrap();
+        let delta = delete(&mut stream, interest, &t0);
         assert_eq!(delta.ids.retired, Some(id0));
         assert_eq!(delta.ids.moved, stream.tuple_id_at(interest, 0));
         assert!(delta.ids.moved.is_some());
         assert_eq!(stream.position_of(interest, id0), None);
         assert_eq!(stream.tuple_by_id(interest, id3), Some(&t3));
         // An insert allocates a fresh id (never a recycled one).
-        let born = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "1.5%"])
-            .unwrap()
-            .ids
-            .born
-            .unwrap();
+        let born = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "1.5%"],
+        )
+        .ids
+        .born
+        .unwrap();
         assert!(born > id0 && born > id3);
         assert_eq!(
             stream.tuple_by_id(interest, born),
@@ -1067,8 +1184,8 @@ mod tests {
         for round in 0..4u32 {
             for i in 0..50u32 {
                 let t = tuple![format!("churn{round}_{i}").as_str(), "y"];
-                stream.insert_tuple(src, t.clone()).unwrap();
-                stream.delete_tuple(src, &t).unwrap();
+                insert(&mut stream, src, t.clone());
+                delete(&mut stream, src, &t);
             }
             let stats = stream.compact();
             assert!(
@@ -1089,9 +1206,9 @@ mod tests {
         assert_eq!(retained[0], 2);
         // The compacted stream is still a correct delta engine, both for
         // keys it kept and for keys it dropped and re-learns.
-        let noisy = stream.insert_tuple(src, tuple!["resident", "z"]).unwrap();
+        let noisy = insert(&mut stream, src, tuple!["resident", "z"]);
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
-        let back = stream.insert_tuple(src, tuple!["churn0_0", "y"]).unwrap();
+        let back = insert(&mut stream, src, tuple!["churn0_0", "y"]);
         assert_eq!(back.cind.introduced.len(), 1, "{back:?}");
         assert_eq!(
             stream.current_report(),
@@ -1146,21 +1263,22 @@ mod tests {
         assert_eq!(stream.position_of(interest, id0), Some(0));
         // The grown stream is still a correct delta engine, including
         // for the freshly added members.
-        let dirty = stream
-            .insert_tuple(interest, tuple!["GLA", "UK", "checking", "9.9%"])
-            .unwrap();
+        let dirty = insert(
+            &mut stream,
+            interest,
+            tuple!["GLA", "UK", "checking", "9.9%"],
+        );
         assert!(!dirty.is_quiet());
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
         );
         let saving = stream.db().schema().rel_id("saving").unwrap();
-        stream
-            .delete_tuple(
-                saving,
-                &tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
-            )
-            .unwrap();
+        delete(
+            &mut stream,
+            saving,
+            &tuple!["01", "J. Smith", "NYC, 19087", "212-5820844", "NYC"],
+        );
         assert_eq!(
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
@@ -1205,10 +1323,10 @@ mod tests {
         // The split-out member keeps firing on exactly its own pattern:
         // a new k-conflict reports, a new q-conflict stays quiet.
         let r = stream.db().schema().rel_id("r").unwrap();
-        let noisy = stream.insert_tuple(r, tuple!["k", "v3"]).unwrap();
+        let noisy = insert(&mut stream, r, tuple!["k", "v3"]);
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
         assert!(noisy.cfd.introduced.iter().all(|(i, _)| *i == 1));
-        let quiet = stream.insert_tuple(r, tuple!["q", "w3"]).unwrap();
+        let quiet = insert(&mut stream, r, tuple!["q", "w3"]);
         assert!(
             quiet.is_quiet(),
             "retired wildcard must not fire: {quiet:?}"
@@ -1223,7 +1341,7 @@ mod tests {
         assert!(resolved.cfd.iter().all(|(i, _)| *i == 1));
         assert_eq!(stream.violation_count(), 0);
         assert!(stream.retire_dependencies(&[0, 1], &[]).is_empty());
-        let calm = stream.insert_tuple(r, tuple!["k", "v4"]).unwrap();
+        let calm = insert(&mut stream, r, tuple!["k", "v4"]);
         assert!(calm.is_quiet(), "{calm:?}");
     }
 
@@ -1267,13 +1385,13 @@ mod tests {
         );
         // c3 is still live through its (shifted) member: a partner
         // arrival resolves its orphan, a departure re-orphans it.
-        let arrival = stream.insert_tuple(dst, tuple!["k"]).unwrap();
+        let arrival = insert(&mut stream, dst, tuple!["k"]);
         assert_eq!(
             arrival.cind.resolved,
             vec![(2, arrival.cind.resolved[0].1.clone())]
         );
         assert_eq!(stream.violation_count(), 0);
-        let gone = stream.delete_tuple(dst, &tuple!["k"]).unwrap();
+        let gone = delete(&mut stream, dst, &tuple!["k"]);
         assert_eq!(gone.cind.introduced.len(), 1);
         assert!(gone.cind.introduced.iter().all(|(i, _)| *i == 2));
         assert_eq!(
@@ -1306,7 +1424,7 @@ mod tests {
         assert!(back.cfd.iter().all(|(i, _)| *i == 1));
         assert!(stream.validator().is_cfd_retired(0));
         assert!(!stream.validator().is_cfd_retired(1));
-        let noisy = stream.insert_tuple(r, tuple!["k", "v3"]).unwrap();
+        let noisy = insert(&mut stream, r, tuple!["k", "v3"]);
         assert_eq!(noisy.cfd.introduced.len(), 1);
         assert_eq!(
             stream.current_report(),

@@ -2,12 +2,14 @@
 //!
 //! A [`ValidatorStream`] owns a database plus the live group-by indexes
 //! of a compiled [`Validator`] and maintains the **materialized
-//! violation set** of the evolving database. Every mutation —
-//! [`ValidatorStream::insert_tuple`], [`ValidatorStream::delete_tuple`],
-//! [`ValidatorStream::update_tuple`] — returns a [`SigmaDelta`]: the
-//! violations it *introduced* and the violations it *resolved*
-//! (retraction), in time proportional to the constraint groups and key
-//! groups the mutated tuple touches, never to the database.
+//! violation set** of the evolving database. Every mutation goes through
+//! one entry, [`ValidatorStream::apply_deltas`], which applies a window
+//! of value-level [`Mutation`]s and returns one [`SigmaDelta`] per
+//! insert or delete (two per update): the violations it *introduced* and
+//! the violations it *resolved* (retraction), in time proportional to
+//! the constraint groups and key groups the mutated tuple touches, never
+//! to the database. [`ValidatorStream::apply`] is a window of one that
+//! also returns the mutation's inverse.
 //!
 //! ## Invariant
 //!
@@ -111,7 +113,7 @@
 //!   without replaying [`MovedTuple`] renumbering (each delta's
 //!   [`IdDelta`] reports what was born, retired and moved);
 //! * **batched mutations** — [`ValidatorStream::apply_deltas`]
-//!   symbolizes a whole batch through one interner pass and translates
+//!   symbolizes a whole window through one interner pass and translates
 //!   keys per `(relation, LHS set)` group from pre-built rows,
 //!   amortizing the dominant per-mutation delta cost;
 //! * **full compaction** — [`ValidatorStream::compact`] drops emptied
@@ -121,7 +123,7 @@
 //!   ids. It reclaims memory that high-key churn strands in keys and
 //!   strings; mutation speed does not depend on it.
 
-use crate::telemetry::{MutKind, StreamTelemetry};
+use crate::telemetry::StreamTelemetry;
 use crate::validator::{cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, Validator};
 use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
@@ -641,14 +643,6 @@ impl ValidatorStream {
         &self.telemetry
     }
 
-    /// Rebounds the telemetry journal to keep the newest `capacity`
-    /// events (min 1; default 256) — a long-running monitor can retain
-    /// a full event tail instead of the last 256. Shrinking evicts the
-    /// oldest retained events; totals and sequence numbers survive.
-    pub fn set_journal_capacity(&mut self, capacity: usize) {
-        self.telemetry.set_journal_capacity(capacity);
-    }
-
     /// Turns recording on or off at runtime, **resetting** all recorded
     /// state either way (counters to zero, journal emptied). With
     /// recording off every instrumentation site costs one branch.
@@ -1103,10 +1097,11 @@ impl ValidatorStream {
         (self.live_cfd.len(), self.live_cind.len())
     }
 
-    /// Validates and inserts one tuple, returning the violations it
-    /// introduces **and** the violations it resolves (an arriving CIND
-    /// target tuple supplies the partner its orphaned source tuples were
-    /// missing). An already-present tuple is a no-op: instances are sets.
+    /// The insert engine: the violations an arriving tuple introduces
+    /// **and** the violations it resolves (an arriving CIND target tuple
+    /// supplies the partner its orphaned source tuples were missing). An
+    /// already-present tuple is a no-op, the empty delta: instances are
+    /// sets.
     ///
     /// Semantics per constraint kind:
     ///
@@ -1120,28 +1115,11 @@ impl ValidatorStream {
     /// * CIND (target role) — never *creates* a violation; if the tuple
     ///   carries a key no target held before, every orphaned source
     ///   tuple with that key is **resolved**.
-    pub fn insert_tuple(&mut self, rel: RelId, t: Tuple) -> Result<SigmaDelta, ModelError> {
-        let span = SpanTimer::start(&self.telemetry.mutation_us);
-        let groups0 = self.telemetry.probes_total();
-        self.db.check_tuple(rel, &t)?;
-        let row = self.sym_row_intern(rel, &t);
-        // Interning may have made a pending member pattern translatable;
-        // matching below is sym-space, so refresh first (O(1) when
-        // nothing is pending).
-        self.refresh_member_syms();
-        let delta = self.insert_inner(rel, t, &row)?;
-        span.stop();
-        // A resident tuple allocates no id: that is the no-op signal.
-        let effective = delta.ids.born.is_some();
-        self.telemetry
-            .record_single(MutKind::Insert, effective.then_some(&delta), groups0);
-        Ok(delta)
-    }
-
-    /// The insert engine. `row` is the tuple's pre-symbolized key-cell
-    /// row ([`ValidatorStream::sym_row_intern`]): group keys are `Copy`
-    /// slot reads and member matching is a word compare against the
-    /// cached pattern symbols — no string is hashed per group.
+    ///
+    /// `row` is the tuple's pre-symbolized key-cell row
+    /// ([`ValidatorStream::sym_row_intern`]): group keys are `Copy` slot
+    /// reads and member matching is a word compare against the cached
+    /// pattern symbols — no string is hashed per group.
     fn insert_inner(
         &mut self,
         rel: RelId,
@@ -1323,27 +1301,14 @@ impl ValidatorStream {
         Ok(delta)
     }
 
-    /// Deletes one tuple by value, returning the violations that
-    /// disappear with it, the violations its absence introduces
-    /// (orphaned CIND sources, relabeled pair witnesses), and the swap
-    /// renumbering ([`SigmaDelta::moved`]). `None` when the tuple is not
-    /// present, or `rel` is not a relation of the schema.
-    pub fn delete_tuple(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
-        let span = SpanTimer::start(&self.telemetry.mutation_us);
-        let groups0 = self.telemetry.probes_total();
-        let delta = self.delete_inner(rel, t);
-        span.stop();
-        self.telemetry
-            .record_single(MutKind::Delete, delta.as_ref(), groups0);
-        delta
-    }
-
-    /// The delete engine. The tuple's (and the moved tuple's)
-    /// pre-symbolized key-cell rows come straight out of the resident
-    /// row cache — no string is hashed through the interner anywhere on
-    /// the delete path.
+    /// The delete engine: the violations that disappear with the tuple,
+    /// the violations its absence introduces (orphaned CIND sources,
+    /// relabeled pair witnesses), and the swap renumbering
+    /// ([`SigmaDelta::moved`]). `None` when the tuple is not present.
+    /// The tuple's (and the moved tuple's) pre-symbolized key-cell rows
+    /// come straight out of the resident row cache — no string is hashed
+    /// through the interner anywhere on the delete path.
     fn delete_inner(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
-        self.db.schema().relation(rel).ok()?;
         let pos = self.db.relation(rel).position(t)?;
         let last = self.db.relation(rel).len() - 1;
         let moved: Option<Tuple> = (pos != last).then(|| {
@@ -1860,100 +1825,43 @@ impl ValidatorStream {
         Some(delta)
     }
 
-    /// Replaces `old` by `new` in relation `rel`: a delete followed by an
-    /// insert, returned as the two deltas in application order (see the
-    /// module docs for how each applies). `Ok(None)` when `old` is not
-    /// present; the replacement is type-checked **before** the delete, so
-    /// an error leaves the stream untouched.
-    pub fn update_tuple(
-        &mut self,
-        rel: RelId,
-        old: &Tuple,
-        new: Tuple,
-    ) -> Result<Option<(SigmaDelta, SigmaDelta)>, ModelError> {
-        self.db.check_tuple(rel, &new)?;
-        if old == &new {
-            // No-op replacement: skip the delete/insert churn (and its
-            // mutually cancelling deltas) entirely.
-            return Ok(self
-                .db
-                .relation(rel)
-                .contains(old)
-                .then(|| (SigmaDelta::default(), SigmaDelta::default())));
-        }
-        let Some(deleted) = self.delete_tuple(rel, old) else {
-            return Ok(None);
-        };
-        let inserted = self.insert_tuple(rel, new)?;
-        Ok(Some((deleted, inserted)))
-    }
-
-    /// Applies one value-level [`Mutation`], returning the streamed
+    /// Applies one value-level [`Mutation`] as a window of one
+    /// ([`ValidatorStream::apply_deltas`]), returning its non-empty
     /// deltas **and** the inverse mutation ([`Applied::revert`]) that
-    /// restores the pre-mutation tuple set. No-ops (inserting a resident
-    /// tuple, deleting or updating an absent one, `old == new`) return an
-    /// empty [`Applied`] with `revert: None`.
+    /// restores the pre-mutation tuple set, read off the deltas' ids. A
+    /// no-op (inserting a resident tuple, deleting or updating an absent
+    /// one, `old == new`) returns an empty [`Applied`] with
+    /// `revert: None`.
     ///
     /// An update whose `new` tuple already resides in the relation
     /// degenerates to a deletion of `old` (set semantics merge the two);
     /// its revert is the re-insertion of `old`, **not** a deletion of the
     /// pre-existing `new`.
     pub fn apply(&mut self, m: Mutation) -> Result<Applied, ModelError> {
-        const NOOP: Applied = Applied {
-            deltas: Vec::new(),
-            revert: None,
-        };
-        match m {
+        let mut deltas = self.apply_deltas(std::slice::from_ref(&m))?;
+        let revert = match m {
             Mutation::Insert { rel, tuple } => {
-                self.db.schema().relation(rel)?;
-                if self.db.relation(rel).contains(&tuple) {
-                    return Ok(NOOP);
-                }
-                let delta = self.insert_tuple(rel, tuple.clone())?;
-                Ok(Applied {
-                    deltas: vec![delta],
-                    revert: Some(Mutation::Delete { rel, tuple }),
-                })
+                deltas[0].ids.born.map(|_| Mutation::Delete { rel, tuple })
             }
-            Mutation::Delete { rel, tuple } => {
-                self.db.schema().relation(rel)?;
-                match self.delete_tuple(rel, &tuple) {
-                    None => Ok(NOOP),
-                    Some(delta) => Ok(Applied {
-                        deltas: vec![delta],
-                        revert: Some(Mutation::Insert { rel, tuple }),
-                    }),
-                }
-            }
-            Mutation::Update { rel, old, new } => {
-                self.db.check_tuple(rel, &new)?;
-                if old == new || !self.db.relation(rel).contains(&old) {
-                    return Ok(NOOP);
-                }
-                if self.db.relation(rel).contains(&new) {
-                    // Set semantics: the edit collapses `old` into the
-                    // resident `new` — a pure deletion, reverted by
-                    // re-inserting `old` (the resident tuple predates the
-                    // mutation and must survive the revert).
-                    let delta = self.delete_tuple(rel, &old).expect("presence just checked");
-                    return Ok(Applied {
-                        deltas: vec![delta],
-                        revert: Some(Mutation::Insert { rel, tuple: old }),
-                    });
-                }
-                let (d1, d2) = self
-                    .update_tuple(rel, &old, new.clone())?
-                    .expect("presence just checked");
-                Ok(Applied {
-                    deltas: vec![d1, d2],
-                    revert: Some(Mutation::Update {
-                        rel,
-                        old: new,
-                        new: old,
-                    }),
-                })
-            }
-        }
+            Mutation::Delete { rel, tuple } => deltas[0]
+                .ids
+                .retired
+                .map(|_| Mutation::Insert { rel, tuple }),
+            Mutation::Update { rel, old, new } => match (deltas[0].ids.retired, deltas[1].ids.born)
+            {
+                (None, _) => None,
+                // Merged into the resident `new`, which predates the
+                // mutation and must survive the revert.
+                (Some(_), None) => Some(Mutation::Insert { rel, tuple: old }),
+                (Some(_), Some(_)) => Some(Mutation::Update {
+                    rel,
+                    old: new,
+                    new: old,
+                }),
+            },
+        };
+        deltas.retain(|d| d.ids != IdDelta::default());
+        Ok(Applied { deltas, revert })
     }
 
     /// Replays the inverse mutation of an [`Applied`] — the retraction
@@ -1984,15 +1892,21 @@ impl ValidatorStream {
             .collect()
     }
 
-    /// Applies a whole batch of value-level [`Mutation`]s, returning the
-    /// streamed deltas **in application order** — exactly the
-    /// concatenation of what per-mutation [`ValidatorStream::apply`]
-    /// calls would return (an update contributes its delete and insert
-    /// deltas, a merge-degenerate update one delete delta, a no-op
-    /// nothing), so `current_report()` still equals a fresh batch sweep
-    /// after every batch.
+    /// Applies a window of value-level [`Mutation`]s in order — the
+    /// stream's one mutation entry — so `current_report()` equals a fresh
+    /// batch sweep after every window.
     ///
-    /// What makes it cheaper than the mutation-at-a-time loop:
+    /// The output has a fixed shape: one delta per insert or delete and
+    /// two per update (its delete, then its insert), in mutation order,
+    /// so `deltas.len()` is `muts.len()` plus the number of updates. A
+    /// mutation that changed nothing (inserting a resident tuple,
+    /// deleting an absent one, updating an absent one, `old == new`) gets
+    /// `SigmaDelta::default()`, as does the insert half of an update
+    /// whose `new` already resides (set semantics merge the two). A
+    /// delta carries [`IdDelta::born`] iff its insert took effect and
+    /// [`IdDelta::retired`] iff its delete did.
+    ///
+    /// What makes a window cheaper than the same mutations one at a time:
     ///
     /// * **one interner pass** — every arriving tuple's key cells are
     ///   symbolized once up front (and the cached member-pattern symbol
@@ -2007,14 +1921,14 @@ impl ValidatorStream {
     ///   members (deletes resolve their groups probe-free through the
     ///   index's per-position slot records).
     ///
-    /// The whole batch is type-checked first
-    /// ([`ValidatorStream::check_mutations`]): an ill-typed mutation
-    /// returns the error with **nothing** applied (unlike a sequential
-    /// `apply` loop, which would stop half-way).
+    /// The whole window is type-checked first: every mutation must name
+    /// a relation of the schema ([`ModelError::RelOutOfRange`] otherwise)
+    /// and every arriving tuple must be well-typed for it. An ill-typed
+    /// mutation returns the error with **nothing** applied.
     pub fn apply_deltas(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
+        self.check_mutations(muts)?;
         let span = SpanTimer::start(&self.telemetry.window_us);
         let groups0 = self.telemetry.probes_total();
-        self.check_mutations(muts)?;
         // Phase 1: the one interner pass over every arriving tuple.
         let arriving: Vec<Option<Vec<SymValue>>> = muts
             .iter()
@@ -2029,49 +1943,56 @@ impl ValidatorStream {
         self.refresh_member_syms();
         // Phase 2: apply in order through the row-fed engine. Presence
         // checks happen here, against the evolving database, so
-        // intra-batch interactions (insert then delete, merging updates)
-        // resolve exactly as they would sequentially.
-        let mut out = Vec::with_capacity(muts.len());
+        // intra-window interactions (insert then delete, merging updates)
+        // resolve exactly as they would one window at a time.
+        let updates = muts
+            .iter()
+            .filter(|m| matches!(m, Mutation::Update { .. }))
+            .count();
+        let mut out = Vec::with_capacity(muts.len() + updates);
+        let mut noops = 0;
         for (m, row) in muts.iter().zip(&arriving) {
             match m {
                 Mutation::Insert { rel, tuple } => {
-                    // No pre-membership probe: `insert_inner` detects the
-                    // no-op itself (a resident tuple allocates no id).
                     let row = row.as_deref().expect("insert rows are pre-built");
                     let d = self.insert_inner(*rel, tuple.clone(), row)?;
-                    if d.ids.born.is_some() {
-                        out.push(d);
-                    }
+                    noops += d.ids.born.is_none() as u64;
+                    out.push(d);
                 }
                 Mutation::Delete { rel, tuple } => {
-                    if let Some(d) = self.delete_inner(*rel, tuple) {
-                        out.push(d);
-                    }
+                    let d = self.delete_inner(*rel, tuple);
+                    noops += d.is_none() as u64;
+                    out.push(d.unwrap_or_default());
                 }
                 Mutation::Update { rel, old, new } => {
-                    if old == new || !self.db.relation(*rel).contains(old) {
-                        continue;
-                    }
-                    let merged = self.db.relation(*rel).contains(new);
-                    out.push(self.delete_inner(*rel, old).expect("presence just checked"));
-                    if !merged {
-                        let row = row.as_deref().expect("update rows are pre-built");
-                        out.push(self.insert_inner(*rel, new.clone(), row)?);
-                    }
+                    let deleted = if old == new {
+                        None
+                    } else {
+                        self.delete_inner(*rel, old)
+                    };
+                    // The insert half runs only once the delete took
+                    // effect; a resident `new` makes it the empty delta.
+                    let inserted = match deleted {
+                        Some(_) => {
+                            let row = row.as_deref().expect("update rows are pre-built");
+                            self.insert_inner(*rel, new.clone(), row)?
+                        }
+                        None => SigmaDelta::default(),
+                    };
+                    noops += deleted.is_none() as u64;
+                    out.push(deleted.unwrap_or_default());
+                    out.push(inserted);
                 }
             }
         }
         span.stop();
-        self.telemetry.record_window(&out, groups0);
+        self.telemetry.record_window(&out, noops, groups0);
         Ok(out)
     }
 
-    /// Type-checks a batch without applying any of it: every mutation
-    /// must name a relation of the schema
-    /// ([`ModelError::RelOutOfRange`] otherwise) and every arriving tuple
-    /// must be well-typed for it — the pre-check
+    /// Type-checks a window without applying any of it — the pre-check
     /// [`ValidatorStream::apply_deltas`] runs before touching anything.
-    pub fn check_mutations(&self, muts: &[Mutation]) -> Result<(), ModelError> {
+    fn check_mutations(&self, muts: &[Mutation]) -> Result<(), ModelError> {
         for m in muts {
             match m {
                 Mutation::Insert { rel, tuple } => self.db.check_tuple(*rel, tuple)?,
@@ -2178,12 +2099,18 @@ mod tests {
         // then grows that segment at the tail of the index's storage,
         // and y's full segment moves behind it for (y, b5). The target
         // group churns too.
-        stream.delete_tuple(r, &tuple!["x", "b0", "c0"]).unwrap();
-        stream.insert_tuple(r, tuple!["k", "b4", "c0"]).unwrap();
-        stream.insert_tuple(r, tuple!["y", "b5", "c0"]).unwrap();
-        stream.delete_tuple(s, &tuple!["k"]).unwrap();
-        stream.insert_tuple(s, tuple!["b2"]).unwrap();
-        stream.insert_tuple(s, tuple!["k"]).unwrap();
+        let ins = |rel, tuple| Mutation::Insert { rel, tuple };
+        let del = |rel, tuple| Mutation::Delete { rel, tuple };
+        stream
+            .apply_deltas(&[
+                del(r, tuple!["x", "b0", "c0"]),
+                ins(r, tuple!["k", "b4", "c0"]),
+                ins(r, tuple!["y", "b5", "c0"]),
+                del(s, tuple!["k"]),
+                ins(s, tuple!["b2"]),
+                ins(s, tuple!["k"]),
+            ])
+            .unwrap();
         let k = [stream.interner.sym_value(&Value::str("k")).unwrap()];
         let stored = stream.cfd_indexes[0].positions(&k).to_vec();
         let lowest = *stored.iter().min().unwrap();

@@ -15,14 +15,13 @@
 //! | Name | Kind | Meaning |
 //! |---|---|---|
 //! | `stream.materialize_us` | histogram | seed build time: row-cache symbolization, group index builds and the seed violation read |
-//! | `stream.apply.mutation_us` | histogram | one single-mutation call (`insert_tuple`/`delete_tuple`; an update is its delete + insert) |
-//! | `stream.apply.window_us` | histogram | one `apply_deltas` batch |
-//! | `stream.apply.windows` | counter | `apply_deltas` calls |
+//! | `stream.apply.window_us` | histogram | one `apply_deltas` window that passed its type check (an `apply` call is a window of one) |
+//! | `stream.apply.windows` | counter | windows applied, `apply` calls included |
 //! | `stream.compact_us` | histogram | one `compact()` pass |
 //! | `stream.compactions` | counter | `compact()` calls |
 //! | `stream.mutations.inserts` | counter | effective tuple arrivals |
 //! | `stream.mutations.deletes` | counter | effective tuple removals |
-//! | `stream.mutations.noops` | counter | mutations that changed nothing |
+//! | `stream.mutations.noops` | counter | mutations that changed nothing (every delta they got is empty) |
 //! | `stream.probes.hash` | counter | key-group lookups that hashed a key |
 //! | `stream.probes.slot` | counter | key-group lookups served probe-free by a slot record |
 //! | `stream.pairs.fast_path` | counter | delete-side pair settlements that stayed `O(1)` (witness survived) |
@@ -41,18 +40,8 @@ use condep_telemetry::{
     StreamEvent,
 };
 
-/// How many journal events a stream retains by default
-/// ([`StreamTelemetry::set_journal_capacity`] rebounds it at runtime).
+/// How many journal events a stream retains.
 const JOURNAL_CAPACITY: usize = 256;
-
-/// Which primitive a single-mutation call performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum MutKind {
-    /// `insert_tuple`.
-    Insert,
-    /// `delete_tuple`.
-    Delete,
-}
 
 /// Per-stream instrumentation: a private registry, pre-resolved
 /// handles, and the bounded activity journal.
@@ -66,7 +55,6 @@ pub struct StreamTelemetry {
     registry: Registry,
     journal: Journal,
     pub(crate) materialize_us: Histogram,
-    pub(crate) mutation_us: Histogram,
     pub(crate) window_us: Histogram,
     pub(crate) compact_us: Histogram,
     pub(crate) windows: Counter,
@@ -88,7 +76,6 @@ impl StreamTelemetry {
     fn with_registry(registry: Registry) -> Self {
         StreamTelemetry {
             materialize_us: registry.histogram("stream.materialize_us"),
-            mutation_us: registry.histogram("stream.apply.mutation_us"),
             window_us: registry.histogram("stream.apply.window_us"),
             compact_us: registry.histogram("stream.compact_us"),
             windows: registry.counter("stream.apply.windows"),
@@ -141,75 +128,32 @@ impl StreamTelemetry {
         &self.journal
     }
 
-    /// Rebounds the activity journal to keep the newest `capacity`
-    /// events (min 1; the default is 256). Long scenario runs raise it
-    /// to retain a full event tail; shrinking evicts the oldest
-    /// retained events immediately. Sequence numbers and the lifetime
-    /// total are unaffected.
-    pub fn set_journal_capacity(&mut self, capacity: usize) {
-        self.journal.set_capacity(capacity);
-    }
-
     /// The newest `n` journal events, oldest first.
     pub fn journal_tail(&self, n: usize) -> Vec<JournalEvent> {
         self.journal.tail(n)
     }
 
-    /// Latency distribution of `apply_deltas` windows.
+    /// Latency distribution of `apply_deltas` windows (`apply` calls
+    /// included).
     pub fn window_latency(&self) -> HistogramSnapshot {
         self.window_us.snapshot()
     }
 
-    /// Latency distribution of single-mutation calls.
-    pub fn mutation_latency(&self) -> HistogramSnapshot {
-        self.mutation_us.snapshot()
-    }
-
     /// Key-group lookups so far, both flavors — the "groups touched"
-    /// baseline a wrapper diffs around a mutation or window.
+    /// baseline a window diffs around its mutations.
     pub(crate) fn probes_total(&self) -> u64 {
         self.hash_probes.get() + self.slot_probes.get()
     }
 
-    /// Books one single-mutation call: counters, plus a
-    /// window-of-one journal event when the mutation was effective.
-    /// `groups0` is [`probes_total`](Self::probes_total) from before
-    /// the call.
-    pub(crate) fn record_single(
-        &mut self,
-        kind: MutKind,
-        delta: Option<&SigmaDelta>,
-        groups0: u64,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let Some(delta) = delta else {
-            self.noops.incr();
-            return;
-        };
-        match kind {
-            MutKind::Insert => self.inserts.incr(),
-            MutKind::Delete => self.deletes.incr(),
-        }
-        let introduced = (delta.cfd.introduced.len() + delta.cind.introduced.len()) as u32;
-        let resolved = (delta.cfd.resolved.len() + delta.cind.resolved.len()) as u32;
-        self.introduced.add(introduced as u64);
-        self.resolved.add(resolved as u64);
-        self.journal.push(StreamEvent::Window {
-            mutations: 1,
-            groups_touched: (self.probes_total() - groups0) as u32,
-            introduced,
-            resolved,
-        });
-    }
-
-    /// Books one `apply_deltas` window over its emitted deltas.
-    pub(crate) fn record_window(&mut self, deltas: &[SigmaDelta], groups0: u64) {
+    /// Books one `apply_deltas` window over its emitted deltas, of
+    /// which `noops` mutations changed nothing. The journal event's
+    /// `mutations` counts the effective inserts and deletes.
+    pub(crate) fn record_window(&mut self, deltas: &[SigmaDelta], noops: u64, groups0: u64) {
         if !self.is_enabled() {
             return;
         }
         self.windows.incr();
+        self.noops.add(noops);
         let mut introduced = 0u64;
         let mut resolved = 0u64;
         let mut inserts = 0u64;
@@ -225,7 +169,7 @@ impl StreamTelemetry {
         self.introduced.add(introduced);
         self.resolved.add(resolved);
         self.journal.push(StreamEvent::Window {
-            mutations: deltas.len() as u32,
+            mutations: (inserts + deletes) as u32,
             groups_touched: (self.probes_total() - groups0) as u32,
             introduced: introduced as u32,
             resolved: resolved as u32,

@@ -1,11 +1,10 @@
-//! The stream's journal capacity is runtime-configurable
-//! ([`ValidatorStream::set_journal_capacity`]): long scenario runs
-//! retain a full event tail, the default stays at 256, and shrinking
-//! evicts only the oldest retained events.
+//! The stream's journal keeps the newest 256 events: older ones are
+//! evicted, while the lifetime total and the sequence numbers keep
+//! counting.
 
 use condep_cfd::NormalCfd;
 use condep_model::{tuple, Database, Domain, PValue, PatternRow, Schema, Tuple};
-use condep_validate::{Validator, ValidatorStream};
+use condep_validate::{Mutation, Validator, ValidatorStream};
 use std::sync::Arc;
 
 fn stream_with_tuples(n: usize) -> ValidatorStream {
@@ -34,39 +33,21 @@ fn stream_with_tuples(n: usize) -> ValidatorStream {
 }
 
 #[test]
-fn journal_capacity_defaults_to_256_and_rebounds_at_runtime() {
+fn journal_capacity_is_256_and_evicts_the_oldest() {
     let mut stream = stream_with_tuples(0);
     let rel = stream.db().schema().rel_id("r").unwrap();
     assert_eq!(stream.telemetry().journal().capacity(), 256);
 
-    // 300 effective inserts: the default ring forgets the oldest 44.
+    // 300 effective inserts: the ring forgets the oldest 44.
     for i in 0..300usize {
-        let t: Tuple = tuple![format!("n{i}").as_str(), "v"];
-        stream.insert_tuple(rel, t).unwrap();
-    }
-    assert_eq!(stream.telemetry().journal().total(), 300);
-    assert_eq!(stream.telemetry().journal().len(), 256);
-
-    // Grow: everything new is retained, history already evicted stays
-    // gone, totals keep counting.
-    stream.set_journal_capacity(1024);
-    for i in 300..400usize {
-        let t: Tuple = tuple![format!("n{i}").as_str(), "v"];
-        stream.insert_tuple(rel, t).unwrap();
+        let tuple: Tuple = tuple![format!("n{i}").as_str(), "v"];
+        stream.apply(Mutation::Insert { rel, tuple }).unwrap();
     }
     let journal = stream.telemetry().journal();
-    assert_eq!(journal.capacity(), 1024);
-    assert_eq!(journal.total(), 400);
-    assert_eq!(journal.len(), 256 + 100);
+    assert_eq!(journal.total(), 300);
+    assert_eq!(journal.len(), 256);
     // Seqs are contiguous and end at the newest event.
     let tail = journal.tail(journal.len());
-    assert_eq!(tail.first().unwrap().seq, 400 - journal.len() as u64);
-    assert_eq!(tail.last().unwrap().seq, 399);
-
-    // Shrink: only the newest 8 survive.
-    stream.set_journal_capacity(8);
-    let journal = stream.telemetry().journal();
-    assert_eq!((journal.capacity(), journal.len()), (8, 8));
-    assert_eq!(journal.tail(8).first().unwrap().seq, 392);
-    assert_eq!(journal.total(), 400);
+    assert_eq!(tail.first().unwrap().seq, 44);
+    assert_eq!(tail.last().unwrap().seq, 299);
 }

@@ -112,3 +112,83 @@ fn stream_window_metrics_export_as_valid_json() {
     assert_eq!(counter(&m, "stream.mutations.inserts"), 16);
     assert_eq!(counter(&m, "stream.mutations.deletes"), 16);
 }
+
+fn histogram_count(m: &MetricsSnapshot, key: &str) -> u64 {
+    match m.get(key) {
+        Some(MetricValue::Histogram(h)) => h.count,
+        other => panic!("{key}: expected a histogram, got {other:?}"),
+    }
+}
+
+/// A stream over `r(a0, b, c0)` and its `s(a0)` partner.
+fn small_stream() -> (ValidatorStream, condep_model::RelId) {
+    let (schema, v) = validator();
+    let r = schema.rel_id("r").unwrap();
+    let mut db = Database::empty(schema);
+    db.insert_into("r", tuple!["a0", "b", "c0"]).unwrap();
+    db.insert_into("s", tuple!["a0"]).unwrap();
+    (ValidatorStream::new_validated(v, db).0, r)
+}
+
+#[test]
+fn mutations_that_change_nothing_count_as_noops_only() {
+    let (mut stream, r) = small_stream();
+    let resident = tuple!["a0", "b", "c0"];
+    let absent = tuple!["a9", "b", "c0"];
+    let window = [
+        Mutation::Insert {
+            rel: r,
+            tuple: resident.clone(),
+        },
+        Mutation::Delete {
+            rel: r,
+            tuple: absent.clone(),
+        },
+        Mutation::Update {
+            rel: r,
+            old: absent,
+            new: tuple!["a1", "b", "c0"],
+        },
+        Mutation::Update {
+            rel: r,
+            old: resident.clone(),
+            new: resident,
+        },
+    ];
+    let deltas = stream.apply_deltas(&window).unwrap();
+    assert_eq!(
+        deltas.len(),
+        6,
+        "one slot per insert or delete, two per update"
+    );
+    assert!(deltas.iter().all(|d| *d == Default::default()));
+
+    let m = stream.telemetry().snapshot();
+    assert_eq!(counter(&m, "stream.mutations.noops"), 4);
+    assert_eq!(counter(&m, "stream.mutations.inserts"), 0);
+    assert_eq!(counter(&m, "stream.mutations.deletes"), 0);
+    assert_eq!(counter(&m, "stream.apply.windows"), 1);
+}
+
+#[test]
+fn a_rejected_window_records_no_latency_sample() {
+    let (mut stream, r) = small_stream();
+    let missing = condep_model::RelId(r.0 + 2);
+    let rejected = [
+        Mutation::Insert {
+            rel: r,
+            tuple: tuple!["a1", "b", "c0"],
+        },
+        Mutation::Delete {
+            rel: missing,
+            tuple: tuple!["x"],
+        },
+    ];
+    assert!(stream.apply_deltas(&rejected).is_err());
+    stream.apply_deltas(&rejected[..1]).unwrap();
+
+    let m = stream.telemetry().snapshot();
+    assert_eq!(counter(&m, "stream.apply.windows"), 1);
+    assert_eq!(histogram_count(&m, "stream.apply.window_us"), 1);
+    assert_eq!(stream.telemetry().journal().total(), 1);
+}

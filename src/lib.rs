@@ -22,7 +22,7 @@
 //! | [`consistency`] | the Section 5 heuristics: `CFD_Checking` (chase & SAT), dependency graph, `preProcessing`, `RandomChecking`, `Checking` |
 //! | [`gen`] | seeded workload generators matching the Section 6 experimental setting, incl. the planted-Σ discovery ground truth (`clean_database_with_hidden_sigma`) |
 //! | [`discover`] | **dependency discovery**: level-wise CFD mining over stripped partitions (interned columns, `SymIndex` counting-sort CSR), constant-pattern specialization per equivalence class, unary CIND inclusion mining with exact-making constant conditions, `(support, confidence)` ranking with trivial/implied pruning |
-//! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over interned keys, parallel sweep; `ValidatorStream` delta engine (insert/delete/update with violation retraction, value-level `Mutation`/`apply`/`revert`) hardened for whole-life monitoring: position-stable `TupleId` handles, batched `apply_deltas` windows, and full `compact()` (emptied key groups + dead interned strings reclaimed) |
+//! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over interned keys, parallel sweep; `ValidatorStream` delta engine (value-level `Mutation` windows through one `apply_deltas` entry, insert/delete/update with violation retraction; `apply`/`revert` are windows of one) hardened for whole-life monitoring: position-stable `TupleId` handles and full `compact()` (emptied key groups + dead interned strings reclaimed) |
 //! | [`repair`] | **cost-based repair engine**: greedy equivalence-class CFD repair (union-find over conflicting cells, majority/constant targets), CIND orphans chased into inserted targets or deleted, every fix verified net-negative through the delta engine and rolled back otherwise |
 //! | [`report`] | high-level data-quality façade: compiles Σ into a batched validator, runs it against a database and aggregates violations; `QualityMonitor` reads the stream's live violation set (O(1) summary, sorted report on demand); `QualitySuite::repair` cleans a database through the repair engine |
 //! | [`telemetry`] | **unified observability core** (dependency-free): per-owner counter/gauge registries with a runtime kill switch, log2-bucket µs histograms with deterministic p50/p90/p99, RAII span timers, a bounded event journal, the metric-naming rule and a hand-rolled JSON writer and parser |

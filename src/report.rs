@@ -10,7 +10,6 @@ use condep_consistency::{checking, CheckingConfig, ConstraintSet};
 use condep_core::{normalize as cind_normalize, Cind, CindViolation, NormalCind};
 use condep_discover::online::{OnlineConfig, OnlineMiner};
 use condep_discover::{DiscoveredSigma, DiscoveryConfig};
-use condep_model::fxhash::FxBuildHasher;
 use condep_model::{Database, ModelError, RelId, Schema, Tuple};
 use condep_repair::{RepairBudget, RepairCost, RepairReport};
 use condep_telemetry::json::JsonWriter;
@@ -19,7 +18,6 @@ use condep_validate::{
     CompactionStats, CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport,
     Validator, ValidatorStream,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -406,137 +404,43 @@ impl QualityMonitor {
         self
     }
 
-    /// Ingests one arriving tuple, returning the delta (violations
-    /// introduced, and — for CIND target arrivals — resolved).
-    pub fn insert(&mut self, rel: RelId, t: Tuple) -> Result<SigmaDelta, ModelError> {
-        let observed = self.online.is_some().then(|| t.clone());
-        let delta = self.stream.insert_tuple(rel, t)?;
-        // Only an *effective* insert (set semantics: a tuple id was
-        // born) reaches the miner's sketches.
-        if delta.ids.born.is_some() {
-            if let (Some(state), Some(t)) = (self.online.as_mut(), observed.as_ref()) {
-                state.miner.observe_insert(rel, t);
-            }
-            self.poll_online();
-        }
-        Ok(delta)
-    }
-
-    /// Ingests one deletion, consuming its retractions (and any
-    /// violations the absence introduces). `None` when the tuple was not
-    /// present, or `rel` is not a relation of the schema.
-    pub fn delete(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
-        let delta = self.stream.delete_tuple(rel, t)?;
-        if let Some(state) = self.online.as_mut() {
-            state.miner.observe_delete(rel, t);
-        }
-        self.poll_online();
-        Some(delta)
-    }
-
-    /// Ingests a replacement (`old` → `new`) as its delete and insert
-    /// deltas in application order.
-    pub fn update(
-        &mut self,
-        rel: RelId,
-        old: &Tuple,
-        new: Tuple,
-    ) -> Result<Option<(SigmaDelta, SigmaDelta)>, ModelError> {
-        let observed = self.online.is_some().then(|| new.clone());
-        let Some((del, ins)) = self.stream.update_tuple(rel, old, new)? else {
-            return Ok(None);
-        };
-        if let Some(state) = self.online.as_mut() {
-            state.miner.observe_delete(rel, old);
-            // A merge-degenerate update (`new` already resident) births
-            // no id — the miner must then see only the deletion.
-            if ins.ids.born.is_some() {
-                if let Some(t) = observed.as_ref() {
-                    state.miner.observe_insert(rel, t);
-                }
-            }
-        }
-        self.poll_online();
-        Ok(Some((del, ins)))
-    }
-
-    /// Ingests a whole batch of value-level [`Mutation`]s through the
-    /// stream's batched path ([`ValidatorStream::apply_deltas`]): the
-    /// batch is symbolized in one interner pass and each touched key
-    /// group probed once, so a monitor fed buffered mutation windows
-    /// pays far less per mutation than the one-at-a-time calls. Returns
-    /// the streamed deltas in application order; an ill-typed mutation
-    /// (or one naming a relation outside the schema) applies nothing.
+    /// Ingests a window of value-level [`Mutation`]s through the stream's
+    /// one mutation entry ([`ValidatorStream::apply_deltas`]): the window
+    /// is symbolized in one interner pass and each touched key group
+    /// probed once. Returns the streamed deltas in the stream's fixed
+    /// shape: one per insert or delete and two per update, with the empty
+    /// delta wherever nothing changed. An ill-typed mutation (or one
+    /// naming a relation outside the schema) applies nothing.
     ///
-    /// With online discovery on, the batch's effective inserts and
-    /// deletes — those that change the tuple set, replayed against the
-    /// pre-batch database — then reach the miner's
-    /// [`OnlineMiner::observe_insert`] / [`OnlineMiner::observe_delete`]
-    /// directly, borrowed from `muts`.
+    /// With online discovery on, the mutations and their deltas are then
+    /// walked in lockstep: a delta that retired a tuple feeds
+    /// [`OnlineMiner::observe_delete`] and one that bore a tuple feeds
+    /// [`OnlineMiner::observe_insert`], the tuple borrowed from `muts`.
     pub fn ingest_batch(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
-        let effective = if self.online.is_some() {
-            // The replay reads the named relations: type-check first.
-            self.stream.check_mutations(muts)?;
-            self.effective_mutations(muts)
-        } else {
-            Vec::new()
-        };
         let deltas = self.stream.apply_deltas(muts)?;
         if let Some(state) = self.online.as_mut() {
-            for &(insert, rel, t) in &effective {
-                if insert {
-                    state.miner.observe_insert(rel, t);
-                } else {
-                    state.miner.observe_delete(rel, t);
+            let mut slots = deltas.iter();
+            for m in muts {
+                let (rel, gone, arrived) = match m {
+                    Mutation::Insert { rel, tuple } => (*rel, None, Some(tuple)),
+                    Mutation::Delete { rel, tuple } => (*rel, Some(tuple), None),
+                    Mutation::Update { rel, old, new } => (*rel, Some(old), Some(new)),
+                };
+                // An update's delete slot comes before its insert slot.
+                if let Some(t) = gone {
+                    if slots.next().is_some_and(|d| d.ids.retired.is_some()) {
+                        state.miner.observe_delete(rel, t);
+                    }
+                }
+                if let Some(t) = arrived {
+                    if slots.next().is_some_and(|d| d.ids.born.is_some()) {
+                        state.miner.observe_insert(rel, t);
+                    }
                 }
             }
         }
         self.poll_online();
         Ok(deltas)
-    }
-
-    /// Replays a batch against the pre-batch database under set
-    /// semantics, returning only the insertions (`true`) and deletions
-    /// (`false`) that actually change the tuple set — what the online
-    /// miner's sketches must see — as `(insert?, relation, tuple)`
-    /// borrowed from the batch. Updates decompose; a merge-degenerate
-    /// update contributes only its deletion. Nothing is cloned: the
-    /// overlay of the presence of tuples the batch has touched is keyed
-    /// by reference and hashed with fx.
-    fn effective_mutations<'m>(&self, muts: &'m [Mutation]) -> Vec<(bool, RelId, &'m Tuple)> {
-        let db = self.stream.db();
-        let mut overlay: HashMap<(RelId, &Tuple), bool, FxBuildHasher> = HashMap::default();
-        // Sets `t`'s presence; `true` when that changes the tuple set.
-        let mut set = |rel: RelId, t: &'m Tuple, present: bool| {
-            let slot = overlay
-                .entry((rel, t))
-                .or_insert_with(|| db.relation(rel).contains(t));
-            std::mem::replace(slot, present) != present
-        };
-        let mut fed = Vec::new();
-        for m in muts {
-            match m {
-                Mutation::Insert { rel, tuple } => {
-                    if set(*rel, tuple, true) {
-                        fed.push((true, *rel, tuple));
-                    }
-                }
-                Mutation::Delete { rel, tuple } => {
-                    if set(*rel, tuple, false) {
-                        fed.push((false, *rel, tuple));
-                    }
-                }
-                Mutation::Update { rel, old, new } => {
-                    if old != new && set(*rel, old, false) {
-                        fed.push((false, *rel, old));
-                        if set(*rel, new, true) {
-                            fed.push((true, *rel, new));
-                        }
-                    }
-                }
-            }
-        }
-        fed
     }
 
     /// Runs one online-discovery poll when the configured window of
@@ -685,15 +589,6 @@ impl QualityMonitor {
         self.stream.compact()
     }
 
-    /// Rebounds the stream's activity journal to keep the newest
-    /// `capacity` events (min 1; default 256), so a monitor driving a
-    /// long scenario can retain its full event tail. Shrinking evicts
-    /// the oldest retained events; [`HealthSnapshot::journal_total`]
-    /// and sequence numbers are unaffected.
-    pub fn set_journal_capacity(&mut self, capacity: usize) {
-        self.stream.set_journal_capacity(capacity);
-    }
-
     /// The live counters, read from the stream in O(1) (no validation
     /// run).
     pub fn summary(&self) -> ViolationSummary {
@@ -719,7 +614,7 @@ impl QualityMonitor {
     }
 
     /// A point-in-time health snapshot: live violation counts, the
-    /// stream's window/mutation latency percentiles, the tail of its
+    /// stream's window latency percentiles, the tail of its
     /// activity journal, the online loop's counters and the full metric
     /// set — everything an operator dashboard polls, in one call and
     /// one JSON document ([`HealthSnapshot::to_json`]).
@@ -739,7 +634,6 @@ impl QualityMonitor {
         HealthSnapshot {
             summary,
             window_latency: telemetry.window_latency(),
-            mutation_latency: telemetry.mutation_latency(),
             journal: telemetry.journal_tail(HEALTH_JOURNAL_TAIL),
             journal_total: telemetry.journal().total(),
             online,
@@ -767,18 +661,16 @@ const HEALTH_JOURNAL_TAIL: usize = 32;
 /// plain data, serializable to one JSON document.
 ///
 /// With the stream's recording switched off
-/// ([`ValidatorStream::set_telemetry_enabled`]) the latency histograms
-/// read zero and the journal is empty; the violation counts and online
+/// ([`ValidatorStream::set_telemetry_enabled`]) the window latency
+/// histogram reads zero and the journal is empty; the violation counts and online
 /// counters are always live.
 #[derive(Clone, Debug)]
 pub struct HealthSnapshot {
     /// Live violation counts (delta-maintained, no validation run).
     pub summary: ViolationSummary,
-    /// Latency distribution of batched windows
-    /// ([`QualityMonitor::ingest_batch`]), with p50/p90/p99.
+    /// Latency distribution of the stream's mutation windows
+    /// ([`QualityMonitor::ingest_batch`] calls), with p50/p90/p99.
     pub window_latency: HistogramSnapshot,
-    /// Latency distribution of single-mutation ingests.
-    pub mutation_latency: HistogramSnapshot,
     /// The newest journal events (up to 32), oldest first: per-window
     /// mutation/violation churn, compactions, online promote/retire.
     pub journal: Vec<JournalEvent>,
@@ -813,8 +705,6 @@ impl HealthSnapshot {
         w.end_object();
         w.key("window_latency_us");
         self.window_latency.write_json(&mut w);
-        w.key("mutation_latency_us");
-        self.mutation_latency.write_json(&mut w);
         w.key("journal_total");
         w.value_u64(self.journal_total);
         w.key("journal");
@@ -853,6 +743,24 @@ mod tests {
     use condep_core::fixtures as cind_fixtures;
     use condep_model::fixtures::{bank_database, bank_schema, clean_bank_database};
     use condep_model::tuple;
+
+    /// Ingests one arriving tuple as a window of one, returning its
+    /// delta.
+    fn insert(monitor: &mut QualityMonitor, rel: RelId, tuple: Tuple) -> SigmaDelta {
+        let mut deltas = monitor
+            .ingest_batch(&[Mutation::Insert { rel, tuple }])
+            .unwrap();
+        deltas.remove(0)
+    }
+
+    /// Ingests one departing tuple as a window of one, returning its
+    /// delta.
+    fn delete(monitor: &mut QualityMonitor, rel: RelId, tuple: Tuple) -> SigmaDelta {
+        let mut deltas = monitor
+            .ingest_batch(&[Mutation::Delete { rel, tuple }])
+            .unwrap();
+        deltas.remove(0)
+    }
 
     fn bank_suite() -> QualitySuite {
         QualitySuite::new(
@@ -906,12 +814,12 @@ mod tests {
         let interest = suite.schema().rel_id("interest").unwrap();
         // A fresh violation raises the counters...
         let bad = tuple!["GLA", "UK", "checking", "9.9%"];
-        let delta = monitor.insert(interest, bad.clone()).unwrap();
+        let delta = insert(&mut monitor, interest, bad.clone());
         assert!(!delta.is_quiet());
         let raised = monitor.summary().total();
         assert!(raised > 2, "summary must rise: {raised}");
         // ... and deleting it streams the retraction back down.
-        let gone = monitor.delete(interest, &bad).unwrap();
+        let gone = delete(&mut monitor, interest, bad);
         assert!(!gone.resolved().is_empty());
         assert_eq!(monitor.summary().total(), 2);
         // The delta-maintained summary matches a from-scratch check.
@@ -962,14 +870,16 @@ mod tests {
         let interest = suite.schema().rel_id("interest").unwrap();
         // t12 is the ϕ3 offender: EDI UK checking at 10.5%. Repairing
         // the rate resolves the CFD violation.
-        let (del, ins) = monitor
-            .update(
-                interest,
-                &tuple!["EDI", "UK", "checking", "10.5%"],
-                tuple!["EDI", "UK", "checking", "1.5%"],
-            )
-            .unwrap()
+        let deltas = monitor
+            .ingest_batch(&[Mutation::Update {
+                rel: interest,
+                old: tuple!["EDI", "UK", "checking", "10.5%"],
+                new: tuple!["EDI", "UK", "checking", "1.5%"],
+            }])
             .unwrap();
+        let [del, ins] = &deltas[..] else {
+            panic!("an update gets a delete and an insert delta: {deltas:?}");
+        };
         assert_eq!(del.cfd.resolved.len(), 1);
         assert!(ins.cfd.introduced.is_empty());
         assert_eq!(monitor.summary().cfd_violations, 0);
@@ -1057,9 +967,9 @@ mod tests {
         // The delta engine stays live across the reshaped suite.
         let interest = suite.schema().rel_id("interest").unwrap();
         let bad = tuple!["GLA", "UK", "checking", "9.9%"];
-        assert!(!monitor.insert(interest, bad.clone()).unwrap().is_quiet());
+        assert!(!insert(&mut monitor, interest, bad.clone()).is_quiet());
         assert!(monitor.summary().total() > 2);
-        monitor.delete(interest, &bad).unwrap();
+        delete(&mut monitor, interest, bad);
         assert_eq!(monitor.summary().total(), 2);
         // And the live state still equals a from-scratch batch check.
         let fresh = suite.check(monitor.db());
@@ -1134,7 +1044,7 @@ mod tests {
             ("GLA", "UK", "z10"),
             ("EDI", "UK", "z11"),
         ] {
-            monitor.insert(fact, tuple![city, country, zip]).unwrap();
+            insert(&mut monitor, fact, tuple![city, country, zip]);
         }
         let activity = monitor.online_activity().unwrap();
         assert_eq!(activity.polls, 1);
@@ -1151,7 +1061,7 @@ mod tests {
         assert!(promoted_cfds.contains(&fd_idx));
         assert!(!promoted_cinds.is_empty(), "fact[city] ⊆ cities[name]");
         // A dirty arrival now violates the *promoted* dependencies.
-        monitor.insert(fact, tuple!["EDI", "US", "z99"]).unwrap();
+        insert(&mut monitor, fact, tuple!["EDI", "US", "z99"]);
         assert!(monitor.summary().cfd_violations > 0);
         let fresh = QualitySuite::from_normal(
             schema.clone(),
@@ -1167,9 +1077,9 @@ mod tests {
         // decayed below `retire_confidence` and the affected promotions
         // retire, resolving their violations — the still-confident rest
         // (NYC ⇒ US, GLA ⇒ UK, the CINDs) stays live.
-        monitor.insert(fact, tuple!["EDI", "US", "z12"]).unwrap();
-        monitor.insert(fact, tuple!["EDI", "US", "z13"]).unwrap();
-        monitor.insert(fact, tuple!["GLA", "UK", "z14"]).unwrap();
+        insert(&mut monitor, fact, tuple!["EDI", "US", "z12"]);
+        insert(&mut monitor, fact, tuple!["EDI", "US", "z13"]);
+        insert(&mut monitor, fact, tuple!["GLA", "UK", "z14"]);
         let activity = monitor.online_activity().unwrap();
         assert_eq!(activity.polls, 2);
         assert!(activity.retired > 0, "decayed promotions must retire");
@@ -1358,11 +1268,17 @@ mod tests {
     }
 
     #[test]
-    fn monitor_delete_from_an_out_of_range_relation_is_none() {
+    fn monitor_rejects_a_delete_from_an_out_of_range_relation() {
         let suite = bank_suite();
         let (mut monitor, initial) = suite.monitor(bank_database());
         let missing = RelId(bank_schema().len() as u32);
-        assert!(monitor.delete(missing, &tuple!["x"]).is_none());
+        let err = monitor
+            .ingest_batch(&[Mutation::Delete {
+                rel: missing,
+                tuple: tuple!["x"],
+            }])
+            .unwrap_err();
+        assert_eq!(err, ModelError::RelOutOfRange(missing.index()));
         assert_eq!(monitor.report().summary, initial.summary);
     }
 
@@ -1441,7 +1357,6 @@ mod tests {
         for key in [
             "\"violations\"",
             "\"window_latency_us\"",
-            "\"mutation_latency_us\"",
             "\"journal\"",
             "\"journal_total\"",
             "\"online\"",

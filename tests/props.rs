@@ -684,8 +684,9 @@ impl ShadowReport {
 }
 
 /// ≥ 240 random mutation sequences over a collision-heavy two-relation
-/// workload, interleaving single mutations, `apply_deltas` batches and
-/// `compact()` calls: after **every** step, the stream's materialized
+/// workload, interleaving single mutations through `apply`,
+/// multi-mutation `apply_deltas` windows and `compact()` calls: after
+/// **every** step, the stream's materialized
 /// violation set, an external delta consumer, and a from-scratch batch
 /// `Validator::validate` of the current database must be identical — the
 /// equivalence oracle for the delta engine — and every live [`TupleId`]
@@ -885,9 +886,14 @@ fn stream_deltas_agree_with_batch_validation_on_random_sequences() {
                 }
             } else if roll < 7 {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
-                let t = random_tuple(&mut rng, rel);
-                let delta = stream.insert_tuple(rel, t).unwrap();
-                shadow.apply(&oracle, &delta);
+                let tuple = random_tuple(&mut rng, rel);
+                for delta in stream
+                    .apply(Mutation::Insert { rel, tuple })
+                    .unwrap()
+                    .deltas
+                {
+                    shadow.apply(&oracle, &delta);
+                }
                 mutations += 1;
             } else if roll < 10 {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
@@ -895,14 +901,17 @@ fn stream_deltas_agree_with_batch_validation_on_random_sequences() {
                 if len == 0 {
                     continue;
                 }
-                let t = stream
+                let tuple = stream
                     .db()
                     .relation(rel)
                     .get(rng.gen_range(0..len))
                     .unwrap()
                     .clone();
-                let delta = stream.delete_tuple(rel, &t).expect("tuple is present");
-                shadow.apply(&oracle, &delta);
+                let applied = stream.apply(Mutation::Delete { rel, tuple }).unwrap();
+                assert!(!applied.is_noop(), "tuple is present");
+                for delta in &applied.deltas {
+                    shadow.apply(&oracle, delta);
+                }
                 mutations += 1;
             } else {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
@@ -917,12 +926,12 @@ fn stream_deltas_agree_with_batch_validation_on_random_sequences() {
                     .unwrap()
                     .clone();
                 let new = random_tuple(&mut rng, rel);
-                let (del, ins) = stream
-                    .update_tuple(rel, &old, new)
-                    .unwrap()
-                    .expect("tuple is present");
-                shadow.apply(&oracle, &del);
-                shadow.apply(&oracle, &ins);
+                let identity = old == new;
+                let applied = stream.apply(Mutation::Update { rel, old, new }).unwrap();
+                assert_eq!(applied.is_noop(), identity, "tuple is present");
+                for delta in &applied.deltas {
+                    shadow.apply(&oracle, delta);
+                }
                 mutations += 1;
             }
             if step % 9 == 4 {
@@ -1209,12 +1218,15 @@ fn cover_compiled_stream_matches_uncovered_on_random_sequences() {
                 }
             } else if roll < 6 {
                 let rel = if rng.gen_bool(0.7) { r } else { s };
-                let t = random_tuple(&mut rng, rel);
-                let cov_delta = cov_stream.insert_tuple(rel, t.clone()).unwrap();
-                let unc_delta = unc_stream.insert_tuple(rel, t).unwrap();
+                let m = Mutation::Insert {
+                    rel,
+                    tuple: random_tuple(&mut rng, rel),
+                };
+                let cov_deltas = cov_stream.apply(m.clone()).unwrap().deltas;
+                let unc_deltas = unc_stream.apply(m).unwrap().deltas;
                 assert_eq!(
-                    norm(cov_delta),
-                    norm(unc_delta),
+                    cov_deltas.into_iter().map(norm).collect::<Vec<_>>(),
+                    unc_deltas.into_iter().map(norm).collect::<Vec<_>>(),
                     "seed {seed} step {step}: insert deltas diverged"
                 );
                 mutations += 1;
@@ -1224,17 +1236,21 @@ fn cover_compiled_stream_matches_uncovered_on_random_sequences() {
                 if len == 0 {
                     continue;
                 }
-                let t = cov_stream
-                    .db()
-                    .relation(rel)
-                    .get(rng.gen_range(0..len))
-                    .unwrap()
-                    .clone();
-                let cov_delta = cov_stream.delete_tuple(rel, &t).expect("tuple is present");
-                let unc_delta = unc_stream.delete_tuple(rel, &t).expect("tuple is present");
+                let m = Mutation::Delete {
+                    rel,
+                    tuple: cov_stream
+                        .db()
+                        .relation(rel)
+                        .get(rng.gen_range(0..len))
+                        .unwrap()
+                        .clone(),
+                };
+                let cov_deltas = cov_stream.apply(m.clone()).unwrap().deltas;
+                let unc_deltas = unc_stream.apply(m).unwrap().deltas;
+                assert_eq!(cov_deltas.len(), 1, "tuple is present");
                 assert_eq!(
-                    norm(cov_delta),
-                    norm(unc_delta),
+                    cov_deltas.into_iter().map(norm).collect::<Vec<_>>(),
+                    unc_deltas.into_iter().map(norm).collect::<Vec<_>>(),
                     "seed {seed} step {step}: delete deltas diverged"
                 );
                 mutations += 1;
