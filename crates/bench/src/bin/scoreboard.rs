@@ -9,19 +9,21 @@
 //! ```
 //!
 //! `run` drives every matrix scenario through the generic runner,
-//! validates the emitted document (well-formed JSON + required key
-//! schema) and writes it — by default to `SCOREBOARD.json` at the repo
-//! root, the committed baseline; a subset (`--only`) must name its own
-//! `--out`. `diff` compares two scoreboard documents with class-aware
-//! thresholds and exits `2` on any gated regression;
+//! validates the emitted document (well-formed JSON + the entry shape)
+//! and writes it — by default to `SCOREBOARD.json` at the repo root,
+//! the committed baseline; a subset (`--only`) must name its own
+//! `--out`. `diff` compares two scoreboard documents leaf by leaf with
+//! class-aware thresholds and exits `2` on any gated regression;
 //! `scoreboard diff SCOREBOARD.json SCOREBOARD.json` is
-//! zero-regression by construction. CI runs the matrix with
-//! `--out target/…` and diffs against the committed baseline with
-//! loose timing thresholds — counters still gate exactly. A command
-//! line that does not parse prints the usage and exits `1`.
+//! zero-regression by construction. CI runs the matrix twice with
+//! `--out target/…`, diffs the two runs with timing gates opened, and
+//! diffs the first against the committed baseline with loose timing
+//! thresholds — counters gate exactly in both. A command line that
+//! does not parse prints the usage and exits `1`.
 
 use condep_bench::scenario::{matrix, run_scenario, ScenarioResult};
 use condep_bench::scoreboard::{diff, emit, parse_args, validate, Command, Thresholds, USAGE};
+use condep_telemetry::{HistogramSnapshot, MetricValue};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -90,47 +92,54 @@ fn cmd_run(out: &Path, only: Option<Vec<&str>>) -> ExitCode {
 }
 
 fn print_result(r: &ScenarioResult) {
-    if let Some(sl) = &r.sigma_lint {
+    let c = |name: &str| r.count(name).unwrap_or(0);
+    if let Some(families) = r.count("analyze.families") {
         println!(
-            "{:24} {} families  sat/unsat/unknown {}/{}/{}  core cfds {}  \
+            "{:24} {families} families  sat/unsat/unknown {}/{}/{}  core cfds {}  \
              lints {}  misses {}",
             r.name,
-            sl.families,
-            sl.sat,
-            sl.unsat,
-            sl.unknown,
-            sl.core_cfds,
-            sl.lints,
-            sl.expectation_misses,
+            c("analyze.verdict.sat"),
+            c("analyze.verdict.unsat"),
+            c("analyze.verdict.unknown"),
+            c("analyze.core.cfds"),
+            c("analyze.lints"),
+            c("analyze.expectation.misses"),
         );
         return;
     }
+    let window = match r.metrics.get("stream.apply.window_us") {
+        Some(MetricValue::Histogram(h)) => *h,
+        _ => HistogramSnapshot::default(),
+    };
+    let repair = match r.count("repair.fixes.accepted") {
+        Some(accepted) => format!(
+            "  repair {accepted}+/{}- residual {}",
+            c("repair.fixes.rejected"),
+            c("repair.violations.residual"),
+        ),
+        None => String::new(),
+    };
+    let poisoned = match r.count("scenario.poisoned.classes") {
+        Some(classes) if classes > 0 => format!(
+            "  poisoned {classes}: restored {} flipped {} untouched {}",
+            c("scenario.poisoned.restored"),
+            c("scenario.poisoned.flipped"),
+            c("scenario.poisoned.untouched"),
+        ),
+        _ => String::new(),
+    };
     println!(
         "{:24} rows {:>6}  churn {:>5} ops ({:>9.0} ops/s)  \
-         p50/p90/p99 {:>5}/{:>5}/{:>5} µs  violations {} -> {} -> {}{}",
+         p50/p90/p99 {:>5}/{:>5}/{:>5} µs  violations {} -> {}{repair}{poisoned}",
         r.name,
         r.rows,
         r.churn_ops,
         r.churn_ops_per_s,
-        r.latency.p50_us,
-        r.latency.p90_us,
-        r.latency.p99_us,
-        r.violations.initial,
-        r.violations.residual,
-        r.violations.after_churn,
-        match &r.repair {
-            Some(rep) => format!(
-                "  repair {}+/{}-{}",
-                rep.accepted,
-                rep.rejected,
-                if rep.poisoned_classes > 0 {
-                    format!("  flips {}/{}", rep.majority_flips, rep.poisoned_classes)
-                } else {
-                    String::new()
-                }
-            ),
-            None => String::new(),
-        },
+        window.p50_us,
+        window.p90_us,
+        window.p99_us,
+        c("scenario.violations.initial"),
+        c("monitor.violations.cfd") + c("monitor.violations.cind"),
     );
 }
 

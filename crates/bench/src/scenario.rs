@@ -5,17 +5,17 @@
 //! schedule and the passes to run; [`run_scenario`] drives every
 //! scenario through the same generate → discover/compile → validate →
 //! repair → stream-churn → health pipeline and captures one
-//! [`ScenarioResult`] — throughput, latency percentiles from the
-//! stream's telemetry histograms, residual violations, repair
-//! accept/reject counts and the full metric set. The scoreboard
-//! ([`crate::scoreboard`]) serializes the results and diffs runs.
+//! [`ScenarioResult`]: the workload's identity, wall time and
+//! throughput per pass, and every other figure once, in one
+//! [`MetricsSnapshot`]. The scoreboard ([`crate::scoreboard`])
+//! serializes the results and diffs runs.
 //!
 //! Every scenario is deterministic for its seed in everything but wall
 //! time: the counters of two runs on the same tree are byte-identical,
 //! which is what lets CI diff a fresh run against the committed
 //! baseline with exact counter thresholds.
 
-use condep::report::{HealthSnapshot, QualitySuite};
+use condep::report::QualitySuite;
 use condep_discover::online::OnlineConfig;
 use condep_discover::DiscoveryConfig;
 use condep_gen::{
@@ -24,8 +24,8 @@ use condep_gen::{
     DirtyDataConfig, PlantedSigmaConfig, PoisonedClass, SchemaGenConfig, SigmaGenConfig,
 };
 use condep_model::{Database, RelId, Tuple};
-use condep_repair::{RepairBudget, RepairCost};
-use condep_telemetry::MetricsSnapshot;
+use condep_repair::{AppliedFix, Fix, RepairBudget, RepairCost};
+use condep_telemetry::{MetricValue, MetricsSnapshot, Registry};
 use condep_validate::Mutation;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -142,143 +142,32 @@ pub struct ElapsedUs {
     pub churn: u64,
 }
 
-/// Latency percentiles captured from the stream's telemetry
-/// histograms.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LatencySummary {
-    /// Median, µs (bucket upper bound).
-    pub p50_us: u64,
-    /// 90th percentile, µs.
-    pub p90_us: u64,
-    /// 99th percentile, µs.
-    pub p99_us: u64,
-    /// Largest sample, µs (exact).
-    pub max_us: u64,
-    /// Samples recorded.
-    pub count: u64,
-}
-
-/// Violation counts at the pipeline's checkpoints.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ViolationCounts {
-    /// After generation + dirt, before any cleaning.
-    pub initial: u64,
-    /// Residual after the repair pass (== `initial` when repair is
-    /// skipped).
-    pub residual: u64,
-    /// Live count after the churn pass (== `residual` when churn is
-    /// skipped).
-    pub after_churn: u64,
-}
-
-/// What the repair pass did, scored against the dirt ground truth.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RepairOutcome {
-    /// Fixes kept (verified net-negative through the delta engine).
-    pub accepted: u64,
-    /// Candidate fixes applied and rolled back.
-    pub rejected: u64,
-    /// Planned fixes skipped as stale.
-    pub stale: u64,
-    /// Fixpoint rounds.
-    pub rounds: u64,
-    /// Cells edited across kept fixes.
-    pub cells_edited: u64,
-    /// Tuples deleted across kept fixes.
-    pub tuples_deleted: u64,
-    /// Tuples inserted across kept fixes.
-    pub tuples_inserted: u64,
-    /// Adversarial scenarios: poisoned classes where the dirty value
-    /// won the majority election (the heuristic's failure count).
-    pub majority_flips: u64,
-    /// Adversarial scenarios: classes poisoned in total.
-    pub poisoned_classes: u64,
-}
-
-/// Stream counters captured after the churn pass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StreamStats {
-    /// `apply_deltas` windows ingested.
-    pub windows: u64,
-    /// Effective inserts.
-    pub inserts: u64,
-    /// Effective deletes.
-    pub deletes: u64,
-    /// No-op mutations.
-    pub noops: u64,
-    /// Journal events over the monitor's lifetime.
-    pub journal_total: u64,
-    /// Share of key-group lookups served probe-free (0.0 before any).
-    pub probe_hit_rate: f64,
-    /// Live positions across the stream's key-group indexes
-    /// (`stream.index.live`).
-    pub index_live: u64,
-    /// Position entries those indexes store, live or spare or dead
-    /// (`stream.index.stored`).
-    pub index_stored: u64,
-}
-
-/// Online-discovery counters, when the loop ran.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OnlineStats {
-    /// Proposal polls run.
-    pub polls: u64,
-    /// Dependencies proposed across all polls.
-    pub proposed: u64,
-    /// Dependencies promoted into the live suite.
-    pub promoted: u64,
-    /// Promoted dependencies later retired on decay.
-    pub retired: u64,
-    /// Distinct values the miner's dictionary holds at the end
-    /// (`monitor.online.values`).
-    pub values: u64,
-    /// Classes across the miner's pair sketches at the end
-    /// (`monitor.online.classes`).
-    pub classes: u64,
-}
-
-/// Σ static-analysis sweep counters (the `sigma_lint` scenario).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SigmaLintStats {
-    /// Families analyzed across all seeds.
-    pub families: u64,
-    /// `Sat` verdicts (each with a witness that re-validated).
-    pub sat: u64,
-    /// `Unsat` verdicts (each with a minimal core).
-    pub unsat: u64,
-    /// `Unknown` verdicts (budgeted-chase give-ups).
-    pub unknown: u64,
-    /// Total unsat-core CFDs across all `Unsat` verdicts.
-    pub core_cfds: u64,
-    /// Total Σ lints raised.
-    pub lints: u64,
-    /// Sat witnesses that re-validated through `Validator` (must equal
-    /// `sat`).
-    pub witness_ok: u64,
-    /// Families whose analysis missed the generator's expectation
-    /// (must stay 0).
-    pub expectation_misses: u64,
-}
-
-/// Live-Σ churn counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SigmaChurnStats {
-    /// Retire calls (each drops pair 0's dependencies).
-    pub retires: u64,
-    /// Re-add calls (each splices them back live).
-    pub readds: u64,
-}
-
 /// Everything one scenario run measured.
+///
+/// The workload's identity (`rows` … `passes`), wall time per pass and
+/// the two throughputs are fields; every other figure lives once, in
+/// `metrics`:
+/// - the monitor's `health().metrics` after the churn pass (`stream.*`
+///   and `monitor.*`);
+/// - the repair run's `repair.*` keys (`RepairReport::metrics`), when
+///   the pass ran;
+/// - the `sigma_lint` sweep's `analyze.*` counters;
+/// - the scenario's own figures under `scenario.*`: the violations the
+///   batch check found before cleaning (`scenario.violations.initial`),
+///   the Σ-churn calls (`scenario.sigma_churn.{retires,readds}`) and,
+///   when repair ran, the poisoned-class scores
+///   (`scenario.poisoned.{classes,restored,flipped,untouched}`).
 #[derive(Clone, Debug)]
 pub struct ScenarioResult {
     /// The scenario's name.
     pub name: &'static str,
     /// The seed it ran with.
     pub seed: u64,
-    /// Instance rows after generation + dirt.
+    /// Instance rows after generation + dirt (for the `sigma_lint`
+    /// sweep: constraints analyzed).
     pub rows: u64,
-    /// Relations in the schema.
+    /// Relations in the schema (for the `sigma_lint` sweep: families
+    /// analyzed).
     pub relations: u64,
     /// Mutations streamed by the churn pass.
     pub churn_ops: u64,
@@ -290,23 +179,20 @@ pub struct ScenarioResult {
     pub validate_tuples_per_s: f64,
     /// Churn throughput, mutations/s (0.0 when churn is skipped).
     pub churn_ops_per_s: f64,
-    /// Stream latency percentiles.
-    pub latency: LatencySummary,
-    /// Violation checkpoints.
-    pub violations: ViolationCounts,
-    /// Repair outcome, when the pass ran.
-    pub repair: Option<RepairOutcome>,
-    /// Stream counters.
-    pub stream: StreamStats,
-    /// Online-discovery counters, when the loop ran.
-    pub online: Option<OnlineStats>,
-    /// Live-Σ churn counters.
-    pub sigma_churn: SigmaChurnStats,
-    /// Static-analysis sweep counters (the `sigma_lint` scenario).
-    pub sigma_lint: Option<SigmaLintStats>,
-    /// The monitor's full end-of-run metric set (plus
-    /// `monitor.violations.*` / `monitor.online.*`).
+    /// Every other figure of the run (see the type docs).
     pub metrics: MetricsSnapshot,
+}
+
+impl ScenarioResult {
+    /// The counter or gauge `name` of [`ScenarioResult::metrics`];
+    /// `None` when the run exported no such count.
+    pub fn count(&self, name: &str) -> Option<u64> {
+        match self.metrics.get(name)? {
+            MetricValue::Counter(v) => Some(*v),
+            MetricValue::Gauge(v) => u64::try_from(*v).ok(),
+            MetricValue::Float(_) | MetricValue::Histogram(_) => None,
+        }
+    }
 }
 
 /// The default scenario matrix — eleven workloads covering value drift,
@@ -696,37 +582,56 @@ fn build_instance(s: &Scenario, rng: &mut StdRng) -> BuiltInstance {
     }
 }
 
-/// Scores the adversarial ground truth against the repaired database:
-/// a class *flipped* when the dirty value outvoted the clean one in
-/// the final instance.
-fn count_majority_flips(db: &Database, poisoned: &[PoisonedClass]) -> u64 {
-    let Ok(fact) = db.schema().rel_id("fact") else {
-        return 0;
-    };
-    let fact_rs = db.schema().relation(fact).expect("in range");
-    let mut flips = 0u64;
+/// Scores each poisoned class against the kept fixes and the repaired
+/// database, into `scenario.poisoned.*`: *untouched* when no kept fix
+/// acted on a `fact` tuple carrying the class key (before or after an
+/// edit), else *restored* when the clean value strictly outnumbers the
+/// dirty one after repair, else *flipped*. The three sum to
+/// `scenario.poisoned.classes`.
+fn score_poisoned(
+    db: &Database,
+    applied: &[AppliedFix],
+    poisoned: &[PoisonedClass],
+    out: &mut MetricsSnapshot,
+) {
+    let (mut restored, mut flipped, mut untouched) = (0u64, 0u64, 0u64);
     for slot in poisoned {
-        let (Ok(k), Ok(d)) = (
-            fact_rs.attr_id(&format!("k{}", slot.pair)),
-            fact_rs.attr_id(&format!("d{}", slot.pair)),
-        ) else {
-            continue;
-        };
-        let (mut dirty, mut clean) = (0usize, 0usize);
-        for t in db.relation(fact).iter() {
-            if t[k] == slot.key {
-                if t[d] == slot.dirty_value {
-                    dirty += 1;
-                } else if t[d] == slot.clean_value {
-                    clean += 1;
-                }
+        let fact = db.schema().rel_id("fact").expect("planted shape");
+        let attrs = db.schema().relation(fact).expect("in range");
+        let k = attrs.attr_id(&format!("k{}", slot.pair)).expect("planted");
+        let d = attrs.attr_id(&format!("d{}", slot.pair)).expect("planted");
+        let touched = applied.iter().any(|a| match &a.fix {
+            Fix::EditCells { rel, old, new, .. } => {
+                *rel == fact && (old[k] == slot.key || new[k] == slot.key)
             }
+            Fix::DeleteTuple { rel, tuple } | Fix::InsertTuple { rel, tuple } => {
+                *rel == fact && tuple[k] == slot.key
+            }
+        });
+        let (mut dirty, mut clean) = (0usize, 0usize);
+        for t in db.relation(fact).iter().filter(|t| t[k] == slot.key) {
+            dirty += (t[d] == slot.dirty_value) as usize;
+            clean += (t[d] == slot.clean_value) as usize;
         }
-        if dirty > clean {
-            flips += 1;
+        match (touched, clean > dirty) {
+            (false, _) => untouched += 1,
+            (true, true) => restored += 1,
+            (true, false) => flipped += 1,
         }
     }
-    flips
+    out.counter("scenario.poisoned.classes", poisoned.len() as u64);
+    out.counter("scenario.poisoned.restored", restored);
+    out.counter("scenario.poisoned.flipped", flipped);
+    out.counter("scenario.poisoned.untouched", untouched);
+}
+
+/// Items per second over `us` microseconds (0.0 for an untimed pass).
+fn per_s(items: u64, us: u64) -> f64 {
+    if us == 0 {
+        0.0
+    } else {
+        items as f64 / (us as f64 / 1e6)
+    }
 }
 
 /// Builds the churn mutation windows for a scenario (empty when it has
@@ -833,61 +738,62 @@ fn run_sigma_lint(s: &Scenario, seeds: usize) -> ScenarioResult {
     use condep_gen::{sigma_families, ExpectedVerdict};
 
     let config = AnalyzeConfig::default();
-    let mut stats = SigmaLintStats::default();
+    // Every analyzed family bumps these; misses must stay 0 and the
+    // witnesses that re-validate through `Validator` must equal the
+    // `Sat` verdicts.
+    let counters = Registry::new();
+    let families = counters.counter("analyze.families");
+    let sat = counters.counter("analyze.verdict.sat");
+    let unsat = counters.counter("analyze.verdict.unsat");
+    let unknown = counters.counter("analyze.verdict.unknown");
+    let core_cfds = counters.counter("analyze.core.cfds");
+    let lints = counters.counter("analyze.lints");
+    let witness_ok = counters.counter("analyze.witness.ok");
+    let misses = counters.counter("analyze.expectation.misses");
     let mut constraints = 0u64;
     let t0 = Instant::now();
     for i in 0..seeds as u64 {
         for family in sigma_families(s.seed ^ i) {
-            stats.families += 1;
+            families.incr();
             constraints += (family.cfds.len() + family.cinds.len()) as u64;
             let analysis = analyze(&family.schema, &family.cfds, &family.cinds, &config);
-            stats.lints += analysis.lints.len() as u64;
+            lints.add(analysis.lints.len() as u64);
             let mut hit = analysis.lints.len() == family.expect.lints;
             match &analysis.verdict {
                 SigmaVerdict::Sat(w) => {
-                    stats.sat += 1;
+                    sat.incr();
                     hit &= family.expect.verdict == ExpectedVerdict::Sat;
                     let v =
                         condep_validate::Validator::new(family.cfds.clone(), family.cinds.clone());
                     if v.validate(&w.db).is_empty() {
-                        stats.witness_ok += 1;
+                        witness_ok.incr();
                     } else {
                         hit = false;
                     }
                 }
                 SigmaVerdict::Unsat(core) => {
-                    stats.unsat += 1;
-                    stats.core_cfds += core.cfds.len() as u64;
+                    unsat.incr();
+                    core_cfds.add(core.cfds.len() as u64);
                     hit &= family.expect.verdict == ExpectedVerdict::Unsat
                         && core.cfds.len() == family.expect.core_size;
                 }
                 SigmaVerdict::Unknown(_) => {
-                    stats.unknown += 1;
+                    unknown.incr();
                     hit &= family.expect.verdict == ExpectedVerdict::Unknown;
                 }
             }
             if !hit {
-                stats.expectation_misses += 1;
+                misses.incr();
             }
         }
     }
     let sigma_us = t0.elapsed().as_micros() as u64;
 
-    let mut metrics = MetricsSnapshot::new();
-    metrics.counter("analyze.families", stats.families);
-    metrics.counter("analyze.verdict.sat", stats.sat);
-    metrics.counter("analyze.verdict.unsat", stats.unsat);
-    metrics.counter("analyze.verdict.unknown", stats.unknown);
-    metrics.counter("analyze.core.cfds", stats.core_cfds);
-    metrics.counter("analyze.lints", stats.lints);
-    metrics.counter("analyze.witness.ok", stats.witness_ok);
-    metrics.counter("analyze.expectation.misses", stats.expectation_misses);
-
     ScenarioResult {
         name: s.name,
         seed: s.seed,
         rows: constraints,
-        relations: stats.families,
+        relations: families.get(),
         churn_ops: 0,
         passes: vec!["sigma_lint"],
         elapsed: ElapsedUs {
@@ -896,14 +802,7 @@ fn run_sigma_lint(s: &Scenario, seeds: usize) -> ScenarioResult {
         },
         validate_tuples_per_s: 0.0,
         churn_ops_per_s: 0.0,
-        latency: LatencySummary::default(),
-        violations: ViolationCounts::default(),
-        repair: None,
-        stream: StreamStats::default(),
-        online: None,
-        sigma_churn: SigmaChurnStats::default(),
-        sigma_lint: Some(stats),
-        metrics,
+        metrics: counters.snapshot(),
     }
 }
 
@@ -938,41 +837,32 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
     let t0 = Instant::now();
     let initial = suite.check(&db);
     let validate_us = t0.elapsed().as_micros() as u64;
-    let validate_tuples_per_s = if validate_us == 0 {
-        0.0
-    } else {
-        rows as f64 / (validate_us as f64 / 1e6)
-    };
+    let mut metrics = MetricsSnapshot::new();
+    metrics.counter(
+        "scenario.violations.initial",
+        initial.summary.total() as u64,
+    );
 
-    let mut violations = ViolationCounts {
-        initial: initial.summary.total() as u64,
-        residual: initial.summary.total() as u64,
-        after_churn: initial.summary.total() as u64,
-    };
-
-    let (db, repair_outcome, repair_us) = if s.repair {
+    let (db, repair_us) = if s.repair {
         passes.push("repair");
         let t0 = Instant::now();
-        let (repaired, report) = suite
+        let (repaired, mut report) = suite
             .repair(db, &RepairCost::default(), &RepairBudget::default())
             .expect("scenario sigmas are satisfiable by construction");
         let repair_us = t0.elapsed().as_micros() as u64;
-        violations.residual = report.residual.len() as u64;
-        violations.after_churn = violations.residual;
-        let outcome = RepairOutcome {
-            accepted: report.fixes_applied() as u64,
-            rejected: report.log.rejected as u64,
-            stale: report.log.stale as u64,
-            rounds: report.log.rounds as u64,
-            cells_edited: report.cells_edited as u64,
-            tuples_deleted: report.tuples_deleted as u64,
-            tuples_inserted: report.tuples_inserted as u64,
-            majority_flips: count_majority_flips(&repaired, &built.poisoned),
-            poisoned_classes: built.poisoned.len() as u64,
-        };
-        (repaired, Some(outcome), repair_us)
+        score_poisoned(
+            &repaired,
+            &report.log.applied,
+            &built.poisoned,
+            &mut metrics,
+        );
+        // The repair stream's own `stream.*` telemetry stays out: the
+        // monitor's `stream.*` below is the churn pass's.
+        report.metrics.retain(|name, _| name.starts_with("repair."));
+        metrics.merge("", &report.metrics);
+        (repaired, repair_us)
     } else {
-        (db, None, 0)
+        (db, 0)
     };
 
     // Streaming pass: a monitor over the (possibly repaired) instance.
@@ -983,7 +873,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
         monitor = monitor.with_online_discovery(online);
     }
 
-    let mut sigma_churn = SigmaChurnStats::default();
+    let (mut retires, mut readds) = (0u64, 0u64);
     // Live Σ churn rotates pair 0's planted dependencies: its variable
     // FD plus constant rows sit at the front of the CFD list, both for
     // planted suites and for the re-added clones.
@@ -1010,61 +900,20 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
             monitor.ingest_batch(window).expect("well-typed");
             if s.sigma_churn_every > 0 && (w + 1) % s.sigma_churn_every == 0 {
                 monitor.retire_dependencies(&rotating, &[]);
-                sigma_churn.retires += 1;
+                retires += 1;
                 // Re-added dependencies append to the live Σ: their
                 // indices are the tail of the CFD list after the splice.
                 let before = monitor.validator().cfds().len();
                 monitor.add_dependencies(rotating_cfds.clone(), Vec::new());
-                sigma_churn.readds += 1;
+                readds += 1;
                 rotating = (before..before + rotating_cfds.len()).collect();
             }
         }
         t0.elapsed().as_micros() as u64
     };
-    let churn_ops_per_s = if churn_us == 0 {
-        0.0
-    } else {
-        churn_ops as f64 / (churn_us as f64 / 1e6)
-    };
-    if !windows.is_empty() {
-        violations.after_churn = monitor.summary().total() as u64;
-    }
-
-    let health: HealthSnapshot = monitor.health();
-    let latency = LatencySummary {
-        p50_us: health.window_latency.p50_us,
-        p90_us: health.window_latency.p90_us,
-        p99_us: health.window_latency.p99_us,
-        max_us: health.window_latency.max_us,
-        count: health.window_latency.count,
-    };
-    let telemetry_snapshot = health.metrics.clone();
-    let counter_of = |name: &str| match telemetry_snapshot.get(name) {
-        Some(condep_telemetry::MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    let gauge_of = |name: &str| match telemetry_snapshot.get(name) {
-        Some(condep_telemetry::MetricValue::Gauge(v)) => u64::try_from(*v).unwrap_or(0),
-        _ => 0,
-    };
-    let stream = StreamStats {
-        windows: counter_of("stream.apply.windows"),
-        inserts: counter_of("stream.mutations.inserts"),
-        deletes: counter_of("stream.mutations.deletes"),
-        noops: counter_of("stream.mutations.noops"),
-        journal_total: health.journal_total,
-        probe_hit_rate: {
-            let slot = counter_of("stream.probes.slot");
-            let total = slot + counter_of("stream.probes.hash");
-            if total == 0 {
-                0.0
-            } else {
-                slot as f64 / total as f64
-            }
-        },
-        index_live: gauge_of("stream.index.live"),
-        index_stored: gauge_of("stream.index.stored"),
-    };
+    metrics.counter("scenario.sigma_churn.retires", retires);
+    metrics.counter("scenario.sigma_churn.readds", readds);
+    metrics.merge("", &monitor.health().metrics);
 
     ScenarioResult {
         name: s.name,
@@ -1080,22 +929,8 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
             repair: repair_us,
             churn: churn_us,
         },
-        validate_tuples_per_s,
-        churn_ops_per_s,
-        latency,
-        violations,
-        repair: repair_outcome,
-        stream,
-        online: health.online.map(|a| OnlineStats {
-            polls: a.polls as u64,
-            proposed: a.proposed as u64,
-            promoted: a.promoted as u64,
-            retired: a.retired as u64,
-            values: gauge_of("monitor.online.values"),
-            classes: gauge_of("monitor.online.classes"),
-        }),
-        sigma_churn,
-        sigma_lint: None,
-        metrics: health.metrics,
+        validate_tuples_per_s: per_s(rows, validate_us),
+        churn_ops_per_s: per_s(churn_ops, churn_us),
+        metrics,
     }
 }

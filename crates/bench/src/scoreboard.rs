@@ -2,22 +2,26 @@
 //!
 //! [`emit`] renders a slice of [`ScenarioResult`]s as one deterministic
 //! pretty-printed JSON document (scenario entries keyed by name, keys
-//! in fixed order); [`validate`] checks a document is well-formed JSON
-//! carrying the required per-scenario key schema; [`diff`] compares two
-//! documents metric-by-metric with class-aware thresholds:
+//! in fixed order). Every entry has exactly the top-level keys of
+//! [`ENTRY_KEYS`]: the workload's identity (`seed`, `fingerprint`), its
+//! wall time and throughput per pass, and `metrics`, the one metric
+//! snapshot that holds every other figure the run measured.
+//! [`validate`] checks a document is well-formed JSON carrying that
+//! shape; [`diff`] compares two documents leaf by leaf with
+//! class-aware thresholds:
 //!
-//! - **counters** (violation counts, repair accept/reject, stream
-//!   mutation counts, …) are deterministic for a fixed seed and gate
-//!   **exactly** by default — any drift means behavior changed;
-//! - **latency** paths (`elapsed_us.*`, `latency_us.{p50,p90,p99,max}`)
-//!   gate on a relative threshold with an absolute floor, so machine
-//!   noise under the floor never trips the gate;
-//! - **throughput** paths (`*per_s`) gate on a relative drop;
-//! - **`metrics.*`** is informational — full-fidelity telemetry travels
-//!   with the scoreboard but never gates;
-//! - **fingerprint** paths (and string leaves) must match exactly or
-//!   the scenario is reported *incomparable* (workload shape changed —
-//!   rebaseline rather than gate).
+//! - **counters**: every `metrics.*` leaf not ending `_us` (violation
+//!   counts, repair accept/reject, stream probe and mutation counts,
+//!   histogram sample counts, …) is deterministic for a fixed seed and
+//!   gates **exactly** by default — any drift means behavior changed;
+//! - **latency**: `elapsed_us.*` and every `metrics.*` leaf ending `_us`
+//!   (histogram sums, maxima and percentiles) gate on a relative
+//!   threshold with an absolute floor, so machine noise under the floor
+//!   never trips the gate;
+//! - **throughput**: `throughput.*` gates on a relative drop;
+//! - **fingerprint**: `seed` and `fingerprint.*` (and string leaves)
+//!   must match exactly or the scenario is reported *incomparable*
+//!   (workload shape changed — rebaseline rather than gate).
 //!
 //! [`parse_args`] reads the `scoreboard` binary's command line.
 
@@ -27,7 +31,17 @@ use std::path::PathBuf;
 
 /// Current scoreboard document version ([`emit`] stamps it,
 /// [`validate`] requires it).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
+
+/// The top-level keys of every scenario entry, in emitted order.
+pub const ENTRY_KEYS: &[&str] = &[
+    "name",
+    "seed",
+    "fingerprint",
+    "elapsed_us",
+    "throughput",
+    "metrics",
+];
 
 /// Renders results as the scoreboard JSON document.
 pub fn emit(results: &[ScenarioResult]) -> String {
@@ -91,171 +105,27 @@ fn write_entry(w: &mut JsonWriter, r: &ScenarioResult) {
     w.value_f64(r.churn_ops_per_s);
     w.end_object();
 
-    w.key("latency_us");
-    w.begin_object();
-    w.key("p50");
-    w.value_u64(r.latency.p50_us);
-    w.key("p90");
-    w.value_u64(r.latency.p90_us);
-    w.key("p99");
-    w.value_u64(r.latency.p99_us);
-    w.key("max");
-    w.value_u64(r.latency.max_us);
-    w.key("count");
-    w.value_u64(r.latency.count);
-    w.end_object();
-
-    w.key("violations");
-    w.begin_object();
-    w.key("initial");
-    w.value_u64(r.violations.initial);
-    w.key("residual");
-    w.value_u64(r.violations.residual);
-    w.key("after_churn");
-    w.value_u64(r.violations.after_churn);
-    w.end_object();
-
-    w.key("repair");
-    match &r.repair {
-        Some(rep) => {
-            w.begin_object();
-            w.key("accepted");
-            w.value_u64(rep.accepted);
-            w.key("rejected");
-            w.value_u64(rep.rejected);
-            w.key("stale");
-            w.value_u64(rep.stale);
-            w.key("rounds");
-            w.value_u64(rep.rounds);
-            w.key("cells_edited");
-            w.value_u64(rep.cells_edited);
-            w.key("tuples_deleted");
-            w.value_u64(rep.tuples_deleted);
-            w.key("tuples_inserted");
-            w.value_u64(rep.tuples_inserted);
-            w.key("majority_flips");
-            w.value_u64(rep.majority_flips);
-            w.key("poisoned_classes");
-            w.value_u64(rep.poisoned_classes);
-            w.end_object();
-        }
-        None => w.value_null(),
-    }
-
-    w.key("stream");
-    w.begin_object();
-    w.key("windows");
-    w.value_u64(r.stream.windows);
-    w.key("inserts");
-    w.value_u64(r.stream.inserts);
-    w.key("deletes");
-    w.value_u64(r.stream.deletes);
-    w.key("noops");
-    w.value_u64(r.stream.noops);
-    w.key("journal_total");
-    w.value_u64(r.stream.journal_total);
-    w.key("probe_hit_rate");
-    w.value_f64(r.stream.probe_hit_rate);
-    w.key("index_live");
-    w.value_u64(r.stream.index_live);
-    w.key("index_stored");
-    w.value_u64(r.stream.index_stored);
-    w.end_object();
-
-    w.key("online");
-    match &r.online {
-        Some(o) => {
-            w.begin_object();
-            w.key("polls");
-            w.value_u64(o.polls);
-            w.key("proposed");
-            w.value_u64(o.proposed);
-            w.key("promoted");
-            w.value_u64(o.promoted);
-            w.key("retired");
-            w.value_u64(o.retired);
-            w.key("values");
-            w.value_u64(o.values);
-            w.key("classes");
-            w.value_u64(o.classes);
-            w.end_object();
-        }
-        None => w.value_null(),
-    }
-
-    w.key("sigma_churn");
-    w.begin_object();
-    w.key("retires");
-    w.value_u64(r.sigma_churn.retires);
-    w.key("readds");
-    w.value_u64(r.sigma_churn.readds);
-    w.end_object();
-
-    // Static-analysis sweep counters: null for pipeline scenarios (the
-    // diff flattener skips nulls), an exact-gated counter block for the
-    // `sigma_lint` scenario.
-    w.key("sigma_lint");
-    match &r.sigma_lint {
-        Some(sl) => {
-            w.begin_object();
-            w.key("families");
-            w.value_u64(sl.families);
-            w.key("sat");
-            w.value_u64(sl.sat);
-            w.key("unsat");
-            w.value_u64(sl.unsat);
-            w.key("unknown");
-            w.value_u64(sl.unknown);
-            w.key("core_cfds");
-            w.value_u64(sl.core_cfds);
-            w.key("lints");
-            w.value_u64(sl.lints);
-            w.key("witness_ok");
-            w.value_u64(sl.witness_ok);
-            w.key("expectation_misses");
-            w.value_u64(sl.expectation_misses);
-            w.end_object();
-        }
-        None => w.value_null(),
-    }
-
     w.key("metrics");
     r.metrics.write_json(w);
     w.end_object();
 }
 
-/// The per-scenario keys [`validate`] requires (dotted paths; a listed
-/// path must resolve to a non-null value).
+/// The nested per-scenario keys [`validate`] requires (dotted paths; a
+/// listed path must resolve to a non-null value).
 pub const REQUIRED_ENTRY_PATHS: &[&str] = &[
-    "name",
-    "seed",
     "fingerprint.rows",
     "fingerprint.churn_ops",
     "throughput.validate_tuples_per_s",
     "throughput.churn_ops_per_s",
-    "latency_us.p50",
-    "latency_us.p90",
-    "latency_us.p99",
-    "latency_us.max",
-    "violations.initial",
-    "violations.residual",
-    "metrics",
-];
-
-/// The keys a non-null `online` block must carry: the loop's activity
-/// and the miner's sketch size.
-const ONLINE_KEYS: &[&str] = &[
-    "polls", "proposed", "promoted", "retired", "values", "classes",
 ];
 
 /// Checks a scoreboard document: well-formed JSON (per
 /// [`json::parse`]), the schema version, a non-empty scenario map,
-/// every required per-scenario path present and non-null, latency
-/// percentiles in order (`p50 ≤ p90 ≤ p99 ≤ max`), and every non-null
-/// `repair` / `online` block carrying its counters (an `online` block
-/// needs the loop's polls, proposed, promoted and retired counts and
-/// the miner's sketch size, `values` and `classes`). Returns the parsed
-/// tree on success.
+/// every entry carrying exactly the [`ENTRY_KEYS`] (none null) and the
+/// [`REQUIRED_ENTRY_PATHS`], and every histogram under `metrics` (an
+/// object with a `p50_us` leaf) with numeric percentiles in order,
+/// `p50_us ≤ p90_us ≤ p99_us ≤ max_us`. Returns the parsed tree on
+/// success.
 pub fn validate(doc: &str) -> Result<JsonValue, String> {
     let v = json::parse(doc).ok_or("not well-formed JSON")?;
     let version = v
@@ -273,7 +143,16 @@ pub fn validate(doc: &str) -> Result<JsonValue, String> {
         return Err("scenarios object is empty".into());
     }
     for (name, entry) in scenarios {
-        for path in REQUIRED_ENTRY_PATHS {
+        let fields = entry
+            .as_object()
+            .ok_or_else(|| format!("scenario {name}: not an object"))?;
+        if let Some((extra, _)) = fields
+            .iter()
+            .find(|(k, _)| !ENTRY_KEYS.contains(&k.as_str()))
+        {
+            return Err(format!("scenario {name}: unknown key {extra}"));
+        }
+        for path in ENTRY_KEYS.iter().chain(REQUIRED_ENTRY_PATHS) {
             match entry.at(path) {
                 None | Some(JsonValue::Null) => {
                     return Err(format!("scenario {name}: missing required key {path}"));
@@ -281,39 +160,39 @@ pub fn validate(doc: &str) -> Result<JsonValue, String> {
                 Some(_) => {}
             }
         }
-        // A percentile above the observed max, or out of order, is a
-        // statistic the diff gate cannot trust.
-        let latency: Vec<f64> = ["p50", "p90", "p99", "max"]
-            .iter()
-            .map(|q| {
-                entry
-                    .at(&format!("latency_us.{q}"))
-                    .and_then(JsonValue::as_f64)
-            })
-            .collect::<Option<_>>()
-            .ok_or_else(|| format!("scenario {name}: latency_us leaves must be numbers"))?;
-        if latency.windows(2).any(|w| w[0] > w[1]) {
-            return Err(format!(
-                "scenario {name}: latency_us must satisfy p50 <= p90 <= p99 <= max, got {latency:?}"
-            ));
-        }
-        // A repair entry, when present, must carry its accept/reject
-        // counts; an online entry, its activity and the miner's sketch
-        // size.
-        for (block, keys) in [
-            ("repair", &["accepted", "rejected"][..]),
-            ("online", ONLINE_KEYS),
-        ] {
-            if let Some(b) = entry.at(block).filter(|b| !matches!(b, JsonValue::Null)) {
-                for key in keys {
-                    if b.get(key).is_none() {
-                        return Err(format!("scenario {name}: {block} missing {key}"));
-                    }
-                }
-            }
-        }
+        let metrics = entry.get("metrics").expect("required above");
+        check_histograms(name, "metrics", metrics)?;
     }
     Ok(v)
+}
+
+/// Holds every histogram in the `metrics` subtree `v` (at dotted
+/// `path`) to `p50_us ≤ p90_us ≤ p99_us ≤ max_us`: a percentile above
+/// the observed max, or out of order, is a statistic the diff gate
+/// cannot trust.
+fn check_histograms(scenario: &str, path: &str, v: &JsonValue) -> Result<(), String> {
+    let Some(fields) = v.as_object() else {
+        return Ok(());
+    };
+    if v.get("p50_us").is_some() {
+        let quantiles: Vec<f64> = ["p50_us", "p90_us", "p99_us", "max_us"]
+            .iter()
+            .map(|q| v.get(q).and_then(JsonValue::as_f64))
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                format!("scenario {scenario}: {path} needs numeric p50/p90/p99/max_us")
+            })?;
+        if quantiles.windows(2).any(|w| w[0] > w[1]) {
+            return Err(format!(
+                "scenario {scenario}: {path} must satisfy \
+                 p50_us <= p90_us <= p99_us <= max_us, got {quantiles:?}"
+            ));
+        }
+    }
+    for (k, child) in fields {
+        check_histograms(scenario, &format!("{path}.{k}"), child)?;
+    }
+    Ok(())
 }
 
 /// How a diffed metric path gates.
@@ -328,31 +207,19 @@ pub enum MetricClass {
     Throughput,
     /// Workload identity: a mismatch makes the scenario incomparable.
     Fingerprint,
-    /// Telemetry payload (`metrics.*`): never gates.
-    Informational,
 }
 
 /// Classifies a dotted path within a scenario entry.
 pub fn classify(path: &str) -> MetricClass {
-    if path.starts_with("metrics.") || path == "metrics" {
-        return MetricClass::Informational;
-    }
     if path.starts_with("fingerprint.") || path == "seed" {
-        return MetricClass::Fingerprint;
+        MetricClass::Fingerprint
+    } else if path.starts_with("elapsed_us.") || path.ends_with("_us") {
+        MetricClass::Latency
+    } else if path.starts_with("throughput.") {
+        MetricClass::Throughput
+    } else {
+        MetricClass::Counter
     }
-    if path.starts_with("elapsed_us.") {
-        return MetricClass::Latency;
-    }
-    if let Some(q) = path.strip_prefix("latency_us.") {
-        return match q {
-            "p50" | "p90" | "p99" | "max" => MetricClass::Latency,
-            _ => MetricClass::Counter,
-        };
-    }
-    if path.ends_with("per_s") {
-        return MetricClass::Throughput;
-    }
-    MetricClass::Counter
 }
 
 /// Regression thresholds, one knob per metric class.
@@ -419,8 +286,7 @@ impl DiffReport {
     }
 }
 
-/// Flattens an entry to `(dotted path, leaf)` pairs, skipping the
-/// `metrics` subtree (informational) and nulls.
+/// Flattens an entry to `(dotted path, leaf)` pairs, skipping nulls.
 fn flatten<'a>(prefix: &str, v: &'a JsonValue, out: &mut Vec<(String, &'a JsonValue)>) {
     match v {
         JsonValue::Object(fields) => {
@@ -430,9 +296,6 @@ fn flatten<'a>(prefix: &str, v: &'a JsonValue, out: &mut Vec<(String, &'a JsonVa
                 } else {
                     format!("{prefix}.{k}")
                 };
-                if path == "metrics" {
-                    continue;
-                }
                 flatten(&path, val, out);
             }
         }
@@ -511,7 +374,7 @@ pub fn diff(base: &JsonValue, new: &JsonValue, t: &Thresholds) -> DiffReport {
 
         for (path, bv) in &base_leaves {
             let class = classify(path);
-            if matches!(class, MetricClass::Fingerprint | MetricClass::Informational) {
+            if class == MetricClass::Fingerprint {
                 continue;
             }
             let Some(b) = bv.as_f64() else { continue };
@@ -540,7 +403,7 @@ pub fn diff(base: &JsonValue, new: &JsonValue, t: &Thresholds) -> DiffReport {
                     let drift = (n - b).abs();
                     (drift > b.abs() * t.counter_frac, false)
                 }
-                MetricClass::Fingerprint | MetricClass::Informational => (false, false),
+                MetricClass::Fingerprint => (false, false),
             };
             if regressed {
                 report.regressions.push(Regression {
@@ -723,38 +586,53 @@ mod tests {
 
     #[test]
     fn classify_knows_the_path_classes() {
-        assert_eq!(classify("violations.residual"), MetricClass::Counter);
-        assert_eq!(classify("sigma_lint.core_cfds"), MetricClass::Counter);
-        assert_eq!(classify("repair.accepted"), MetricClass::Counter);
+        assert_eq!(classify("metrics.stream.probes.hash"), MetricClass::Counter);
+        assert_eq!(classify("metrics.analyze.core.cfds"), MetricClass::Counter);
+        assert_eq!(
+            classify("metrics.repair.fixes.accepted"),
+            MetricClass::Counter
+        );
+        assert_eq!(classify("metrics.repair.total_cost"), MetricClass::Counter);
+        assert_eq!(
+            classify("metrics.stream.apply.window_us.count"),
+            MetricClass::Counter
+        );
+        assert_eq!(
+            classify("metrics.stream.apply.window_us.p99_us"),
+            MetricClass::Latency
+        );
+        assert_eq!(
+            classify("metrics.repair.round_us.sum_us"),
+            MetricClass::Latency
+        );
         assert_eq!(classify("elapsed_us.validate"), MetricClass::Latency);
-        assert_eq!(classify("latency_us.p99"), MetricClass::Latency);
-        assert_eq!(classify("latency_us.count"), MetricClass::Counter);
         assert_eq!(
             classify("throughput.churn_ops_per_s"),
             MetricClass::Throughput
         );
         assert_eq!(classify("fingerprint.rows"), MetricClass::Fingerprint);
         assert_eq!(classify("seed"), MetricClass::Fingerprint);
-        assert_eq!(
-            classify("metrics.stream.apply.window_us.p50_us"),
-            MetricClass::Informational
-        );
     }
 
-    fn doc(p99: u64, residual: u64, per_s: f64, rows: u64) -> String {
+    fn doc(p99: u64, probes: u64, per_s: f64, rows: u64) -> String {
         format!(
             r#"{{
-  "schema_version": 1,
+  "schema_version": 2,
   "scenarios": {{
     "s": {{
       "name": "s",
       "seed": 7,
       "fingerprint": {{"rows": {rows}, "churn_ops": 10}},
+      "elapsed_us": {{"churn": 900}},
       "throughput": {{"validate_tuples_per_s": {per_s}, "churn_ops_per_s": {per_s}}},
-      "latency_us": {{"p50": 5, "p90": 9, "p99": {p99}, "max": {p99}}},
-      "violations": {{"initial": 3, "residual": {residual}}},
-      "repair": null,
-      "metrics": {{"x": 1}}
+      "metrics": {{
+        "stream": {{
+          "apply": {{
+            "window_us": {{"count": 4, "sum_us": 30, "max_us": {p99}, "p50_us": 5, "p90_us": 9, "p99_us": {p99}}}
+          }},
+          "probes": {{"hash": {probes}, "slot": 3}}
+        }}
+      }}
     }}
   }}
 }}"#
@@ -763,54 +641,51 @@ mod tests {
 
     #[test]
     fn validate_accepts_the_schema_and_rejects_missing_keys() {
-        let good = doc(12, 0, 100.0, 500);
+        let good = doc(12, 2, 100.0, 500);
         validate(&good).expect("valid");
-        let bad = good.replace("\"residual\": 0", "\"residually\": 0");
-        assert!(validate(&bad).unwrap_err().contains("violations.residual"));
+        let bad = good.replace("\"rows\": 500", "\"rowz\": 500");
+        assert!(validate(&bad).unwrap_err().contains("fingerprint.rows"));
+        let bad = good.replace("\"elapsed_us\": {\"churn\": 900},", "");
+        assert!(validate(&bad).unwrap_err().contains("elapsed_us"));
         assert!(validate("{").is_err());
-        assert!(validate(r#"{"schema_version": 1, "scenarios": {}}"#).is_err());
+        assert!(validate(r#"{"schema_version": 2, "scenarios": {}}"#).is_err());
+        let v1 = good.replace("\"schema_version\": 2", "\"schema_version\": 1");
+        assert!(validate(&v1).unwrap_err().contains("schema_version"));
     }
 
     #[test]
     fn validate_rejects_percentiles_out_of_order() {
-        let good = doc(12, 0, 100.0, 500);
+        let good = doc(12, 2, 100.0, 500);
         // A p99 above the observed max: an unclamped histogram bucket.
-        let above_max = good.replace("\"max\": 12", "\"max\": 11");
-        assert!(validate(&above_max).unwrap_err().contains("p99 <= max"));
+        let above_max = good.replace("\"max_us\": 12", "\"max_us\": 11");
+        let err = validate(&above_max).unwrap_err();
+        assert!(err.contains("p99_us <= max_us"), "{err}");
+        assert!(err.contains("metrics.stream.apply.window_us"), "{err}");
         // A p90 below the p50.
-        let inverted = good.replace("\"p90\": 9", "\"p90\": 4");
-        assert!(validate(&inverted).unwrap_err().contains("p50 <= p90"));
-        let missing_max = good.replace(", \"max\": 12", "");
+        let inverted = good.replace("\"p90_us\": 9", "\"p90_us\": 4");
+        assert!(validate(&inverted)
+            .unwrap_err()
+            .contains("p50_us <= p90_us"));
+        let missing_max = good.replace("\"max_us\": 12, ", "");
         assert!(validate(&missing_max)
             .unwrap_err()
-            .contains("latency_us.max"));
+            .contains("needs numeric p50/p90/p99/max_us"));
     }
 
+    /// Every figure lives once, in `metrics`: a block copied beside it
+    /// is not part of the entry shape.
     #[test]
-    fn validate_rejects_an_online_block_without_the_sketch_size() {
-        let online = |keys: &str| {
-            doc(12, 0, 100.0, 500).replace(
-                "\"repair\": null,",
-                &format!("\"repair\": null, \"online\": {{{keys}}},"),
-            )
-        };
-        let activity = "\"polls\": 1, \"proposed\": 2, \"promoted\": 1, \"retired\": 0";
-        let full = online(&format!("{activity}, \"values\": 9, \"classes\": 4"));
-        assert!(validate(&full).is_ok());
-        let no_classes = online(&format!("{activity}, \"values\": 9"));
-        assert!(validate(&no_classes)
-            .unwrap_err()
-            .contains("online missing classes"));
-        let no_size = online(activity);
-        assert!(validate(&no_size)
-            .unwrap_err()
-            .contains("online missing values"));
-        // A scenario without the loop carries a null block.
-        assert!(validate(
-            &doc(12, 0, 100.0, 500)
-                .replace("\"repair\": null,", "\"repair\": null, \"online\": null,")
-        )
-        .is_ok());
+    fn validate_rejects_a_hand_copied_block_beside_metrics() {
+        let good = doc(12, 2, 100.0, 500);
+        for block in [
+            "\"online\": {\"polls\": 1, \"values\": 9},",
+            "\"repair\": null,",
+            "\"latency_us\": {\"p50\": 5},",
+        ] {
+            let copied = good.replace("\"metrics\": {", &format!("{block} \"metrics\": {{"));
+            let err = validate(&copied).unwrap_err();
+            assert!(err.contains("unknown key"), "{block}: {err}");
+        }
     }
 
     #[test]
@@ -827,15 +702,9 @@ mod tests {
         let slow = validate(&doc(500, 2, 1000.0, 500)).unwrap();
         let r = diff(&base, &slow, &t);
         assert!(!r.ok());
-        assert!(r.regressions.iter().any(|x| x.path == "latency_us.p99"));
-
-        // Counters gate exactly.
-        let drifted = validate(&doc(100, 3, 1000.0, 500)).unwrap();
-        let r = diff(&base, &drifted, &t);
-        assert!(r
-            .regressions
-            .iter()
-            .any(|x| x.path == "violations.residual" && x.class == MetricClass::Counter));
+        assert!(r.regressions.iter().any(|x| {
+            x.path == "metrics.stream.apply.window_us.p99_us" && x.class == MetricClass::Latency
+        }));
 
         // Throughput gates on relative drop only.
         let slower = validate(&doc(100, 2, 850.0, 500)).unwrap();
@@ -849,5 +718,27 @@ mod tests {
         assert!(!r.ok());
         assert!(r.regressions.is_empty());
         assert!(r.incomparable[0].contains("fingerprint.rows"));
+    }
+
+    /// The engine's counters under `metrics` gate exactly: one drifted
+    /// probe count is one Counter regression, whatever the thresholds
+    /// on timing.
+    #[test]
+    fn a_drifted_metrics_counter_is_one_counter_regression() {
+        let base = validate(&doc(100, 2, 1000.0, 500)).unwrap();
+        let drifted = validate(&doc(100, 3, 1000.0, 500)).unwrap();
+        let open_timing = Thresholds {
+            latency_frac: 1e9,
+            latency_floor_us: 1e12,
+            throughput_frac: 1.0,
+            counter_frac: 0.0,
+        };
+        let r = diff(&base, &drifted, &open_timing);
+        assert!(!r.ok());
+        assert_eq!(r.regressions.len(), 1, "{r:?}");
+        let x = &r.regressions[0];
+        assert_eq!(x.path, "metrics.stream.probes.hash");
+        assert_eq!(x.class, MetricClass::Counter);
+        assert_eq!((x.base, x.new), (2.0, 3.0));
     }
 }

@@ -1,9 +1,9 @@
 //! Scoreboard round-trip: run scenarios → emit → validate → parse →
 //! self-diff clean, and counters deterministic across runs.
 
-use condep_bench::scenario::{by_name, run_scenario, DataShape};
+use condep_bench::scenario::{by_name, matrix, run_scenario, ChurnSpec, DataShape, ScenarioResult};
 use condep_bench::scoreboard::{diff, emit, validate, Thresholds};
-use condep_telemetry::json;
+use condep_telemetry::json::{self, JsonValue};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
@@ -32,16 +32,24 @@ fn scenario_counters_are_deterministic_across_runs() {
     let s = by_name("singleton_churn").expect("in matrix");
     let a = run_scenario(&s);
     let b = run_scenario(&s);
-    // Everything but wall time must replay byte-identically.
+    // Everything but wall time must replay byte-identically: the
+    // workload's identity and every metrics leaf that is not a `_us`
+    // timing.
     assert_eq!(a.rows, b.rows);
     assert_eq!(a.churn_ops, b.churn_ops);
-    assert_eq!(a.violations.initial, b.violations.initial);
-    assert_eq!(a.violations.after_churn, b.violations.after_churn);
-    assert_eq!(a.stream.inserts, b.stream.inserts);
-    assert_eq!(a.stream.deletes, b.stream.deletes);
-    assert_eq!(a.stream.noops, b.stream.noops);
-    assert_eq!(a.stream.journal_total, b.stream.journal_total);
-    assert_eq!(a.latency.count, b.latency.count);
+    let untimed = |r: &ScenarioResult| -> Vec<(String, f64)> {
+        let tree = json::parse(&r.metrics.to_json()).expect("metrics render as JSON");
+        let mut leaves = Vec::new();
+        numeric_leaves("", &tree, &mut leaves);
+        leaves.retain(|(path, _)| !path.ends_with("_us"));
+        leaves
+    };
+    let (leaves_a, leaves_b) = (untimed(&a), untimed(&b));
+    assert!(
+        leaves_a.len() > 20,
+        "the stream and monitor counters are all there: {leaves_a:?}"
+    );
+    assert_eq!(leaves_a, leaves_b);
     // The diff gate agrees: exact counters, loose timing.
     let base = validate(&emit(&[a])).unwrap();
     let new = validate(&emit(&[b])).unwrap();
@@ -58,19 +66,68 @@ fn scenario_counters_are_deterministic_across_runs() {
     assert!(report.ok(), "counter drift across reruns: {report:?}");
 }
 
+/// Every numeric leaf of a JSON tree as `(dotted path, value)`.
+fn numeric_leaves(prefix: &str, v: &JsonValue, out: &mut Vec<(String, f64)>) {
+    if let Some(fields) = v.as_object() {
+        for (k, child) in fields {
+            let path = if prefix.is_empty() {
+                k.clone()
+            } else {
+                format!("{prefix}.{k}")
+            };
+            numeric_leaves(&path, child, out);
+        }
+    } else if let Some(x) = v.as_f64() {
+        out.push((prefix.to_string(), x));
+    }
+}
+
+/// Every metric a matrix scenario exports follows the naming rule: a
+/// dotted lowercase key under a prefix the telemetry README documents.
+#[test]
+fn every_matrix_metric_is_documented() {
+    for mut s in matrix() {
+        // Which keys a scenario exports depends on the passes it runs,
+        // not on how long it churns: capping `long_churn`'s 2^18
+        // operations keeps the unoptimized test build to seconds.
+        if let ChurnSpec::Plan(plan) = &mut s.churn {
+            plan.ops = plan.ops.min(4_096);
+        }
+        let r = run_scenario(&s);
+        assert!(!r.metrics.is_empty(), "{}: no metrics", s.name);
+        assert_eq!(
+            condep_telemetry::misnamed_keys(&r.metrics),
+            Vec::<&str>::new(),
+            "{}",
+            s.name
+        );
+    }
+}
+
 #[test]
 fn adversarial_scenario_reports_its_majority_flips() {
     let s = by_name("adversarial_dirt").expect("in matrix");
     let r = run_scenario(&s);
-    let rep = r.repair.expect("repair pass runs");
-    assert_eq!(rep.poisoned_classes, 4);
-    assert!(
-        rep.majority_flips > 0,
-        "coordinated poison outvotes the clean rows, fooling the majority heuristic"
+    let count = |name: &str| r.count(name).unwrap_or_else(|| panic!("{name} missing"));
+    let classes = count("scenario.poisoned.classes");
+    assert_eq!(classes, 4);
+    assert_eq!(
+        count("scenario.poisoned.restored")
+            + count("scenario.poisoned.flipped")
+            + count("scenario.poisoned.untouched"),
+        classes,
+        "every poisoned class gets exactly one score"
     );
-    assert!(r.violations.residual < r.violations.initial);
-    assert!(rep.accepted > 0);
-    assert!(rep.rejected > 0, "verification rolled back candidate fixes");
+    assert!(
+        count("scenario.poisoned.restored") < classes,
+        "coordinated poison fools the majority heuristic somewhere"
+    );
+    assert!(count("repair.violations.residual") < count("scenario.violations.initial"));
+    assert!(count("repair.fixes.accepted") > 0);
+    assert!(
+        count("repair.fixes.rejected") > 0,
+        "verification rolled back candidate fixes"
+    );
 }
 
 #[test]
@@ -89,13 +146,20 @@ fn wide_sigma_scenario_repairs_its_dirt_then_churns() {
     assert_eq!(planted.cinds.len(), 2);
 
     let r = run_scenario(&s);
-    let rep = r.repair.expect("repair pass runs");
-    assert!(r.violations.initial > 0, "1% dirt violates the planted Σ");
+    let count = |name: &str| r.count(name).unwrap_or_else(|| panic!("{name} missing"));
+    assert!(
+        count("scenario.violations.initial") > 0,
+        "1% dirt violates the planted Σ"
+    );
     assert_eq!(
-        r.violations.residual, 0,
+        count("repair.violations.residual"),
+        0,
         "repair clears the CFD and the CIND violations"
     );
-    assert!(rep.tuples_inserted > 0, "CIND orphans repair by insertion");
-    assert!(rep.accepted > 0);
+    assert!(
+        count("repair.tuples_inserted") > 0,
+        "CIND orphans repair by insertion"
+    );
+    assert!(count("repair.fixes.accepted") > 0);
     assert_eq!(r.churn_ops, 2_048);
 }

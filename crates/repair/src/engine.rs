@@ -266,8 +266,8 @@ pub fn repair(
 /// motive CFD's LHS key in the pre-edit tuple, new value)`. When a
 /// whole class of cells (3+) was rewritten toward one value, the
 /// "majority" that won may itself have been coordinated dirt outvoting
-/// the clean data — exactly what the adversarial
-/// `count_majority_flips` scoring measures against ground truth, but
+/// the clean data — what the scoreboard's poisoned-class scores
+/// (`scenario.poisoned.*`) measure against ground truth, but
 /// detectable without it. Advisory only: repair behavior is unchanged.
 fn suspect_majority_lints(stream: &ValidatorStream, log: &RepairLog) -> Vec<SigmaLint> {
     let cfds = stream.validator().cfds();

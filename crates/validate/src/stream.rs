@@ -572,7 +572,7 @@ impl ValidatorStream {
         };
         let mut report = SigmaReport::default();
         let (mut cfd_indexes, mut cind_sources) = (Vec::new(), Vec::new());
-        for build in validator.build_groups(&db, &interner, &cells, true, None) {
+        for build in validator.build_groups(&db, &interner, &cells, true) {
             report.cfd.extend(build.cfd);
             report.cind.extend(build.cind);
             cfd_indexes.push(build.index.expect("a kept build keeps its index"));
@@ -813,7 +813,6 @@ impl ValidatorStream {
                         interner,
                         &cells,
                         &cind_targets[gi],
-                        false,
                         &mut report.cind,
                     );
                 }
@@ -1040,18 +1039,20 @@ impl ValidatorStream {
     /// The stable id of the tuple currently at dense position `pos` of
     /// `rel` — translate **post-mutation** violation positions through
     /// this to address them without replaying swap renumbers.
+    /// `None` for a relation outside the schema.
     pub fn tuple_id_at(&self, rel: RelId, pos: usize) -> Option<TupleId> {
-        self.ids[rel.index()].id_at(pos)
+        self.ids.get(rel.index())?.id_at(pos)
     }
 
     /// The current dense position behind a stable id; `None` once the
-    /// tuple is gone (deleted, or rewritten by an update).
+    /// tuple is gone (deleted, or rewritten by an update), and for a
+    /// relation outside the schema.
     pub fn position_of(&self, rel: RelId, id: TupleId) -> Option<usize> {
-        self.ids[rel.index()].pos_of(id)
+        self.ids.get(rel.index())?.pos_of(id)
     }
 
     /// The tuple behind a stable id, read through the live id ⇄ position
-    /// map.
+    /// map (`None` for a relation outside the schema).
     pub fn tuple_by_id(&self, rel: RelId, id: TupleId) -> Option<&Tuple> {
         self.position_of(rel, id)
             .and_then(|p| self.db.relation(rel).get(p))
@@ -2015,8 +2016,8 @@ impl ValidatorStream {
     pub fn cfd_violation_class(&self, cfd_idx: usize, t: &Tuple) -> Vec<usize> {
         let (gi, mi, ci) = self.validator.cfd_slot(cfd_idx);
         if gi == usize::MAX {
-            // The CFD was dropped as implied by a minimal-tier cover
-            // compilation: the validator holds no live structure for it.
+            // The CFD is retired: no compiled member evaluates it any
+            // more, so the validator holds no live structure for it.
             return Vec::new();
         }
         let g = &self.validator.cfd_groups()[gi];
@@ -2034,16 +2035,12 @@ impl ValidatorStream {
                 None => return Vec::new(),
             }
         }
-        let rel_inst = self.db.relation(g.rel);
+        // Every resident under the key agrees with `t` on `g.attrs`, the
+        // only attributes the pattern constrains: all of them match.
         let mut out: Vec<usize> = self.cfd_indexes[gi]
             .positions(&key)
             .iter()
-            .copied()
-            .filter(|&p| {
-                let resident = rel_inst.get(p as usize).expect("indexed position valid");
-                pattern_matches(&g.attrs, pat, resident)
-            })
-            .map(|p| p as usize)
+            .map(|&p| p as usize)
             .collect();
         out.sort_unstable();
         out
@@ -2171,5 +2168,26 @@ mod tests {
             }
         )));
         assert_eq!(promoted.cind.len(), 4, "{promoted:?}");
+    }
+
+    /// The id lookups answer `None` for a relation outside the schema
+    /// instead of indexing past the per-relation id maps.
+    #[test]
+    fn id_lookups_on_an_out_of_range_relation_return_none() {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation("r", &[("a", Domain::string())])
+                .finish(),
+        );
+        let mut db = Database::empty(schema.clone());
+        db.insert_into("r", tuple!["x"]).unwrap();
+        let (stream, _) = ValidatorStream::new_validated(Validator::new(vec![], vec![]), db);
+        let r = schema.rel_id("r").unwrap();
+        let id = stream.tuple_id_at(r, 0).expect("seeded tuple");
+        assert_eq!(stream.tuple_by_id(r, id), Some(&tuple!["x"]));
+        let missing = RelId(schema.len() as u32);
+        assert_eq!(stream.tuple_id_at(missing, 0), None);
+        assert_eq!(stream.position_of(missing, id), None);
+        assert_eq!(stream.tuple_by_id(missing, id), None);
     }
 }

@@ -10,7 +10,6 @@ use condep_model::{
 };
 use condep_telemetry::{Export, MetricsSnapshot, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One original CFD carried by a compiled member: its index in the
@@ -707,7 +706,7 @@ impl Validator {
     /// Finds every violation of Σ in `db` (unsorted; see
     /// [`SigmaReport::sort`] for the canonical order).
     pub fn validate(&self, db: &Database) -> SigmaReport {
-        self.sweep(db, None)
+        self.sweep(db)
     }
 
     /// [`Validator::validate`] followed by [`SigmaReport::sort`].
@@ -717,23 +716,15 @@ impl Validator {
         report
     }
 
-    /// Does `db` satisfy every constraint of Σ? Short-circuits on the
-    /// first violation (also across parallel workers).
-    pub fn satisfies(&self, db: &Database) -> bool {
-        let stop = AtomicBool::new(false);
-        self.sweep(db, Some(&stop)).is_empty()
-    }
-
     /// The batch sweep: symbolizes the columns Σ reads, runs every group
-    /// task and drops the indexes. With `stop`, tasks short-circuit on
-    /// the first violation any of them finds.
-    fn sweep(&self, db: &Database, stop: Option<&AtomicBool>) -> SigmaReport {
+    /// task and drops the indexes.
+    fn sweep(&self, db: &Database) -> SigmaReport {
         let mut report = SigmaReport::default();
         if self.group_count() == 0 {
             return report;
         }
         let (interner, tables) = SymTables::build_for(db, &self.sym_layout(db.schema().len()));
-        for group in self.build_groups(db, &interner, &Cells::Columns(&tables), false, stop) {
+        for group in self.build_groups(db, &interner, &Cells::Columns(&tables), false) {
             report.cfd.extend(group.cfd);
             report.cind.extend(group.cind);
         }
@@ -751,7 +742,6 @@ impl Validator {
         interner: &Interner,
         cells: &Cells<'_>,
         keep: bool,
-        stop: Option<&AtomicBool>,
     ) -> Vec<GroupBuild> {
         let n_tasks = self.group_count();
         let threads = if db.total_tuples() < PARALLEL_THRESHOLD {
@@ -763,23 +753,13 @@ impl Validator {
                 .min(n_tasks.max(1))
         };
         let run_task = |task: usize| -> GroupBuild {
-            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                return GroupBuild::default();
-            }
-            let early_exit = stop.is_some();
-            let result = match self.cfd_groups.get(task) {
-                Some(g) => self.run_cfd_group(g, db, interner, cells, keep, early_exit),
+            match self.cfd_groups.get(task) {
+                Some(g) => self.run_cfd_group(g, db, interner, cells, keep),
                 None => {
                     let g = &self.cind_groups[task - self.cfd_groups.len()];
-                    self.run_cind_group(g, db, interner, cells, keep, early_exit)
-                }
-            };
-            if let Some(stop) = stop {
-                if !(result.cfd.is_empty() && result.cind.is_empty()) {
-                    stop.store(true, Ordering::Relaxed);
+                    self.run_cind_group(g, db, interner, cells, keep)
                 }
             }
-            result
         };
         if threads <= 1 {
             return (0..n_tasks).map(run_task).collect();
@@ -818,7 +798,6 @@ impl Validator {
         interner: &Interner,
         cells: &Cells<'_>,
         keep: bool,
-        early_exit: bool,
     ) -> GroupBuild {
         let mut out = GroupBuild::default();
         let rel = db.relation(group.rel);
@@ -843,7 +822,7 @@ impl Validator {
             .any(|m| m.pattern.iter().all(Option::is_none));
         if keep || any_full_wildcard || members.len() >= SHARED_INDEX_MIN_MEMBERS {
             let idx = cells.index(group.rel, rel.len(), &group.attrs, |_| true);
-            self.read_cfd_index(group, &members, &idx, rel, cells, early_exit, &mut out.cfd);
+            self.read_cfd_index(group, &members, &idx, rel, cells, &mut out.cfd);
             if keep {
                 out.index = Some(idx);
             }
@@ -859,9 +838,7 @@ impl Validator {
                     const_cells.iter().all(|(col, s)| col.at(pos) == *s)
                 });
                 let one = std::slice::from_ref(m);
-                if self.read_cfd_index(group, one, &idx, rel, cells, early_exit, &mut out.cfd) {
-                    break;
-                }
+                self.read_cfd_index(group, one, &idx, rel, cells, &mut out.cfd);
             }
         }
         out
@@ -869,8 +846,6 @@ impl Validator {
 
     /// Reads `members`' violations off a group index, one key-group at a
     /// time — the one read path of full and per-member builds alike.
-    /// Returns whether `early_exit` cut the read short.
-    #[allow(clippy::too_many_arguments)]
     fn read_cfd_index(
         &self,
         group: &CfdGroup,
@@ -878,9 +853,8 @@ impl Validator {
         idx: &SymIndex,
         rel: &condep_model::Relation,
         cells: &Cells<'_>,
-        early_exit: bool,
         out: &mut Vec<(usize, CfdViolation)>,
-    ) -> bool {
+    ) {
         // Wildcard-RHS conflict witnesses per (key-group, RHS
         // attribute), shared by every member asking about the same
         // column.
@@ -913,12 +887,8 @@ impl Validator {
                         }
                     }
                 }
-                if early_exit && !out.is_empty() {
-                    return true;
-                }
             }
         }
-        false
     }
 
     /// Emits `SingleTuple` violations for a constant-RHS member over one
@@ -976,7 +946,6 @@ impl Validator {
         interner: &Interner,
         cells: &Cells<'_>,
         keep: bool,
-        early_exit: bool,
     ) -> GroupBuild {
         let mut out = GroupBuild::default();
         // A group whose members were all retired keeps its slot (stream
@@ -991,9 +960,7 @@ impl Validator {
                 out.sources
                     .push(self.cind_source_index(m, db, interner, cells));
             }
-            if self.read_cind_member(m, db, interner, cells, &idx, early_exit, &mut out.cind) {
-                return out;
-            }
+            self.read_cind_member(m, db, interner, cells, &idx, &mut out.cind);
         }
         if keep {
             out.index = Some(idx);
@@ -1018,8 +985,6 @@ impl Validator {
 
     /// Probes a CIND group's target index with every source tuple the
     /// member triggers, pushing each miss to all of the member's covers.
-    /// Returns whether `early_exit` cut the probe short.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn read_cind_member(
         &self,
         m: &CindMember,
@@ -1027,9 +992,8 @@ impl Validator {
         interner: &Interner,
         cells: &Cells<'_>,
         target: &SymIndex,
-        early_exit: bool,
         out: &mut Vec<(usize, CindViolation)>,
-    ) -> bool {
+    ) {
         let cind = &self.cinds[m.idx];
         let lhs_rel = cind.lhs_rel();
         let source = db.relation(lhs_rel);
@@ -1053,12 +1017,8 @@ impl Validator {
                 for &c in &m.covers {
                     out.push((c, violation.clone()));
                 }
-                if early_exit {
-                    return true;
-                }
             }
         }
-        false
     }
 
     /// Reads the violations of `members` (of `group`) off `idx`, an index
@@ -1076,15 +1036,7 @@ impl Validator {
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
         let members = ReadyMember::translate(members, interner);
-        self.read_cfd_index(
-            group,
-            &members,
-            idx,
-            db.relation(group.rel),
-            cells,
-            false,
-            out,
-        );
+        self.read_cfd_index(group, &members, idx, db.relation(group.rel), cells, out);
     }
 }
 

@@ -18,6 +18,7 @@ use condep::discover::DiscoveryConfig;
 use condep::gen::{clean_database_with_hidden_sigma, dirtied_database, PlantedSigmaConfig};
 use condep::prelude::*;
 use condep::report::QualitySuite;
+use condep::telemetry::MetricValue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -160,9 +161,9 @@ fn main() {
 
     // Keep monitoring the cleaned instance: churn a few windows of
     // mutations through the delta engine, then poll the operator-facing
-    // health snapshot — live violation counters, window/mutation
-    // latency percentiles, the activity journal tail and the full
-    // metric set, all in one JSON document.
+    // health snapshot — the activity journal tail and the full metric
+    // set (live violation counters, window latency percentiles, the
+    // journal's lifetime event count), all in one JSON document.
     let (mut monitor, _) = suite.monitor(repaired.clone());
     let fact = repaired.schema().rel_id("fact").unwrap();
     let sample: Vec<Tuple> = repaired
@@ -187,12 +188,19 @@ fn main() {
         monitor.ingest_batch(&muts).unwrap();
     }
     let health = monitor.health();
+    let count = |name: &str| match health.metrics.get(name) {
+        Some(MetricValue::Counter(v)) => *v,
+        _ => 0,
+    };
+    let Some(MetricValue::Histogram(window)) = health.metrics.get("stream.apply.window_us") else {
+        panic!("the stream exports its window latency");
+    };
     println!(
         "\n=== Health: {} live violations, {} windows journaled, window p50 {} µs / p99 {} µs ===",
-        health.summary.total(),
-        health.journal_total,
-        health.window_latency.p50_us,
-        health.window_latency.p99_us
+        count("monitor.violations.cfd") + count("monitor.violations.cind"),
+        count("monitor.journal.events"),
+        window.p50_us,
+        window.p99_us
     );
     println!("{}", health.to_json());
 
@@ -202,18 +210,20 @@ fn main() {
     // into a diffable entry.
     let scenario = condep_bench::scenario::by_name("adversarial_dirt").unwrap();
     let result = condep_bench::scenario::run_scenario(&scenario);
-    let repair = result.repair.expect("the scenario runs a repair pass");
+    let count = |name: &str| result.count(name).expect("the scenario runs a repair pass");
     println!(
-        "\n=== Scoreboard scenario '{}': {} rows, violations {} -> {}, repair {}+/{}- , \
-         majority flips {}/{} ===",
+        "\n=== Scoreboard scenario '{}': {} rows, violations {} -> {}, repair {}+/{}-, \
+         poisoned classes {}: {} restored, {} flipped, {} untouched ===",
         result.name,
         result.rows,
-        result.violations.initial,
-        result.violations.residual,
-        repair.accepted,
-        repair.rejected,
-        repair.majority_flips,
-        repair.poisoned_classes,
+        count("scenario.violations.initial"),
+        count("repair.violations.residual"),
+        count("repair.fixes.accepted"),
+        count("repair.fixes.rejected"),
+        count("scenario.poisoned.classes"),
+        count("scenario.poisoned.restored"),
+        count("scenario.poisoned.flipped"),
+        count("scenario.poisoned.untouched"),
     );
     println!("{}", condep_bench::scoreboard::emit(&[result]));
 

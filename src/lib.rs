@@ -36,11 +36,14 @@
 //! stats they return (`Validator::compile_stats`,
 //! `DiscoveredSigma::timings`), a repair run returns its round metrics
 //! on `RepairReport::metrics`, and [`report::QualityMonitor::health`]
-//! rolls the live state — violation counts, latency percentiles, the
-//! journal tail, online-miner activity — into one JSON-serializable
-//! [`report::HealthSnapshot`]. Each of these exports through
-//! [`telemetry::Export`] into a [`telemetry::MetricsSnapshot`], whose
-//! keys follow the naming table [`telemetry::misnamed_keys`] checks.
+//! returns the journal tail beside one metric snapshot holding the
+//! live state — violation counts, window latency percentiles, the
+//! journal's lifetime event count, online-miner activity — as one
+//! JSON-serializable [`report::HealthSnapshot`]. Each of these exports
+//! through [`telemetry::Export`] into a [`telemetry::MetricsSnapshot`],
+//! whose keys follow the naming table [`telemetry::misnamed_keys`]
+//! checks. The scoreboard (`condep-bench`) carries each scenario's
+//! figures in exactly one such snapshot and gates every leaf of it.
 //!
 //! ## Quickstart
 //!

@@ -13,7 +13,7 @@ use condep_discover::{DiscoveredSigma, DiscoveryConfig};
 use condep_model::{Database, ModelError, RelId, Schema, Tuple};
 use condep_repair::{RepairBudget, RepairCost, RepairReport};
 use condep_telemetry::json::JsonWriter;
-use condep_telemetry::{Export, HistogramSnapshot, JournalEvent, MetricsSnapshot};
+use condep_telemetry::{Export, JournalEvent, MetricsSnapshot};
 use condep_validate::{
     CompactionStats, CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport,
     Validator, ValidatorStream,
@@ -613,17 +613,16 @@ impl QualityMonitor {
         self.stream.validator()
     }
 
-    /// A point-in-time health snapshot: live violation counts, the
-    /// stream's window latency percentiles, the tail of its
-    /// activity journal, the online loop's counters and the full metric
-    /// set — everything an operator dashboard polls, in one call and
-    /// one JSON document ([`HealthSnapshot::to_json`]).
+    /// A point-in-time health snapshot: the tail of the stream's
+    /// activity journal and the full metric set — live violation counts,
+    /// window latency percentiles, the journal's lifetime event count,
+    /// online-loop activity — everything an operator dashboard polls, in
+    /// one call and one JSON document ([`HealthSnapshot::to_json`]).
     pub fn health(&self) -> HealthSnapshot {
         let telemetry = self.stream.telemetry();
-        let summary = self.summary();
-        let online = self.online_activity();
         let mut metrics = telemetry.snapshot();
-        summary.export("monitor.violations", &mut metrics);
+        self.summary().export("monitor.violations", &mut metrics);
+        metrics.counter("monitor.journal.events", telemetry.journal().total());
         if let Some(state) = &self.online {
             state.activity.export("monitor.online", &mut metrics);
             let (values, classes) = state.miner.sketch_size();
@@ -632,11 +631,7 @@ impl QualityMonitor {
             metrics.gauge(k("classes"), classes as i64);
         }
         HealthSnapshot {
-            summary,
-            window_latency: telemetry.window_latency(),
             journal: telemetry.journal_tail(HEALTH_JOURNAL_TAIL),
-            journal_total: telemetry.journal().total(),
-            online,
             metrics,
         }
     }
@@ -660,28 +655,24 @@ const HEALTH_JOURNAL_TAIL: usize = 32;
 /// What [`QualityMonitor::health`] returns: the monitor's live state as
 /// plain data, serializable to one JSON document.
 ///
-/// With the stream's recording switched off
-/// ([`ValidatorStream::set_telemetry_enabled`]) the window latency
-/// histogram reads zero and the journal is empty; the violation counts and online
-/// counters are always live.
+/// Every figure lives once, in `metrics`; read one by key
+/// ([`MetricsSnapshot::get`]). With the stream's recording switched off
+/// ([`ValidatorStream::set_telemetry_enabled`]) the `stream.*` metrics
+/// and `monitor.journal.events` read zero and the journal is empty; the
+/// `monitor.violations.*` and `monitor.online.*` counters are always
+/// live.
 #[derive(Clone, Debug)]
 pub struct HealthSnapshot {
-    /// Live violation counts (delta-maintained, no validation run).
-    pub summary: ViolationSummary,
-    /// Latency distribution of the stream's mutation windows
-    /// ([`QualityMonitor::ingest_batch`] calls), with p50/p90/p99.
-    pub window_latency: HistogramSnapshot,
     /// The newest journal events (up to 32), oldest first: per-window
     /// mutation/violation churn, compactions, online promote/retire.
     pub journal: Vec<JournalEvent>,
-    /// Journal events recorded over the monitor's lifetime (≥
-    /// `journal.len()`; the ring forgets, this count does not).
-    pub journal_total: u64,
-    /// Online-discovery counters, when the loop is enabled.
-    pub online: Option<OnlineActivity>,
-    /// Every stream metric, plus the summary under
-    /// `monitor.violations.*`, and the online counters and the miner's
-    /// sketch size ([`OnlineMiner::sketch_size`], as the gauges
+    /// Every stream metric (the window latency histogram is
+    /// `stream.apply.window_us`); the live violation counts under
+    /// `monitor.violations.*`; the journal's lifetime event count (≥
+    /// `journal.len()`: the ring forgets, this count does not) as
+    /// `monitor.journal.events`; and, when online discovery is on, the
+    /// loop's counters and the miner's sketch size
+    /// ([`OnlineMiner::sketch_size`], as the gauges
     /// `monitor.online.values` and `monitor.online.classes`) under
     /// `monitor.online.*`.
     pub metrics: MetricsSnapshot,
@@ -692,43 +683,12 @@ impl HealthSnapshot {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("violations");
-        w.begin_object();
-        w.key("cfd");
-        w.value_u64(self.summary.cfd_violations as u64);
-        w.key("cind");
-        w.value_u64(self.summary.cind_violations as u64);
-        w.key("total");
-        w.value_u64(self.summary.total() as u64);
-        w.key("tuples_checked");
-        w.value_u64(self.summary.tuples_checked as u64);
-        w.end_object();
-        w.key("window_latency_us");
-        self.window_latency.write_json(&mut w);
-        w.key("journal_total");
-        w.value_u64(self.journal_total);
         w.key("journal");
         w.begin_array();
         for e in &self.journal {
             e.write_json(&mut w);
         }
         w.end_array();
-        w.key("online");
-        match &self.online {
-            Some(a) => {
-                w.begin_object();
-                w.key("polls");
-                w.value_u64(a.polls as u64);
-                w.key("proposed");
-                w.value_u64(a.proposed as u64);
-                w.key("promoted");
-                w.value_u64(a.promoted as u64);
-                w.key("retired");
-                w.value_u64(a.retired as u64);
-                w.end_object();
-            }
-            None => w.value_null(),
-        }
         w.key("metrics");
         self.metrics.write_json(&mut w);
         w.end_object();
@@ -1309,12 +1269,24 @@ mod tests {
         }
 
         let health = monitor.health();
-        assert_eq!(health.summary.total(), 2, "the paper's two errors remain");
-        let lat = &health.window_latency;
+        let m = &health.metrics;
+        let counter = |name: &str| match m.get(name) {
+            Some(condep_telemetry::MetricValue::Counter(v)) => *v,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(
+            counter("monitor.violations.cfd") + counter("monitor.violations.cind"),
+            2,
+            "the paper's two errors remain"
+        );
+        let Some(condep_telemetry::MetricValue::Histogram(lat)) = m.get("stream.apply.window_us")
+        else {
+            panic!("window latency histogram missing");
+        };
         assert_eq!(lat.count, 24, "one latency sample per window");
         assert!(lat.sum_us >= lat.max_us);
         assert!(lat.p50_us <= lat.p90_us && lat.p90_us <= lat.p99_us);
-        assert_eq!(health.journal_total, 24);
+        assert_eq!(counter("monitor.journal.events"), 24);
         assert_eq!(health.journal.len(), 24, "tail capacity is 32");
         for (i, e) in health.journal.iter().enumerate() {
             assert_eq!(e.seq, i as u64, "oldest first, monotone seqs");
@@ -1333,19 +1305,10 @@ mod tests {
         }
         // The metric roll-up carries the stream's counters and the
         // monitor-level summary.
-        let m = &health.metrics;
-        assert_eq!(
-            m.get("stream.mutations.inserts"),
-            Some(&condep_telemetry::MetricValue::Counter(120))
-        );
-        assert_eq!(
-            m.get("stream.mutations.deletes"),
-            Some(&condep_telemetry::MetricValue::Counter(120))
-        );
-        assert_eq!(
-            m.get("monitor.violations.cfd"),
-            Some(&condep_telemetry::MetricValue::Counter(1))
-        );
+        assert_eq!(counter("stream.mutations.inserts"), 120);
+        assert_eq!(counter("stream.mutations.deletes"), 120);
+        assert_eq!(counter("monitor.violations.cfd"), 1);
+        assert_eq!(condep_telemetry::misnamed_keys(m), Vec::<&str>::new());
 
         // The snapshot round-trips through the JSON writer: valid
         // syntax, all top-level sections present.
@@ -1354,16 +1317,19 @@ mod tests {
             condep_telemetry::json::is_valid(&json),
             "health JSON must parse: {json}"
         );
-        for key in [
-            "\"violations\"",
-            "\"window_latency_us\"",
-            "\"journal\"",
-            "\"journal_total\"",
-            "\"online\"",
-            "\"metrics\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let tree = condep_telemetry::json::parse(&json).expect("parses");
+        let sections: Vec<&str> = tree
+            .as_object()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(sections, ["journal", "metrics"]);
+        assert_eq!(
+            tree.at("metrics.monitor.journal.events")
+                .and_then(condep_telemetry::json::JsonValue::as_f64),
+            Some(24.0)
+        );
     }
 
     #[test]
