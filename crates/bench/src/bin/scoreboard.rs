@@ -164,6 +164,9 @@ fn cmd_diff(base_path: &Path, new_path: &Path, t: &Thresholds) -> ExitCode {
     for a in &report.added {
         println!("ADDED         {a} (no baseline entry)");
     }
+    for leaf in &report.added_leaves {
+        println!("ADDED LEAF    {leaf} (no baseline leaf)");
+    }
     for r in &report.regressions {
         println!(
             "REGRESSION    {}.{}  {:?}  {} -> {}",
@@ -171,11 +174,12 @@ fn cmd_diff(base_path: &Path, new_path: &Path, t: &Thresholds) -> ExitCode {
         );
     }
     println!(
-        "scoreboard diff: {} compared, {} improved, {} regressed, {} incomparable",
+        "scoreboard diff: {} compared, {} improved, {} regressed, {} incomparable, {} added leaves",
         report.compared,
         report.improvements,
         report.regressions.len(),
-        report.incomparable.len()
+        report.incomparable.len(),
+        report.added_leaves.len()
     );
     if report.ok() {
         ExitCode::SUCCESS

@@ -277,12 +277,16 @@ pub struct DiffReport {
     pub incomparable: Vec<String>,
     /// Scenarios only in the new document (informational).
     pub added: Vec<String>,
+    /// `scenario: path` of each leaf only the new document has, in a
+    /// scenario both documents hold. **Gated**: a new metric has no
+    /// baseline to gate against until the baseline is re-recorded.
+    pub added_leaves: Vec<String>,
 }
 
 impl DiffReport {
     /// Did the new document pass the gate?
     pub fn ok(&self) -> bool {
-        self.regressions.is_empty() && self.incomparable.is_empty()
+        self.regressions.is_empty() && self.incomparable.is_empty() && self.added_leaves.is_empty()
     }
 }
 
@@ -370,6 +374,12 @@ pub fn diff(base: &JsonValue, new: &JsonValue, t: &Thresholds) -> DiffReport {
         }
         if !comparable {
             continue;
+        }
+
+        for (path, _) in &new_leaves {
+            if !base_leaves.iter().any(|(p, _)| p == path) {
+                report.added_leaves.push(format!("{name}: {path}"));
+            }
         }
 
         for (path, bv) in &base_leaves {
@@ -718,6 +728,61 @@ mod tests {
         assert!(!r.ok());
         assert!(r.regressions.is_empty());
         assert!(r.incomparable[0].contains("fingerprint.rows"));
+    }
+
+    /// A leaf only the new document has fails the gate, named by
+    /// scenario and path; the reverse diff sees the leaf vanish, a
+    /// Counter regression. Checked on the committed baseline with
+    /// `wide_sigma`'s `metrics.repair.plan.class_reads` removed.
+    #[test]
+    fn a_leaf_only_the_new_document_has_fails_the_gate() {
+        let doc = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../SCOREBOARD.json"
+        ))
+        .expect("SCOREBOARD.json is committed");
+        let baseline = validate(&doc).unwrap();
+        let mut trimmed = baseline.clone();
+        let plan = ["scenarios", "wide_sigma", "metrics", "repair", "plan"]
+            .iter()
+            .fold(&mut trimmed, |v, key| match v {
+                JsonValue::Object(members) => {
+                    &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+                }
+                _ => panic!("{key}: not an object member"),
+            });
+        let JsonValue::Object(plan) = plan else {
+            panic!("plan object");
+        };
+        let before = plan.len();
+        plan.retain(|(k, _)| k != "class_reads");
+        assert_eq!(plan.len(), before - 1);
+        let t = Thresholds::default();
+
+        let r = diff(&trimmed, &baseline, &t);
+        assert_eq!(
+            r.added_leaves,
+            ["wide_sigma: metrics.repair.plan.class_reads"]
+        );
+        assert!(
+            r.regressions.is_empty() && r.incomparable.is_empty(),
+            "{r:?}"
+        );
+        assert!(!r.ok());
+
+        let r = diff(&baseline, &trimmed, &t);
+        assert!(r.added_leaves.is_empty());
+        assert_eq!(r.regressions.len(), 1, "{r:?}");
+        let x = &r.regressions[0];
+        assert_eq!(
+            (x.scenario.as_str(), x.path.as_str(), x.class),
+            (
+                "wide_sigma",
+                "metrics.repair.plan.class_reads",
+                MetricClass::Counter
+            )
+        );
+        assert!(diff(&baseline, &baseline, &t).ok());
     }
 
     /// The engine's counters under `metrics` gate exactly: one drifted

@@ -1,12 +1,11 @@
 //! Level-wise CFD mining over stripped partitions.
 //!
 //! Per relation the miner walks the attribute-set lattice bottom-up:
-//! level 1 holds the single-attribute partitions (built straight from
-//! the [`condep_model::SymIndex`] counting-sort CSR over pre-symbolized
-//! columns), level `k + 1` refines level-`k` partitions by one more
-//! column. At every node `X` and for every RHS attribute `A ∉ X` the
-//! per-class tallies of `π_X` against `A`'s column answer three
-//! questions at once:
+//! level 1 holds the single-attribute partitions (one counting sort of
+//! each pre-symbolized column), level `k + 1` refines level-`k`
+//! partitions by one more column. At every node `X` and for every RHS
+//! attribute `A ∉ X` the per-class tallies of `π_X` against `A`'s
+//! column answer three questions at once:
 //!
 //! * does the **variable** CFD (the plain FD `X → A`, all-wildcard
 //!   pattern row) hold — and with what support (`‖π_X‖`) and confidence
@@ -23,9 +22,12 @@
 //! *specialization* pass (constants per class) rather than a full CTANE
 //! pattern-lattice exploration: mixed wildcard/constant LHS patterns are
 //! out of scope (see the crate docs for the non-goals).
+//!
+//! Partitions and tallies are counting passes over symbols through one
+//! [`SymCounter`] per relation (see [`crate::partition`]).
 
 use crate::config::DiscoveryConfig;
-use crate::partition::{tally_class, StrippedPartition};
+use crate::partition::{tally_class, ClassTally, StrippedPartition, SymCounter};
 use crate::{DiscoveredCfd, DiscoveryStats};
 use condep_cfd::NormalCfd;
 use condep_model::{AttrId, Interner, PValue, PatternRow, RelId, SymTables, SymValue, Value};
@@ -89,13 +91,13 @@ pub(crate) fn mine_relation(
     let min_support = config.support_floor();
     let min_confidence = config.confidence_floor();
     let mut minimal = MinimalFds::new(arity);
-    let mut tally_buf: Vec<SymValue> = Vec::new();
+    let mut counter = SymCounter::new(interner.len());
 
-    // Level 1: one partition per attribute, via the SymIndex CSR path.
+    // Level 1: one partition per attribute.
     let mut level: Vec<Node> = (0..arity)
         .filter_map(|a| {
             stats.lattice_nodes += 1;
-            let partition = StrippedPartition::from_column(&cols[a]);
+            let partition = StrippedPartition::from_column(&cols[a], &mut counter);
             // A key attribute supports nothing and refines to nothing.
             (!partition.is_key()).then(|| Node {
                 attrs: vec![AttrId(a as u32)],
@@ -130,7 +132,7 @@ pub(crate) fn mine_relation(
                     min_support,
                     min_confidence,
                     &mut minimal,
-                    &mut tally_buf,
+                    &mut counter,
                     stats,
                     out,
                 );
@@ -152,7 +154,7 @@ pub(crate) fn mine_relation(
             let max = node.attrs.last().expect("nodes are non-empty").index();
             for (b, col) in cols.iter().enumerate().skip(max + 1) {
                 stats.lattice_nodes += 1;
-                let partition = node.partition.refine(col);
+                let partition = node.partition.refine(col, &mut counter);
                 if partition.is_key() {
                     continue;
                 }
@@ -178,7 +180,7 @@ fn emit_candidates(
     min_support: usize,
     min_confidence: f64,
     minimal: &mut MinimalFds,
-    tally_buf: &mut Vec<SymValue>,
+    counter: &mut SymCounter,
     stats: &mut DiscoveryStats,
     out: &mut Vec<DiscoveredCfd>,
 ) {
@@ -186,9 +188,9 @@ fn emit_candidates(
     let support = node.partition.support();
     let mut kept_tuples = 0usize;
     // (class index, tally) for classes that qualify as constant rows.
-    let mut constant_rows: Vec<(usize, crate::partition::ClassTally)> = Vec::new();
+    let mut constant_rows: Vec<(usize, ClassTally)> = Vec::new();
     for (ci, class) in node.partition.classes().enumerate() {
-        let tally = tally_class(class, rhs_col, tally_buf);
+        let tally = tally_class(class, rhs_col, counter);
         kept_tuples += tally.max_count;
         let class_confidence = tally.max_count as f64 / tally.len as f64;
         if tally.len >= min_support && class_confidence >= min_confidence {

@@ -4,8 +4,9 @@
 //! type (the unary base case every inclusion miner starts from; wider
 //! embedded INDs are a non-goal, see the crate docs). Because the whole
 //! database is symbolized through **one** interner, a source cell probes
-//! the target column's [`condep_model::SymIndex`] directly — no value
-//! ever re-hashes its string bytes.
+//! the target column's set of symbols directly (a bitmap over interned
+//! strings, see [`crate::partition`]) — no value ever re-hashes its
+//! string bytes.
 //!
 //! * **exact** — every source value appears in the target: emit the
 //!   traditional IND `R1[A] ⊆ R2[B]` (empty `Xp`/`Yp`).
@@ -19,10 +20,11 @@
 
 use crate::cfd_miner::value_of;
 use crate::config::DiscoveryConfig;
+use crate::partition::SymSet;
 use crate::{DiscoveredCind, DiscoveryStats};
 use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, RelId, SymIndex, SymTables, SymValue};
+use condep_model::{AttrId, Database, Interner, RelId, SymTables, SymValue};
 use std::collections::HashMap;
 
 /// Mines every CIND candidate of the database. Candidates arrive
@@ -39,11 +41,11 @@ pub(crate) fn mine(
     let min_confidence = config.confidence_floor();
     let min_support = config.support_floor();
 
-    // One distinct-value index per column, built lazily (a column that
-    // is never a viable target costs nothing); likewise one per-value
+    // One set of symbols per column, built lazily (a column that is
+    // never a viable target costs nothing); likewise one per-value
     // frequency map per condition column, shared across every target
     // its relation probes.
-    let mut target_indexes: HashMap<(RelId, AttrId), SymIndex, FxBuildHasher> = HashMap::default();
+    let mut target_sets: HashMap<(RelId, AttrId), SymSet, FxBuildHasher> = HashMap::default();
     type Totals = HashMap<SymValue, usize, FxBuildHasher>;
     let mut totals_cache: HashMap<(RelId, AttrId), Totals, FxBuildHasher> = HashMap::default();
 
@@ -66,12 +68,9 @@ pub(crate) fn mine(
                 continue;
             }
             stats.cind_candidates += 1;
-            let idx = target_indexes
-                .entry((dst_rel, dst_attr))
-                .or_insert_with(|| {
-                    let col = tables.column(dst_rel, dst_attr);
-                    SymIndex::build_from_columns(col.len(), &[col], |_| true)
-                });
+            let target = target_sets.entry((dst_rel, dst_attr)).or_insert_with(|| {
+                SymSet::of_column(tables.column(dst_rel, dst_attr), interner.len())
+            });
 
             // Coverage pass, bailing out once the pair is hopeless for
             // BOTH uses of the misses: the approximate IND (floor
@@ -84,7 +83,7 @@ pub(crate) fn mine(
             let mut misses: Vec<u32> = Vec::new();
             let mut hopeless = false;
             for (pos, sym) in src_col.iter().enumerate() {
-                if !idx.contains_key(std::slice::from_ref(sym)) {
+                if !target.contains(*sym) {
                     misses.push(pos as u32);
                     if misses.len() > allowed_misses {
                         hopeless = true;

@@ -9,14 +9,18 @@
 //!
 //! Cost: one symbolization of the keep-set's columns (a
 //! `SymTables::build_for` that skips every column no kept dependency
-//! reads) plus one `SymIndex` per distinct `(relation, LHS)` group of
-//! the keep-set — linear in the data and proportional to the *kept*
-//! dependencies, not to the lattice the sampled walk explored.
+//! reads), then counting passes over symbols (see [`crate::partition`]):
+//! per distinct `(relation, LHS)` group of the keep-set, the stripped
+//! partition of the LHS and one tally of each class per RHS the group's
+//! members name; per CIND target column, one set of its symbols. That
+//! is linear in the data and proportional to the *kept* dependencies,
+//! not to the lattice the sampled walk explored.
 
 use crate::config::DiscoveryConfig;
+use crate::partition::{tally_class, ClassTally, StrippedPartition, SymCounter, SymSet};
 use crate::{DiscoveredCfd, DiscoveredCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, PValue, RelId, SymIndex, SymTables, SymValue};
+use condep_model::{AttrId, Database, Interner, PValue, RelId, SymTables, SymValue};
 use std::collections::HashMap;
 
 /// Counters of one confirmation pass.
@@ -64,7 +68,7 @@ pub(crate) fn confirm(
     let support_floor = config.support_floor();
     let confidence_floor = config.confidence_floor();
 
-    // One shared LHS index per (relation, LHS attribute list) group.
+    // One stripped partition per (relation, LHS attribute list) group.
     let mut groups: HashMap<(RelId, Vec<AttrId>), Vec<usize>, FxBuildHasher> = HashMap::default();
     for (i, d) in cfds.iter().enumerate() {
         groups
@@ -75,79 +79,65 @@ pub(crate) fn confirm(
     let mut group_keys: Vec<&(RelId, Vec<AttrId>)> = groups.keys().collect();
     group_keys.sort(); // deterministic confirmation order
     let mut keep_cfd = vec![true; cfds.len()];
-    let mut class_buf: Vec<SymValue> = Vec::new();
+    let mut counter = SymCounter::new(interner.len());
     for key in group_keys {
         let (rel, attrs) = key;
         let members = &groups[key];
-        let rows = tables.rows(*rel);
-        let cols: Vec<&[SymValue]> = attrs.iter().map(|a| tables.column(*rel, *a)).collect();
-        let idx = SymIndex::build_from_columns(rows, &cols, |_| true);
-        // Exact stripped-partition tallies per RHS, shared by every
-        // variable candidate of the group.
-        let mut variable: HashMap<AttrId, (usize, usize), FxBuildHasher> = HashMap::default();
+        let cols = tables.columns(*rel, attrs);
+        let mut partition = StrippedPartition::from_column(cols[0], &mut counter);
+        for col in &cols[1..] {
+            partition = partition.refine(col, &mut counter);
+        }
+        let classes: Vec<&[u32]> = partition.classes().collect();
+        let class_of = constant_classes(
+            &interner,
+            &cols,
+            &classes,
+            members.iter().map(|&i| &cfds[i]),
+        );
+        // Exact per-class tallies, once per RHS the group names, shared
+        // by its variable and constant members alike.
+        let mut tallies: HashMap<AttrId, Vec<ClassTally>, FxBuildHasher> = HashMap::default();
         for &i in members {
             let cand = &mut cfds[i];
             outcome.checked += 1;
             let rhs_col = tables.column(*rel, cand.cfd.rhs());
-            if cand.cfd.lhs_pat().is_all_any() && !cand.cfd.is_constant_rhs() {
-                let (support, kept) = *variable.entry(cand.cfd.rhs()).or_insert_with(|| {
-                    let mut support = 0usize;
-                    let mut kept = 0usize;
-                    for (_, positions) in idx.groups() {
-                        class_buf.clear();
-                        class_buf.extend(positions.iter().map(|&p| rhs_col[p as usize]));
-                        if class_buf.len() < 2 {
-                            continue; // stripped: singletons support nothing
-                        }
-                        support += class_buf.len();
-                        class_buf.sort_unstable();
-                        let mut max_run = 0usize;
-                        let mut run = 0usize;
-                        for w in 0..class_buf.len() {
-                            if w > 0 && class_buf[w] == class_buf[w - 1] {
-                                run += 1;
-                            } else {
-                                run = 1;
-                            }
-                            max_run = max_run.max(run);
-                        }
-                        kept += max_run;
-                    }
-                    (support, kept)
-                });
-                cand.support = support;
-                cand.confidence = if support == 0 {
-                    0.0
-                } else {
-                    kept as f64 / support as f64
-                };
+            let rhs_tallies = tallies.entry(cand.cfd.rhs()).or_insert_with(|| {
+                classes
+                    .iter()
+                    .map(|class| tally_class(class, rhs_col, &mut counter))
+                    .collect()
+            });
+            let (support, agree) = if is_variable(cand) {
+                let kept: usize = rhs_tallies.iter().map(|t| t.max_count).sum();
+                (partition.support(), kept)
             } else {
-                // Constant row: probe its class, count the emitted RHS.
-                let key_syms: Option<Vec<SymValue>> = (0..attrs.len())
-                    .map(|c| const_sym(&interner, cand.cfd.lhs_pat().cell(c)))
-                    .collect();
-                let rhs_sym = const_sym(&interner, cand.cfd.rhs_pat());
-                let (support, agree) = match key_syms {
-                    Some(key) => {
-                        let mut support = 0usize;
-                        let mut agree = 0usize;
-                        for &p in idx.positions(&key) {
-                            support += 1;
-                            if Some(rhs_col[p as usize]) == rhs_sym {
-                                agree += 1;
-                            }
-                        }
-                        (support, agree)
+                // Constant row: its class, and the members carrying the
+                // emitted RHS. A constant whose class was stripped (or
+                // that never occurs) supports nothing.
+                let lhs_key = lhs_constants(&interner, cand);
+                match lhs_key.and_then(|k| class_of.get(&k).copied().flatten()) {
+                    Some(ci) => {
+                        let tally = rhs_tallies[ci];
+                        let agree = match const_sym(&interner, cand.cfd.rhs_pat()) {
+                            Some(rhs) if rhs == tally.majority => tally.max_count,
+                            Some(rhs) => classes[ci]
+                                .iter()
+                                .filter(|&&p| rhs_col[p as usize] == rhs)
+                                .count(),
+                            None => 0,
+                        };
+                        (tally.len, agree)
                     }
-                    None => (0, 0), // the pattern constant never occurs
-                };
-                cand.support = support;
-                cand.confidence = if support == 0 {
-                    0.0
-                } else {
-                    agree as f64 / support as f64
-                };
-            }
+                    None => (0, 0),
+                }
+            };
+            cand.support = support;
+            cand.confidence = if support == 0 {
+                0.0
+            } else {
+                agree as f64 / support as f64
+            };
             if cand.support < support_floor || cand.confidence < confidence_floor {
                 keep_cfd[i] = false;
                 outcome.dropped += 1;
@@ -158,19 +148,18 @@ pub(crate) fn confirm(
     cfds.retain(|_| it.next().expect("one verdict per candidate"));
 
     // CINDs: probe the full source column against the full target
-    // distinct-value index (shared per target column).
-    let mut target_indexes: HashMap<(RelId, AttrId), SymIndex, FxBuildHasher> = HashMap::default();
+    // column's symbol set (shared per target column).
+    let mut targets: HashMap<(RelId, AttrId), SymSet, FxBuildHasher> = HashMap::default();
     let mut keep_cind = vec![true; cinds.len()];
     for (i, cand) in cinds.iter_mut().enumerate() {
         outcome.checked += 1;
         let (x, y) = (cand.cind.x(), cand.cind.y());
         debug_assert_eq!(x.len(), 1, "the miner emits unary CINDs");
         let src_col = tables.column(cand.cind.lhs_rel(), x[0]);
-        let idx = target_indexes
+        let target = targets
             .entry((cand.cind.rhs_rel(), y[0]))
             .or_insert_with(|| {
-                let col = tables.column(cand.cind.rhs_rel(), y[0]);
-                SymIndex::build_from_columns(col.len(), &[col], |_| true)
+                SymSet::of_column(tables.column(cand.cind.rhs_rel(), y[0]), interner.len())
             });
         let cond = cand.cind.xp().first().map(|(a, v)| {
             (
@@ -187,7 +176,7 @@ pub(crate) fn confirm(
                 }
             }
             support += 1;
-            if idx.contains_key(std::slice::from_ref(sym)) {
+            if target.contains(*sym) {
                 hits += 1;
             }
         }
@@ -205,4 +194,121 @@ pub(crate) fn confirm(
     let mut it = keep_cind.into_iter();
     cinds.retain(|_| it.next().expect("one verdict per candidate"));
     outcome
+}
+
+/// A variable row: the plain FD, all-wildcard LHS and RHS.
+fn is_variable(d: &DiscoveredCfd) -> bool {
+    d.cfd.lhs_pat().is_all_any() && !d.cfd.is_constant_rhs()
+}
+
+/// A constant row's LHS constants as symbols; `None` when a cell is a
+/// wildcard or a constant the full instance never holds.
+fn lhs_constants(interner: &Interner, d: &DiscoveredCfd) -> Option<Vec<SymValue>> {
+    (0..d.cfd.lhs().len())
+        .map(|c| const_sym(interner, d.cfd.lhs_pat().cell(c)))
+        .collect()
+}
+
+/// The class each constant member's LHS constants name: the class whose
+/// first member carries them (`None` when no class does).
+fn constant_classes<'a>(
+    interner: &Interner,
+    cols: &[&[SymValue]],
+    classes: &[&[u32]],
+    members: impl Iterator<Item = &'a DiscoveredCfd>,
+) -> HashMap<Vec<SymValue>, Option<usize>, FxBuildHasher> {
+    let mut class_of: HashMap<Vec<SymValue>, Option<usize>, FxBuildHasher> = members
+        .filter(|d| !is_variable(d))
+        .filter_map(|d| lhs_constants(interner, d))
+        .map(|key| (key, None))
+        .collect();
+    if class_of.is_empty() {
+        return class_of;
+    }
+    let mut key = Vec::with_capacity(cols.len());
+    for (ci, class) in classes.iter().enumerate() {
+        key.clear();
+        key.extend(cols.iter().map(|col| col[class[0] as usize]));
+        if let Some(slot) = class_of.get_mut(key.as_slice()) {
+            *slot = Some(ci);
+        }
+    }
+    class_of
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use condep_cfd::NormalCfd;
+    use condep_model::{tuple, Domain, PatternRow, Schema};
+    use std::sync::Arc;
+
+    /// A candidate `k = lhs → v = rhs` over `r(id, k, v)`.
+    fn cfd(lhs: PValue, rhs: PValue) -> DiscoveredCfd {
+        DiscoveredCfd {
+            cfd: NormalCfd::new(
+                RelId(0),
+                vec![AttrId(1)],
+                PatternRow::new(vec![lhs]),
+                AttrId(2),
+                rhs,
+            ),
+            support: 0,
+            confidence: 0.0,
+            interval: None,
+        }
+    }
+
+    /// `k = a` on five rows whose `v` is `p, q, p, q, p`; `k = b` on one.
+    #[test]
+    fn constant_rows_count_their_own_rhs_and_stripped_classes_drop() {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("id", Domain::string()),
+                        ("k", Domain::string()),
+                        ("v", Domain::string()),
+                    ],
+                )
+                .finish(),
+        );
+        let mut db = Database::empty(schema);
+        for (id, k, v) in [
+            ("0", "a", "p"),
+            ("1", "a", "q"),
+            ("2", "a", "p"),
+            ("3", "a", "q"),
+            ("4", "a", "p"),
+            ("5", "b", "p"),
+        ] {
+            db.insert_into("r", tuple![id, k, v]).unwrap();
+        }
+        let config = DiscoveryConfig {
+            min_support: 2,
+            min_confidence: 0.0,
+            ..DiscoveryConfig::default()
+        };
+        let mut cfds = vec![
+            cfd(PValue::Any, PValue::Any),
+            // `q` is not the class's majority: its own count decides.
+            cfd(PValue::constant("a"), PValue::constant("q")),
+            cfd(PValue::constant("a"), PValue::constant("p")),
+            cfd(PValue::constant("a"), PValue::constant("absent")),
+            // `b`'s class is a singleton, stripped: no support.
+            cfd(PValue::constant("b"), PValue::constant("p")),
+            cfd(PValue::constant("absent"), PValue::constant("p")),
+        ];
+        let outcome = confirm(&db, &config, &mut cfds, &mut Vec::new());
+        assert_eq!(
+            outcome,
+            ConfirmOutcome {
+                checked: 6,
+                dropped: 2
+            }
+        );
+        let figures: Vec<(usize, f64)> = cfds.iter().map(|d| (d.support, d.confidence)).collect();
+        assert_eq!(figures, [(5, 0.6), (5, 0.4), (5, 0.6), (5, 0.0)]);
+    }
 }

@@ -11,17 +11,19 @@
 //!
 //! * **CFD mining** (`cfd_miner`, via [`discover`]) — per relation, a
 //!   level-wise walk of the attribute-set lattice over **stripped
-//!   partitions** (TANE's data structure, built from the existing
-//!   [`SymTables`] symbolization and the [`condep_model::SymIndex`]
-//!   counting-sort CSR — no string is hashed in the hot path). Each
-//!   lattice node yields the plain FD `X → A` as a *variable* (all
+//!   partitions** (TANE's data structure over the existing
+//!   [`SymTables`] symbolization). Every partition and tally is one
+//!   counting pass over symbols through a reusable [`SymCounter`] — no
+//!   comparison sort over positions, no string hashed in the hot path.
+//!   Each lattice node yields the plain FD `X → A` as a *variable* (all
 //!   wildcard) tableau row and **specializes** each equivalence class of
 //!   `π_X` into a *constant* row `(X = x̄ ‖ A = a)`, both tagged with
 //!   `(support, confidence)`.
 //! * **CIND mining** (`cind_miner`, same entry point) — unary
-//!   inclusion candidates probed against shared target-column indexes;
-//!   exact inclusions become traditional INDs, near-inclusions get the
-//!   highest-support constant source conditions that make them exact.
+//!   inclusion candidates probed against shared target-column symbol
+//!   sets; exact inclusions become traditional INDs, near-inclusions get
+//!   the highest-support constant source conditions that make them
+//!   exact.
 //! * **Ranking & pruning** — candidates are ranked by
 //!   `(support, confidence)`; trivial dependencies
 //!   ([`NormalCfd::is_trivial`] / [`NormalCind::is_trivial`]),
@@ -73,7 +75,7 @@ mod partition;
 mod sample;
 
 pub use config::{DiscoveryConfig, SampleConfig};
-pub use partition::StrippedPartition;
+pub use partition::{StrippedPartition, SymCounter};
 
 /// A Hoeffding-style `(support, confidence)` interval estimate attached
 /// to a sample-mined candidate (see [`DiscoveryConfig::sample`]).

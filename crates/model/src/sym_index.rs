@@ -7,12 +7,11 @@
 //! probing never touch string bytes or bump `Arc` reference counts.
 //! Probes borrow (`&[SymValue]`).
 //!
-//! Every build reads cells that were symbolized beforehand: contiguous
-//! columns such as a [`crate::SymTables`]'s
-//! ([`SymIndex::build_from_columns`], what discovery uses), or any other
-//! symbol store through [`SymIndex::build_with`] (the validator's group
-//! tasks, reading column-major tables or a stream's row-major row
-//! cache). No build interns or hashes a tuple's strings.
+//! Every build reads cells that were symbolized beforehand, from any
+//! symbol store, through [`SymIndex::build_with`] (the validator's group
+//! tasks, reading a [`crate::SymTables`]'s column-major tables or a
+//! stream's row-major row cache). No build interns or hashes a tuple's
+//! strings.
 //!
 //! Storage is one shared position vector in which every key group owns
 //! one segment, so a group is always one contiguous slice:
@@ -150,31 +149,11 @@ impl SymIndex {
         }
     }
 
-    /// Builds from pre-symbolized columns (see [`crate::SymTables`]):
-    /// `key_cols` are the key attributes' columns in key order, all of
-    /// length `rows`; only positions passing `filter` are indexed. This
-    /// is the validation hot path — key cells are `Copy` reads, the
-    /// counting-sort build allocates one shared position vector, and no
-    /// string ever gets hashed.
-    pub fn build_from_columns<F>(rows: usize, key_cols: &[&[SymValue]], filter: F) -> Self
-    where
-        F: Fn(usize) -> bool,
-    {
-        SymIndex::build_with(rows, key_cols.len(), |pos, buf| {
-            if !filter(pos) {
-                return false;
-            }
-            buf.extend(key_cols.iter().map(|col| col[pos]));
-            true
-        })
-    }
-
     /// Builds over positions `0..rows` from any pre-symbolized store:
     /// `key_at(pos, buf)` writes position `pos`'s `key_len` key cells
     /// into the cleared `buf` and returns whether `pos` is indexed (the
-    /// cells of a skipped position are ignored). The same counting-sort
-    /// bulk build as [`SymIndex::build_from_columns`], for stores that
-    /// are not column-major.
+    /// cells of a skipped position are ignored). A two-pass counting-sort
+    /// bulk build; key cells are `Copy` reads and no string is hashed.
     pub fn build_with<F>(rows: usize, key_len: usize, mut key_at: F) -> Self
     where
         F: FnMut(usize, &mut Vec<SymValue>) -> bool,

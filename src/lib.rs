@@ -13,7 +13,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍`; interning and `SymIndex`, the compact-key group-by index over interned values that validation, the delta engine and discovery build on |
+//! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍`; interning and `SymIndex`, the compact-key group-by index over interned values that validation and the delta engine build on |
 //! | [`sat`] | DPLL SAT solver (stands in for SAT4j) |
 //! | [`analyze`] | **static analysis of Σ**: per-relation verdicts from the `cfd` SAT decider (`Sat` + witness database, `Unsat` + minimal core in Σ indices, `Unknown` on budget), a budgeted CFD+CIND chase, and the advisory `SigmaLint` catalogue — the pre-flight gate behind `Validator::strict` and `repair()` |
 //! | [`cfd`] | CFDs: syntax, normal form, satisfaction, violations, and the one SAT decider for consistency (one symbolic tuple) and implication (two) |
@@ -21,7 +21,7 @@
 //! | [`chase`] | the bounded-pool chase of Section 5.1 (`IND(ψ)`/`FD(φ)`, `chaseI`, valuations) |
 //! | [`consistency`] | the Section 5 heuristics: `CFD_Checking` (chase & SAT), dependency graph, `preProcessing`, `RandomChecking`, `Checking` |
 //! | [`gen`] | seeded workload generators matching the Section 6 experimental setting, incl. the planted-Σ discovery ground truth (`clean_database_with_hidden_sigma`) |
-//! | [`discover`] | **dependency discovery**: level-wise CFD mining over stripped partitions (interned columns, `SymIndex` counting-sort CSR), constant-pattern specialization per equivalence class, unary CIND inclusion mining with exact-making constant conditions, `(support, confidence)` ranking with trivial/implied pruning |
+//! | [`discover`] | **dependency discovery**: level-wise CFD mining over stripped partitions (counting passes over interned columns), constant-pattern specialization per equivalence class, unary CIND inclusion mining with exact-making constant conditions, `(support, confidence)` ranking with trivial/implied pruning |
 //! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over interned keys, parallel sweep; `ValidatorStream` delta engine (value-level `Mutation` windows through one `apply_deltas` entry, insert/delete/update with violation retraction; `apply`/`revert` are windows of one) hardened for whole-life monitoring: position-stable `TupleId` handles and full `compact()` (emptied key groups + dead interned strings reclaimed) |
 //! | [`repair`] | **cost-based repair engine**: greedy equivalence-class CFD repair (union-find over conflicting cells, majority/constant targets), CIND orphans chased into inserted targets or deleted, every fix verified net-negative through the delta engine and rolled back otherwise |
 //! | [`report`] | high-level data-quality façade: compiles Σ into a batched validator, runs it against a database and aggregates violations; `QualityMonitor` reads the stream's live violation set (O(1) summary, sorted report on demand); `QualitySuite::repair` cleans a database through the repair engine |
