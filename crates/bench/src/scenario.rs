@@ -23,11 +23,12 @@ use condep_gen::{
     dirty_database, generate_sigma, random_schema, AdversarialDirtConfig, ChurnConfig, ChurnOp,
     DirtyDataConfig, PlantedSigmaConfig, PoisonedClass, SchemaGenConfig, SigmaGenConfig,
 };
-use condep_model::{Database, RelId, Tuple};
+use condep_model::{prow, Database, PValue, RelId, Tuple, Value};
 use condep_repair::{AppliedFix, Fix, RepairBudget, RepairCost};
 use condep_telemetry::{MetricValue, MetricsSnapshot, Registry};
 use condep_validate::Mutation;
 use rand::{rngs::StdRng, SeedableRng};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// What instance a scenario runs against.
@@ -36,6 +37,13 @@ pub enum DataShape {
     /// One wide `fact` relation with planted FD pairs + `dim`
     /// inclusions ([`clean_database_with_hidden_sigma`]).
     Planted(PlantedSigmaConfig),
+    /// [`DataShape::Planted`] with Σ keyed on the `fact` relation's
+    /// unique `id` column as well: the variable CFD `id → k0` and the
+    /// CIND `fact[id] ⊆ fact[id]`, which every instance satisfies. A
+    /// churn insert brings a never-seen `id`, so it opens a key group in
+    /// a CFD index, a CIND target index and a CIND source index, and
+    /// the delete of a churned tuple empties all three.
+    PlantedIdKeyed(PlantedSigmaConfig),
     /// Many small relations with a random consistent Σ
     /// ([`random_schema`] + [`generate_sigma`] + [`dirty_database`]).
     ManyRelations {
@@ -88,6 +96,15 @@ pub enum ChurnSpec {
     /// [`PlantedSigmaConfig::drift_pairs`] > 0).
     DriftSuffix {
         /// Suffix rows per window.
+        window: usize,
+    },
+    /// Replace resident `fact` tuples, oldest first, by copies carrying
+    /// a never-seen `id`, one update each (planted shapes only): the
+    /// live size stays put while every insert brings a new `id`.
+    FreshIds {
+        /// Updates to stream.
+        ops: usize,
+        /// Updates per `apply_deltas` window.
         window: usize,
     },
 }
@@ -195,10 +212,10 @@ impl ScenarioResult {
     }
 }
 
-/// The default scenario matrix — eleven workloads covering value drift,
+/// The default scenario matrix — twelve workloads covering value drift,
 /// bursty vs singleton churn, hot-key skew, adversarial dirt, shape
-/// extremes, live Σ churn, a Σ analysis sweep, long hot-key churn and
-/// a wide Σ.
+/// extremes, live Σ churn, a Σ analysis sweep, long hot-key churn,
+/// churn of never-seen keys and a wide Σ.
 /// Sized so the whole sweep runs in seconds: the committed baseline
 /// **is** the matrix CI runs.
 pub fn matrix() -> Vec<Scenario> {
@@ -413,6 +430,26 @@ pub fn matrix() -> Vec<Scenario> {
             sigma_churn_every: 0,
             sigma_lint: None,
         },
+        // 2^16 updates against a 20K-row instance whose Σ keys on `id`:
+        // every update retires one `id` and brings a never-seen one into
+        // three index tiers and the stream's dictionary, while the live
+        // size stays put. Key groups and strings must follow the live
+        // tuples, and a late window must cost what an early one did.
+        Scenario {
+            name: "fresh_key_churn",
+            seed: 0xF4E5,
+            data: DataShape::PlantedIdKeyed(planted(20_000)),
+            dirt: Dirt::None,
+            discover: None,
+            repair: false,
+            churn: ChurnSpec::FreshIds {
+                ops: 1 << 16,
+                window: 128,
+            },
+            online: None,
+            sigma_churn_every: 0,
+            sigma_lint: None,
+        },
         // The widest Σ the matrix compiles: 10 pairs of one variable FD
         // plus 19 constant rows give 200 CFDs in 10 `(fact, {k_p})` key
         // groups of 20, plus `fact[k0] ⊆ dim0[v]` and `fact[k1] ⊆
@@ -469,14 +506,40 @@ enum SuiteSource {
 
 fn build_instance(s: &Scenario, rng: &mut StdRng) -> BuiltInstance {
     match &s.data {
-        DataShape::Planted(cfg) => {
+        DataShape::Planted(cfg) | DataShape::PlantedIdKeyed(cfg) => {
             let planted = clean_database_with_hidden_sigma(cfg, rng);
             let mut cfds = planted.cfds.clone();
             // Drifted pairs ship their planted dependencies too: they
             // hold on the prefix and decay over the streamed suffix —
             // that accumulation is the drift scenario's signal.
             cfds.extend(planted.drifted_cfds.iter().cloned());
-            let cinds = planted.cinds.clone();
+            let mut cinds = planted.cinds.clone();
+            if let DataShape::PlantedIdKeyed(_) = s.data {
+                let schema = planted.db.schema();
+                cfds.push(
+                    condep_cfd::NormalCfd::parse(
+                        schema,
+                        "fact",
+                        &["id"],
+                        prow![_],
+                        "k0",
+                        PValue::Any,
+                    )
+                    .expect("planted shape"),
+                );
+                cinds.push(
+                    condep_core::NormalCind::parse(
+                        schema,
+                        "fact",
+                        &["id"],
+                        &[],
+                        "fact",
+                        &["id"],
+                        &[],
+                    )
+                    .expect("planted shape"),
+                );
+            }
 
             let (db, drift_suffix, drift_rel) = if matches!(s.churn, ChurnSpec::DriftSuffix { .. })
             {
@@ -713,6 +776,34 @@ fn churn_windows(
                 .collect();
             muts.chunks(window.max(1)).map(|c| c.to_vec()).collect()
         }
+        ChurnSpec::FreshIds { ops, window } => {
+            let fact = db
+                .schema()
+                .rel_id("fact")
+                .expect("FreshIds churn needs a planted shape");
+            let id = db
+                .schema()
+                .relation(fact)
+                .expect("in range")
+                .attr_id("id")
+                .expect("planted shape");
+            let mut queue: VecDeque<Tuple> = db.relation(fact).iter().cloned().collect();
+            let muts: Vec<Mutation> = (0..ops)
+                .map(|serial| {
+                    let old = queue.pop_front().expect("a non-empty fact relation");
+                    let mut values = old.values().to_vec();
+                    values[id.index()] = Value::str(format!("f{serial}"));
+                    let new = Tuple::new(values);
+                    queue.push_back(new.clone());
+                    Mutation::Update {
+                        rel: fact,
+                        old,
+                        new,
+                    }
+                })
+                .collect();
+            muts.chunks(window.max(1)).map(|c| c.to_vec()).collect()
+        }
         ChurnSpec::DriftSuffix { window } => {
             let rel = built.drift_rel.expect("DriftSuffix needs a planted drift");
             built
@@ -932,5 +1023,86 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
         validate_tuples_per_s: per_s(rows, validate_us),
         churn_ops_per_s: per_s(churn_ops, churn_us),
         metrics,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use condep::report::QualityMonitor;
+    use std::time::Duration;
+
+    /// The storage gauge `name` of a monitor's health snapshot.
+    fn gauge(monitor: &QualityMonitor, name: &str) -> usize {
+        match monitor.health().metrics.get(name) {
+            Some(MetricValue::Gauge(v)) => usize::try_from(*v).expect("a size"),
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    /// The median of a run of window costs.
+    fn median(costs: &[Duration]) -> Duration {
+        let mut sorted = costs.to_vec();
+        sorted.sort_unstable();
+        sorted[sorted.len() / 2]
+    }
+
+    /// `fresh_key_churn` keys Σ on `id`, and every churn update brings a
+    /// never-seen one. Window by window, the stream keeps exactly three
+    /// key groups and one string per live `fact` tuple beyond what the
+    /// seed's other columns need, and both stay within a constant
+    /// factor of the live tuples. Wall time: the median window of the
+    /// run's last quarter costs at most 1.25× the median window of its
+    /// first quarter.
+    #[test]
+    fn fresh_key_churn_keeps_keys_and_strings_bounded_and_windows_flat() {
+        let mut s = by_name("fresh_key_churn").expect("in matrix");
+        // A quarter of the matrix run keeps the unoptimized test build
+        // to seconds; 128 windows still give each quarter 32 samples.
+        if let ChurnSpec::FreshIds { ops, .. } = &mut s.churn {
+            *ops = 1 << 14;
+        }
+        let mut rng = StdRng::seed_from_u64(s.seed);
+        let built = build_instance(&s, &mut rng);
+        let SuiteSource::Normal { cfds, cinds } = &built.suite_src;
+        let suite =
+            QualitySuite::from_normal(built.db.schema().clone(), cfds.clone(), cinds.clone());
+        let windows = churn_windows(&s, &built, &built.db, &mut rng);
+        assert_eq!(windows.len(), 128);
+        let fact = built.db.schema().rel_id("fact").expect("planted shape");
+        let (mut monitor, _) = suite.monitor(built.db.clone());
+        let surplus = |m: &QualityMonitor| {
+            let live = m.db().relation(fact).len();
+            (
+                gauge(m, "stream.index.keys") - 3 * live,
+                gauge(m, "stream.interner.strings") - live,
+            )
+        };
+        let seeded = surplus(&monitor);
+        let mut costs = Vec::with_capacity(windows.len());
+        for (w, window) in windows.iter().enumerate() {
+            let t0 = Instant::now();
+            monitor.ingest_batch(window).expect("well-typed");
+            costs.push(t0.elapsed());
+            assert_eq!(surplus(&monitor), seeded, "window {w}");
+            let live = monitor.db().total_tuples();
+            assert!(
+                gauge(&monitor, "stream.index.keys") <= 4 * live,
+                "window {w}"
+            );
+            assert!(
+                gauge(&monitor, "stream.interner.strings") <= 2 * live,
+                "window {w}"
+            );
+        }
+        let quarter = costs.len() / 4;
+        let (first, last) = (
+            median(&costs[..quarter]),
+            median(&costs[costs.len() - quarter..]),
+        );
+        assert!(
+            last.as_secs_f64() <= 1.25 * first.as_secs_f64(),
+            "late windows cost {last:?}, early ones {first:?}"
+        );
     }
 }

@@ -88,10 +88,13 @@ fn numeric_leaves(prefix: &str, v: &JsonValue, out: &mut Vec<(String, f64)>) {
 fn every_matrix_metric_is_documented() {
     for mut s in matrix() {
         // Which keys a scenario exports depends on the passes it runs,
-        // not on how long it churns: capping `long_churn`'s 2^18
-        // operations keeps the unoptimized test build to seconds.
-        if let ChurnSpec::Plan(plan) = &mut s.churn {
-            plan.ops = plan.ops.min(4_096);
+        // not on how long it churns: capping `long_churn`'s 2^18 and
+        // `fresh_key_churn`'s 2^16 operations keeps the unoptimized
+        // test build to seconds.
+        match &mut s.churn {
+            ChurnSpec::Plan(plan) => plan.ops = plan.ops.min(4_096),
+            ChurnSpec::FreshIds { ops, .. } => *ops = (*ops).min(4_096),
+            _ => {}
         }
         let r = run_scenario(&s);
         assert!(!r.metrics.is_empty(), "{}: no metrics", s.name);

@@ -22,18 +22,17 @@
 //! ([`OnlineMiner::confidence_of_cfd`],
 //! [`OnlineMiner::confidence_of_cind`]) cost O(1).
 //!
-//! The sketches are keyed by the miner's **own value dictionary**: each
-//! live value maps to a `u32` id, probed once per cell of a mutation,
-//! and column counts, classes and tallies all key on ids. One dictionary
-//! serves every column and relation, since an inclusion candidate
-//! compares a source cell with another relation's column. An id counts
-//! the live cells holding its value and is freed with the last of them,
-//! for the next new value to reuse, so the dictionary holds exactly the
-//! live distinct values and needs no compaction. It never reads the
-//! stream's interner, so a long-lived monitor's miner survives interner
-//! compaction. A class keeps its RHS tally inline until a second RHS
-//! value arrives, so the singleton classes of a near-unique column
-//! allocate nothing.
+//! The sketches are keyed by the miner's **own value dictionary**, a
+//! refcounted [`Dict`]: each live value maps to a `u32` id, probed once
+//! per cell of a mutation, and column counts, classes and tallies all
+//! key on ids. One dictionary serves every column and relation, since an
+//! inclusion candidate compares a source cell with another relation's
+//! column. An id counts the live cells holding its value and is freed
+//! with the last of them, for the next new value to reuse, so the
+//! dictionary holds exactly the live distinct values. It shares no ids
+//! with the stream's dictionary. A class keeps its RHS tally inline
+//! until a second RHS value arrives, so the singleton classes of a
+//! near-unique column allocate nothing.
 //!
 //! Feed the miner *effective* operations only (the workspace's
 //! instances are sets; an insert of a present tuple or a delete of an
@@ -45,7 +44,7 @@ use crate::{DiscoveredCfd, DiscoveredCind};
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, PValue, PatternRow, RelId, Schema, Tuple, Value};
+use condep_model::{AttrId, Database, Dict, PValue, PatternRow, RelId, Schema, Tuple, Value};
 use condep_validate::Mutation;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -77,65 +76,6 @@ impl Default for OnlineConfig {
             min_confidence: 1.0,
             retire_confidence: 0.9,
             window: 1_024,
-        }
-    }
-}
-
-/// The miner's value dictionary: each live value and its `u32` id.
-#[derive(Clone, Debug, Default)]
-struct Dict {
-    /// Live value → id.
-    ids: HashMap<Value, u32, FxBuildHasher>,
-    /// Id → value; `None` while the id is free.
-    values: Vec<Option<Value>>,
-    /// Id → live cells holding its value.
-    cells: Vec<u32>,
-    /// Freed ids, reused before `values` grows.
-    free: Vec<u32>,
-}
-
-impl Dict {
-    /// The id of `v`, counting one more cell that holds it. One probe
-    /// for a known value; a new value is cloned in.
-    fn acquire(&mut self, v: &Value) -> u32 {
-        if let Some(&id) = self.ids.get(v) {
-            self.cells[id as usize] += 1;
-            return id;
-        }
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.values[id as usize] = Some(v.clone());
-                self.cells[id as usize] = 1;
-                id
-            }
-            None => {
-                self.values.push(Some(v.clone()));
-                self.cells.push(1);
-                u32::try_from(self.values.len() - 1).expect("fewer than 2^32 live values")
-            }
-        };
-        self.ids.insert(v.clone(), id);
-        id
-    }
-
-    /// The id of `v`, when some live cell holds it.
-    fn get(&self, v: &Value) -> Option<u32> {
-        self.ids.get(v).copied()
-    }
-
-    /// The value of a live id.
-    fn value(&self, id: u32) -> &Value {
-        self.values[id as usize].as_ref().expect("live id")
-    }
-
-    /// Counts one cell holding `id` out; the last one frees the id.
-    fn release(&mut self, id: u32) {
-        let cells = &mut self.cells[id as usize];
-        *cells -= 1;
-        if *cells == 0 {
-            let v = self.values[id as usize].take().expect("live id");
-            self.ids.remove(&v);
-            self.free.push(id);
         }
     }
 }
@@ -300,7 +240,7 @@ impl Class {
     /// The majority RHS value, read back through `dict`. Count ties
     /// break toward the smallest value: ids are the miner's own, handed
     /// out in arrival order and reused once freed, so they carry no
-    /// value order (and share nothing with the stream's interner). The
+    /// value order (and share nothing with the stream's dictionary). The
     /// batch miner breaks ties toward the smallest interned symbol —
     /// identical on sorted-insert data, close enough for ranking
     /// everywhere else.
@@ -480,7 +420,7 @@ impl OnlineMiner {
         OnlineMiner {
             schema,
             config,
-            dict: Dict::default(),
+            dict: Dict::new(),
             rels,
             cinds,
             src_of,
@@ -513,7 +453,7 @@ impl OnlineMiner {
             .flat_map(|s| &s.pairs)
             .map(|p| p.classes.len())
             .sum();
-        (self.dict.ids.len(), classes)
+        (self.dict.len(), classes)
     }
 
     /// Absorbs a full snapshot (each tuple once — instances are sets).
@@ -1015,8 +955,7 @@ mod tests {
     }
 
     /// The dictionary holds exactly the values of the `live` tuples'
-    /// cells, each id counting the cells that hold its value, and every
-    /// other id is on the free list.
+    /// cells, each id counting the cells that hold its value.
     fn assert_dict_matches<'a>(miner: &OnlineMiner, live: impl IntoIterator<Item = &'a Tuple>) {
         let mut cells: HashMap<&Value, u32> = HashMap::new();
         for t in live {
@@ -1032,11 +971,9 @@ mod tests {
         );
         for (&v, &n) in &cells {
             let id = dict.get(v).expect("a live value has an id");
-            assert_eq!((dict.value(id), dict.cells[id as usize]), (v, n));
+            assert_eq!((dict.value(id), dict.holders(id)), (v, n));
         }
-        let free = dict.values.iter().filter(|v| v.is_none()).count();
-        assert_eq!(free, dict.free.len());
-        assert_eq!(dict.values.len(), cells.len() + free);
+        assert_eq!(dict.len(), cells.len());
     }
 
     /// Seeded insert/delete walks over a 4-attribute relation whose
@@ -1181,7 +1118,7 @@ mod tests {
                 assert_aggregates_match_tallies(miner);
                 assert_dict_matches(miner, live.iter().map(|(_, t)| t));
                 peak = peak.max(miner.sketch_size().0);
-                assert!(miner.dict.values.len() <= peak, "ids are reused");
+                assert!(miner.dict.id_bound() <= peak, "ids are reused");
             };
             for step in 0..400 {
                 // Grow for the first half, then churn at a steady size.
@@ -1213,7 +1150,7 @@ mod tests {
                 check(&miner, &live);
             }
             assert_eq!(miner.sketch_size(), (0, 0), "nothing outlives its tuples");
-            assert!(miner.dict.ids.is_empty() && miner.dict.free.len() == peak);
+            assert!(miner.dict.is_empty() && miner.dict.id_bound() == peak);
             assert!(miner.rels.iter().all(|s| s.rows == 0));
             assert!(miner.cinds.iter().all(|p| p.misses == 0));
             assert!(

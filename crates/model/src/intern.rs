@@ -34,14 +34,14 @@ pub enum SymValue {
     Str(Sym),
 }
 
-/// A per-database string interner.
+/// An append-only per-database string interner.
 ///
 /// [`SymTables::build_for`] returns one holding exactly the strings of
-/// the columns it symbolized; a streaming owner starts from
-/// [`Interner::new`] and interns cells as it caches them. Translate
-/// values with [`Interner::sym_value`] for read-only probing, or with
-/// [`Interner::intern_value`] when new strings may still arrive
-/// (streaming inserts).
+/// the columns it symbolized. Translate values with
+/// [`Interner::sym_value`] for read-only probing, or with
+/// [`Interner::intern_value`] while symbolizing. A symbol store that
+/// outlives mutations, where strings must die with their last cell, is
+/// a [`crate::Dict`].
 #[derive(Clone, Default, Debug)]
 pub struct Interner {
     map: HashMap<Arc<str>, u32, FxBuildHasher>,
@@ -75,18 +75,6 @@ impl Interner {
         &self.strs[sym.0 as usize]
     }
 
-    /// The shared `Arc` behind a symbol — what a compaction pass uses to
-    /// re-intern live strings into a fresh interner without copying.
-    pub fn resolve_arc(&self, sym: Sym) -> &Arc<str> {
-        &self.strs[sym.0 as usize]
-    }
-
-    /// Total bytes held by the interned strings (the payload a
-    /// compaction pass can reclaim when strings go dead).
-    pub fn str_bytes(&self) -> usize {
-        self.strs.iter().map(|s| s.len()).sum()
-    }
-
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.strs.len()
@@ -108,15 +96,30 @@ impl Interner {
 
     /// Read-only translation: `None` when `v` is a string this interner
     /// has never seen — which, for an interner holding every cell it
-    /// symbolized (one from [`SymTables::build_for`], or a stream's),
-    /// means **no symbolized cell can equal `v`**. Callers use that to
-    /// skip entire constraint groups.
+    /// symbolized (one from [`SymTables::build_for`]), means **no
+    /// symbolized cell can equal `v`**. Callers use that to skip entire
+    /// constraint groups.
     pub fn sym_value(&self, v: &Value) -> Option<SymValue> {
         match v {
             Value::Bool(b) => Some(SymValue::Bool(*b)),
             Value::Int(i) => Some(SymValue::Int(*i)),
             Value::Str(s) => self.lookup(s).map(SymValue::Str),
         }
+    }
+}
+
+/// Read-only value → symbol translation, shared by the symbol stores:
+/// the batch [`Interner`] and the refcounted [`crate::Dict`]. `None`
+/// means `v` is a string no cell of the store carries, so no symbolized
+/// cell can equal it.
+pub trait SymLookup {
+    /// The symbol of `v` (see the trait docs).
+    fn sym_value(&self, v: &Value) -> Option<SymValue>;
+}
+
+impl SymLookup for Interner {
+    fn sym_value(&self, v: &Value) -> Option<SymValue> {
+        Interner::sym_value(self, v)
     }
 }
 

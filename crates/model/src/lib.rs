@@ -21,10 +21,13 @@
 //! * pattern tuples rank data values against the unnamed variable `_`
 //!   via the match order `≍` ([`pattern::PValue`], [`pattern::PatternRow`]).
 //!
-//! Validation, the delta engine and discovery all build on two pieces
-//! that live here too: the [`Interner`] that turns cell values into
-//! word-sized [`SymValue`]s, and [`SymIndex`], the group-by index from
-//! keys of those symbols to the positions of the tuples carrying them.
+//! Validation, the delta engine and discovery all build on three pieces
+//! that live here too: the append-only [`Interner`] that turns cell
+//! values into word-sized [`SymValue`]s for batch builds, the
+//! refcounted [`Dict`] that does the same for long-lived consumers and
+//! frees a value with its last holder, and [`SymIndex`], the group-by
+//! index from keys of those symbols to the positions of the tuples
+//! carrying them.
 //!
 //! The [`fixtures`] module reconstructs the running example of the paper
 //! (Figure 1: the bank's `account`/`saving`/`checking`/`interest`
@@ -32,6 +35,7 @@
 //! tests.
 
 pub mod database;
+pub mod dict;
 pub mod domain;
 pub mod error;
 pub mod fixtures;
@@ -46,11 +50,12 @@ pub mod tuple;
 pub mod value;
 
 pub use database::Database;
+pub use dict::Dict;
 pub use domain::{BaseType, Domain};
 pub use error::ModelError;
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use implication::{Implication, ImplicationConfig};
-pub use intern::{Interner, Sym, SymTables, SymValue};
+pub use intern::{Interner, Sym, SymLookup, SymTables, SymValue};
 pub use pattern::{PValue, PatternRow};
 pub use relation::{PosList, Relation, Removed, TupleId, TupleIdMap};
 pub use schema::{AttrId, Attribute, RelId, RelationSchema, Schema, SchemaBuilder};

@@ -75,7 +75,7 @@ impl PosList {
 /// position-keyed view must replay the move. A `TupleId` is allocated
 /// once (by a [`TupleIdMap`] owner such as a validator stream) and keeps
 /// addressing the same logical tuple through arbitrary
-/// insert/delete/update/compaction sequences; it dies with its tuple and
+/// insert/delete/update sequences; it dies with its tuple and
 /// is never reused.
 ///
 /// Ids are only meaningful for the map that allocated them. The
@@ -177,14 +177,6 @@ impl TupleIdMap {
     /// gone (deleted, or rewritten by an update).
     pub fn pos_of(&self, id: TupleId) -> Option<usize> {
         self.id_to_pos.get(&id.0).map(|&p| p as usize)
-    }
-
-    /// Releases the excess capacity churn left behind (the live entries
-    /// themselves are already the only storage). Live ids are never
-    /// renumbered — handles held by consumers stay valid.
-    pub fn shrink(&mut self) {
-        self.pos_to_id.shrink_to_fit();
-        self.id_to_pos.shrink_to_fit();
     }
 }
 
@@ -520,9 +512,8 @@ mod tests {
         assert_eq!(m.pos_of(TupleId(3)), None);
         assert_eq!(m.pos_of(TupleId(2)), Some(0));
         assert_eq!(m.pos_of(TupleId(1)), Some(1));
-        // Allocation stays monotone across removals and shrinks: a
-        // retired id number is never handed out again.
-        m.shrink();
+        // Allocation stays monotone across removals: a retired id
+        // number is never handed out again.
         let id = m.alloc(2);
         assert_eq!(id, TupleId(4));
         assert_eq!(m.pos_of(TupleId(3)), None, "dead ids stay dead");

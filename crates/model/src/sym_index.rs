@@ -2,8 +2,8 @@
 //!
 //! A [`SymIndex`] is a hash index from a key to the dense positions of
 //! the tuples carrying it, built for the batched Σ-validation hot path:
-//! keys are `Box<[SymValue]>` — `Copy` word-sized cells from a
-//! [`crate::Interner`] — hashed with the fx hasher, so building and
+//! keys are rows of `Copy` word-sized [`SymValue`] cells from a symbol
+//! store ([`crate::Interner`] or [`crate::Dict`]), so building and
 //! probing never touch string bytes or bump `Arc` reference counts.
 //! Probes borrow (`&[SymValue]`).
 //!
@@ -13,7 +13,24 @@
 //! stream's row-major row cache). No build interns or hashes a tuple's
 //! strings.
 //!
-//! Storage is one shared position vector in which every key group owns
+//! ## Keys
+//!
+//! Each key group owns a **slot**, a dense `u32` handle. Every slot's
+//! key lives once, in one slab: a single `Vec<SymValue>` with stride
+//! `key_len`, so slot `s` owns cells `s·key_len..(s+1)·key_len`. A key
+//! costs its cells and nothing else — no per-key allocation, no second
+//! copy. Probes go through an open-addressing table of `u32` slots
+//! (linear probing, at most half full) hashed over the slab.
+//!
+//! A group is freed the moment its last position leaves: its table
+//! entry is removed (a backward shift, so no tombstone lingers), and
+//! its slot goes on a free list that the next new key reuses. So
+//! [`SymIndex::distinct_keys`] counts exactly the non-empty groups, and
+//! never exceeds [`SymIndex::len`].
+//!
+//! ## Positions
+//!
+//! Position storage is one shared vector in which every key group owns
 //! one segment, so a group is always one contiguous slice:
 //!
 //! * **Bulk builds** run a two-pass counting sort: pass one maps rows to
@@ -26,23 +43,28 @@
 //!   the group reuses the room that frees. A full segment grows in place
 //!   when it ends at the vector's tail and otherwise moves there with
 //!   twice its length as capacity. A segment that falls to a quarter
-//!   full releases half its room, and once such dead room exceeds half
-//!   the vector every segment is laid out again back to back. Each
-//!   mutation is `O(1)` amortized, and storage stays bounded by the live
-//!   data (see [`SymIndex::stored`]), so a long-lived index needs no
-//!   [`SymIndex::compact`] to stay fast.
+//!   full releases half its room, and a freed group releases all of it
+//!   (left in place, so the next key to take the slot reuses it unless a
+//!   repack came first). Once such dead room exceeds half the vector
+//!   every segment is laid out again back to back. Each mutation is
+//!   `O(1)` amortized.
+//!
+//! Storage therefore depends on the live data alone, whatever keys came
+//! and went before: [`SymIndex::stored`] never exceeds
+//! `8 · len() + 6 · distinct_keys()`, which is at most `14 · len()`
+//! because every live key holds a position.
 //!
 //! [`SymIndex::remove_key`] / [`SymIndex::replace_pos`] give the
 //! multiset-aware maintenance the `ValidatorStream` delta engine needs:
 //! a removal is `O(1)` through a per-position back-pointer, and a
 //! swap-removed relation position can be renumbered in place.
 
-use crate::fxhash::FxBuildHasher;
+use crate::fxhash::FxHasher;
 use crate::SymValue;
-use std::collections::HashMap;
+use std::hash::Hasher;
 use std::ops::Range;
 
-/// Sentinel for "no position" and "no location".
+/// Sentinel for "no position", "no location" and "empty table entry".
 const NONE: u32 = u32::MAX;
 
 /// A full segment away from the vector's tail moves there with this
@@ -58,6 +80,9 @@ const SHRINK_MIN_CAP: u32 = 4;
 /// The vector is laid out again once its dead room exceeds
 /// `1 / REPACK_DEAD` of it.
 const REPACK_DEAD: usize = 2;
+
+/// The probe table's length when the first key arrives.
+const MIN_TABLE: usize = 8;
 
 /// One key group's room in the shared position vector: entries
 /// `start..start + cap` belong to the group, the first `len` are live.
@@ -98,6 +123,20 @@ fn offset(n: usize) -> u32 {
     u32::try_from(n).expect("index capacity exceeded")
 }
 
+/// The fx hash of a key: one word per cell, the kind folded into the
+/// high bits (a collision between kinds only costs a key compare).
+fn hash_key(key: &[SymValue]) -> u64 {
+    let mut h = FxHasher::default();
+    for cell in key {
+        h.write_u64(match *cell {
+            SymValue::Bool(b) => u64::from(b) ^ (1 << 62),
+            SymValue::Int(i) => i as u64,
+            SymValue::Str(s) => u64::from(s.0) ^ (1 << 63),
+        });
+    }
+    h.finish()
+}
+
 /// A group-by index keyed by interned projections.
 ///
 /// Each dense position appears **at most once** per index (one tuple
@@ -110,21 +149,27 @@ fn offset(n: usize) -> u32 {
 /// delta engine's pair-witness probe — is a single lookup; only
 /// removing the minimum itself rescans its group).
 ///
-/// Each group is one segment of a shared position vector (see the
-/// module docs). Mutations keep every segment's capacity within
-/// `max(4 · live, 3)` and the vector's dead room within half of it, so
-/// [`SymIndex::stored`] never exceeds `8 · len() + 6 · distinct_keys()`
-/// — whatever sizes the groups reached in the past.
+/// Keys live once, in a slab probed through a table of slots, and an
+/// emptied group is freed at once (see the module docs). Mutations keep
+/// every segment's capacity within `max(4 · live, 3)` and the vector's
+/// dead room within half of it, so [`SymIndex::stored`] never exceeds
+/// `8 · len() + 6 · distinct_keys()` — whatever sizes the groups
+/// reached, and whatever keys came and went, in the past.
 #[derive(Clone, Debug, Default)]
 pub struct SymIndex {
-    /// Distinct keys → slot, probed with borrowed `&[SymValue]`.
-    map: HashMap<Box<[SymValue]>, u32, FxBuildHasher>,
-    /// Distinct keys in first-seen order, parallel to the slot vectors.
-    keys: Vec<Box<[SymValue]>>,
+    /// Every slot's key cells, back to back with stride `key_len`. A
+    /// free slot's cells are stale until its next key overwrites them.
+    keys: Vec<SymValue>,
+    /// The probe table: linear probing over a power-of-two length, at
+    /// most half full; each entry is a live slot or `NONE`.
+    table: Vec<u32>,
+    /// Slots whose group emptied, reused before the slot vectors grow.
+    free: Vec<u32>,
     /// Shared position storage: every slot's segment, plus dead room
     /// no segment owns.
     store: Vec<u32>,
-    /// Per slot: its segment of `store`.
+    /// Per slot: its segment of `store`. A free slot's segment is empty,
+    /// and its room, until the next repack, is dead.
     segs: Vec<Seg>,
     /// Entries of `store` that no segment owns.
     dead: usize,
@@ -133,7 +178,7 @@ pub struct SymIndex {
     /// it stored?" and "which group owns it?" ([`SymIndex::
     /// slot_of_pos`]) — cost a single cache line (`NONE` = absent).
     at: Vec<PosRec>,
-    /// Per slot: cached smallest live position (`NONE` when emptied).
+    /// Per slot: cached smallest live position (`NONE` when empty).
     min: Vec<u32>,
     /// Total live positions.
     len: usize,
@@ -171,38 +216,150 @@ impl SymIndex {
         idx
     }
 
-    /// The slot handle of `key`, if the key has ever been seen — one
+    /// The key cells of `slot`.
+    fn key(&self, slot: u32) -> &[SymValue] {
+        let start = slot as usize * self.key_len;
+        &self.keys[start..start + self.key_len]
+    }
+
+    /// The table entry `key`'s probe stops at: the one holding its slot,
+    /// or the empty entry where the key would go. The table must be
+    /// non-empty.
+    fn locate(&self, key: &[SymValue], hash: u64) -> (usize, u32) {
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.table[i];
+            if slot == NONE || self.key(slot) == key {
+                return (i, slot);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Puts `slot`, whose key hashes to `hash`, into the first empty
+    /// entry of its probe sequence.
+    fn place(&mut self, slot: u32, hash: u64) {
+        let mask = self.table.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.table[i] != NONE {
+            i = (i + 1) & mask;
+        }
+        self.table[i] = slot;
+    }
+
+    /// Doubles the probe table (or makes the first one) and re-places
+    /// every live slot.
+    fn grow_table(&mut self) {
+        let old = std::mem::take(&mut self.table);
+        self.table = vec![NONE; (old.len() * 2).max(MIN_TABLE)];
+        for slot in old.into_iter().filter(|&s| s != NONE) {
+            let hash = hash_key(self.key(slot));
+            self.place(slot, hash);
+        }
+    }
+
+    /// The slot handle of `key` when some indexed tuple carries it — one
     /// hash probe; every `*_at` method is then `O(1)` with **no**
-    /// rehashing. Handles are stable across every mutation and only
-    /// invalidated by [`SymIndex::compact`] / [`SymIndex::remap_keys`].
-    /// An emptied group keeps its handle (probe [`SymIndex::occupied_at`]
-    /// to distinguish "seen but empty" from "holds tuples").
+    /// rehashing. A handle stays valid until its group empties: the
+    /// removal of the group's last position frees the slot, and a later
+    /// new key may reuse it.
     #[inline]
     pub fn probe_slot(&self, key: &[SymValue]) -> Option<u32> {
         debug_assert_eq!(key.len(), self.key_len);
-        self.map.get(key).copied()
+        if self.table.is_empty() {
+            return None;
+        }
+        let (_, slot) = self.locate(key, hash_key(key));
+        (slot != NONE).then_some(slot)
     }
 
     /// The slot handle of `key`, allocating an empty slot on first
     /// sight — the insert-side counterpart of [`SymIndex::probe_slot`].
+    /// A new slot must receive its first position
+    /// ([`SymIndex::insert_at`]) before the next removal; until then
+    /// its group reads empty ([`SymIndex::occupied_at`] is false).
     #[inline]
     pub fn ensure_slot(&mut self, key: &[SymValue]) -> u32 {
         self.slot_of(key)
     }
 
-    /// The slot of `key`, allocating a fresh (empty) one on first sight.
+    /// The slot of `key`, allocating a fresh (empty) one on first sight:
+    /// a free slot when there is one, else a new slot at the end.
     fn slot_of(&mut self, key: &[SymValue]) -> u32 {
         debug_assert_eq!(key.len(), self.key_len);
-        if let Some(&slot) = self.map.get(key) {
-            return slot;
+        let hash = hash_key(key);
+        if !self.table.is_empty() {
+            let (i, slot) = self.locate(key, hash);
+            if slot != NONE {
+                return slot;
+            }
+            if (self.distinct_keys() + 1) * 2 <= self.table.len() {
+                let slot = self.alloc_slot(key);
+                self.table[i] = slot;
+                return slot;
+            }
         }
-        let slot = offset(self.keys.len());
-        let boxed: Box<[SymValue]> = key.into();
-        self.map.insert(boxed.clone(), slot);
-        self.keys.push(boxed);
-        self.segs.push(Seg::default());
-        self.min.push(NONE);
+        self.grow_table();
+        let slot = self.alloc_slot(key);
+        self.place(slot, hash);
         slot
+    }
+
+    /// Writes `key` into a free slot, or a new one, and returns it. A
+    /// free slot still owns its old room unless a repack has dropped it
+    /// since; the new group takes that room back from the dead.
+    fn alloc_slot(&mut self, key: &[SymValue]) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.dead -= self.segs[slot as usize].cap as usize;
+                let start = slot as usize * self.key_len;
+                self.keys[start..start + self.key_len].copy_from_slice(key);
+                slot
+            }
+            None => {
+                let slot = offset(self.segs.len());
+                self.keys.extend_from_slice(key);
+                self.segs.push(Seg::default());
+                self.min.push(NONE);
+                slot
+            }
+        }
+    }
+
+    /// Frees the emptied group of `slot`: its table entry goes (later
+    /// entries of the probe run shift back over the hole, so no
+    /// tombstone is left), its room turns dead and the slot joins the
+    /// free list. The room stays where it is until a repack drops it, so
+    /// a key that comes straight back (an update that keeps it) takes
+    /// the slot and its room again without moving to the tail.
+    fn free_slot(&mut self, slot: u32) {
+        let mask = self.table.len() - 1;
+        let mut hole = hash_key(self.key(slot)) as usize & mask;
+        while self.table[hole] != slot {
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.table[j];
+            if s == NONE {
+                break;
+            }
+            // `s` may fill the hole unless its home lies after the hole
+            // on the way to `j` (moving it would strand it before home).
+            let home = hash_key(self.key(s)) as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.table[hole] = s;
+                hole = j;
+            }
+        }
+        self.table[hole] = NONE;
+        let seg = self.segs[slot as usize];
+        debug_assert_eq!(seg.len, 0, "only an emptied group is freed");
+        self.dead += seg.cap as usize;
+        self.free.push(slot);
+        self.repack_if_sparse();
     }
 
     /// Records position `pos`'s storage location and owning slot.
@@ -315,11 +472,14 @@ impl SymIndex {
 
     /// Once dead room exceeds [`REPACK_DEAD`]'s share of the vector, lays
     /// every segment out again back to back, capacities kept, and
-    /// retargets every back-pointer. `O(vector)`, paid for by the moves
-    /// and releases that made the room dead.
+    /// retargets every back-pointer; free slots keep no room. `O(vector)`,
+    /// paid for by the moves and releases that made the room dead.
     fn repack_if_sparse(&mut self) {
         if self.dead * REPACK_DEAD <= self.store.len() {
             return;
+        }
+        for &slot in &self.free {
+            self.segs[slot as usize] = Seg::default();
         }
         let mut store = Vec::with_capacity(self.store.len() - self.dead);
         for seg in &mut self.segs {
@@ -343,16 +503,17 @@ impl SymIndex {
     /// the hole, so a group's order is no longer position-ascending
     /// after a removal — a consumer that needs the group's lowest
     /// position reads [`SymIndex::min_at`] or takes the minimum itself.
+    /// Removing a group's last position frees the group.
     pub fn remove_key(&mut self, pos: u32, key: &[SymValue]) -> bool {
-        debug_assert_eq!(key.len(), self.key_len);
-        match self.map.get(key) {
-            Some(&slot) => self.remove_at(slot, pos),
+        match self.probe_slot(key) {
+            Some(slot) => self.remove_at(slot, pos),
             None => false,
         }
     }
 
     /// [`SymIndex::remove_key`] minus the probe: removes one occurrence
-    /// of `pos` from the group addressed by `slot`.
+    /// of `pos` from the group addressed by `slot`, freeing the group
+    /// (and the handle) when it empties.
     pub fn remove_at(&mut self, slot: u32, pos: u32) -> bool {
         let rec = match self.at.get(pos as usize) {
             Some(rec) if rec.loc != NONE => *rec,
@@ -379,6 +540,11 @@ impl SymIndex {
         }
         self.at[pos as usize] = ABSENT;
         self.len -= 1;
+        if seg.len == 0 {
+            self.min[s] = NONE;
+            self.free_slot(slot);
+            return true;
+        }
         if seg.cap >= SHRINK_MIN_CAP && seg.len <= seg.cap / SHRINK_FILL {
             let kept = seg.cap / 2;
             self.dead += (seg.cap - kept) as usize;
@@ -397,9 +563,8 @@ impl SymIndex {
     /// back-pointer (plus a group rescan when `from` was the cached
     /// minimum).
     pub fn replace_pos(&mut self, from: u32, to: u32, key: &[SymValue]) -> bool {
-        debug_assert_eq!(key.len(), self.key_len);
-        match self.map.get(key) {
-            Some(&slot) => self.replace_at(slot, from, to),
+        match self.probe_slot(key) {
+            Some(slot) => self.replace_at(slot, from, to),
             None => false,
         }
     }
@@ -433,9 +598,8 @@ impl SymIndex {
 
     /// The positions of tuples whose key equals `key` (empty when none).
     pub fn positions(&self, key: &[SymValue]) -> &[u32] {
-        debug_assert_eq!(key.len(), self.key_len);
-        match self.map.get(key) {
-            Some(&slot) => self.slot_positions(slot as usize),
+        match self.probe_slot(key) {
+            Some(slot) => self.slot_positions(slot as usize),
             None => &[],
         }
     }
@@ -453,12 +617,11 @@ impl SymIndex {
     /// witness" of the key group, independent of mutation history.
     /// `O(1)`: reads the maintained per-slot minimum.
     pub fn min_pos(&self, key: &[SymValue]) -> Option<u32> {
-        let &slot = self.map.get(key)?;
-        self.min_at(slot)
+        self.min_at(self.probe_slot(key)?)
     }
 
     /// [`SymIndex::min_pos`] minus the probe: the smallest live position
-    /// of the group addressed by `slot` (`None` when emptied).
+    /// of the group addressed by `slot` (`None` when empty).
     #[inline]
     pub fn min_at(&self, slot: u32) -> Option<u32> {
         let m = self.min[slot as usize];
@@ -479,7 +642,8 @@ impl SymIndex {
 
     /// Does the group addressed by `slot` hold any tuple? `O(1)` — reads
     /// the cached minimum, which is `NONE` exactly when the group is
-    /// empty.
+    /// empty: freed by its last removal, or new from
+    /// [`SymIndex::ensure_slot`] and not yet filled.
     #[inline]
     pub fn occupied_at(&self, slot: u32) -> bool {
         self.min[slot as usize] != NONE
@@ -498,19 +662,20 @@ impl SymIndex {
         }
     }
 
-    /// Iterator over `(key, positions)` groups in first-seen key order.
-    /// Removals can leave a key with no positions; such groups are still
-    /// yielded (with an empty slice).
+    /// Iterator over the `(key, positions)` groups in slot order, which
+    /// is first-seen key order for a bulk build (a new key takes the
+    /// slot an emptied group freed, if any). Every group yielded holds
+    /// at least one position.
     pub fn groups(&self) -> impl Iterator<Item = (&[SymValue], &[u32])> {
-        self.keys
-            .iter()
-            .enumerate()
-            .map(|(slot, key)| (key.as_ref(), self.slot_positions(slot)))
+        (0..offset(self.segs.len()))
+            .filter(|&slot| self.occupied_at(slot))
+            .map(|slot| (self.key(slot), self.positions_at(slot)))
     }
 
-    /// Number of distinct keys ever seen (including emptied groups).
+    /// Number of key groups holding at least one position — never more
+    /// than [`SymIndex::len`], since an emptied group is freed at once.
     pub fn distinct_keys(&self) -> usize {
-        self.keys.len()
+        self.segs.len() - self.free.len()
     }
 
     /// Number of indexed tuples.
@@ -525,8 +690,8 @@ impl SymIndex {
 
     /// Position entries held in storage: live ones, spare room in the
     /// segments and dead room between them. At most
-    /// `8 · len() + 6 · distinct_keys()` after any mutation, and exactly
-    /// `len()` after a bulk build or [`SymIndex::compact`].
+    /// `8 · len() + 6 · distinct_keys()` (so at most `14 · len()`) after
+    /// any mutation, and exactly `len()` after a bulk build.
     pub fn stored(&self) -> usize {
         self.store.len()
     }
@@ -535,68 +700,13 @@ impl SymIndex {
     pub fn key_len(&self) -> usize {
         self.key_len
     }
-
-    /// Rebuilds the index around its **live** key groups, dropping every
-    /// emptied one, and returns how many groups were reclaimed.
-    ///
-    /// Removals never forget a key: an emptied group keeps its map
-    /// entry, key cells and slot bookkeeping, so a long-lived stream
-    /// over high-key-churn data grows with the distinct keys ever seen,
-    /// not with the live data. Compaction frees the dead slots and lays
-    /// the survivors out tight with a fresh counting sort (each segment
-    /// comes back position-ascending). Mutations stay `O(1)` without
-    /// it; it reclaims emptied keys, not speed.
-    ///
-    /// `O(keys + live positions)`; all live `(key, position)` pairs are
-    /// preserved, so probes, removals and renumbers behave identically
-    /// afterwards.
-    pub fn compact(&mut self) -> usize {
-        let seen = self.keys.len();
-        let mut live: Vec<(Box<[SymValue]>, Vec<u32>)> = Vec::with_capacity(seen);
-        for slot in 0..seen {
-            let mut positions = self.slot_positions(slot).to_vec();
-            if positions.is_empty() {
-                continue;
-            }
-            positions.sort_unstable();
-            live.push((std::mem::take(&mut self.keys[slot]), positions));
-        }
-        let key_len = self.key_len;
-        *self = SymIndex::new(key_len);
-        let mut pairs = Vec::new();
-        for (key, positions) in live {
-            let slot = self.slot_of(&key);
-            pairs.extend(positions.into_iter().map(|p| (p, slot)));
-        }
-        self.scatter_bulk(&pairs);
-        seen - self.keys.len()
-    }
-
-    /// Rewrites every key cell through `f` and rebuilds the probe map —
-    /// the index-side half of an **interner compaction**: when the
-    /// owning stream re-interns its live strings, the dense symbols
-    /// change and every stored key must be translated to the new
-    /// numbering. `f` must be injective on the cells actually stored
-    /// (distinct keys stay distinct); position storage is untouched.
-    pub fn remap_keys<F>(&mut self, f: F)
-    where
-        F: Fn(SymValue) -> SymValue,
-    {
-        self.map.clear();
-        for (slot, key) in self.keys.iter_mut().enumerate() {
-            for cell in key.iter_mut() {
-                *cell = f(*cell);
-            }
-            self.map.insert(key.clone(), slot as u32);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tuple, AttrId, Interner, Relation, Sym, Tuple, Value};
-    use std::collections::BTreeSet;
+    use crate::{tuple, AttrId, Interner, Relation, Tuple, Value};
+    use std::collections::{BTreeSet, HashMap};
 
     /// `t`'s key cells, interning new strings.
     fn key_of(t: &Tuple, key_attrs: &[AttrId], interner: &mut Interner) -> Vec<SymValue> {
@@ -651,7 +761,7 @@ mod tests {
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.len(), 3);
         // A std hash map over the raw values groups the same positions.
-        let mut reference: std::collections::HashMap<&Value, Vec<u32>> = Default::default();
+        let mut reference: HashMap<&Value, Vec<u32>> = Default::default();
         for (pos, t) in r.iter().enumerate() {
             reference.entry(&t[AttrId(0)]).or_default().push(pos as u32);
         }
@@ -705,6 +815,41 @@ mod tests {
         assert_eq!(idx.distinct_keys(), 1);
     }
 
+    /// An empty-LHS CFD keys its group index on zero cells: one group
+    /// holds every tuple. Emptying it frees its slot like any other
+    /// group's, and the next insert takes the slot back.
+    #[test]
+    fn zero_width_group_empties_and_refills() {
+        let mut idx = SymIndex::new(0);
+        assert_eq!(idx.probe_slot(&[]), None);
+        for pos in 0..5 {
+            idx.insert_key(pos, &[]);
+        }
+        let slot = idx.probe_slot(&[]).unwrap();
+        assert_eq!(idx.distinct_keys(), 1);
+        for pos in (0..5).rev() {
+            assert!(idx.remove_at(slot, pos));
+            assert!(idx.distinct_keys() <= idx.len());
+        }
+        assert!(idx.is_empty());
+        assert_eq!(idx.distinct_keys(), 0);
+        assert_eq!(idx.probe_slot(&[]), None, "the emptied group is freed");
+        assert!(!idx.contains_key(&[]));
+        assert_eq!(idx.groups().count(), 0);
+        assert!(idx.stored() <= 14 * idx.len());
+        let again = idx.ensure_slot(&[]);
+        assert_eq!(again, slot, "the freed slot is reused");
+        assert!(!idx.occupied_at(again));
+        idx.insert_at(again, 7);
+        idx.insert_key(3, &[]);
+        let mut got = probe_vec(&idx, &[]);
+        got.sort_unstable();
+        assert_eq!(got, vec![3, 7]);
+        assert_eq!(idx.min_at(again), Some(3));
+        assert_eq!(idx.slot_of_pos(7), Some(again));
+        assert_eq!(idx.groups().count(), 1);
+    }
+
     #[test]
     fn unknown_key_probes_empty() {
         let r = rel();
@@ -716,6 +861,7 @@ mod tests {
         // A well-formed but absent key probes empty.
         assert!(probe_vec(&idx, &[SymValue::Int(99)]).is_empty());
         assert_eq!(idx.min_pos(&[SymValue::Int(99)]), None);
+        assert_eq!(SymIndex::new(1).probe_slot(&[SymValue::Int(1)]), None);
     }
 
     #[test]
@@ -763,19 +909,25 @@ mod tests {
         let mut got = probe_vec(&idx, &k);
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);
-        // Emptied groups stay probeable and report empty.
+        // An emptied group is freed at once: it probes absent.
+        let (slot_j, stored) = (idx.probe_slot(&j).unwrap(), idx.stored());
         assert!(idx.remove_key(2, &j));
         assert!(!idx.contains_key(&j));
-        assert_eq!(idx.distinct_keys(), 2);
-        // The room the removal freed is reused.
+        assert_eq!(idx.probe_slot(&j), None);
+        assert_eq!(idx.distinct_keys(), 1);
+        // The key comes back in the freed slot and its old room: nothing
+        // moves to the tail of the storage.
         idx.insert_key(7, &j);
+        assert_eq!(idx.probe_slot(&j), Some(slot_j));
+        assert_eq!(idx.stored(), stored);
         assert_eq!(probe_vec(&idx, &j), vec![7]);
+        assert_eq!(idx.distinct_keys(), 2);
         assert!(idx.remove_key(7, &j));
         assert!(!idx.replace_pos(9, 1, &j));
     }
 
     #[test]
-    fn compact_drops_emptied_groups_and_preserves_live_ones() {
+    fn emptied_groups_are_freed_and_live_ones_preserved() {
         let mut interner = Interner::new();
         let mut idx = SymIndex::new(1);
         let attrs = [AttrId(0)];
@@ -795,14 +947,13 @@ mod tests {
         for i in 0..50u32 {
             let key = [interner.sym_value(&Value::str(format!("gone{i}"))).unwrap()];
             assert!(idx.remove_key(i, &key));
+            assert_eq!(idx.probe_slot(&key), None, "gone{i} is freed");
         }
-        assert_eq!(idx.distinct_keys(), 52, "emptied groups linger");
+        assert_eq!(idx.distinct_keys(), 2, "no emptied group lingers");
         assert_eq!(idx.len(), 3);
-        let dropped = idx.compact();
-        assert_eq!(dropped, 50);
-        assert_eq!(idx.distinct_keys(), 2);
-        assert_eq!(idx.len(), 3);
-        // Live groups survive, position-ascending, and stay mutable.
+        assert_eq!(idx.groups().count(), 2);
+        assert!(idx.stored() <= 8 * idx.len() + 6 * idx.distinct_keys());
+        // Live groups survive and stay mutable.
         let keep = [interner.sym_value(&Value::str("keep")).unwrap()];
         let also = [interner.sym_value(&Value::str("also")).unwrap()];
         assert_eq!(probe_vec(&idx, &keep), vec![50, 51]);
@@ -813,9 +964,16 @@ mod tests {
         let mut got = probe_vec(&idx, &also);
         got.sort_unstable();
         assert_eq!(got, vec![52, 53]);
-        // Idempotent once nothing is dead.
-        assert_eq!(idx.compact(), 0);
-        assert_eq!(idx.distinct_keys(), 2);
+        // Fifty new keys take the fifty freed slots: the slot vectors
+        // do not grow.
+        let slots = idx.segs.len();
+        for i in 0..50u32 {
+            let key = [SymValue::Int(i64::from(i))];
+            idx.insert_key(60 + i, &key);
+            assert_eq!(idx.key(idx.probe_slot(&key).unwrap()), key);
+        }
+        assert_eq!(idx.segs.len(), slots);
+        assert_eq!(idx.distinct_keys(), 52);
     }
 
     #[test]
@@ -832,7 +990,7 @@ mod tests {
         assert_eq!(idx.slot_of_pos(1), Some(se));
         assert_eq!(idx.slot_of_pos(2), Some(sn));
         assert_eq!(idx.slot_of_pos(3), None, "never-indexed position");
-        // Streaming inserts land in either tier; both are tracked.
+        // Streaming inserts land in either group; both are tracked.
         insert(
             &mut idx,
             3,
@@ -855,53 +1013,17 @@ mod tests {
         assert!(idx.replace_at(sn, 4, 1));
         assert_eq!(idx.slot_of_pos(4), None);
         assert_eq!(idx.slot_of_pos(1), Some(sn));
-        // Compaction renumbers slots but keeps the inverse consistent
-        // with fresh probes.
-        idx.compact();
-        let se = idx.probe_slot(&edi).unwrap();
-        let sn = idx.probe_slot(&nyc).unwrap();
+        // Emptying NYC's group frees its slot; a new key takes it and
+        // its positions resolve to it.
+        assert!(idx.remove_at(sn, 1));
+        assert!(idx.remove_at(sn, 2));
+        assert_eq!(idx.probe_slot(&nyc), None);
+        let lon = [SymValue::Int(7)];
+        idx.insert_key(1, &lon);
+        assert_eq!(idx.probe_slot(&lon), Some(sn), "the freed slot is reused");
+        assert_eq!(idx.slot_of_pos(1), Some(sn));
         assert_eq!(idx.slot_of_pos(0), Some(se));
         assert_eq!(idx.slot_of_pos(3), Some(se));
-        assert_eq!(idx.slot_of_pos(1), Some(sn));
-        assert_eq!(idx.slot_of_pos(2), Some(sn));
-    }
-
-    #[test]
-    fn remap_keys_translates_probes_to_the_new_numbering() {
-        let r = rel();
-        let mut old = Interner::new();
-        let idx_src = build(&r, &[AttrId(0), AttrId(1)], &mut old);
-        // Re-intern the live strings in reverse encounter order: every
-        // symbol changes, the index must follow.
-        let mut fresh = Interner::new();
-        let mut remap = vec![None; old.len()];
-        for sym in (0..old.len() as u32).rev().map(Sym) {
-            remap[sym.0 as usize] = Some(fresh.intern(old.resolve_arc(sym)));
-        }
-        let mut idx = idx_src;
-        idx.remap_keys(|sv| match sv {
-            SymValue::Str(s) => SymValue::Str(remap[s.0 as usize].unwrap()),
-            other => other,
-        });
-        let edi = [
-            fresh.sym_value(&Value::str("EDI")).unwrap(),
-            fresh.sym_value(&Value::str("UK")).unwrap(),
-        ];
-        assert_eq!(probe_vec(&idx, &edi), vec![0, 1]);
-        assert_eq!(idx.min_pos(&edi), Some(0));
-        // Old-numbering probes miss: the reversed re-intern changed
-        // every symbol, so the stale key addresses different strings.
-        let stale = [
-            SymValue::Str(old.lookup("EDI").unwrap()),
-            SymValue::Str(old.lookup("UK").unwrap()),
-        ];
-        assert!(!idx.contains_key(&stale));
-        // Mutations keep working against the remapped keys.
-        assert!(idx.remove_key(0, &edi));
-        idx.insert_key(9, &edi);
-        let mut got = probe_vec(&idx, &edi);
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 9]);
     }
 
     #[test]
@@ -962,30 +1084,26 @@ mod tests {
         }
     }
 
-    /// A key of the walk: `(kind, id)`, stored through an xor mask that
-    /// every `remap_keys` call changes.
+    /// A key of the walk: `(kind, id)`.
     type WalkKey = (i64, i64);
 
-    fn cells((kind, id): WalkKey, mask: i64) -> [SymValue; 2] {
-        [SymValue::Int(kind ^ mask), SymValue::Int(id ^ mask)]
+    fn cells((kind, id): WalkKey) -> [SymValue; 2] {
+        [SymValue::Int(kind), SymValue::Int(id)]
     }
 
     /// The index agrees with the model on `key`'s group.
-    fn assert_group(
-        idx: &SymIndex,
-        model: &HashMap<WalkKey, BTreeSet<u32>>,
-        key: WalkKey,
-        mask: i64,
-    ) {
+    fn assert_group(idx: &SymIndex, model: &HashMap<WalkKey, BTreeSet<u32>>, key: WalkKey) {
         let want = model.get(&key).cloned().unwrap_or_default();
-        let cells = cells(key, mask);
+        let cells = cells(key);
         let mut got = idx.positions(&cells).to_vec();
         got.sort_unstable();
         assert!(got.iter().copied().eq(want.iter().copied()), "{key:?}");
         assert_eq!(idx.min_pos(&cells), want.first().copied(), "{key:?}");
         match idx.probe_slot(&cells) {
             Some(slot) => {
-                assert_eq!(idx.occupied_at(slot), !want.is_empty(), "{key:?}");
+                assert!(!want.is_empty(), "{key:?}: an emptied group lingers");
+                assert!(idx.occupied_at(slot), "{key:?}");
+                assert_eq!(idx.key(slot), cells, "{key:?}");
                 assert_eq!(idx.min_at(slot), want.first().copied(), "{key:?}");
             }
             None => assert!(want.is_empty(), "{key:?} lost its slot"),
@@ -994,10 +1112,14 @@ mod tests {
 
     /// A seeded random walk of inserts, removes and swap-renumbers over
     /// a few hot keys, a few hundred warm keys and never-seen keys,
-    /// against a `HashMap<key, BTreeSet<position>>` model. Positions
-    /// stay dense like a relation's: a remove renumbers the last
-    /// position into the hole. Phases alternate between growth and
-    /// shrinkage, so segments move, release room and repack.
+    /// against a `HashMap<key, BTreeSet<position>>` model that drops a
+    /// key with its last position. Positions stay dense like a
+    /// relation's: a remove renumbers the last position into the hole.
+    /// Phases alternate between growth and shrinkage, so segments move,
+    /// release room and repack, groups empty and slots are reused.
+    /// After every step the index holds exactly the model's non-empty
+    /// groups, a freed key probes absent, and a reused slot carries its
+    /// new key.
     #[test]
     fn random_walk_matches_a_hash_map_model() {
         for seed in [1u64, 2] {
@@ -1006,7 +1128,9 @@ mod tests {
             let mut model: HashMap<WalkKey, BTreeSet<u32>> = HashMap::new();
             let mut key_at: Vec<WalkKey> = Vec::new();
             let mut fresh = 0i64;
-            let mut mask = 0i64;
+            // Slots freed so far, and how often one was taken again.
+            let mut freed: BTreeSet<u32> = BTreeSet::new();
+            let mut reused = 0usize;
             for step in 0..25_000u32 {
                 let grow = (step / 2_500) % 2 == 0;
                 let mut touched = Vec::new();
@@ -1020,50 +1144,68 @@ mod tests {
                         }
                     };
                     let pos = key_at.len() as u32;
-                    if step % 2 == 0 {
-                        idx.insert_key(pos, &cells(key, mask));
+                    let is_new = !model.contains_key(&key);
+                    let slot = if step % 2 == 0 {
+                        idx.insert_key(pos, &cells(key));
+                        idx.probe_slot(&cells(key)).expect("just inserted")
                     } else {
-                        let slot = idx.ensure_slot(&cells(key, mask));
+                        let slot = idx.ensure_slot(&cells(key));
+                        assert_eq!(idx.occupied_at(slot), !is_new, "{key:?}");
                         idx.insert_at(slot, pos);
+                        slot
+                    };
+                    if is_new && freed.remove(&slot) {
+                        reused += 1;
+                        assert_eq!(
+                            idx.key(slot),
+                            cells(key),
+                            "a reused slot carries its new key"
+                        );
+                        assert_eq!(idx.positions_at(slot), [pos]);
                     }
                     model.entry(key).or_default().insert(pos);
                     key_at.push(key);
                     touched.push(key);
-                    assert_eq!(idx.slot_of_pos(pos), idx.probe_slot(&cells(key, mask)));
+                    assert_eq!(idx.slot_of_pos(pos), Some(slot));
                 } else {
                     let pos = rng.below(key_at.len() as u64) as u32;
                     let key = key_at[pos as usize];
-                    assert!(!idx.remove_key(pos, &cells((3, 0), mask)), "absent key");
+                    assert!(!idx.remove_key(pos, &cells((3, 0))), "absent key");
+                    let slot = idx.slot_of_pos(pos).expect("indexed");
                     if step % 2 == 0 {
-                        assert!(idx.remove_key(pos, &cells(key, mask)));
+                        assert!(idx.remove_key(pos, &cells(key)));
                     } else {
-                        let slot = idx.slot_of_pos(pos).expect("indexed");
                         assert!(idx.remove_at(slot, pos));
                     }
-                    assert!(!idx.remove_key(pos, &cells(key, mask)), "already removed");
+                    assert!(!idx.remove_key(pos, &cells(key)), "already removed");
                     let group = model.get_mut(&key).expect("modelled");
                     group.remove(&pos);
                     if group.is_empty() {
                         model.remove(&key);
+                        freed.insert(slot);
+                        assert_eq!(idx.probe_slot(&cells(key)), None, "{key:?} is freed");
+                        assert!(!idx.occupied_at(slot));
                     }
                     touched.push(key);
                     let last = key_at.len() as u32 - 1;
                     if pos != last {
                         let moved = key_at[last as usize];
-                        assert!(idx.replace_pos(last, pos, &cells(moved, mask)));
+                        assert!(idx.replace_pos(last, pos, &cells(moved)));
                         let group = model.get_mut(&moved).expect("modelled");
                         group.remove(&last);
                         group.insert(pos);
                         touched.push(moved);
                     }
                     key_at.swap_remove(pos as usize);
-                    assert!(!idx.replace_pos(last, pos, &cells(key, mask)), "gone");
+                    assert!(!idx.replace_pos(last, pos, &cells(key)), "gone");
                     assert_eq!(idx.slot_of_pos(last), None);
                     if let Some(&now) = key_at.get(pos as usize) {
-                        assert_eq!(idx.slot_of_pos(pos), idx.probe_slot(&cells(now, mask)));
+                        assert_eq!(idx.slot_of_pos(pos), idx.probe_slot(&cells(now)));
                     }
                 }
                 assert_eq!(idx.len(), key_at.len());
+                assert_eq!(idx.distinct_keys(), model.len(), "step {step}");
+                assert!(idx.distinct_keys() <= idx.len());
                 assert!(
                     idx.stored() <= 8 * idx.len() + 6 * idx.distinct_keys(),
                     "step {step}: {} stored for {} live in {} keys",
@@ -1072,29 +1214,22 @@ mod tests {
                     idx.distinct_keys()
                 );
                 for key in touched {
-                    assert_group(&idx, &model, key, mask);
-                }
-                if step % 4_000 == 3_999 {
-                    let seen = idx.distinct_keys();
-                    assert_eq!(idx.compact(), seen - model.len());
-                    assert_eq!(idx.stored(), idx.len(), "compaction packs tight");
-                    let delta = 1 + rng.below(1 << 20) as i64;
-                    idx.remap_keys(|cell| match cell {
-                        SymValue::Int(v) => SymValue::Int(v ^ delta),
-                        other => other,
-                    });
-                    mask ^= delta;
+                    assert_group(&idx, &model, key);
                 }
                 if step % 1_000 == 0 {
                     for &key in model.keys() {
-                        assert_group(&idx, &model, key, mask);
+                        assert_group(&idx, &model, key);
                     }
                     for (pos, &key) in key_at.iter().enumerate() {
-                        let slot = idx.probe_slot(&cells(key, mask));
+                        let slot = idx.probe_slot(&cells(key));
                         assert_eq!(idx.slot_of_pos(pos as u32), slot, "{key:?} at {pos}");
                     }
+                    let groups: Vec<(&[SymValue], &[u32])> = idx.groups().collect();
+                    assert_eq!(groups.len(), model.len());
+                    assert!(groups.iter().all(|(_, positions)| !positions.is_empty()));
                 }
             }
+            assert!(reused > 1_000, "seed {seed}: only {reused} slots reused");
         }
     }
 }

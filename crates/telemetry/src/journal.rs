@@ -3,7 +3,7 @@
 //!
 //! Histograms answer "how slow", the journal answers "what happened
 //! just now": each [`StreamEvent`] summarizes one unit of stream work
-//! (a mutation window, a compaction, an online promote/retire). The
+//! (a mutation window, an online promote/retire). The
 //! buffer is bounded — a monitor that runs for months keeps only the
 //! newest `capacity` events — and sequence numbers stay monotone
 //! across wraparound, so consumers can detect gaps.
@@ -26,15 +26,6 @@ pub enum StreamEvent {
         introduced: u32,
         /// Violations the window resolved.
         resolved: u32,
-    },
-    /// A `compact()` pass reclaimed dead state.
-    Compaction {
-        /// Emptied key groups dropped from group indexes.
-        key_groups_dropped: u32,
-        /// Dead interned strings reclaimed.
-        strings_dropped: u32,
-        /// Interner bytes reclaimed.
-        bytes_reclaimed: u64,
     },
     /// Dependencies were added live (e.g. an online-miner promotion).
     Promote {
@@ -61,7 +52,6 @@ impl StreamEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             StreamEvent::Window { .. } => "window",
-            StreamEvent::Compaction { .. } => "compaction",
             StreamEvent::Promote { .. } => "promote",
             StreamEvent::Retire { .. } => "retire",
         }
@@ -101,18 +91,6 @@ impl JournalEvent {
                 w.value_u64(introduced as u64);
                 w.key("resolved");
                 w.value_u64(resolved as u64);
-            }
-            StreamEvent::Compaction {
-                key_groups_dropped,
-                strings_dropped,
-                bytes_reclaimed,
-            } => {
-                w.key("key_groups_dropped");
-                w.value_u64(key_groups_dropped as u64);
-                w.key("strings_dropped");
-                w.value_u64(strings_dropped as u64);
-                w.key("bytes_reclaimed");
-                w.value_u64(bytes_reclaimed);
             }
             StreamEvent::Promote {
                 cfds,
@@ -269,11 +247,6 @@ mod tests {
                 introduced: 3,
                 resolved: 4,
             },
-            StreamEvent::Compaction {
-                key_groups_dropped: 1,
-                strings_dropped: 2,
-                bytes_reclaimed: 3,
-            },
             StreamEvent::Promote {
                 cfds: 1,
                 cinds: 0,
@@ -297,7 +270,7 @@ mod tests {
         w.end_array();
         let json = w.finish();
         assert!(crate::json::is_valid(&json), "invalid JSON:\n{json}");
-        for kind in ["window", "compaction", "promote", "retire"] {
+        for kind in ["window", "promote", "retire"] {
             assert!(json.contains(kind));
         }
     }

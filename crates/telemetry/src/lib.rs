@@ -16,7 +16,7 @@
 //! | [`Histogram`] | log2-bucket µs latency distribution; deterministic p50/p90/p99/max summaries |
 //! | [`SpanTimer`] | RAII guard timing construction→drop into a histogram |
 //! | [`Stopwatch`] | a started wall clock whose readings the caller stores itself (phase timings, compile stats) |
-//! | [`Journal`] | bounded ring buffer of [`StreamEvent`]s: per-window mutations, compactions, online promote/retire |
+//! | [`Journal`] | bounded ring buffer of [`StreamEvent`]s: per-window mutations, online promote/retire |
 //! | [`MetricsSnapshot`] | sorted `dotted.name → value` map; the unit of exchange, rendered to JSON deterministically |
 //! | [`Export`] | one trait every stats struct implements to render itself into a snapshot subtree |
 //! | [`misnamed_keys`] | the naming rule: the keys of a snapshot that break the README's naming table |

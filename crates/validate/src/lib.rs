@@ -20,7 +20,8 @@
 //!   lock-step) and CINDs by `(target relation, Y set, Yp pattern)`;
 //! * per database, strings are interned once
 //!   ([`condep_model::Interner`]) and each group builds **one**
-//!   [`condep_model::SymIndex`] over compact word-sized keys;
+//!   [`condep_model::SymIndex`] over word-sized keys, every distinct
+//!   key stored once in the index's slab;
 //! * independent groups are swept in parallel with
 //!   [`std::thread::scope`] (small instances stay single-threaded);
 //! * [`ValidatorStream`] is the **delta engine**: it keeps the group
@@ -41,20 +42,22 @@
 //! * the stream is built for **whole-life monitoring**:
 //!   [`condep_model::TupleId`] handles address tuples stably across the
 //!   swap renumbering deletions cause (every delta carries its
-//!   [`IdDelta`] bookkeeping), a window amortizes interner and
-//!   key-translation work across its mutations, and
-//!   [`ValidatorStream::compact`] reclaims everything churn
-//!   leaves behind — emptied key groups, dead interned strings, retired
-//!   id slots — without disturbing a single live key, violation or id.
+//!   [`IdDelta`] bookkeeping), a window amortizes key-translation work
+//!   across its mutations, and nothing churn empties is kept: a key
+//!   group is freed with its last tuple, and a string leaves the
+//!   stream's refcounted [`condep_model::Dict`] with its last cached
+//!   cell (or, for a CFD pattern constant, when its dependency goes).
+//!   Memory follows the live data however long the stream runs, with
+//!   no maintenance call.
 //!
 //! Results are identical (as sets, and after [`SigmaReport::sort`] even
 //! in order) to the per-dependency reference detectors
 //! `condep_cfd::find_violations` / `condep_core::find_violations`,
 //! nested loops written straight from the definitions.
 //! [`ValidatorStream::current_report`] stays equal to a fresh
-//! [`Validator::validate_sorted`] across arbitrary mutation sequences —
-//! windows of one or more, interleaved with compactions. Both properties are
-//! tested at the workspace root.
+//! [`Validator::validate_sorted`] across arbitrary mutation sequences,
+//! in windows of one or more. Both properties are tested at the
+//! workspace root.
 
 pub mod cover;
 mod stream;
@@ -67,9 +70,7 @@ pub use condep_analyze::{
 };
 pub use condep_model::TupleId;
 pub use cover::{CoverRole, CoverStats, SigmaCover};
-pub use stream::{
-    Applied, CompactionStats, IdDelta, MovedTuple, Mutation, SigmaDelta, ValidatorStream,
-};
+pub use stream::{Applied, IdDelta, MovedTuple, Mutation, SigmaDelta, ValidatorStream};
 pub use telemetry::StreamTelemetry;
 pub use validator::{CompileStats, RetireLog, SigmaReport, Validator};
 
@@ -813,11 +814,19 @@ mod tests {
         assert!(stream.cfd_violation_class(0, &tuple!["q", "w"]).is_empty());
     }
 
+    /// The storage gauge `name` of a stream's telemetry.
+    fn gauge(stream: &ValidatorStream, name: &str) -> i64 {
+        match stream.telemetry().snapshot().get(name) {
+            Some(condep_telemetry::MetricValue::Gauge(v)) => *v,
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
     #[test]
     fn compact_bounds_key_growth_under_churn() {
-        // A stream over ever-fresh keys: without compaction the index
-        // tiers grow with every key ever seen; with periodic compaction
-        // the live key count stays bounded by the resident data.
+        // A stream over ever-fresh keys: every key group is freed with
+        // its last tuple, so the live key count stays bounded by the
+        // resident data with no maintenance call.
         let schema = Arc::new(
             Schema::builder()
                 .relation("src", &[("k", Domain::string()), ("v", Domain::string())])
@@ -835,35 +844,26 @@ mod tests {
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert!(initial.is_empty());
 
-        // Churn rounds: every round runs 40 insert+delete pairs with
-        // fresh keys, then compacts. The live key count after each
-        // compaction must stay at the resident bound — it must NOT grow
-        // with the rounds.
-        let mut live_after: Vec<usize> = Vec::new();
+        // One resident key in the CFD index, one in the CIND target
+        // index, one in the reverse source index.
+        assert_eq!(gauge(&stream, "stream.index.keys"), 3);
+        // Churn rounds of 40 insert+delete pairs with fresh keys. A
+        // fresh key opens a group in the CFD index and the reverse
+        // source index (it is in no target), and its delete frees both:
+        // the live key count never grows with the rounds.
         for round in 0..5u32 {
             for i in 0..40u32 {
                 let t = tuple![format!("churn{round}_{i}").as_str(), "y"];
                 insert(&mut stream, src, t.clone());
+                assert_eq!(gauge(&stream, "stream.index.keys"), 5, "round {round}");
                 delete(&mut stream, src, &t);
+                assert_eq!(gauge(&stream, "stream.index.keys"), 3, "round {round}");
             }
-            let stats = stream.compact();
-            assert!(
-                stats.key_groups_dropped >= 40,
-                "round {round} must reclaim its churned keys: {stats:?}"
-            );
-            live_after.push(stats.key_groups_live);
         }
-        assert!(
-            live_after.iter().all(|&l| l == live_after[0]),
-            "live key count must be churn-invariant: {live_after:?}"
-        );
-        // One resident key in the CFD index, one in the CIND target
-        // index, one in the reverse source index.
-        assert_eq!(live_after[0], 3);
-        // A second immediate compaction finds nothing to drop.
-        assert_eq!(stream.compact().key_groups_dropped, 0);
+        assert_eq!(gauge(&stream, "stream.index.live"), 3);
+        assert!(gauge(&stream, "stream.index.stored") <= 14 * 3);
 
-        // The compacted stream is still a correct delta engine.
+        // The churned stream is still a correct delta engine.
         let noisy = insert(&mut stream, src, tuple!["resident", "z"]);
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
         let orphan = insert(&mut stream, src, tuple!["lonely", "w"]);
@@ -1085,9 +1085,7 @@ mod tests {
             .unwrap();
         assert_eq!(deltas.len(), 2, "delete + insert deltas: {deltas:?}");
         assert!(stream.db().relation(r).contains(&tuple!["orphan2", "stop"]));
-        // Batch delete of it — and the same after a compaction has
-        // dropped every string only such tuples held.
-        stream.compact();
+        // Batch delete of it.
         let deltas = stream
             .apply_deltas(&[Mutation::Delete {
                 rel: r,
@@ -1112,6 +1110,8 @@ mod tests {
 
     #[test]
     fn tuple_ids_stay_stable_through_mutations_and_compaction() {
+        // Churn frees key groups and strings as it goes; none of that
+        // renumbers a live id.
         let v = bank_validator();
         let db = bank_database();
         let interest = db.schema().rel_id("interest").unwrap();
@@ -1145,9 +1145,12 @@ mod tests {
             stream.tuple_by_id(interest, born),
             Some(&tuple!["GLA", "UK", "checking", "1.5%"])
         );
-        // Compaction reclaims state but never renumbers a live id.
+        // A tuple with a fresh key comes and goes: its group and its
+        // strings are freed, and every live id still resolves.
         let report_before = stream.current_report();
-        stream.compact();
+        let passing = tuple!["ABD", "UK", "saving", "0.1%"];
+        insert(&mut stream, interest, passing.clone());
+        delete(&mut stream, interest, &passing);
         assert_eq!(stream.tuple_by_id(interest, id3), Some(&t3));
         assert_eq!(
             stream.tuple_by_id(interest, born),
@@ -1160,9 +1163,9 @@ mod tests {
     #[test]
     fn compact_reclaims_dead_interned_strings() {
         // High-key-churn stream: every round floods fresh string keys
-        // through insert+delete pairs. Without interner compaction the
-        // string table grows with every key ever seen; with it, the
-        // retained count is bounded by the live distinct values.
+        // through insert+delete pairs. A string dies with the last
+        // cached cell holding it, so the dictionary holds only the live
+        // distinct values, with no maintenance call.
         let schema = Arc::new(
             Schema::builder()
                 .relation("src", &[("k", Domain::string()), ("v", Domain::string())])
@@ -1178,31 +1181,27 @@ mod tests {
         db.insert_into("src", tuple!["resident", "x"]).unwrap();
         db.insert_into("dst", tuple!["resident"]).unwrap();
         let (mut stream, _) = ValidatorStream::new_validated(v, db);
-        let mut retained: Vec<usize> = Vec::new();
+        // Only the live resident cells are held: "resident" (one shared
+        // string across three index tiers) plus the resident tuple's
+        // RHS cell "x", which the row cache keeps for witness compares.
+        assert_eq!(gauge(&stream, "stream.interner.strings"), 2);
         for round in 0..4u32 {
             for i in 0..50u32 {
                 let t = tuple![format!("churn{round}_{i}").as_str(), "y"];
                 insert(&mut stream, src, t.clone());
+                // The churned key and its "y" RHS cell are held while
+                // the tuple resides…
+                assert_eq!(gauge(&stream, "stream.interner.strings"), 4);
                 delete(&mut stream, src, &t);
+                // …and released with it.
+                assert_eq!(
+                    gauge(&stream, "stream.interner.strings"),
+                    2,
+                    "round {round}"
+                );
             }
-            let stats = stream.compact();
-            assert!(
-                stats.interned_strings_dropped() >= 50,
-                "round {round} must drop its churned key strings: {stats:?}"
-            );
-            assert!(stats.interned_bytes_reclaimed() > 0);
-            retained.push(stats.interned_strings_after);
         }
-        assert!(
-            retained.iter().all(|&n| n == retained[0]),
-            "retained string count must be churn-invariant: {retained:?}"
-        );
-        // Only the live resident cells survive: "resident" (one shared
-        // string across three index tiers) plus the resident tuple's
-        // RHS cell "x", which the row cache roots for witness compares.
-        // The churned keys and their "y" RHS cells are all reclaimed.
-        assert_eq!(retained[0], 2);
-        // The compacted stream is still a correct delta engine, both for
+        // The churned stream is still a correct delta engine, both for
         // keys it kept and for keys it dropped and re-learns.
         let noisy = insert(&mut stream, src, tuple!["resident", "z"]);
         assert_eq!(noisy.cfd.introduced.len(), 1, "{noisy:?}");
@@ -1212,7 +1211,7 @@ mod tests {
             stream.current_report(),
             stream.validator().validate_sorted(stream.db()),
         );
-        // Batched mutations keep working against the rebuilt numbering.
+        // Batched mutations keep working against reused symbols.
         let deltas = stream
             .apply_deltas(&[
                 Mutation::Delete {

@@ -68,15 +68,15 @@
 //!   tasks in keep mode over those rows, striped across threads on
 //!   large instances: each builds its group's live index from the
 //!   cached symbols and reads the group's seed violations off it. No
-//!   column copy is made, and the interner holds only strings of
+//!   column copy is made, and the dictionary holds only strings of
 //!   columns Σ reads.
 //! * **resident row cache** — every resident tuple's layout cells
 //!   (group keys, CFD member RHS attributes **and** CIND condition
 //!   columns) are cached row-major per relation, mirrored through the
 //!   same swap-remove discipline as the relation; an arriving tuple's
-//!   cells are interned once. Deletes read their rows from the cache —
-//!   no string is hashed through the interner anywhere on the delete
-//!   path — and [`ValidatorStream::add_dependencies`] keys the indexes
+//!   cells are symbolized once. Deletes read their rows from the cache —
+//!   a delete hashes no string, except to drop one whose last cell left
+//!   — and [`ValidatorStream::add_dependencies`] keys the indexes
 //!   it splices in from it and reads its newcomers' violations through
 //!   it.
 //! * **at most one probe per (mutation, group)** — on insert,
@@ -97,31 +97,35 @@
 //! ## Long-lived streams
 //!
 //! Four pieces make the stream safe to keep open for the life of a
-//! monitored database:
+//! monitored database, holding memory in proportion to the live data
+//! whatever came and went before:
 //!
 //! * **self-maintaining indexes** — a delete frees room in its key
 //!   group's [`SymIndex`] segment that the group's next insert reuses,
-//!   and room that groups outgrow or release is repacked once it passes
-//!   half of an index's storage. The cost of a mutation does not grow
-//!   with the stream's age, and stored entries stay bounded by live
-//!   positions plus distinct keys, with no [`ValidatorStream::compact`]
-//!   call;
+//!   a group is freed with its last tuple (its slot goes to the next
+//!   new key), and room that groups outgrow or release is repacked once
+//!   it passes half of an index's storage. The cost of a mutation does
+//!   not grow with the stream's age, and keys and stored entries stay
+//!   bounded by the live positions;
+//! * **a refcounted dictionary** — the stream's strings live in a
+//!   [`Dict`]. A string lives while a resident cached cell holds it, or
+//!   while a CFD member's translated pattern constant pins it, and dies
+//!   with the last of them, so the dictionary holds the live strings
+//!   only. A pinned constant keeps its symbol for as long as its member
+//!   is compiled, so a member's translation never goes stale. A window
+//!   releases its departing cells when it ends, so a string that leaves
+//!   and comes back within one window (an update that keeps it) keeps
+//!   its symbol;
 //! * **stable tuple ids** — every resident tuple carries a
 //!   [`condep_model::TupleId`] ([`ValidatorStream::tuple_id_at`] /
 //!   [`ValidatorStream::position_of`]), allocated once and maintained
 //!   through every swap, so consumers can address violations and fixes
 //!   without replaying [`MovedTuple`] renumbering (each delta's
 //!   [`IdDelta`] reports what was born, retired and moved);
-//! * **batched mutations** — [`ValidatorStream::apply_deltas`]
-//!   symbolizes a whole window through one interner pass and translates
-//!   keys per `(relation, LHS set)` group from pre-built rows,
-//!   amortizing the dominant per-mutation delta cost;
-//! * **full compaction** — [`ValidatorStream::compact`] drops emptied
-//!   key groups and rebuilds the interner over live symbols only (the
-//!   dead-strings leak is closed; see [`CompactionStats`] for what was
-//!   reclaimed), all without disturbing live keys, violations or held
-//!   ids. It reclaims memory that high-key churn strands in keys and
-//!   strings; mutation speed does not depend on it.
+//! * **windows** — [`ValidatorStream::apply_deltas`] applies a whole
+//!   window through the row-fed engine, translating keys per
+//!   `(relation, LHS set)` group from each tuple's cached row, and lets
+//!   the departed rows' strings go once, when the window ends.
 
 use crate::telemetry::StreamTelemetry;
 use crate::validator::{cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, Validator};
@@ -129,8 +133,8 @@ use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{
-    AttrId, Database, Interner, ModelError, RelId, Relation, Sym, SymIndex, SymValue, Tuple,
-    TupleId, TupleIdMap, Value,
+    AttrId, Database, Dict, ModelError, RelId, Relation, SymIndex, SymValue, Tuple, TupleId,
+    TupleIdMap, Value,
 };
 use condep_telemetry::{SpanTimer, Stopwatch};
 use std::collections::HashSet;
@@ -306,18 +310,20 @@ impl SigmaDelta {
     }
 }
 
-/// A CFD member's LHS pattern translated to interned symbols, aligned
-/// with the group's sorted attribute list (`None` cell = wildcard). A
-/// member whose pattern carries a string the interner has never seen is
-/// stored as the outer `None`: no interned tuple can match it (yet).
-type MemberSyms = Option<Box<[Option<SymValue>]>>;
+/// A CFD member's LHS pattern translated to the stream's symbols,
+/// aligned with the group's sorted attribute list (`None` cell =
+/// wildcard). Each string constant pins its symbol in the dictionary
+/// for as long as the translation lives.
+type MemberSyms = Box<[Option<SymValue>]>;
 
 /// A validator with materialized state for one evolving database.
 #[derive(Clone, Debug)]
 pub struct ValidatorStream {
     validator: Validator,
     db: Database,
-    interner: Interner,
+    /// The refcounted symbol store of every cached cell and pinned
+    /// pattern constant.
+    dict: Dict,
     /// One live index per CFD group (keyed by the group's sorted LHS).
     cfd_indexes: Vec<SymIndex>,
     /// One live filtered target index per CIND group (keyed by sorted Y).
@@ -340,7 +346,7 @@ pub struct ValidatorStream {
     /// with stride `sym_attrs[rel].len()` and mirrored through the same
     /// swap-remove discipline as the relation itself — the delete path
     /// reads its rows here instead of re-hashing strings through the
-    /// interner.
+    /// dictionary. Each string cell holds its symbol once.
     sym_rows: Vec<Vec<SymValue>>,
     /// Per CFD group: each key attribute's slot in its relation's
     /// symbolized row.
@@ -355,14 +361,9 @@ pub struct ValidatorStream {
     /// Per CIND group, per member: the `x_perm` attributes' slots in the
     /// source relation's row.
     cind_x_slots: Vec<Vec<Vec<u32>>>,
-    /// Per CFD group, per member: the LHS pattern in interned-symbol
-    /// form — the batch path's word-compare fast path for member
-    /// matching.
+    /// Per CFD group, per member: the LHS pattern in symbol form — the
+    /// word-compare fast path for member matching.
     member_syms: Vec<Vec<MemberSyms>>,
-    /// `interner.len()` when `member_syms` was last refreshed.
-    member_syms_gen: usize,
-    /// How many members are still untranslated (unknown constants).
-    member_syms_pending: usize,
     /// The stream's instrument panel: latency histograms, hot-path
     /// counters and the bounded activity journal. Private per stream;
     /// cloning a stream starts fresh telemetry (see
@@ -377,11 +378,11 @@ fn key_from_slots(row: &[SymValue], slots: &[u32], buf: &mut Vec<SymValue>) {
 }
 
 /// Symbolizes every tuple of `inst` over `attrs` into one row-major
-/// block, interning new strings — the row cache's layout.
-fn cache_rows(interner: &mut Interner, inst: &Relation, attrs: &[AttrId]) -> Vec<SymValue> {
+/// block, each string cell holding its symbol — the row cache's layout.
+fn cache_rows(dict: &mut Dict, inst: &Relation, attrs: &[AttrId]) -> Vec<SymValue> {
     let mut rows = Vec::with_capacity(inst.len() * attrs.len());
     for t in inst.iter() {
-        rows.extend(attrs.iter().map(|a| interner.intern_value(&t[*a])));
+        rows.extend(attrs.iter().map(|a| dict.acquire_sym(&t[*a])));
     }
     rows
 }
@@ -390,26 +391,16 @@ fn cache_rows(interner: &mut Interner, inst: &Relation, attrs: &[AttrId]) -> Vec
 /// already-built group key (member patterns only constrain the group's
 /// key attributes, so the key projection is all that matters).
 fn member_matches_sym(pat: &MemberSyms, key: &[SymValue]) -> bool {
-    match pat {
-        None => false,
-        Some(cells) => cells
-            .iter()
-            .zip(key)
-            .all(|(p, k)| p.is_none_or(|p| p == *k)),
-    }
+    pat.iter().zip(key).all(|(p, k)| p.is_none_or(|p| p == *k))
 }
 
-/// Translates one member's LHS pattern into symbols; `None` when a
-/// pattern constant is a string the interner has never seen.
-fn translate_member(interner: &Interner, m: &CfdMember) -> MemberSyms {
+/// Translates one member's LHS pattern into symbols, pinning each
+/// string constant in the dictionary.
+fn translate_member(dict: &mut Dict, m: &CfdMember) -> MemberSyms {
     m.pattern
         .iter()
-        .map(|cell| match cell {
-            None => Some(None),
-            Some(v) => interner.sym_value(v).map(Some),
-        })
-        .collect::<Option<Vec<_>>>()
-        .map(Vec::into_boxed_slice)
+        .map(|cell| cell.as_ref().map(|v| dict.acquire_sym(v)))
+        .collect()
 }
 
 /// The wildcard-RHS pairs of one live key group, reading RHS values
@@ -447,39 +438,6 @@ fn applicable_covers(g: &CfdGroup, m: &CfdMember, t: &Tuple, buf: &mut Vec<usize
     }
 }
 
-/// What one [`ValidatorStream::compact`] call reclaimed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompactionStats {
-    /// Emptied `SymIndex` key groups dropped across every live index
-    /// tier (CFD group indexes, CIND target indexes, reverse CIND
-    /// source indexes).
-    pub key_groups_dropped: usize,
-    /// Key groups still live after compaction, summed over the same
-    /// tiers.
-    pub key_groups_live: usize,
-    /// Distinct interned strings before the interner rebuild.
-    pub interned_strings_before: usize,
-    /// Distinct interned strings after — exactly the strings still
-    /// reachable from some live index key.
-    pub interned_strings_after: usize,
-    /// String payload bytes held before the rebuild.
-    pub interned_bytes_before: usize,
-    /// String payload bytes still held after.
-    pub interned_bytes_after: usize,
-}
-
-impl CompactionStats {
-    /// Interned strings the rebuild dropped.
-    pub fn interned_strings_dropped(&self) -> usize {
-        self.interned_strings_before - self.interned_strings_after
-    }
-
-    /// String payload bytes the rebuild reclaimed.
-    pub fn interned_bytes_reclaimed(&self) -> usize {
-        self.interned_bytes_before - self.interned_bytes_after
-    }
-}
-
 /// One scoped member of a [`PairScope`]: `(member slot, applicable
 /// original-Σ indices, old pairs)`, computed from the pre-deletion
 /// state. The cover fan-out is stashed alongside because applicability
@@ -489,7 +447,8 @@ type ScopedMember = (usize, Vec<usize>, Vec<(usize, usize)>);
 
 /// One affected `(group, key)` pair-recomputation scope of a deletion.
 /// The key group is held as its [`SymIndex`] slot handle — stable across
-/// the removals between stash and recomputation.
+/// the removals between stash and recomputation, since a scope is only
+/// stashed for a group that keeps at least one tuple.
 struct PairScope {
     group: usize,
     slot: u32,
@@ -561,10 +520,10 @@ impl ValidatorStream {
     fn materialize(validator: Validator, db: Database) -> (Self, SigmaReport) {
         let build_clock = Stopwatch::start();
         let sym_attrs = validator.sym_layout(db.schema().len());
-        let mut interner = Interner::new();
+        let mut dict = Dict::new();
         let sym_rows: Vec<Vec<SymValue>> = db
             .iter()
-            .map(|(r, inst)| cache_rows(&mut interner, inst, &sym_attrs[r.index()]))
+            .map(|(r, inst)| cache_rows(&mut dict, inst, &sym_attrs[r.index()]))
             .collect();
         let cells = Cells::Rows {
             rows: &sym_rows,
@@ -572,7 +531,7 @@ impl ValidatorStream {
         };
         let mut report = SigmaReport::default();
         let (mut cfd_indexes, mut cind_sources) = (Vec::new(), Vec::new());
-        for build in validator.build_groups(&db, &interner, &cells, true) {
+        for build in validator.build_groups(&db, &dict, &cells, true) {
             report.cfd.extend(build.cfd);
             report.cind.extend(build.cind);
             cfd_indexes.push(build.index.expect("a kept build keeps its index"));
@@ -597,7 +556,7 @@ impl ValidatorStream {
         let mut stream = ValidatorStream {
             validator,
             db,
-            interner,
+            dict,
             cfd_indexes,
             cind_targets,
             cind_sources,
@@ -611,8 +570,6 @@ impl ValidatorStream {
             cind_y_slots: Vec::new(),
             cind_x_slots: Vec::new(),
             member_syms: Vec::new(),
-            member_syms_gen: 0,
-            member_syms_pending: 0,
             telemetry: StreamTelemetry::new(),
         };
         stream.refresh_slots();
@@ -624,11 +581,11 @@ impl ValidatorStream {
     }
 
     /// The stream's instrument panel: latency distributions, hot-path
-    /// counters and the recent-activity journal. The index storage
-    /// gauges (`stream.index.*`) are sampled here, once per read, so the
-    /// mutation path never maintains them.
+    /// counters and the recent-activity journal. The storage gauges
+    /// (`stream.index.*`, `stream.interner.strings`) are sampled here,
+    /// once per read, so the mutation path never maintains them.
     pub fn telemetry(&self) -> &StreamTelemetry {
-        let (mut live, mut stored) = (0, 0);
+        let (mut live, mut stored, mut keys) = (0, 0, 0);
         for idx in self
             .cfd_indexes
             .iter()
@@ -637,9 +594,12 @@ impl ValidatorStream {
         {
             live += idx.len();
             stored += idx.stored();
+            keys += idx.distinct_keys();
         }
         self.telemetry.index_live.set(live as i64);
         self.telemetry.index_stored.set(stored as i64);
+        self.telemetry.index_keys.set(keys as i64);
+        self.telemetry.strings.set(self.dict.len() as i64);
         &self.telemetry
     }
 
@@ -655,8 +615,8 @@ impl ValidatorStream {
     }
 
     /// Recomputes each group's slots into its relation's symbolized-row
-    /// layout and re-translates the member patterns — after the seed
-    /// build and whenever the compiled groups change.
+    /// layout and re-translates (and re-pins) the member patterns —
+    /// after the seed build and whenever the compiled groups change.
     fn refresh_slots(&mut self) {
         let Self {
             validator,
@@ -741,12 +701,14 @@ impl ValidatorStream {
 
         // Grow the symbolization layout, re-caching the rows of every
         // relation whose layout changed: the index builds and reads
-        // below take their keys from the row cache.
+        // below take their keys from the row cache. The new rows take
+        // their holds before the old ones let go, so a string the live
+        // indexes key on never loses its symbol.
         let new_sym_attrs = self.validator.sym_layout(self.db.schema().len());
         {
             let Self {
                 db,
-                interner,
+                dict,
                 sym_rows,
                 sym_attrs,
                 ..
@@ -754,7 +716,13 @@ impl ValidatorStream {
             for (rel, inst) in db.iter() {
                 let r = rel.index();
                 if new_sym_attrs[r] != sym_attrs[r] {
-                    sym_rows[r] = cache_rows(interner, inst, &new_sym_attrs[r]);
+                    let old = std::mem::replace(
+                        &mut sym_rows[r],
+                        cache_rows(dict, inst, &new_sym_attrs[r]),
+                    );
+                    for cell in old {
+                        dict.release_sym(cell);
+                    }
                 }
             }
         }
@@ -769,7 +737,7 @@ impl ValidatorStream {
             let Self {
                 validator,
                 db,
-                interner,
+                dict,
                 cfd_indexes,
                 cind_targets,
                 cind_sources,
@@ -792,7 +760,7 @@ impl ValidatorStream {
                         g,
                         &g.members[start..],
                         db,
-                        interner,
+                        dict,
                         &cells,
                         &cfd_indexes[gi],
                         &mut report.cfd,
@@ -801,16 +769,16 @@ impl ValidatorStream {
             }
             for (gi, g) in validator.cind_groups().iter().enumerate() {
                 if gi >= cind_targets.len() {
-                    cind_targets.push(cind_target_index(g, db, interner, &cells));
+                    cind_targets.push(cind_target_index(g, db, dict, &cells));
                     cind_sources.push(Vec::new());
                 }
                 let start = old_cind_members.get(gi).copied().unwrap_or(0);
                 for m in &g.members[start..] {
-                    cind_sources[gi].push(validator.cind_source_index(m, db, interner, &cells));
+                    cind_sources[gi].push(validator.cind_source_index(m, db, dict, &cells));
                     validator.read_cind_member(
                         m,
                         db,
-                        interner,
+                        dict,
                         &cells,
                         &cind_targets[gi],
                         &mut report.cind,
@@ -875,165 +843,33 @@ impl ValidatorStream {
         resolved
     }
 
-    /// Re-translates every member pattern against the current interner
-    /// (after a seed build or an interner compaction).
+    /// Translates every member pattern against the dictionary, pinning
+    /// the new translations' constants before the old ones let go (a
+    /// constant both share keeps its symbol).
     fn rebuild_member_syms(&mut self) {
         let Self {
             validator,
-            interner,
+            dict,
             member_syms,
-            member_syms_gen,
-            member_syms_pending,
             ..
         } = self;
-        *member_syms = validator
+        let fresh: Vec<Vec<MemberSyms>> = validator
             .cfd_groups()
             .iter()
             .map(|g| {
                 g.members
                     .iter()
-                    .map(|m| translate_member(interner, m))
+                    .map(|m| translate_member(dict, m))
                     .collect()
             })
             .collect();
-        *member_syms_pending = member_syms.iter().flatten().filter(|s| s.is_none()).count();
-        *member_syms_gen = interner.len();
-    }
-
-    /// Retries the still-untranslated member patterns when the interner
-    /// has grown since the last refresh (already-translated patterns
-    /// stay valid — symbols are stable between compactions).
-    fn refresh_member_syms(&mut self) {
-        let Self {
-            validator,
-            interner,
-            member_syms,
-            member_syms_gen,
-            member_syms_pending,
-            ..
-        } = self;
-        if *member_syms_pending > 0 && interner.len() != *member_syms_gen {
-            let mut pending = 0;
-            for (g, syms) in validator.cfd_groups().iter().zip(member_syms.iter_mut()) {
-                for (m, slot) in g.members.iter().zip(syms.iter_mut()) {
-                    if slot.is_none() {
-                        *slot = translate_member(interner, m);
-                        if slot.is_none() {
-                            pending += 1;
-                        }
-                    }
-                }
-            }
-            *member_syms_pending = pending;
-        }
-        *member_syms_gen = interner.len();
-    }
-
-    /// Compacts the stream's long-lived state: drops every **emptied**
-    /// key group from the live indexes (CFD group indexes, CIND target
-    /// indexes and reverse CIND source indexes), rebuilds the
-    /// [`Interner`] over the strings still reachable from live keys
-    /// (remapping every stored key to the new numbering), and releases
-    /// the excess capacity churn left in the [`TupleId`] maps (live ids
-    /// are the only id storage). Returns what was reclaimed.
-    ///
-    /// Removals keep a group's slot — and its key's interned strings —
-    /// until compaction, so a months-long monitor over high-key-churn
-    /// data would otherwise grow with the distinct keys ever seen
-    /// rather than with the live data. Position storage needs no such
-    /// help: the indexes reuse the room deletes free and repack
-    /// themselves, so mutations stay fast without compaction, and
-    /// compaction is for emptied groups and strings, not for speed.
-    /// Compaction is `O(keys + live positions)` over each index plus
-    /// `O(live strings)` for the interner rebuild, and preserves every
-    /// live `(key, position)` pair **and every live [`TupleId`]**, so
-    /// the violation state, all delta semantics and held id handles are
-    /// untouched — call it whenever the reclaimable share is worth the
-    /// rebuild (e.g. periodically, or when an index's distinct-key count
-    /// far exceeds the relation's size).
-    pub fn compact(&mut self) -> CompactionStats {
-        let span = SpanTimer::start(&self.telemetry.compact_us);
-        let mut stats = CompactionStats {
-            interned_strings_before: self.interner.len(),
-            interned_bytes_before: self.interner.str_bytes(),
-            ..CompactionStats::default()
-        };
-        for idx in self
-            .cfd_indexes
-            .iter_mut()
-            .chain(self.cind_targets.iter_mut())
-            .chain(self.cind_sources.iter_mut().flatten())
-        {
-            stats.key_groups_dropped += idx.compact();
-            stats.key_groups_live += idx.distinct_keys();
-        }
-        // Interner rebuild over live symbols only: every string still
-        // reachable from some live index key or resident cached row is
-        // re-interned (first-seen order across the tiers, so the result
-        // is deterministic), everything else is dropped, and every
-        // stored key and cached cell is remapped to the new numbering.
-        let mut fresh = Interner::new();
-        let mut remap: Vec<Option<Sym>> = vec![None; self.interner.len()];
-        for idx in self
-            .cfd_indexes
+        for cell in std::mem::replace(member_syms, fresh)
             .iter()
-            .chain(self.cind_targets.iter())
-            .chain(self.cind_sources.iter().flatten())
+            .flatten()
+            .flat_map(|pattern| pattern.iter().flatten())
         {
-            for (key, _) in idx.groups() {
-                for cell in key {
-                    if let SymValue::Str(sym) = cell {
-                        let slot = &mut remap[sym.0 as usize];
-                        if slot.is_none() {
-                            *slot = Some(fresh.intern(self.interner.resolve_arc(*sym)));
-                        }
-                    }
-                }
-            }
+            dict.release_sym(*cell);
         }
-        // The resident row cache is the other liveness root: a cell a
-        // tuple only carries through a CIND role it does not play is in
-        // no index key, but the delete path will still read it. Re-root
-        // and rewrite the cached rows in the same pass — retention is
-        // still bounded by the live data.
-        for rows in &mut self.sym_rows {
-            for cell in rows.iter_mut() {
-                if let SymValue::Str(sym) = cell {
-                    let slot = &mut remap[sym.0 as usize];
-                    if slot.is_none() {
-                        *slot = Some(fresh.intern(self.interner.resolve_arc(*sym)));
-                    }
-                    *cell = SymValue::Str(slot.expect("just interned"));
-                }
-            }
-        }
-        let translate = |sv: SymValue| match sv {
-            SymValue::Str(sym) => {
-                SymValue::Str(remap[sym.0 as usize].expect("live key symbols are remapped"))
-            }
-            inline => inline,
-        };
-        for idx in self
-            .cfd_indexes
-            .iter_mut()
-            .chain(self.cind_targets.iter_mut())
-            .chain(self.cind_sources.iter_mut().flatten())
-        {
-            idx.remap_keys(translate);
-        }
-        self.interner = fresh;
-        // The cached pattern translations used the old numbering.
-        self.rebuild_member_syms();
-        // Id maps only store live ids; just release churn's excess
-        // capacity.
-        for ids in &mut self.ids {
-            ids.shrink();
-        }
-        stats.interned_strings_after = self.interner.len();
-        stats.interned_bytes_after = self.interner.str_bytes();
-        span.stop();
-        self.telemetry.record_compaction(&stats);
-        stats
     }
 
     /// The stable id of the tuple currently at dense position `pos` of
@@ -1117,30 +953,32 @@ impl ValidatorStream {
     ///   carries a key no target held before, every orphaned source
     ///   tuple with that key is **resolved**.
     ///
-    /// `row` is the tuple's pre-symbolized key-cell row
-    /// ([`ValidatorStream::sym_row_intern`]): group keys are `Copy` slot
-    /// reads and member matching is a word compare against the cached
-    /// pattern symbols — no string is hashed per group.
-    fn insert_inner(
-        &mut self,
-        rel: RelId,
-        t: Tuple,
-        row: &[SymValue],
-    ) -> Result<SigmaDelta, ModelError> {
+    /// The arriving tuple's layout cells are symbolized once, straight
+    /// into the resident row cache, and that cached row serves every
+    /// group: group keys are `Copy` slot reads and member matching is a
+    /// word compare against the pinned pattern symbols — no string is
+    /// hashed per group. The caller has type-checked `t`.
+    fn insert_inner(&mut self, rel: RelId, t: Tuple) -> SigmaDelta {
         let mut delta = SigmaDelta::default();
-        if !self.db.insert(rel, t.clone())? {
-            return Ok(delta);
+        if !self
+            .db
+            .insert(rel, t.clone())
+            .expect("the window was type-checked")
+        {
+            return delta;
         }
         let pos = self.db.relation(rel).len() - 1;
         let Self {
             validator,
             db,
+            dict,
             cfd_indexes,
             cind_targets,
             cind_sources,
             live_cfd,
             live_cind,
             ids,
+            sym_attrs,
             sym_rows,
             cfd_group_slots,
             cfd_rhs_slots,
@@ -1151,8 +989,11 @@ impl ValidatorStream {
             ..
         } = self;
         delta.ids.born = Some(ids[rel.index()].alloc(pos));
-        debug_assert_eq!(sym_rows[rel.index()].len(), pos * row.len());
-        sym_rows[rel.index()].extend_from_slice(row);
+        let attrs = &sym_attrs[rel.index()];
+        debug_assert_eq!(sym_rows[rel.index()].len(), pos * attrs.len());
+        sym_rows[rel.index()].extend(attrs.iter().map(|a| dict.acquire_sym(&t[*a])));
+        let sym_rows = &*sym_rows;
+        let row = &sym_rows[rel.index()][pos * attrs.len()..];
         let mut key_buf: Vec<SymValue> = Vec::new();
         let mut cov_buf: Vec<usize> = Vec::new();
         // Hot-loop accounting stays in a local; one flush at the end.
@@ -1299,7 +1140,7 @@ impl ValidatorStream {
         live_cfd.extend(delta.cfd.introduced.iter().cloned());
         live_cind.extend(delta.cind.introduced.iter().cloned());
         telemetry.hash_probes.add(hash_probes);
-        Ok(delta)
+        delta
     }
 
     /// The delete engine: the violations that disappear with the tuple,
@@ -1308,8 +1149,14 @@ impl ValidatorStream {
     /// ([`SigmaDelta::moved`]). `None` when the tuple is not present.
     /// The tuple's (and the moved tuple's) pre-symbolized key-cell rows
     /// come straight out of the resident row cache — no string is hashed
-    /// through the interner anywhere on the delete path.
-    fn delete_inner(&mut self, rel: RelId, t: &Tuple) -> Option<SigmaDelta> {
+    /// here. The departed row's string cells are pushed onto `departed`
+    /// for the window to release when it ends.
+    fn delete_inner(
+        &mut self,
+        rel: RelId,
+        t: &Tuple,
+        departed: &mut Vec<SymValue>,
+    ) -> Option<SigmaDelta> {
         let pos = self.db.relation(rel).position(t)?;
         let last = self.db.relation(rel).len() - 1;
         let moved: Option<Tuple> = (pos != last).then(|| {
@@ -1770,6 +1617,7 @@ impl ValidatorStream {
             srows[pos * stride + i] = srows[last * stride + i];
         }
         srows.truncate(last * stride);
+        departed.extend(row.iter().filter(|c| matches!(c, SymValue::Str(_))));
         let (retired, moved_id) = ids[rel.index()].remove_swap(pos);
         delta.ids.retired = Some(retired);
         delta.ids.moved = moved_id;
@@ -1780,6 +1628,10 @@ impl ValidatorStream {
         for scope in scopes {
             let g = &validator.cfd_groups()[scope.group];
             let idx = &cfd_indexes[scope.group];
+            debug_assert!(
+                idx.occupied_at(scope.slot),
+                "a stashed pair scope's group keeps a tuple"
+            );
             for (ms, covers, old) in scope.members {
                 let m = &g.members[ms];
                 let new = group_pairs(
@@ -1879,20 +1731,6 @@ impl ValidatorStream {
         Ok(applied)
     }
 
-    /// Symbolizes a tuple's key-attribute cells in one pass, interning
-    /// new strings — the insert-side row builder of the batch path.
-    fn sym_row_intern(&mut self, rel: RelId, t: &Tuple) -> Vec<SymValue> {
-        let Self {
-            interner,
-            sym_attrs,
-            ..
-        } = self;
-        sym_attrs[rel.index()]
-            .iter()
-            .map(|a| interner.intern_value(&t[*a]))
-            .collect()
-    }
-
     /// Applies a window of value-level [`Mutation`]s in order — the
     /// stream's one mutation entry — so `current_report()` equals a fresh
     /// batch sweep after every window.
@@ -1907,14 +1745,13 @@ impl ValidatorStream {
     /// delta carries [`IdDelta::born`] iff its insert took effect and
     /// [`IdDelta::retired`] iff its delete did.
     ///
-    /// What makes a window cheaper than the same mutations one at a time:
+    /// What keeps a window cheap:
     ///
-    /// * **one interner pass** — every arriving tuple's key cells are
-    ///   symbolized once up front (and the cached member-pattern symbol
-    ///   translations refreshed once), instead of once per constraint
-    ///   group per mutation;
+    /// * **one symbolization per arriving tuple** — its layout cells
+    ///   are symbolized once, into the row cache, instead of once per
+    ///   constraint group;
     /// * **grouped key translation** — per `(relation, LHS set)` group,
-    ///   keys are `Copy` slot reads out of the pre-built row and member
+    ///   keys are `Copy` slot reads out of the cached row and member
     ///   matching is a word compare, with no string hashed anywhere in
     ///   the per-group work;
     /// * **at most one probe per touched key group** — the group's pair
@@ -1930,38 +1767,26 @@ impl ValidatorStream {
         self.check_mutations(muts)?;
         let span = SpanTimer::start(&self.telemetry.window_us);
         let groups0 = self.telemetry.probes_total();
-        // Phase 1: the one interner pass over every arriving tuple.
-        let arriving: Vec<Option<Vec<SymValue>>> = muts
-            .iter()
-            .map(|m| match m {
-                Mutation::Insert { rel, tuple }
-                | Mutation::Update {
-                    rel, new: tuple, ..
-                } => Some(self.sym_row_intern(*rel, tuple)),
-                Mutation::Delete { .. } => None,
-            })
-            .collect();
-        self.refresh_member_syms();
-        // Phase 2: apply in order through the row-fed engine. Presence
-        // checks happen here, against the evolving database, so
-        // intra-window interactions (insert then delete, merging updates)
-        // resolve exactly as they would one window at a time.
+        // Apply in order through the row-fed engine. Presence checks
+        // happen here, against the evolving database, so intra-window
+        // interactions (insert then delete, merging updates) resolve
+        // exactly as they would one window at a time.
         let updates = muts
             .iter()
             .filter(|m| matches!(m, Mutation::Update { .. }))
             .count();
         let mut out = Vec::with_capacity(muts.len() + updates);
         let mut noops = 0;
-        for (m, row) in muts.iter().zip(&arriving) {
+        let mut departed: Vec<SymValue> = Vec::new();
+        for m in muts {
             match m {
                 Mutation::Insert { rel, tuple } => {
-                    let row = row.as_deref().expect("insert rows are pre-built");
-                    let d = self.insert_inner(*rel, tuple.clone(), row)?;
+                    let d = self.insert_inner(*rel, tuple.clone());
                     noops += d.ids.born.is_none() as u64;
                     out.push(d);
                 }
                 Mutation::Delete { rel, tuple } => {
-                    let d = self.delete_inner(*rel, tuple);
+                    let d = self.delete_inner(*rel, tuple, &mut departed);
                     noops += d.is_none() as u64;
                     out.push(d.unwrap_or_default());
                 }
@@ -1969,15 +1794,12 @@ impl ValidatorStream {
                     let deleted = if old == new {
                         None
                     } else {
-                        self.delete_inner(*rel, old)
+                        self.delete_inner(*rel, old, &mut departed)
                     };
                     // The insert half runs only once the delete took
                     // effect; a resident `new` makes it the empty delta.
                     let inserted = match deleted {
-                        Some(_) => {
-                            let row = row.as_deref().expect("update rows are pre-built");
-                            self.insert_inner(*rel, new.clone(), row)?
-                        }
+                        Some(_) => self.insert_inner(*rel, new.clone()),
                         None => SigmaDelta::default(),
                     };
                     noops += deleted.is_none() as u64;
@@ -1985,6 +1807,11 @@ impl ValidatorStream {
                     out.push(inserted);
                 }
             }
+        }
+        // The departed rows let go of their strings last: one that came
+        // back within the window kept its symbol throughout.
+        for cell in departed {
+            self.dict.release_sym(cell);
         }
         span.stop();
         self.telemetry.record_window(&out, noops, groups0);
@@ -2030,7 +1857,7 @@ impl ValidatorStream {
         }
         let mut key = Vec::with_capacity(g.attrs.len());
         for a in &g.attrs {
-            match self.interner.sym_value(&t[*a]) {
+            match self.dict.sym_value(&t[*a]) {
                 Some(s) => key.push(s),
                 None => return Vec::new(),
             }
@@ -2108,7 +1935,7 @@ mod tests {
                 ins(s, tuple!["k"]),
             ])
             .unwrap();
-        let k = [stream.interner.sym_value(&Value::str("k")).unwrap()];
+        let k = [stream.dict.sym_value(&Value::str("k")).unwrap()];
         let stored = stream.cfd_indexes[0].positions(&k).to_vec();
         let lowest = *stored.iter().min().unwrap();
         assert_ne!(

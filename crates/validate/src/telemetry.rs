@@ -17,8 +17,6 @@
 //! | `stream.materialize_us` | histogram | seed build time: row-cache symbolization, group index builds and the seed violation read |
 //! | `stream.apply.window_us` | histogram | one `apply_deltas` window that passed its type check (an `apply` call is a window of one) |
 //! | `stream.apply.windows` | counter | windows applied, `apply` calls included |
-//! | `stream.compact_us` | histogram | one `compact()` pass |
-//! | `stream.compactions` | counter | `compact()` calls |
 //! | `stream.mutations.inserts` | counter | effective tuple arrivals |
 //! | `stream.mutations.deletes` | counter | effective tuple removals |
 //! | `stream.mutations.noops` | counter | mutations that changed nothing (every delta they got is empty) |
@@ -30,9 +28,12 @@
 //! | `stream.violations.resolved` | counter | violations resolved, cumulative |
 //! | `stream.index.live` | gauge | live positions, summed over the stream's key-group indexes; sampled on each [`ValidatorStream::telemetry`] read |
 //! | `stream.index.stored` | gauge | position entries those indexes store, live or spare or dead ([`SymIndex::stored`]); sampled likewise |
+//! | `stream.index.keys` | gauge | live key groups over every index tier ([`SymIndex::distinct_keys`]: an emptied group is freed at once); sampled likewise |
+//! | `stream.interner.strings` | gauge | live strings in the stream's refcounted dictionary: those resident cached cells hold or CFD pattern constants pin; sampled likewise |
 //!
 //! [`ValidatorStream::telemetry`]: crate::ValidatorStream::telemetry
 //! [`SymIndex::stored`]: condep_model::SymIndex::stored
+//! [`SymIndex::distinct_keys`]: condep_model::SymIndex::distinct_keys
 
 use crate::stream::SigmaDelta;
 use condep_telemetry::{
@@ -56,9 +57,7 @@ pub struct StreamTelemetry {
     journal: Journal,
     pub(crate) materialize_us: Histogram,
     pub(crate) window_us: Histogram,
-    pub(crate) compact_us: Histogram,
     pub(crate) windows: Counter,
-    pub(crate) compactions: Counter,
     pub(crate) inserts: Counter,
     pub(crate) deletes: Counter,
     pub(crate) noops: Counter,
@@ -70,6 +69,8 @@ pub struct StreamTelemetry {
     pub(crate) resolved: Counter,
     pub(crate) index_live: Gauge,
     pub(crate) index_stored: Gauge,
+    pub(crate) index_keys: Gauge,
+    pub(crate) strings: Gauge,
 }
 
 impl StreamTelemetry {
@@ -77,9 +78,7 @@ impl StreamTelemetry {
         StreamTelemetry {
             materialize_us: registry.histogram("stream.materialize_us"),
             window_us: registry.histogram("stream.apply.window_us"),
-            compact_us: registry.histogram("stream.compact_us"),
             windows: registry.counter("stream.apply.windows"),
-            compactions: registry.counter("stream.compactions"),
             inserts: registry.counter("stream.mutations.inserts"),
             deletes: registry.counter("stream.mutations.deletes"),
             noops: registry.counter("stream.mutations.noops"),
@@ -91,6 +90,8 @@ impl StreamTelemetry {
             resolved: registry.counter("stream.violations.resolved"),
             index_live: registry.gauge("stream.index.live"),
             index_stored: registry.gauge("stream.index.stored"),
+            index_keys: registry.gauge("stream.index.keys"),
+            strings: registry.gauge("stream.interner.strings"),
             journal: Journal::with_capacity(JOURNAL_CAPACITY),
             registry,
         }
@@ -173,19 +174,6 @@ impl StreamTelemetry {
             groups_touched: (self.probes_total() - groups0) as u32,
             introduced: introduced as u32,
             resolved: resolved as u32,
-        });
-    }
-
-    /// Books one compaction pass.
-    pub(crate) fn record_compaction(&mut self, stats: &crate::CompactionStats) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.compactions.incr();
-        self.journal.push(StreamEvent::Compaction {
-            key_groups_dropped: stats.key_groups_dropped as u32,
-            strings_dropped: stats.interned_strings_dropped() as u32,
-            bytes_reclaimed: stats.interned_bytes_reclaimed() as u64,
         });
     }
 

@@ -6,7 +6,7 @@ use condep_cfd::{CfdViolation, NormalCfd};
 use condep_core::{CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{
-    AttrId, Database, Interner, RelId, Schema, SymIndex, SymTables, SymValue, Value,
+    AttrId, Database, RelId, Schema, SymIndex, SymLookup, SymTables, SymValue, Value,
 };
 use condep_telemetry::{Export, MetricsSnapshot, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
@@ -739,7 +739,7 @@ impl Validator {
     pub(crate) fn build_groups(
         &self,
         db: &Database,
-        interner: &Interner,
+        syms: &(dyn SymLookup + Sync),
         cells: &Cells<'_>,
         keep: bool,
     ) -> Vec<GroupBuild> {
@@ -754,10 +754,10 @@ impl Validator {
         };
         let run_task = |task: usize| -> GroupBuild {
             match self.cfd_groups.get(task) {
-                Some(g) => self.run_cfd_group(g, db, interner, cells, keep),
+                Some(g) => self.run_cfd_group(g, db, syms, cells, keep),
                 None => {
                     let g = &self.cind_groups[task - self.cfd_groups.len()];
-                    self.run_cind_group(g, db, interner, cells, keep)
+                    self.run_cind_group(g, db, syms, cells, keep)
                 }
             }
         };
@@ -795,13 +795,13 @@ impl Validator {
         &self,
         group: &CfdGroup,
         db: &Database,
-        interner: &Interner,
+        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         keep: bool,
     ) -> GroupBuild {
         let mut out = GroupBuild::default();
         let rel = db.relation(group.rel);
-        let members = ReadyMember::translate(&group.members, interner);
+        let members = ReadyMember::translate(&group.members, syms);
         if !keep && (rel.is_empty() || members.is_empty()) {
             return out;
         }
@@ -943,7 +943,7 @@ impl Validator {
         &self,
         group: &CindGroup,
         db: &Database,
-        interner: &Interner,
+        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         keep: bool,
     ) -> GroupBuild {
@@ -954,13 +954,12 @@ impl Validator {
         if !keep && group.members.is_empty() {
             return out;
         }
-        let idx = cind_target_index(group, db, interner, cells);
+        let idx = cind_target_index(group, db, syms, cells);
         for m in &group.members {
             if keep {
-                out.sources
-                    .push(self.cind_source_index(m, db, interner, cells));
+                out.sources.push(self.cind_source_index(m, db, syms, cells));
             }
-            self.read_cind_member(m, db, interner, cells, &idx, &mut out.cind);
+            self.read_cind_member(m, db, syms, cells, &idx, &mut out.cind);
         }
         if keep {
             out.index = Some(idx);
@@ -974,11 +973,11 @@ impl Validator {
         &self,
         m: &CindMember,
         db: &Database,
-        interner: &Interner,
+        syms: &dyn SymLookup,
         cells: &Cells<'_>,
     ) -> SymIndex {
         let cind = &self.cinds[m.idx];
-        let xp_cols = condition_cols(cells, interner, cind.lhs_rel(), cind.xp());
+        let xp_cols = condition_cols(cells, syms, cind.lhs_rel(), cind.xp());
         let rows = db.relation(cind.lhs_rel()).len();
         cells.index(cind.lhs_rel(), rows, &m.x_perm, |pos| holds(&xp_cols, pos))
     }
@@ -989,7 +988,7 @@ impl Validator {
         &self,
         m: &CindMember,
         db: &Database,
-        interner: &Interner,
+        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         target: &SymIndex,
         out: &mut Vec<(usize, CindViolation)>,
@@ -999,7 +998,7 @@ impl Validator {
         let source = db.relation(lhs_rel);
         // An unknown Xp constant means no source tuple triggers: the
         // member is trivially satisfied.
-        let xp_cols = condition_cols(cells, interner, lhs_rel, cind.xp());
+        let xp_cols = condition_cols(cells, syms, lhs_rel, cind.xp());
         let x_cols = cells.columns(lhs_rel, &m.x_perm);
         let mut key_buf: Vec<SymValue> = Vec::with_capacity(x_cols.len());
         for pos in 0..source.len() {
@@ -1030,12 +1029,12 @@ impl Validator {
         group: &CfdGroup,
         members: &[CfdMember],
         db: &Database,
-        interner: &Interner,
+        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         idx: &SymIndex,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
-        let members = ReadyMember::translate(members, interner);
+        let members = ReadyMember::translate(members, syms);
         self.read_cfd_index(group, &members, idx, db.relation(group.rel), cells, out);
     }
 }
@@ -1046,24 +1045,25 @@ impl Validator {
 pub(crate) fn cind_target_index(
     group: &CindGroup,
     db: &Database,
-    interner: &Interner,
+    syms: &dyn SymLookup,
     cells: &Cells<'_>,
 ) -> SymIndex {
-    let yp_cols = condition_cols(cells, interner, group.rhs_rel, &group.yp);
+    let yp_cols = condition_cols(cells, syms, group.rhs_rel, &group.yp);
     let rows = db.relation(group.rhs_rel).len();
     cells.index(group.rhs_rel, rows, &group.y, |pos| holds(&yp_cols, pos))
 }
 
 /// A condition's `(column, symbol)` tests over `rel`'s cells; `None`
-/// when a constant is unknown to the interner — no tuple can match it.
+/// when a constant is unknown to the symbol store — no tuple can match
+/// it.
 fn condition_cols<'a>(
     cells: &Cells<'a>,
-    interner: &Interner,
+    syms: &dyn SymLookup,
     rel: RelId,
     cond: &[(AttrId, Value)],
 ) -> Option<Vec<(Col<'a>, SymValue)>> {
     cond.iter()
-        .map(|(a, v)| Some((cells.column(rel, *a), interner.sym_value(v)?)))
+        .map(|(a, v)| Some((cells.column(rel, *a), syms.sym_value(v)?)))
         .collect()
 }
 
@@ -1074,7 +1074,7 @@ fn holds(cols: &Option<Vec<(Col<'_>, SymValue)>>, pos: usize) -> bool {
 }
 
 /// A compiled CFD member with its patterns translated into one
-/// interner's symbols.
+/// symbol store's symbols.
 struct ReadyMember<'a> {
     pattern: Vec<Option<SymValue>>,
     rhs: AttrId,
@@ -1087,19 +1087,19 @@ struct ReadyMember<'a> {
 
 impl<'a> ReadyMember<'a> {
     /// Translates each member's LHS patterns into symbols once. A
-    /// constant string the interner has never seen cannot match any
+    /// constant string the symbol store lacks cannot match any
     /// tuple: the probe pattern (the most general among the member's
     /// covers) being unknown drops the whole member, an individual
     /// cover's extra constants being unknown drops just that cover. RHS
     /// constants translate to `Err(value)` when unknown — every tuple of
     /// a matching key-group then mismatches by definition.
-    fn translate(members: &'a [CfdMember], interner: &Interner) -> Vec<Self> {
+    fn translate(members: &'a [CfdMember], syms: &dyn SymLookup) -> Vec<Self> {
         let sym_pattern = |cells: &[Option<Value>]| -> Option<Vec<Option<SymValue>>> {
             cells
                 .iter()
                 .map(|cell| match cell {
                     None => Some(None),
-                    Some(v) => interner.sym_value(v).map(Some),
+                    Some(v) => syms.sym_value(v).map(Some),
                 })
                 .collect()
         };
@@ -1118,7 +1118,7 @@ impl<'a> ReadyMember<'a> {
                 Some(ReadyMember {
                     pattern,
                     rhs: m.rhs,
-                    rhs_const: m.rhs_const.as_ref().map(|v| interner.sym_value(v).ok_or(v)),
+                    rhs_const: m.rhs_const.as_ref().map(|v| syms.sym_value(v).ok_or(v)),
                     covers,
                 })
             })

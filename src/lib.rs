@@ -13,7 +13,7 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍`; interning and `SymIndex`, the compact-key group-by index over interned values that validation and the delta engine build on |
+//! | [`model`] | relational substrate: values, finite/infinite domains, schemas, tuples, databases, pattern rows and the match order `≍`; interning (the batch `Interner` and the refcounted `Dict`) and `SymIndex`, the group-by index over interned keys, each stored once in a slab, that validation and the delta engine build on |
 //! | [`sat`] | DPLL SAT solver (stands in for SAT4j) |
 //! | [`analyze`] | **static analysis of Σ**: per-relation verdicts from the `cfd` SAT decider (`Sat` + witness database, `Unsat` + minimal core in Σ indices, `Unknown` on budget), a budgeted CFD+CIND chase, and the advisory `SigmaLint` catalogue — the pre-flight gate behind `Validator::strict` and `repair()` |
 //! | [`cfd`] | CFDs: syntax, normal form, satisfaction, violations, and the one SAT decider for consistency (one symbolic tuple) and implication (two) |
@@ -22,7 +22,7 @@
 //! | [`consistency`] | the Section 5 heuristics: `CFD_Checking` (chase & SAT), dependency graph, `preProcessing`, `RandomChecking`, `Checking` |
 //! | [`gen`] | seeded workload generators matching the Section 6 experimental setting, incl. the planted-Σ discovery ground truth (`clean_database_with_hidden_sigma`) |
 //! | [`discover`] | **dependency discovery**: level-wise CFD mining over stripped partitions (counting passes over interned columns), constant-pattern specialization per equivalence class, unary CIND inclusion mining with exact-making constant conditions, `(support, confidence)` ranking with trivial/implied pruning |
-//! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over interned keys, parallel sweep; `ValidatorStream` delta engine (value-level `Mutation` windows through one `apply_deltas` entry, insert/delete/update with violation retraction; `apply`/`revert` are windows of one) hardened for whole-life monitoring: position-stable `TupleId` handles and full `compact()` (emptied key groups + dead interned strings reclaimed) |
+//! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over interned keys, parallel sweep; `ValidatorStream` delta engine (value-level `Mutation` windows through one `apply_deltas` entry, insert/delete/update with violation retraction; `apply`/`revert` are windows of one) hardened for whole-life monitoring: position-stable `TupleId` handles, key groups freed with their last tuple and a refcounted string dictionary, so memory follows the live data with no maintenance call |
 //! | [`repair`] | **cost-based repair engine**: greedy equivalence-class CFD repair (union-find over conflicting cells, majority/constant targets), CIND orphans chased into inserted targets or deleted, every fix verified net-negative through the delta engine and rolled back otherwise |
 //! | [`report`] | high-level data-quality façade: compiles Σ into a batched validator, runs it against a database and aggregates violations; `QualityMonitor` reads the stream's live violation set (O(1) summary, sorted report on demand); `QualitySuite::repair` cleans a database through the repair engine |
 //! | [`telemetry`] | **unified observability core** (dependency-free): per-owner counter/gauge registries with a runtime kill switch, log2-bucket µs histograms with deterministic p50/p90/p99, RAII span timers, a bounded event journal, the metric-naming rule and a hand-rolled JSON writer and parser |
@@ -31,7 +31,7 @@
 //!
 //! Every layer reports through [`telemetry`]: a `ValidatorStream` owns
 //! a private registry + journal (probe counts, mutation/window latency,
-//! compactions — see `condep_validate::StreamTelemetry`),
+//! index and dictionary sizes — see `condep_validate::StreamTelemetry`),
 //! `Validator::new` and `discover::discover` time their phases into the
 //! stats they return (`Validator::compile_stats`,
 //! `DiscoveredSigma::timings`), a repair run returns its round metrics
@@ -88,7 +88,5 @@ pub mod prelude {
     pub use crate::repair::{RepairBudget, RepairCost, RepairReport};
     pub use crate::report::{HealthSnapshot, QualityMonitor, QualityReport, ViolationSummary};
     pub use crate::telemetry::{Export, MetricsSnapshot};
-    pub use crate::validate::{
-        CompactionStats, Mutation, SigmaDelta, SigmaReport, Validator, ValidatorStream,
-    };
+    pub use crate::validate::{Mutation, SigmaDelta, SigmaReport, Validator, ValidatorStream};
 }

@@ -15,8 +15,7 @@ use condep_repair::{RepairBudget, RepairCost, RepairReport};
 use condep_telemetry::json::JsonWriter;
 use condep_telemetry::{Export, JournalEvent, MetricsSnapshot};
 use condep_validate::{
-    CompactionStats, CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport,
-    Validator, ValidatorStream,
+    CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport, Validator, ValidatorStream,
 };
 use std::fmt;
 use std::ops::Range;
@@ -405,8 +404,8 @@ impl QualityMonitor {
     }
 
     /// Ingests a window of value-level [`Mutation`]s through the stream's
-    /// one mutation entry ([`ValidatorStream::apply_deltas`]): the window
-    /// is symbolized in one interner pass and each touched key group
+    /// one mutation entry ([`ValidatorStream::apply_deltas`]): each
+    /// arriving tuple is symbolized once and each touched key group
     /// probed once. Returns the streamed deltas in the stream's fixed
     /// shape: one per insert or delete and two per update, with the empty
     /// delta wherever nothing changed. An ill-typed mutation (or one
@@ -581,14 +580,6 @@ impl QualityMonitor {
             .map(|s| (s.promoted_cfds.as_slice(), s.promoted_cinds.as_slice()))
     }
 
-    /// Compacts the monitor's long-lived stream state (emptied key
-    /// groups, dead interned strings, retired tuple-id slots) without
-    /// disturbing the live report — see
-    /// [`ValidatorStream::compact`].
-    pub fn compact(&mut self) -> CompactionStats {
-        self.stream.compact()
-    }
-
     /// The live counters, read from the stream in O(1) (no validation
     /// run).
     pub fn summary(&self) -> ViolationSummary {
@@ -664,7 +655,7 @@ const HEALTH_JOURNAL_TAIL: usize = 32;
 #[derive(Clone, Debug)]
 pub struct HealthSnapshot {
     /// The newest journal events (up to 32), oldest first: per-window
-    /// mutation/violation churn, compactions, online promote/retire.
+    /// mutation/violation churn, online promote/retire.
     pub journal: Vec<JournalEvent>,
     /// Every stream metric (the window latency histogram is
     /// `stream.apply.window_us`); the live violation counts under
@@ -788,11 +779,29 @@ mod tests {
         assert_eq!(monitor.report().summary, fresh.summary);
     }
 
+    /// The storage gauge `name` of a monitor's health snapshot.
+    fn gauge(monitor: &QualityMonitor, name: &str) -> i64 {
+        match monitor.health().metrics.get(name) {
+            Some(condep_telemetry::MetricValue::Gauge(v)) => *v,
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    /// A batch that inserts, updates and deletes one tuple leaves the
+    /// database where it began, so the stream's key groups and strings
+    /// must come back to their seed counts with no maintenance call.
     #[test]
     fn monitor_ingests_batches_and_compacts_without_drifting() {
         let suite = bank_suite();
         let (mut monitor, initial) = suite.monitor(bank_database());
         assert_eq!(initial.summary.total(), 2);
+        let storage = |m: &QualityMonitor| {
+            (
+                gauge(m, "stream.index.keys"),
+                gauge(m, "stream.interner.strings"),
+            )
+        };
+        let seeded = storage(&monitor);
         let interest = suite.schema().rel_id("interest").unwrap();
         let deltas = monitor
             .ingest_batch(&[
@@ -812,10 +821,9 @@ mod tests {
             ])
             .unwrap();
         assert!(!deltas.is_empty());
-        let stats = monitor.compact();
-        assert!(stats.interned_strings_after <= stats.interned_strings_before);
-        // The live state survives batches + compaction and still
-        // equals a from-scratch check.
+        assert_eq!(storage(&monitor), seeded, "churn leaves nothing behind");
+        // The live state survives the batch and still equals a
+        // from-scratch check.
         let fresh = suite.check(monitor.db());
         assert_eq!(monitor.summary(), fresh.summary);
         assert_eq!(monitor.report().summary, fresh.summary);
@@ -1113,12 +1121,15 @@ mod tests {
         );
     }
 
-    /// The miner keys its sketches by its own ids, never by the
-    /// stream's interned symbols: batches of inserts and deletes, a
-    /// `compact()` that drops and renumbers interned strings, then more
-    /// batches leave the monitor's miner equal to one freshly seeded on
-    /// the live database — same proposals, and the same probe answers
-    /// for every promoted dependency.
+    /// The miner and the stream each key their state by ids of their
+    /// own refcounted dictionary. Promotions pin Σ constants in the
+    /// stream's (`ABD` keeps its symbol through the deletes: a promoted
+    /// constant row names it); a batch of deletes frees ids in both
+    /// (`DUN` leaves the stream's), and the next batch's new values
+    /// take those ids again. The monitor's miner must still equal one
+    /// freshly seeded on the live database — same proposals, and the
+    /// same probe answers for every promoted dependency — and its live
+    /// report a fresh sweep.
     #[test]
     fn online_discovery_survives_compaction() {
         let schema = city_schema();
@@ -1144,18 +1155,26 @@ mod tests {
             ])
             .unwrap();
         assert!(monitor.online_activity().unwrap().promoted > 0);
+        let strings = |m: &QualityMonitor| gauge(m, "stream.interner.strings");
+        let (held, values) = (
+            strings(&monitor),
+            monitor.online_miner().unwrap().sketch_size().0,
+        );
         monitor
             .ingest_batch(&[
                 del(fact, tuple!["ABD", "UK", "z8"]),
                 del(fact, tuple!["ABD", "UK", "z9"]),
                 del(cities, tuple!["ABD"]),
                 del(fact, tuple!["EDI", "UK", "z0"]),
+                del(fact, tuple!["DUN", "UK", "z10"]),
+                del(cities, tuple!["DUN"]),
             ])
             .unwrap();
-        let stats = monitor.compact();
+        assert_report_matches_sweep(&monitor);
+        assert!(strings(&monitor) < held, "the deletes free stream strings");
         assert!(
-            stats.interned_strings_after < stats.interned_strings_before,
-            "compaction must drop strings: {stats:?}"
+            monitor.online_miner().unwrap().sketch_size().0 < values,
+            "the deletes free miner ids"
         );
         monitor
             .ingest_batch(&[
@@ -1166,13 +1185,14 @@ mod tests {
                 del(fact, tuple!["NYC", "US", "z3"]),
                 Mutation::Update {
                     rel: fact,
-                    old: tuple!["DUN", "UK", "z10"],
-                    new: tuple!["GLA", "UK", "z10"],
+                    old: tuple!["GLA", "UK", "z6"],
+                    new: tuple!["DUN", "UK", "z6"],
                 },
             ])
             .unwrap();
         let activity = monitor.online_activity().unwrap();
-        assert!(activity.polls >= 3, "a poll after the compaction");
+        assert!(activity.polls >= 3, "a poll after the ids were reused");
+        assert_report_matches_sweep(&monitor);
 
         let miner = monitor.online_miner().unwrap();
         let mut fresh = OnlineMiner::new(schema.clone(), config);
