@@ -30,14 +30,15 @@ use crate::config::DiscoveryConfig;
 use crate::partition::{tally_class, ClassTally, StrippedPartition, SymCounter};
 use crate::{DiscoveredCfd, DiscoveryStats};
 use condep_cfd::NormalCfd;
-use condep_model::{AttrId, Interner, PValue, PatternRow, RelId, SymTables, SymValue, Value};
+use condep_model::{AttrId, Dict, PValue, PatternRow, RelId, SymTables, SymValue, Value};
 
-/// Resolves an interned symbol back to its [`Value`].
-pub(crate) fn value_of(interner: &Interner, sym: SymValue) -> Value {
+/// Resolves a symbol back to its [`Value`]: a string is a clone of the
+/// dictionary's `Arc`, not a new allocation.
+pub(crate) fn value_of(dict: &Dict, sym: SymValue) -> Value {
     match sym {
         SymValue::Bool(b) => Value::bool(b),
         SymValue::Int(i) => Value::int(i),
-        SymValue::Str(s) => Value::str(interner.resolve(s)),
+        SymValue::Str(s) => dict.value(s.0).clone(),
     }
 }
 
@@ -76,7 +77,7 @@ impl MinimalFds {
 /// unranked; the caller ranks, dedups against implication and caps.
 pub(crate) fn mine_relation(
     rel: RelId,
-    interner: &Interner,
+    dict: &Dict,
     tables: &SymTables,
     config: &DiscoveryConfig,
     stats: &mut DiscoveryStats,
@@ -91,7 +92,7 @@ pub(crate) fn mine_relation(
     let min_support = config.support_floor();
     let min_confidence = config.confidence_floor();
     let mut minimal = MinimalFds::new(arity);
-    let mut counter = SymCounter::new(interner.len());
+    let mut counter = SymCounter::new(dict.id_bound());
 
     // Level 1: one partition per attribute.
     let mut level: Vec<Node> = (0..arity)
@@ -127,7 +128,7 @@ pub(crate) fn mine_relation(
                     node,
                     rhs,
                     cols,
-                    interner,
+                    dict,
                     config,
                     min_support,
                     min_confidence,
@@ -175,7 +176,7 @@ fn emit_candidates(
     node: &Node,
     rhs: AttrId,
     cols: &[Vec<SymValue>],
-    interner: &Interner,
+    dict: &Dict,
     config: &DiscoveryConfig,
     min_support: usize,
     min_confidence: f64,
@@ -236,7 +237,7 @@ fn emit_candidates(
         let cells: Vec<PValue> = node
             .attrs
             .iter()
-            .map(|a| PValue::Const(value_of(interner, cols[a.index()][witness])))
+            .map(|a| PValue::Const(value_of(dict, cols[a.index()][witness])))
             .collect();
         out.push(DiscoveredCfd {
             cfd: NormalCfd::new(
@@ -244,7 +245,7 @@ fn emit_candidates(
                 node.attrs.clone(),
                 PatternRow::new(cells),
                 rhs,
-                PValue::Const(value_of(interner, tally.majority)),
+                PValue::Const(value_of(dict, tally.majority)),
             ),
             support: tally.len,
             confidence: tally.max_count as f64 / tally.len as f64,

@@ -3,10 +3,10 @@
 //! Candidates are single-column pairs `(R1.A, R2.B)` of matching base
 //! type (the unary base case every inclusion miner starts from; wider
 //! embedded INDs are a non-goal, see the crate docs). Because the whole
-//! database is symbolized through **one** interner, a source cell probes
-//! the target column's set of symbols directly (a bitmap over interned
-//! strings, see [`crate::partition`]) — no value ever re-hashes its
-//! string bytes.
+//! database is symbolized through **one** [`condep_model::Dict`], a
+//! source cell probes the target column's set of symbols directly (a
+//! bitmap over string ids, see [`crate::partition`]) — no value ever
+//! re-hashes its string bytes.
 //!
 //! * **exact** — every source value appears in the target: emit the
 //!   traditional IND `R1[A] ⊆ R2[B]` (empty `Xp`/`Yp`).
@@ -24,14 +24,14 @@ use crate::partition::SymSet;
 use crate::{DiscoveredCind, DiscoveryStats};
 use condep_core::NormalCind;
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, RelId, SymTables, SymValue};
+use condep_model::{AttrId, Database, Dict, RelId, SymTables, SymValue};
 use std::collections::HashMap;
 
 /// Mines every CIND candidate of the database. Candidates arrive
 /// unranked; the caller ranks, prunes against implication and caps.
 pub(crate) fn mine(
     db: &Database,
-    interner: &Interner,
+    dict: &Dict,
     tables: &SymTables,
     config: &DiscoveryConfig,
     stats: &mut DiscoveryStats,
@@ -69,7 +69,7 @@ pub(crate) fn mine(
             }
             stats.cind_candidates += 1;
             let target = target_sets.entry((dst_rel, dst_attr)).or_insert_with(|| {
-                SymSet::of_column(tables.column(dst_rel, dst_attr), interner.len())
+                SymSet::of_column(tables.column(dst_rel, dst_attr), dict.id_bound())
             });
 
             // Coverage pass, bailing out once the pair is hopeless for
@@ -185,7 +185,7 @@ pub(crate) fn mine(
                         dst_rel,
                         vec![src_attr],
                         vec![dst_attr],
-                        vec![(cond_attr, value_of(interner, sym))],
+                        vec![(cond_attr, value_of(dict, sym))],
                         Vec::new(),
                     ),
                     support,

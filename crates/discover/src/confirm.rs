@@ -7,9 +7,9 @@
 //! Σ′ carries true figures — and candidates whose exact figures fall
 //! below the caller's original floors are dropped.
 //!
-//! Cost: one symbolization of the keep-set's columns (a
-//! `SymTables::build_for` that skips every column no kept dependency
-//! reads), then counting passes over symbols (see [`crate::partition`]):
+//! Cost: one symbolization of the keep-set's columns through a fresh
+//! [`condep_model::Dict`] (a `SymTables::build_for` that skips every
+//! column no kept dependency reads), then counting passes over symbols (see [`crate::partition`]):
 //! per distinct `(relation, LHS)` group of the keep-set, the stripped
 //! partition of the LHS and one tally of each class per RHS the group's
 //! members name; per CIND target column, one set of its symbols. That
@@ -20,7 +20,7 @@ use crate::config::DiscoveryConfig;
 use crate::partition::{tally_class, ClassTally, StrippedPartition, SymCounter, SymSet};
 use crate::{DiscoveredCfd, DiscoveredCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Interner, PValue, RelId, SymTables, SymValue};
+use condep_model::{AttrId, Database, Dict, PValue, RelId, SymTables, SymValue};
 use std::collections::HashMap;
 
 /// Counters of one confirmation pass.
@@ -34,9 +34,9 @@ pub(crate) struct ConfirmOutcome {
 
 /// Translates a constant pattern cell to its full-data symbol. `None`
 /// means the constant does not occur in the full instance at all.
-fn const_sym(interner: &Interner, pv: &PValue) -> Option<SymValue> {
+fn const_sym(dict: &Dict, pv: &PValue) -> Option<SymValue> {
     match pv {
-        PValue::Const(v) => interner.sym_value(v),
+        PValue::Const(v) => dict.sym_value(v),
         PValue::Any => None,
     }
 }
@@ -64,7 +64,7 @@ pub(crate) fn confirm(
         source.extend(d.cind.xp().iter().map(|(a, _)| *a));
         attrs[d.cind.rhs_rel().index()].extend_from_slice(d.cind.y());
     }
-    let (interner, tables) = SymTables::build_for(db, &attrs);
+    let (dict, tables) = SymTables::build_for(db, &attrs);
     let support_floor = config.support_floor();
     let confidence_floor = config.confidence_floor();
 
@@ -79,7 +79,7 @@ pub(crate) fn confirm(
     let mut group_keys: Vec<&(RelId, Vec<AttrId>)> = groups.keys().collect();
     group_keys.sort(); // deterministic confirmation order
     let mut keep_cfd = vec![true; cfds.len()];
-    let mut counter = SymCounter::new(interner.len());
+    let mut counter = SymCounter::new(dict.id_bound());
     for key in group_keys {
         let (rel, attrs) = key;
         let members = &groups[key];
@@ -89,12 +89,7 @@ pub(crate) fn confirm(
             partition = partition.refine(col, &mut counter);
         }
         let classes: Vec<&[u32]> = partition.classes().collect();
-        let class_of = constant_classes(
-            &interner,
-            &cols,
-            &classes,
-            members.iter().map(|&i| &cfds[i]),
-        );
+        let class_of = constant_classes(&dict, &cols, &classes, members.iter().map(|&i| &cfds[i]));
         // Exact per-class tallies, once per RHS the group names, shared
         // by its variable and constant members alike.
         let mut tallies: HashMap<AttrId, Vec<ClassTally>, FxBuildHasher> = HashMap::default();
@@ -115,11 +110,11 @@ pub(crate) fn confirm(
                 // Constant row: its class, and the members carrying the
                 // emitted RHS. A constant whose class was stripped (or
                 // that never occurs) supports nothing.
-                let lhs_key = lhs_constants(&interner, cand);
+                let lhs_key = lhs_constants(&dict, cand);
                 match lhs_key.and_then(|k| class_of.get(&k).copied().flatten()) {
                     Some(ci) => {
                         let tally = rhs_tallies[ci];
-                        let agree = match const_sym(&interner, cand.cfd.rhs_pat()) {
+                        let agree = match const_sym(&dict, cand.cfd.rhs_pat()) {
                             Some(rhs) if rhs == tally.majority => tally.max_count,
                             Some(rhs) => classes[ci]
                                 .iter()
@@ -159,14 +154,13 @@ pub(crate) fn confirm(
         let target = targets
             .entry((cand.cind.rhs_rel(), y[0]))
             .or_insert_with(|| {
-                SymSet::of_column(tables.column(cand.cind.rhs_rel(), y[0]), interner.len())
+                SymSet::of_column(tables.column(cand.cind.rhs_rel(), y[0]), dict.id_bound())
             });
-        let cond = cand.cind.xp().first().map(|(a, v)| {
-            (
-                tables.column(cand.cind.lhs_rel(), *a),
-                interner.sym_value(v),
-            )
-        });
+        let cond = cand
+            .cind
+            .xp()
+            .first()
+            .map(|(a, v)| (tables.column(cand.cind.lhs_rel(), *a), dict.sym_value(v)));
         let mut support = 0usize;
         let mut hits = 0usize;
         for (pos, sym) in src_col.iter().enumerate() {
@@ -203,23 +197,23 @@ fn is_variable(d: &DiscoveredCfd) -> bool {
 
 /// A constant row's LHS constants as symbols; `None` when a cell is a
 /// wildcard or a constant the full instance never holds.
-fn lhs_constants(interner: &Interner, d: &DiscoveredCfd) -> Option<Vec<SymValue>> {
+fn lhs_constants(dict: &Dict, d: &DiscoveredCfd) -> Option<Vec<SymValue>> {
     (0..d.cfd.lhs().len())
-        .map(|c| const_sym(interner, d.cfd.lhs_pat().cell(c)))
+        .map(|c| const_sym(dict, d.cfd.lhs_pat().cell(c)))
         .collect()
 }
 
 /// The class each constant member's LHS constants name: the class whose
 /// first member carries them (`None` when no class does).
 fn constant_classes<'a>(
-    interner: &Interner,
+    dict: &Dict,
     cols: &[&[SymValue]],
     classes: &[&[u32]],
     members: impl Iterator<Item = &'a DiscoveredCfd>,
 ) -> HashMap<Vec<SymValue>, Option<usize>, FxBuildHasher> {
     let mut class_of: HashMap<Vec<SymValue>, Option<usize>, FxBuildHasher> = members
         .filter(|d| !is_variable(d))
-        .filter_map(|d| lhs_constants(interner, d))
+        .filter_map(|d| lhs_constants(dict, d))
         .map(|key| (key, None))
         .collect();
     if class_of.is_empty() {

@@ -11,10 +11,11 @@
 //!
 //! * **CFD mining** (`cfd_miner`, via [`discover`]) — per relation, a
 //!   level-wise walk of the attribute-set lattice over **stripped
-//!   partitions** (TANE's data structure over the existing
-//!   [`SymTables`] symbolization). Every partition and tally is one
-//!   counting pass over symbols through a reusable [`SymCounter`] — no
-//!   comparison sort over positions, no string hashed in the hot path.
+//!   partitions** (TANE's data structure over a [`SymTables`]
+//!   symbolization through one [`condep_model::Dict`]). Every partition
+//!   and tally is one counting pass over symbols through a reusable
+//!   [`SymCounter`] — no comparison sort over positions, no string
+//!   hashed in the hot path.
 //!   Each lattice node yields the plain FD `X → A` as a *variable* (all
 //!   wildcard) tableau row and **specializes** each equivalence class of
 //!   `π_X` into a *constant* row `(X = x̄ ‖ A = a)`, both tagged with
@@ -508,15 +509,15 @@ fn cind_interval(
 fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
     let mine_clock = Stopwatch::start();
     let mut stats = DiscoveryStats::default();
-    let (interner, tables) = SymTables::build(db);
+    let (dict, tables) = SymTables::build(db);
 
     let mut cfd_cands: Vec<DiscoveredCfd> = Vec::new();
     for (rel, _) in db.iter() {
         stats.relations_profiled += 1;
-        cfd_miner::mine_relation(rel, &interner, &tables, config, &mut stats, &mut cfd_cands);
+        cfd_miner::mine_relation(rel, &dict, &tables, config, &mut stats, &mut cfd_cands);
     }
     let mut cind_cands: Vec<DiscoveredCind> = Vec::new();
-    cind_miner::mine(db, &interner, &tables, config, &mut stats, &mut cind_cands);
+    cind_miner::mine(db, &dict, &tables, config, &mut stats, &mut cind_cands);
 
     // Belt-and-braces trivia filter (the miners avoid most of these by
     // construction).

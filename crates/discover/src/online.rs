@@ -241,7 +241,7 @@ impl Class {
     /// break toward the smallest value: ids are the miner's own, handed
     /// out in arrival order and reused once freed, so they carry no
     /// value order (and share nothing with the stream's dictionary). The
-    /// batch miner breaks ties toward the smallest interned symbol —
+    /// batch miner breaks ties toward the smallest batch symbol —
     /// identical on sorted-insert data, close enough for ranking
     /// everywhere else.
     fn majority<'d>(&self, dict: &'d Dict) -> &'d Value {

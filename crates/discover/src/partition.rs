@@ -10,13 +10,14 @@
 //! over `X` can claim.
 //!
 //! Every partition and tally here is one counting pass over symbols,
-//! driven by a reusable [`SymCounter`]: an interned string buckets
+//! driven by a reusable [`SymCounter`]: a dictionary string buckets
 //! through an array indexed by its [`condep_model::Sym`] id, an `Int`
 //! or `Bool` value through a side map. No comparison sort runs over
 //! positions and no string is hashed:
 //!
 //! * [`StrippedPartition::from_column`] is a counting sort of one
-//!   pre-symbolized [`condep_model::SymTables`] column, classes in the
+//!   pre-symbolized column (of a [`condep_model::SymTables`], whose
+//!   dictionary numbers strings in first-seen order), classes in the
 //!   order their values first occur;
 //! * [`StrippedPartition::refine`] splits each class on one more
 //!   column, sub-classes in ascending [`SymValue`] order — the only
@@ -35,17 +36,17 @@ use std::collections::{HashMap, HashSet};
 /// too small to survive stripping.
 const NONE: u32 = u32::MAX;
 
-/// A reusable counter over the symbols of one interner.
+/// A reusable counter over the symbols of one [`condep_model::Dict`].
 ///
-/// Each pass buckets values in the order they first occur: an interned
-/// string through an array indexed by its `Sym` id (sized by the
-/// interner, so every symbol it issued fits), an `Int` or `Bool` value
-/// through a side map. A pass ends by forgetting exactly the buckets it
-/// made, so its cost is linear in the positions it read, whatever the
-/// interner's size.
+/// Each pass buckets values in the order they first occur: a string
+/// through an array indexed by its `Sym` id (sized by the dictionary's
+/// `id_bound()`, so every symbol it issued fits), an `Int` or `Bool`
+/// value through a side map. A pass ends by forgetting exactly the
+/// buckets it made, so its cost is linear in the positions it read,
+/// whatever the dictionary's size.
 #[derive(Clone, Debug, Default)]
 pub struct SymCounter {
-    /// Per interned string: its bucket in the current pass, or `NONE`.
+    /// Per string id: its bucket in the current pass, or `NONE`.
     str_bucket: Vec<u32>,
     /// `Int` and `Bool` values' buckets in the current pass.
     other_bucket: HashMap<SymValue, u32, FxBuildHasher>,
@@ -61,8 +62,8 @@ pub struct SymCounter {
 }
 
 impl SymCounter {
-    /// A counter for the symbols of an interner holding `symbols`
-    /// strings (`Interner::len`).
+    /// A counter for string ids below `symbols` (a dictionary's
+    /// `Dict::id_bound`).
     pub fn new(symbols: usize) -> SymCounter {
         SymCounter {
             str_bucket: vec![NONE; symbols],
@@ -247,8 +248,7 @@ pub fn tally_class(class: &[u32], rhs_col: &[SymValue], counter: &mut SymCounter
 }
 
 /// The distinct symbols of one column, for inclusion probes: a bitmap
-/// over `Sym` ids for interned strings, a hash set for `Int` and `Bool`
-/// values.
+/// over `Sym` ids for strings, a hash set for `Int` and `Bool` values.
 #[derive(Clone, Debug)]
 pub(crate) struct SymSet {
     strs: Vec<u64>,
@@ -256,7 +256,8 @@ pub(crate) struct SymSet {
 }
 
 impl SymSet {
-    /// The symbols of `col`, from an interner holding `symbols` strings.
+    /// The symbols of `col`, whose string ids lie below `symbols` (a
+    /// dictionary's `Dict::id_bound`).
     pub(crate) fn of_column(col: &[SymValue], symbols: usize) -> SymSet {
         let mut set = SymSet {
             strs: vec![0; symbols.div_ceil(64)],
@@ -322,8 +323,8 @@ mod tests {
     #[test]
     fn from_column_strips_singletons_and_sorts_positions() {
         let db = db();
-        let (interner, tables) = SymTables::build(&db);
-        let mut counter = SymCounter::new(interner.len());
+        let (dict, tables) = SymTables::build(&db);
+        let mut counter = SymCounter::new(dict.id_bound());
         let p = StrippedPartition::from_column(tables.column(RelId(0), AttrId(0)), &mut counter);
         // x → {0,1,3}, y → {2,5}; z is a singleton and is stripped.
         let classes: Vec<&[u32]> = p.classes().collect();
@@ -336,8 +337,8 @@ mod tests {
     #[test]
     fn refine_splits_classes_on_the_new_column() {
         let db = db();
-        let (interner, tables) = SymTables::build(&db);
-        let mut counter = SymCounter::new(interner.len());
+        let (dict, tables) = SymTables::build(&db);
+        let mut counter = SymCounter::new(dict.id_bound());
         let rel = RelId(0);
         let pa = StrippedPartition::from_column(tables.column(rel, AttrId(0)), &mut counter);
         let pab = pa.refine(tables.column(rel, AttrId(1)), &mut counter);
@@ -354,8 +355,8 @@ mod tests {
     #[test]
     fn tally_reports_majority_and_purity() {
         let db = db();
-        let (interner, tables) = SymTables::build(&db);
-        let mut counter = SymCounter::new(interner.len());
+        let (dict, tables) = SymTables::build(&db);
+        let mut counter = SymCounter::new(dict.id_bound());
         let rel = RelId(0);
         let pa = StrippedPartition::from_column(tables.column(rel, AttrId(0)), &mut counter);
         let b_col = tables.column(rel, AttrId(1));
@@ -368,7 +369,7 @@ mod tests {
         assert_eq!(tallies[0].max_count, 2);
         assert_eq!(
             tallies[0].majority,
-            interner.sym_value(&condep_model::Value::str("1")).unwrap()
+            dict.sym_value(&condep_model::Value::str("1")).unwrap()
         );
         // y-class {2,5}: pure on b.
         assert_eq!(tallies[1].max_count, tallies[1].len);

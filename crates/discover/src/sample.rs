@@ -1,7 +1,8 @@
 //! Deterministic reservoir sampling for budgeted discovery.
 //!
 //! Sampling happens **before** symbolization: at 10M rows the dominant
-//! cost of a full [`crate::discover`] run is `SymTables::build` plus
+//! cost of a full [`crate::discover`] run is `SymTables::build` (one
+//! [`condep_model::Dict`] acquire per cell) plus
 //! the level-1 index builds, all linear in the instance. Feeding the
 //! lattice walk a bounded sample caps that whole pipeline at the
 //! budget, and the (cheap, streaming) confirmation pass in

@@ -1,4 +1,5 @@
-//! The refcounted value dictionary.
+//! The refcounted value dictionary: the workspace's one value → symbol
+//! map.
 //!
 //! A [`Dict`] maps each live value to a dense `u32` id and counts the
 //! holders of each id: the cells that carry the value, plus any pins a
@@ -6,15 +7,17 @@
 //! reuses it, so the dictionary holds exactly the live distinct values
 //! and never needs a rebuild.
 //!
-//! Two consumers share it. The online miner keys its sketches by ids of
-//! every value it observes. A validator stream interns its cached cells
-//! through one, strings only ([`Dict::acquire_sym`]): a string's id is
-//! its [`Sym`], and numbers and booleans stay inline. The append-only
-//! [`crate::Interner`] remains the symbol store of one-shot batch
-//! builds.
+//! Every symbolizing consumer goes through one. Symbolized cells are
+//! acquired strings only ([`Dict::acquire_sym`]): a string's id is its
+//! [`Sym`], and numbers and booleans stay inline. A batch build (a
+//! [`crate::SymTables`] for discovery, the validator's sweep) releases
+//! nothing, so it numbers strings 0, 1, 2, … in the order it first
+//! meets them. A validator stream keeps its cached cells in one and
+//! frees each string with its last holder. The online miner keys its
+//! sketches by ids of every value it observes.
 
 use crate::fxhash::FxBuildHasher;
-use crate::intern::{Sym, SymLookup, SymValue};
+use crate::intern::{Sym, SymValue};
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -131,12 +134,6 @@ impl Dict {
     /// came and went.
     pub fn id_bound(&self) -> usize {
         self.values.len()
-    }
-}
-
-impl SymLookup for Dict {
-    fn sym_value(&self, v: &Value) -> Option<SymValue> {
-        Dict::sym_value(self, v)
     }
 }
 

@@ -1,135 +1,43 @@
-//! String interning and compact value symbols.
+//! Compact value symbols and the batch symbolization.
 //!
-//! The batched Σ-validation engine probes hash tables with tuple
-//! projections. Hashing `Value::Str(Arc<str>)` keys means chasing a
-//! pointer and hashing every byte on each probe; an [`Interner`] maps
-//! each distinct string of a [`Database`] to a dense `u32` [`Sym`] once,
-//! after which keys become word-sized [`SymValue`]s — `Copy`, cheap to
-//! hash, and comparable without dereferencing.
+//! The batched engines probe hash tables with tuple projections.
+//! Hashing `Value::Str(Arc<str>)` keys means chasing a pointer and
+//! hashing every byte on each probe; a [`Dict`] maps each distinct
+//! string to a dense `u32` [`Sym`] once, after which keys become
+//! word-sized [`SymValue`]s — `Copy`, cheap to hash, and comparable
+//! without dereferencing. [`SymTables`] is the column-major symbolized
+//! copy of a database that discovery's miners read.
 
 use crate::database::Database;
-use crate::fxhash::FxBuildHasher;
+use crate::dict::Dict;
 use crate::relation::Relation;
 use crate::schema::{AttrId, RelId};
-use crate::value::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
 
-/// A dense interned-string handle, valid for the [`Interner`] that
-/// produced it.
+/// A dense string handle: the id a [`Dict`] gave the string, valid for
+/// that dictionary while some holder keeps the string.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Sym(pub u32);
 
-/// A compact, `Copy` rendering of a [`Value`] under some [`Interner`]:
-/// strings become symbols, numbers and booleans stay inline. Two
-/// `SymValue`s from the same interner are equal iff the underlying
-/// values are equal.
+/// A compact, `Copy` rendering of a [`crate::Value`] under some
+/// [`Dict`]: strings become symbols, numbers and booleans stay inline.
+/// Two `SymValue`s from the same dictionary are equal iff the
+/// underlying values are equal.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum SymValue {
     /// An inline boolean.
     Bool(bool),
     /// An inline integer.
     Int(i64),
-    /// An interned string.
+    /// A dictionary string.
     Str(Sym),
-}
-
-/// An append-only per-database string interner.
-///
-/// [`SymTables::build_for`] returns one holding exactly the strings of
-/// the columns it symbolized. Translate values with
-/// [`Interner::sym_value`] for read-only probing, or with
-/// [`Interner::intern_value`] while symbolizing. A symbol store that
-/// outlives mutations, where strings must die with their last cell, is
-/// a [`crate::Dict`].
-#[derive(Clone, Default, Debug)]
-pub struct Interner {
-    map: HashMap<Arc<str>, u32, FxBuildHasher>,
-    strs: Vec<Arc<str>>,
-}
-
-impl Interner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Interner::default()
-    }
-
-    /// Interns `s`, returning its (possibly new) symbol.
-    pub fn intern(&mut self, s: &Arc<str>) -> Sym {
-        if let Some(&id) = self.map.get(s) {
-            return Sym(id);
-        }
-        let id = u32::try_from(self.strs.len()).expect("interner capacity exceeded");
-        self.map.insert(s.clone(), id);
-        self.strs.push(s.clone());
-        Sym(id)
-    }
-
-    /// The symbol of an already-interned string, if any.
-    pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.map.get(s).map(|&id| Sym(id))
-    }
-
-    /// The string behind a symbol.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strs[sym.0 as usize]
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.strs.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strs.is_empty()
-    }
-
-    /// Translates a value, interning new strings as needed.
-    pub fn intern_value(&mut self, v: &Value) -> SymValue {
-        match v {
-            Value::Bool(b) => SymValue::Bool(*b),
-            Value::Int(i) => SymValue::Int(*i),
-            Value::Str(s) => SymValue::Str(self.intern(s)),
-        }
-    }
-
-    /// Read-only translation: `None` when `v` is a string this interner
-    /// has never seen — which, for an interner holding every cell it
-    /// symbolized (one from [`SymTables::build_for`]), means **no
-    /// symbolized cell can equal `v`**. Callers use that to skip entire
-    /// constraint groups.
-    pub fn sym_value(&self, v: &Value) -> Option<SymValue> {
-        match v {
-            Value::Bool(b) => Some(SymValue::Bool(*b)),
-            Value::Int(i) => Some(SymValue::Int(*i)),
-            Value::Str(s) => self.lookup(s).map(SymValue::Str),
-        }
-    }
-}
-
-/// Read-only value → symbol translation, shared by the symbol stores:
-/// the batch [`Interner`] and the refcounted [`crate::Dict`]. `None`
-/// means `v` is a string no cell of the store carries, so no symbolized
-/// cell can equal it.
-pub trait SymLookup {
-    /// The symbol of `v` (see the trait docs).
-    fn sym_value(&self, v: &Value) -> Option<SymValue>;
-}
-
-impl SymLookup for Interner {
-    fn sym_value(&self, v: &Value) -> Option<SymValue> {
-        Interner::sym_value(self, v)
-    }
 }
 
 /// A column-major symbolized copy of a database: for each relation, one
 /// `Vec<SymValue>` per attribute, indexed by dense tuple position.
 ///
-/// Built once per validation sweep via [`SymTables::build_for`];
-/// afterwards every group-by index over any attribute list reads plain
-/// `Copy` columns — no string hashing anywhere in the per-group work, no
-/// matter how many constraint groups share the relation.
+/// Built once per discovery pass via [`SymTables::build_for`];
+/// afterwards every partition and tally over any attribute list reads
+/// plain `Copy` columns — no string hashing in the per-node work.
 #[derive(Clone, Debug)]
 pub struct SymTables {
     /// `tables[rel][attr][pos]`; columns left out of the build are empty.
@@ -140,8 +48,8 @@ pub struct SymTables {
 
 impl SymTables {
     /// Symbolizes every value of `db`, returning the tables plus the
-    /// interner that resolves them.
-    pub fn build(db: &Database) -> (Interner, SymTables) {
+    /// dictionary that resolves them.
+    pub fn build(db: &Database) -> (Dict, SymTables) {
         let all: Vec<Vec<AttrId>> = db
             .iter()
             .map(|(rel_id, rel)| {
@@ -155,13 +63,19 @@ impl SymTables {
 
     /// Like [`SymTables::build`], but symbolizes only the attributes
     /// `attrs[rel]` lists for each relation (duplicates are ignored, a
-    /// missing entry lists nothing) — a validation sweep passes the
-    /// columns its constraint groups read, so a column no dependency
-    /// mentions costs nothing and its strings stay out of the interner.
-    /// Unlisted columns are empty and must not be read; [`SymTables::rows`]
+    /// missing entry lists nothing) — confirmation passes the columns
+    /// its kept dependencies read, so a column none mentions costs
+    /// nothing and its strings stay out of the dictionary. Unlisted
+    /// columns are empty and must not be read; [`SymTables::rows`]
     /// still counts every tuple.
-    pub fn build_for(db: &Database, attrs: &[Vec<AttrId>]) -> (Interner, SymTables) {
-        let mut interner = Interner::new();
+    ///
+    /// A batch build releases nothing, so the dictionary numbers
+    /// strings 0, 1, 2, … in row-major first-seen order (the discovery
+    /// miners' symbol tie-breaks depend on it), each string held once
+    /// per cell that carries it, and its `id_bound()` equals its
+    /// `len()`.
+    pub fn build_for(db: &Database, attrs: &[Vec<AttrId>]) -> (Dict, SymTables) {
+        let mut dict = Dict::new();
         let mut tables = Vec::new();
         let mut rows = Vec::new();
         for (rel_id, rel) in db.iter() {
@@ -175,17 +89,15 @@ impl SymTables {
             for &a in &wanted {
                 cols[a].reserve_exact(rel.len());
             }
-            // Row-major: symbols number strings in tuple order, which
-            // the discovery miners' symbol tie-breaks depend on.
             for t in rel.iter() {
                 for &a in &wanted {
-                    cols[a].push(interner.intern_value(&t.values()[a]));
+                    cols[a].push(dict.acquire_sym(&t.values()[a]));
                 }
             }
             tables.push(cols);
             rows.push(rel.len());
         }
-        (interner, SymTables { tables, rows })
+        (dict, SymTables { tables, rows })
     }
 
     /// The symbolized column of `attr` in `rel` (dense position order).
@@ -224,44 +136,25 @@ fn arity_of(db: &Database, rel_id: RelId, rel: &Relation) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
     use crate::fixtures::bank_database;
+    use crate::schema::Schema;
     use crate::tuple;
-
-    #[test]
-    fn intern_is_idempotent_and_resolves() {
-        let mut i = Interner::new();
-        let a = i.intern(&Arc::from("EDI"));
-        let b = i.intern(&Arc::from("EDI"));
-        let c = i.intern(&Arc::from("NYC"));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(i.resolve(a), "EDI");
-        assert_eq!(i.resolve(c), "NYC");
-        assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn sym_value_distinguishes_known_from_unknown() {
-        let mut i = Interner::new();
-        i.intern(&Arc::from("known"));
-        assert!(i.sym_value(&Value::str("known")).is_some());
-        assert_eq!(i.sym_value(&Value::str("unknown")), None);
-        assert_eq!(i.sym_value(&Value::int(3)), Some(SymValue::Int(3)));
-        assert_eq!(i.sym_value(&Value::bool(true)), Some(SymValue::Bool(true)));
-    }
+    use crate::value::Value;
+    use std::sync::Arc;
 
     #[test]
     fn sym_tables_mirror_the_database() {
         let db = bank_database();
-        let (interner, tables) = SymTables::build(&db);
+        let (dict, tables) = SymTables::build(&db);
         for (rel, inst) in db.iter() {
             assert_eq!(tables.rows(rel), inst.len());
             for (pos, t) in inst.iter().enumerate() {
                 for (i, v) in t.values().iter().enumerate() {
-                    let attr = crate::schema::AttrId(i as u32);
+                    let attr = AttrId(i as u32);
                     assert_eq!(
                         tables.column(rel, attr)[pos],
-                        interner.sym_value(v).expect("interned"),
+                        dict.sym_value(v).expect("symbolized"),
                     );
                 }
             }
@@ -270,15 +163,9 @@ mod tests {
 
     #[test]
     fn build_for_skips_unlisted_columns_but_counts_their_rows() {
-        let schema = crate::schema::Schema::builder()
-            .relation(
-                "r",
-                &[
-                    ("id", crate::domain::Domain::string()),
-                    ("city", crate::domain::Domain::string()),
-                ],
-            )
-            .relation("s", &[("v", crate::domain::Domain::string())])
+        let schema = Schema::builder()
+            .relation("r", &[("id", Domain::string()), ("city", Domain::string())])
+            .relation("s", &[("v", Domain::string())])
             .finish();
         let mut db = Database::empty(Arc::new(schema));
         for i in 0..5 {
@@ -288,28 +175,83 @@ mod tests {
         db.insert_into("s", tuple!["x"]).unwrap();
         let (r, s) = (RelId(0), RelId(1));
         // Attribute 0 of `r` is skipped; `s` has no entry at all.
-        let (interner, tables) = SymTables::build_for(&db, &[vec![AttrId(1), AttrId(1)]]);
+        let (dict, tables) = SymTables::build_for(&db, &[vec![AttrId(1), AttrId(1)]]);
         assert_eq!(tables.rows(r), 5);
         assert_eq!(tables.rows(s), 1);
         assert!(tables.column(r, AttrId(0)).is_empty());
         assert!(tables.column(s, AttrId(0)).is_empty());
-        let edi = SymValue::Str(interner.lookup("EDI").expect("listed column interned"));
+        let edi = dict
+            .sym_value(&Value::str("EDI"))
+            .expect("listed column symbolized");
         assert_eq!(tables.column(r, AttrId(1)), [edi; 5]);
-        assert_eq!(interner.len(), 1);
-        assert_eq!(interner.lookup("id0"), None);
-        assert_eq!(interner.lookup("x"), None);
+        assert_eq!(dict.len(), 1);
+        assert_eq!(dict.get(&Value::str("id0")), None);
+        assert_eq!(dict.get(&Value::str("x")), None);
+    }
+
+    #[test]
+    fn build_for_numbers_strings_row_major_in_first_seen_order() {
+        let schema = Schema::builder()
+            .relation(
+                "r",
+                &[
+                    ("a", Domain::string()),
+                    ("n", Domain::integer()),
+                    ("c", Domain::string()),
+                    ("b", Domain::boolean()),
+                    ("skip", Domain::string()),
+                ],
+            )
+            .relation("s", &[("v", Domain::string())])
+            .finish();
+        let mut db = Database::empty(Arc::new(schema));
+        for t in [
+            tuple!["p", 1i64, "q", true, "skip0"],
+            tuple!["q", 2i64, "r", false, "skip1"],
+            tuple!["s", 1i64, "p", true, "skip2"],
+        ] {
+            db.insert_into("r", t).unwrap();
+        }
+        db.insert_into("s", tuple!["q"]).unwrap();
+        db.insert_into("s", tuple!["t"]).unwrap();
+        let listed = [(0..4).map(AttrId).collect(), vec![AttrId(0)]];
+        let (dict, tables) = SymTables::build_for(&db, &listed);
+        // Row by row, listed columns left to right: a column-major walk
+        // would number `s` before `r`.
+        let str_at = |id: u32| SymValue::Str(Sym(id));
+        let (r, s) = (RelId(0), RelId(1));
+        let (p, q, rr, ss, t) = (str_at(0), str_at(1), str_at(2), str_at(3), str_at(4));
+        assert_eq!(tables.column(r, AttrId(0)), [p, q, ss]);
+        assert_eq!(tables.column(r, AttrId(2)), [q, rr, p]);
+        assert_eq!(tables.column(s, AttrId(0)), [q, t]);
+        for (id, v) in ["p", "q", "r", "s", "t"].into_iter().enumerate() {
+            assert_eq!(dict.value(id as u32), &Value::str(v));
+        }
+        // Numbers and booleans stay inline and hold nothing.
+        let ints = [1, 2, 1].map(SymValue::Int);
+        assert_eq!(tables.column(r, AttrId(1)), ints);
+        let bools = [true, false, true].map(SymValue::Bool);
+        assert_eq!(tables.column(r, AttrId(3)), bools);
+        // The unlisted column's strings never enter.
+        assert_eq!(dict.get(&Value::str("skip0")), None);
+        // Each string is held once per cell that carries it.
+        let cells = [2, 3, 1, 1, 1];
+        for (id, n) in cells.into_iter().enumerate() {
+            assert_eq!(dict.holders(id as u32), n);
+        }
+        assert_eq!((dict.len(), dict.id_bound()), (5, 5));
     }
 
     #[test]
     fn sym_values_preserve_equality() {
-        let mut i = Interner::new();
-        let t1 = tuple!["a", 1i64, true];
-        let t2 = tuple!["a", 1i64, true];
-        let s1: Vec<SymValue> = t1.values().iter().map(|v| i.intern_value(v)).collect();
-        let s2: Vec<SymValue> = t2.values().iter().map(|v| i.intern_value(v)).collect();
+        let mut d = Dict::new();
+        let mut sym = |t: &crate::Tuple| -> Vec<SymValue> {
+            t.values().iter().map(|v| d.acquire_sym(v)).collect()
+        };
+        let s1 = sym(&tuple!["a", 1i64, true]);
+        let s2 = sym(&tuple!["a", 1i64, true]);
         assert_eq!(s1, s2);
-        let t3 = tuple!["b", 1i64, true];
-        let s3: Vec<SymValue> = t3.values().iter().map(|v| i.intern_value(v)).collect();
+        let s3 = sym(&tuple!["b", 1i64, true]);
         assert_ne!(s1, s3);
     }
 }

@@ -22,12 +22,12 @@
 //!   via the match order `≍` ([`pattern::PValue`], [`pattern::PatternRow`]).
 //!
 //! Validation, the delta engine and discovery all build on three pieces
-//! that live here too: the append-only [`Interner`] that turns cell
-//! values into word-sized [`SymValue`]s for batch builds, the
-//! refcounted [`Dict`] that does the same for long-lived consumers and
-//! frees a value with its last holder, and [`SymIndex`], the group-by
-//! index from keys of those symbols to the positions of the tuples
-//! carrying them.
+//! that live here too: the refcounted [`Dict`], the one map that turns
+//! cell values into word-sized [`SymValue`]s for batch builds and
+//! long-lived consumers alike and frees a value with its last holder;
+//! [`SymTables`], the column-major symbolized copy of a database that
+//! discovery reads; and [`SymIndex`], the group-by index from keys of
+//! those symbols to the positions of the tuples carrying them.
 //!
 //! The [`fixtures`] module reconstructs the running example of the paper
 //! (Figure 1: the bank's `account`/`saving`/`checking`/`interest`
@@ -55,7 +55,7 @@ pub use domain::{BaseType, Domain};
 pub use error::ModelError;
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use implication::{Implication, ImplicationConfig};
-pub use intern::{Interner, Sym, SymLookup, SymTables, SymValue};
+pub use intern::{Sym, SymTables, SymValue};
 pub use pattern::{PValue, PatternRow};
 pub use relation::{PosList, Relation, Removed, TupleId, TupleIdMap};
 pub use schema::{AttrId, Attribute, RelId, RelationSchema, Schema, SchemaBuilder};

@@ -2,16 +2,14 @@
 //!
 //! A [`SymIndex`] is a hash index from a key to the dense positions of
 //! the tuples carrying it, built for the batched Σ-validation hot path:
-//! keys are rows of `Copy` word-sized [`SymValue`] cells from a symbol
-//! store ([`crate::Interner`] or [`crate::Dict`]), so building and
-//! probing never touch string bytes or bump `Arc` reference counts.
-//! Probes borrow (`&[SymValue]`).
+//! keys are rows of `Copy` word-sized [`SymValue`] cells from a
+//! [`crate::Dict`], so building and probing never touch string bytes or
+//! bump `Arc` reference counts. Probes borrow (`&[SymValue]`).
 //!
-//! Every build reads cells that were symbolized beforehand, from any
-//! symbol store, through [`SymIndex::build_with`] (the validator's group
-//! tasks, reading a [`crate::SymTables`]'s column-major tables or a
-//! stream's row-major row cache). No build interns or hashes a tuple's
-//! strings.
+//! Every build reads cells that were symbolized beforehand through
+//! [`SymIndex::build_with`] (the validator's group tasks, reading the
+//! row-major row cache that the batch sweep builds and drops and a
+//! stream keeps). No build interns or hashes a tuple's strings.
 //!
 //! ## Keys
 //!
@@ -625,9 +623,15 @@ impl SymIndex {
     #[inline]
     pub fn min_at(&self, slot: u32) -> Option<u32> {
         let m = self.min[slot as usize];
-        debug_assert_eq!(
-            (m != NONE).then_some(m),
-            self.slot_positions(slot as usize).iter().copied().min(),
+        // O(1), so debug builds keep mutation costs flat: the cached
+        // minimum is one of the group's live positions. The random-walk
+        // test checks that it is the smallest after every step.
+        debug_assert!(
+            if m == NONE {
+                self.slot_positions(slot as usize).is_empty()
+            } else {
+                self.slot_of_pos(m) == Some(slot)
+            },
             "cached minimum diverged from the group contents"
         );
         (m != NONE).then_some(m)
@@ -705,20 +709,17 @@ impl SymIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tuple, AttrId, Interner, Relation, Tuple, Value};
+    use crate::{tuple, AttrId, Dict, Relation, Tuple, Value};
     use std::collections::{BTreeSet, HashMap};
 
     /// `t`'s key cells, interning new strings.
-    fn key_of(t: &Tuple, key_attrs: &[AttrId], interner: &mut Interner) -> Vec<SymValue> {
-        key_attrs
-            .iter()
-            .map(|a| interner.intern_value(&t[*a]))
-            .collect()
+    fn key_of(t: &Tuple, key_attrs: &[AttrId], dict: &mut Dict) -> Vec<SymValue> {
+        key_attrs.iter().map(|a| dict.acquire_sym(&t[*a])).collect()
     }
 
     /// Symbolizes `rel`'s keys first, then bulk-builds over them.
-    fn build(rel: &Relation, key_attrs: &[AttrId], interner: &mut Interner) -> SymIndex {
-        let keys: Vec<Vec<SymValue>> = rel.iter().map(|t| key_of(t, key_attrs, interner)).collect();
+    fn build(rel: &Relation, key_attrs: &[AttrId], dict: &mut Dict) -> SymIndex {
+        let keys: Vec<Vec<SymValue>> = rel.iter().map(|t| key_of(t, key_attrs, dict)).collect();
         SymIndex::build_with(keys.len(), key_attrs.len(), |pos, buf| {
             buf.extend_from_slice(&keys[pos]);
             true
@@ -726,14 +727,8 @@ mod tests {
     }
 
     /// Streams `t` in at `pos` under its (interned) key.
-    fn insert(
-        idx: &mut SymIndex,
-        pos: u32,
-        t: &Tuple,
-        key_attrs: &[AttrId],
-        interner: &mut Interner,
-    ) {
-        idx.insert_key(pos, &key_of(t, key_attrs, interner));
+    fn insert(idx: &mut SymIndex, pos: u32, t: &Tuple, key_attrs: &[AttrId], dict: &mut Dict) {
+        idx.insert_key(pos, &key_of(t, key_attrs, dict));
     }
 
     fn rel() -> Relation {
@@ -753,9 +748,9 @@ mod tests {
     #[test]
     fn build_probe_and_groups_agree_with_hash_index() {
         let r = rel();
-        let mut interner = Interner::new();
-        let idx = build(&r, &[AttrId(0)], &mut interner);
-        let edi = [interner.sym_value(&Value::str("EDI")).unwrap()];
+        let mut dict = Dict::new();
+        let idx = build(&r, &[AttrId(0)], &mut dict);
+        let edi = [dict.sym_value(&Value::str("EDI")).unwrap()];
         assert_eq!(probe_vec(&idx, &edi), vec![0, 1]);
         assert!(idx.contains_key(&edi));
         assert_eq!(idx.distinct_keys(), 2);
@@ -767,7 +762,7 @@ mod tests {
         }
         assert_eq!(idx.distinct_keys(), reference.len());
         for (value, positions) in &reference {
-            let key = [interner.sym_value(value).unwrap()];
+            let key = [dict.sym_value(value).unwrap()];
             assert_eq!(&probe_vec(&idx, &key), positions);
         }
         for (key, positions) in idx.groups() {
@@ -779,25 +774,22 @@ mod tests {
     #[test]
     fn mixed_type_composite_keys() {
         let r = rel();
-        let mut interner = Interner::new();
-        let idx = build(&r, &[AttrId(2), AttrId(1)], &mut interner);
-        let key = [
-            SymValue::Int(1),
-            interner.sym_value(&Value::str("UK")).unwrap(),
-        ];
+        let mut dict = Dict::new();
+        let idx = build(&r, &[AttrId(2), AttrId(1)], &mut dict);
+        let key = [SymValue::Int(1), dict.sym_value(&Value::str("UK")).unwrap()];
         assert_eq!(probe_vec(&idx, &key), vec![0]);
     }
 
     #[test]
     fn incremental_insert_extends_groups() {
-        let mut interner = Interner::new();
+        let mut dict = Dict::new();
         let mut idx = SymIndex::new(1);
         let attrs = [AttrId(0)];
-        insert(&mut idx, 0, &tuple!["a", "x"], &attrs, &mut interner);
-        insert(&mut idx, 1, &tuple!["a", "y"], &attrs, &mut interner);
-        insert(&mut idx, 2, &tuple!["b", "x"], &attrs, &mut interner);
-        insert(&mut idx, 3, &tuple!["a", "z"], &attrs, &mut interner);
-        let a = [interner.sym_value(&Value::str("a")).unwrap()];
+        insert(&mut idx, 0, &tuple!["a", "x"], &attrs, &mut dict);
+        insert(&mut idx, 1, &tuple!["a", "y"], &attrs, &mut dict);
+        insert(&mut idx, 2, &tuple!["b", "x"], &attrs, &mut dict);
+        insert(&mut idx, 3, &tuple!["a", "z"], &attrs, &mut dict);
+        let a = [dict.sym_value(&Value::str("a")).unwrap()];
         let mut got = probe_vec(&idx, &a);
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 3]);
@@ -809,8 +801,8 @@ mod tests {
     #[test]
     fn zero_width_keys_group_everything() {
         let r = rel();
-        let mut interner = Interner::new();
-        let idx = build(&r, &[], &mut interner);
+        let mut dict = Dict::new();
+        let idx = build(&r, &[], &mut dict);
         assert_eq!(probe_vec(&idx, &[]), vec![0, 1, 2]);
         assert_eq!(idx.distinct_keys(), 1);
     }
@@ -853,11 +845,11 @@ mod tests {
     #[test]
     fn unknown_key_probes_empty() {
         let r = rel();
-        let mut interner = Interner::new();
-        let idx = build(&r, &[AttrId(0)], &mut interner);
-        // A string the interner has never seen cannot even form a key;
+        let mut dict = Dict::new();
+        let idx = build(&r, &[AttrId(0)], &mut dict);
+        // A string the dictionary has never seen cannot even form a key;
         // sym_value signals that with None.
-        assert_eq!(interner.sym_value(&Value::str("LON")), None);
+        assert_eq!(dict.sym_value(&Value::str("LON")), None);
         // A well-formed but absent key probes empty.
         assert!(probe_vec(&idx, &[SymValue::Int(99)]).is_empty());
         assert_eq!(idx.min_pos(&[SymValue::Int(99)]), None);
@@ -871,17 +863,17 @@ mod tests {
         let r: Relation = (0..10i64)
             .map(|i| tuple![if i % 2 == 0 { "even" } else { "odd" }, i])
             .collect();
-        let mut interner = Interner::new();
-        let idx = build(&r, &[AttrId(0)], &mut interner);
-        let even = [interner.sym_value(&Value::str("even")).unwrap()];
-        let odd = [interner.sym_value(&Value::str("odd")).unwrap()];
+        let mut dict = Dict::new();
+        let idx = build(&r, &[AttrId(0)], &mut dict);
+        let even = [dict.sym_value(&Value::str("even")).unwrap()];
+        let odd = [dict.sym_value(&Value::str("odd")).unwrap()];
         assert_eq!(probe_vec(&idx, &even), vec![0, 2, 4, 6, 8]);
         assert_eq!(probe_vec(&idx, &odd), vec![1, 3, 5, 7, 9]);
     }
 
     #[test]
     fn remove_and_replace_maintain_the_multiset() {
-        let mut interner = Interner::new();
+        let mut dict = Dict::new();
         let mut idx = SymIndex::new(1);
         let attrs = [AttrId(0)];
         for (pos, t) in [
@@ -893,10 +885,10 @@ mod tests {
         .iter()
         .enumerate()
         {
-            insert(&mut idx, pos as u32, t, &attrs, &mut interner);
+            insert(&mut idx, pos as u32, t, &attrs, &mut dict);
         }
-        let k = [interner.sym_value(&Value::str("k")).unwrap()];
-        let j = [interner.sym_value(&Value::str("j")).unwrap()];
+        let k = [dict.sym_value(&Value::str("k")).unwrap()];
+        let j = [dict.sym_value(&Value::str("j")).unwrap()];
         assert!(idx.remove_key(1, &k));
         assert!(!idx.remove_key(1, &k), "already removed");
         let mut got = probe_vec(&idx, &k);
@@ -928,7 +920,7 @@ mod tests {
 
     #[test]
     fn emptied_groups_are_freed_and_live_ones_preserved() {
-        let mut interner = Interner::new();
+        let mut dict = Dict::new();
         let mut idx = SymIndex::new(1);
         let attrs = [AttrId(0)];
         // Churn: 50 keys come and go, two stay.
@@ -938,14 +930,14 @@ mod tests {
                 i,
                 &tuple![format!("gone{i}").as_str(), "x"],
                 &attrs,
-                &mut interner,
+                &mut dict,
             );
         }
-        insert(&mut idx, 50, &tuple!["keep", "x"], &attrs, &mut interner);
-        insert(&mut idx, 51, &tuple!["keep", "y"], &attrs, &mut interner);
-        insert(&mut idx, 52, &tuple!["also", "z"], &attrs, &mut interner);
+        insert(&mut idx, 50, &tuple!["keep", "x"], &attrs, &mut dict);
+        insert(&mut idx, 51, &tuple!["keep", "y"], &attrs, &mut dict);
+        insert(&mut idx, 52, &tuple!["also", "z"], &attrs, &mut dict);
         for i in 0..50u32 {
-            let key = [interner.sym_value(&Value::str(format!("gone{i}"))).unwrap()];
+            let key = [dict.sym_value(&Value::str(format!("gone{i}"))).unwrap()];
             assert!(idx.remove_key(i, &key));
             assert_eq!(idx.probe_slot(&key), None, "gone{i} is freed");
         }
@@ -954,8 +946,8 @@ mod tests {
         assert_eq!(idx.groups().count(), 2);
         assert!(idx.stored() <= 8 * idx.len() + 6 * idx.distinct_keys());
         // Live groups survive and stay mutable.
-        let keep = [interner.sym_value(&Value::str("keep")).unwrap()];
-        let also = [interner.sym_value(&Value::str("also")).unwrap()];
+        let keep = [dict.sym_value(&Value::str("keep")).unwrap()];
+        let also = [dict.sym_value(&Value::str("also")).unwrap()];
         assert_eq!(probe_vec(&idx, &keep), vec![50, 51]);
         assert_eq!(idx.min_pos(&keep), Some(50));
         assert_eq!(probe_vec(&idx, &also), vec![52]);
@@ -979,10 +971,10 @@ mod tests {
     #[test]
     fn slot_of_pos_tracks_every_mutation() {
         let r = rel();
-        let mut interner = Interner::new();
-        let mut idx = build(&r, &[AttrId(0)], &mut interner);
-        let edi = [interner.sym_value(&Value::str("EDI")).unwrap()];
-        let nyc = [interner.sym_value(&Value::str("NYC")).unwrap()];
+        let mut dict = Dict::new();
+        let mut idx = build(&r, &[AttrId(0)], &mut dict);
+        let edi = [dict.sym_value(&Value::str("EDI")).unwrap()];
+        let nyc = [dict.sym_value(&Value::str("NYC")).unwrap()];
         let se = idx.probe_slot(&edi).unwrap();
         let sn = idx.probe_slot(&nyc).unwrap();
         // Bulk-built positions resolve to their probed slots.
@@ -996,14 +988,14 @@ mod tests {
             3,
             &tuple!["EDI", "UK", 3i64],
             &[AttrId(0)],
-            &mut interner,
+            &mut dict,
         );
         insert(
             &mut idx,
             4,
             &tuple!["NYC", "US", 2i64],
             &[AttrId(0)],
-            &mut interner,
+            &mut dict,
         );
         assert_eq!(idx.slot_of_pos(3), Some(se));
         assert_eq!(idx.slot_of_pos(4), Some(sn));
@@ -1029,8 +1021,8 @@ mod tests {
     #[test]
     fn streaming_inserts_after_bulk_build_move_or_grow_segments() {
         let r = rel();
-        let mut interner = Interner::new();
-        let mut idx = build(&r, &[AttrId(0)], &mut interner);
+        let mut dict = Dict::new();
+        let mut idx = build(&r, &[AttrId(0)], &mut dict);
         // The bulk build leaves no spare room. "EDI"'s full segment is
         // not at the tail of the shared vector, so this insert moves it
         // there; "EDI" is then at the tail and "NYC" moves behind it.
@@ -1040,17 +1032,17 @@ mod tests {
             3,
             &tuple!["EDI", "UK", 3i64],
             &[AttrId(0)],
-            &mut interner,
+            &mut dict,
         );
         insert(
             &mut idx,
             4,
             &tuple!["NYC", "US", 2i64],
             &[AttrId(0)],
-            &mut interner,
+            &mut dict,
         );
-        let edi = [interner.sym_value(&Value::str("EDI")).unwrap()];
-        let nyc = [interner.sym_value(&Value::str("NYC")).unwrap()];
+        let edi = [dict.sym_value(&Value::str("EDI")).unwrap()];
+        let nyc = [dict.sym_value(&Value::str("NYC")).unwrap()];
         let mut e = probe_vec(&idx, &edi);
         e.sort_unstable();
         assert_eq!(e, vec![0, 1, 3]);

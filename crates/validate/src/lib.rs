@@ -18,8 +18,9 @@
 //! * Σ is compiled once, grouping CFDs by `(relation, LHS attribute
 //!   set)` (LHS lists are canonicalized by sorting, patterns permuted in
 //!   lock-step) and CINDs by `(target relation, Y set, Yp pattern)`;
-//! * per database, strings are interned once
-//!   ([`condep_model::Interner`]) and each group builds **one**
+//! * per database, the columns Σ reads are symbolized once, through a
+//!   [`condep_model::Dict`], into a row-major row cache that the batch
+//!   sweep drops and a stream keeps, and each group builds **one**
 //!   [`condep_model::SymIndex`] over word-sized keys, every distinct
 //!   key stored once in the index's slab;
 //! * independent groups are swept in parallel with
@@ -72,7 +73,7 @@ pub use condep_model::TupleId;
 pub use cover::{CoverRole, CoverStats, SigmaCover};
 pub use stream::{Applied, IdDelta, MovedTuple, Mutation, SigmaDelta, ValidatorStream};
 pub use telemetry::StreamTelemetry;
-pub use validator::{CompileStats, RetireLog, SigmaReport, Validator};
+pub use validator::{CompileStats, RetireLog, SigmaReport, UnknownDependency, Validator};
 
 #[cfg(test)]
 mod tests {
@@ -823,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_bounds_key_growth_under_churn() {
+    fn key_groups_are_freed_with_their_last_tuple_under_churn() {
         // A stream over ever-fresh keys: every key group is freed with
         // its last tuple, so the live key count stays bounded by the
         // resident data with no maintenance call.
@@ -1109,7 +1110,7 @@ mod tests {
     }
 
     #[test]
-    fn tuple_ids_stay_stable_through_mutations_and_compaction() {
+    fn tuple_ids_stay_stable_through_mutations_and_churn() {
         // Churn frees key groups and strings as it goes; none of that
         // renumbers a live id.
         let v = bank_validator();
@@ -1161,7 +1162,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_reclaims_dead_interned_strings() {
+    fn strings_die_with_their_last_cached_cell() {
         // High-key-churn stream: every round floods fresh string keys
         // through insert+delete pairs. A string dies with the last
         // cached cell holding it, so the dictionary holds only the live
@@ -1307,7 +1308,7 @@ mod tests {
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         // Both rows fire on the k-group, only the wildcard on q.
         assert_eq!(initial.cfd.len(), 3, "{initial:?}");
-        let resolved = stream.retire_dependencies(&[0], &[]);
+        let resolved = stream.retire_dependencies(&[0], &[]).unwrap();
         assert_eq!(resolved.cfd.len(), 2, "{resolved:?}");
         assert!(resolved.cfd.iter().all(|(i, _)| *i == 0));
         assert!(stream.validator().is_cfd_retired(0));
@@ -1334,10 +1335,10 @@ mod tests {
         );
         // Retiring the survivor (now a sole member) empties the suite;
         // retiring twice is a no-op.
-        let resolved = stream.retire_dependencies(&[1, 0], &[]);
+        let resolved = stream.retire_dependencies(&[1, 0], &[]).unwrap();
         assert!(resolved.cfd.iter().all(|(i, _)| *i == 1));
         assert_eq!(stream.violation_count(), 0);
-        assert!(stream.retire_dependencies(&[0, 1], &[]).is_empty());
+        assert!(stream.retire_dependencies(&[0, 1], &[]).unwrap().is_empty());
         let calm = insert(&mut stream, r, tuple!["k", "v4"]);
         assert!(calm.is_quiet(), "{calm:?}");
     }
@@ -1365,7 +1366,7 @@ mod tests {
         assert_eq!(initial.cind.len(), 3);
         // Retire the member identity (covers[0]): the duplicate is
         // promoted in place and keeps reporting.
-        let resolved = stream.retire_dependencies(&[], &[0]);
+        let resolved = stream.retire_dependencies(&[], &[0]).unwrap();
         assert!(resolved.cind.iter().all(|(i, _)| *i == 0));
         assert_eq!(
             stream.current_report(),
@@ -1374,7 +1375,7 @@ mod tests {
         assert_eq!(stream.violation_count(), 2);
         // Retire the promoted duplicate: the whole member goes, and the
         // per-member source indexes must stay aligned for c3.
-        stream.retire_dependencies(&[], &[1]);
+        stream.retire_dependencies(&[], &[1]).unwrap();
         assert_eq!(stream.violation_count(), 1);
         assert_eq!(
             stream.current_report(),
@@ -1398,6 +1399,36 @@ mod tests {
     }
 
     #[test]
+    fn retiring_an_unknown_index_is_an_error_and_retires_nothing() {
+        let v = bank_validator();
+        let (n_cfds, n_cinds) = (v.cfds().len(), v.cinds().len());
+        let (mut stream, initial) = ValidatorStream::new_validated(v, bank_database());
+        assert!(!initial.cfd.is_empty() && !initial.cind.is_empty());
+        // The valid index precedes the unknown one: it must not be
+        // retired either.
+        assert_eq!(
+            stream.retire_dependencies(&[0, n_cfds + 7], &[]),
+            Err(UnknownDependency::Cfd(n_cfds + 7))
+        );
+        assert_eq!(
+            stream.retire_dependencies(&[0], &[0, n_cinds]),
+            Err(UnknownDependency::Cind(n_cinds))
+        );
+        assert!((0..n_cfds).all(|i| !stream.validator().is_cfd_retired(i)));
+        assert!((0..n_cinds).all(|i| !stream.validator().is_cind_retired(i)));
+        assert_eq!(stream.current_report(), initial);
+        // A valid retire afterwards still works.
+        let ci = initial.cind[0].0;
+        let resolved = stream.retire_dependencies(&[], &[ci]).unwrap();
+        assert!(!resolved.is_empty() && resolved.cind.iter().all(|(i, _)| *i == ci));
+        assert!(stream.validator().is_cind_retired(ci));
+        assert_eq!(
+            stream.current_report(),
+            stream.validator().validate_sorted(stream.db())
+        );
+    }
+
+    #[test]
     fn add_after_retire_allocates_fresh_indices() {
         let schema = Arc::new(
             Schema::builder()
@@ -1412,7 +1443,7 @@ mod tests {
         db.insert_into("r", tuple!["k", "v2"]).unwrap();
         let (mut stream, initial) = ValidatorStream::new_validated(v, db);
         assert_eq!(initial.cfd.len(), 1);
-        stream.retire_dependencies(&[0], &[]);
+        stream.retire_dependencies(&[0], &[]).unwrap();
         assert_eq!(stream.violation_count(), 0);
         // Re-adding the same FD gets index 1 and finds the conflict
         // again; index 0 stays retired forever.

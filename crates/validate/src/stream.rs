@@ -64,12 +64,12 @@
 //!   provenance fan-out.
 //! * **one seed build** — [`ValidatorStream::new_validated`] symbolizes
 //!   the columns Σ reads ([`Validator::sym_layout`]) once, straight into
-//!   the resident row cache, then runs the batch sweep's own group
-//!   tasks in keep mode over those rows, striped across threads on
-//!   large instances: each builds its group's live index from the
-//!   cached symbols and reads the group's seed violations off it. No
-//!   column copy is made, and the dictionary holds only strings of
-//!   columns Σ reads.
+//!   the resident row cache, then runs the group tasks in keep mode over
+//!   those rows, striped across threads on large instances: each builds
+//!   its group's live index from the cached symbols and reads the
+//!   group's seed violations off it. The batch sweep is the same build
+//!   without keep. No column copy is made, and the dictionary holds only
+//!   strings of columns Σ reads.
 //! * **resident row cache** — every resident tuple's layout cells
 //!   (group keys, CFD member RHS attributes **and** CIND condition
 //!   columns) are cached row-major per relation, mirrored through the
@@ -128,7 +128,10 @@
 //!   the departed rows' strings go once, when the window ends.
 
 use crate::telemetry::StreamTelemetry;
-use crate::validator::{cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, Validator};
+use crate::validator::{
+    cache_rows, cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, UnknownDependency,
+    Validator,
+};
 use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
@@ -377,16 +380,6 @@ fn key_from_slots(row: &[SymValue], slots: &[u32], buf: &mut Vec<SymValue>) {
     buf.extend(slots.iter().map(|&s| row[s as usize]));
 }
 
-/// Symbolizes every tuple of `inst` over `attrs` into one row-major
-/// block, each string cell holding its symbol — the row cache's layout.
-fn cache_rows(dict: &mut Dict, inst: &Relation, attrs: &[AttrId]) -> Vec<SymValue> {
-    let mut rows = Vec::with_capacity(inst.len() * attrs.len());
-    for t in inst.iter() {
-        rows.extend(attrs.iter().map(|a| dict.acquire_sym(&t[*a])));
-    }
-    rows
-}
-
 /// Sym-space member matching: the pattern cells against the tuple's
 /// already-built group key (member patterns only constrain the group's
 /// key attributes, so the key projection is all that matters).
@@ -519,19 +512,15 @@ impl ValidatorStream {
     /// index and read its violations.
     fn materialize(validator: Validator, db: Database) -> (Self, SigmaReport) {
         let build_clock = Stopwatch::start();
-        let sym_attrs = validator.sym_layout(db.schema().len());
-        let mut dict = Dict::new();
-        let sym_rows: Vec<Vec<SymValue>> = db
-            .iter()
-            .map(|(r, inst)| cache_rows(&mut dict, inst, &sym_attrs[r.index()]))
-            .collect();
-        let cells = Cells::Rows {
+        let (sym_attrs, dict, sym_rows) = validator.row_cache(&db);
+        let cells = Cells {
             rows: &sym_rows,
             layout: &sym_attrs,
+            dict: &dict,
         };
         let mut report = SigmaReport::default();
         let (mut cfd_indexes, mut cind_sources) = (Vec::new(), Vec::new());
-        for build in validator.build_groups(&db, &dict, &cells, true) {
+        for build in validator.build_groups(&db, &cells, true) {
             report.cfd.extend(build.cfd);
             report.cind.extend(build.cind);
             cfd_indexes.push(build.index.expect("a kept build keeps its index"));
@@ -745,9 +734,10 @@ impl ValidatorStream {
                 sym_rows,
                 ..
             } = self;
-            let cells = Cells::Rows {
+            let cells = Cells {
                 rows: sym_rows,
                 layout: sym_attrs,
+                dict,
             };
             for (gi, g) in validator.cfd_groups().iter().enumerate() {
                 if gi >= cfd_indexes.len() {
@@ -760,7 +750,6 @@ impl ValidatorStream {
                         g,
                         &g.members[start..],
                         db,
-                        dict,
                         &cells,
                         &cfd_indexes[gi],
                         &mut report.cfd,
@@ -769,20 +758,13 @@ impl ValidatorStream {
             }
             for (gi, g) in validator.cind_groups().iter().enumerate() {
                 if gi >= cind_targets.len() {
-                    cind_targets.push(cind_target_index(g, db, dict, &cells));
+                    cind_targets.push(cind_target_index(g, db, &cells));
                     cind_sources.push(Vec::new());
                 }
                 let start = old_cind_members.get(gi).copied().unwrap_or(0);
                 for m in &g.members[start..] {
-                    cind_sources[gi].push(validator.cind_source_index(m, db, dict, &cells));
-                    validator.read_cind_member(
-                        m,
-                        db,
-                        dict,
-                        &cells,
-                        &cind_targets[gi],
-                        &mut report.cind,
-                    );
+                    cind_sources[gi].push(validator.cind_source_index(m, db, &cells));
+                    validator.read_cind_member(m, db, &cells, &cind_targets[gi], &mut report.cind);
                 }
             }
         }
@@ -799,11 +781,16 @@ impl ValidatorStream {
     /// live state and are returned — sorted, as the resolutions a
     /// consumer keeping its own violation state should apply. Indices
     /// stay allocated; later [`ValidatorStream::add_dependencies`]
-    /// calls append fresh ones.
-    pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> SigmaReport {
-        let log = self.validator.retire_dependencies(cfd_idxs, cind_idxs);
+    /// calls append fresh ones. An index the suite never assigned is an
+    /// error, and then nothing is retired.
+    pub fn retire_dependencies(
+        &mut self,
+        cfd_idxs: &[usize],
+        cind_idxs: &[usize],
+    ) -> Result<SigmaReport, UnknownDependency> {
+        let log = self.validator.retire_dependencies(cfd_idxs, cind_idxs)?;
         if log.is_empty() {
-            return SigmaReport::default();
+            return Ok(SigmaReport::default());
         }
         // Replay the member removals in order so the per-member source
         // indexes stay aligned with the recompiled groups.
@@ -840,7 +827,7 @@ impl ValidatorStream {
             log.cinds.len(),
             resolved.cfd.len() + resolved.cind.len(),
         );
-        resolved
+        Ok(resolved)
     }
 
     /// Translates every member pattern against the dictionary, pinning

@@ -1,4 +1,4 @@
-//! Stream instrumentation: the handles a [`ValidatorStream`] records
+//! Stream instrumentation: the handles a [`crate::ValidatorStream`] records
 //! through and the journal of its recent activity.
 //!
 //! Every stream owns one [`StreamTelemetry`] — a private

@@ -5,11 +5,10 @@ use condep_analyze::{AnalyzeConfig, SigmaAnalysis, SigmaLint, SigmaVerdict, Unsa
 use condep_cfd::{CfdViolation, NormalCfd};
 use condep_core::{CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{
-    AttrId, Database, RelId, Schema, SymIndex, SymLookup, SymTables, SymValue, Value,
-};
+use condep_model::{AttrId, Database, Dict, RelId, Relation, Schema, SymIndex, SymValue, Value};
 use condep_telemetry::{Export, MetricsSnapshot, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::sync::Arc;
 
 /// One original CFD carried by a compiled member: its index in the
@@ -205,6 +204,27 @@ impl RetireLog {
         self.cfds.is_empty() && self.cinds.is_empty()
     }
 }
+
+/// A retire call named an index the suite never assigned; the call
+/// retired nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UnknownDependency {
+    /// No CFD carries this index.
+    Cfd(usize),
+    /// No CIND carries this index.
+    Cind(usize),
+}
+
+impl fmt::Display for UnknownDependency {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UnknownDependency::Cfd(i) => write!(f, "no CFD has index {i}"),
+            UnknownDependency::Cind(i) => write!(f, "no CIND has index {i}"),
+        }
+    }
+}
+
+impl std::error::Error for UnknownDependency {}
 
 /// A compiled constraint suite: Σ grouped for batched evaluation.
 ///
@@ -472,15 +492,25 @@ impl Validator {
     /// surviving covers cannot simply inherit the old probe pattern —
     /// each one is re-seated as its own singleton member instead (its
     /// probe pattern becomes its own pattern, which is exactly the
-    /// uncovered compile of that constraint). Out-of-range indices
-    /// panic; already-retired indices are skipped.
-    pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> RetireLog {
+    /// uncovered compile of that constraint). Already-retired indices
+    /// are skipped. An index the suite never assigned is an error,
+    /// found before anything is retired.
+    pub fn retire_dependencies(
+        &mut self,
+        cfd_idxs: &[usize],
+        cind_idxs: &[usize],
+    ) -> Result<RetireLog, UnknownDependency> {
+        if let Some(&idx) = cfd_idxs.iter().find(|&&i| i >= self.cfds.len()) {
+            return Err(UnknownDependency::Cfd(idx));
+        }
+        if let Some(&idx) = cind_idxs.iter().find(|&&i| i >= self.cinds.len()) {
+            return Err(UnknownDependency::Cind(idx));
+        }
         let mut log = RetireLog::default();
         let mut cfd_idxs = cfd_idxs.to_vec();
         cfd_idxs.sort_unstable();
         cfd_idxs.dedup();
         for idx in cfd_idxs {
-            assert!(idx < self.cfds.len(), "retired CFD index out of range");
             if self.retired_cfds[idx] {
                 continue;
             }
@@ -514,7 +544,6 @@ impl Validator {
         cind_idxs.sort_unstable();
         cind_idxs.dedup();
         for idx in cind_idxs {
-            assert!(idx < self.cinds.len(), "retired CIND index out of range");
             if self.retired_cinds[idx] {
                 continue;
             }
@@ -554,7 +583,7 @@ impl Validator {
             }
         }
         self.refresh_lints();
-        log
+        Ok(log)
     }
 
     /// The active (non-retired) Σ plus maps from the compacted slices
@@ -682,8 +711,8 @@ impl Validator {
 
     /// Per relation, the sorted attributes the compiled groups read:
     /// every group's key attributes, member RHS cells, CIND source and
-    /// target columns and CIND Xp/Yp condition columns — the one layout
-    /// the batch sweep symbolizes and the stream caches per row.
+    /// target columns and CIND Xp/Yp condition columns — the layout of
+    /// the row cache ([`Validator::row_cache`]).
     pub(crate) fn sym_layout(&self, n_rels: usize) -> Vec<Vec<AttrId>> {
         let mut sets: Vec<BTreeSet<AttrId>> = (0..n_rels).map(|_| BTreeSet::new()).collect();
         for g in &self.cfd_groups {
@@ -716,15 +745,35 @@ impl Validator {
         report
     }
 
-    /// The batch sweep: symbolizes the columns Σ reads, runs every group
-    /// task and drops the indexes.
+    /// Symbolizes the columns Σ reads ([`Validator::sym_layout`]) of
+    /// every tuple of `db` through a fresh dictionary: the layout, the
+    /// dictionary and the row cache ([`cache_rows`]) of a seed build,
+    /// which the batch sweep drops and a stream keeps.
+    pub(crate) fn row_cache(&self, db: &Database) -> (Vec<Vec<AttrId>>, Dict, Vec<Vec<SymValue>>) {
+        let layout = self.sym_layout(db.schema().len());
+        let mut dict = Dict::new();
+        let rows = db
+            .iter()
+            .map(|(r, inst)| cache_rows(&mut dict, inst, &layout[r.index()]))
+            .collect();
+        (layout, dict, rows)
+    }
+
+    /// The batch sweep: the stream's seed build without keep. Runs every
+    /// group task over a fresh row cache and drops the indexes, the
+    /// cache and its dictionary.
     fn sweep(&self, db: &Database) -> SigmaReport {
         let mut report = SigmaReport::default();
         if self.group_count() == 0 {
             return report;
         }
-        let (interner, tables) = SymTables::build_for(db, &self.sym_layout(db.schema().len()));
-        for group in self.build_groups(db, &interner, &Cells::Columns(&tables), false) {
+        let (layout, dict, rows) = self.row_cache(db);
+        let cells = Cells {
+            rows: &rows,
+            layout: &layout,
+            dict: &dict,
+        };
+        for group in self.build_groups(db, &cells, false) {
             report.cfd.extend(group.cfd);
             report.cind.extend(group.cind);
         }
@@ -739,7 +788,6 @@ impl Validator {
     pub(crate) fn build_groups(
         &self,
         db: &Database,
-        syms: &(dyn SymLookup + Sync),
         cells: &Cells<'_>,
         keep: bool,
     ) -> Vec<GroupBuild> {
@@ -754,10 +802,10 @@ impl Validator {
         };
         let run_task = |task: usize| -> GroupBuild {
             match self.cfd_groups.get(task) {
-                Some(g) => self.run_cfd_group(g, db, syms, cells, keep),
+                Some(g) => self.run_cfd_group(g, db, cells, keep),
                 None => {
                     let g = &self.cind_groups[task - self.cfd_groups.len()];
-                    self.run_cind_group(g, db, syms, cells, keep)
+                    self.run_cind_group(g, db, cells, keep)
                 }
             }
         };
@@ -795,13 +843,12 @@ impl Validator {
         &self,
         group: &CfdGroup,
         db: &Database,
-        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         keep: bool,
     ) -> GroupBuild {
         let mut out = GroupBuild::default();
         let rel = db.relation(group.rel);
-        let members = ReadyMember::translate(&group.members, syms);
+        let members = ReadyMember::translate(&group.members, cells.dict);
         if !keep && (rel.is_empty() || members.is_empty()) {
             return out;
         }
@@ -851,7 +898,7 @@ impl Validator {
         group: &CfdGroup,
         members: &[ReadyMember<'_>],
         idx: &SymIndex,
-        rel: &condep_model::Relation,
+        rel: &Relation,
         cells: &Cells<'_>,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
@@ -903,7 +950,7 @@ impl Validator {
         expected: &Result<SymValue, &Value>,
         positions: &[u32],
         rhs_col: Col<'_>,
-        rel: &condep_model::Relation,
+        rel: &Relation,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
         let expected_sym = expected.ok();
@@ -943,7 +990,6 @@ impl Validator {
         &self,
         group: &CindGroup,
         db: &Database,
-        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         keep: bool,
     ) -> GroupBuild {
@@ -954,12 +1000,12 @@ impl Validator {
         if !keep && group.members.is_empty() {
             return out;
         }
-        let idx = cind_target_index(group, db, syms, cells);
+        let idx = cind_target_index(group, db, cells);
         for m in &group.members {
             if keep {
-                out.sources.push(self.cind_source_index(m, db, syms, cells));
+                out.sources.push(self.cind_source_index(m, db, cells));
             }
-            self.read_cind_member(m, db, syms, cells, &idx, &mut out.cind);
+            self.read_cind_member(m, db, cells, &idx, &mut out.cind);
         }
         if keep {
             out.index = Some(idx);
@@ -973,11 +1019,10 @@ impl Validator {
         &self,
         m: &CindMember,
         db: &Database,
-        syms: &dyn SymLookup,
         cells: &Cells<'_>,
     ) -> SymIndex {
         let cind = &self.cinds[m.idx];
-        let xp_cols = condition_cols(cells, syms, cind.lhs_rel(), cind.xp());
+        let xp_cols = condition_cols(cells, cind.lhs_rel(), cind.xp());
         let rows = db.relation(cind.lhs_rel()).len();
         cells.index(cind.lhs_rel(), rows, &m.x_perm, |pos| holds(&xp_cols, pos))
     }
@@ -988,7 +1033,6 @@ impl Validator {
         &self,
         m: &CindMember,
         db: &Database,
-        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         target: &SymIndex,
         out: &mut Vec<(usize, CindViolation)>,
@@ -998,7 +1042,7 @@ impl Validator {
         let source = db.relation(lhs_rel);
         // An unknown Xp constant means no source tuple triggers: the
         // member is trivially satisfied.
-        let xp_cols = condition_cols(cells, syms, lhs_rel, cind.xp());
+        let xp_cols = condition_cols(cells, lhs_rel, cind.xp());
         let x_cols = cells.columns(lhs_rel, &m.x_perm);
         let mut key_buf: Vec<SymValue> = Vec::with_capacity(x_cols.len());
         for pos in 0..source.len() {
@@ -1023,18 +1067,16 @@ impl Validator {
     /// Reads the violations of `members` (of `group`) off `idx`, an index
     /// over all of the group's relation — how the stream reads the
     /// members it splices into a live group.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn read_cfd_members(
         &self,
         group: &CfdGroup,
         members: &[CfdMember],
         db: &Database,
-        syms: &dyn SymLookup,
         cells: &Cells<'_>,
         idx: &SymIndex,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
-        let members = ReadyMember::translate(members, syms);
+        let members = ReadyMember::translate(members, cells.dict);
         self.read_cfd_index(group, &members, idx, db.relation(group.rel), cells, out);
     }
 }
@@ -1042,28 +1084,22 @@ impl Validator {
 /// A CIND group's Yp-filtered target index, keyed by the sorted `Y`. An
 /// unknown Yp constant matches no target tuple, leaving the index empty
 /// (every triggered source tuple then violates, as it must).
-pub(crate) fn cind_target_index(
-    group: &CindGroup,
-    db: &Database,
-    syms: &dyn SymLookup,
-    cells: &Cells<'_>,
-) -> SymIndex {
-    let yp_cols = condition_cols(cells, syms, group.rhs_rel, &group.yp);
+pub(crate) fn cind_target_index(group: &CindGroup, db: &Database, cells: &Cells<'_>) -> SymIndex {
+    let yp_cols = condition_cols(cells, group.rhs_rel, &group.yp);
     let rows = db.relation(group.rhs_rel).len();
     cells.index(group.rhs_rel, rows, &group.y, |pos| holds(&yp_cols, pos))
 }
 
 /// A condition's `(column, symbol)` tests over `rel`'s cells; `None`
-/// when a constant is unknown to the symbol store — no tuple can match
+/// when a constant is unknown to the dictionary — no tuple can match
 /// it.
 fn condition_cols<'a>(
     cells: &Cells<'a>,
-    syms: &dyn SymLookup,
     rel: RelId,
     cond: &[(AttrId, Value)],
 ) -> Option<Vec<(Col<'a>, SymValue)>> {
     cond.iter()
-        .map(|(a, v)| Some((cells.column(rel, *a), syms.sym_value(v)?)))
+        .map(|(a, v)| Some((cells.column(rel, *a), cells.dict.sym_value(v)?)))
         .collect()
 }
 
@@ -1074,7 +1110,7 @@ fn holds(cols: &Option<Vec<(Col<'_>, SymValue)>>, pos: usize) -> bool {
 }
 
 /// A compiled CFD member with its patterns translated into one
-/// symbol store's symbols.
+/// dictionary's symbols.
 struct ReadyMember<'a> {
     pattern: Vec<Option<SymValue>>,
     rhs: AttrId,
@@ -1087,19 +1123,19 @@ struct ReadyMember<'a> {
 
 impl<'a> ReadyMember<'a> {
     /// Translates each member's LHS patterns into symbols once. A
-    /// constant string the symbol store lacks cannot match any
+    /// constant string the dictionary lacks cannot match any
     /// tuple: the probe pattern (the most general among the member's
     /// covers) being unknown drops the whole member, an individual
     /// cover's extra constants being unknown drops just that cover. RHS
     /// constants translate to `Err(value)` when unknown — every tuple of
     /// a matching key-group then mismatches by definition.
-    fn translate(members: &'a [CfdMember], syms: &dyn SymLookup) -> Vec<Self> {
+    fn translate(members: &'a [CfdMember], dict: &Dict) -> Vec<Self> {
         let sym_pattern = |cells: &[Option<Value>]| -> Option<Vec<Option<SymValue>>> {
             cells
                 .iter()
                 .map(|cell| match cell {
                     None => Some(None),
-                    Some(v) => syms.sym_value(v).map(Some),
+                    Some(v) => dict.sym_value(v).map(Some),
                 })
                 .collect()
         };
@@ -1118,7 +1154,7 @@ impl<'a> ReadyMember<'a> {
                 Some(ReadyMember {
                     pattern,
                     rhs: m.rhs,
-                    rhs_const: m.rhs_const.as_ref().map(|v| syms.sym_value(v).ok_or(v)),
+                    rhs_const: m.rhs_const.as_ref().map(|v| dict.sym_value(v).ok_or(v)),
                     covers,
                 })
             })
@@ -1159,37 +1195,36 @@ where
         .collect()
 }
 
-/// The symbolized cells group tasks read, both stores laid out over
-/// [`Validator::sym_layout`]'s columns.
-pub(crate) enum Cells<'a> {
-    /// The batch sweep's column-major [`SymTables`].
-    Columns(&'a SymTables),
-    /// The stream's row cache: per relation, each tuple's layout cells
-    /// row-major, in `layout` order.
-    Rows {
-        rows: &'a [Vec<SymValue>],
-        layout: &'a [Vec<AttrId>],
-    },
+/// Symbolizes every tuple of `inst` over `attrs` into one row-major
+/// block, each string cell holding its symbol — the row cache's layout.
+pub(crate) fn cache_rows(dict: &mut Dict, inst: &Relation, attrs: &[AttrId]) -> Vec<SymValue> {
+    let mut rows = Vec::with_capacity(inst.len() * attrs.len());
+    for t in inst.iter() {
+        rows.extend(attrs.iter().map(|a| dict.acquire_sym(&t[*a])));
+    }
+    rows
+}
+
+/// The symbolized cells group tasks read: a row cache built by
+/// [`cache_rows`], per relation each tuple's cells row-major over
+/// [`Validator::sym_layout`]'s columns, with the dictionary that
+/// symbolized them.
+pub(crate) struct Cells<'a> {
+    pub(crate) rows: &'a [Vec<SymValue>],
+    pub(crate) layout: &'a [Vec<AttrId>],
+    pub(crate) dict: &'a Dict,
 }
 
 impl<'a> Cells<'a> {
     /// The cells of `attr` in `rel`, which must be in the layout.
     fn column(&self, rel: RelId, attr: AttrId) -> Col<'a> {
-        match *self {
-            Cells::Columns(tables) => Col {
-                cells: tables.column(rel, attr),
-                stride: 1,
-            },
-            Cells::Rows { rows, layout } => {
-                let attrs = &layout[rel.index()];
-                let slot = attrs
-                    .binary_search(&attr)
-                    .expect("every attribute a group reads is in the layout");
-                Col {
-                    cells: rows[rel.index()].get(slot..).unwrap_or_default(),
-                    stride: attrs.len(),
-                }
-            }
+        let attrs = &self.layout[rel.index()];
+        let slot = attrs
+            .binary_search(&attr)
+            .expect("every attribute a group reads is in the layout");
+        Col {
+            cells: self.rows[rel.index()].get(slot..).unwrap_or_default(),
+            stride: attrs.len(),
         }
     }
 

@@ -15,7 +15,8 @@ use condep_repair::{RepairBudget, RepairCost, RepairReport};
 use condep_telemetry::json::JsonWriter;
 use condep_telemetry::{Export, JournalEvent, MetricsSnapshot};
 use condep_validate::{
-    CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport, Validator, ValidatorStream,
+    CoverRole, Mutation, RetireLog, SigmaCover, SigmaDelta, SigmaReport, UnknownDependency,
+    Validator, ValidatorStream,
 };
 use std::fmt;
 use std::ops::Range;
@@ -184,8 +185,14 @@ impl QualitySuite {
 
     /// Retires dependencies from the suite in place: their indices stay
     /// allocated (historical reports keep meaning) but they are no
-    /// longer checked. Only the groups that carried them recompile.
-    pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> RetireLog {
+    /// longer checked. Only the groups that carried them recompile. An
+    /// index the suite never assigned is an error, and then nothing is
+    /// retired.
+    pub fn retire_dependencies(
+        &mut self,
+        cfd_idxs: &[usize],
+        cind_idxs: &[usize],
+    ) -> Result<RetireLog, UnknownDependency> {
         self.validator.retire_dependencies(cfd_idxs, cind_idxs)
     }
 
@@ -489,7 +496,8 @@ impl QualityMonitor {
             .collect();
         if !retire_cfds.is_empty() || !retire_cinds.is_empty() {
             state.activity.retired += retire_cfds.len() + retire_cinds.len();
-            self.retire_dependencies(&retire_cfds, &retire_cinds);
+            self.retire_dependencies(&retire_cfds, &retire_cinds)
+                .expect("promoted indices are assigned");
         }
 
         // Promotion pass: dedup proposals against the active suite via
@@ -557,8 +565,13 @@ impl QualityMonitor {
 
     /// Retires dependencies from the live monitored suite (see
     /// [`ValidatorStream::retire_dependencies`]); their violations
-    /// leave the live set and are returned.
-    pub fn retire_dependencies(&mut self, cfd_idxs: &[usize], cind_idxs: &[usize]) -> SigmaReport {
+    /// leave the live set and are returned. An index the suite never
+    /// assigned is an error, and then nothing is retired.
+    pub fn retire_dependencies(
+        &mut self,
+        cfd_idxs: &[usize],
+        cind_idxs: &[usize],
+    ) -> Result<SigmaReport, UnknownDependency> {
         self.stream.retire_dependencies(cfd_idxs, cind_idxs)
     }
 
@@ -791,7 +804,7 @@ mod tests {
     /// database where it began, so the stream's key groups and strings
     /// must come back to their seed counts with no maintenance call.
     #[test]
-    fn monitor_ingests_batches_and_compacts_without_drifting() {
+    fn monitor_ingests_batches_without_storage_drift() {
         let suite = bank_suite();
         let (mut monitor, initial) = suite.monitor(bank_database());
         assert_eq!(initial.summary.total(), 2);
@@ -918,10 +931,14 @@ mod tests {
         // standing violation streams back as resolved.
         let all_cfds: Vec<usize> = (0..suite.cfds().len()).collect();
         let all_cinds: Vec<usize> = (0..suite.cinds().len()).collect();
-        let resolved = monitor.retire_dependencies(&[], &all_cinds);
+        // An unknown index fails the whole call before anything retires.
+        let unknown = monitor.retire_dependencies(&[0, 999], &[]);
+        assert_eq!(unknown, Err(condep_validate::UnknownDependency::Cfd(999)));
+        assert_eq!(monitor.summary().total(), 2);
+        let resolved = monitor.retire_dependencies(&[], &all_cinds).unwrap();
         assert_eq!(resolved.cind.len(), 1, "t10's ψ6 violation resolves");
         assert_eq!(monitor.summary().cind_violations, 0);
-        let resolved = monitor.retire_dependencies(&all_cfds, &[]);
+        let resolved = monitor.retire_dependencies(&all_cfds, &[]).unwrap();
         assert_eq!(resolved.cfd.len(), 1, "t12's ϕ3 violation resolves");
         assert_eq!(monitor.summary().total(), 0);
         // Splice the same dependencies back in: they take fresh Σ
@@ -1131,7 +1148,7 @@ mod tests {
     /// same probe answers for every promoted dependency — and its live
     /// report a fresh sweep.
     #[test]
-    fn online_discovery_survives_compaction() {
+    fn online_discovery_survives_freed_and_reused_ids() {
         let schema = city_schema();
         let suite = QualitySuite::from_normal(schema.clone(), vec![], vec![]);
         let (monitor, _) = suite.monitor(city_db());
