@@ -52,10 +52,12 @@
 //! `8 · len() + 6 · distinct_keys()`, which is at most `14 · len()`
 //! because every live key holds a position.
 //!
-//! [`SymIndex::remove_key`] / [`SymIndex::replace_pos`] give the
+//! [`SymIndex::remove_at`] / [`SymIndex::replace_at`] give the
 //! multiset-aware maintenance the `ValidatorStream` delta engine needs:
-//! a removal is `O(1)` through a per-position back-pointer, and a
-//! swap-removed relation position can be renumbered in place.
+//! against a slot handle ([`SymIndex::probe_slot`],
+//! [`SymIndex::ensure_slot`] or [`SymIndex::slot_of_pos`]), a removal
+//! is `O(1)` through a per-position back-pointer, and a swap-removed
+//! relation position can be renumbered in place.
 
 use crate::fxhash::FxHasher;
 use crate::SymValue;
@@ -140,10 +142,10 @@ fn hash_key(key: &[SymValue]) -> u64 {
 /// Each dense position appears **at most once** per index (one tuple
 /// projects to one key), which buys three O(1) upgrades over a plain
 /// CSR: a packed per-position record holding the storage location (so
-/// [`SymIndex::remove_key`] and [`SymIndex::replace_pos`] never scan a
+/// [`SymIndex::remove_at`] and [`SymIndex::replace_at`] never scan a
 /// key group) **and** the owning slot (so [`SymIndex::slot_of_pos`]
 /// recovers a resident position's group without rehashing its key),
-/// plus a cached per-slot minimum (so [`SymIndex::min_pos`] — the
+/// plus a cached per-slot minimum (so [`SymIndex::min_at`] — the
 /// delta engine's pair-witness probe — is a single lookup; only
 /// removing the minimum itself rescans its group).
 ///
@@ -494,24 +496,15 @@ impl SymIndex {
         self.dead = 0;
     }
 
-    /// Removes one occurrence of `pos` under `key`; returns whether it
-    /// was found. `O(1)` amortized through the position back-pointer
-    /// (`O(group)` only when `pos` was the group's cached minimum and it
-    /// must be rescanned). The segment's last live entry is swapped into
-    /// the hole, so a group's order is no longer position-ascending
-    /// after a removal — a consumer that needs the group's lowest
-    /// position reads [`SymIndex::min_at`] or takes the minimum itself.
-    /// Removing a group's last position frees the group.
-    pub fn remove_key(&mut self, pos: u32, key: &[SymValue]) -> bool {
-        match self.probe_slot(key) {
-            Some(slot) => self.remove_at(slot, pos),
-            None => false,
-        }
-    }
-
-    /// [`SymIndex::remove_key`] minus the probe: removes one occurrence
-    /// of `pos` from the group addressed by `slot`, freeing the group
-    /// (and the handle) when it empties.
+    /// Removes one occurrence of `pos` from the group addressed by
+    /// `slot`; returns whether it was found there. `O(1)` amortized
+    /// through the position back-pointer (`O(group)` only when `pos` was
+    /// the group's cached minimum and it must be rescanned). The
+    /// segment's last live entry is swapped into the hole, so a group's
+    /// order is no longer position-ascending after a removal — a
+    /// consumer that needs the group's lowest position reads
+    /// [`SymIndex::min_at`] or takes the minimum itself. Removing a
+    /// group's last position frees the group (and the handle).
     pub fn remove_at(&mut self, slot: u32, pos: u32) -> bool {
         let rec = match self.at.get(pos as usize) {
             Some(rec) if rec.loc != NONE => *rec,
@@ -555,20 +548,11 @@ impl SymIndex {
         true
     }
 
-    /// Renumbers one occurrence of `from` to `to` under `key` — the
-    /// index-side companion of a swap-based relation deletion. Returns
-    /// whether `from` was found. `O(1)` through the position
-    /// back-pointer (plus a group rescan when `from` was the cached
-    /// minimum).
-    pub fn replace_pos(&mut self, from: u32, to: u32, key: &[SymValue]) -> bool {
-        match self.probe_slot(key) {
-            Some(slot) => self.replace_at(slot, from, to),
-            None => false,
-        }
-    }
-
-    /// [`SymIndex::replace_pos`] minus the probe: renumbers `from` to
-    /// `to` within the group addressed by `slot`.
+    /// Renumbers one occurrence of `from` to `to` within the group
+    /// addressed by `slot` — the index-side companion of a swap-based
+    /// relation deletion. Returns whether `from` was found there. `O(1)`
+    /// through the position back-pointer (plus a group rescan when
+    /// `from` was the cached minimum).
     pub fn replace_at(&mut self, slot: u32, from: u32, to: u32) -> bool {
         let rec = match self.at.get(from as usize) {
             Some(rec) if rec.loc != NONE => *rec,
@@ -611,15 +595,10 @@ impl SymIndex {
         !self.positions(key).is_empty()
     }
 
-    /// The smallest position under `key` — the batch sweep's "first
-    /// witness" of the key group, independent of mutation history.
-    /// `O(1)`: reads the maintained per-slot minimum.
-    pub fn min_pos(&self, key: &[SymValue]) -> Option<u32> {
-        self.min_at(self.probe_slot(key)?)
-    }
-
-    /// [`SymIndex::min_pos`] minus the probe: the smallest live position
-    /// of the group addressed by `slot` (`None` when empty).
+    /// The smallest live position of the group addressed by `slot`
+    /// (`None` when empty) — the batch sweep's "first witness" of the
+    /// key group, independent of mutation history. `O(1)`: reads the
+    /// maintained per-slot minimum.
     #[inline]
     pub fn min_at(&self, slot: u32) -> Option<u32> {
         let m = self.min[slot as usize];
@@ -745,6 +724,27 @@ mod tests {
         idx.positions(key).to_vec()
     }
 
+    /// Removes `pos` from `key`'s group through a probed slot handle:
+    /// `false` when no group carries the key or `pos` is not in it.
+    fn probe_remove(idx: &mut SymIndex, pos: u32, key: &[SymValue]) -> bool {
+        idx.probe_slot(key)
+            .is_some_and(|slot| idx.remove_at(slot, pos))
+    }
+
+    /// Renumbers `from` to `to` in `key`'s group through a probed slot
+    /// handle: `false` when no group carries the key or `from` is not in
+    /// it.
+    fn probe_replace(idx: &mut SymIndex, from: u32, to: u32, key: &[SymValue]) -> bool {
+        idx.probe_slot(key)
+            .is_some_and(|slot| idx.replace_at(slot, from, to))
+    }
+
+    /// The lowest position of `key`'s group through a probed slot
+    /// handle.
+    fn probe_min(idx: &SymIndex, key: &[SymValue]) -> Option<u32> {
+        idx.min_at(idx.probe_slot(key)?)
+    }
+
     #[test]
     fn build_probe_and_groups_agree_with_hash_index() {
         let r = rel();
@@ -795,7 +795,7 @@ mod tests {
         assert_eq!(got, vec![0, 1, 3]);
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.len(), 4);
-        assert_eq!(idx.min_pos(&a), Some(0));
+        assert_eq!(probe_min(&idx, &a), Some(0));
     }
 
     #[test]
@@ -852,7 +852,7 @@ mod tests {
         assert_eq!(dict.sym_value(&Value::str("LON")), None);
         // A well-formed but absent key probes empty.
         assert!(probe_vec(&idx, &[SymValue::Int(99)]).is_empty());
-        assert_eq!(idx.min_pos(&[SymValue::Int(99)]), None);
+        assert_eq!(probe_min(&idx, &[SymValue::Int(99)]), None);
         assert_eq!(SymIndex::new(1).probe_slot(&[SymValue::Int(1)]), None);
     }
 
@@ -889,21 +889,21 @@ mod tests {
         }
         let k = [dict.sym_value(&Value::str("k")).unwrap()];
         let j = [dict.sym_value(&Value::str("j")).unwrap()];
-        assert!(idx.remove_key(1, &k));
-        assert!(!idx.remove_key(1, &k), "already removed");
+        assert!(probe_remove(&mut idx, 1, &k));
+        assert!(!probe_remove(&mut idx, 1, &k), "already removed");
         let mut got = probe_vec(&idx, &k);
         got.sort_unstable();
         assert_eq!(got, vec![0, 3]);
         assert_eq!(idx.len(), 3);
         // Renumber 3 → 1 (a swap-removed relation position).
-        assert!(idx.replace_pos(3, 1, &k));
-        assert_eq!(idx.min_pos(&k), Some(0));
+        assert!(probe_replace(&mut idx, 3, 1, &k));
+        assert_eq!(probe_min(&idx, &k), Some(0));
         let mut got = probe_vec(&idx, &k);
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);
         // An emptied group is freed at once: it probes absent.
         let (slot_j, stored) = (idx.probe_slot(&j).unwrap(), idx.stored());
-        assert!(idx.remove_key(2, &j));
+        assert!(probe_remove(&mut idx, 2, &j));
         assert!(!idx.contains_key(&j));
         assert_eq!(idx.probe_slot(&j), None);
         assert_eq!(idx.distinct_keys(), 1);
@@ -914,8 +914,8 @@ mod tests {
         assert_eq!(idx.stored(), stored);
         assert_eq!(probe_vec(&idx, &j), vec![7]);
         assert_eq!(idx.distinct_keys(), 2);
-        assert!(idx.remove_key(7, &j));
-        assert!(!idx.replace_pos(9, 1, &j));
+        assert!(probe_remove(&mut idx, 7, &j));
+        assert!(!probe_replace(&mut idx, 9, 1, &j));
     }
 
     #[test]
@@ -938,7 +938,7 @@ mod tests {
         insert(&mut idx, 52, &tuple!["also", "z"], &attrs, &mut dict);
         for i in 0..50u32 {
             let key = [dict.sym_value(&Value::str(format!("gone{i}"))).unwrap()];
-            assert!(idx.remove_key(i, &key));
+            assert!(probe_remove(&mut idx, i, &key));
             assert_eq!(idx.probe_slot(&key), None, "gone{i} is freed");
         }
         assert_eq!(idx.distinct_keys(), 2, "no emptied group lingers");
@@ -949,9 +949,9 @@ mod tests {
         let keep = [dict.sym_value(&Value::str("keep")).unwrap()];
         let also = [dict.sym_value(&Value::str("also")).unwrap()];
         assert_eq!(probe_vec(&idx, &keep), vec![50, 51]);
-        assert_eq!(idx.min_pos(&keep), Some(50));
+        assert_eq!(probe_min(&idx, &keep), Some(50));
         assert_eq!(probe_vec(&idx, &also), vec![52]);
-        assert!(idx.remove_key(51, &keep));
+        assert!(probe_remove(&mut idx, 51, &keep));
         idx.insert_key(53, &also);
         let mut got = probe_vec(&idx, &also);
         got.sort_unstable();
@@ -1056,8 +1056,8 @@ mod tests {
             "the seed room plus two moved segments"
         );
         // Removal reaches moved segments; the freed room is reused.
-        assert!(idx.remove_key(3, &edi));
-        assert!(idx.remove_key(0, &edi));
+        assert!(probe_remove(&mut idx, 3, &edi));
+        assert!(probe_remove(&mut idx, 0, &edi));
         let mut e = probe_vec(&idx, &edi);
         e.sort_unstable();
         assert_eq!(e, vec![1]);
@@ -1090,7 +1090,7 @@ mod tests {
         let mut got = idx.positions(&cells).to_vec();
         got.sort_unstable();
         assert!(got.iter().copied().eq(want.iter().copied()), "{key:?}");
-        assert_eq!(idx.min_pos(&cells), want.first().copied(), "{key:?}");
+        assert_eq!(probe_min(idx, &cells), want.first().copied(), "{key:?}");
         match idx.probe_slot(&cells) {
             Some(slot) => {
                 assert!(!want.is_empty(), "{key:?}: an emptied group lingers");
@@ -1162,14 +1162,14 @@ mod tests {
                 } else {
                     let pos = rng.below(key_at.len() as u64) as u32;
                     let key = key_at[pos as usize];
-                    assert!(!idx.remove_key(pos, &cells((3, 0))), "absent key");
+                    assert!(!probe_remove(&mut idx, pos, &cells((3, 0))), "absent key");
                     let slot = idx.slot_of_pos(pos).expect("indexed");
                     if step % 2 == 0 {
-                        assert!(idx.remove_key(pos, &cells(key)));
+                        assert!(probe_remove(&mut idx, pos, &cells(key)));
                     } else {
                         assert!(idx.remove_at(slot, pos));
                     }
-                    assert!(!idx.remove_key(pos, &cells(key)), "already removed");
+                    assert!(!probe_remove(&mut idx, pos, &cells(key)), "already removed");
                     let group = model.get_mut(&key).expect("modelled");
                     group.remove(&pos);
                     if group.is_empty() {
@@ -1182,14 +1182,14 @@ mod tests {
                     let last = key_at.len() as u32 - 1;
                     if pos != last {
                         let moved = key_at[last as usize];
-                        assert!(idx.replace_pos(last, pos, &cells(moved)));
+                        assert!(probe_replace(&mut idx, last, pos, &cells(moved)));
                         let group = model.get_mut(&moved).expect("modelled");
                         group.remove(&last);
                         group.insert(pos);
                         touched.push(moved);
                     }
                     key_at.swap_remove(pos as usize);
-                    assert!(!idx.replace_pos(last, pos, &cells(key)), "gone");
+                    assert!(!probe_replace(&mut idx, last, pos, &cells(key)), "gone");
                     assert_eq!(idx.slot_of_pos(last), None);
                     if let Some(&now) = key_at.get(pos as usize) {
                         assert_eq!(idx.slot_of_pos(pos), idx.probe_slot(&cells(now)));

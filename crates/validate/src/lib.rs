@@ -47,7 +47,7 @@
 //!   across its mutations, and nothing churn empties is kept: a key
 //!   group is freed with its last tuple, and a string leaves the
 //!   stream's refcounted [`condep_model::Dict`] with its last cached
-//!   cell (or, for a CFD pattern constant, when its dependency goes).
+//!   cell (or, for a constant of Σ, when its dependency goes).
 //!   Memory follows the live data however long the stream runs, with
 //!   no maintenance call.
 //!
@@ -813,6 +813,212 @@ mod tests {
         assert_eq!(stream.cfd_violation_class(0, &tuple!["b", "y"]), vec![1]);
         // A key the stream has never seen: empty class, no panic.
         assert!(stream.cfd_violation_class(0, &tuple!["q", "w"]).is_empty());
+    }
+
+    /// The FD `r: k → v` over `r(a, k, v)`, its key attribute second,
+    /// with a conflict on `k = a`; `s(x)` is a one-attribute relation.
+    fn keyed_stream() -> ValidatorStream {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("a", Domain::string()),
+                        ("k", Domain::string()),
+                        ("v", Domain::string()),
+                    ],
+                )
+                .relation("s", &[("x", Domain::string())])
+                .finish(),
+        );
+        let cfd = NormalCfd::parse(&schema, "r", &["k"], prow![_], "v", PValue::Any).unwrap();
+        let mut db = Database::empty(schema);
+        for t in [
+            tuple!["p", "a", "x"],
+            tuple!["q", "b", "y"],
+            tuple!["r", "a", "z"],
+        ] {
+            db.insert_into("r", t).unwrap();
+        }
+        ValidatorStream::new_validated(Validator::new(vec![cfd], vec![]), db).0
+    }
+
+    #[test]
+    fn cfd_violation_class_of_an_unassigned_index_is_empty() {
+        let stream = keyed_stream();
+        let t = tuple!["p", "a", "x"];
+        assert_eq!(stream.cfd_violation_class(0, &t), vec![0, 2]);
+        assert!(stream.cfd_violation_class(1, &t).is_empty());
+        assert!(stream.cfd_violation_class(usize::MAX, &t).is_empty());
+    }
+
+    #[test]
+    fn cfd_violation_class_of_another_relations_tuple_is_empty() {
+        let stream = keyed_stream();
+        // A tuple of `s(x)` has no cell at the key attribute `k`.
+        assert!(stream.cfd_violation_class(0, &tuple!["a"]).is_empty());
+        // Nor does a wider tuple read as one of `r`.
+        let wide = tuple!["p", "a", "x", "w"];
+        assert!(stream.cfd_violation_class(0, &wide).is_empty());
+    }
+
+    #[test]
+    fn is_cfd_retired_reads_an_unassigned_index_as_not_retired() {
+        let mut v = bank_validator();
+        let n = v.cfds().len();
+        v.retire_dependencies(&(0..n).collect::<Vec<_>>(), &[])
+            .unwrap();
+        assert!((0..n).all(|i| v.is_cfd_retired(i)));
+        assert!(!v.is_cfd_retired(n));
+        assert!(!v.is_cfd_retired(usize::MAX));
+    }
+
+    #[test]
+    fn is_cind_retired_reads_an_unassigned_index_as_not_retired() {
+        let mut v = bank_validator();
+        let n = v.cinds().len();
+        v.retire_dependencies(&[], &(0..n).collect::<Vec<_>>())
+            .unwrap();
+        assert!((0..n).all(|i| v.is_cind_retired(i)));
+        assert!(!v.is_cind_retired(n));
+        assert!(!v.is_cind_retired(usize::MAX));
+    }
+
+    /// Σ's constants are pinned when the stream opens, so a constant the
+    /// seed lacks already has the symbol its first carrier gets. Four
+    /// such constants — a merged cover's extra pattern constant, a
+    /// constant RHS, a CIND Xp constant and a CIND Yp constant — arrive,
+    /// leave and arrive again, and the live report tracks a fresh sweep
+    /// throughout.
+    #[test]
+    fn constants_that_arrive_after_the_seed_are_matched_by_symbol() {
+        let schema = Arc::new(
+            Schema::builder()
+                .relation(
+                    "r",
+                    &[
+                        ("a", Domain::string()),
+                        ("b", Domain::string()),
+                        ("c", Domain::string()),
+                    ],
+                )
+                .relation("s", &[("d", Domain::string()), ("e", Domain::string())])
+                .finish(),
+        );
+        let cfds = vec![
+            NormalCfd::parse(&schema, "r", &["a"], prow![_], "c", PValue::Any).unwrap(),
+            // Merged into the FD above as a cover: "late" is its extra
+            // constant.
+            NormalCfd::parse(&schema, "r", &["a"], prow!["late"], "c", PValue::Any).unwrap(),
+            NormalCfd::parse(
+                &schema,
+                "r",
+                &["b"],
+                prow!["b1"],
+                "c",
+                PValue::constant("crhs"),
+            )
+            .unwrap(),
+        ];
+        let cinds = vec![
+            condep_core::NormalCind::parse(
+                &schema,
+                "r",
+                &["a"],
+                &[("b", Value::str("xlate"))],
+                "s",
+                &["d"],
+                &[],
+            )
+            .unwrap(),
+            condep_core::NormalCind::parse(
+                &schema,
+                "r",
+                &["a"],
+                &[],
+                "s",
+                &["d"],
+                &[("e", Value::str("ylate"))],
+            )
+            .unwrap(),
+        ];
+        let v = Validator::new(cfds, cinds);
+        assert_eq!(v.compiled_cfd_members(), 2, "the cover must merge");
+        let mut db = Database::empty(schema.clone());
+        for t in [
+            tuple!["k", "b1", "c0"],
+            tuple!["k", "b2", "c1"],
+            tuple!["m", "b1", "c0"],
+        ] {
+            db.insert_into("r", t).unwrap();
+        }
+        db.insert_into("s", tuple!["k", "e0"]).unwrap();
+        db.insert_into("s", tuple!["m", "e1"]).unwrap();
+        let (r, s) = (schema.rel_id("r").unwrap(), schema.rel_id("s").unwrap());
+        let (mut stream, _) = ValidatorStream::new_validated(v, db);
+        // Eight resident strings, plus the four pinned late constants
+        // ("b1" is resident).
+        assert_eq!(gauge(&stream, "stream.interner.strings"), 12);
+
+        let arrivals = [
+            (r, tuple!["late", "xlate", "c5"]),
+            (r, tuple!["late", "b1", "crhs"]),
+            (r, tuple!["late", "b1", "c6"]),
+            (r, tuple!["z", "xlate", "c7"]),
+            (s, tuple!["late", "ylate"]),
+            (s, tuple!["k", "ylate"]),
+        ];
+        let ins: Vec<Mutation> = arrivals
+            .iter()
+            .map(|(rel, tuple)| Mutation::Insert {
+                rel: *rel,
+                tuple: tuple.clone(),
+            })
+            .collect();
+        let del: Vec<Mutation> = arrivals
+            .iter()
+            .map(|(rel, tuple)| Mutation::Delete {
+                rel: *rel,
+                tuple: tuple.clone(),
+            })
+            .collect();
+        let mut again = ins.clone();
+        again.reverse();
+        for (window, muts) in [ins, del, again].iter().enumerate() {
+            stream.apply_deltas(muts).unwrap();
+            let fresh = stream.validator().validate_sorted(stream.db());
+            assert_eq!(stream.current_report(), fresh, "window {window}");
+            assert_eq!(fresh, reference_report(stream.validator(), stream.db()));
+            let fired = |cfd: usize| fresh.cfd.iter().any(|(i, _)| *i == cfd);
+            let fired_cind = |cind: usize| fresh.cind.iter().any(|(i, _)| *i == cind);
+            if window == 1 {
+                // Back to the seed: only the seed's violations remain.
+                assert!(!fired(1), "{fresh:?}");
+                assert_eq!(gauge(&stream, "stream.interner.strings"), 12);
+            } else {
+                // The late carriers fire the cover, keep "crhs" quiet
+                // under `b1`, trigger the Xp member and satisfy some Yp
+                // probes.
+                assert!(fired(1), "{fresh:?}");
+                assert!(fired_cind(0), "{fresh:?}");
+                let crhs_pos = stream
+                    .db()
+                    .relation(r)
+                    .position(&tuple!["late", "b1", "crhs"])
+                    .unwrap();
+                assert!(!fresh.cfd.iter().any(|(i, viol)| *i == 2
+                    && matches!(viol, CfdViolation::SingleTuple { tuple, .. } if *tuple == crhs_pos)));
+                let late_pos = stream
+                    .db()
+                    .relation(r)
+                    .position(&tuple!["late", "xlate", "c5"])
+                    .unwrap();
+                assert!(!fresh
+                    .cind
+                    .iter()
+                    .any(|(i, viol)| *i == 1 && viol.tuple == late_pos));
+            }
+        }
     }
 
     /// The storage gauge `name` of a stream's telemetry.

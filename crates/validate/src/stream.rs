@@ -89,10 +89,14 @@
 //!   contiguous slice, and the final insert/remove/relabel
 //!   (`insert_at`/`remove_at`/`replace_at`) is `O(1)` amortized, because
 //!   each group edits its own segment of the index's storage in place.
-//! * **symbol compares everywhere** — member-pattern matching and
-//!   pair-witness RHS agreement are word compares between cached
-//!   symbols ([`SymValue`]), never tuple-value compares; the database
-//!   tuple is only touched to build violation payloads on emission.
+//! * **symbol compares everywhere** — the stream keeps Σ bound to its
+//!   row cache, the binding the seed build made: every group key slot,
+//!   member RHS slot, pattern, RHS constant and CIND condition in symbol
+//!   form. Member and cover matching, constant-RHS checks, CIND Xp/Yp
+//!   tests and pair-witness RHS agreement are word compares between a
+//!   cached row and those symbols ([`SymValue`]), never tuple-value
+//!   compares; the database tuple is only touched to build violation
+//!   payloads on emission.
 //!
 //! ## Long-lived streams
 //!
@@ -109,13 +113,15 @@
 //!   bounded by the live positions;
 //! * **a refcounted dictionary** — the stream's strings live in a
 //!   [`Dict`]. A string lives while a resident cached cell holds it, or
-//!   while a CFD member's translated pattern constant pins it, and dies
-//!   with the last of them, so the dictionary holds the live strings
-//!   only. A pinned constant keeps its symbol for as long as its member
-//!   is compiled, so a member's translation never goes stale. A window
-//!   releases its departing cells when it ends, so a string that leaves
-//!   and comes back within one window (an update that keeps it) keeps
-//!   its symbol;
+//!   while the bound Σ pins it as a constant (a CFD pattern or RHS
+//!   constant, a CIND Xp or Yp constant), and dies with the last of
+//!   them, so the dictionary holds the live strings and Σ's constants
+//!   only. A pinned constant keeps its symbol for as long as its
+//!   dependency is compiled, so a constant that no tuple holds yet
+//!   already has the symbol a later arrival gets, and the binding never
+//!   goes stale. A window releases its departing cells when it ends, so
+//!   a string that leaves and comes back within one window (an update
+//!   that keeps it) keeps its symbol;
 //! * **stable tuple ids** — every resident tuple carries a
 //!   [`condep_model::TupleId`] ([`ValidatorStream::tuple_id_at`] /
 //!   [`ValidatorStream::position_of`]), allocated once and maintained
@@ -129,15 +135,14 @@
 
 use crate::telemetry::StreamTelemetry;
 use crate::validator::{
-    cache_rows, cind_target_index, Cells, CfdGroup, CfdMember, SigmaReport, UnknownDependency,
-    Validator,
+    cache_rows, cind_target_index, cover_key_matches, holds, key_from_slots, wildcard_pairs,
+    BoundCfdGroup, BoundSigma, Cells, Rows, SigmaReport, UnknownDependency, Validator,
 };
 use condep_cfd::{CfdDelta, CfdViolation, NormalCfd};
 use condep_core::{CindDelta, CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
 use condep_model::{
-    AttrId, Database, Dict, ModelError, RelId, Relation, SymIndex, SymValue, Tuple, TupleId,
-    TupleIdMap, Value,
+    AttrId, Database, Dict, ModelError, RelId, SymIndex, SymValue, Tuple, TupleId, TupleIdMap,
 };
 use condep_telemetry::{SpanTimer, Stopwatch};
 use std::collections::HashSet;
@@ -313,19 +318,13 @@ impl SigmaDelta {
     }
 }
 
-/// A CFD member's LHS pattern translated to the stream's symbols,
-/// aligned with the group's sorted attribute list (`None` cell =
-/// wildcard). Each string constant pins its symbol in the dictionary
-/// for as long as the translation lives.
-type MemberSyms = Box<[Option<SymValue>]>;
-
 /// A validator with materialized state for one evolving database.
 #[derive(Clone, Debug)]
 pub struct ValidatorStream {
     validator: Validator,
     db: Database,
-    /// The refcounted symbol store of every cached cell and pinned
-    /// pattern constant.
+    /// The refcounted symbol store of every cached cell and pinned Σ
+    /// constant.
     dict: Dict,
     /// One live index per CFD group (keyed by the group's sorted LHS).
     cfd_indexes: Vec<SymIndex>,
@@ -351,22 +350,9 @@ pub struct ValidatorStream {
     /// reads its rows here instead of re-hashing strings through the
     /// dictionary. Each string cell holds its symbol once.
     sym_rows: Vec<Vec<SymValue>>,
-    /// Per CFD group: each key attribute's slot in its relation's
-    /// symbolized row.
-    cfd_group_slots: Vec<Vec<u32>>,
-    /// Per CFD group, per member: the member's RHS attribute's slot in
-    /// its relation's symbolized row — pair-witness agreement is a
-    /// symbol compare between cached rows, never a tuple-value compare.
-    cfd_rhs_slots: Vec<Vec<u32>>,
-    /// Per CIND group: the `Y` attributes' slots in the target
-    /// relation's row.
-    cind_y_slots: Vec<Vec<u32>>,
-    /// Per CIND group, per member: the `x_perm` attributes' slots in the
-    /// source relation's row.
-    cind_x_slots: Vec<Vec<Vec<u32>>>,
-    /// Per CFD group, per member: the LHS pattern in symbol form — the
-    /// word-compare fast path for member matching.
-    member_syms: Vec<Vec<MemberSyms>>,
+    /// Σ bound to the row cache: every slot and constant the mutation
+    /// path reads, with the constants pinned in `dict`.
+    sigma: BoundSigma,
     /// The stream's instrument panel: latency histograms, hot-path
     /// counters and the bounded activity journal. Private per stream;
     /// cloning a stream starts fresh telemetry (see
@@ -374,69 +360,20 @@ pub struct ValidatorStream {
     telemetry: StreamTelemetry,
 }
 
-/// Copies a group key out of a pre-symbolized row.
-fn key_from_slots(row: &[SymValue], slots: &[u32], buf: &mut Vec<SymValue>) {
-    buf.clear();
-    buf.extend(slots.iter().map(|&s| row[s as usize]));
-}
-
-/// Sym-space member matching: the pattern cells against the tuple's
-/// already-built group key (member patterns only constrain the group's
-/// key attributes, so the key projection is all that matters).
-fn member_matches_sym(pat: &MemberSyms, key: &[SymValue]) -> bool {
-    pat.iter().zip(key).all(|(p, k)| p.is_none_or(|p| p == *k))
-}
-
-/// Translates one member's LHS pattern into symbols, pinning each
-/// string constant in the dictionary.
-fn translate_member(dict: &mut Dict, m: &CfdMember) -> MemberSyms {
-    m.pattern
-        .iter()
-        .map(|cell| cell.as_ref().map(|v| dict.acquire_sym(v)))
-        .collect()
-}
-
-/// The wildcard-RHS pairs of one live key group, reading RHS values
-/// through the database; the positions are sorted first so the pairs
-/// come out in position order.
-fn group_pairs(rel_inst: &Relation, rhs: AttrId, mut positions: Vec<u32>) -> Vec<(usize, usize)> {
+/// The wildcard-RHS pairs of one live key group, reading RHS cells at
+/// slot `rhs` of the cached rows; the positions are sorted first so
+/// the pairs come out in position order.
+fn group_pairs(rows: Rows<'_>, rhs: u32, mut positions: Vec<u32>) -> Vec<(usize, usize)> {
     positions.sort_unstable();
-    crate::validator::wildcard_pairs_by(&positions, |p| {
-        &rel_inst.get(p as usize).expect("indexed position valid")[rhs]
-    })
+    wildcard_pairs(&positions, rows, rhs)
 }
 
-/// Does an LHS pattern (aligned with `attrs`) match the tuple?
-fn pattern_matches(attrs: &[AttrId], pat: &[Option<Value>], t: &Tuple) -> bool {
-    attrs
-        .iter()
-        .zip(pat.iter())
-        .all(|(a, p)| p.as_ref().is_none_or(|p| p == &t[*a]))
-}
-
-/// Collects into `buf` the original-Σ CFD indices a matched member's
-/// violations fan out to, for the key group `t` belongs to. The
-/// representative (`covers[0]`) always applies — its pattern is the
-/// probe that just matched; a merged cover applies iff its own (more
-/// specific) pattern also matches. Patterns only constrain the group's
-/// key attributes, so any tuple carrying the key decides applicability
-/// for the whole key group.
-fn applicable_covers(g: &CfdGroup, m: &CfdMember, t: &Tuple, buf: &mut Vec<usize>) {
-    buf.clear();
-    buf.push(m.covers[0].idx);
-    for c in &m.covers[1..] {
-        if pattern_matches(&g.attrs, &c.pattern, t) {
-            buf.push(c.idx);
-        }
-    }
-}
-
-/// One scoped member of a [`PairScope`]: `(member slot, applicable
+/// One scoped member of a [`PairScope`]: `(RHS slot, applicable
 /// original-Σ indices, old pairs)`, computed from the pre-deletion
 /// state. The cover fan-out is stashed alongside because applicability
 /// is a key-group property and the scoped tuple may be gone by
 /// recomputation time.
-type ScopedMember = (usize, Vec<usize>, Vec<(usize, usize)>);
+type ScopedMember = (u32, Vec<usize>, Vec<(usize, usize)>);
 
 /// One affected `(group, key)` pair-recomputation scope of a deletion.
 /// The key group is held as its [`SymIndex`] slot handle — stable across
@@ -449,34 +386,49 @@ struct PairScope {
     members: Vec<ScopedMember>,
 }
 
-/// Collects the wildcard members matching the scoped tuple (through
-/// `matches`, which sees each member's slot) together with their current
-/// (pre-mutation) pair sets — the "before" side of a witness-restructure
-/// scope. `None` when no member is affected.
+/// Collects the wildcard members matching the scoped tuple's `key`
+/// together with their current (pre-mutation) pair sets — the "before"
+/// side of a witness-restructure scope. `None` when no member is
+/// affected.
 fn stash_scope(
-    g: &CfdGroup,
+    bound: &BoundCfdGroup,
     group: usize,
     idx: &SymIndex,
     slot: u32,
-    rel_inst: &Relation,
-    scoped: &Tuple,
-    matches: impl Fn(usize, &CfdMember) -> bool,
+    rows: Rows<'_>,
+    key: &[SymValue],
 ) -> Option<PairScope> {
     let mut members = Vec::new();
-    let mut cov_buf: Vec<usize> = Vec::new();
-    for (ms, m) in g.members.iter().enumerate() {
-        if m.rhs_const.is_some() || !matches(ms, m) {
+    for m in &bound.members {
+        if m.rhs_const.is_some() || !m.matches(key) {
             continue;
         }
-        applicable_covers(g, m, scoped, &mut cov_buf);
-        let old = group_pairs(rel_inst, m.rhs, idx.positions_at(slot).to_vec());
-        members.push((ms, cov_buf.clone(), old));
+        let old = group_pairs(rows, m.rhs, idx.positions_at(slot).to_vec());
+        members.push((m.rhs, m.covers_at(key).collect(), old));
     }
     (!members.is_empty()).then_some(PairScope {
         group,
         slot,
         members,
     })
+}
+
+/// Relabels each cover's live pair `(witness, from)` to `(witness, to)`:
+/// a moved tuple's pair follows it. The consumer's renumber step covers
+/// this, so it is not a delta entry.
+fn relabel_pairs(
+    live: &mut HashSet<(usize, CfdViolation), FxBuildHasher>,
+    covers: impl Iterator<Item = usize>,
+    witness: u32,
+    from: usize,
+    to: usize,
+) {
+    let left = witness as usize;
+    for cidx in covers {
+        let was_live = live.remove(&(cidx, CfdViolation::Pair { left, right: from }));
+        debug_assert!(was_live, "relabeled pair must have been live");
+        live.insert((cidx, CfdViolation::Pair { left, right: to }));
+    }
 }
 
 impl ValidatorStream {
@@ -506,21 +458,21 @@ impl ValidatorStream {
     }
 
     /// The one seed build: symbolizes the columns Σ reads once, straight
-    /// into the resident row cache, then runs every group task in keep
-    /// mode over those rows (the batch sweep's tasks, striped across
-    /// threads above its size threshold) to build each group's live
-    /// index and read its violations.
+    /// into the resident row cache, binds Σ to it, then runs every group
+    /// task in keep mode over those rows (the batch sweep's tasks,
+    /// striped across threads above its size threshold) to build each
+    /// group's live index and read its violations.
     fn materialize(validator: Validator, db: Database) -> (Self, SigmaReport) {
         let build_clock = Stopwatch::start();
-        let (sym_attrs, dict, sym_rows) = validator.row_cache(&db);
+        let (sym_attrs, mut dict, sym_rows) = validator.row_cache(&db);
+        let sigma = BoundSigma::bind(&validator, &sym_attrs, &mut dict);
         let cells = Cells {
             rows: &sym_rows,
             layout: &sym_attrs,
-            dict: &dict,
         };
         let mut report = SigmaReport::default();
         let (mut cfd_indexes, mut cind_sources) = (Vec::new(), Vec::new());
-        for build in validator.build_groups(&db, &cells, true) {
+        for build in validator.build_groups(&db, &cells, &sigma, true) {
             report.cfd.extend(build.cfd);
             report.cind.extend(build.cind);
             cfd_indexes.push(build.index.expect("a kept build keeps its index"));
@@ -542,7 +494,7 @@ impl ValidatorStream {
             .map(|(_, inst)| TupleIdMap::identity(inst.len()))
             .collect();
 
-        let mut stream = ValidatorStream {
+        let stream = ValidatorStream {
             validator,
             db,
             dict,
@@ -554,14 +506,9 @@ impl ValidatorStream {
             ids,
             sym_attrs,
             sym_rows,
-            cfd_group_slots: Vec::new(),
-            cfd_rhs_slots: Vec::new(),
-            cind_y_slots: Vec::new(),
-            cind_x_slots: Vec::new(),
-            member_syms: Vec::new(),
+            sigma,
             telemetry: StreamTelemetry::new(),
         };
-        stream.refresh_slots();
         stream
             .telemetry
             .materialize_us
@@ -603,53 +550,12 @@ impl ValidatorStream {
         };
     }
 
-    /// Recomputes each group's slots into its relation's symbolized-row
-    /// layout and re-translates (and re-pins) the member patterns —
-    /// after the seed build and whenever the compiled groups change.
-    fn refresh_slots(&mut self) {
-        let Self {
-            validator,
-            sym_attrs,
-            ..
-        } = self;
-        let slot_of = |rel: RelId, a: AttrId| -> u32 {
-            sym_attrs[rel.index()]
-                .iter()
-                .position(|x| *x == a)
-                .expect("every group key attribute is in its relation's layout") as u32
-        };
-        self.cfd_group_slots = validator
-            .cfd_groups()
-            .iter()
-            .map(|g| g.attrs.iter().map(|a| slot_of(g.rel, *a)).collect())
-            .collect();
-        self.cfd_rhs_slots = validator
-            .cfd_groups()
-            .iter()
-            .map(|g| g.members.iter().map(|m| slot_of(g.rel, m.rhs)).collect())
-            .collect();
-        self.cind_y_slots = validator
-            .cind_groups()
-            .iter()
-            .map(|g| g.y.iter().map(|a| slot_of(g.rhs_rel, *a)).collect())
-            .collect();
-        self.cind_x_slots = validator
-            .cind_groups()
-            .iter()
-            .map(|g| {
-                g.members
-                    .iter()
-                    .map(|m| {
-                        let cind = &validator.cinds()[m.idx];
-                        m.x_perm
-                            .iter()
-                            .map(|a| slot_of(cind.lhs_rel(), *a))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        self.rebuild_member_syms();
+    /// Rebinds Σ to the row cache after the compiled groups change,
+    /// pinning the new binding's constants before the old binding lets
+    /// go of its own (a constant both hold keeps its symbol).
+    fn rebind(&mut self) {
+        let fresh = BoundSigma::bind(&self.validator, &self.sym_attrs, &mut self.dict);
+        std::mem::replace(&mut self.sigma, fresh).release(&mut self.dict);
     }
 
     /// Splices newly-promoted dependencies into the **live** suite,
@@ -716,7 +622,7 @@ impl ValidatorStream {
             }
         }
         self.sym_attrs = new_sym_attrs;
-        self.refresh_slots();
+        self.rebind();
 
         // Build the live indexes of the spliced groups and members from
         // the stream's own cached symbols, and read the newcomers'
@@ -726,45 +632,45 @@ impl ValidatorStream {
             let Self {
                 validator,
                 db,
-                dict,
                 cfd_indexes,
                 cind_targets,
                 cind_sources,
                 sym_attrs,
                 sym_rows,
+                sigma,
                 ..
             } = self;
             let cells = Cells {
                 rows: sym_rows,
                 layout: sym_attrs,
-                dict,
             };
-            for (gi, g) in validator.cfd_groups().iter().enumerate() {
+            for (gi, (g, bg)) in validator.cfd_groups().iter().zip(&sigma.cfd).enumerate() {
+                let inst = db.relation(g.rel);
                 if gi >= cfd_indexes.len() {
-                    let rows = db.relation(g.rel).len();
-                    cfd_indexes.push(cells.index(g.rel, rows, &g.attrs, |_| true));
+                    cfd_indexes.push(cells.index(g.rel, inst.len(), &bg.key, |_| true));
                 }
                 let start = old_cfd_members.get(gi).copied().unwrap_or(0);
                 if start < g.members.len() {
-                    validator.read_cfd_members(
-                        g,
-                        &g.members[start..],
-                        db,
-                        &cells,
-                        &cfd_indexes[gi],
+                    let (idx, rows) = (&cfd_indexes[gi], cells.of(g.rel));
+                    validator.read_cfd_index(
+                        &bg.members[start..],
+                        idx,
+                        inst,
+                        rows,
                         &mut report.cfd,
                     );
                 }
             }
-            for (gi, g) in validator.cind_groups().iter().enumerate() {
+            for (gi, (g, bg)) in validator.cind_groups().iter().zip(&sigma.cind).enumerate() {
                 if gi >= cind_targets.len() {
-                    cind_targets.push(cind_target_index(g, db, &cells));
+                    cind_targets.push(cind_target_index(g, bg, db, &cells));
                     cind_sources.push(Vec::new());
                 }
                 let start = old_cind_members.get(gi).copied().unwrap_or(0);
-                for m in &g.members[start..] {
-                    cind_sources[gi].push(validator.cind_source_index(m, db, &cells));
-                    validator.read_cind_member(m, db, &cells, &cind_targets[gi], &mut report.cind);
+                for (m, bm) in g.members[start..].iter().zip(&bg.members[start..]) {
+                    cind_sources[gi].push(validator.cind_source_index(m, bm, db, &cells));
+                    let target = &cind_targets[gi];
+                    validator.read_cind_member(m, bm, db, &cells, target, &mut report.cind);
                 }
             }
         }
@@ -799,8 +705,8 @@ impl ValidatorStream {
         }
         // The symbolization layout stays a (possibly proper) superset of
         // what the surviving groups need — keeping it avoids re-caching
-        // any rows, and the slot tables still resolve every attribute.
-        self.refresh_slots();
+        // any rows, and the rebinding still resolves every attribute.
+        self.rebind();
 
         let mut resolved = SigmaReport::default();
         let retired: HashSet<usize> = log.cfds.iter().copied().collect();
@@ -828,35 +734,6 @@ impl ValidatorStream {
             resolved.cfd.len() + resolved.cind.len(),
         );
         Ok(resolved)
-    }
-
-    /// Translates every member pattern against the dictionary, pinning
-    /// the new translations' constants before the old ones let go (a
-    /// constant both share keeps its symbol).
-    fn rebuild_member_syms(&mut self) {
-        let Self {
-            validator,
-            dict,
-            member_syms,
-            ..
-        } = self;
-        let fresh: Vec<Vec<MemberSyms>> = validator
-            .cfd_groups()
-            .iter()
-            .map(|g| {
-                g.members
-                    .iter()
-                    .map(|m| translate_member(dict, m))
-                    .collect()
-            })
-            .collect();
-        for cell in std::mem::replace(member_syms, fresh)
-            .iter()
-            .flatten()
-            .flat_map(|pattern| pattern.iter().flatten())
-        {
-            dict.release_sym(*cell);
-        }
     }
 
     /// The stable id of the tuple currently at dense position `pos` of
@@ -942,9 +819,10 @@ impl ValidatorStream {
     ///
     /// The arriving tuple's layout cells are symbolized once, straight
     /// into the resident row cache, and that cached row serves every
-    /// group: group keys are `Copy` slot reads and member matching is a
-    /// word compare against the pinned pattern symbols — no string is
-    /// hashed per group. The caller has type-checked `t`.
+    /// group: group keys are `Copy` slot reads, and member, cover,
+    /// constant-RHS and condition checks are word compares against the
+    /// bound Σ's pinned constants — no string is hashed per group. The
+    /// caller has type-checked `t`.
     fn insert_inner(&mut self, rel: RelId, t: Tuple) -> SigmaDelta {
         let mut delta = SigmaDelta::default();
         if !self
@@ -967,33 +845,31 @@ impl ValidatorStream {
             ids,
             sym_attrs,
             sym_rows,
-            cfd_group_slots,
-            cfd_rhs_slots,
-            cind_y_slots,
-            cind_x_slots,
-            member_syms,
+            sigma,
             telemetry,
-            ..
         } = self;
         delta.ids.born = Some(ids[rel.index()].alloc(pos));
         let attrs = &sym_attrs[rel.index()];
         debug_assert_eq!(sym_rows[rel.index()].len(), pos * attrs.len());
         sym_rows[rel.index()].extend(attrs.iter().map(|a| dict.acquire_sym(&t[*a])));
-        let sym_rows = &*sym_rows;
-        let row = &sym_rows[rel.index()][pos * attrs.len()..];
+        let rows = Cells {
+            rows: sym_rows,
+            layout: sym_attrs,
+        }
+        .of(rel);
+        let row = rows.row(pos);
         let mut key_buf: Vec<SymValue> = Vec::new();
-        let mut cov_buf: Vec<usize> = Vec::new();
         // Hot-loop accounting stays in a local; one flush at the end.
         let mut hash_probes = 0u64;
 
         // Target-role updates first, so a self-referential CIND can be
         // satisfied by the arriving tuple itself (batch semantics allow
         // t2 = t1) — and so resolution sees the pre-arrival emptiness.
-        for (gi, g) in validator.cind_groups().iter().enumerate() {
-            if g.rhs_rel != rel || !g.yp.iter().all(|(a, v)| &t[*a] == v) {
+        for (gi, (g, bg)) in validator.cind_groups().iter().zip(&sigma.cind).enumerate() {
+            if g.rhs_rel != rel || !holds(&bg.yp, row) {
                 continue;
             }
-            key_from_slots(row, &cind_y_slots[gi], &mut key_buf);
+            key_from_slots(row, &bg.y, &mut key_buf);
             // One hash probe for the whole target-role step: the slot
             // handle answers emptiness and takes the insert.
             hash_probes += 1;
@@ -1029,65 +905,45 @@ impl ValidatorStream {
 
         // CFD groups over this relation: check members, then join the
         // tuple's key group.
-        for (gi, (g, idx)) in validator
+        for ((g, bg), idx) in validator
             .cfd_groups()
             .iter()
+            .zip(&sigma.cfd)
             .zip(cfd_indexes.iter_mut())
-            .enumerate()
         {
             if g.rel != rel {
                 continue;
             }
-            key_from_slots(row, &cfd_group_slots[gi], &mut key_buf);
+            key_from_slots(row, &bg.key, &mut key_buf);
             // One hash probe per (mutation, group): the slot handle makes
             // every witness read and the final insert O(1), shared
             // across all wildcard members asking about this key.
             hash_probes += 1;
             let slot = idx.ensure_slot(&key_buf);
-            for (mi, m) in g.members.iter().enumerate() {
-                if !member_matches_sym(&member_syms[gi][mi], &key_buf) {
+            for bm in &bg.members {
+                if !bm.matches(&key_buf) {
                     continue;
                 }
-                match &m.rhs_const {
-                    Some(expected) => {
-                        let found = &t[m.rhs];
-                        if found != expected {
-                            applicable_covers(g, m, &t, &mut cov_buf);
-                            for &cidx in &cov_buf {
-                                delta.cfd.introduced.push((
-                                    cidx,
-                                    CfdViolation::SingleTuple {
-                                        tuple: pos,
-                                        found: found.clone(),
-                                        expected: expected.clone(),
-                                    },
-                                ));
+                let rhs = row[bm.rhs as usize];
+                let violation = match bm.rhs_const {
+                    Some(c) if rhs != c => validator.single_tuple(bm, pos, &t),
+                    // Exactly the batch `wildcard_pairs` delta: the
+                    // arriving tuple has the highest position, so it adds
+                    // one pair iff its RHS differs from the group's first
+                    // (lowest position) tuple.
+                    None => match idx.min_at(slot) {
+                        Some(first) if rows.at(first as usize, bm.rhs) != rhs => {
+                            CfdViolation::Pair {
+                                left: first as usize,
+                                right: pos,
                             }
                         }
-                    }
-                    None => {
-                        // Exactly the batch `wildcard_pairs` delta: the
-                        // arriving tuple has the highest position, so it
-                        // adds one pair iff its RHS differs from the
-                        // group's first (lowest position) tuple.
-                        let first = idx.min_at(slot);
-                        if let Some(first) = first {
-                            let rslot = cfd_rhs_slots[gi][mi] as usize;
-                            let srows = &sym_rows[rel.index()];
-                            if srows[first as usize * row.len() + rslot] != row[rslot] {
-                                applicable_covers(g, m, &t, &mut cov_buf);
-                                for &cidx in &cov_buf {
-                                    delta.cfd.introduced.push((
-                                        cidx,
-                                        CfdViolation::Pair {
-                                            left: first as usize,
-                                            right: pos,
-                                        },
-                                    ));
-                                }
-                            }
-                        }
-                    }
+                        _ => continue,
+                    },
+                    _ => continue,
+                };
+                for cidx in bm.covers_at(&key_buf) {
+                    delta.cfd.introduced.push((cidx, violation.clone()));
                 }
             }
             idx.insert_at(slot, pos as u32);
@@ -1095,18 +951,18 @@ impl ValidatorStream {
 
         // CIND source role: the new tuple must find a partner, and joins
         // its members' source indexes.
-        for (gi, g) in validator.cind_groups().iter().enumerate() {
-            for (mi, (m, sidx)) in g
+        for (gi, (g, bg)) in validator.cind_groups().iter().zip(&sigma.cind).enumerate() {
+            for ((m, bm), sidx) in g
                 .members
                 .iter()
+                .zip(&bg.members)
                 .zip(cind_sources[gi].iter_mut())
-                .enumerate()
             {
                 let cind = &validator.cinds()[m.idx];
-                if cind.lhs_rel() != rel || !cind.triggers(&t) {
+                if cind.lhs_rel() != rel || !holds(&bm.xp, row) {
                     continue;
                 }
-                key_from_slots(row, &cind_x_slots[gi][mi], &mut key_buf);
+                key_from_slots(row, &bm.x, &mut key_buf);
                 hash_probes += 2;
                 sidx.insert_key(pos as u32, &key_buf);
                 if !cind_targets[gi].contains_key(&key_buf) {
@@ -1134,10 +990,11 @@ impl ValidatorStream {
     /// the violations its absence introduces (orphaned CIND sources,
     /// relabeled pair witnesses), and the swap renumbering
     /// ([`SigmaDelta::moved`]). `None` when the tuple is not present.
-    /// The tuple's (and the moved tuple's) pre-symbolized key-cell rows
-    /// come straight out of the resident row cache — no string is hashed
-    /// here. The departed row's string cells are pushed onto `departed`
-    /// for the window to release when it ends.
+    /// The tuple's (and the moved tuple's) pre-symbolized rows come
+    /// straight out of the resident row cache, and every check compares
+    /// them with the bound Σ's symbols — no string is hashed here. The
+    /// departed row's string cells are pushed onto `departed` for the
+    /// window to release when it ends.
     fn delete_inner(
         &mut self,
         rel: RelId,
@@ -1165,11 +1022,7 @@ impl ValidatorStream {
             ids,
             sym_attrs,
             sym_rows,
-            cfd_group_slots,
-            cfd_rhs_slots,
-            cind_y_slots,
-            cind_x_slots,
-            member_syms,
+            sigma,
             telemetry,
             ..
         } = self;
@@ -1181,14 +1034,14 @@ impl ValidatorStream {
         // The deleted and moved tuples' cached rows, copied out so the
         // cache itself can be mutated at the end of the deletion.
         let stride = sym_attrs[rel.index()].len();
-        let srows = &sym_rows[rel.index()];
-        let row: Vec<SymValue> = srows[pos * stride..(pos + 1) * stride].to_vec();
-        let row_m: Option<Vec<SymValue>> = moved
-            .as_ref()
-            .map(|_| srows[last * stride..(last + 1) * stride].to_vec());
+        let rows = Rows {
+            cells: &sym_rows[rel.index()],
+            stride,
+        };
+        let row: Vec<SymValue> = rows.row(pos).to_vec();
+        let row_m: Option<Vec<SymValue>> = moved.as_ref().map(|_| rows.row(last).to_vec());
         let row: &[SymValue] = &row;
         let mut key_buf: Vec<SymValue> = Vec::new();
-        let mut cov_buf: Vec<usize> = Vec::new();
         // Renumber for positions emitted *after* the swap.
         let renum = |p: u32| -> usize {
             if p as usize == last {
@@ -1204,24 +1057,25 @@ impl ValidatorStream {
         // Pair fast path: a group's pairs all witness against its first
         // (lowest position) tuple, so deleting a *non-witness* tuple can
         // only remove its own pair, and a moved tuple that stays above
-        // the witness only relabels its pair — both `O(1)` tuple reads
-        // after one integer scan for the group minimum. Only when the
-        // witness itself is deleted (or the moved tuple becomes the new
-        // witness) does the group's pair set restructure; those rare
-        // scopes are stashed for a full before/after recomputation.
+        // the witness only relabels its pair — both `O(1)` cell reads
+        // after one read of the group minimum. Only when the witness
+        // itself is deleted (or the moved tuple becomes the new witness)
+        // does the group's pair set restructure; those rare scopes are
+        // stashed for a full before/after recomputation.
         let mut scopes: Vec<PairScope> = Vec::new();
         let mut key_t: Vec<SymValue> = Vec::new();
         let mut key_m_buf: Vec<SymValue> = Vec::new();
-        for (gi, (g, idx)) in validator
+        for (gi, ((g, bg), idx)) in validator
             .cfd_groups()
             .iter()
+            .zip(&sigma.cfd)
             .zip(cfd_indexes.iter_mut())
             .enumerate()
         {
             if g.rel != rel {
                 continue;
             }
-            key_from_slots(row, &cfd_group_slots[gi], &mut key_t);
+            key_from_slots(row, &bg.key, &mut key_t);
             // Zero hash probes per (mutation, group): the index's
             // per-position slot record recovers the deleted tuple's
             // group directly, and the handle serves the witness read,
@@ -1230,39 +1084,21 @@ impl ValidatorStream {
             let slot_t = idx
                 .slot_of_pos(pos as u32)
                 .expect("deleted tuple is indexed in every group of its relation");
-            // One member-match predicate per scoped tuple: a sym compare
-            // against the cached pattern symbols. Matching only reads
-            // the group-key projection, so the key stands in for the
-            // tuple.
-            let t_matches =
-                |mi: usize, _m: &CfdMember| member_matches_sym(&member_syms[gi][mi], &key_t);
-            for (mi, m) in g.members.iter().enumerate() {
-                if !t_matches(mi, m) {
+            for bm in &bg.members {
+                if bm.rhs_const.is_none_or(|c| row[bm.rhs as usize] == c) || !bm.matches(&key_t) {
                     continue;
                 }
-                if let Some(expected) = &m.rhs_const {
-                    let found = &t[m.rhs];
-                    if found != expected {
-                        applicable_covers(g, m, t, &mut cov_buf);
-                        for &cidx in &cov_buf {
-                            let v = (
-                                cidx,
-                                CfdViolation::SingleTuple {
-                                    tuple: pos,
-                                    found: found.clone(),
-                                    expected: expected.clone(),
-                                },
-                            );
-                            let was_live = live_cfd.remove(&v);
-                            debug_assert!(was_live, "deleted single must have been live");
-                            delta.cfd.resolved.push(v);
-                        }
-                    }
+                let single = validator.single_tuple(bm, pos, t);
+                for cidx in bm.covers_at(&key_t) {
+                    let v = (cidx, single.clone());
+                    let was_live = live_cfd.remove(&v);
+                    debug_assert!(was_live, "deleted single must have been live");
+                    delta.cfd.resolved.push(v);
                 }
             }
             let key_m: Option<&[SymValue]> = match &row_m {
                 Some(row_m) => {
-                    key_from_slots(row_m, &cfd_group_slots[gi], &mut key_m_buf);
+                    key_from_slots(row_m, &bg.key, &mut key_m_buf);
                     Some(&key_m_buf)
                 }
                 None => None,
@@ -1276,10 +1112,6 @@ impl ValidatorStream {
                     .expect("moved tuple is indexed in every group of its relation")
             });
             let same_key = slot_m == Some(slot_t);
-            let m_matches = |mi: usize, _m: &CfdMember| match &key_m {
-                Some(km) => member_matches_sym(&member_syms[gi][mi], km),
-                None => false,
-            };
 
             // The deleted tuple's key group.
             let fmin = idx.min_at(slot_t).expect("deleted tuple is in its group");
@@ -1289,29 +1121,14 @@ impl ValidatorStream {
                 // same-key moved tuple renumbers *above* fmin, since
                 // pos > fmin). Resolve the deleted tuple's own pair and
                 // relabel the moved tuple's, per matching member.
-                let srows = &sym_rows[rel.index()];
-                let first_row = &srows[fmin as usize * stride..(fmin as usize + 1) * stride];
-                for (mi, m) in g.members.iter().enumerate() {
-                    if m.rhs_const.is_some() || !t_matches(mi, m) {
+                let first = rows.row(fmin as usize);
+                for bm in &bg.members {
+                    if bm.rhs_const.is_some() || !bm.matches(&key_t) {
                         continue;
                     }
-                    // The fan-out is computed at most once per member —
-                    // lazily, since the common case (RHS agrees with the
-                    // witness) emits nothing — and shared between the two
-                    // branches: `same_key` means the moved tuple carries
-                    // the same key, and applicability is a key-group
-                    // property.
-                    let mut fanned = false;
-                    let mut fan_out = |buf: &mut Vec<usize>| {
-                        if !fanned {
-                            applicable_covers(g, m, t, buf);
-                            fanned = true;
-                        }
-                    };
-                    let rslot = cfd_rhs_slots[gi][mi] as usize;
-                    if first_row[rslot] != row[rslot] {
-                        fan_out(&mut cov_buf);
-                        for &cidx in &cov_buf {
+                    let rslot = bm.rhs as usize;
+                    if first[rslot] != row[rslot] {
+                        for cidx in bm.covers_at(&key_t) {
                             let v = (
                                 cidx,
                                 CfdViolation::Pair {
@@ -1324,32 +1141,14 @@ impl ValidatorStream {
                             delta.cfd.resolved.push(v);
                         }
                     }
+                    // `same_key`: the moved tuple carries the same key,
+                    // so it matches and fans out to the same covers. A
+                    // pair exists exactly when it disagrees with the
+                    // witness.
                     if same_key {
-                        // The moved tuple's pair relabels with it; the
-                        // consumer's renumber step covers this, so it is
-                        // not a delta entry. A pair exists exactly when
-                        // the moved tuple disagrees with the witness, so
-                        // the live set is only touched when there is one.
                         let rm = row_m.as_deref().expect("same_key implies a move");
-                        if first_row[rslot] != rm[rslot] {
-                            fan_out(&mut cov_buf);
-                            for &cidx in &cov_buf {
-                                let was_live = live_cfd.remove(&(
-                                    cidx,
-                                    CfdViolation::Pair {
-                                        left: fmin as usize,
-                                        right: last,
-                                    },
-                                ));
-                                debug_assert!(was_live, "relabeled pair must have been live");
-                                live_cfd.insert((
-                                    cidx,
-                                    CfdViolation::Pair {
-                                        left: fmin as usize,
-                                        right: pos,
-                                    },
-                                ));
-                            }
+                        if first[rslot] != rm[rslot] {
+                            relabel_pairs(live_cfd, bm.covers_at(&key_t), fmin, last, pos);
                         }
                     }
                 }
@@ -1359,65 +1158,33 @@ impl ValidatorStream {
                 // (A singleton group has no pairs on either side of the
                 // deletion — nothing to stash.)
                 pair_recompute += 1;
-                scopes.extend(stash_scope(
-                    g,
-                    gi,
-                    idx,
-                    slot_t,
-                    db.relation(rel),
-                    t,
-                    t_matches,
-                ));
+                scopes.extend(stash_scope(bg, gi, idx, slot_t, rows, &key_t));
             }
 
             // The moved tuple's key group, when it is a different one.
-            if let (Some(mt), Some(sm)) = (&moved, slot_m) {
-                if !same_key {
-                    let fmin_m = idx.min_at(sm).expect("moved tuple is in its group");
-                    if (fmin_m as usize) < pos {
-                        // Witness unchanged: the moved tuple's pair (if
-                        // any) just renumbers `last` → `pos` — covered by
-                        // the consumer's renumber step, no delta entry.
-                        // As above, a pair exists exactly when the moved
-                        // tuple disagrees with its witness.
-                        let srows = &sym_rows[rel.index()];
-                        let first_m_row =
-                            &srows[fmin_m as usize * stride..(fmin_m as usize + 1) * stride];
-                        let rm = row_m.as_deref().expect("moved tuple has a cached row");
-                        for (mi, m) in g.members.iter().enumerate() {
-                            let rslot = cfd_rhs_slots[gi][mi] as usize;
-                            if m.rhs_const.is_some()
-                                || first_m_row[rslot] == rm[rslot]
-                                || !m_matches(mi, m)
-                            {
-                                continue;
-                            }
-                            applicable_covers(g, m, mt, &mut cov_buf);
-                            for &cidx in &cov_buf {
-                                let was_live = live_cfd.remove(&(
-                                    cidx,
-                                    CfdViolation::Pair {
-                                        left: fmin_m as usize,
-                                        right: last,
-                                    },
-                                ));
-                                debug_assert!(was_live, "relabeled pair must have been live");
-                                live_cfd.insert((
-                                    cidx,
-                                    CfdViolation::Pair {
-                                        left: fmin_m as usize,
-                                        right: pos,
-                                    },
-                                ));
-                            }
+            if let (Some(km), Some(sm), false) = (key_m, slot_m, same_key) {
+                let fmin_m = idx.min_at(sm).expect("moved tuple is in its group");
+                if (fmin_m as usize) < pos {
+                    // Witness unchanged: the moved tuple's pair (if any)
+                    // just renumbers `last` → `pos`. As above, a pair
+                    // exists exactly when the moved tuple disagrees with
+                    // its witness.
+                    let first_m = rows.row(fmin_m as usize);
+                    let rm = row_m.as_deref().expect("moved tuple has a cached row");
+                    for bm in &bg.members {
+                        let rslot = bm.rhs as usize;
+                        if bm.rhs_const.is_some() || first_m[rslot] == rm[rslot] || !bm.matches(km)
+                        {
+                            continue;
                         }
-                    } else if idx.positions_at(sm).len() > 1 {
-                        // The moved tuple lands *below* the group's old
-                        // witness and becomes the new one: restructure
-                        // (skipped for a singleton group — no pairs).
-                        pair_recompute += 1;
-                        scopes.extend(stash_scope(g, gi, idx, sm, db.relation(rel), mt, m_matches));
+                        relabel_pairs(live_cfd, bm.covers_at(km), fmin_m, last, pos);
                     }
+                } else if idx.positions_at(sm).len() > 1 {
+                    // The moved tuple lands *below* the group's old
+                    // witness and becomes the new one: restructure
+                    // (skipped for a singleton group — no pairs).
+                    pair_recompute += 1;
+                    scopes.extend(stash_scope(bg, gi, idx, sm, rows, km));
                 }
             }
 
@@ -1429,18 +1196,18 @@ impl ValidatorStream {
 
         // ---- CIND source role of the deleted tuple (before its target
         // role, so a self-partnered tuple is not counted as orphaned).
-        for (gi, g) in validator.cind_groups().iter().enumerate() {
-            for (mi, (m, sidx)) in g
+        for (gi, (g, bg)) in validator.cind_groups().iter().zip(&sigma.cind).enumerate() {
+            for ((m, bm), sidx) in g
                 .members
                 .iter()
+                .zip(&bg.members)
                 .zip(cind_sources[gi].iter_mut())
-                .enumerate()
             {
                 let cind = &validator.cinds()[m.idx];
-                if cind.lhs_rel() != rel || !cind.triggers(t) {
+                if cind.lhs_rel() != rel || !holds(&bm.xp, row) {
                     continue;
                 }
-                key_from_slots(row, &cind_x_slots[gi][mi], &mut key_buf);
+                key_from_slots(row, &bm.x, &mut key_buf);
                 slot_probes += 1;
                 hash_probes += 1;
                 let slot = sidx
@@ -1467,8 +1234,8 @@ impl ValidatorStream {
 
         // ---- CIND target role of the deleted tuple: removing the last
         // partner with a key orphans every triggered source carrying it.
-        for (gi, g) in validator.cind_groups().iter().enumerate() {
-            if g.rhs_rel != rel || !g.yp.iter().all(|(a, v)| &t[*a] == v) {
+        for (gi, (g, bg)) in validator.cind_groups().iter().zip(&sigma.cind).enumerate() {
+            if g.rhs_rel != rel || !holds(&bg.yp, row) {
                 continue;
             }
             // Probe-free: the slot record serves the removal and the
@@ -1482,7 +1249,7 @@ impl ValidatorStream {
             if cind_targets[gi].occupied_at(slot) {
                 continue;
             }
-            key_from_slots(row, &cind_y_slots[gi], &mut key_buf);
+            key_from_slots(row, &bg.y, &mut key_buf);
             for (m, sidx) in g.members.iter().zip(&cind_sources[gi]) {
                 let cind = &validator.cinds()[m.idx];
                 let source = db.relation(cind.lhs_rel());
@@ -1513,47 +1280,33 @@ impl ValidatorStream {
         // above; pair relabeling happens in the recomputation below).
         if let Some(mt) = &moved {
             let row_m = row_m.as_deref().expect("moved tuple has a cached row");
-            for (gi, g) in validator.cfd_groups().iter().enumerate() {
+            for (g, bg) in validator.cfd_groups().iter().zip(&sigma.cfd) {
                 if g.rel != rel {
                     continue;
                 }
-                key_from_slots(row_m, &cfd_group_slots[gi], &mut key_buf);
-                for (mi, m) in g.members.iter().enumerate() {
-                    if !member_matches_sym(&member_syms[gi][mi], &key_buf) {
+                key_from_slots(row_m, &bg.key, &mut key_buf);
+                for bm in &bg.members {
+                    if bm.rhs_const.is_none_or(|c| row_m[bm.rhs as usize] == c)
+                        || !bm.matches(&key_buf)
+                    {
                         continue;
                     }
-                    if let Some(expected) = &m.rhs_const {
-                        let found = &mt[m.rhs];
-                        if found != expected {
-                            applicable_covers(g, m, mt, &mut cov_buf);
-                            for &cidx in &cov_buf {
-                                let old = (
-                                    cidx,
-                                    CfdViolation::SingleTuple {
-                                        tuple: last,
-                                        found: found.clone(),
-                                        expected: expected.clone(),
-                                    },
-                                );
-                                if live_cfd.remove(&old) {
-                                    live_cfd.insert((
-                                        cidx,
-                                        CfdViolation::SingleTuple {
-                                            tuple: pos,
-                                            found: found.clone(),
-                                            expected: expected.clone(),
-                                        },
-                                    ));
-                                }
-                            }
+                    for cidx in bm.covers_at(&key_buf) {
+                        if live_cfd.remove(&(cidx, validator.single_tuple(bm, last, mt))) {
+                            live_cfd.insert((cidx, validator.single_tuple(bm, pos, mt)));
                         }
                     }
                 }
             }
-            for (gi, g) in validator.cind_groups().iter().enumerate() {
-                for (m, sidx) in g.members.iter().zip(cind_sources[gi].iter_mut()) {
+            for (gi, (g, bg)) in validator.cind_groups().iter().zip(&sigma.cind).enumerate() {
+                for ((m, bm), sidx) in g
+                    .members
+                    .iter()
+                    .zip(&bg.members)
+                    .zip(cind_sources[gi].iter_mut())
+                {
                     let cind = &validator.cinds()[m.idx];
-                    if cind.lhs_rel() != rel || !cind.triggers(mt) {
+                    if cind.lhs_rel() != rel || !holds(&bm.xp, row_m) {
                         continue;
                     }
                     slot_probes += 1;
@@ -1612,20 +1365,18 @@ impl ValidatorStream {
         // ---- Recompute the affected key groups' pairs against the
         // final state and swap them into the live set; only genuine
         // differences surface in the delta.
+        let rows = Rows {
+            cells: &sym_rows[rel.index()],
+            stride,
+        };
         for scope in scopes {
-            let g = &validator.cfd_groups()[scope.group];
             let idx = &cfd_indexes[scope.group];
             debug_assert!(
                 idx.occupied_at(scope.slot),
                 "a stashed pair scope's group keeps a tuple"
             );
-            for (ms, covers, old) in scope.members {
-                let m = &g.members[ms];
-                let new = group_pairs(
-                    db.relation(rel),
-                    m.rhs,
-                    idx.positions_at(scope.slot).to_vec(),
-                );
+            for (rhs, covers, old) in scope.members {
+                let new = group_pairs(rows, rhs, idx.positions_at(scope.slot).to_vec());
                 let old_set: HashSet<(usize, usize), FxBuildHasher> = old.iter().copied().collect();
                 let new_set: HashSet<(usize, usize), FxBuildHasher> = new.iter().copied().collect();
                 for &(left, right) in &old {
@@ -1825,21 +1576,18 @@ impl ValidatorStream {
     /// matches the CFD's LHS pattern and agrees with `t` on the LHS
     /// attributes — the equivalence class over which a wildcard-RHS
     /// conflict must be settled, read from the live group index at
-    /// key-group cost. Empty when `t` does not match the pattern (or
-    /// carries a key no resident tuple holds).
+    /// key-group cost. Empty when `t` does not match the pattern or
+    /// carries a key no resident tuple holds, when no compiled member
+    /// evaluates the CFD (retired, cover-dropped, or an index the suite
+    /// never assigned), and when `t`'s arity is not that of the CFD's
+    /// relation.
     pub fn cfd_violation_class(&self, cfd_idx: usize, t: &Tuple) -> Vec<usize> {
-        let (gi, mi, ci) = self.validator.cfd_slot(cfd_idx);
-        if gi == usize::MAX {
-            // The CFD is retired: no compiled member evaluates it any
-            // more, so the validator holds no live structure for it.
+        let Some((gi, mi, ci)) = self.validator.cfd_slot(cfd_idx) else {
             return Vec::new();
-        }
+        };
         let g = &self.validator.cfd_groups()[gi];
-        let m = &g.members[mi];
-        // Match against this original's own pattern, not the member's
-        // probe: a merged cover can be strictly more specific.
-        let pat = &m.covers[ci].pattern;
-        if !pattern_matches(&g.attrs, pat, t) {
+        let schema = self.db.schema();
+        if !schema.relation(g.rel).is_ok_and(|r| r.arity() == t.arity()) {
             return Vec::new();
         }
         let mut key = Vec::with_capacity(g.attrs.len());
@@ -1848,6 +1596,11 @@ impl ValidatorStream {
                 Some(s) => key.push(s),
                 None => return Vec::new(),
             }
+        }
+        // Match against this original's own pattern, not the member's
+        // probe: a merged cover can be strictly more specific.
+        if !cover_key_matches(&self.sigma.cfd[gi].members[mi].covers[ci].1, &key) {
+            return Vec::new();
         }
         // Every resident under the key agrees with `t` on `g.attrs`, the
         // only attributes the pattern constrains: all of them match.
@@ -1864,7 +1617,7 @@ impl ValidatorStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use condep_model::{prow, tuple, Domain, PValue, Schema};
+    use condep_model::{prow, tuple, Domain, PValue, Schema, Value};
     use std::sync::Arc;
 
     /// Promotions splice into live groups whose storage churn has left

@@ -29,7 +29,7 @@
 //! | `stream.index.live` | gauge | live positions, summed over the stream's key-group indexes; sampled on each [`ValidatorStream::telemetry`] read |
 //! | `stream.index.stored` | gauge | position entries those indexes store, live or spare or dead ([`SymIndex::stored`]); sampled likewise |
 //! | `stream.index.keys` | gauge | live key groups over every index tier ([`SymIndex::distinct_keys`]: an emptied group is freed at once); sampled likewise |
-//! | `stream.interner.strings` | gauge | live strings in the stream's refcounted dictionary: those resident cached cells hold or CFD pattern constants pin; sampled likewise |
+//! | `stream.interner.strings` | gauge | live strings in the stream's refcounted dictionary: those resident cached cells hold, plus every string constant of Σ (CFD pattern and RHS constants, CIND Xp and Yp constants), which stays pinned while its dependency is compiled; sampled likewise |
 //!
 //! [`ValidatorStream::telemetry`]: crate::ValidatorStream::telemetry
 //! [`SymIndex::stored`]: condep_model::SymIndex::stored

@@ -5,7 +5,9 @@ use condep_analyze::{AnalyzeConfig, SigmaAnalysis, SigmaLint, SigmaVerdict, Unsa
 use condep_cfd::{CfdViolation, NormalCfd};
 use condep_core::{CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, Database, Dict, RelId, Relation, Schema, SymIndex, SymValue, Value};
+use condep_model::{
+    AttrId, Database, Dict, RelId, Relation, Schema, SymIndex, SymValue, Tuple, Value,
+};
 use condep_telemetry::{Export, MetricsSnapshot, Stopwatch};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -28,13 +30,10 @@ pub(crate) struct CfdCover {
 /// One compiled tableau row of the suite, re-expressed against its
 /// group's canonical (sorted) LHS attribute order. After cover
 /// compilation a member may carry several original CFDs ([`CfdCover`]);
-/// `covers[0]` is always the representative whose pattern equals the
-/// member's probe pattern.
+/// `covers[0]` is always the representative, whose pattern is the
+/// member's probe: the most general LHS pattern among `covers`.
 #[derive(Clone, Debug)]
 pub(crate) struct CfdMember {
-    /// Probe pattern: the most general LHS pattern among `covers`
-    /// (`None` = wildcard), aligned with the group's sorted attributes.
-    pub(crate) pattern: Vec<Option<Value>>,
     /// The RHS attribute `A`.
     pub(crate) rhs: AttrId,
     /// The RHS pattern: `Some(c)` for a constant, `None` for `_`.
@@ -104,15 +103,12 @@ fn compile_cfd(cfds: &[NormalCfd], idx: usize, covered: &[usize]) -> (Vec<AttrId
     let cfd = &cfds[idx];
     let (attrs, pattern) = canonical_pattern(cfd);
     let mut covers = Vec::with_capacity(1 + covered.len());
-    covers.push(CfdCover {
-        idx,
-        pattern: pattern.clone(),
-    });
+    covers.push(CfdCover { idx, pattern });
     for &c in covered {
         let (c_attrs, c_pattern) = canonical_pattern(&cfds[c]);
         debug_assert_eq!(c_attrs, attrs, "cover merged across LHS sets");
         debug_assert!(
-            crate::cover::subsumes(&pattern, &c_pattern),
+            crate::cover::subsumes(&covers[0].pattern, &c_pattern),
             "representative pattern must subsume its covers"
         );
         covers.push(CfdCover {
@@ -121,7 +117,6 @@ fn compile_cfd(cfds: &[NormalCfd], idx: usize, covered: &[usize]) -> (Vec<AttrId
         });
     }
     let member = CfdMember {
-        pattern,
         rhs: cfd.rhs(),
         rhs_const: cfd.rhs_pat().as_const().cloned(),
         covers,
@@ -529,7 +524,6 @@ impl Validator {
                 let removed = group.members.remove(mi);
                 for c in removed.covers.into_iter().skip(1) {
                     group.members.push(CfdMember {
-                        pattern: c.pattern.clone(),
                         rhs: removed.rhs,
                         rhs_const: removed.rhs_const.clone(),
                         covers: vec![c],
@@ -654,14 +648,16 @@ impl Validator {
         }
     }
 
-    /// Has this CFD been retired?
+    /// Has this CFD been retired? An index the suite never assigned
+    /// reads as `false`: no CFD under it was retired.
     pub fn is_cfd_retired(&self, idx: usize) -> bool {
-        self.retired_cfds[idx]
+        self.retired_cfds.get(idx) == Some(&true)
     }
 
-    /// Has this CIND been retired?
+    /// Has this CIND been retired? An index the suite never assigned
+    /// reads as `false`: no CIND under it was retired.
     pub fn is_cind_retired(&self, idx: usize) -> bool {
-        self.retired_cinds[idx]
+        self.retired_cinds.get(idx) == Some(&true)
     }
 
     /// What the compile-time cover pass merged/dropped.
@@ -700,9 +696,14 @@ impl Validator {
         &self.cfd_groups
     }
 
-    /// The `(group slot, member slot, cover slot)` of one compiled CFD.
-    pub(crate) fn cfd_slot(&self, idx: usize) -> (usize, usize, usize) {
-        self.cfd_slots[idx]
+    /// The `(group slot, member slot, cover slot)` of one compiled CFD;
+    /// `None` when no member evaluates it (cover-dropped, retired or
+    /// never assigned).
+    pub(crate) fn cfd_slot(&self, idx: usize) -> Option<(usize, usize, usize)> {
+        self.cfd_slots
+            .get(idx)
+            .copied()
+            .filter(|s| s.0 != usize::MAX)
     }
 
     pub(crate) fn cind_groups(&self) -> &[CindGroup] {
@@ -760,20 +761,20 @@ impl Validator {
     }
 
     /// The batch sweep: the stream's seed build without keep. Runs every
-    /// group task over a fresh row cache and drops the indexes, the
-    /// cache and its dictionary.
+    /// group task over a fresh row cache and Σ bound to it, and drops
+    /// the indexes, the cache and its dictionary.
     fn sweep(&self, db: &Database) -> SigmaReport {
         let mut report = SigmaReport::default();
         if self.group_count() == 0 {
             return report;
         }
-        let (layout, dict, rows) = self.row_cache(db);
+        let (layout, mut dict, rows) = self.row_cache(db);
+        let sigma = BoundSigma::bind(self, &layout, &mut dict);
         let cells = Cells {
             rows: &rows,
             layout: &layout,
-            dict: &dict,
         };
-        for group in self.build_groups(db, &cells, false) {
+        for group in self.build_groups(db, &cells, &sigma, false) {
             report.cfd.extend(group.cfd);
             report.cind.extend(group.cind);
         }
@@ -781,14 +782,15 @@ impl Validator {
     }
 
     /// Runs the group task of every compiled group (CFD groups first,
-    /// then CIND groups) over symbolized `cells`, striped across
-    /// threads when the instance is large enough to pay for them, and
-    /// returns the results in group order. With `keep`, every task uses
-    /// the full index build and hands its indexes back.
+    /// then CIND groups) over symbolized `cells` and Σ bound to them,
+    /// striped across threads when the instance is large enough to pay
+    /// for them, and returns the results in group order. With `keep`,
+    /// every task hands its indexes back.
     pub(crate) fn build_groups(
         &self,
         db: &Database,
         cells: &Cells<'_>,
+        sigma: &BoundSigma,
         keep: bool,
     ) -> Vec<GroupBuild> {
         let n_tasks = self.group_count();
@@ -802,10 +804,11 @@ impl Validator {
         };
         let run_task = |task: usize| -> GroupBuild {
             match self.cfd_groups.get(task) {
-                Some(g) => self.run_cfd_group(g, db, cells, keep),
+                Some(g) => self.run_cfd_group(g, &sigma.cfd[task], db, cells, keep),
                 None => {
-                    let g = &self.cind_groups[task - self.cfd_groups.len()];
-                    self.run_cind_group(g, db, cells, keep)
+                    let gi = task - self.cfd_groups.len();
+                    let g = &self.cind_groups[gi];
+                    self.run_cind_group(g, &sigma.cind[gi], db, cells, keep)
                 }
             }
         };
@@ -836,103 +839,63 @@ impl Validator {
         ordered.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// The CFD group task: symbolizes the members' patterns, builds the
-    /// group's index over pre-symbolized columns and reads every
-    /// member's violations off it.
+    /// The CFD group task: builds the group's index over the cached rows
+    /// and reads every member's violations off it.
     fn run_cfd_group(
         &self,
         group: &CfdGroup,
+        bound: &BoundCfdGroup,
         db: &Database,
         cells: &Cells<'_>,
         keep: bool,
     ) -> GroupBuild {
         let mut out = GroupBuild::default();
-        let rel = db.relation(group.rel);
-        let members = ReadyMember::translate(&group.members, cells.dict);
-        if !keep && (rel.is_empty() || members.is_empty()) {
+        let inst = db.relation(group.rel);
+        if !keep && (inst.is_empty() || group.members.is_empty()) {
             return out;
         }
-
-        // Hybrid strategy. A shared full group-by pass costs one
-        // `rows × width` index build and serves every member; a
-        // per-member pass filters on the member's constant cells first
-        // and only indexes survivors (the classic single-CFD plan).
-        // Full-wildcard members need the full pass anyway, and enough
-        // members amortize it; otherwise few constant-selective members
-        // are cheaper served individually (a constant-filtered column
-        // scan costs far less per member than a full index build). A
-        // kept build always takes the full pass: the stream maintains
-        // that index.
-        const SHARED_INDEX_MIN_MEMBERS: usize = 8;
-        let any_full_wildcard = members
-            .iter()
-            .any(|m| m.pattern.iter().all(Option::is_none));
-        if keep || any_full_wildcard || members.len() >= SHARED_INDEX_MIN_MEMBERS {
-            let idx = cells.index(group.rel, rel.len(), &group.attrs, |_| true);
-            self.read_cfd_index(group, &members, &idx, rel, cells, &mut out.cfd);
-            if keep {
-                out.index = Some(idx);
-            }
-        } else {
-            for m in &members {
-                let const_cells: Vec<(Col<'_>, SymValue)> = group
-                    .attrs
-                    .iter()
-                    .zip(&m.pattern)
-                    .filter_map(|(a, p)| p.map(|s| (cells.column(group.rel, *a), s)))
-                    .collect();
-                let idx = cells.index(group.rel, rel.len(), &group.attrs, |pos| {
-                    const_cells.iter().all(|(col, s)| col.at(pos) == *s)
-                });
-                let one = std::slice::from_ref(m);
-                self.read_cfd_index(group, one, &idx, rel, cells, &mut out.cfd);
-            }
+        let idx = cells.index(group.rel, inst.len(), &bound.key, |_| true);
+        let rows = cells.of(group.rel);
+        self.read_cfd_index(&bound.members, &idx, inst, rows, &mut out.cfd);
+        if keep {
+            out.index = Some(idx);
         }
         out
     }
 
-    /// Reads `members`' violations off a group index, one key-group at a
-    /// time — the one read path of full and per-member builds alike.
-    fn read_cfd_index(
+    /// Reads `members`' violations off their group's index over `inst`,
+    /// whose cached rows are `rows`, one key-group at a time — the one
+    /// read path of the sweep, the seed build and the stream's splices.
+    pub(crate) fn read_cfd_index(
         &self,
-        group: &CfdGroup,
-        members: &[ReadyMember<'_>],
+        members: &[BoundCfdMember],
         idx: &SymIndex,
-        rel: &Relation,
-        cells: &Cells<'_>,
+        inst: &Relation,
+        rows: Rows<'_>,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
-        // Wildcard-RHS conflict witnesses per (key-group, RHS
-        // attribute), shared by every member asking about the same
-        // column.
-        let mut pair_cache: HashMap<AttrId, Vec<(usize, usize)>, FxBuildHasher> =
-            HashMap::default();
+        // Wildcard-RHS conflict witnesses per (key-group, RHS slot),
+        // shared by every member asking about the same column.
+        let mut pair_cache: HashMap<u32, Vec<(usize, usize)>, FxBuildHasher> = HashMap::default();
         for (key, positions) in idx.groups() {
             pair_cache.clear();
             for m in members {
-                if !cover_key_matches(&m.pattern, key) {
+                if !m.matches(key) {
                     continue;
                 }
-                let rhs_col = cells.column(group.rel, m.rhs);
-                match &m.rhs_const {
-                    Some(expected) => self.push_single_tuple_violations(
-                        &m.covers, key, expected, positions, rhs_col, rel, out,
-                    ),
-                    None => {
-                        let pairs = pair_cache.entry(m.rhs).or_insert_with(|| {
-                            wildcard_pairs_by(positions, |pos| rhs_col.at(pos as usize))
-                        });
-                        for (ci, (cidx, cpat)) in m.covers.iter().enumerate() {
-                            if ci > 0 && !cover_key_matches(cpat, key) {
-                                continue;
-                            }
-                            out.extend(
-                                pairs.iter().map(|&(left, right)| {
-                                    (*cidx, CfdViolation::Pair { left, right })
-                                }),
-                            );
-                        }
-                    }
+                if m.rhs_const.is_some() {
+                    self.push_single_tuple_violations(m, key, positions, inst, rows, out);
+                    continue;
+                }
+                let pairs = pair_cache
+                    .entry(m.rhs)
+                    .or_insert_with(|| wildcard_pairs(positions, rows, m.rhs));
+                for cidx in m.covers_at(key) {
+                    out.extend(
+                        pairs
+                            .iter()
+                            .map(|&(left, right)| (cidx, CfdViolation::Pair { left, right })),
+                    );
                 }
             }
         }
@@ -940,55 +903,46 @@ impl Validator {
 
     /// Emits `SingleTuple` violations for a constant-RHS member over one
     /// key-group, fanned out to every cover whose own pattern matches
-    /// the key (the representative, `covers[0]`, matches by
-    /// construction — the key-group was selected by its pattern).
-    #[allow(clippy::too_many_arguments)]
+    /// the key.
     fn push_single_tuple_violations(
         &self,
-        covers: &[(usize, Vec<Option<SymValue>>)],
+        m: &BoundCfdMember,
         key: &[SymValue],
-        expected: &Result<SymValue, &Value>,
         positions: &[u32],
-        rhs_col: Col<'_>,
-        rel: &Relation,
+        inst: &Relation,
+        rows: Rows<'_>,
         out: &mut Vec<(usize, CfdViolation)>,
     ) {
-        let expected_sym = expected.ok();
-        let rep = covers[0].0;
         for &pos in positions {
-            if Some(rhs_col.at(pos as usize)) != expected_sym {
-                let t = rel.get(pos as usize).expect("indexed position valid");
-                let rhs = self.cfds[rep].rhs();
-                let expected_value = match expected {
-                    Ok(_) => self.cfds[rep]
-                        .rhs_pat()
-                        .as_const()
-                        .expect("constant RHS")
-                        .clone(),
-                    Err(v) => (*v).clone(),
-                };
-                let violation = CfdViolation::SingleTuple {
-                    tuple: pos as usize,
-                    found: t[rhs].clone(),
-                    expected: expected_value,
-                };
-                for (ci, (cidx, cpat)) in covers.iter().enumerate() {
-                    if ci > 0 && !cover_key_matches(cpat, key) {
-                        continue;
-                    }
-                    out.push((*cidx, violation.clone()));
+            if Some(rows.at(pos as usize, m.rhs)) != m.rhs_const {
+                let t = inst.get(pos as usize).expect("indexed position valid");
+                let violation = self.single_tuple(m, pos as usize, t);
+                for cidx in m.covers_at(key) {
+                    out.push((cidx, violation.clone()));
                 }
             }
         }
     }
 
+    /// The `SingleTuple` violation that constant-RHS member `m` reports
+    /// for tuple `t` at position `pos`.
+    pub(crate) fn single_tuple(&self, m: &BoundCfdMember, pos: usize, t: &Tuple) -> CfdViolation {
+        let rep = &self.cfds[m.covers[0].0];
+        CfdViolation::SingleTuple {
+            tuple: pos,
+            found: t[rep.rhs()].clone(),
+            expected: rep.rhs_pat().as_const().expect("constant RHS").clone(),
+        }
+    }
+
     /// The CIND group task: builds the group's shared Yp-filtered target
-    /// index over pre-symbolized columns and probes it with every
-    /// triggered source tuple. A kept build also returns each member's
+    /// index over the cached rows and probes it with every triggered
+    /// source tuple. A kept build also returns each member's
     /// triggered-source index, keyed by `x_perm`.
     fn run_cind_group(
         &self,
         group: &CindGroup,
+        bound: &BoundCindGroup,
         db: &Database,
         cells: &Cells<'_>,
         keep: bool,
@@ -1000,12 +954,12 @@ impl Validator {
         if !keep && group.members.is_empty() {
             return out;
         }
-        let idx = cind_target_index(group, db, cells);
-        for m in &group.members {
+        let idx = cind_target_index(group, bound, db, cells);
+        for (m, bm) in group.members.iter().zip(&bound.members) {
             if keep {
-                out.sources.push(self.cind_source_index(m, db, cells));
+                out.sources.push(self.cind_source_index(m, bm, db, cells));
             }
-            self.read_cind_member(m, db, cells, &idx, &mut out.cind);
+            self.read_cind_member(m, bm, db, cells, &idx, &mut out.cind);
         }
         if keep {
             out.index = Some(idx);
@@ -1018,13 +972,13 @@ impl Validator {
     pub(crate) fn cind_source_index(
         &self,
         m: &CindMember,
+        bound: &BoundCindMember,
         db: &Database,
         cells: &Cells<'_>,
     ) -> SymIndex {
-        let cind = &self.cinds[m.idx];
-        let xp_cols = condition_cols(cells, cind.lhs_rel(), cind.xp());
-        let rows = db.relation(cind.lhs_rel()).len();
-        cells.index(cind.lhs_rel(), rows, &m.x_perm, |pos| holds(&xp_cols, pos))
+        let rel = self.cinds[m.idx].lhs_rel();
+        let rows = db.relation(rel).len();
+        cells.index(rel, rows, &bound.x, |row| holds(&bound.xp, row))
     }
 
     /// Probes a CIND group's target index with every source tuple the
@@ -1032,25 +986,22 @@ impl Validator {
     pub(crate) fn read_cind_member(
         &self,
         m: &CindMember,
+        bound: &BoundCindMember,
         db: &Database,
         cells: &Cells<'_>,
         target: &SymIndex,
         out: &mut Vec<(usize, CindViolation)>,
     ) {
         let cind = &self.cinds[m.idx];
-        let lhs_rel = cind.lhs_rel();
-        let source = db.relation(lhs_rel);
-        // An unknown Xp constant means no source tuple triggers: the
-        // member is trivially satisfied.
-        let xp_cols = condition_cols(cells, lhs_rel, cind.xp());
-        let x_cols = cells.columns(lhs_rel, &m.x_perm);
-        let mut key_buf: Vec<SymValue> = Vec::with_capacity(x_cols.len());
+        let source = db.relation(cind.lhs_rel());
+        let rows = cells.of(cind.lhs_rel());
+        let mut key_buf: Vec<SymValue> = Vec::with_capacity(bound.x.len());
         for pos in 0..source.len() {
-            if !holds(&xp_cols, pos) {
+            let row = rows.row(pos);
+            if !holds(&bound.xp, row) {
                 continue;
             }
-            key_buf.clear();
-            key_buf.extend(x_cols.iter().map(|col| col.at(pos)));
+            key_from_slots(row, &bound.x, &mut key_buf);
             if !target.contains_key(&key_buf) {
                 let t1 = source.get(pos).expect("position in range");
                 let violation = CindViolation {
@@ -1063,102 +1014,160 @@ impl Validator {
             }
         }
     }
+}
 
-    /// Reads the violations of `members` (of `group`) off `idx`, an index
-    /// over all of the group's relation — how the stream reads the
-    /// members it splices into a live group.
-    pub(crate) fn read_cfd_members(
-        &self,
-        group: &CfdGroup,
-        members: &[CfdMember],
-        db: &Database,
-        cells: &Cells<'_>,
-        idx: &SymIndex,
-        out: &mut Vec<(usize, CfdViolation)>,
-    ) {
-        let members = ReadyMember::translate(members, cells.dict);
-        self.read_cfd_index(group, &members, idx, db.relation(group.rel), cells, out);
+/// A CIND group's Yp-filtered target index, keyed by the sorted `Y`. A
+/// Yp constant no target tuple holds leaves the index empty (every
+/// triggered source tuple then violates, as it must).
+pub(crate) fn cind_target_index(
+    group: &CindGroup,
+    bound: &BoundCindGroup,
+    db: &Database,
+    cells: &Cells<'_>,
+) -> SymIndex {
+    let rows = db.relation(group.rhs_rel).len();
+    cells.index(group.rhs_rel, rows, &bound.y, |row| holds(&bound.yp, row))
+}
+
+/// The compiled Σ bound to one row cache layout and its dictionary:
+/// every slot and constant that a group task or a stream mutation
+/// reads, translated once. Groups and members are parallel to the
+/// validator's. Each string constant is pinned in the dictionary, so a
+/// constant that no cached cell holds yet already has the symbol that a
+/// later arrival will get, and every member, cover, constant-RHS and
+/// condition check is a symbol compare on a cached row.
+#[derive(Clone, Debug)]
+pub(crate) struct BoundSigma {
+    pub(crate) cfd: Vec<BoundCfdGroup>,
+    pub(crate) cind: Vec<BoundCindGroup>,
+}
+
+/// A CFD group, bound.
+#[derive(Clone, Debug)]
+pub(crate) struct BoundCfdGroup {
+    /// Each sorted key attribute's slot in its relation's cached row.
+    pub(crate) key: Box<[u32]>,
+    pub(crate) members: Vec<BoundCfdMember>,
+}
+
+/// A CFD member, bound.
+#[derive(Clone, Debug)]
+pub(crate) struct BoundCfdMember {
+    /// The RHS attribute's slot.
+    pub(crate) rhs: u32,
+    /// The RHS constant's symbol; `None` for `_`.
+    pub(crate) rhs_const: Option<SymValue>,
+    /// Each cover's original index and its own pattern's symbols,
+    /// aligned with the key (`None` = wildcard); `covers[0]`'s pattern
+    /// is the member's probe.
+    pub(crate) covers: Vec<(usize, Box<[Option<SymValue>]>)>,
+}
+
+impl BoundCfdMember {
+    /// Does the member's probe pattern match a key group's key?
+    pub(crate) fn matches(&self, key: &[SymValue]) -> bool {
+        cover_key_matches(&self.covers[0].1, key)
+    }
+
+    /// The original-Σ indices that a matching member's violations in
+    /// key group `key` fan out to: each cover whose own pattern matches
+    /// the key. Patterns only constrain the key, so any tuple carrying
+    /// the key decides this for the whole key group.
+    pub(crate) fn covers_at<'a>(&'a self, key: &'a [SymValue]) -> impl Iterator<Item = usize> + 'a {
+        self.covers
+            .iter()
+            .filter(move |(_, pattern)| cover_key_matches(pattern, key))
+            .map(|(idx, _)| *idx)
     }
 }
 
-/// A CIND group's Yp-filtered target index, keyed by the sorted `Y`. An
-/// unknown Yp constant matches no target tuple, leaving the index empty
-/// (every triggered source tuple then violates, as it must).
-pub(crate) fn cind_target_index(group: &CindGroup, db: &Database, cells: &Cells<'_>) -> SymIndex {
-    let yp_cols = condition_cols(cells, group.rhs_rel, &group.yp);
-    let rows = db.relation(group.rhs_rel).len();
-    cells.index(group.rhs_rel, rows, &group.y, |pos| holds(&yp_cols, pos))
+/// A CIND group, bound.
+#[derive(Clone, Debug)]
+pub(crate) struct BoundCindGroup {
+    /// The sorted `Y` attributes' slots in the target relation's row.
+    pub(crate) y: Box<[u32]>,
+    /// The Yp tests: `(slot, symbol)` per condition cell.
+    pub(crate) yp: Box<[(u32, SymValue)]>,
+    pub(crate) members: Vec<BoundCindMember>,
 }
 
-/// A condition's `(column, symbol)` tests over `rel`'s cells; `None`
-/// when a constant is unknown to the dictionary — no tuple can match
-/// it.
-fn condition_cols<'a>(
-    cells: &Cells<'a>,
-    rel: RelId,
-    cond: &[(AttrId, Value)],
-) -> Option<Vec<(Col<'a>, SymValue)>> {
-    cond.iter()
-        .map(|(a, v)| Some((cells.column(rel, *a), cells.dict.sym_value(v)?)))
-        .collect()
+/// A CIND member, bound.
+#[derive(Clone, Debug)]
+pub(crate) struct BoundCindMember {
+    /// The `x_perm` attributes' slots in the source relation's row.
+    pub(crate) x: Box<[u32]>,
+    /// The Xp tests: `(slot, symbol)` per condition cell.
+    pub(crate) xp: Box<[(u32, SymValue)]>,
 }
 
-/// Does position `pos` pass every test of a [`condition_cols`] result?
-fn holds(cols: &Option<Vec<(Col<'_>, SymValue)>>, pos: usize) -> bool {
-    cols.as_ref()
-        .is_some_and(|cols| cols.iter().all(|(col, s)| col.at(pos) == *s))
-}
-
-/// A compiled CFD member with its patterns translated into one
-/// dictionary's symbols.
-struct ReadyMember<'a> {
-    pattern: Vec<Option<SymValue>>,
-    rhs: AttrId,
-    /// `None` = wildcard; `Some(Ok(sym))` = known constant;
-    /// `Some(Err(v))` = constant absent from the database.
-    rhs_const: Option<Result<SymValue, &'a Value>>,
-    /// Live covers: original index + its own symbolized pattern.
-    covers: Vec<(usize, Vec<Option<SymValue>>)>,
-}
-
-impl<'a> ReadyMember<'a> {
-    /// Translates each member's LHS patterns into symbols once. A
-    /// constant string the dictionary lacks cannot match any
-    /// tuple: the probe pattern (the most general among the member's
-    /// covers) being unknown drops the whole member, an individual
-    /// cover's extra constants being unknown drops just that cover. RHS
-    /// constants translate to `Err(value)` when unknown — every tuple of
-    /// a matching key-group then mismatches by definition.
-    fn translate(members: &'a [CfdMember], dict: &Dict) -> Vec<Self> {
-        let sym_pattern = |cells: &[Option<Value>]| -> Option<Vec<Option<SymValue>>> {
-            cells
-                .iter()
-                .map(|cell| match cell {
-                    None => Some(None),
-                    Some(v) => dict.sym_value(v).map(Some),
-                })
+impl BoundSigma {
+    /// Binds `v`'s compiled groups to a row cache over `layout` (its
+    /// [`Validator::sym_layout`] or a superset), pinning every string
+    /// constant in `dict`.
+    pub(crate) fn bind(v: &Validator, layout: &[Vec<AttrId>], dict: &mut Dict) -> Self {
+        let slot = |rel: RelId, a: &AttrId| -> u32 {
+            let slot = layout[rel.index()]
+                .binary_search(a)
+                .expect("every attribute a group reads is in the layout");
+            slot as u32
+        };
+        let mut cfd = Vec::with_capacity(v.cfd_groups.len());
+        for g in &v.cfd_groups {
+            let mut members = Vec::with_capacity(g.members.len());
+            for m in &g.members {
+                let mut pin = |cell: &Option<Value>| cell.as_ref().map(|c| dict.acquire_sym(c));
+                members.push(BoundCfdMember {
+                    rhs: slot(g.rel, &m.rhs),
+                    rhs_const: pin(&m.rhs_const),
+                    covers: m
+                        .covers
+                        .iter()
+                        .map(|c| (c.idx, c.pattern.iter().map(&mut pin).collect()))
+                        .collect(),
+                });
+            }
+            cfd.push(BoundCfdGroup {
+                key: g.attrs.iter().map(|a| slot(g.rel, a)).collect(),
+                members,
+            });
+        }
+        let mut tests = |rel: RelId, cond: &[(AttrId, Value)]| -> Box<[(u32, SymValue)]> {
+            cond.iter()
+                .map(|(a, c)| (slot(rel, a), dict.acquire_sym(c)))
                 .collect()
         };
-        members
-            .iter()
-            .filter_map(|m| {
-                let pattern = sym_pattern(&m.pattern)?;
-                let covers: Vec<(usize, Vec<Option<SymValue>>)> = m
-                    .covers
-                    .iter()
-                    .filter_map(|c| Some((c.idx, sym_pattern(&c.pattern)?)))
-                    .collect();
-                if covers.is_empty() {
-                    return None;
-                }
-                Some(ReadyMember {
-                    pattern,
-                    rhs: m.rhs,
-                    rhs_const: m.rhs_const.as_ref().map(|v| dict.sym_value(v).ok_or(v)),
-                    covers,
-                })
-            })
-            .collect()
+        let mut cind = Vec::with_capacity(v.cind_groups.len());
+        for g in &v.cind_groups {
+            let mut members = Vec::with_capacity(g.members.len());
+            for m in &g.members {
+                let source = &v.cinds[m.idx];
+                members.push(BoundCindMember {
+                    x: m.x_perm.iter().map(|a| slot(source.lhs_rel(), a)).collect(),
+                    xp: tests(source.lhs_rel(), source.xp()),
+                });
+            }
+            cind.push(BoundCindGroup {
+                y: g.y.iter().map(|a| slot(g.rhs_rel, a)).collect(),
+                yp: tests(g.rhs_rel, &g.yp),
+                members,
+            });
+        }
+        BoundSigma { cfd, cind }
+    }
+
+    /// Releases every pin [`BoundSigma::bind`] took.
+    pub(crate) fn release(self, dict: &mut Dict) {
+        for m in self.cfd.iter().flat_map(|g| &g.members) {
+            let patterns = m.covers.iter().flat_map(|(_, p)| p.iter().flatten());
+            for &c in m.rhs_const.iter().chain(patterns) {
+                dict.release_sym(c);
+            }
+        }
+        for g in &self.cind {
+            for &(_, c) in g.yp.iter().chain(g.members.iter().flat_map(|m| &*m.xp)) {
+                dict.release_sym(c);
+            }
+        }
     }
 }
 
@@ -1170,27 +1179,35 @@ pub(crate) fn cover_key_matches(pattern: &[Option<SymValue>], key: &[SymValue]) 
         .all(|(p, k)| p.is_none_or(|p| p == *k))
 }
 
+/// Does a cached row pass every `(slot, symbol)` test of a bound
+/// condition?
+pub(crate) fn holds(tests: &[(u32, SymValue)], row: &[SymValue]) -> bool {
+    tests.iter().all(|&(slot, c)| row[slot as usize] == c)
+}
+
+/// Copies the cells at `slots` out of a cached row into `buf`.
+pub(crate) fn key_from_slots(row: &[SymValue], slots: &[u32], buf: &mut Vec<SymValue>) {
+    buf.clear();
+    buf.extend(slots.iter().map(|&s| row[s as usize]));
+}
+
 /// The one definition of the wildcard-RHS pairing rule: every tuple of a
-/// key-group whose RHS value differs from the group's **lowest
-/// position**'s is paired with that witness. Positions may arrive in any
-/// order — a live index's groups lose their ascending order to
-/// swap-removals and renumbering — so no read depends on storage order.
-/// Generic over how a position's RHS value is read (symbolized cells or
-/// live tuples); keeping a single implementation is what guarantees the
-/// stream/batch equivalence invariant cannot drift.
-pub(crate) fn wildcard_pairs_by<V, F>(positions: &[u32], value_at: F) -> Vec<(usize, usize)>
-where
-    V: PartialEq,
-    F: Fn(u32) -> V,
-{
+/// key-group whose RHS cell (slot `rhs` of its cached row) differs from
+/// the group's **lowest position**'s is paired with that witness.
+/// Positions may arrive in any order — a live index's groups lose their
+/// ascending order to swap-removals and renumbering — so no read depends
+/// on storage order. The sweep, the seed build and every stream pair
+/// update read pairs through this one rule, which is what keeps the
+/// stream/batch equivalence invariant from drifting.
+pub(crate) fn wildcard_pairs(positions: &[u32], rows: Rows<'_>, rhs: u32) -> Vec<(usize, usize)> {
     let Some(&witness) = positions.iter().min() else {
         return Vec::new();
     };
-    let expected = value_at(witness);
+    let expected = rows.at(witness as usize, rhs);
     positions
         .iter()
         .copied()
-        .filter(|&pos| value_at(pos) != expected)
+        .filter(|&pos| rows.at(pos as usize, rhs) != expected)
         .map(|pos| (witness as usize, pos as usize))
         .collect()
 }
@@ -1207,64 +1224,62 @@ pub(crate) fn cache_rows(dict: &mut Dict, inst: &Relation, attrs: &[AttrId]) -> 
 
 /// The symbolized cells group tasks read: a row cache built by
 /// [`cache_rows`], per relation each tuple's cells row-major over
-/// [`Validator::sym_layout`]'s columns, with the dictionary that
-/// symbolized them.
+/// [`Validator::sym_layout`]'s columns.
 pub(crate) struct Cells<'a> {
     pub(crate) rows: &'a [Vec<SymValue>],
     pub(crate) layout: &'a [Vec<AttrId>],
-    pub(crate) dict: &'a Dict,
 }
 
 impl<'a> Cells<'a> {
-    /// The cells of `attr` in `rel`, which must be in the layout.
-    fn column(&self, rel: RelId, attr: AttrId) -> Col<'a> {
-        let attrs = &self.layout[rel.index()];
-        let slot = attrs
-            .binary_search(&attr)
-            .expect("every attribute a group reads is in the layout");
-        Col {
-            cells: self.rows[rel.index()].get(slot..).unwrap_or_default(),
-            stride: attrs.len(),
+    /// The cached rows of `rel`.
+    pub(crate) fn of(&self, rel: RelId) -> Rows<'a> {
+        Rows {
+            cells: &self.rows[rel.index()],
+            stride: self.layout[rel.index()].len(),
         }
     }
 
-    /// The cells of `rel` for an attribute list, in list order.
-    fn columns(&self, rel: RelId, attrs: &[AttrId]) -> Vec<Col<'a>> {
-        attrs.iter().map(|a| self.column(rel, *a)).collect()
-    }
-
-    /// Bulk-builds an index over the first `rows` positions of `rel`
-    /// that pass `filter`, keyed by their `key` cells in order.
+    /// Bulk-builds an index over the first `n` positions of `rel` whose
+    /// cached row passes `filter`, keyed by the row's cells at `key`'s
+    /// slots.
     pub(crate) fn index(
         &self,
         rel: RelId,
-        rows: usize,
-        key: &[AttrId],
-        filter: impl Fn(usize) -> bool,
+        n: usize,
+        key: &[u32],
+        filter: impl Fn(&[SymValue]) -> bool,
     ) -> SymIndex {
-        let key_cols = self.columns(rel, key);
-        SymIndex::build_with(rows, key_cols.len(), |pos, buf| {
-            if !filter(pos) {
+        let rows = self.of(rel);
+        SymIndex::build_with(n, key.len(), |pos, buf| {
+            let row = rows.row(pos);
+            if !filter(row) {
                 return false;
             }
-            buf.extend(key_cols.iter().map(|col| col.at(pos)));
+            buf.extend(key.iter().map(|&s| row[s as usize]));
             true
         })
     }
 }
 
-/// One column of [`Cells`]: position `pos`'s cell is
-/// `cells[pos * stride]`.
+/// One relation's cached rows: position `pos`'s row is
+/// `cells[pos * stride..][..stride]`.
 #[derive(Clone, Copy)]
-struct Col<'a> {
-    cells: &'a [SymValue],
-    stride: usize,
+pub(crate) struct Rows<'a> {
+    pub(crate) cells: &'a [SymValue],
+    pub(crate) stride: usize,
 }
 
-impl Col<'_> {
+impl<'a> Rows<'a> {
+    /// Position `pos`'s row.
     #[inline]
-    fn at(self, pos: usize) -> SymValue {
-        self.cells[pos * self.stride]
+    pub(crate) fn row(self, pos: usize) -> &'a [SymValue] {
+        &self.cells[pos * self.stride..][..self.stride]
+    }
+
+    /// Position `pos`'s cell at `slot`.
+    #[inline]
+    pub(crate) fn at(self, pos: usize, slot: u32) -> SymValue {
+        self.cells[pos * self.stride + slot as usize]
     }
 }
 
