@@ -23,7 +23,7 @@ use condep_model::{AttrId, Database, RelId, Schema, Tuple, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::AnalyzeConfig;
+use crate::{CHASE_STEPS, MAX_CONFLICTS};
 
 /// Try to close all CIND obligations starting from `(start, seed)`.
 /// Returns a fully verified witness database, or `None` to signal
@@ -35,7 +35,6 @@ pub(crate) fn chase(
     start: RelId,
     seed: &Tuple,
     avoid: &BTreeMap<RelId, Vec<(AttrId, Value)>>,
-    config: &AnalyzeConfig,
 ) -> Option<Database> {
     let mut occupied: BTreeMap<RelId, Tuple> = BTreeMap::new();
     occupied.insert(start, seed.clone());
@@ -51,7 +50,7 @@ pub(crate) fn chase(
     // Each productive pass occupies at least one new relation, so the
     // loop ends within |relations| passes; the step budget is a
     // belt-and-braces cap on top.
-    for _ in 0..config.chase_steps {
+    for _ in 0..CHASE_STEPS {
         let mut progressed = false;
         for cind in cinds {
             let Some(t) = occupied.get(&cind.lhs_rel()) else {
@@ -97,7 +96,7 @@ pub(crate) fn chase(
                 &group,
                 &pins,
                 avoid_rel,
-                config.max_conflicts,
+                MAX_CONFLICTS,
             ) {
                 RelationVerdict::Sat(u) => {
                     occupied.insert(cind.rhs_rel(), u);

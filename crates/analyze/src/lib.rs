@@ -38,27 +38,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Budgets for the analysis. The defaults decide every tiny-domain Σ
-/// exactly and keep worst-case work bounded on adversarial input.
-#[derive(Debug, Clone)]
-pub struct AnalyzeConfig {
-    /// Conflict budget per SAT solve (`None` = unbounded).
-    pub max_conflicts: Option<u64>,
-    /// Maximum chase passes when CINDs are present.
-    pub chase_steps: usize,
-    /// Cap on pairwise row comparisons in the lint scan.
-    pub lint_pair_cap: usize,
-}
+/// Conflict budget per SAT solve. It decides every tiny-domain Σ
+/// exactly and keeps worst-case work bounded on adversarial input.
+pub const MAX_CONFLICTS: Option<u64> = Some(50_000);
 
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        AnalyzeConfig {
-            max_conflicts: Some(50_000),
-            chase_steps: 64,
-            lint_pair_cap: 100_000,
-        }
-    }
-}
+/// Maximum chase passes when CINDs are present.
+const CHASE_STEPS: usize = 64;
+
+/// Cap on pairwise row comparisons in the lint scan.
+const LINT_PAIR_CAP: usize = 100_000;
 
 /// A concrete database satisfying Σ (nonempty; one tuple per occupied
 /// relation).
@@ -166,15 +154,6 @@ impl fmt::Display for UnsatSigma {
 
 impl std::error::Error for UnsatSigma {}
 
-/// The schema-free "cheap tier": pairwise key-group row lints only
-/// (conflicting/redundant constant rows). No solving, no domain
-/// reasoning — cheap enough to run on every `Validator` construction.
-pub fn row_lints(cfds: &[NormalCfd], config: &AnalyzeConfig) -> Vec<SigmaLint> {
-    let mut out = Vec::new();
-    lint::lint_rows(cfds, config, &mut out);
-    out
-}
-
 /// Analyze a Σ: decide consistency (exactly for CFD-only input, via a
 /// budgeted chase when CINDs are present) and collect the lint
 /// catalogue.
@@ -190,13 +169,8 @@ pub fn row_lints(cfds: &[NormalCfd], config: &AnalyzeConfig) -> Vec<SigmaLint> {
 ///   own.
 /// - `Unknown`: the budget tripped or the CIND chase gave up; nothing
 ///   is claimed either way.
-pub fn analyze(
-    schema: &Arc<Schema>,
-    cfds: &[NormalCfd],
-    cinds: &[NormalCind],
-    config: &AnalyzeConfig,
-) -> SigmaAnalysis {
-    let lints = lint::lint_sigma(schema, cfds, cinds, config);
+pub fn analyze(schema: &Arc<Schema>, cfds: &[NormalCfd], cinds: &[NormalCind]) -> SigmaAnalysis {
+    let lints = lint::lint_sigma(schema, cfds, cinds);
 
     // Fresh witness values should dodge CIND source conditions where
     // possible, so a CFD witness doesn't trigger obligations it could
@@ -225,8 +199,7 @@ pub fn analyze(
             .filter(|(_, c)| c.rel() == rel)
             .collect();
         let avoid_rel = avoid.get(&rel).unwrap_or(&empty);
-        let max_conflicts = config.max_conflicts;
-        match relation_consistency_pinned(schema, rel, &group, &[], avoid_rel, max_conflicts) {
+        match relation_consistency_pinned(schema, rel, &group, &[], avoid_rel, MAX_CONFLICTS) {
             RelationVerdict::Sat(t) => witnesses.push((rel, t)),
             RelationVerdict::Unsat(core) => cores.extend(core),
             RelationVerdict::Unknown => any_unknown = true,
@@ -266,7 +239,7 @@ pub fn analyze(
     // CINDs present: chase obligations from each CFD-satisfiable
     // relation until one attempt closes.
     for (rel, t) in &witnesses {
-        if let Some(db) = chase::chase(schema, cfds, cinds, *rel, t, &avoid, config) {
+        if let Some(db) = chase::chase(schema, cfds, cinds, *rel, t, &avoid) {
             return SigmaAnalysis {
                 verdict: SigmaVerdict::Sat(Witness { db }),
                 lints,

@@ -11,7 +11,7 @@ use condep_core::NormalCind;
 use condep_model::{AttrId, PValue, RelId, Schema, Value};
 use std::fmt;
 
-use crate::AnalyzeConfig;
+use crate::LINT_PAIR_CAP;
 
 /// One advisory finding about a Σ.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,11 +216,10 @@ pub(crate) fn lint_sigma(
     schema: &Schema,
     cfds: &[NormalCfd],
     cinds: &[NormalCind],
-    config: &AnalyzeConfig,
 ) -> Vec<SigmaLint> {
     let mut lints = Vec::new();
     lint_domains(schema, cfds, cinds, &mut lints);
-    lint_rows(cfds, config, &mut lints);
+    lint_rows(cfds, &mut lints);
     lints
 }
 
@@ -282,9 +281,8 @@ fn lint_domains(
 
 /// Pairwise key-group scan: constant-RHS rows on the same
 /// `(relation, canonical LHS, RHS attr)` group whose patterns overlap
-/// but whose constants differ. Schema-free — this is the cheap tier
-/// run on every `Validator` construction.
-pub(crate) fn lint_rows(cfds: &[NormalCfd], config: &AnalyzeConfig, out: &mut Vec<SigmaLint>) {
+/// but whose constants differ. Schema-free.
+fn lint_rows(cfds: &[NormalCfd], out: &mut Vec<SigmaLint>) {
     use std::collections::HashMap;
     // Group by (rel, sorted LHS attrs, rhs attr); only constant-RHS
     // rows can pairwise conflict on a single tuple.
@@ -299,7 +297,7 @@ pub(crate) fn lint_rows(cfds: &[NormalCfd], config: &AnalyzeConfig, out: &mut Ve
             .or_default()
             .push(i);
     }
-    let mut budget = config.lint_pair_cap;
+    let mut budget = LINT_PAIR_CAP;
     let mut keys: Vec<_> = groups.keys().cloned().collect();
     keys.sort();
     for key in keys {

@@ -32,7 +32,7 @@
 //! - `condep_cfd::implication::implies` equals the implication oracle
 //!   under the default budget, never `Unknown`.
 
-use condep_analyze::{analyze, AnalyzeConfig, SigmaVerdict};
+use condep_analyze::{analyze, SigmaVerdict};
 use condep_cfd::implication::{implies, Implication, ImplicationConfig};
 use condep_cfd::NormalCfd;
 use condep_core::NormalCind;
@@ -231,14 +231,9 @@ fn clash(schema: &Schema, cfd: &NormalCfd) -> Option<NormalCfd> {
 /// consistency oracle: a `Sat` witness must satisfy Σ (also through the
 /// production `Validator`), an `Unsat` core must be inconsistent and
 /// minimal, and `Unknown` must not occur. Returns whether Σ is `Sat`.
-fn verdict_matches_oracle(
-    seed: u64,
-    schema: &Arc<Schema>,
-    cfds: &[NormalCfd],
-    config: &AnalyzeConfig,
-) -> bool {
+fn verdict_matches_oracle(seed: u64, schema: &Arc<Schema>, cfds: &[NormalCfd]) -> bool {
     let expected = oracle_consistent(schema, cfds);
-    let analysis = analyze(schema, cfds, &[], config);
+    let analysis = analyze(schema, cfds, &[]);
     match &analysis.verdict {
         SigmaVerdict::Sat(w) => {
             assert!(
@@ -296,7 +291,6 @@ fn verdict_matches_oracle(
 
 #[test]
 fn verdicts_match_exhaustive_enumeration_over_240_seeds() {
-    let config = AnalyzeConfig::default();
     let (mut sat_seen, mut unsat_seen) = (0usize, 0usize);
     for seed in 0..240u64 {
         let mut rng = StdRng::seed_from_u64(0xC0FD_0000 + seed);
@@ -368,7 +362,7 @@ fn verdicts_match_exhaustive_enumeration_over_240_seeds() {
             }
         }
 
-        if verdict_matches_oracle(seed, &schema, &cfds, &config) {
+        if verdict_matches_oracle(seed, &schema, &cfds) {
             sat_seen += 1;
         } else {
             unsat_seen += 1;
@@ -387,7 +381,6 @@ fn verdicts_match_exhaustive_enumeration_over_240_seeds() {
 
 #[test]
 fn verdicts_match_exhaustive_enumeration_over_mixed_domains() {
-    let config = AnalyzeConfig::default();
     let mut verdicts = [0usize; 2];
     for seed in 0..240u64 {
         let mut rng = StdRng::seed_from_u64(0x3D0A_0000 + seed);
@@ -402,7 +395,7 @@ fn verdicts_match_exhaustive_enumeration_over_mixed_domains() {
             let extra = clash(&schema, &cfds[rng.gen_range(0..cfds.len())]);
             cfds.extend(extra);
         }
-        let sat = verdict_matches_oracle(seed, &schema, &cfds, &config);
+        let sat = verdict_matches_oracle(seed, &schema, &cfds);
         verdicts[usize::from(sat)] += 1;
     }
     assert!(
@@ -445,7 +438,7 @@ fn implication_matches_exhaustive_enumeration_over_mixed_domains() {
 #[test]
 fn example_3_2_is_unsat_with_the_full_four_cfd_core() {
     let (schema, cfds) = condep_cfd::fixtures::example_3_2();
-    let analysis = analyze(&schema, &cfds, &[], &AnalyzeConfig::default());
+    let analysis = analyze(&schema, &cfds, &[]);
     match analysis.verdict {
         SigmaVerdict::Unsat(core) => {
             // The Example 3.2 cycle needs all four CFDs: dropping any
@@ -476,12 +469,7 @@ fn cind_chase_builds_a_two_relation_witness() {
     let schema = two_rel_schema();
     // r[a] ⊆ s[k] with no conditions; s is otherwise unconstrained.
     let cind = NormalCind::parse(&schema, "r", &["a"], &[], "s", &["k"], &[]).unwrap();
-    let analysis = analyze(
-        &schema,
-        &[],
-        std::slice::from_ref(&cind),
-        &AnalyzeConfig::default(),
-    );
+    let analysis = analyze(&schema, &[], std::slice::from_ref(&cind));
     match analysis.verdict {
         SigmaVerdict::Sat(w) => {
             assert!(w.db.total_tuples() >= 1);
@@ -509,7 +497,7 @@ fn cind_into_unsat_target_degrades_to_unknown_never_sat() {
     let cfds = vec![clash("x"), clash("y")];
     // r is unconstrained (Sat), but every r-tuple forces an s-tuple.
     let cind = NormalCind::parse(&schema, "r", &["a"], &[], "s", &["k"], &[]).unwrap();
-    let analysis = analyze(&schema, &cfds, &[cind], &AnalyzeConfig::default());
+    let analysis = analyze(&schema, &cfds, &[cind]);
     // Truth: inconsistent (r nonempty forces s nonempty, s unsat; both
     // empty is not allowed). The budgeted chase cannot prove that, so
     // the only sound answers are Unsat or Unknown — never Sat.
@@ -541,7 +529,7 @@ fn lints_flag_conflicting_and_unreachable_rows() {
         // is outside s.c's {x, y} domain, so also unreachable.
         row(PValue::constant("a"), "z"),
     ];
-    let analysis = analyze(&schema, &cfds, &[], &AnalyzeConfig::default());
+    let analysis = analyze(&schema, &cfds, &[]);
     assert!(analysis.lints.iter().any(|l| matches!(
         l,
         SigmaLint::KeyGroupConflict {

@@ -4,16 +4,15 @@
 //! drift here fails fast in unit tests before it fails in CI's smoke
 //! diff.
 
-use condep_analyze::{analyze, AnalyzeConfig, SigmaVerdict};
+use condep_analyze::{analyze, SigmaVerdict};
 use condep_gen::{sigma_families, ExpectedVerdict};
 use condep_validate::Validator;
 
 #[test]
 fn every_family_meets_its_expectation_across_seeds() {
-    let config = AnalyzeConfig::default();
     for seed in 0..40u64 {
         for family in sigma_families(seed) {
-            let analysis = analyze(&family.schema, &family.cfds, &family.cinds, &config);
+            let analysis = analyze(&family.schema, &family.cfds, &family.cinds);
             let tag = format!("family {} seed {seed}", family.name);
             assert_eq!(
                 analysis.lints.len(),

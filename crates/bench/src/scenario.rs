@@ -25,7 +25,7 @@ use condep_gen::{
 };
 use condep_model::{prow, Database, PValue, RelId, Tuple, Value};
 use condep_repair::{AppliedFix, Fix, RepairBudget, RepairCost};
-use condep_telemetry::{MetricValue, MetricsSnapshot, Registry};
+use condep_telemetry::{MetricValue, MetricsSnapshot};
 use condep_validate::Mutation;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::VecDeque;
@@ -825,66 +825,69 @@ fn churn_windows(
 /// Runs a static-analysis sweep: `seeds` instances of every Σ family,
 /// each analyzed and held to its generator-declared expectation.
 fn run_sigma_lint(s: &Scenario, seeds: usize) -> ScenarioResult {
-    use condep_analyze::{analyze, AnalyzeConfig, SigmaVerdict};
+    use condep_analyze::{analyze, SigmaVerdict};
     use condep_gen::{sigma_families, ExpectedVerdict};
 
-    let config = AnalyzeConfig::default();
     // Every analyzed family bumps these; misses must stay 0 and the
     // witnesses that re-validate through `Validator` must equal the
     // `Sat` verdicts.
-    let counters = Registry::new();
-    let families = counters.counter("analyze.families");
-    let sat = counters.counter("analyze.verdict.sat");
-    let unsat = counters.counter("analyze.verdict.unsat");
-    let unknown = counters.counter("analyze.verdict.unknown");
-    let core_cfds = counters.counter("analyze.core.cfds");
-    let lints = counters.counter("analyze.lints");
-    let witness_ok = counters.counter("analyze.witness.ok");
-    let misses = counters.counter("analyze.expectation.misses");
+    let (mut families, mut sat, mut unsat, mut unknown) = (0u64, 0u64, 0u64, 0u64);
+    let (mut core_cfds, mut lints, mut witness_ok, mut misses) = (0u64, 0u64, 0u64, 0u64);
     let mut constraints = 0u64;
     let t0 = Instant::now();
     for i in 0..seeds as u64 {
         for family in sigma_families(s.seed ^ i) {
-            families.incr();
+            families += 1;
             constraints += (family.cfds.len() + family.cinds.len()) as u64;
-            let analysis = analyze(&family.schema, &family.cfds, &family.cinds, &config);
-            lints.add(analysis.lints.len() as u64);
+            let analysis = analyze(&family.schema, &family.cfds, &family.cinds);
+            lints += analysis.lints.len() as u64;
             let mut hit = analysis.lints.len() == family.expect.lints;
             match &analysis.verdict {
                 SigmaVerdict::Sat(w) => {
-                    sat.incr();
+                    sat += 1;
                     hit &= family.expect.verdict == ExpectedVerdict::Sat;
                     let v =
                         condep_validate::Validator::new(family.cfds.clone(), family.cinds.clone());
                     if v.validate(&w.db).is_empty() {
-                        witness_ok.incr();
+                        witness_ok += 1;
                     } else {
                         hit = false;
                     }
                 }
                 SigmaVerdict::Unsat(core) => {
-                    unsat.incr();
-                    core_cfds.add(core.cfds.len() as u64);
+                    unsat += 1;
+                    core_cfds += core.cfds.len() as u64;
                     hit &= family.expect.verdict == ExpectedVerdict::Unsat
                         && core.cfds.len() == family.expect.core_size;
                 }
                 SigmaVerdict::Unknown(_) => {
-                    unknown.incr();
+                    unknown += 1;
                     hit &= family.expect.verdict == ExpectedVerdict::Unknown;
                 }
             }
-            if !hit {
-                misses.incr();
-            }
+            misses += !hit as u64;
         }
     }
     let sigma_us = t0.elapsed().as_micros() as u64;
+    let mut metrics = MetricsSnapshot::new();
+    for (name, value) in [
+        ("analyze.families", families),
+        ("analyze.verdict.sat", sat),
+        ("analyze.verdict.unsat", unsat),
+        ("analyze.verdict.unknown", unknown),
+        ("analyze.core.cfds", core_cfds),
+        ("analyze.lints", lints),
+        ("analyze.witness.ok", witness_ok),
+        ("analyze.expectation.misses", misses),
+    ] {
+        metrics.counter(name, value);
+    }
 
     ScenarioResult {
         name: s.name,
         seed: s.seed,
         rows: constraints,
-        relations: families.get(),
+        relations: families,
         churn_ops: 0,
         passes: vec!["sigma_lint"],
         elapsed: ElapsedUs {
@@ -893,7 +896,7 @@ fn run_sigma_lint(s: &Scenario, seeds: usize) -> ScenarioResult {
         },
         validate_tuples_per_s: 0.0,
         churn_ops_per_s: 0.0,
-        metrics: counters.snapshot(),
+        metrics,
     }
 }
 

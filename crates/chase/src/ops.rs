@@ -128,8 +128,7 @@ fn free_field<R: Rng>(
 /// triggered source tuple (the pattern-instantiation core of `IND(ψ)`):
 /// each `Y` attribute copies the source's matching `X` cell (rule CIND2's
 /// permutation semantics) and each `Yp` attribute takes its pattern
-/// constant. `source_cell` reads the source tuple — template engines pass
-/// template cells, repair engines pass concrete values.
+/// constant. `source_cell` reads the source tuple's cells.
 pub fn forced_cells<F>(cind: &NormalCind, source_cell: F) -> Vec<(AttrId, TplValue)>
 where
     F: Fn(AttrId) -> TplValue,
@@ -142,35 +141,6 @@ where
         determined.push((*a, TplValue::Const(v.clone())));
     }
     determined
-}
-
-/// The target tuple a CIND forces for a **concrete** source tuple, as a
-/// template: the determined cells ([`forced_cells`]) become constants,
-/// every other attribute a fresh variable. This is the chase machinery a
-/// repair engine reuses for its insertion candidate — instantiate the
-/// variables (finite domains from their value lists, infinite ones via
-/// [`condep_model::Domain::fresh_value`]) to obtain the tuple to insert.
-pub fn forced_target_template(
-    schema: &condep_model::Schema,
-    cind: &NormalCind,
-    source: &condep_model::Tuple,
-) -> TplTuple {
-    let target_rel = cind.rhs_rel();
-    let arity = schema.relation(target_rel).map(|r| r.arity()).unwrap_or(0);
-    let determined = forced_cells(cind, |a| TplValue::Const(source[a].clone()));
-    let mut cells: Vec<TplValue> = (0..arity)
-        .map(|i| {
-            TplValue::Var(VarRef {
-                rel: target_rel,
-                attr: AttrId(i as u32),
-                idx: 0,
-            })
-        })
-        .collect();
-    for (a, v) in determined {
-        cells[a.index()] = v;
-    }
-    TplTuple(cells)
 }
 
 /// One application of `IND(ψ)`: finds a triggered source tuple without a

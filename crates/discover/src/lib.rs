@@ -56,7 +56,6 @@
 //! `min_confidence = 1.0` every member of Σ′ is satisfied by the input
 //! instance (property-tested at the workspace root).
 
-use condep_analyze::AnalyzeConfig;
 use condep_cfd::consistency::{relation_consistency, RelationVerdict};
 use condep_cfd::NormalCfd;
 use condep_core::implication::ImplicationConfig;
@@ -575,7 +574,7 @@ fn discover_exact(db: &Database, config: &DiscoveryConfig) -> DiscoveredSigma {
                 schema,
                 cand.cfd.rel(),
                 &same_rel,
-                AnalyzeConfig::default().max_conflicts,
+                condep_analyze::MAX_CONFLICTS,
             ),
             RelationVerdict::Unsat(_)
         ) {
@@ -974,8 +973,7 @@ mod tests {
         assert!(!found.is_empty());
         let cfds: Vec<NormalCfd> = found.cfds.iter().map(|d| d.cfd.clone()).collect();
         let cinds: Vec<NormalCind> = found.cinds.iter().map(|d| d.cind.clone()).collect();
-        let analysis =
-            condep_analyze::analyze(db.schema(), &cfds, &cinds, &AnalyzeConfig::default());
+        let analysis = condep_analyze::analyze(db.schema(), &cfds, &cinds);
         assert!(
             analysis.verdict.is_sat(),
             "discovered sigma must be satisfiable: {:?}",

@@ -45,8 +45,8 @@ pub struct ImplicationConfig {
 }
 
 impl Default for ImplicationConfig {
-    /// The CFD conflict budget matches the Σ analyzer's default
-    /// (`condep_analyze::AnalyzeConfig`).
+    /// The CFD conflict budget matches the Σ analyzer's
+    /// (`condep_analyze::MAX_CONFLICTS`).
     fn default() -> Self {
         ImplicationConfig {
             max_conflicts: Some(50_000),

@@ -3,11 +3,9 @@
 use crate::cost::RepairCost;
 use crate::log::{AppliedFix, Fix, Motive, RepairLog, RepairReport};
 use condep_cfd::CfdViolation;
-use condep_chase::ops::forced_target_template;
-use condep_chase::TplValue;
 use condep_model::fxhash::FxBuildHasher;
-use condep_model::{AttrId, BaseType, Database, RelId, Tuple, Value};
-use condep_telemetry::{Registry, SpanTimer};
+use condep_model::{AttrId, BaseType, Database, Domain, RelId, Tuple, Value};
+use condep_telemetry::{Histogram, MetricsSnapshot, Stopwatch};
 use condep_validate::{
     Mutation, SigmaLint, SigmaReport, SigmaVerdict, UnsatSigma, Validator, ValidatorStream,
 };
@@ -138,11 +136,10 @@ pub fn repair(
     // distributions, returned on the report (`RepairReport::metrics`)
     // next to the stream's own telemetry and the summary counters read
     // off the log.
-    let registry = Registry::new();
-    let round_us = registry.histogram("repair.round_us");
-    let plan_us = registry.histogram("repair.plan_us");
+    let mut round_us = Histogram::default();
+    let mut plan_us = Histogram::default();
 
-    'rounds: loop {
+    loop {
         let report = stream.current_report();
         if report.is_empty() {
             break;
@@ -152,66 +149,69 @@ pub fn repair(
             break;
         }
         log.rounds += 1;
-        // Dropped at the end of the iteration (including the `break
-        // 'rounds` path), recording the round's wall time.
-        let _round_span = SpanTimer::start(&round_us);
-        let plan_span = SpanTimer::start(&plan_us);
-        let plan = plan_round(&stream, &report, cost, &mut fill_serial, &mut class_reads);
-        plan_span.stop();
-        if plan.is_empty() {
-            break;
-        }
-        let mut progressed = false;
-        for planned in plan {
-            if log.applied.len() >= budget.max_fixes {
-                budget_exhausted = true;
-                break 'rounds;
+        let round = Stopwatch::start();
+        // The round's body yields whether the loop stops after it, so
+        // every way out of a round records its wall time below.
+        let last = 'round: {
+            let plan = plan_round(&stream, &report, cost, &mut fill_serial, &mut class_reads);
+            plan_us.record_us(round.elapsed_us());
+            if plan.is_empty() {
+                break 'round true;
             }
-            for (fix_cost, fix) in planned.candidates {
-                let applied = match stream.apply(fix.mutation()) {
-                    Ok(applied) => applied,
-                    Err(_) => {
-                        // Ill-typed candidate (e.g. a forced constant
-                        // outside the attribute's domain): skip it.
-                        log.rejected += 1;
-                        continue;
+            let mut progressed = false;
+            for planned in plan {
+                if log.applied.len() >= budget.max_fixes {
+                    budget_exhausted = true;
+                    break 'round true;
+                }
+                for (fix_cost, fix) in planned.candidates {
+                    let applied = match stream.apply(fix.mutation()) {
+                        Ok(applied) => applied,
+                        Err(_) => {
+                            // Ill-typed candidate (e.g. a forced constant
+                            // outside the attribute's domain): skip it.
+                            log.rejected += 1;
+                            continue;
+                        }
+                    };
+                    if applied.is_noop() {
+                        // An earlier fix already removed or rewrote the
+                        // target tuple; the whole conflict is replanned
+                        // next round.
+                        log.stale += 1;
+                        break;
                     }
-                };
-                if applied.is_noop() {
-                    // An earlier fix already removed or rewrote the
-                    // target tuple; the whole conflict is replanned next
-                    // round.
-                    log.stale += 1;
-                    break;
+                    if applied.net_change() < 0 {
+                        // The retired id is the pre-fix tuple an edit or
+                        // delete acted on; an insert only has a born id.
+                        let target = applied
+                            .deltas
+                            .first()
+                            .and_then(|d| d.ids.retired.or(d.ids.born));
+                        log.applied.push(AppliedFix {
+                            resolved: applied.resolved_count(),
+                            introduced: applied.introduced_count(),
+                            cost: fix_cost,
+                            motive: planned.motive,
+                            fix,
+                            target,
+                        });
+                        progressed = true;
+                        break;
+                    }
+                    // The deltas prove the fix does not pay for itself:
+                    // retract it and try the next candidate.
+                    let revert = applied.revert.expect("non-noop mutation has a revert");
+                    stream
+                        .revert(revert)
+                        .expect("revert of a just-applied mutation cannot fail");
+                    log.rejected += 1;
                 }
-                if applied.net_change() < 0 {
-                    // The retired id is the pre-fix tuple an edit or
-                    // delete acted on; an insert only has a born id.
-                    let target = applied
-                        .deltas
-                        .first()
-                        .and_then(|d| d.ids.retired.or(d.ids.born));
-                    log.applied.push(AppliedFix {
-                        resolved: applied.resolved_count(),
-                        introduced: applied.introduced_count(),
-                        cost: fix_cost,
-                        motive: planned.motive,
-                        fix,
-                        target,
-                    });
-                    progressed = true;
-                    break;
-                }
-                // The deltas prove the fix does not pay for itself:
-                // retract it and try the next candidate.
-                let revert = applied.revert.expect("non-noop mutation has a revert");
-                stream
-                    .revert(revert)
-                    .expect("revert of a just-applied mutation cannot fail");
-                log.rejected += 1;
             }
-        }
-        if !progressed {
+            !progressed
+        };
+        round_us.record_us(round.elapsed_us());
+        if last {
             break;
         }
     }
@@ -230,7 +230,9 @@ pub fn repair(
             Fix::InsertTuple { .. } => tuples_inserted += 1,
         }
     }
-    let mut metrics = registry.snapshot();
+    let mut metrics = MetricsSnapshot::new();
+    metrics.histogram("repair.round_us", round_us.snapshot());
+    metrics.histogram("repair.plan_us", plan_us.snapshot());
     metrics.counter("repair.rounds", log.rounds as u64);
     metrics.counter("repair.plan.class_reads", class_reads);
     metrics.counter("repair.fixes.accepted", log.applied.len() as u64);
@@ -494,9 +496,9 @@ fn plan_round(
         }
     }
 
-    // ---- CIND phase: each orphan is either given its chased target
-    // tuple (pattern instantiation through the chase machinery) or
-    // deleted, whichever is cheaper — ties prefer the insertion.
+    // ---- CIND phase: each orphan is either given the target tuple
+    // the CIND forces for it or deleted, whichever is cheaper — ties
+    // prefer the insertion.
     let schema = db.schema();
     for (ci, v) in &report.cind {
         let cind = &validator.cinds()[*ci];
@@ -504,56 +506,46 @@ fn plan_round(
         let Some(src) = db.relation(src_rel).get(v.tuple) else {
             continue;
         };
-        let template = forced_target_template(schema, cind, src);
         let target_rel = cind.rhs_rel();
         let rs = schema
             .relation(target_rel)
             .expect("compiled suite is well-formed");
-        let instantiated: Option<Tuple> = template
-            .cells()
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| match cell {
-                TplValue::Const(v) => Some(v.clone()),
-                TplValue::Var(_) => {
-                    let dom = rs.attribute(AttrId(i as u32)).ok()?.domain();
-                    // Finite domains: any member serves (the delta check
-                    // vetoes bad draws). Infinite ones: a serial value
-                    // from the reserved `repair-fill` namespace — data
-                    // avoiding the namespace cannot collide a filler
-                    // into a CFD key group, and a collision anyway only
-                    // downgrades this candidate (the delta check rejects
-                    // it), never corrupts.
+        // Each `Y` cell copies the source's matching `X` cell and each
+        // `Yp` cell takes its constant (overriding a copy on the same
+        // attribute); the rest are filled in attribute order.
+        let mut forced: Vec<Option<Value>> = vec![None; rs.arity()];
+        for (xa, ya) in cind.x().iter().zip(cind.y()) {
+            forced[ya.index()] = Some(src[*xa].clone());
+        }
+        for (a, v) in cind.yp() {
+            forced[a.index()] = Some(v.clone());
+        }
+        let tuple: Tuple = forced
+            .into_iter()
+            .zip(rs.attributes())
+            .map(|(cell, attr)| {
+                cell.unwrap_or_else(|| {
                     *fill_serial += 1;
-                    let v = match dom.values() {
-                        Some(vs) => vs[0].clone(),
-                        None => match dom.base_type() {
-                            BaseType::Str => Value::str(format!("repair-fill{fill_serial}")),
-                            BaseType::Int => Value::int(0x2000_0000_0000 + *fill_serial as i64),
-                            BaseType::Bool => Value::bool(true),
-                        },
-                    };
-                    Some(v)
-                }
+                    fill_value(attr.domain(), *fill_serial)
+                })
             })
             .collect();
-        let mut candidates: Vec<(f64, Fix)> = Vec::new();
-        if let Some(tuple) = instantiated {
-            candidates.push((
+        let mut candidates = vec![
+            (
                 cost.tuple_insert,
                 Fix::InsertTuple {
                     rel: target_rel,
                     tuple,
                 },
-            ));
-        }
-        candidates.push((
-            cost.tuple_delete,
-            Fix::DeleteTuple {
-                rel: src_rel,
-                tuple: src.clone(),
-            },
-        ));
+            ),
+            (
+                cost.tuple_delete,
+                Fix::DeleteTuple {
+                    rel: src_rel,
+                    tuple: src.clone(),
+                },
+            ),
+        ];
         candidates.sort_by(|(a, _), (b, _)| a.total_cmp(b));
         plan.push(Planned {
             motive: Motive::Cind(*ci),
@@ -562,6 +554,24 @@ fn plan_round(
     }
 
     plan
+}
+
+/// A value for a target cell no CIND attribute determines. Finite
+/// domains: any member serves (the delta check vetoes bad draws).
+/// Infinite ones: serial value `serial` from the reserved
+/// `repair-fill` namespace — data avoiding the namespace cannot collide
+/// a filler into a CFD key group, and a collision anyway only
+/// downgrades the candidate (the delta check rejects it), never
+/// corrupts.
+fn fill_value(dom: &Domain, serial: u64) -> Value {
+    match dom.values() {
+        Some(vs) => vs[0].clone(),
+        None => match dom.base_type() {
+            BaseType::Str => Value::str(format!("repair-fill{serial}")),
+            BaseType::Int => Value::int(0x2000_0000_0000 + serial as i64),
+            BaseType::Bool => Value::bool(true),
+        },
+    }
 }
 
 #[cfg(test)]

@@ -26,10 +26,11 @@
 //!   round, however many pair violations it holds: they all share the
 //!   class's witness, and the first read already places every later
 //!   pair's cells in the class.
-//! * **CIND violations** are repaired by either **inserting the chased
-//!   target tuple** — pattern instantiation reuses the chase machinery
-//!   ([`condep_chase::ops::forced_target_template`]) — or **deleting
-//!   the orphan source**, whichever is cheaper.
+//! * **CIND violations** are repaired by either **inserting the target
+//!   tuple the CIND forces** — `Y` copies the orphan's `X` cells, `Yp`
+//!   takes its pattern constants, and every other attribute gets a
+//!   domain or fresh filler — or **deleting the orphan source**,
+//!   whichever is cheaper.
 //! * **Every candidate fix is verified through the delta engine**: it
 //!   is applied via [`condep_validate::ValidatorStream::apply`], its
 //!   [`condep_validate::SigmaDelta`]s are inspected, and it is kept

@@ -65,6 +65,11 @@ fn repair_metrics_export_as_valid_json() {
         Some(MetricValue::Histogram(h)) => assert_eq!(h.count as usize, report.log.rounds),
         other => panic!("repair.plan_us: expected a histogram, got {other:?}"),
     }
+    // Every round records its wall time once, whichever way it ends.
+    match m.get("repair.round_us") {
+        Some(MetricValue::Histogram(h)) => assert_eq!(h.count as usize, report.log.rounds),
+        other => panic!("repair.round_us: expected a histogram, got {other:?}"),
+    }
     assert!(counter(m, "repair.plan.class_reads") > 0);
     assert_eq!(counter(m, "repair.fixes.accepted"), report.fixes_applied());
     assert_eq!(counter(m, "repair.fixes.rejected"), report.log.rejected);

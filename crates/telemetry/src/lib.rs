@@ -12,20 +12,19 @@
 //!
 //! | Type | Role |
 //! |---|---|
-//! | [`Registry`] | named [`Counter`]/[`Gauge`]/[`Histogram`] instruments; get-or-create by dotted name, lock-free recording through clonable handles |
-//! | [`Histogram`] | log2-bucket µs latency distribution; deterministic p50/p90/p99/max summaries |
-//! | [`SpanTimer`] | RAII guard timing construction→drop into a histogram |
-//! | [`Stopwatch`] | a started wall clock whose readings the caller stores itself (phase timings, compile stats) |
+//! | [`Histogram`] | log2-bucket µs latency distribution, a plain value its owner records into; deterministic p50/p90/p99/max summaries |
+//! | [`Stopwatch`] | a started wall clock whose readings the caller stores itself (phase timings, compile stats, histogram samples) |
 //! | [`Journal`] | bounded ring buffer of [`StreamEvent`]s: per-window mutations, online promote/retire |
 //! | [`MetricsSnapshot`] | sorted `dotted.name → value` map; the unit of exchange, rendered to JSON deterministically |
 //! | [`Export`] | one trait every stats struct implements to render itself into a snapshot subtree |
 //! | [`misnamed_keys`] | the naming rule: the keys of a snapshot that break the README's naming table |
 //! | [`json`] | the hand-rolled JSON writer and parser behind every report the engine emits |
 //!
-//! Every owner holds its own [`Registry`]; there is no process-wide
-//! one. [`Registry::disabled`] is the runtime kill switch: it hands out
-//! storage-less handles whose record calls cost one branch, which lets
-//! tests A/B the instrumented hot path inside a single binary.
+//! There is one way to record a figure: its owner keeps it in a plain
+//! field (an integer counter, a [`Histogram`], a [`Stopwatch`] reading)
+//! and writes it into a [`MetricsSnapshot`] when read, through
+//! [`Export`] or the snapshot's setters. Nothing is shared between
+//! owners and nothing is process-wide.
 
 mod journal;
 pub mod json;
@@ -34,7 +33,7 @@ mod naming;
 mod snapshot;
 
 pub use journal::{Journal, JournalEvent, StreamEvent};
-pub use metrics::{Counter, Gauge, Histogram, Registry, SpanTimer, Stopwatch};
+pub use metrics::{Histogram, Stopwatch};
 pub use naming::misnamed_keys;
 pub use snapshot::{Export, HistogramSnapshot, MetricValue, MetricsSnapshot};
 

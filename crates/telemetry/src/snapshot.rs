@@ -1,6 +1,6 @@
 //! Point-in-time metric values: the export surface every report
-//! carries. A registry built disabled still produces snapshots; they
-//! are simply empty.
+//! carries. Owners keep their figures in plain fields and write them
+//! here through [`Export`] when they are read.
 
 use crate::json::JsonWriter;
 

@@ -66,8 +66,7 @@ mod telemetry;
 mod validator;
 
 pub use condep_analyze::{
-    AnalyzeConfig, BudgetTrip, SigmaAnalysis, SigmaLint, SigmaVerdict, UnsatCore, UnsatSigma,
-    Witness,
+    BudgetTrip, SigmaAnalysis, SigmaLint, SigmaVerdict, UnsatCore, UnsatSigma, Witness,
 };
 pub use condep_model::TupleId;
 pub use cover::{CoverRole, CoverStats, SigmaCover};

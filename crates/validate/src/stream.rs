@@ -133,7 +133,7 @@
 //!   `(relation, LHS set)` group from each tuple's cached row, and lets
 //!   the departed rows' strings go once, when the window ends.
 
-use crate::telemetry::StreamTelemetry;
+use crate::telemetry::{Recorder, StorageGauges, StreamTelemetry};
 use crate::validator::{
     cache_rows, cind_target_index, cover_key_matches, holds, key_from_slots, wildcard_pairs,
     BoundCfdGroup, BoundSigma, Cells, Rows, SigmaReport, UnknownDependency, Validator,
@@ -144,7 +144,7 @@ use condep_model::fxhash::FxBuildHasher;
 use condep_model::{
     AttrId, Database, Dict, ModelError, RelId, SymIndex, SymValue, Tuple, TupleId, TupleIdMap,
 };
-use condep_telemetry::{SpanTimer, Stopwatch};
+use condep_telemetry::Stopwatch;
 use std::collections::HashSet;
 
 /// One value-level database mutation, appliable through
@@ -355,9 +355,8 @@ pub struct ValidatorStream {
     sigma: BoundSigma,
     /// The stream's instrument panel: latency histograms, hot-path
     /// counters and the bounded activity journal. Private per stream;
-    /// cloning a stream starts fresh telemetry (see
-    /// [`StreamTelemetry`]'s `Clone`).
-    telemetry: StreamTelemetry,
+    /// cloning a stream starts fresh recording state.
+    telemetry: Recorder,
 }
 
 /// The wildcard-RHS pairs of one live key group, reading RHS cells at
@@ -494,7 +493,7 @@ impl ValidatorStream {
             .map(|(_, inst)| TupleIdMap::identity(inst.len()))
             .collect();
 
-        let stream = ValidatorStream {
+        let mut stream = ValidatorStream {
             validator,
             db,
             dict,
@@ -507,47 +506,42 @@ impl ValidatorStream {
             sym_attrs,
             sym_rows,
             sigma,
-            telemetry: StreamTelemetry::new(),
+            telemetry: Recorder::new(true),
         };
         stream
             .telemetry
-            .materialize_us
-            .record_us(build_clock.elapsed_us());
+            .record_materialize(build_clock.elapsed_us());
         (stream, report)
     }
 
     /// The stream's instrument panel: latency distributions, hot-path
     /// counters and the recent-activity journal. The storage gauges
     /// (`stream.index.*`, `stream.interner.strings`) are sampled here,
-    /// once per read, so the mutation path never maintains them.
-    pub fn telemetry(&self) -> &StreamTelemetry {
-        let (mut live, mut stored, mut keys) = (0, 0, 0);
-        for idx in self
-            .cfd_indexes
-            .iter()
-            .chain(self.cind_targets.iter())
-            .chain(self.cind_sources.iter().flatten())
-        {
-            live += idx.len();
-            stored += idx.stored();
-            keys += idx.distinct_keys();
+    /// once per read, so the mutation path never maintains them; with
+    /// recording off they read zero like every other figure.
+    pub fn telemetry(&self) -> StreamTelemetry<'_> {
+        let mut storage = StorageGauges::default();
+        if self.telemetry.is_enabled() {
+            for idx in self
+                .cfd_indexes
+                .iter()
+                .chain(self.cind_targets.iter())
+                .chain(self.cind_sources.iter().flatten())
+            {
+                storage.index_live += idx.len();
+                storage.index_stored += idx.stored();
+                storage.index_keys += idx.distinct_keys();
+            }
+            storage.strings = self.dict.len();
         }
-        self.telemetry.index_live.set(live as i64);
-        self.telemetry.index_stored.set(stored as i64);
-        self.telemetry.index_keys.set(keys as i64);
-        self.telemetry.strings.set(self.dict.len() as i64);
-        &self.telemetry
+        StreamTelemetry::new(&self.telemetry, storage)
     }
 
     /// Turns recording on or off at runtime, **resetting** all recorded
     /// state either way (counters to zero, journal emptied). With
     /// recording off every instrumentation site costs one branch.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
-        self.telemetry = if enabled {
-            StreamTelemetry::new()
-        } else {
-            StreamTelemetry::disabled()
-        };
+        self.telemetry = Recorder::new(enabled);
     }
 
     /// Rebinds Σ to the row cache after the compiled groups change,
@@ -982,7 +976,7 @@ impl ValidatorStream {
 
         live_cfd.extend(delta.cfd.introduced.iter().cloned());
         live_cind.extend(delta.cind.introduced.iter().cloned());
-        telemetry.hash_probes.add(hash_probes);
+        telemetry.record_probes(hash_probes, 0, 0, 0);
         delta
     }
 
@@ -1409,10 +1403,7 @@ impl ValidatorStream {
             from: last,
             to: pos,
         });
-        telemetry.hash_probes.add(hash_probes);
-        telemetry.slot_probes.add(slot_probes);
-        telemetry.pair_fast.add(pair_fast);
-        telemetry.pair_recompute.add(pair_recompute);
+        telemetry.record_probes(hash_probes, slot_probes, pair_fast, pair_recompute);
         Some(delta)
     }
 
@@ -1503,8 +1494,7 @@ impl ValidatorStream {
     /// mutation returns the error with **nothing** applied.
     pub fn apply_deltas(&mut self, muts: &[Mutation]) -> Result<Vec<SigmaDelta>, ModelError> {
         self.check_mutations(muts)?;
-        let span = SpanTimer::start(&self.telemetry.window_us);
-        let groups0 = self.telemetry.probes_total();
+        let window = self.telemetry.start_window();
         // Apply in order through the row-fed engine. Presence checks
         // happen here, against the evolving database, so intra-window
         // interactions (insert then delete, merging updates) resolve
@@ -1551,8 +1541,7 @@ impl ValidatorStream {
         for cell in departed {
             self.dict.release_sym(cell);
         }
-        span.stop();
-        self.telemetry.record_window(&out, noops, groups0);
+        self.telemetry.record_window(window, &out, noops);
         Ok(out)
     }
 

@@ -1,14 +1,15 @@
-//! Stream instrumentation: the handles a [`crate::ValidatorStream`] records
-//! through and the journal of its recent activity.
+//! Stream instrumentation: what a [`crate::ValidatorStream`] records
+//! and the journal of its recent activity.
 //!
-//! Every stream owns one [`StreamTelemetry`] — a private
-//! [`Registry`] with pre-resolved counter/histogram handles plus a
-//! bounded [`Journal`] — so parallel streams (and parallel tests) never
-//! share metric state. Recording sites live on the mutation hot path;
-//! the per-call cost is a handful of relaxed atomic adds (hot-loop
-//! sites accumulate locally and flush once per mutation) and, for the
-//! latency histograms, two clock reads. A stream built disabled
-//! ([`StreamTelemetry::disabled`]) reduces every site to one branch.
+//! Every stream owns one [`Recorder`] — plain counters, two latency
+//! histograms, a bounded [`Journal`] and an on/off flag — so parallel
+//! streams (and parallel tests) never share metric state. Recording
+//! sites live on the mutation hot path; hot-loop sites accumulate
+//! locally and add once per mutation, and the window latency costs two
+//! clock reads. With recording off every site reduces to one branch.
+//! A read ([`ValidatorStream::telemetry`]) hands out a
+//! [`StreamTelemetry`]: the recorder plus the storage gauges, sampled at
+//! the read.
 //!
 //! ## Metric names
 //!
@@ -31,130 +32,110 @@
 //! | `stream.index.keys` | gauge | live key groups over every index tier ([`SymIndex::distinct_keys`]: an emptied group is freed at once); sampled likewise |
 //! | `stream.interner.strings` | gauge | live strings in the stream's refcounted dictionary: those resident cached cells hold, plus every string constant of Σ (CFD pattern and RHS constants, CIND Xp and Yp constants), which stays pinned while its dependency is compiled; sampled likewise |
 //!
+//! With recording off every one of these names is still exported, and
+//! reads zero.
+//!
 //! [`ValidatorStream::telemetry`]: crate::ValidatorStream::telemetry
 //! [`SymIndex::stored`]: condep_model::SymIndex::stored
 //! [`SymIndex::distinct_keys`]: condep_model::SymIndex::distinct_keys
 
 use crate::stream::SigmaDelta;
 use condep_telemetry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Journal, JournalEvent, MetricsSnapshot, Registry,
+    key, Export, Histogram, HistogramSnapshot, Journal, JournalEvent, MetricsSnapshot, Stopwatch,
     StreamEvent,
 };
 
 /// How many journal events a stream retains.
 const JOURNAL_CAPACITY: usize = 256;
 
-/// Per-stream instrumentation: a private registry, pre-resolved
-/// handles, and the bounded activity journal.
-///
-/// Obtained from [`ValidatorStream::telemetry`]; see the module docs
-/// for the metric vocabulary.
-///
-/// [`ValidatorStream::telemetry`]: crate::ValidatorStream::telemetry
+/// What one stream records: plain counters, the seed-build and window
+/// latency histograms, the bounded activity journal and whether
+/// recording is on. Every record call is a no-op while it is off.
 #[derive(Debug)]
-pub struct StreamTelemetry {
-    registry: Registry,
+pub(crate) struct Recorder {
+    enabled: bool,
     journal: Journal,
-    pub(crate) materialize_us: Histogram,
-    pub(crate) window_us: Histogram,
-    pub(crate) windows: Counter,
-    pub(crate) inserts: Counter,
-    pub(crate) deletes: Counter,
-    pub(crate) noops: Counter,
-    pub(crate) hash_probes: Counter,
-    pub(crate) slot_probes: Counter,
-    pub(crate) pair_fast: Counter,
-    pub(crate) pair_recompute: Counter,
-    pub(crate) introduced: Counter,
-    pub(crate) resolved: Counter,
-    pub(crate) index_live: Gauge,
-    pub(crate) index_stored: Gauge,
-    pub(crate) index_keys: Gauge,
-    pub(crate) strings: Gauge,
+    materialize_us: Histogram,
+    window_us: Histogram,
+    windows: u64,
+    inserts: u64,
+    deletes: u64,
+    noops: u64,
+    hash_probes: u64,
+    slot_probes: u64,
+    pair_fast: u64,
+    pair_recompute: u64,
+    introduced: u64,
+    resolved: u64,
 }
 
-impl StreamTelemetry {
-    fn with_registry(registry: Registry) -> Self {
-        StreamTelemetry {
-            materialize_us: registry.histogram("stream.materialize_us"),
-            window_us: registry.histogram("stream.apply.window_us"),
-            windows: registry.counter("stream.apply.windows"),
-            inserts: registry.counter("stream.mutations.inserts"),
-            deletes: registry.counter("stream.mutations.deletes"),
-            noops: registry.counter("stream.mutations.noops"),
-            hash_probes: registry.counter("stream.probes.hash"),
-            slot_probes: registry.counter("stream.probes.slot"),
-            pair_fast: registry.counter("stream.pairs.fast_path"),
-            pair_recompute: registry.counter("stream.pairs.recompute"),
-            introduced: registry.counter("stream.violations.introduced"),
-            resolved: registry.counter("stream.violations.resolved"),
-            index_live: registry.gauge("stream.index.live"),
-            index_stored: registry.gauge("stream.index.stored"),
-            index_keys: registry.gauge("stream.index.keys"),
-            strings: registry.gauge("stream.interner.strings"),
+impl Recorder {
+    /// Zeroed recording state, recording or not.
+    pub(crate) fn new(enabled: bool) -> Self {
+        Recorder {
+            enabled,
             journal: Journal::with_capacity(JOURNAL_CAPACITY),
-            registry,
+            materialize_us: Histogram::default(),
+            window_us: Histogram::default(),
+            windows: 0,
+            inserts: 0,
+            deletes: 0,
+            noops: 0,
+            hash_probes: 0,
+            slot_probes: 0,
+            pair_fast: 0,
+            pair_recompute: 0,
+            introduced: 0,
+            resolved: 0,
         }
     }
 
-    /// Fresh recording state.
-    pub fn new() -> Self {
-        StreamTelemetry::with_registry(Registry::new())
+    /// Whether this recorder books anything.
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.enabled
     }
 
-    /// The runtime kill switch: every record reduces to one branch,
-    /// every read reports zero/empty.
-    pub fn disabled() -> Self {
-        StreamTelemetry::with_registry(Registry::disabled())
+    /// Books the seed build's wall time.
+    pub(crate) fn record_materialize(&mut self, us: u64) {
+        if self.enabled {
+            self.materialize_us.record_us(us);
+        }
     }
 
-    /// Whether this telemetry records anything (false when built
-    /// [`disabled`](StreamTelemetry::disabled)).
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
+    /// Books one mutation's key-group lookups (hashed and slot-served)
+    /// and its delete-side pair settlements.
+    pub(crate) fn record_probes(&mut self, hash: u64, slot: u64, fast: u64, recompute: u64) {
+        if self.enabled {
+            self.hash_probes += hash;
+            self.slot_probes += slot;
+            self.pair_fast += fast;
+            self.pair_recompute += recompute;
+        }
     }
 
-    /// The stream's private registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// All metrics, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-
-    /// The activity journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// The newest `n` journal events, oldest first.
-    pub fn journal_tail(&self, n: usize) -> Vec<JournalEvent> {
-        self.journal.tail(n)
-    }
-
-    /// Latency distribution of `apply_deltas` windows (`apply` calls
-    /// included).
-    pub fn window_latency(&self) -> HistogramSnapshot {
-        self.window_us.snapshot()
-    }
-
-    /// Key-group lookups so far, both flavors — the "groups touched"
-    /// baseline a window diffs around its mutations.
-    pub(crate) fn probes_total(&self) -> u64 {
-        self.hash_probes.get() + self.slot_probes.get()
+    /// Starts an `apply_deltas` window: its clock and the key-group
+    /// lookups made before it (`None` while recording is off, so a
+    /// disabled stream reads no clock).
+    pub(crate) fn start_window(&self) -> Option<(Stopwatch, u64)> {
+        self.enabled
+            .then(|| (Stopwatch::start(), self.hash_probes + self.slot_probes))
     }
 
     /// Books one `apply_deltas` window over its emitted deltas, of
     /// which `noops` mutations changed nothing. The journal event's
     /// `mutations` counts the effective inserts and deletes.
-    pub(crate) fn record_window(&mut self, deltas: &[SigmaDelta], noops: u64, groups0: u64) {
-        if !self.is_enabled() {
+    pub(crate) fn record_window(
+        &mut self,
+        start: Option<(Stopwatch, u64)>,
+        deltas: &[SigmaDelta],
+        noops: u64,
+    ) {
+        let Some((clock, probes0)) = start else {
             return;
-        }
-        self.windows.incr();
-        self.noops.add(noops);
+        };
+        self.window_us.record_us(clock.elapsed_us());
+        self.windows += 1;
+        self.noops += noops;
         let mut introduced = 0u64;
         let mut resolved = 0u64;
         let mut inserts = 0u64;
@@ -165,13 +146,13 @@ impl StreamTelemetry {
             inserts += d.ids.born.is_some() as u64;
             deletes += d.ids.retired.is_some() as u64;
         }
-        self.inserts.add(inserts);
-        self.deletes.add(deletes);
-        self.introduced.add(introduced);
-        self.resolved.add(resolved);
+        self.inserts += inserts;
+        self.deletes += deletes;
+        self.introduced += introduced;
+        self.resolved += resolved;
         self.journal.push(StreamEvent::Window {
             mutations: (inserts + deletes) as u32,
-            groups_touched: (self.probes_total() - groups0) as u32,
+            groups_touched: (self.hash_probes + self.slot_probes - probes0) as u32,
             introduced: introduced as u32,
             resolved: resolved as u32,
         });
@@ -179,10 +160,10 @@ impl StreamTelemetry {
 
     /// Books a live dependency splice (e.g. an online promotion).
     pub(crate) fn record_promote(&mut self, cfds: usize, cinds: usize, introduced: usize) {
-        if !self.is_enabled() {
+        if !self.enabled {
             return;
         }
-        self.introduced.add(introduced as u64);
+        self.introduced += introduced as u64;
         self.journal.push(StreamEvent::Promote {
             cfds: cfds as u32,
             cinds: cinds as u32,
@@ -192,10 +173,10 @@ impl StreamTelemetry {
 
     /// Books a live dependency retirement.
     pub(crate) fn record_retire(&mut self, cfds: usize, cinds: usize, resolved: usize) {
-        if !self.is_enabled() {
+        if !self.enabled {
             return;
         }
-        self.resolved.add(resolved as u64);
+        self.resolved += resolved as u64;
         self.journal.push(StreamEvent::Retire {
             cfds: cfds as u32,
             cinds: cinds as u32,
@@ -204,22 +185,103 @@ impl StreamTelemetry {
     }
 }
 
-impl Default for StreamTelemetry {
-    fn default() -> Self {
-        StreamTelemetry::new()
+/// A forked stream records independently: cloning starts **fresh**
+/// recording state (zero counters, empty journal) with the same
+/// enabled/disabled setting, rather than double-counting the
+/// original's history.
+impl Clone for Recorder {
+    fn clone(&self) -> Self {
+        Recorder::new(self.enabled)
     }
 }
 
-/// A forked stream records independently: cloning starts **fresh**
-/// telemetry (zero counters, empty journal) with the same
-/// enabled/disabled setting, rather than sharing or double-counting
-/// the original's atomics.
-impl Clone for StreamTelemetry {
-    fn clone(&self) -> Self {
-        if self.is_enabled() {
-            StreamTelemetry::new()
-        } else {
-            StreamTelemetry::disabled()
+/// The storage gauges of one [`StreamTelemetry`] read, all zero while
+/// recording is off.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StorageGauges {
+    pub(crate) index_live: usize,
+    pub(crate) index_stored: usize,
+    pub(crate) index_keys: usize,
+    pub(crate) strings: usize,
+}
+
+/// One read of a stream's instrument panel
+/// ([`ValidatorStream::telemetry`]): what the stream recorded, with
+/// the storage gauges sampled at the read. See the module docs for the
+/// metric vocabulary.
+///
+/// [`ValidatorStream::telemetry`]: crate::ValidatorStream::telemetry
+#[derive(Clone, Copy, Debug)]
+pub struct StreamTelemetry<'a> {
+    recorded: &'a Recorder,
+    storage: StorageGauges,
+}
+
+impl<'a> StreamTelemetry<'a> {
+    pub(crate) fn new(recorded: &'a Recorder, storage: StorageGauges) -> Self {
+        StreamTelemetry { recorded, storage }
+    }
+
+    /// Whether the stream records anything (false after
+    /// [`set_telemetry_enabled(false)`]).
+    ///
+    /// [`set_telemetry_enabled(false)`]: crate::ValidatorStream::set_telemetry_enabled
+    pub fn is_enabled(&self) -> bool {
+        self.recorded.enabled
+    }
+
+    /// Every `stream.*` metric, sorted by name.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut out = MetricsSnapshot::new();
+        self.export("stream", &mut out);
+        out
+    }
+
+    /// The activity journal.
+    pub fn journal(&self) -> &'a Journal {
+        &self.recorded.journal
+    }
+
+    /// The newest `n` journal events, oldest first.
+    pub fn journal_tail(&self, n: usize) -> Vec<JournalEvent> {
+        self.recorded.journal.tail(n)
+    }
+
+    /// Latency distribution of `apply_deltas` windows (`apply` calls
+    /// included).
+    pub fn window_latency(&self) -> HistogramSnapshot {
+        self.recorded.window_us.snapshot()
+    }
+}
+
+impl Export for StreamTelemetry<'_> {
+    fn export(&self, prefix: &str, out: &mut MetricsSnapshot) {
+        let r = self.recorded;
+        let k = |name| key(prefix, name);
+        out.histogram(k("materialize_us"), r.materialize_us.snapshot());
+        out.histogram(k("apply.window_us"), r.window_us.snapshot());
+        for (name, value) in [
+            ("apply.windows", r.windows),
+            ("mutations.inserts", r.inserts),
+            ("mutations.deletes", r.deletes),
+            ("mutations.noops", r.noops),
+            ("probes.hash", r.hash_probes),
+            ("probes.slot", r.slot_probes),
+            ("pairs.fast_path", r.pair_fast),
+            ("pairs.recompute", r.pair_recompute),
+            ("violations.introduced", r.introduced),
+            ("violations.resolved", r.resolved),
+        ] {
+            out.counter(k(name), value);
+        }
+        let s = self.storage;
+        for (name, value) in [
+            ("index.live", s.index_live),
+            ("index.stored", s.index_stored),
+            ("index.keys", s.index_keys),
+            ("interner.strings", s.strings),
+        ] {
+            out.gauge(k(name), value as i64);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The batched Σ-validator.
 
 use crate::cover::{canonical_pattern, CoverRole, CoverStats, SigmaCover};
-use condep_analyze::{AnalyzeConfig, SigmaAnalysis, SigmaLint, SigmaVerdict, UnsatSigma};
+use condep_analyze::{SigmaAnalysis, SigmaVerdict, UnsatSigma};
 use condep_cfd::{CfdViolation, NormalCfd};
 use condep_core::{CindViolation, NormalCind};
 use condep_model::fxhash::FxBuildHasher;
@@ -253,10 +253,6 @@ pub struct Validator {
     cover_stats: CoverStats,
     /// How long compilation took and what it produced.
     compile_stats: CompileStats,
-    /// Advisory Σ lints from the analyzer's cheap tier (key-group row
-    /// conflicts), refreshed on every add/retire. Indexed in this
-    /// suite's Σ numbering.
-    lints: Vec<SigmaLint>,
 }
 
 /// Wall-clock and shape facts of one suite compilation
@@ -384,9 +380,6 @@ impl Validator {
             cfd_members: cfd_groups.iter().map(|g| g.members.len()).sum(),
             cind_members: cind_groups.iter().map(|g| g.members.len()).sum(),
         };
-        // Cheap-tier static analysis: every construction surfaces
-        // conflicting/redundant key-group rows without any solving.
-        let lints = condep_analyze::row_lints(&cfds, &AnalyzeConfig::default());
         Validator {
             cfds,
             cinds,
@@ -397,7 +390,6 @@ impl Validator {
             retired_cinds,
             cover_stats: cover.stats,
             compile_stats,
-            lints,
         }
     }
 
@@ -412,7 +404,7 @@ impl Validator {
         cfds: Vec<NormalCfd>,
         cinds: Vec<NormalCind>,
     ) -> Result<Validator, UnsatSigma> {
-        let analysis = condep_analyze::analyze(schema, &cfds, &cinds, &AnalyzeConfig::default());
+        let analysis = condep_analyze::analyze(schema, &cfds, &cinds);
         if let SigmaVerdict::Unsat(core) = analysis.verdict {
             return Err(UnsatSigma { core: core.cfds });
         }
@@ -473,7 +465,6 @@ impl Validator {
             self.retired_cinds.push(false);
             self.cinds.push(cind);
         }
-        self.refresh_lints();
         (cfd_start..self.cfds.len(), cind_start..self.cinds.len())
     }
 
@@ -483,13 +474,15 @@ impl Validator {
     /// groups that carried the retired constraints are recompiled.
     ///
     /// A retired CFD that was a cover **representative** is the delicate
-    /// case: emission sites never re-check `covers[0]`'s pattern, so the
-    /// surviving covers cannot simply inherit the old probe pattern —
-    /// each one is re-seated as its own singleton member instead (its
-    /// probe pattern becomes its own pattern, which is exactly the
-    /// uncovered compile of that constraint). Already-retired indices
-    /// are skipped. An index the suite never assigned is an error,
-    /// found before anything is retired.
+    /// case: `covers[0]`'s pattern is the member's probe (the pattern a
+    /// tuple must match for the member to read it at all), so the
+    /// surviving covers cannot keep the retired one's probe — each is
+    /// re-seated as its own singleton member instead, probing with its
+    /// own pattern, which is exactly the uncovered compile of that
+    /// constraint. Every emission site still filters each cover by its
+    /// own pattern (`BoundCfdMember::covers_at`). Already-retired
+    /// indices are skipped. An index the suite never assigned is an
+    /// error, found before anything is retired.
     pub fn retire_dependencies(
         &mut self,
         cfd_idxs: &[usize],
@@ -576,7 +569,6 @@ impl Validator {
                 log.cind_members_removed.push((gi, mi));
             }
         }
-        self.refresh_lints();
         Ok(log)
     }
 
@@ -602,26 +594,6 @@ impl Validator {
         (cfds, cfd_map, cinds, cind_map)
     }
 
-    /// Re-runs the cheap lint tier over the active Σ (after
-    /// add/retire), translating indices back into suite numbering.
-    fn refresh_lints(&mut self) {
-        let (cfds, cfd_map, _, _) = self.active_sigma();
-        let mut lints = condep_analyze::row_lints(&cfds, &AnalyzeConfig::default());
-        for lint in &mut lints {
-            lint.remap(&cfd_map, &[]);
-        }
-        self.lints = lints;
-    }
-
-    /// Advisory Σ lints from the analyzer's cheap tier (conflicting or
-    /// redundant constant rows on a key group), computed at
-    /// construction and refreshed on every add/retire. Indices are in
-    /// this suite's Σ numbering. The full verdict (SAT consistency,
-    /// unsat cores, domain reachability) is [`Validator::analysis`].
-    pub fn lints(&self) -> &[SigmaLint] {
-        &self.lints
-    }
-
     /// Full static analysis of the active Σ against `schema`:
     /// SAT-backed consistency with a witness or a minimal unsat core,
     /// a budgeted chase when CINDs are present, and the complete lint
@@ -629,8 +601,7 @@ impl Validator {
     /// numbering (retired dependencies are excluded from analysis).
     pub fn analysis(&self, schema: &Arc<Schema>) -> SigmaAnalysis {
         let (cfds, cfd_map, cinds, cind_map) = self.active_sigma();
-        condep_analyze::analyze(schema, &cfds, &cinds, &AnalyzeConfig::default())
-            .remap(&cfd_map, &cind_map)
+        condep_analyze::analyze(schema, &cfds, &cinds).remap(&cfd_map, &cind_map)
     }
 
     /// Rebuilds the per-CFD slot table from the compiled groups (the

@@ -192,3 +192,73 @@ fn a_rejected_window_records_no_latency_sample() {
     assert_eq!(histogram_count(&m, "stream.apply.window_us"), 1);
     assert_eq!(stream.telemetry().journal().total(), 1);
 }
+
+/// Is `value` the zero of its kind?
+fn is_zero(value: &MetricValue) -> bool {
+    match value {
+        MetricValue::Counter(v) => *v == 0,
+        MetricValue::Gauge(v) => *v == 0,
+        MetricValue::Float(v) => *v == 0.0,
+        MetricValue::Histogram(h) => *h == Default::default(),
+    }
+}
+
+#[test]
+fn a_disabled_stream_exports_every_key_at_zero() {
+    let (schema, v) = validator();
+    let r = schema.rel_id("r").unwrap();
+    let mut db = Database::empty(schema.clone());
+    for i in 0..20 {
+        db.insert_into("r", tuple![format!("a{i}").as_str(), "b", "c0"])
+            .unwrap();
+        db.insert_into("s", tuple![format!("a{i}").as_str()])
+            .unwrap();
+    }
+    let (mut on, _) = ValidatorStream::new_validated(v.clone(), db.clone());
+    let (mut off, _) = ValidatorStream::new_validated(v, db.clone());
+    off.set_telemetry_enabled(false);
+    // Deletes, fresh orphans, a resident re-insert (a no-op) and an
+    // update, over three windows.
+    let residents: Vec<_> = db.relation(r).iter().take(6).cloned().collect();
+    let windows: Vec<Vec<Mutation>> = vec![
+        residents[..3]
+            .iter()
+            .cloned()
+            .map(|tuple| Mutation::Delete { rel: r, tuple })
+            .collect(),
+        (0..4)
+            .map(|i| Mutation::Insert {
+                rel: r,
+                tuple: tuple![format!("new{i}").as_str(), "b", "c1"],
+            })
+            .chain([Mutation::Insert {
+                rel: r,
+                tuple: residents[4].clone(),
+            }])
+            .collect(),
+        vec![Mutation::Update {
+            rel: r,
+            old: residents[5].clone(),
+            new: tuple!["a0", "b2", "c0"],
+        }],
+    ];
+    for window in &windows {
+        assert_eq!(
+            on.apply_deltas(window).unwrap(),
+            off.apply_deltas(window).unwrap()
+        );
+    }
+    assert_eq!(on.current_report(), off.current_report());
+
+    let (m_on, m_off) = (on.telemetry().snapshot(), off.telemetry().snapshot());
+    let keys = |m: &MetricsSnapshot| m.iter().map(|(k, _)| k.to_string()).collect::<Vec<_>>();
+    assert_eq!(keys(&m_on), keys(&m_off));
+    assert_eq!(counter(&m_on, "stream.apply.windows"), 3);
+    assert!(!off.telemetry().is_enabled());
+    for (key, value) in m_off.iter() {
+        assert!(is_zero(value), "{key} reads {value:?} with recording off");
+    }
+    assert_eq!(off.telemetry().journal().total(), 0);
+    assert!(off.telemetry().journal_tail(usize::MAX).is_empty());
+    assert!(!on.telemetry().journal_tail(usize::MAX).is_empty());
+}

@@ -25,13 +25,15 @@
 //! | [`validate`] | **batched Σ-validation engine**: Σ grouped by `(relation, LHS set)`, one shared group-by index per group over symbol keys read from one row cache, parallel sweep; `ValidatorStream` delta engine (value-level `Mutation` windows through one `apply_deltas` entry, insert/delete/update with violation retraction; `apply`/`revert` are windows of one) hardened for whole-life monitoring: position-stable `TupleId` handles, key groups freed with their last tuple and a refcounted string dictionary, so memory follows the live data with no maintenance call |
 //! | [`repair`] | **cost-based repair engine**: greedy equivalence-class CFD repair (union-find over conflicting cells, majority/constant targets), CIND orphans chased into inserted targets or deleted, every fix verified net-negative through the delta engine and rolled back otherwise |
 //! | [`report`] | high-level data-quality façade: compiles Σ into a batched validator, runs it against a database and aggregates violations; `QualityMonitor` reads the stream's live violation set (O(1) summary, sorted report on demand); `QualitySuite::repair` cleans a database through the repair engine |
-//! | [`telemetry`] | **unified observability core** (dependency-free): per-owner counter/gauge registries with a runtime kill switch, log2-bucket µs histograms with deterministic p50/p90/p99, RAII span timers, a bounded event journal, the metric-naming rule and a hand-rolled JSON writer and parser |
+//! | [`telemetry`] | **unified observability core** (dependency-free): log2-bucket µs histograms with deterministic p50/p90/p99 and stopwatches, kept as plain values by the layer that owns them, a bounded event journal, the `Export` trait every owner writes its figures through, the metric-naming rule and a hand-rolled JSON writer and parser |
 //!
 //! ## Observability
 //!
-//! Every layer reports through [`telemetry`]: a `ValidatorStream` owns
-//! a private registry + journal (probe counts, mutation/window latency,
-//! index and dictionary sizes — see `condep_validate::StreamTelemetry`),
+//! Every layer reports through [`telemetry`], and every owner keeps
+//! its own figures in plain fields: a `ValidatorStream` keeps its
+//! counters, latency histograms and journal (probe counts,
+//! mutation/window latency; its index and dictionary sizes are sampled
+//! when read — see `condep_validate::StreamTelemetry`),
 //! `Validator::new` and `discover::discover` time their phases into the
 //! stats they return (`Validator::compile_stats`,
 //! `DiscoveredSigma::timings`), a repair run returns its round metrics

@@ -259,8 +259,7 @@ impl QualitySuite {
     /// Full static analysis of the suite's Σ: SAT-backed consistency
     /// with a witness database or a minimal unsat core, a budgeted
     /// chase for CFD+CIND interaction, and the advisory
-    /// [`condep_validate::SigmaLint`] catalogue. The cheap lint tier is
-    /// also always available as `validator().lints()`.
+    /// [`condep_validate::SigmaLint`] catalogue.
     pub fn analysis(&self) -> condep_validate::SigmaAnalysis {
         self.validator.analysis(&self.schema)
     }
@@ -349,6 +348,15 @@ pub struct QualityMonitor {
     /// Online-discovery loop, when enabled.
     online: Option<OnlineState>,
 }
+
+// A monitor, the stream inside it and a repair report can move to and
+// be read from other threads: their figures are plain fields.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<QualityMonitor>();
+    send_sync::<ValidatorStream>();
+    send_sync::<RepairReport>();
+};
 
 /// Counters of what a monitor's online-discovery loop has done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
